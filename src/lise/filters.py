@@ -148,10 +148,12 @@ class StepOutput:
     unbiasedness: dict[str, float]
 
 
-def _check_vector(v, size: int, name: str) -> np.ndarray:
+def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (size,):
-        raise InvalidInputError(f"{name} must have shape ({size},), got {a.shape}")
+        raise InvalidInputError(f"{name} at k={k} must have shape ({size},), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} at k={k} has non-finite entries")
     return a
 
 
@@ -159,6 +161,8 @@ def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
     a = np.asarray(p0, dtype=float)
     if a.shape != (n, n):
         raise InvalidInputError(f"P0 must be {n} x {n}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError("P0 at k=0 has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.T)) > tol.zero_abs * scale:
         raise InvalidInputError("P0 must be symmetric")
@@ -313,10 +317,10 @@ def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
     """Initialize the updated-estimate filter from the time-0 measurement."""
     step0 = model.step(0)
     dec = decompose_cached(step0, tol)
-    xhat = _check_vector(x0_mean, step0.n, "x0_mean")
+    xhat = _check_vector(x0_mean, step0.n, "x0_mean", 0)
     p0m = _check_p0(p0, step0.n, tol)
-    y0v = _check_vector(y0, step0.l, "y0")
-    u0v = _check_vector(u0, step0.m, "u0")
+    y0v = _check_vector(y0, step0.l, "y0", 0)
+    u0v = _check_vector(u0, step0.m, "u0", 0)
     z1, _ = transform_measurement(dec, y0v)
     d1hat = dec.sigma_inv @ (z1 - dec.C1 @ xhat - dec.D1 @ u0v)
     pd1 = dec.sigma_inv @ (dec.C1 @ p0m @ dec.C1.T + dec.R1) @ dec.sigma_inv
@@ -347,9 +351,9 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     step = model.step(k)
     dec_k = dec if dec is not None else decompose_cached(step, tol)
     dp = state.dec
-    yv = _check_vector(y, step.l, "y")
-    uv = _check_vector(u, step.m, "u")
-    upv = _check_vector(u_prev, step.m, "u_prev")
+    yv = _check_vector(y, step.l, "y", k)
+    uv = _check_vector(u, step.m, "u", k)
+    upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
     # estimation of the dynamics-only input component d2 at k-1
@@ -444,9 +448,9 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     step = model.step(k)
     dec_k = dec if dec is not None else decompose_cached(step, tol)
     dp = state.dec
-    yv = _check_vector(y, step.l, "y")
-    uv = _check_vector(u, step.m, "u")
-    upv = _check_vector(u_prev, step.m, "u_prev")
+    yv = _check_vector(y, step.l, "y", k)
+    uv = _check_vector(u, step.m, "u", k)
+    upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
     p_tilde = symmetrize(state.ahat @ state.px @ state.ahat.T + state.qhat)
@@ -513,7 +517,7 @@ def kalman_init(model: SystemModel, x0_mean, p0,
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     step0 = model.step(0)
-    return KalmanState(k=0, xhat=_check_vector(x0_mean, step0.n, "x0_mean"),
+    return KalmanState(k=0, xhat=_check_vector(x0_mean, step0.n, "x0_mean", 0),
                        px=_check_p0(p0, step0.n, tol))
 
 
@@ -525,9 +529,9 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     k = state.k + 1
     step_prev = model.step(state.k)
     step = model.step(k)
-    yv = _check_vector(y, step.l, "y")
-    uv = _check_vector(u, step.m, "u")
-    upv = _check_vector(u_prev, step.m, "u_prev")
+    yv = _check_vector(y, step.l, "y", k)
+    uv = _check_vector(u, step.m, "u", k)
+    upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
     xpred = step_prev.A @ state.xhat + step_prev.B @ upv

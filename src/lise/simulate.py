@@ -2,8 +2,12 @@
 
 Ground truth is generated with a counter-based Philox (4x64) bit generator;
 run ``r`` of a scenario draws from the stream keyed ``(seed, r)``, so runs
-are reproducible individually and Monte-Carlo batches are embarrassingly
-parallel.  Gaussian noise uses a PSD square-root factor of the covariance.
+are reproducible individually.  All runs of a Monte-Carlo batch are
+simulated at once: each run's noise comes from its own stream, the model
+step and its noise factors are fetched once per time index, and the states
+of all runs are propagated as one (M, n) array, bitwise equal to simulating
+each run on its own.  Gaussian noise uses a PSD square-root factor of the
+covariance.
 
 Filter gains and covariances do not depend on the data, so a Monte-Carlo
 batch runs the full step functions once (which also yields the reported
@@ -13,6 +17,7 @@ all measurement realizations with cheap batched estimate updates.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -100,7 +105,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TruthTrajectories:
-    """Simulated ground truth of one run: x (N+1, n), y (N+1, l), d (N+1, p), u (N+1, m)."""
+    """Simulated ground truth: x (N+1, n), y (N+1, l), d (N+1, p), u (N+1, m).
+
+    A batch of runs carries a leading run axis on ``x`` and ``y`` only.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -114,33 +122,72 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_truth(scenario: Scenario, run_index: int = 0,
-                   tol: Tolerance = DEFAULT_TOL) -> TruthTrajectories:
-    """Simulate one seeded run of the model under the scenario's signals.
+def _gemv(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mat @ v`` for every vector ``v`` along the last axis of ``vecs``.
 
-    Identical (seed, run_index) pairs produce bitwise-identical trajectories.
+    ``mat`` is one matrix or a stack of them broadcast against ``vecs``.
+    Each product is a separate gemv, the same BLAS path as ``mat @ v`` on a
+    single vector, so batches reproduce one-run arithmetic bit for bit
+    (``vecs @ mat.T`` is a gemm and may round differently).
     """
+    return np.matmul(mat, vecs[..., None])[..., 0]
+
+
+def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
+                   tol: Tolerance = DEFAULT_TOL) -> TruthTrajectories:
+    """Simulate seeded runs of the model under the scenario's signals.
+
+    An integer ``run_index`` gives one run, with ``x`` (N+1, n) and ``y``
+    (N+1, l).  A sequence of run indices gives the batch, with a leading run
+    axis on ``x`` and ``y``; ``d`` and ``u`` are shared by all runs.  Every
+    run is bitwise identical to simulating it on its own, and identical
+    (seed, run_index) pairs produce bitwise-identical trajectories.
+    """
+    single = isinstance(run_index, numbers.Integral)
+    runs = [run_index] if single else list(run_index)
     model = scenario.model
     n_steps = scenario.horizon
     d = sample_signals(scenario.d_signals, n_steps + 1)
     u = sample_signals(scenario.u_signals, n_steps + 1)
-    rng = _run_rng(scenario.noise_seed, run_index)
-    w_std = rng.standard_normal((n_steps, model.n))
-    v_std = rng.standard_normal((n_steps + 1, model.l))
 
-    x = np.zeros((n_steps + 1, model.n))
-    y = np.zeros((n_steps + 1, model.l))
-    x[0] = scenario.x0_true
-    fq = fr = None
-    for k in range(n_steps + 1):
-        step = model.step(k)
-        if fq is None or not model.is_time_invariant:
-            fq = psd_sqrt(step.Q, tol)
-            fr = psd_sqrt(step.R, tol)
-        y[k] = step.C @ x[k] + step.D @ u[k] + step.H @ d[k] + fr @ v_std[k]
-        if k < n_steps:
-            x[k + 1] = (step.A @ x[k] + step.B @ u[k] + step.G @ d[k]
-                        + fq @ w_std[k])
+    # each run's standard-normal draws go straight into its rows: process
+    # noise into x[r, 1:], then measurement noise into y[r]
+    x = np.empty((len(runs), n_steps + 1, model.n))
+    y = np.empty((len(runs), n_steps + 1, model.l))
+    for i, r in enumerate(runs):
+        rng = _run_rng(scenario.noise_seed, r)
+        rng.standard_normal(out=x[i, 1:])
+        rng.standard_normal(out=y[i])
+    x[:, 0] = scenario.x0_true
+
+    # each model matrix and noise factor as a series over k = 0..N, fetched
+    # and factored once per k (once in all for a time-invariant model)
+    if model.is_time_invariant:
+        step0 = model.step(0)
+
+        def series(f):
+            mat = f(step0)
+            return np.broadcast_to(mat, (n_steps + 1,) + mat.shape)
+    else:
+        steps = [model.step(k) for k in range(n_steps + 1)]
+
+        def series(f):
+            return np.stack([f(s) for s in steps])
+
+    # only A x[k] depends on the recursion; every other term is formed for
+    # all k at once.  The sums keep the one-run order (A x + B u + G d +
+    # noise, C x + D u + H d + noise) so that rounding matches bit for bit.
+    a = series(lambda s: s.A)
+    bu = _gemv(series(lambda s: s.B), u)
+    gd = _gemv(series(lambda s: s.G), d)
+    x[:, 1:] = _gemv(series(lambda s: psd_sqrt(s.Q, tol))[:n_steps], x[:, 1:])
+    for k in range(n_steps):
+        x[:, k + 1] = _gemv(a[k], x[:, k]) + bu[k] + gd[k] + x[:, k + 1]
+    y[:] = (_gemv(series(lambda s: s.C), x) + _gemv(series(lambda s: s.D), u)
+            + _gemv(series(lambda s: s.H), d)
+            + _gemv(series(lambda s: psd_sqrt(s.R, tol)), y))
+    if single:
+        return TruthTrajectories(x=x[0], y=y[0], d=d, u=u)
     return TruthTrajectories(x=x, y=y, d=d, u=u)
 
 
@@ -309,7 +356,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     is recorded on its :class:`FilterRun` instead of raising.
     """
     model = scenario.model
-    violations = validate(model, range(min(scenario.horizon, 50) + 1)
+    violations = validate(model, range(scenario.horizon + 1)
                           if not model.is_time_invariant else None, tol)
     if violations:
         msgs = "; ".join(f"[k={v.index}] {v.field}: {v.message}" for v in violations)
@@ -318,8 +365,8 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     if scenario.structural_checks and model.is_time_invariant:
         structural = analyze(model, tol)
 
-    truths = [simulate_truth(scenario, r, tol) for r in range(scenario.monte_carlo)]
-    truth0 = truths[0]
+    truth = simulate_truth(scenario, range(scenario.monte_carlo), tol)
+    truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
     n_steps = scenario.horizon
     tail = _steady_slice(n_steps, scenario.steady_window)
 
@@ -333,16 +380,16 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         err_x = xhat - truth0.x[1:n_ok + 1]
         err_d = dhat - truth0.d[:n_ok]
         if scenario.monte_carlo > 1 and n_ok:
-            ys = np.stack([t.y for t in truths])
-            xh_runs, dh_runs = _apply_schedule(name, gains, ys, truth0.u,
+            xh_runs, dh_runs = _apply_schedule(name, gains, truth.y, truth.u,
                                                scenario.x0_mean)
-            err_x_runs = xh_runs - np.stack([t.x[1:n_ok + 1] for t in truths])
-            err_d_runs = dh_runs - np.stack([t.d[:n_ok] for t in truths])
+            err_x_runs = xh_runs - truth.x[:, 1:n_ok + 1]
+            err_d_runs = dh_runs - truth.d[:n_ok]
         else:
             err_x_runs = err_x[np.newaxis]
             err_d_runs = err_d[np.newaxis]
         steady = {}
-        if n_ok:
+        # a filter that failed before the tail window has no steady state
+        if n_ok > tail.start:
             steady = {
                 "px_diag": px_diag[tail].mean(axis=0),
                 "pd_diag": pd_diag[tail].mean(axis=0) if model.p else np.zeros(0),

@@ -7,7 +7,9 @@ they can serve as oracles for it.
 
 import numpy as np
 
-from lise.linalg import pinv, symmetrize
+from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
+from lise.signals import sample_signals
+from lise.simulate import _run_rng
 
 
 def no_feedthrough_oracle(model, ys, us, x0, p0):
@@ -54,3 +56,33 @@ def full_rank_gain_oracle(step, px_star):
     h = step.H
     inner = np.eye(step.l) - h @ np.linalg.inv(h.T @ ri @ h) @ h.T @ ri
     return px_star @ step.C.T @ ri @ inner
+
+
+def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
+    """Ground truth of one run, stepped one run at a time.
+
+    A frozen copy of the original per-run simulation loop; the batched
+    ``simulate_truth`` must reproduce it bit for bit.  Returns (x, y, d, u).
+    """
+    model = scenario.model
+    n_steps = scenario.horizon
+    d = sample_signals(scenario.d_signals, n_steps + 1)
+    u = sample_signals(scenario.u_signals, n_steps + 1)
+    rng = _run_rng(scenario.noise_seed, run_index)
+    w_std = rng.standard_normal((n_steps, model.n))
+    v_std = rng.standard_normal((n_steps + 1, model.l))
+
+    x = np.zeros((n_steps + 1, model.n))
+    y = np.zeros((n_steps + 1, model.l))
+    x[0] = scenario.x0_true
+    fq = fr = None
+    for k in range(n_steps + 1):
+        step = model.step(k)
+        if fq is None or not model.is_time_invariant:
+            fq = psd_sqrt(step.Q, tol)
+            fr = psd_sqrt(step.R, tol)
+        y[k] = step.C @ x[k] + step.D @ u[k] + step.H @ d[k] + fr @ v_std[k]
+        if k < n_steps:
+            x[k + 1] = (step.A @ x[k] + step.B @ u[k] + step.G @ d[k]
+                        + fq @ w_std[k])
+    return x, y, d, u

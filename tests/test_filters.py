@@ -89,6 +89,51 @@ class TestInit:
             ulise_init(model, np.zeros(5), -np.eye(5), np.zeros(5), np.zeros(1))
 
 
+_FILTER_FNS = {
+    "ULISE": (ulise_init, ulise_step),
+    "PLISE": (plise_init, plise_step),
+    "CYWZ": (ulise_init, cywz_step),
+    "KALMAN": (lambda model, x0, p0, y0, u0: kalman_init(model, x0, p0), kalman_step),
+}
+
+
+class TestNonFiniteInputs:
+    """A non-finite input would corrupt xhat while px stays finite; every
+    filter must reject it at the step boundary and name the step."""
+
+    @pytest.mark.parametrize("field", ["y", "u", "u_prev"])
+    @pytest.mark.parametrize("name", sorted(_FILTER_FNS))
+    def test_nan_at_step_7_is_rejected(self, name, field):
+        rng = np.random.default_rng(21)
+        model = random_system(rng, n=4, l=3, p=0 if name == "KALMAN" else 1, p_h=0)
+        ys = rng.standard_normal((8, 3))
+        us = rng.standard_normal((8, 1))
+        init, step_fn = _FILTER_FNS[name]
+        state = init(model, np.zeros(4), np.eye(4), ys[0], us[0])
+        for k in range(1, 7):
+            state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
+            assert np.all(np.isfinite(out.xhat))
+        args = {"y": ys[7].copy(), "u": us[7].copy(), "u_prev": us[6].copy()}
+        args[field][0] = np.nan
+        with pytest.raises(InvalidInputError, match=f"{field} at k=7"):
+            step_fn(state, args["y"], args["u"], args["u_prev"], model)
+
+    @pytest.mark.parametrize("name,field", [
+        (name, field) for name in sorted(_FILTER_FNS)
+        for field in ("x0_mean", "P0", "y0", "u0")
+        # the Kalman filter is not initialized from a measurement
+        if not (name == "KALMAN" and field in ("y0", "u0"))])
+    def test_nonfinite_init_is_rejected(self, name, field):
+        rng = np.random.default_rng(22)
+        model = random_system(rng, n=4, l=3, p=0 if name == "KALMAN" else 1, p_h=0)
+        args = {"x0_mean": np.zeros(4), "P0": np.eye(4), "y0": np.zeros(3),
+                "u0": np.zeros(1)}
+        args[field].flat[0] = np.inf
+        init, _ = _FILTER_FNS[name]
+        with pytest.raises(InvalidInputError, match=f"{field} at k=0"):
+            init(model, args["x0_mean"], args["P0"], args["y0"], args["u0"])
+
+
 class TestKalmanCollapse:
     def test_all_variants_match_kalman_bitwise_tolerance(self):
         rng = np.random.default_rng(11)

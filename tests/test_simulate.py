@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lise.simulate
 from conftest import random_system
+from oracles import per_run_truth_oracle
 from lise.benchmarks import (
     fault_d_signals,
     fault_input_samples,
@@ -10,7 +14,8 @@ from lise.benchmarks import (
 )
 from lise.errors import InvalidInputError
 from lise.filters import ulise_init, ulise_step
-from lise.signals import Constant, Samples, SquareWave, sample_signal, sample_signals
+from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
+                          sample_signals)
 from lise.simulate import (
     FilterFailure,
     Scenario,
@@ -84,6 +89,42 @@ class TestSimulateTruth:
         assert np.array_equal(a.d, b.d)   # signals are shared, noise is not
 
 
+def _rank_switching_model(rng):
+    """Time-varying model whose feedthrough rank alternates 0 and 2."""
+    steps = [random_system(rng, n=4, l=3, p=2, p_h=p_h).step(0) for p_h in (0, 2)]
+    return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from([1, 3, 7]), st.integers(1, 12),
+       st.booleans())
+def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying):
+    rng = np.random.default_rng(seed)
+    if varying:
+        model = _rank_switching_model(rng)
+    else:
+        n = int(rng.integers(1, 6))
+        l = int(rng.integers(1, n + 1))
+        p = int(rng.integers(0, l + 1))
+        model = random_system(rng, n=n, l=l, p=p, p_h=int(rng.integers(0, p + 1)))
+    sc = Scenario(model=model, horizon=horizon,
+                  d_signals=[SquareWave(1.5, 2, 1, horizon)] * model.p,
+                  u_signals=[Ramp(0.3, 0, horizon)] * model.m,
+                  x0_true=rng.standard_normal(model.n), x0_mean=np.zeros(model.n),
+                  p0=np.eye(model.n), noise_seed=int(rng.integers(2 ** 63)),
+                  filters=("ULISE",), structural_checks=False)
+    batch = simulate_truth(sc, range(runs))
+    assert batch.x.shape == (runs, horizon + 1, model.n)
+    assert batch.y.shape == (runs, horizon + 1, model.l)
+    for r in range(runs):
+        x, y, d, u = per_run_truth_oracle(sc, r)
+        single = simulate_truth(sc, r)
+        assert np.array_equal(batch.x[r], x) and np.array_equal(batch.y[r], y)
+        assert np.array_equal(single.x, x) and np.array_equal(single.y, y)
+        for got in (batch, single):
+            assert np.array_equal(got.d, d) and np.array_equal(got.u, u)
+
+
 class TestRunScenario:
     def test_kalman_equals_ulise_when_no_unknown_input(self):
         rng = np.random.default_rng(12)
@@ -142,6 +183,38 @@ class TestRunScenario:
     def test_filter_failure_raises_with_step_index(self):
         sc = _failing_scenario()
         with pytest.raises(FilterFailure, match="step 1"):
+            run_scenario(sc)
+
+    def test_nonfinite_measurement_recorded_as_failure(self, monkeypatch):
+        real = lise.simulate.simulate_truth
+
+        def poisoned(scenario, run_index, tol):
+            truth = real(scenario, run_index, tol)
+            truth.y[:, 7, 0] = np.nan
+            return truth
+
+        monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
+        sc = fault_scenario(1, horizon=20, monte_carlo=3, structural_checks=False)
+        res = run_scenario(sc, raise_filter_errors=False)
+        for fr in res.filters.values():
+            assert fr.failed_at == 7 and "y at k=7" in fr.error
+            assert fr.xhat.shape[0] == 6 and np.all(np.isfinite(fr.xhat))
+            assert fr.steady == {}   # failed before the tail window
+
+    def test_time_varying_model_validated_over_whole_horizon(self):
+        base = fault_system(1).step(0)
+        singular_r = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
+
+        def provider(k):
+            return SystemStep(A=base.A, B=base.B, C=base.C, D=base.D, G=base.G,
+                              H=base.H, Q=base.Q, R=base.R if k < 120 else singular_r)
+
+        model = SystemModel.time_varying(provider, dims=(5, 1, 3, 5))
+        sc = Scenario(model=model, horizon=150, d_signals=fault_d_signals(),
+                      u_signals=[Constant(0.0)], x0_true=np.zeros(5),
+                      x0_mean=np.zeros(5), p0=np.eye(5), noise_seed=3,
+                      filters=("ULISE",), structural_checks=False)
+        with pytest.raises(InvalidInputError, match=r"\[k=120\] R"):
             run_scenario(sc)
 
     def test_filter_failure_captured_when_requested(self):
