@@ -23,7 +23,6 @@ from .simulate import Scenario
 __all__ = [
     "fault_system",
     "fault_d_signals",
-    "fault_input_samples",
     "fault_scenario",
     "vehicle_tracking_model",
     "vehicle_d_signals",
@@ -93,22 +92,6 @@ def fault_d_signals() -> list[SignalSpec]:
         Ramp(slope=1.0 / 700.0, k_on=100, k_off=800),
         SquareWave(amplitude=3.0, half_period=50, k_on=500, k_off=799),
     ]
-
-
-def fault_input_samples(count: int) -> np.ndarray:
-    """The same three fault signals written out piecewise (no generic
-    oscillator), as the independent reference for the signal specs."""
-    d = np.zeros((count, 3))
-    for k in range(count):
-        if 500 <= k <= 700:
-            d[k, 0] = 1.0
-        if 100 <= k <= 800:
-            d[k, 1] = (k - 100) / 700.0
-        if 500 <= k <= 549 or 600 <= k <= 649 or 700 <= k <= 749:
-            d[k, 2] = 3.0
-        elif 550 <= k <= 599 or 650 <= k <= 699 or 750 <= k <= 799:
-            d[k, 2] = -3.0
-    return d
 
 
 def fault_scenario(index: int, horizon: int = 1000, seed: int = 20260810,

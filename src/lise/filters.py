@@ -312,6 +312,31 @@ def _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l) -> dict[str, float]:
     }
 
 
+def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
+                     m2, m2_state, gain_l, from_propagated: bool):
+    """The data-dependent half of one filter step, given its gains.
+
+    Advances the filtered state ``xhat`` and feedthrough-input estimate
+    ``d1hat`` of time ``k-1`` by the checked measurement ``y`` and known
+    inputs ``u``/``u_prev``.  ``m2_state`` is ``m2`` itself except for the OLS
+    variant; ``from_propagated`` forms the new ``d1hat`` from the propagated
+    state (PLISE) instead of the updated one.  Returns ``(xhat, d1hat,
+    dhat_prev, xstar)`` at ``k``, ``dhat_prev`` being the estimate of
+    ``d_{k-1}``.
+    """
+    xpred = step_prev.A @ xhat + step_prev.B @ u_prev + dec_prev.G1 @ d1hat
+    z1, z2 = transform_measurement(dec, y)
+    resid2 = z2 - dec.C2 @ xpred - dec.D2 @ u
+    d2hat = m2 @ resid2
+    dhat_prev = dec_prev.V1 @ d1hat + dec_prev.V2 @ d2hat
+    d2hat_state = d2hat if m2_state is m2 else m2_state @ resid2
+    xstar = xpred + dec_prev.G2 @ d2hat_state
+    xhat = xstar + gain_l @ (y - step.C @ xstar - step.D @ u)
+    base = xstar if from_propagated else xhat
+    d1hat = dec.sigma_inv @ (z1 - dec.C1 @ base - dec.D1 @ u)
+    return xhat, d1hat, dhat_prev, xstar
+
+
 def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
                tol: Tolerance = DEFAULT_TOL) -> UliseState:
     """Initialize the updated-estimate filter from the time-0 measurement."""
@@ -361,19 +386,12 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     m2, pd2, r2_tilde, c2g2 = _input_gain_gls(p_tilde, dec_k, dp.G2, tol)
     m2_state = pinv(c2g2, tol) if ols_state_gain else m2
 
-    xpred = step_prev.A @ state.xhat + step_prev.B @ upv + dp.G1 @ state.d1hat
-    z1, z2 = transform_measurement(dec_k, yv)
-    resid2 = z2 - dec_k.C2 @ xpred - dec_k.D2 @ uv
-    d2hat = m2 @ resid2
-    dhat_prev = dp.V1 @ state.d1hat + dp.V2 @ d2hat
     w2 = dec_k.C2.T @ m2.T
     pd12 = (dp.sigma_inv @ dp.C1 @ state.px @ step_prev.A.T @ w2
             - state.pd1 @ dp.G1.T @ w2)
     pd_prev = dp.V @ np.block([[state.pd1, pd12], [pd12.T, pd2]]) @ dp.V.T
 
     # time update
-    d2hat_state = m2_state @ resid2 if ols_state_gain else d2hat
-    xstar = xpred + dp.G2 @ d2hat_state
     igmc = np.eye(n) - dp.G2 @ m2_state @ dec_k.C2
     px_star = symmetrize(dp.G2 @ m2_state @ dec_k.R2 @ m2_state.T @ dp.G2.T
                          + igmc @ p_tilde @ igmc.T)
@@ -384,18 +402,20 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     r_hat = symmetrize(step.C @ p_tilde @ step.C.T + step.R)
     gain_l, _, _ = compute_gain_L(px_star, step, dec_k, m2_state, dp.G2, gamma, tol,
                                   r_hat=r_hat, closed_form=not ols_state_gain)
-    xhat = xstar + gain_l @ (yv - step.C @ xstar - step.D @ uv)
     ilc = np.eye(n) - gain_l @ step.C
     noise_cross = ilc @ (dp.G2 @ m2_state @ dec_k.U2.T @ step.R) @ gain_l.T
     px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
                     + gain_l @ step.R @ gain_l.T)
 
-    # estimation of the feedthrough input component d1 at k (from the
-    # updated state)
+    # covariance of the feedthrough input component d1 at k (estimated from
+    # the updated state)
     r1_tilde = dec_k.C1 @ px @ dec_k.C1.T + dec_k.R1
     pd1 = symmetrize(dec_k.sigma_inv @ r1_tilde @ dec_k.sigma_inv)
-    d1hat = dec_k.sigma_inv @ (z1 - dec_k.C1 @ xhat - dec_k.D1 @ uv)
     ahat, qhat = decoupled_dynamics(step, dec_k)
+
+    xhat, d1hat, dhat_prev, xstar = _estimate_update(
+        state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
+        m2, m2_state, gain_l, from_propagated=False)
 
     new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
                            ahat=ahat, qhat=qhat, dec=dec_k)
@@ -456,17 +476,12 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     p_tilde = symmetrize(state.ahat @ state.px @ state.ahat.T + state.qhat)
     m2, pd2, r2_tilde, c2g2 = _input_gain_gls(p_tilde, dec_k, dp.G2, tol)
 
-    xpred = step_prev.A @ state.xhat + step_prev.B @ upv + dp.G1 @ state.d1hat
-    z1, z2 = transform_measurement(dec_k, yv)
-    d2hat = m2 @ (z2 - dec_k.C2 @ xpred - dec_k.D2 @ uv)
     w2 = dec_k.C2.T @ m2.T
     pxd2 = -state.px @ step_prev.A.T @ w2 - state.pxd1 @ dp.G1.T @ w2
     pd12 = -state.pxd1.T @ step_prev.A.T @ w2 - state.pd1 @ dp.G1.T @ w2
-    dhat_prev = dp.V1 @ state.d1hat + dp.V2 @ d2hat
     pd_prev = dp.V @ np.block([[state.pd1, pd12], [pd12.T, pd2]]) @ dp.V.T
 
     # time update from the joint covariance of (x, d1, d2) at k-1
-    xstar = xpred + dp.G2 @ d2hat
     blockmap = np.hstack([step_prev.A, dp.G1, dp.G2])
     joint = np.block([
         [state.px, state.pxd1, pxd2],
@@ -476,10 +491,9 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     qc = dp.G2 @ m2 @ dec_k.C2 @ step_prev.Q
     px_star = symmetrize(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
 
-    # estimation of d1 at k from the propagated state
+    # covariance of d1 at k (estimated from the propagated state)
     r1_tilde = dec_k.C1 @ px_star @ dec_k.C1.T + dec_k.R1
     pd1 = symmetrize(dec_k.sigma_inv @ r1_tilde @ dec_k.sigma_inv)
-    d1hat = dec_k.sigma_inv @ (z1 - dec_k.C1 @ xstar - dec_k.D1 @ uv)
     ahat, qhat = decoupled_dynamics(step, dec_k)
 
     # measurement update.  This variant always reduces the singular
@@ -491,7 +505,6 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     # for interface symmetry; estimates are reduction-invariant anyway.
     gain_l, _, _ = compute_gain_L(px_star, step, dec_k, m2, dp.G2,
                                   GammaPolicy.PSEUDO_INVERSE, tol)
-    xhat = xstar + gain_l @ (yv - step.C @ xstar - step.D @ uv)
     ilc = np.eye(n) - gain_l @ step.C
     noise_cross = ilc @ (dp.G2 @ m2 @ dec_k.U2.T @ step.R) @ gain_l.T
     px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
@@ -500,6 +513,9 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
                 - gain_l @ step.R @ dec_k.T2.T @ m2.T @ dp.G2.T
                 @ dec_k.C1.T @ dec_k.sigma_inv)
 
+    xhat, d1hat, dhat_prev, xstar = _estimate_update(
+        state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
+        m2, m2, gain_l, from_propagated=True)
     new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
                            pxd1=pxd1_new, ahat=ahat, qhat=qhat, dec=dec_k,
                            px_star=px_star)

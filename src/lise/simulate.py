@@ -13,6 +13,16 @@ Filter gains and covariances do not depend on the data, so a Monte-Carlo
 batch runs the full step functions once (which also yields the reported
 covariance series and the gain schedule) and then replays the schedule over
 all measurement realizations with cheap batched estimate updates.
+
+On a time-invariant model the floating-point gain recursion of ULISE, PLISE
+and CYWZ settles into a covariance state that repeats bit for bit, either a
+fixed point or a short cycle.  The pass keys every step by the exact bytes of
+that state; from the first repeat on it stops calling the step function, and
+each later step reuses the gains and covariances of the step one period
+earlier and runs only the estimate update the step functions share.  No
+tolerance is involved, so every output is bitwise what stepping the filter
+at every k gives; :attr:`FilterRun.gain_cycle` says where the cycle starts.
+Time-varying models and the Kalman filter step at every k.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ from .decomposition import OutputDecomposition, decompose_cached
 from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
+    _check_vector,
+    _estimate_update,
     cywz_init,
     cywz_step,
     kalman_init,
@@ -213,6 +225,12 @@ class FilterRun:
     ``xhat[i]`` is the filtered state after consuming measurement ``k = i+1``;
     ``dhat[i]`` is the (one-step delayed) estimate of the unknown input at
     time ``i``.  ``*_runs`` arrays hold the errors of every Monte-Carlo run.
+    ``seconds_per_step`` is the mean wall time per step of the whole pass,
+    steps served from the gain cycle included.  ``gain_cycle`` is ``(k,
+    period)`` when the filter's covariance state repeated bitwise before
+    measurement ``k``: from step ``k`` on, every gain and covariance repeats
+    the one ``period`` steps earlier.  It is ``None`` when no repeat occurred,
+    and always for time-varying models and the Kalman filter.
     """
 
     name: str
@@ -232,6 +250,7 @@ class FilterRun:
     gain_l_series: list
     error: Optional[str] = None
     failed_at: Optional[int] = None
+    gain_cycle: Optional[tuple[int, int]] = None
 
 
 @dataclass
@@ -248,11 +267,23 @@ class RunResult:
 
 _INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init}
 _STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step}
+# the whole data-independent part of each filter's state on a time-invariant
+# model: the step's gains and covariances are a function of these alone
+_COV_STATE = {"ULISE": ("px", "pd1"), "CYWZ": ("px", "pd1"),
+              "PLISE": ("px", "pd1", "pxd1")}
 
 
 def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                tol: Tolerance):
-    """Run the real step functions over run-0 data; collect series and gains."""
+    """Run the real step functions over run-0 data; collect series and gains.
+
+    On a time-invariant model, ULISE, PLISE and CYWZ steps are keyed by the
+    bytes of the filter's covariance state before the step.  Once a key
+    repeats, the gain half of every later step is a bitwise repeat of the
+    one a period earlier, so the step function is no longer called: each
+    later step reuses that step's gains and covariance diagonals and runs
+    only the estimate update (input checks included).
+    """
     model = scenario.model
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
@@ -268,12 +299,36 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     gains: list[_StepGains] = []
     gain_l_series = []
     unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
-    error = failed_at = None
+    error = failed_at = cycle = None
+    cov_fields = _COV_STATE.get(name) if model.is_time_invariant else None
+    seen: dict[bytes, int] = {}
     for k in range(1, n_steps + 1):
+        i = k - 1
+        if cov_fields and cycle is None:
+            key = b"".join(getattr(state, f).tobytes() for f in cov_fields)
+            first = seen.setdefault(key, k)
+            if first != k:
+                cycle = (k, k - first)
+                x, d1 = state.xhat, state.d1hat
         step_prev = model.step(k - 1)
         step = model.step(k)
         dec_prev = decompose_cached(step_prev, tol)
         try:
+            if cycle is not None:
+                src = i - cycle[1]
+                g = gains[src]
+                yv = _check_vector(ys[k], model.l, "y", k)
+                uv = _check_vector(us[k], model.m, "u", k)
+                upv = _check_vector(us[k - 1], model.m, "u_prev", k)
+                x, d1, dhat[i], _ = _estimate_update(
+                    x, d1, yv, uv, upv, step_prev, step, dec_prev, g.dec,
+                    g.m2, g.m2_state, g.gain_l, from_propagated=name == "PLISE")
+                xhat[i] = x
+                px_diag[i] = px_diag[src]
+                pd_diag[i] = pd_diag[src]
+                gain_l_series.append(g.gain_l)
+                gains.append(g)
+                continue
             if name == "KALMAN":
                 state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
                 dec_k = decompose_cached(step, tol)
@@ -287,7 +342,6 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
             xhat, dhat = xhat[:k - 1], dhat[:k - 1]
             px_diag, pd_diag = px_diag[:k - 1], pd_diag[:k - 1]
             break
-        i = k - 1
         xhat[i] = out.xhat
         dhat[i] = out.dhat_prev
         px_diag[i] = np.diag(out.px)
@@ -301,7 +355,8 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
             m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
         ))
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
-    return xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error, failed_at
+    return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
+            failed_at, cycle)
 
 
 def _apply_schedule(name: str, gains: Sequence[_StepGains], ys: np.ndarray,
@@ -373,7 +428,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     filters: dict[str, FilterRun] = {}
     for name in scenario.filters:
         (xhat, dhat, px_diag, pd_diag, gains, l_series, unb, secs,
-         error, failed_at) = _full_pass(name, scenario, truth0, tol)
+         error, failed_at, cycle) = _full_pass(name, scenario, truth0, tol)
         if error is not None and raise_filter_errors:
             raise FilterFailure(name, error)
         n_ok = xhat.shape[0]
@@ -405,6 +460,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
             err_x=err_x, err_d=err_d, err_x_runs=err_x_runs, err_d_runs=err_d_runs,
             steady=steady, max_unbiasedness=unb, seconds_per_step=secs,
             gain_l_series=l_series, error=error, failed_at=failed_at,
+            gain_cycle=cycle,
         )
     return RunResult(scenario=scenario, structural=structural, truth=truth0,
                      filters=filters)

@@ -1,15 +1,22 @@
-"""Independent closed-form references used by the unit and acceptance tests.
+"""Independent references used by the unit and acceptance tests.
 
-These are written straight from the special-case equations (no feedthrough;
-full-column-rank feedthrough) without reusing the filter implementation, so
-they can serve as oracles for it.
+The closed-form references are written straight from the special-case
+equations (no feedthrough; full-column-rank feedthrough) without reusing the
+filter implementation, so they can serve as oracles for it.  The others are
+frozen copies of straightforward loops (per-run truth, per-step filter pass,
+piecewise fault signals) that the library's faster code must reproduce.
 """
+
+import time
 
 import numpy as np
 
+from lise.decomposition import decompose_cached
+from lise.errors import LiseError
+from lise.filters import kalman_init, kalman_step
 from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
 from lise.signals import sample_signals
-from lise.simulate import _run_rng
+from lise.simulate import _INITS, _STEPS, _run_rng, _StepGains
 
 
 def no_feedthrough_oracle(model, ys, us, x0, p0):
@@ -86,3 +93,79 @@ def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
             x[k + 1] = (step.A @ x[k] + step.B @ u[k] + step.G @ d[k]
                         + fq @ w_std[k])
     return x, y, d, u
+
+
+def fault_input_samples(count: int) -> np.ndarray:
+    """The three benchmark fault signals written out piecewise (no generic
+    oscillator), as the independent reference for the signal specs."""
+    d = np.zeros((count, 3))
+    for k in range(count):
+        if 500 <= k <= 700:
+            d[k, 0] = 1.0
+        if 100 <= k <= 800:
+            d[k, 1] = (k - 100) / 700.0
+        if 500 <= k <= 549 or 600 <= k <= 649 or 700 <= k <= 749:
+            d[k, 2] = 3.0
+        elif 550 <= k <= 599 or 650 <= k <= 699 or 750 <= k <= 799:
+            d[k, 2] = -3.0
+    return d
+
+
+def per_step_full_pass_oracle(name, scenario, truth, tol):
+    """A filter pass that calls the step function at every step.
+
+    A frozen copy of the original ``simulate._full_pass`` loop, before steps
+    were served from a repeating gain cycle; the cycle replay must reproduce
+    it bit for bit.  Returns the same tuple as ``_full_pass``, with a
+    ``gain_cycle`` of ``None``.
+    """
+    model = scenario.model
+    n_steps = scenario.horizon
+    ys, us = truth.y, truth.u
+    t0 = time.perf_counter()
+    if name == "KALMAN":
+        state = kalman_init(model, scenario.x0_mean, scenario.p0, tol)
+    else:
+        state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    xhat = np.zeros((n_steps, model.n))
+    dhat = np.zeros((n_steps, model.p))
+    px_diag = np.zeros((n_steps, model.n))
+    pd_diag = np.zeros((n_steps, model.p))
+    gains = []
+    gain_l_series = []
+    unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
+    error = failed_at = None
+    for k in range(1, n_steps + 1):
+        step_prev = model.step(k - 1)
+        step = model.step(k)
+        dec_prev = decompose_cached(step_prev, tol)
+        try:
+            if name == "KALMAN":
+                state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
+                dec_k = decompose_cached(step, tol)
+            else:
+                state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
+                                          scenario.gamma, tol)
+                dec_k = state.dec
+        except LiseError as exc:
+            error = f"step {k}: {exc}"
+            failed_at = k
+            xhat, dhat = xhat[:k - 1], dhat[:k - 1]
+            px_diag, pd_diag = px_diag[:k - 1], pd_diag[:k - 1]
+            break
+        i = k - 1
+        xhat[i] = out.xhat
+        dhat[i] = out.dhat_prev
+        px_diag[i] = np.diag(out.px)
+        pd_diag[i] = np.diag(out.pd_prev)
+        gain_l_series.append(out.gain_l)
+        for key in unb:
+            unb[key] = max(unb[key], out.unbiasedness[key])
+        gains.append(_StepGains(
+            dec_prev=dec_prev, dec=dec_k,
+            a_prev=step_prev.A, b_prev=step_prev.B, c=step.C, d_mat=step.D,
+            m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
+        ))
+    seconds = (time.perf_counter() - t0) / max(len(gains), 1)
+    return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
+            failed_at, None)

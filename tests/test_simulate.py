@@ -1,3 +1,10 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +12,10 @@ from hypothesis import strategies as st
 
 import lise.simulate
 from conftest import random_system
-from oracles import per_run_truth_oracle
-from lise.benchmarks import (
-    fault_d_signals,
-    fault_input_samples,
-    fault_scenario,
-    fault_system,
-)
+from oracles import (fault_input_samples, per_run_truth_oracle,
+                     per_step_full_pass_oracle)
+from lise.benchmarks import fault_d_signals, fault_scenario, fault_system
+from lise.config import load_config
 from lise.errors import InvalidInputError
 from lise.filters import ulise_init, ulise_step
 from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
@@ -27,6 +31,9 @@ from lise.simulate import (
 )
 from lise.model import SystemModel, SystemStep
 
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
+                "fault_h6", "vehicle_tracking")
 
 def _zero_noise_model():
     base = fault_system(1).step(0)
@@ -95,7 +102,7 @@ def _rank_switching_model(rng):
     return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 31), st.sampled_from([1, 3, 7]), st.integers(1, 12),
        st.booleans())
 def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying):
@@ -222,6 +229,120 @@ class TestRunScenario:
         fr = res.filters["ULISE"]
         assert fr.error is not None and fr.failed_at == 1
         assert fr.xhat.shape[0] == 0
+
+
+def _config_scenario(name, horizon, **updates):
+    sc = load_config(ROOT / "configs" / f"{name}.yaml").scenario
+    return dataclasses.replace(sc, horizon=horizon, structural_checks=False, **updates)
+
+
+def _per_step_run(sc, **kwargs):
+    with mock.patch.object(lise.simulate, "_full_pass", per_step_full_pass_oracle):
+        return run_scenario(sc, **kwargs)
+
+
+def _assert_same_runs(got, want):
+    assert got.filters.keys() == want.filters.keys()
+    for name, a in got.filters.items():
+        b = want.filters[name]
+        for field in ("xhat", "dhat", "px_diag", "pd_diag", "err_x_runs", "err_d_runs"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (name, field)
+        assert len(a.gain_l_series) == len(b.gain_l_series)
+        for la, lb in zip(a.gain_l_series, b.gain_l_series):
+            assert np.array_equal(la, lb), name
+        assert a.max_unbiasedness == b.max_unbiasedness, name
+        assert (a.error, a.failed_at) == (b.error, b.failed_at), name
+
+
+def _assert_periodic_from_cycle(fr):
+    start, period = fr.gain_cycle
+    assert 1 <= period < start <= fr.xhat.shape[0]
+    gains = np.array(fr.gain_l_series)
+    for series in (fr.px_diag, fr.pd_diag, gains):
+        tail = series[start - 1:]
+        assert np.array_equal(tail, series[start - 1 - period:len(series) - period])
+
+
+class TestGainCycle:
+    """Steps served from a repeating gain cycle against the per-step pass."""
+
+    @pytest.mark.parametrize("config", CONFIG_NAMES)
+    def test_bundled_configs_match_per_step_pass(self, config):
+        sc = _config_scenario(config, 300)
+        res = run_scenario(sc)
+        _assert_same_runs(res, _per_step_run(sc))
+        for fr in res.filters.values():
+            if fr.gain_cycle is not None:
+                _assert_periodic_from_cycle(fr)
+
+    def test_cycle_found_and_monte_carlo_replay_matches(self):
+        sc = _config_scenario("fault_h1", 300, monte_carlo=8)
+        res = run_scenario(sc)
+        assert any(fr.gain_cycle is not None for fr in res.filters.values())
+        _assert_same_runs(res, _per_step_run(sc))
+
+    def test_never_engages_on_time_varying_model(self):
+        # the same plant behind a provider: its covariance state repeats just
+        # the same, but a time-varying model keeps the per-step path
+        ti = fault_scenario(1, horizon=150, structural_checks=False)
+        step = ti.model.step(0)
+        tv = dataclasses.replace(ti, model=SystemModel.time_varying(
+            lambda k: step, dims=(5, 1, 3, 5)))
+        res_ti, res_tv = run_scenario(ti), run_scenario(tv)
+        assert all(fr.gain_cycle is not None for fr in res_ti.filters.values())
+        assert all(fr.gain_cycle is None for fr in res_tv.filters.values())
+        _assert_same_runs(res_tv, res_ti)
+
+    @pytest.mark.parametrize("field", ["y", "u"])
+    def test_nonfinite_input_on_a_cycle_step_names_the_step(self, monkeypatch, field):
+        real = lise.simulate.simulate_truth
+
+        def poisoned(scenario, run_index, tol):
+            truth = real(scenario, run_index, tol)
+            getattr(truth, field)[..., 500, 0] = np.nan
+            return truth
+
+        monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
+        sc = fault_scenario(1, horizon=520, monte_carlo=2, structural_checks=False)
+        res = run_scenario(sc, raise_filter_errors=False)
+        for fr in res.filters.values():
+            assert fr.gain_cycle[0] < 500    # the step is served from the cycle
+            assert fr.failed_at == 500 and f"{field} at k=500" in fr.error
+            assert fr.xhat.shape[0] == 499 and np.all(np.isfinite(fr.xhat))
+            assert fr.err_x_runs.shape == (2, 499, 5)
+        with pytest.raises(FilterFailure, match="step 500"):
+            run_scenario(sc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(20, 60))
+def test_cycle_replay_matches_per_step_pass_on_random_systems(seed, horizon):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    l = int(rng.integers(1, n + 1))
+    p = int(rng.integers(0, l + 1))
+    model = random_system(rng, n=n, l=l, p=p, p_h=int(rng.integers(0, p + 1)),
+                          radius=0.5)
+    sc = Scenario(model=model, horizon=horizon,
+                  d_signals=[SquareWave(1.5, 2, 1, horizon)] * p,
+                  u_signals=[Ramp(0.3, 0, horizon)] * model.m,
+                  x0_true=rng.standard_normal(n), x0_mean=np.zeros(n), p0=np.eye(n),
+                  noise_seed=int(rng.integers(2 ** 63)), monte_carlo=2,
+                  filters=("ULISE", "PLISE", "CYWZ") + (("KALMAN",) if p == 0 else ()),
+                  structural_checks=False)
+    res = run_scenario(sc, raise_filter_errors=False)
+    _assert_same_runs(res, _per_step_run(sc, raise_filter_errors=False))
+    for fr in res.filters.values():
+        if fr.gain_cycle is not None:
+            _assert_periodic_from_cycle(fr)
+
+
+def test_python_m_lise_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "lise", "--help"],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "analyze" in proc.stdout
 
 
 def _failing_scenario():
