@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -96,6 +97,9 @@ class UliseState:
     qhat: np.ndarray
     dec: OutputDecomposition
 
+    # the step forms the new d1hat from the updated state
+    d1_from_propagated: ClassVar[bool] = False
+
 
 @dataclass
 class PliseState:
@@ -115,6 +119,9 @@ class PliseState:
     qhat: np.ndarray
     dec: OutputDecomposition
     px_star: np.ndarray
+
+    # the step forms the new d1hat from the propagated state
+    d1_from_propagated: ClassVar[bool] = True
 
 
 @dataclass
@@ -319,10 +326,10 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     Advances the filtered state ``xhat`` and feedthrough-input estimate
     ``d1hat`` of time ``k-1`` by the checked measurement ``y`` and known
     inputs ``u``/``u_prev``.  ``m2_state`` is ``m2`` itself except for the OLS
-    variant; ``from_propagated`` forms the new ``d1hat`` from the propagated
-    state (PLISE) instead of the updated one.  Returns ``(xhat, d1hat,
-    dhat_prev, xstar)`` at ``k``, ``dhat_prev`` being the estimate of
-    ``d_{k-1}``.
+    variant; ``from_propagated``, the ``d1_from_propagated`` of the filter's
+    state class, forms the new ``d1hat`` from the propagated state (PLISE)
+    instead of the updated one.  Returns ``(xhat, d1hat, dhat_prev, xstar)``
+    at ``k``, ``dhat_prev`` being the estimate of ``d_{k-1}``.
     """
     xpred = step_prev.A @ xhat + step_prev.B @ u_prev + dec_prev.G1 @ d1hat
     z1, z2 = transform_measurement(dec, y)
@@ -335,6 +342,23 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     base = xstar if from_propagated else xhat
     d1hat = dec.sigma_inv @ (z1 - dec.C1 @ base - dec.D1 @ u)
     return xhat, d1hat, dhat_prev, xstar
+
+
+def _gain_key(state: UliseState | PliseState) -> bytes:
+    """The exact bytes of every array the gain half of the next step reads
+    from ``state``.
+
+    The gain half of :func:`_updated_variant_step` and :func:`plise_step`
+    (gains, covariances, next covariance state) is a deterministic function
+    of these arrays, the model steps and their decompositions (``state.dec``
+    among them).  So on a time-invariant model two states with equal keys
+    give bitwise-equal gain halves.  A state field the gain half starts to
+    read must be added here.
+    """
+    arrays = [state.px, state.pd1, state.ahat, state.qhat]
+    if isinstance(state, PliseState):
+        arrays.append(state.pxd1)
+    return b"".join(a.tobytes() for a in arrays)
 
 
 def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
@@ -415,7 +439,7 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2_state, gain_l, from_propagated=False)
+        m2, m2_state, gain_l, state.d1_from_propagated)
 
     new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
                            ahat=ahat, qhat=qhat, dec=dec_k)
@@ -515,7 +539,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2, gain_l, from_propagated=True)
+        m2, m2, gain_l, state.d1_from_propagated)
     new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
                            pxd1=pxd1_new, ahat=ahat, qhat=qhat, dec=dec_k,
                            px_star=px_star)

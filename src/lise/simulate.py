@@ -17,11 +17,14 @@ all measurement realizations with cheap batched estimate updates.
 On a time-invariant model the floating-point gain recursion of ULISE, PLISE
 and CYWZ settles into a covariance state that repeats bit for bit, either a
 fixed point or a short cycle.  The pass keys every step by the exact bytes of
-that state; from the first repeat on it stops calling the step function, and
-each later step reuses the gains and covariances of the step one period
-earlier and runs only the estimate update the step functions share.  No
-tolerance is involved, so every output is bitwise what stepping the filter
-at every k gives; :attr:`FilterRun.gain_cycle` says where the cycle starts.
+that state and watches the keys with Brent's cycle detection, which holds a
+single saved key, so its memory does not grow with the horizon.  Once
+it finds a repeat (always before three times the step of the first one), the
+pass stops calling the step function, and each later step reuses the gains
+and covariances of the step one period earlier and runs only the estimate
+update the step functions share.  No tolerance is involved, so every output
+is bitwise what stepping the filter at every k gives;
+:attr:`FilterRun.gain_cycle` says from which step the cycle is served.
 Time-varying models and the Kalman filter step at every k.
 """
 
@@ -40,6 +43,7 @@ from .filters import (
     GammaPolicy,
     _check_vector,
     _estimate_update,
+    _gain_key,
     cywz_init,
     cywz_step,
     kalman_init,
@@ -227,10 +231,13 @@ class FilterRun:
     time ``i``.  ``*_runs`` arrays hold the errors of every Monte-Carlo run.
     ``seconds_per_step`` is the mean wall time per step of the whole pass,
     steps served from the gain cycle included.  ``gain_cycle`` is ``(k,
-    period)`` when the filter's covariance state repeated bitwise before
-    measurement ``k``: from step ``k`` on, every gain and covariance repeats
-    the one ``period`` steps earlier.  It is ``None`` when no repeat occurred,
-    and always for time-varying models and the Kalman filter.
+    period)`` when the pass found the filter's covariance state before
+    measurement ``k`` bitwise equal to the one ``period`` steps earlier and
+    served steps ``k`` on from the cycle: from step ``k`` on, every gain and
+    covariance repeats the one ``period`` steps earlier.  The cycle may have
+    begun before ``k``; :class:`_CycleDetector` bounds how long before.  It
+    is ``None`` when no repeat was found within the horizon, and always for
+    time-varying models and the Kalman filter.
     """
 
     name: str
@@ -267,10 +274,32 @@ class RunResult:
 
 _INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init}
 _STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step}
-# the whole data-independent part of each filter's state on a time-invariant
-# model: the step's gains and covariances are a function of these alone
-_COV_STATE = {"ULISE": ("px", "pd1"), "CYWZ": ("px", "pd1"),
-              "PLISE": ("px", "pd1", "pxd1")}
+
+
+class _CycleDetector:
+    """Brent's cycle detection over a sequence of byte keys, in O(1) memory.
+
+    Keys are numbered from 1 as they are observed.  The detector holds one
+    saved key, replaced by every key whose number is a power of two, and
+    compares each key with it bitwise.  If the keys repeat from the
+    ``mu``-th on with minimal period ``lam``, :meth:`observe` first returns
+    ``lam`` at key ``c + lam``, ``c`` the smallest power of two not below
+    ``mu`` or ``lam``: always before key ``2 * max(mu, lam) + lam``.
+    """
+
+    def __init__(self):
+        self._saved: Optional[bytes] = None
+        self._saved_at = 0
+        self._count = 0
+
+    def observe(self, key: bytes) -> Optional[int]:
+        """The period if ``key`` equals the saved key, else ``None``."""
+        self._count += 1
+        if key == self._saved:
+            return self._count - self._saved_at
+        if self._count & (self._count - 1) == 0:
+            self._saved, self._saved_at = key, self._count
+        return None
 
 
 def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
@@ -278,11 +307,11 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     """Run the real step functions over run-0 data; collect series and gains.
 
     On a time-invariant model, ULISE, PLISE and CYWZ steps are keyed by the
-    bytes of the filter's covariance state before the step.  Once a key
-    repeats, the gain half of every later step is a bitwise repeat of the
-    one a period earlier, so the step function is no longer called: each
-    later step reuses that step's gains and covariance diagonals and runs
-    only the estimate update (input checks included).
+    bytes of the filter state their gain half reads (``filters._gain_key``).
+    Once a key repeats, the gain half of every later step is a bitwise repeat
+    of the one a period earlier, so the step function is no longer called:
+    each later step reuses that step's gains and covariance diagonals and
+    runs only the estimate update (input checks included).
     """
     model = scenario.model
     n_steps = scenario.horizon
@@ -300,15 +329,14 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     gain_l_series = []
     unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
     error = failed_at = cycle = None
-    cov_fields = _COV_STATE.get(name) if model.is_time_invariant else None
-    seen: dict[bytes, int] = {}
+    detector = (_CycleDetector() if model.is_time_invariant and name != "KALMAN"
+                else None)
     for k in range(1, n_steps + 1):
         i = k - 1
-        if cov_fields and cycle is None:
-            key = b"".join(getattr(state, f).tobytes() for f in cov_fields)
-            first = seen.setdefault(key, k)
-            if first != k:
-                cycle = (k, k - first)
+        if detector is not None and cycle is None:
+            period = detector.observe(_gain_key(state))
+            if period is not None:
+                cycle = (k, period)
                 x, d1 = state.xhat, state.d1hat
         step_prev = model.step(k - 1)
         step = model.step(k)
@@ -322,7 +350,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                 upv = _check_vector(us[k - 1], model.m, "u_prev", k)
                 x, d1, dhat[i], _ = _estimate_update(
                     x, d1, yv, uv, upv, step_prev, step, dec_prev, g.dec,
-                    g.m2, g.m2_state, g.gain_l, from_propagated=name == "PLISE")
+                    g.m2, g.m2_state, g.gain_l, state.d1_from_propagated)
                 xhat[i] = x
                 px_diag[i] = px_diag[src]
                 pd_diag[i] = pd_diag[src]

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
                           sample_signals)
 from lise.simulate import (
     FilterFailure,
+    _CycleDetector,
     Scenario,
     empirical_error_covariance,
     run_scenario,
@@ -102,7 +104,7 @@ def _rank_switching_model(rng):
     return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31), st.sampled_from([1, 3, 7]), st.integers(1, 12),
        st.booleans())
 def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying):
@@ -335,6 +337,36 @@ def test_cycle_replay_matches_per_step_pass_on_random_systems(seed, horizon):
     for fr in res.filters.values():
         if fr.gain_cycle is not None:
             _assert_periodic_from_cycle(fr)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300))
+def test_cycle_detector_finds_minimal_period_at_brent_bound(mu, lam):
+    # keys 1..mu-1 are distinct, then a cycle of lam distinct keys repeats
+    def key(j):
+        return b"pre%d" % j if j < mu else b"cyc%d" % ((j - mu) % lam)
+
+    c = 1
+    while c < max(mu, lam):
+        c *= 2
+    det = _CycleDetector()
+    for j in range(1, c + lam):
+        assert det.observe(key(j)) is None, j
+    assert det.observe(key(c + lam)) == lam
+
+
+@pytest.mark.parametrize("count", [200, 2000])
+def test_cycle_detector_memory_does_not_grow_with_the_horizon(count):
+    size = 4096
+    det = _CycleDetector()
+    tracemalloc.start()
+    try:
+        for j in range(count):
+            assert det.observe(j.to_bytes(8, "little") * (size // 8)) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size   # the saved key and the one being observed
 
 
 def test_python_m_lise_runs_the_cli():
