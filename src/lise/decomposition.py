@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, rank, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, symmetrize
 from .model import SystemStep
 
 __all__ = [
@@ -66,6 +66,12 @@ class OutputDecomposition:
             return np.zeros((0, 0))
         return np.diag(1.0 / np.diag(self.Sigma))
 
+    @cached_property
+    def m1_sigma_residual(self) -> float:
+        """Unbiasedness residual ``||M1 Sigma - I||`` of the feedthrough-input
+        gain ``M1 = sigma_inv``: zero by construction, but measured anyway."""
+        return float(np.linalg.norm(self.sigma_inv @ self.Sigma - np.eye(self.p_h)))
+
 
 def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
     """Build the output decomposition for one system step.
@@ -82,7 +88,8 @@ def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposi
         raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
 
     u, s, vt = np.linalg.svd(step.H)
-    p_h = rank(step.H, tol)
+    # the rank rule of linalg.rank, applied to the singular values at hand
+    p_h = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
     v = vt.T
     v1, v2 = v[:, :p_h].copy(), v[:, p_h:]

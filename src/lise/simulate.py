@@ -30,6 +30,7 @@ Time-varying models and the Kalman filter step at every k.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ from .filters import (
 from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
 from .model import SystemModel, validate
 from .signals import sample_signals
-from .structural import StructuralReport, analyze
+from .structural import StructuralReport, analyze, strong_detectability
 
 __all__ = [
     "Scenario",
@@ -436,7 +437,10 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     Structural verdicts are computed first (time-invariant models only).
     With ``raise_filter_errors`` unset, a filter that fails an estimability
     or numerical precondition mid-run keeps its partial series and the error
-    is recorded on its :class:`FilterRun` instead of raising.
+    is recorded on its :class:`FilterRun` instead of raising.  On a
+    time-invariant model that is not strongly detectable the error also
+    names that cause (the structural report's verdict, or one computed on
+    failure when the checks were skipped).
     """
     model = scenario.model
     violations = validate(model, range(scenario.horizon + 1)
@@ -444,9 +448,10 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     if violations:
         msgs = "; ".join(f"[k={v.index}] {v.field}: {v.message}" for v in violations)
         raise InvalidInputError(f"model violates standing assumptions: {msgs}")
-    structural = None
+    structural = detectability = None
     if scenario.structural_checks and model.is_time_invariant:
         structural = analyze(model, tol)
+        detectability = structural.strongly_detectable
 
     truth = simulate_truth(scenario, range(scenario.monte_carlo), tol)
     truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
@@ -457,6 +462,12 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     for name in scenario.filters:
         (xhat, dhat, px_diag, pd_diag, gains, l_series, unb, secs,
          error, failed_at, cycle) = _full_pass(name, scenario, truth0, tol)
+        if error is not None and model.is_time_invariant:
+            if detectability is None:
+                detectability = strong_detectability(model.step(0), tol)
+            if not detectability.detectable:
+                error += ("; model is not strongly detectable (max zero modulus "
+                          f"{detectability.max_zero_modulus:.3g})")
         if error is not None and raise_filter_errors:
             raise FilterFailure(name, error)
         n_ok = xhat.shape[0]
@@ -539,6 +550,11 @@ def _atomic_write(path, text: str):
         raise
 
 
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D array, by the same operations."""
+    return math.sqrt(v.dot(v))
+
+
 def write_step_csv(result: RunResult, path) -> None:
     """One row per step per filter; the ``dhat`` columns hold the delayed
     estimate of ``d[k-1]``.  A filter that failed mid-run contributes its
@@ -549,16 +565,17 @@ def write_step_csv(result: RunResult, path) -> None:
             + [f"dhat_{i + 1}" for i in range(model.p)]
             + ["tr_px", "tr_pd", "err_x_norm", "err_d_norm"])
     lines = [",".join(cols)]
+    # each row is one %-operation; "%.17g" writes a float as _fmt does
+    template = "%d,%s," + ",".join(["%.17g"] * (model.n + model.p + 4))
     for name in result.scenario.filters:
         fr = result.filters[name]
-        for i in range(fr.xhat.shape[0]):
-            row = ([str(i + 1), name]
-                   + [_fmt(v) for v in fr.xhat[i]]
-                   + [_fmt(v) for v in fr.dhat[i]]
-                   + [_fmt(fr.tr_px[i]), _fmt(fr.tr_pd[i] if model.p else 0.0),
-                      _fmt(float(np.linalg.norm(fr.err_x[i]))),
-                      _fmt(float(np.linalg.norm(fr.err_d[i])) if model.p else 0.0)])
-            lines.append(",".join(row))
+        # with p = 0, tr_pd and the err_d norms are sums over no terms: 0.0
+        values = np.column_stack([
+            fr.xhat, fr.dhat, fr.tr_px, fr.tr_pd,
+            [_norm(e) for e in fr.err_x], [_norm(e) for e in fr.err_d],
+        ])
+        lines.extend(template % (k, name, *row)
+                     for k, row in enumerate(values.tolist(), start=1))
         if fr.error is not None:
             msg = fr.error.replace(",", ";")
             row = ([str(fr.failed_at), f"{name}:ERROR:{msg}"]

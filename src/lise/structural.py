@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _OMEGA_GRID = 720
+# circle points per batched SVD; bounds the stack of pencil matrices in memory
+_SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -316,28 +318,30 @@ class CertificateVerdict:
 
 def _circle_scan(build, nrows: int, candidates: np.ndarray,
                  tol: Tolerance) -> UnitCircleTest:
-    """Minimum of the nrows-th singular value of build(omega) over the circle.
+    """Minimum of the nrows-th singular value of the pencil over the circle.
 
     Scans a dense grid plus the angles of candidate eigenvalues within the
     unit-circle band (exact rank-drop frequencies can fall between grid
-    points).
+    points).  ``build(z)`` returns the stack of pencil matrices at the
+    points ``z``; each chunk of points takes one batched SVD, the same LAPACK
+    call per matrix as a per-point loop.  Ties go to the first point in scan
+    order.
     """
     omegas = list(np.linspace(0.0, 2.0 * np.pi, _OMEGA_GRID + 1))
     for lam in candidates:
         if abs(abs(lam) - 1.0) <= max(tol.unit_circle_eps, 1e-3):
             omegas.append(float(np.angle(lam)) % (2.0 * np.pi))
-    min_sigma = np.inf
-    worst = 0.0
-    smax = 0.0
-    for om in omegas:
-        s = np.linalg.svd(build(np.exp(1j * om)), compute_uv=False)
-        smax = max(smax, float(s[0]))
-        if s[nrows - 1] < min_sigma:
-            min_sigma = float(s[nrows - 1])
-            worst = om
-    threshold = tol.rank_rel * smax
+    omegas = np.array(omegas)
+    zs = np.exp(1j * omegas)
+    sigma = np.concatenate([
+        np.linalg.svd(build(zs[i:i + _SCAN_CHUNK]), compute_uv=False)[:, [0, nrows - 1]]
+        for i in range(0, zs.size, _SCAN_CHUNK)
+    ])
+    worst = int(np.argmin(sigma[:, 1]))
+    min_sigma = float(sigma[worst, 1])
+    threshold = tol.rank_rel * float(np.max(sigma[:, 0]))
     return UnitCircleTest(ok=min_sigma >= threshold, min_sigma=min_sigma,
-                          worst_omega=worst, threshold=threshold)
+                          worst_omega=float(omegas[worst]), threshold=threshold)
 
 
 def ulise_convergence_check(step: SystemStep,
@@ -366,12 +370,18 @@ def ulise_convergence_check(step: SystemStep,
     r2_half = psd_sqrt(dec.R2, tol)
     n = step.n
     l2 = dec.C2.shape[0]
-    z_c2 = np.zeros((l2, dec.G2.shape[1] + n))
+    q = dec.G2.shape[1]
 
-    def build(z: complex) -> np.ndarray:
-        top = np.hstack([ahat - z * np.eye(n), dec.G2, q_half, np.zeros((n, l2))])
-        bottom = np.hstack([z * dec.C2, z_c2, r2_half])
-        return np.vstack([top, bottom])
+    def build(z: np.ndarray) -> np.ndarray:
+        # [[A^ - z I, G2, Q^1/2, 0], [z C2, 0, 0, R2^1/2]] at every point z
+        zc = z[:, None, None]
+        out = np.zeros((z.size, n + l2, 2 * n + q + l2), dtype=complex)
+        out[:, :n, :n] = ahat - zc * np.eye(n)
+        out[:, :n, n:n + q] = dec.G2
+        out[:, :n, n + q:2 * n + q] = q_half
+        out[:, n:, :n] = zc * dec.C2
+        out[:, n:, 2 * n + q:] = r2_half
+        return out
 
     circle = _circle_scan(build, n + l2, np.linalg.eigvals(ahat), tol)
     status = "ok" if (det.detectable and circle.ok) else "failed"
@@ -420,8 +430,12 @@ def plise_stability_check(step: SystemStep,
                                   reason="equivalent process noise is indefinite")
     det = strong_detectability(step, tol)
 
-    def build(z: complex) -> np.ndarray:
-        return np.hstack([z * np.eye(n) - f_s, q_s_half])
+    def build(z: np.ndarray) -> np.ndarray:
+        # [z I - F_s, Q_s^1/2] at every point z
+        out = np.empty((z.size, n, n + q_s_half.shape[1]), dtype=complex)
+        out[:, :, :n] = z[:, None, None] * np.eye(n) - f_s
+        out[:, :, n:] = q_s_half
+        return out
 
     circle = _circle_scan(build, n, np.linalg.eigvals(f_s), tol)
     status = "ok" if (det.detectable and circle.ok) else "failed"

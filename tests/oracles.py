@@ -4,19 +4,21 @@ The closed-form references are written straight from the special-case
 equations (no feedthrough; full-column-rank feedthrough) without reusing the
 filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward loops (per-run truth, per-step filter pass,
-piecewise fault signals) that the library's faster code must reproduce.
+piecewise fault signals, per-point unit-circle scan, per-value CSV writer)
+that the library's faster code must reproduce.
 """
 
 import time
 
 import numpy as np
 
-from lise.decomposition import decompose_cached
+from lise.decomposition import decompose_cached, decoupled_dynamics
 from lise.errors import LiseError
 from lise.filters import kalman_init, kalman_step
 from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
 from lise.signals import sample_signals
 from lise.simulate import _INITS, _STEPS, _run_rng, _StepGains
+from lise.structural import _OMEGA_GRID, UnitCircleTest
 
 
 def no_feedthrough_oracle(model, ys, us, x0, p0):
@@ -169,3 +171,103 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
     return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
             failed_at, None)
+
+
+def per_point_circle_scan(build, nrows, candidates, tol=DEFAULT_TOL):
+    """The unit-circle scan with one SVD per point.
+
+    A frozen copy of the original ``structural._circle_scan`` loop, which
+    took ``build(z)`` for a single point ``z``; the batched scan must give
+    equal ``UnitCircleTest`` fields.
+    """
+    omegas = list(np.linspace(0.0, 2.0 * np.pi, _OMEGA_GRID + 1))
+    for lam in candidates:
+        if abs(abs(lam) - 1.0) <= max(tol.unit_circle_eps, 1e-3):
+            omegas.append(float(np.angle(lam)) % (2.0 * np.pi))
+    min_sigma = np.inf
+    worst = 0.0
+    smax = 0.0
+    for om in omegas:
+        s = np.linalg.svd(build(np.exp(1j * om)), compute_uv=False)
+        smax = max(smax, float(s[0]))
+        if s[nrows - 1] < min_sigma:
+            min_sigma = float(s[nrows - 1])
+            worst = om
+    threshold = tol.rank_rel * smax
+    return UnitCircleTest(ok=min_sigma >= threshold, min_sigma=min_sigma,
+                          worst_omega=worst, threshold=threshold)
+
+
+def ulise_circle_oracle(step, tol=DEFAULT_TOL):
+    """The circle test of ``ulise_convergence_check``, built point by point
+    as the original code built it."""
+    dec = decompose_cached(step, tol)
+    ahat, qhat = decoupled_dynamics(step, dec)
+    q_half = psd_sqrt(qhat, tol)
+    r2_half = psd_sqrt(dec.R2, tol)
+    n = step.n
+    l2 = dec.C2.shape[0]
+    z_c2 = np.zeros((l2, dec.G2.shape[1] + n))
+
+    def build(z):
+        top = np.hstack([ahat - z * np.eye(n), dec.G2, q_half, np.zeros((n, l2))])
+        bottom = np.hstack([z * dec.C2, z_c2, r2_half])
+        return np.vstack([top, bottom])
+
+    return per_point_circle_scan(build, n + l2, np.linalg.eigvals(ahat), tol)
+
+
+def plise_circle_oracle(step, tol=DEFAULT_TOL):
+    """The circle test of ``plise_stability_check`` (for a step that meets
+    its preconditions), built point by point as the original code built it."""
+    dec = decompose_cached(step, tol)
+    c2g2 = dec.C2 @ dec.G2
+    m2t = np.linalg.pinv(c2g2) if c2g2.size else np.zeros((0, dec.C2.shape[0]))
+    theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
+    theta_inv = np.linalg.inv(theta) if theta.size else theta
+    ahat, qhat = decoupled_dynamics(step, dec)
+    n = step.n
+    n_hat = np.eye(n) - dec.G2 @ m2t @ dec.C2
+    s_hat = -n_hat @ ahat @ dec.G2 @ m2t @ dec.R2
+    f_s = n_hat @ ahat - s_hat @ theta_inv @ dec.C2
+    q_s = symmetrize(dec.G2 @ m2t @ dec.R2 @ m2t.T @ dec.G2.T
+                     + n_hat @ qhat @ n_hat.T - s_hat @ theta_inv @ s_hat.T)
+    q_s_half = psd_sqrt(q_s, tol)
+
+    def build(z):
+        return np.hstack([z * np.eye(n) - f_s, q_s_half])
+
+    return per_point_circle_scan(build, n, np.linalg.eigvals(f_s), tol)
+
+
+def per_value_step_csv(result):
+    """The text of ``write_step_csv``, formatting one value per call.
+
+    A frozen copy of the original writer; the row-template writer must
+    produce the same bytes.
+    """
+    def fmt(x):
+        return f"{x:.17g}"
+
+    model = result.scenario.model
+    cols = (["k", "filter"]
+            + [f"xhat_{i + 1}" for i in range(model.n)]
+            + [f"dhat_{i + 1}" for i in range(model.p)]
+            + ["tr_px", "tr_pd", "err_x_norm", "err_d_norm"])
+    lines = [",".join(cols)]
+    for name in result.scenario.filters:
+        fr = result.filters[name]
+        for i in range(fr.xhat.shape[0]):
+            row = ([str(i + 1), name]
+                   + [fmt(v) for v in fr.xhat[i]]
+                   + [fmt(v) for v in fr.dhat[i]]
+                   + [fmt(fr.tr_px[i]), fmt(fr.tr_pd[i] if model.p else 0.0),
+                      fmt(float(np.linalg.norm(fr.err_x[i]))),
+                      fmt(float(np.linalg.norm(fr.err_d[i])) if model.p else 0.0)])
+            lines.append(",".join(row))
+        if fr.error is not None:
+            msg = fr.error.replace(",", ";")
+            row = ([str(fr.failed_at), f"{name}:ERROR:{msg}"]
+                   + [""] * (model.n + model.p + 4))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pd
+from conftest import random_pd, random_system
 from lise.decomposition import (
     decompose,
     decompose_cached,
@@ -143,3 +143,14 @@ def test_random_feedthrough_invariants(seed, p, rank_h):
     # orthogonal resolution of the unknown input
     d = rng.standard_normal(p)
     assert np.allclose(dec.V1 @ (dec.V1.T @ d) + dec.V2 @ (dec.V2.T @ d), d, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(0, 3), st.integers(0, 3))
+def test_rank_from_own_svd_matches_linalg_rank(seed, p, rank_h):
+    # decompose decides p_h from the singular values of its full SVD; the
+    # rank rule must agree with linalg.rank's separate SVD
+    rank_h = min(rank_h, p)
+    model = random_system(np.random.default_rng(seed), n=4, l=3, p=p, p_h=rank_h)
+    step = model.step(0)
+    assert decompose(step).p_h == rank(step.H) == rank_h

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
 from lise.decomposition import decompose, decompose_cached
-from lise.errors import EstimabilityError, InvalidInputError
+from lise.errors import EstimabilityError, InvalidInputError, NumericalError
 from lise.filters import (
     GammaPolicy,
+    _factor_solve,
+    _spd_factor,
+    _spd_solve,
+    _sym_block,
     compute_gain_L,
     cywz_step,
     kalman_init,
@@ -508,3 +515,61 @@ def test_compute_gain_requires_r_hat_for_default_policy(fault_models):
     with pytest.raises(InvalidInputError):
         compute_gain_L(np.eye(5), step, dec, np.zeros((1, 3)), dec.G2,
                        GammaPolicy.DAROUACH)
+
+
+def _spd(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a @ a.T + 0.1 * np.eye(n), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 8), st.sampled_from([None, 1, 3]))
+def test_spd_solve_is_bitwise_scipy_cho_solve(seed, n, cols):
+    mat, rng = _spd(seed, n)
+    rhs = rng.standard_normal(n if cols is None else (n, cols))
+    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), rhs)
+    got = _spd_solve(mat, rhs, "test matrix")
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # a factor reused for a second right-hand side solves the same way
+    assert np.array_equal(_factor_solve(_spd_factor(mat, "m"), rhs, "m"), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6), st.sampled_from([None, 2]),
+       st.sampled_from(["indefinite", "nan", "inf", "rhs"]))
+def test_spd_solve_rejects_indefinite_or_nonfinite(seed, n, cols, fault):
+    mat, rng = _spd(seed, n)
+    rhs = rng.standard_normal(n if cols is None else (n, cols))
+    i, j = rng.integers(0, n, size=2)
+    if fault == "indefinite":
+        mat = mat - (np.linalg.eigvalsh(mat)[0] + 1.0) * np.eye(n)
+    elif fault == "rhs":
+        rhs[i] = np.nan
+    else:
+        # either triangle: the wrapper checked the whole matrix
+        mat[i, j] = np.nan if fault == "nan" else np.inf
+    with pytest.raises(NumericalError, match="test matrix"):
+        _spd_solve(mat, rhs, "test matrix")
+
+
+def test_spd_solve_empty_blocks():
+    assert _spd_solve(np.zeros((0, 0)), np.zeros((0, 3)), "m").shape == (0, 3)
+    mat, _ = _spd(0, 3)
+    assert _spd_solve(mat, np.zeros((3, 0)), "m").shape == (3, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.lists(st.integers(0, 4), min_size=1, max_size=3))
+def test_sym_block_equals_np_block(seed, sizes):
+    rng = np.random.default_rng(seed)
+    blocks = {(i, j): rng.standard_normal((sizes[i], sizes[j]))
+              for i in range(len(sizes)) for j in range(i, len(sizes))}
+    full = [[blocks[i, j] if j >= i else blocks[j, i].T for j in range(len(sizes))]
+            for i in range(len(sizes))]
+    upper = [[blocks[i, j] for j in range(i, len(sizes))] for i in range(len(sizes))]
+    got = _sym_block(upper)
+    want = np.block(full)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)

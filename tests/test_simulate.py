@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import lise.simulate
 from conftest import random_system
 from oracles import (fault_input_samples, per_run_truth_oracle,
-                     per_step_full_pass_oracle)
+                     per_step_full_pass_oracle, per_value_step_csv)
 from lise.benchmarks import fault_d_signals, fault_scenario, fault_system
 from lise.config import load_config
 from lise.errors import InvalidInputError
@@ -226,6 +226,29 @@ class TestRunScenario:
         with pytest.raises(InvalidInputError, match=r"\[k=120\] R"):
             run_scenario(sc)
 
+    def test_failure_on_undetectable_model_names_the_cause(self):
+        # invariant zero at 7.71: all three filters diverge and a solve
+        # breaks; the error says why, not only which matrix broke
+        sc = _undetectable_scenario()
+        res = run_scenario(sc, raise_filter_errors=False)
+        assert res.structural is None
+        for fr in res.filters.values():
+            assert fr.failed_at is not None
+            assert fr.error.endswith(
+                "; model is not strongly detectable (max zero modulus 7.71)"), fr.error
+        with pytest.raises(FilterFailure, match="not strongly detectable"):
+            run_scenario(sc)
+        # the structural report's verdict is reused when it exists
+        checked = run_scenario(dataclasses.replace(sc, structural_checks=True),
+                               raise_filter_errors=False)
+        assert not checked.structural.strongly_detectable.detectable
+        for name, fr in checked.filters.items():
+            assert fr.error == res.filters[name].error
+
+    def test_failure_on_detectable_model_has_no_cause_appended(self):
+        res = run_scenario(_failing_scenario(), raise_filter_errors=False)
+        assert "strongly detectable" not in res.filters["ULISE"].error
+
     def test_filter_failure_captured_when_requested(self):
         res = run_scenario(_failing_scenario(), raise_filter_errors=False)
         fr = res.filters["ULISE"]
@@ -390,6 +413,14 @@ def _failing_scenario():
                     filters=("ULISE",), structural_checks=False)
 
 
+def _undetectable_scenario():
+    model = random_system(np.random.default_rng(4), n=3, l=3, p=3, p_h=2, radius=0.5)
+    return Scenario(model=model, horizon=80, d_signals=[Constant(0.0)] * 3,
+                    u_signals=[Constant(0.0)], x0_true=np.zeros(3),
+                    x0_mean=np.zeros(3), p0=np.eye(3), noise_seed=1,
+                    filters=("ULISE", "PLISE", "CYWZ"), structural_checks=False)
+
+
 class TestEmpiricalCovariance:
     def test_zero_noise_gives_zero_matrix(self):
         model = _zero_noise_model()
@@ -465,6 +496,25 @@ class TestCsv:
         rows = path.read_text().splitlines()
         assert len(rows) == 2
         assert "ULISE:ERROR" in rows[1]
+
+    @pytest.mark.parametrize("case", ["fault_h1", "failed_mid_run", "p_zero"])
+    def test_bytes_equal_per_value_writer(self, tmp_path, case):
+        if case == "fault_h1":
+            sc = _config_scenario("fault_h1", 300)      # 3 filters
+        elif case == "failed_mid_run":
+            sc = _undetectable_scenario()                # error rows after steps
+        else:
+            model = random_system(np.random.default_rng(1), n=3, l=2, p=0, p_h=0)
+            sc = Scenario(model=model, horizon=50, d_signals=[],
+                          u_signals=[Constant(0.0)], x0_true=np.zeros(3),
+                          x0_mean=np.zeros(3), p0=np.eye(3), noise_seed=1,
+                          filters=("ULISE", "KALMAN"), structural_checks=False)
+        res = run_scenario(sc, raise_filter_errors=False)
+        if case == "failed_mid_run":
+            assert all(0 < fr.xhat.shape[0] < sc.horizon for fr in res.filters.values())
+        path = tmp_path / "steps.csv"
+        write_step_csv(res, path)
+        assert path.read_bytes() == per_value_step_csv(res).encode()
 
     def test_kalman_only_has_no_input_columns(self, tmp_path):
         rng = np.random.default_rng(1)

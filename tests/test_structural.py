@@ -1,13 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_system
+from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
 from lise.benchmarks import fault_system
+from lise.config import load_config
 from lise.errors import InvalidInputError
-from lise.linalg import rank
+from lise.linalg import DEFAULT_TOL, rank
 from lise.model import SystemModel, SystemStep
 from lise.structural import (
+    _circle_scan,
     analyze,
     build_observability_matrices,
     invariant_zeros,
@@ -17,6 +24,10 @@ from lise.structural import (
     strong_observability_tv,
     ulise_convergence_check,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
+                "fault_h6", "vehicle_tracking")
 
 # hand-derived zero sets for the rank-deficient feedthrough variants: with
 # C = I the combined pencil loses rank exactly where (zI - A) H + G drops
@@ -291,3 +302,64 @@ class TestReport:
                                          dims=(5, 1, 3, 5))
         with pytest.raises(InvalidInputError):
             analyze(model)
+
+
+def _assert_circles_match_per_point_scan(step):
+    """Both certificates' circle tests equal the per-point loop's, field by
+    field; returns the two verdicts."""
+    ulise = ulise_convergence_check(step)
+    if ulise.circle is not None:
+        assert ulise.circle == ulise_circle_oracle(step)
+    plise = plise_stability_check(step)
+    if plise.circle is not None:
+        assert plise.circle == plise_circle_oracle(step)
+    return ulise, plise
+
+
+class TestCircleScan:
+    """The batched unit-circle scan against the per-point loop."""
+
+    @pytest.mark.parametrize("config", CONFIG_NAMES)
+    def test_bundled_configs_match_per_point_scan(self, config):
+        step = load_config(ROOT / "configs" / f"{config}.yaml").model.step(0)
+        ulise, plise = _assert_circles_match_per_point_scan(step)
+        assert ulise.circle is not None and plise.circle is not None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 5), st.integers(0, 5), st.sampled_from([0.5, 0.9, 1.0, 1.2]))
+    def test_random_systems_match_per_point_scan(self, seed, n, l, p, p_h, radius):
+        # radius 1.0 puts an eigenvalue on the circle, so candidate angles
+        # are appended to the grid
+        l = min(l, n)
+        p = min(p, l)
+        p_h = min(p_h, p)
+        model = random_system(np.random.default_rng(seed), n=n, l=l, p=p,
+                              p_h=p_h, radius=radius)
+        _assert_circles_match_per_point_scan(model.step(0))
+
+    def test_marginal_mode_matches_per_point_scan(self):
+        # the marginal mode of test_unit_circle_mode_without_noise_fails:
+        # sigma is exactly 0 at omega = 0 and again at the candidate angle 0
+        # appended after the grid (about 1e-16 at omega = 2 pi)
+        step = SystemStep(A=np.eye(1), B=np.zeros((1, 0)), C=np.eye(1),
+                          D=np.zeros((1, 0)), G=np.zeros((1, 0)), H=np.zeros((1, 0)),
+                          Q=np.zeros((1, 1)), R=np.eye(1))
+        ulise, plise = _assert_circles_match_per_point_scan(step)
+        for cert in (ulise, plise):
+            assert cert.status == "failed"
+            assert cert.circle.min_sigma == 0.0 and cert.circle.worst_omega == 0.0
+
+    def test_ties_go_to_the_first_point(self):
+        # |cos omega| rounded to zero at both pi/2 and 3 pi/2: the loop's
+        # strict < kept the first of the two
+        def one(z):
+            return np.diag([1.0, np.round(abs(z.real), 6)]).astype(complex)
+
+        def stack(zs):
+            return np.stack([one(z) for z in zs])
+
+        got = _circle_scan(stack, 2, np.zeros(0), DEFAULT_TOL)
+        assert got == per_point_circle_scan(one, 2, np.zeros(0))
+        assert got.min_sigma == 0.0
+        assert got.worst_omega == pytest.approx(np.pi / 2)
