@@ -130,6 +130,9 @@ class KalmanState:
     xhat: np.ndarray
     px: np.ndarray
 
+    # no feedthrough input (p = 0): the estimate update's d1hat is empty
+    d1_from_propagated: ClassVar[bool] = False
+
 
 @dataclass
 class StepOutput:
@@ -155,12 +158,16 @@ class StepOutput:
     unbiasedness: dict[str, float]
 
 
+def _nonfinite_error(name: str, k: int) -> InvalidInputError:
+    return InvalidInputError(f"{name} at k={k} has non-finite entries")
+
+
 def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (size,):
         raise InvalidInputError(f"{name} at k={k} must have shape ({size},), got {a.shape}")
     if not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} at k={k} has non-finite entries")
+        raise _nonfinite_error(name, k)
     return a
 
 
@@ -377,9 +384,14 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     state class, forms the new ``d1hat`` from the propagated state (PLISE)
     instead of the updated one.  Returns ``(xhat, d1hat, dhat_prev, xstar)``
     at ``k``, ``dhat_prev`` being the estimate of ``d_{k-1}``.
+
+    Every product is a plain ``@``, so the data arguments may also be column
+    stacks (one column per data vector), and the matrices of R records may
+    be stacked along a leading axis to evaluate them all at once.  On 1-D
+    vectors every product is a gemv, as in the step functions.
     """
     xpred = step_prev.A @ xhat + step_prev.B @ u_prev + dec_prev.G1 @ d1hat
-    z1, z2 = transform_measurement(dec, y)
+    z1, z2 = dec.T1 @ y, dec.T2 @ y
     resid2 = z2 - dec.C2 @ xpred - dec.D2 @ u
     d2hat = m2 @ resid2
     dhat_prev = dec_prev.V1 @ d1hat + dec_prev.V2 @ d2hat

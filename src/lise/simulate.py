@@ -12,7 +12,13 @@ covariance.
 Filter gains and covariances do not depend on the data, so a Monte-Carlo
 batch runs the full step functions once (which also yields the reported
 covariance series and the gain schedule) and then replays the schedule over
-all measurement realizations with cheap batched estimate updates.
+all measurement realizations.  With its gains fixed, one step's estimate
+update is a linear map of the previous state and feedthrough-input estimates
+and of the step's measurement and known inputs.  The replay takes the matrix
+of that map for each distinct gain record from the estimate update the step
+functions share, run on the columns of the identity, so the estimate
+recursion is written once; each replayed step is then one small matrix
+product over all runs.
 
 On a time-invariant model the floating-point gain recursion of ULISE, PLISE
 and CYWZ settles into a covariance state that repeats bit for bit, either a
@@ -42,9 +48,9 @@ from .decomposition import OutputDecomposition, decompose_cached
 from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
-    _check_vector,
     _estimate_update,
     _gain_key,
+    _nonfinite_error,
     cywz_init,
     cywz_step,
     kalman_init,
@@ -55,7 +61,7 @@ from .filters import (
     ulise_step,
 )
 from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
-from .model import SystemModel, validate
+from .model import SystemModel, SystemStep, validate
 from .signals import sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
@@ -210,17 +216,23 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
 
 @dataclass
 class _StepGains:
-    """Data-independent per-step record used to replay estimate updates."""
+    """The data-independent arguments of one step's estimate update
+    (:func:`filters._estimate_update`)."""
 
+    step_prev: SystemStep
+    step: SystemStep
     dec_prev: OutputDecomposition
     dec: OutputDecomposition
-    a_prev: np.ndarray
-    b_prev: np.ndarray
-    c: np.ndarray
-    d_mat: np.ndarray
     m2: np.ndarray
     m2_state: np.ndarray
     gain_l: np.ndarray
+    from_propagated: bool
+
+    def update(self, xhat, d1hat, y, u, u_prev):
+        """:func:`filters._estimate_update` with this record's gains."""
+        return _estimate_update(xhat, d1hat, y, u, u_prev, self.step_prev, self.step,
+                                self.dec_prev, self.dec, self.m2, self.m2_state,
+                                self.gain_l, self.from_propagated)
 
 
 @dataclass
@@ -311,8 +323,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     bytes of the filter state their gain half reads (``filters._gain_key``).
     Once a key repeats, the gain half of every later step is a bitwise repeat
     of the one a period earlier, so the step function is no longer called:
-    each later step reuses that step's gains and covariance diagonals and
-    runs only the estimate update (input checks included).
+    :func:`_serve_cycle` serves the remaining steps.
     """
     model = scenario.model
     n_steps = scenario.horizon
@@ -333,31 +344,16 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     detector = (_CycleDetector() if model.is_time_invariant and name != "KALMAN"
                 else None)
     for k in range(1, n_steps + 1):
-        i = k - 1
-        if detector is not None and cycle is None:
+        if detector is not None:
             period = detector.observe(_gain_key(state))
             if period is not None:
                 cycle = (k, period)
-                x, d1 = state.xhat, state.d1hat
+                break
+        i = k - 1
         step_prev = model.step(k - 1)
         step = model.step(k)
         dec_prev = decompose_cached(step_prev, tol)
         try:
-            if cycle is not None:
-                src = i - cycle[1]
-                g = gains[src]
-                yv = _check_vector(ys[k], model.l, "y", k)
-                uv = _check_vector(us[k], model.m, "u", k)
-                upv = _check_vector(us[k - 1], model.m, "u_prev", k)
-                x, d1, dhat[i], _ = _estimate_update(
-                    x, d1, yv, uv, upv, step_prev, step, dec_prev, g.dec,
-                    g.m2, g.m2_state, g.gain_l, state.d1_from_propagated)
-                xhat[i] = x
-                px_diag[i] = px_diag[src]
-                pd_diag[i] = pd_diag[src]
-                gain_l_series.append(g.gain_l)
-                gains.append(g)
-                continue
             if name == "KALMAN":
                 state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
                 dec_k = decompose_cached(step, tol)
@@ -368,8 +364,6 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k
-            xhat, dhat = xhat[:k - 1], dhat[:k - 1]
-            px_diag, pd_diag = px_diag[:k - 1], pd_diag[:k - 1]
             break
         xhat[i] = out.xhat
         dhat[i] = out.dhat_prev
@@ -379,49 +373,138 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
-            dec_prev=dec_prev, dec=dec_k,
-            a_prev=step_prev.A, b_prev=step_prev.B, c=step.C, d_mat=step.D,
+            step_prev=step_prev, step=step, dec_prev=dec_prev, dec=dec_k,
             m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
+            from_propagated=state.d1_from_propagated,
         ))
+    if cycle is not None:
+        try:
+            _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag,
+                         gain_l_series)
+        except LiseError as exc:
+            failed_at = len(gains) + 1
+            error = f"step {failed_at}: {exc}"
+    if failed_at is not None:
+        xhat, dhat = xhat[:failed_at - 1], dhat[:failed_at - 1]
+        px_diag, pd_diag = px_diag[:failed_at - 1], pd_diag[:failed_at - 1]
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
     return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
             failed_at, cycle)
 
 
-def _apply_schedule(name: str, gains: Sequence[_StepGains], ys: np.ndarray,
-                    us: np.ndarray, x0_mean: np.ndarray):
+def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag,
+                 gain_l_series):
+    """Serve the steps from ``cycle = (k, period)`` on by the estimate update
+    alone, appending to the pass's series in place.
+
+    Each step reuses the gain record (model steps and decompositions
+    included) and covariance diagonals of the step one period earlier.  One
+    scan checks the inputs of all these steps first.  The first step with a
+    non-finite ``y``, ``u`` or ``u_prev`` is not served: it raises the
+    :class:`InvalidInputError` the step function would raise, naming the
+    inputs in that order.
+    """
+    start, period = cycle
+    n_steps = xhat.shape[0]
+    u_ok = np.isfinite(us[start - 1:n_steps + 1]).all(axis=1)
+    ok = np.stack([np.isfinite(ys[start:n_steps + 1]).all(axis=1), u_ok[1:], u_ok[:-1]])
+    bad = np.flatnonzero(~ok.all(axis=0))
+    stop = start + int(bad[0]) if bad.size else n_steps + 1
+    x, d1 = state.xhat, state.d1hat
+    for k in range(start, stop):
+        i = k - 1
+        g = gains[i - period]
+        x, d1, dhat[i], _ = g.update(x, d1, ys[k], us[k], us[k - 1])
+        xhat[i] = x
+        px_diag[i] = px_diag[i - period]
+        pd_diag[i] = pd_diag[i - period]
+        gain_l_series.append(g.gain_l)
+        gains.append(g)
+    if bad.size:
+        raise _nonfinite_error(("y", "u", "u_prev")[int(np.argmin(ok[:, bad[0]]))], stop)
+
+
+class _Stacked:
+    """Reads attribute ``a`` as ``np.stack([o.a for o in objs])``."""
+
+    def __init__(self, objs):
+        self._objs = objs
+
+    def __getattr__(self, name):
+        return np.stack([getattr(o, name) for o in self._objs])
+
+
+def _update_maps(group: Sequence[_StepGains]) -> np.ndarray:
+    """The estimate update of every record in ``group`` as one matrix each.
+
+    The update is linear in ``v = [x; d1; y; u; u_prev]`` (``d1`` of the
+    previous step's feedthrough rank).  :meth:`_StepGains.update` is run once
+    on the columns of the identity, with the matrices of all records stacked
+    along a leading axis, so the records must share both feedthrough ranks.
+    Returns the (R, n + p_h + p, len(v)) stack of matrices ``F`` with
+    ``[xhat; d1hat; dhat_prev] = F v``.
+    """
+    g0 = group[0]
+    sizes = [g0.step.n, g0.dec_prev.p_h, g0.step.l, g0.step.m, g0.step.m]
+    columns = np.split(np.eye(sum(sizes)), np.cumsum(sizes)[:-1])
+    stacked = _StepGains(
+        step_prev=_Stacked([g.step_prev for g in group]),
+        step=_Stacked([g.step for g in group]),
+        dec_prev=_Stacked([g.dec_prev for g in group]),
+        dec=_Stacked([g.dec for g in group]),
+        m2=np.stack([g.m2 for g in group]),
+        m2_state=np.stack([g.m2_state for g in group]),
+        gain_l=np.stack([g.gain_l for g in group]),
+        from_propagated=g0.from_propagated,
+    )
+    xhat, d1hat, dhat_prev, _ = stacked.update(*columns)
+    return np.concatenate([xhat, d1hat, dhat_prev], axis=1)
+
+
+def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
+                    x0_mean: np.ndarray):
     """Replay precomputed gains over a batch of measurement sequences.
 
     ``ys`` has shape (M, N+1, l); returns batched estimates (M, N, n) and
-    (M, N, p).  Exactly the estimate recursions of the step functions; the
-    covariance side is untouched (it is data-independent).
+    (M, N, p).  The covariance side is untouched (it is data-independent).
+    Each distinct gain record (the gain cycle shares them by identity) is
+    turned into the matrix of its estimate update by :func:`_update_maps`,
+    so the estimate recursion stays the one of the step functions, and each
+    step of the replay is one affine map of the (M, n + p_h) stack of
+    ``[x; d1]``, the step's measurements and its known inputs.
     """
-    runs, _, _ = ys.shape
+    runs = ys.shape[0]
     n_steps = len(gains)
     if n_steps == 0:
         raise InvalidInputError("empty gain schedule")
-    n = gains[0].a_prev.shape[0]
-    p = gains[0].dec_prev.V1.shape[0]
-    xh = np.zeros((runs, n_steps, n))
-    dh = np.zeros((runs, n_steps, p))
+    g0 = gains[0]
+    n, l = g0.step.n, g0.step.l
+    xh = np.empty((runs, n_steps, n))
+    dh = np.empty((runs, n_steps, g0.step.p))
 
-    dec0 = gains[0].dec_prev
+    groups: dict[tuple, list[_StepGains]] = {}
+    for g in {id(g): g for g in gains}.values():
+        groups.setdefault((g.dec_prev.p_h, g.dec.p_h, g.from_propagated), []).append(g)
+    maps = {}
+    for (ph_prev, ph, _), group in groups.items():
+        w = n + ph_prev
+        # transposed into C order, so that each block is contiguous for gemm
+        for g, ft in zip(group, np.ascontiguousarray(_update_maps(group).swapaxes(1, 2))):
+            maps[id(g)] = (ft[:w], ft[w:w + l], ft[w + l:], n + ph)
+    # the known inputs of step k = i + 1 as one row [u_k, u_{k-1}]
+    uu = np.concatenate([us[1:n_steps + 1], us[:n_steps]], axis=1)
+
+    dec0 = g0.dec_prev
     x = np.broadcast_to(x0_mean, (runs, n)).copy()
     z1_0 = ys[:, 0, :] @ dec0.T1.T
     d1 = (z1_0 - x @ dec0.C1.T - us[0] @ dec0.D1.T) @ dec0.sigma_inv.T
+    s = np.concatenate([x, d1], axis=1)
     for i, g in enumerate(gains):
-        k = i + 1
-        yk = ys[:, k, :]
-        xpred = x @ g.a_prev.T + us[k - 1] @ g.b_prev.T + d1 @ g.dec_prev.G1.T
-        resid2 = yk @ g.dec.T2.T - xpred @ g.dec.C2.T - us[k] @ g.dec.D2.T
-        d2 = resid2 @ g.m2.T
-        d2s = resid2 @ g.m2_state.T if g.m2_state is not g.m2 else d2
-        dh[:, i, :] = d1 @ g.dec_prev.V1.T + d2 @ g.dec_prev.V2.T
-        xstar = xpred + d2s @ g.dec_prev.G2.T
-        x = xstar + (yk - xstar @ g.c.T - us[k] @ g.d_mat.T) @ g.gain_l.T
-        xh[:, i, :] = x
-        base = xstar if name == "PLISE" else x
-        d1 = (yk @ g.dec.T1.T - base @ g.dec.C1.T - us[k] @ g.dec.D1.T) @ g.dec.sigma_inv.T
+        fs, fy, fu, w = maps[id(g)]
+        s = s @ fs + ys[:, i + 1] @ fy + uu[i] @ fu
+        xh[:, i] = s[:, :n]
+        dh[:, i] = s[:, w:]
+        s = s[:, :w]
     return xh, dh
 
 
@@ -474,7 +557,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         err_x = xhat - truth0.x[1:n_ok + 1]
         err_d = dhat - truth0.d[:n_ok]
         if scenario.monte_carlo > 1 and n_ok:
-            xh_runs, dh_runs = _apply_schedule(name, gains, truth.y, truth.u,
+            xh_runs, dh_runs = _apply_schedule(gains, truth.y, truth.u,
                                                scenario.x0_mean)
             err_x_runs = xh_runs - truth.x[:, 1:n_ok + 1]
             err_d_runs = dh_runs - truth.d[:n_ok]

@@ -4,8 +4,8 @@ The closed-form references are written straight from the special-case
 equations (no feedthrough; full-column-rank feedthrough) without reusing the
 filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward loops (per-run truth, per-step filter pass,
-piecewise fault signals, per-point unit-circle scan, per-value CSV writer)
-that the library's faster code must reproduce.
+batched replay, piecewise fault signals, per-point unit-circle scan,
+per-value CSV writer) that the library's faster code must reproduce.
 """
 
 import time
@@ -164,13 +164,50 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
-            dec_prev=dec_prev, dec=dec_k,
-            a_prev=step_prev.A, b_prev=step_prev.B, c=step.C, d_mat=step.D,
+            step_prev=step_prev, step=step, dec_prev=dec_prev, dec=dec_k,
             m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
+            from_propagated=name == "PLISE",
         ))
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
     return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
             failed_at, None)
+
+
+def per_step_replay_oracle(name, gains, ys, us, x0_mean):
+    """The Monte-Carlo replay of a gain schedule as a batched recursion.
+
+    A frozen copy of the original ``simulate._apply_schedule``, which wrote
+    the estimate update out a second time on (M, .) arrays; the replay
+    through per-record maps must stay within rounding of it.  Returns the
+    (M, N, n) and (M, N, p) estimates.
+    """
+    runs, _, _ = ys.shape
+    n_steps = len(gains)
+    n = gains[0].step_prev.A.shape[0]
+    p = gains[0].dec_prev.V1.shape[0]
+    xh = np.zeros((runs, n_steps, n))
+    dh = np.zeros((runs, n_steps, p))
+
+    dec0 = gains[0].dec_prev
+    x = np.broadcast_to(x0_mean, (runs, n)).copy()
+    z1_0 = ys[:, 0, :] @ dec0.T1.T
+    d1 = (z1_0 - x @ dec0.C1.T - us[0] @ dec0.D1.T) @ dec0.sigma_inv.T
+    for i, g in enumerate(gains):
+        k = i + 1
+        yk = ys[:, k, :]
+        xpred = (x @ g.step_prev.A.T + us[k - 1] @ g.step_prev.B.T
+                 + d1 @ g.dec_prev.G1.T)
+        resid2 = yk @ g.dec.T2.T - xpred @ g.dec.C2.T - us[k] @ g.dec.D2.T
+        d2 = resid2 @ g.m2.T
+        d2s = resid2 @ g.m2_state.T if g.m2_state is not g.m2 else d2
+        dh[:, i, :] = d1 @ g.dec_prev.V1.T + d2 @ g.dec_prev.V2.T
+        xstar = xpred + d2s @ g.dec_prev.G2.T
+        x = xstar + (yk - xstar @ g.step.C.T - us[k] @ g.step.D.T) @ g.gain_l.T
+        xh[:, i, :] = x
+        base = xstar if name == "PLISE" else x
+        d1 = ((yk @ g.dec.T1.T - base @ g.dec.C1.T - us[k] @ g.dec.D1.T)
+              @ g.dec.sigma_inv.T)
+    return xh, dh
 
 
 def per_point_circle_scan(build, nrows, candidates, tol=DEFAULT_TOL):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import lise.config
 from lise.benchmarks import fault_system, vehicle_tracking_model
 from lise.cli import main
 from lise.config import load_config
@@ -11,6 +13,7 @@ from lise.errors import ConfigError
 from lise.model import c2d_zoh
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 
 class TestLoadConfig:
@@ -62,6 +65,27 @@ class TestLoadConfig:
         p.write_text("model: [unclosed\n")
         with pytest.raises(ConfigError, match="line"):
             load_config(p)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    def test_yaml_syntax_error_has_line_under_each_loader(self, tmp_path, monkeypatch,
+                                                          loader):
+        monkeypatch.setattr(lise.config, "_YAML_LOADER", loader)
+        p = tmp_path / "bad.yaml"
+        p.write_text("model:\n  A: [[1, 0]\n  B: [[0]]\n")
+        with pytest.raises(ConfigError, match=r"line \d+"):
+            load_config(p)
+
+    def test_libyaml_loader_used_when_available_and_documents_equal(self):
+        if not hasattr(yaml, "CSafeLoader"):
+            assert lise.config._YAML_LOADER is yaml.SafeLoader
+            pytest.skip("PyYAML is built without libyaml")
+        assert lise.config._YAML_LOADER is yaml.CSafeLoader
+        paths = sorted(CONFIGS.glob("*.yaml"))
+        assert len(paths) == 7
+        for path in paths:
+            text = path.read_text()
+            assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                    == yaml.load(text, Loader=yaml.SafeLoader)), path.name
 
 
 def load_min_config() -> str:

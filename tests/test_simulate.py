@@ -8,23 +8,28 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lise.simulate
 from conftest import random_system
 from oracles import (fault_input_samples, per_run_truth_oracle,
-                     per_step_full_pass_oracle, per_value_step_csv)
+                     per_step_full_pass_oracle, per_step_replay_oracle,
+                     per_value_step_csv)
 from lise.benchmarks import fault_d_signals, fault_scenario, fault_system
 from lise.config import load_config
 from lise.errors import InvalidInputError
 from lise.filters import ulise_init, ulise_step
+from lise.linalg import DEFAULT_TOL
 from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
                           sample_signals)
 from lise.simulate import (
     FilterFailure,
     _CycleDetector,
+    _apply_schedule,
+    _full_pass,
     Scenario,
+    TruthTrajectories,
     empirical_error_covariance,
     run_scenario,
     simulate_truth,
@@ -32,6 +37,7 @@ from lise.simulate import (
     write_summary_csv,
 )
 from lise.model import SystemModel, SystemStep
+from lise.structural import strong_detectability
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
@@ -338,6 +344,105 @@ class TestGainCycle:
         with pytest.raises(FilterFailure, match="step 500"):
             run_scenario(sc)
 
+    @pytest.mark.parametrize("bad, k, named", [(("u",), 600, "u"), (("y", "u"), 550, "y")])
+    def test_first_nonfinite_input_of_a_cycle_step_is_named(self, monkeypatch, bad, k,
+                                                            named):
+        real = lise.simulate.simulate_truth
+
+        def poisoned(scenario, run_index, tol):
+            truth = real(scenario, run_index, tol)
+            for field in bad:
+                getattr(truth, field)[..., k, -1] = np.inf
+            return truth
+
+        monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
+        sc = fault_scenario(1, horizon=620, monte_carlo=2, structural_checks=False)
+        res = run_scenario(sc, raise_filter_errors=False)
+        for fr in res.filters.values():
+            assert fr.gain_cycle[0] < k
+            assert fr.failed_at == k
+            assert fr.error == f"step {k}: {named} at k={k} has non-finite entries"
+            assert fr.xhat.shape[0] == k - 1 and np.all(np.isfinite(fr.xhat))
+            assert fr.err_x_runs.shape == (2, k - 1, 5)
+        with pytest.raises(FilterFailure, match=f"step {k}: {named} at k={k}"):
+            run_scenario(sc)
+
+
+def _assert_replay_matches_oracle(sc):
+    """Replay every filter's schedule over the MC batch against the frozen
+    batched recursion: each array within 1e-11 of the oracle, relative to
+    its largest entry (at least 1)."""
+    truth = simulate_truth(sc, range(sc.monte_carlo))
+    truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
+    for name in sc.filters:
+        gains = _full_pass(name, sc, truth0, DEFAULT_TOL)[4]
+        if not gains:
+            continue
+        got = _apply_schedule(gains, truth.y, truth.u, sc.x0_mean)
+        want = per_step_replay_oracle(name, gains, truth.y, truth.u, sc.x0_mean)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape, name
+            scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-11 * scale, err_msg=name)
+
+
+class TestReplay:
+    """The Monte-Carlo replay through per-record maps against the batched
+    recursion it replaced."""
+
+    @pytest.mark.parametrize("config, runs",
+                             [(c, 8) for c in CONFIG_NAMES] + [("fault_h1", 128)])
+    def test_bundled_configs_match_batched_recursion(self, config, runs):
+        _assert_replay_matches_oracle(_config_scenario(config, 1000, monte_carlo=runs))
+
+    def test_rank_switching_time_varying_model(self):
+        model = _rank_switching_model(np.random.default_rng(8))
+        horizon = 40
+        sc = Scenario(model=model, horizon=horizon,
+                      d_signals=[SquareWave(1.5, 2, 1, horizon)] * 2,
+                      u_signals=[Ramp(0.3, 0, horizon)], x0_true=np.ones(4),
+                      x0_mean=np.zeros(4), p0=np.eye(4), noise_seed=9, monte_carlo=5,
+                      filters=("ULISE", "PLISE", "CYWZ"), structural_checks=False)
+        _assert_replay_matches_oracle(sc)
+
+    def test_peak_memory_stays_near_the_outputs(self):
+        # the replay holds the two output arrays, the per-record maps and one
+        # step's (M, .) temporaries, never a data term of every step
+        sc = _config_scenario("fault_h1", 1000, monte_carlo=128)
+        truth = simulate_truth(sc, range(128))
+        truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
+        for name in sc.filters:
+            gains = _full_pass(name, sc, truth0, DEFAULT_TOL)[4]
+            tracemalloc.start()
+            try:
+                xh, dh = _apply_schedule(gains, truth.y, truth.u, sc.x0_mean)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * (xh.nbytes + dh.nbytes), (name, peak)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(5, 40), st.integers(2, 6))
+def test_replay_matches_batched_recursion_on_random_systems(seed, horizon, runs):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    l = int(rng.integers(1, n + 1))
+    p = int(rng.integers(0, l + 1))
+    model = random_system(rng, n=n, l=l, p=p, p_h=int(rng.integers(0, p + 1)),
+                          m=int(rng.integers(0, 3)), radius=0.5)
+    # on a model that is not strongly detectable the estimates diverge, and
+    # any two roundings of the recursion part by the growth factor
+    assume(strong_detectability(model.step(0)).detectable)
+    sc = Scenario(model=model, horizon=horizon,
+                  d_signals=[SquareWave(1.5, 2, 1, horizon)] * p,
+                  u_signals=[Ramp(0.3, 0, horizon)] * model.m,
+                  x0_true=rng.standard_normal(n), x0_mean=rng.standard_normal(n),
+                  p0=np.eye(n), noise_seed=int(rng.integers(2 ** 63)), monte_carlo=runs,
+                  filters=("ULISE", "PLISE", "CYWZ") + (("KALMAN",) if p == 0 else ()),
+                  structural_checks=False)
+    _assert_replay_matches_oracle(sc)
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(20, 60))
@@ -398,6 +503,19 @@ def test_python_m_lise_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "analyze" in proc.stdout
+
+
+@pytest.mark.parametrize("script, first_line", [
+    ("run_fault_benchmark.py", ["variant", "filter", "px_11", "px_22", "px_33", "px_44",
+                                "px_55", "pd_11", "pd_22", "pd_33"]),
+    ("run_vehicle_tracking.py", ["discretized", "model:", "n=4,", "l=4,", "p=2"]),
+])
+def test_scripts_run(script, first_line):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--horizon", "60"],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split() == first_line
 
 
 def _failing_scenario():
