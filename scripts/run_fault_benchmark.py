@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run the six fault-identification benchmark variants and print the
-steady-state covariance table for the three unknown-input filters.
+"""Run the six fault-identification benchmark variants (configs/fault_h1.yaml
+.. fault_h6.yaml) and print the steady-state covariance table for the three
+unknown-input filters.
 
 Usage:
     python scripts/run_fault_benchmark.py [--horizon N] [--seed S] [--out DIR]
@@ -9,21 +10,32 @@ With --out the per-step and summary CSVs of every variant are written there.
 """
 
 import argparse
+import dataclasses
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
-from lise.benchmarks import fault_scenario
+from lise.config import load_config
 from lise.simulate import run_scenario, write_step_csv, write_summary_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--horizon", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=20260810)
+    ap.add_argument("--horizon", type=int, default=None,
+                    help="steps per run (default: the configs' horizon)")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="noise seed (default: the configs' seed)")
     ap.add_argument("--out", default=None, help="directory for CSV outputs")
     args = ap.parse_args()
+    changes = {}
+    if args.horizon is not None:
+        changes["horizon"] = args.horizon
+    if args.seed is not None:
+        changes["noise_seed"] = args.seed
 
     header = (f"{'variant':>8s} {'filter':>6s} "
               + " ".join(f"{c:>8s}" for c in
@@ -33,7 +45,8 @@ def main() -> int:
     print("-" * len(header))
     t0 = time.time()
     for idx in range(1, 7):
-        sc = fault_scenario(idx, horizon=args.horizon, seed=args.seed)
+        sc = dataclasses.replace(load_config(CONFIGS / f"fault_h{idx}.yaml").scenario,
+                                 **changes)
         res = run_scenario(sc)
         det = res.structural.strongly_detectable
         for name in sc.filters:

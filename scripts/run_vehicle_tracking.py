@@ -1,29 +1,41 @@
 #!/usr/bin/env python3
-"""Two-vehicle tracking demo: discretize the continuous model, check strong
-detectability, run both filter variants, and report how well the unknown
-accelerator input and the sensor bias are tracked.
+"""Two-vehicle tracking demo: load configs/vehicle_tracking.yaml (discretizing
+the continuous model), check strong detectability, run both filter variants,
+and report how well the unknown accelerator input and the sensor bias are
+tracked.
 
 Usage:
     python scripts/run_vehicle_tracking.py [--horizon N] [--seed S] [--out DIR]
+
+The config defines the sensor bias and the known input up to its own
+horizon, so N may not exceed it.
 """
 
 import argparse
+import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 
-from lise.benchmarks import vehicle_scenario
+from lise.config import load_config
 from lise.simulate import run_scenario, write_step_csv, write_summary_csv
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "vehicle_tracking.yaml"
 
 
 def main() -> int:
+    base = load_config(CONFIG).scenario
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--horizon", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=31415)
+    ap.add_argument("--horizon", type=int, default=base.horizon)
+    ap.add_argument("--seed", type=int, default=base.noise_seed)
     ap.add_argument("--out", default=None, help="directory for CSV outputs")
     args = ap.parse_args()
+    if args.horizon > base.horizon:
+        ap.error(f"--horizon may not exceed the config's horizon {base.horizon}: "
+                 "the sensor bias and the known input end there")
 
-    sc = vehicle_scenario(horizon=args.horizon, seed=args.seed)
+    sc = dataclasses.replace(base, horizon=args.horizon, noise_seed=args.seed)
     res = run_scenario(sc)
     rep = res.structural
     zs = ", ".join(f"{z.real:.3g}" for z in rep.invariant_zeros.zeros) or "none"

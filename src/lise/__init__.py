@@ -43,14 +43,11 @@ from .filters import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    PencilSpectrum,
     Tolerance,
     expm,
-    generalized_eigenvalues,
     pinv,
     psd_sqrt,
     rank,
-    svd_full,
 )
 from .model import (
     ContinuousModel,

@@ -373,6 +373,16 @@ def _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l) -> dict[str, float]:
     }
 
 
+def _feedthrough_input(dec, z1, x, u):
+    """Estimate of the feedthrough input component, ``Sigma^-1 (z1 - C1 x - D1 u)``
+    with ``z1 = T1 y``.
+
+    ``z1`` and ``x`` may also be column stacks; ``u`` is then an (m, 1)
+    column, so that it is not broadcast along the stack.
+    """
+    return dec.sigma_inv @ (z1 - dec.C1 @ x - dec.D1 @ u)
+
+
 def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
                      m2, m2_state, gain_l, from_propagated: bool):
     """The data-dependent half of one filter step, given its gains.
@@ -399,8 +409,7 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     xstar = xpred + dec_prev.G2 @ d2hat_state
     xhat = xstar + gain_l @ (y - step.C @ xstar - step.D @ u)
     base = xstar if from_propagated else xhat
-    d1hat = dec.sigma_inv @ (z1 - dec.C1 @ base - dec.D1 @ u)
-    return xhat, d1hat, dhat_prev, xstar
+    return xhat, _feedthrough_input(dec, z1, base, u), dhat_prev, xstar
 
 
 def _gain_key(state: UliseState | PliseState) -> bytes:
@@ -430,7 +439,7 @@ def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
     z1, _ = transform_measurement(dec, y0v)
-    d1hat = dec.sigma_inv @ (z1 - dec.C1 @ xhat - dec.D1 @ u0v)
+    d1hat = _feedthrough_input(dec, z1, xhat, u0v)
     pd1 = dec.sigma_inv @ (dec.C1 @ p0m @ dec.C1.T + dec.R1) @ dec.sigma_inv
     ahat, qhat = decoupled_dynamics(step0, dec)
     return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, pd1=symmetrize(pd1),
@@ -452,12 +461,11 @@ cywz_init = ulise_init
 
 
 def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
-                          gamma: GammaPolicy, tol: Tolerance,
-                          dec: OutputDecomposition | None, ols_state_gain: bool):
+                          gamma: GammaPolicy, tol: Tolerance, ols_state_gain: bool):
     k = state.k + 1
     step_prev = model.step(state.k)
     step = model.step(k)
-    dec_k = dec if dec is not None else decompose_cached(step, tol)
+    dec_k = decompose_cached(step, tol)
     dp = state.dec
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
@@ -514,31 +522,28 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
 def ulise_step(state: UliseState, y, u, u_prev, model: SystemModel,
                gamma: GammaPolicy = GammaPolicy.DAROUACH,
-               tol: Tolerance = DEFAULT_TOL,
-               dec: OutputDecomposition | None = None):
+               tol: Tolerance = DEFAULT_TOL):
     """Advance the updated-estimate filter by one measurement.
 
     Requires ``rank(C2[k] G2[k-1]) = p - rank(H[k-1])``; otherwise an
     :class:`EstimabilityError` is raised naming the achieved rank.
     """
-    return _updated_variant_step(state, y, u, u_prev, model, gamma, tol, dec,
+    return _updated_variant_step(state, y, u, u_prev, model, gamma, tol,
                                  ols_state_gain=False)
 
 
 def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
               gamma: GammaPolicy = GammaPolicy.DAROUACH,
-              tol: Tolerance = DEFAULT_TOL,
-              dec: OutputDecomposition | None = None):
+              tol: Tolerance = DEFAULT_TOL):
     """Advance the OLS variant: pseudo-inverse input gain in the state and
     covariance path, BLUE gains in the reported input estimate."""
-    return _updated_variant_step(state, y, u, u_prev, model, gamma, tol, dec,
+    return _updated_variant_step(state, y, u, u_prev, model, gamma, tol,
                                  ols_state_gain=True)
 
 
 def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
                gamma: GammaPolicy = GammaPolicy.DAROUACH,
-               tol: Tolerance = DEFAULT_TOL,
-               dec: OutputDecomposition | None = None):
+               tol: Tolerance = DEFAULT_TOL):
     """Advance the propagated-estimate filter by one measurement.
 
     Order of operations differs from the updated variant: the feedthrough
@@ -549,7 +554,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     k = state.k + 1
     step_prev = model.step(state.k)
     step = model.step(k)
-    dec_k = dec if dec is not None else decompose_cached(step, tol)
+    dec_k = decompose_cached(step, tol)
     dp = state.dec
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)

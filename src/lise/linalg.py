@@ -17,13 +17,10 @@ from .errors import InvalidInputError, NotPositiveDefiniteError
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "svd_full",
     "rank",
     "pinv",
     "psd_sqrt",
     "expm",
-    "generalized_eigenvalues",
-    "PencilSpectrum",
     "symmetrize",
 ]
 
@@ -72,16 +69,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Average a square matrix with its transpose (roundoff-drift control)."""
     return 0.5 * (m + m.T)
-
-
-def svd_full(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full singular value decomposition ``m = u @ diag_rect(s) @ vt``.
-
-    Returns square orthogonal ``u`` (p x p) and ``vt`` (q x q) and the
-    singular values in descending order.  Empty dimensions are legal.
-    """
-    a = _as_matrix(m)
-    return np.linalg.svd(a, full_matrices=True)
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -138,58 +125,3 @@ def expm(m) -> np.ndarray:
     if a.size == 0:
         return a.copy()
     return scipy.linalg.expm(a)
-
-
-@dataclass(frozen=True)
-class PencilSpectrum:
-    """Spectrum of a square pencil ``z*E - F``.
-
-    finite
-        All finite ``z`` with ``det(z*E - F) = 0``, multiplicity respected.
-    n_infinite
-        Count of eigenvalues at infinity (rank deficiency of ``E``).
-    singular
-        True when the determinant vanishes identically; ``finite`` is then
-        empty and meaningless.
-    """
-
-    finite: np.ndarray
-    n_infinite: int
-    singular: bool
-
-
-def generalized_eigenvalues(e, f, tol: Tolerance = DEFAULT_TOL) -> PencilSpectrum:
-    """Eigenvalues of the square pencil ``z*E - F``.
-
-    Uses the QZ decomposition; infinite eigenvalues are flagged rather than
-    returned.  Singularity of the pencil (identically vanishing determinant)
-    is decided by rank probes at three fixed pseudo-random points.
-    """
-    ea = _as_matrix(e, "E")
-    fa = _as_matrix(f, "F")
-    if ea.shape != fa.shape or ea.shape[0] != ea.shape[1]:
-        raise InvalidInputError(
-            f"pencil matrices must be square and same shape, got {ea.shape}, {fa.shape}"
-        )
-    n = ea.shape[0]
-    if n == 0:
-        return PencilSpectrum(np.zeros(0, dtype=complex), 0, False)
-
-    probe_rng = np.random.default_rng(0x5EED)
-    probes = probe_rng.standard_normal(3) + 1j * probe_rng.standard_normal(3)
-    def full_rank_at(z):
-        s = np.linalg.svd(z * ea - fa, compute_uv=False)
-        return s[0] > 0 and s[-1] > tol.rank_rel * s[0]
-    if not any(full_rank_at(z) for z in probes):
-        return PencilSpectrum(np.zeros(0, dtype=complex), 0, True)
-
-    alpha, beta = scipy.linalg.eig(fa, ea, right=False, homogeneous_eigvals=True)
-    scale = max(np.max(np.abs(alpha)), np.max(np.abs(beta)), 1.0)
-    finite = []
-    n_inf = 0
-    for a_i, b_i in zip(alpha, beta):
-        if abs(b_i) > tol.rank_rel * scale:
-            finite.append(a_i / b_i)
-        else:
-            n_inf += 1
-    return PencilSpectrum(np.array(finite, dtype=complex), n_inf, False)

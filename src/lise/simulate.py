@@ -49,6 +49,7 @@ from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
     _estimate_update,
+    _feedthrough_input,
     _gain_key,
     _nonfinite_error,
     cywz_init,
@@ -494,11 +495,11 @@ def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
     # the known inputs of step k = i + 1 as one row [u_k, u_{k-1}]
     uu = np.concatenate([us[1:n_steps + 1], us[:n_steps]], axis=1)
 
+    # the filter initialisation of every run, on the columns of (n, M) stacks
     dec0 = g0.dec_prev
-    x = np.broadcast_to(x0_mean, (runs, n)).copy()
-    z1_0 = ys[:, 0, :] @ dec0.T1.T
-    d1 = (z1_0 - x @ dec0.C1.T - us[0] @ dec0.D1.T) @ dec0.sigma_inv.T
-    s = np.concatenate([x, d1], axis=1)
+    x = np.broadcast_to(x0_mean, (runs, n))
+    d1 = _feedthrough_input(dec0, dec0.T1 @ ys[:, 0].T, x.T, us[0][:, None])
+    s = np.concatenate([x, d1.T], axis=1)
     for i, g in enumerate(gains):
         fs, fy, fu, w = maps[id(g)]
         s = s @ fs + ys[:, i + 1] @ fy + uu[i] @ fu

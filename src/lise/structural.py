@@ -446,7 +446,7 @@ def plise_stability_check(step: SystemStep,
 class StructuralReport:
     """Verdicts and witnesses of the structural tests for one system."""
 
-    strongly_observable: Optional[TiObservabilityVerdict]
+    strongly_observable: TiObservabilityVerdict
     strongly_detectable: DetectabilityVerdict
     invariant_zeros: InvariantZeros
     ulise_convergent: CertificateVerdict
@@ -460,11 +460,8 @@ class StructuralReport:
             for z in self.invariant_zeros.zeros
         ]
         out = {
-            "strongly_observable": (None if self.strongly_observable is None
-                                    else bool(self.strongly_observable.observable)),
-            "observability_witness_window": (
-                None if self.strongly_observable is None
-                else self.strongly_observable.witness_window),
+            "strongly_observable": bool(self.strongly_observable.observable),
+            "observability_witness_window": self.strongly_observable.witness_window,
             "strongly_detectable": bool(self.strongly_detectable.detectable),
             "max_zero_modulus": float(self.strongly_detectable.max_zero_modulus),
             "invariant_zeros": zs,
@@ -481,13 +478,12 @@ class StructuralReport:
         return out
 
 
-def analyze(model: SystemModel, tol: Tolerance = DEFAULT_TOL,
-            observability: bool = True) -> StructuralReport:
+def analyze(model: SystemModel, tol: Tolerance = DEFAULT_TOL) -> StructuralReport:
     """Run the full battery of time-invariant structural tests on a model."""
     if not model.is_time_invariant:
         raise InvalidInputError("structural report requires a time-invariant model")
     step = model.step(0)
-    obs = strong_observability_ti(model, tol) if observability else None
+    obs = strong_observability_ti(model, tol)
     det = strong_detectability(step, tol)
     return StructuralReport(
         strongly_observable=obs,

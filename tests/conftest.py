@@ -1,8 +1,27 @@
+import dataclasses
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lise.config import load_config
 from lise.linalg import DEFAULT_TOL, rank
 from lise.model import SystemModel, SystemStep, validate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.cache
+def _bundled_scenario(name):
+    return load_config(CONFIGS / f"{name}.yaml").scenario
+
+
+def config_scenario(name, **changes):
+    """The scenario of the bundled config ``configs/<name>.yaml`` with the
+    given fields replaced; each file is parsed once per session, so the
+    scenarios share their model and arrays: do not write into them."""
+    return dataclasses.replace(_bundled_scenario(name), **changes)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -59,6 +78,4 @@ def random_system(rng, n=4, l=3, p=1, p_h=0, m=1, radius=0.9):
 
 @pytest.fixture(scope="session")
 def fault_models():
-    from lise.benchmarks import fault_system
-
-    return {i: fault_system(i) for i in range(1, 7)}
+    return {i: config_scenario(f"fault_h{i}").model for i in range(1, 7)}

@@ -6,6 +6,8 @@ filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward loops (per-run truth, per-step filter pass,
 batched replay, piecewise fault signals, per-point unit-circle scan,
 per-value CSV writer) that the library's faster code must reproduce.
+``vehicle_tracking_model`` writes out the continuous-time matrices of
+``configs/vehicle_tracking.yaml``, which only the tests read undiscretized.
 """
 
 import time
@@ -16,6 +18,7 @@ from lise.decomposition import decompose_cached, decoupled_dynamics
 from lise.errors import LiseError
 from lise.filters import kalman_init, kalman_step
 from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
+from lise.model import ContinuousModel
 from lise.signals import sample_signals
 from lise.simulate import _INITS, _STEPS, _run_rng, _StepGains
 from lise.structural import _OMEGA_GRID, UnitCircleTest
@@ -308,3 +311,27 @@ def per_value_step_csv(result):
                    + [""] * (model.n + model.p + 4))
             lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def vehicle_tracking_model() -> ContinuousModel:
+    """Two-vehicle tracking with an unknown accelerator input on the first
+    vehicle and an unknown bias on the second vehicle's velocity sensor."""
+    a = np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, -0.1, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, -0.1],
+    ])
+    b = np.array([[0.0], [0.0], [0.0], [1.0]])
+    g = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    c = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    d = np.zeros((4, 1))
+    h = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    q = 1e-4 * np.diag([0.0, 1.6, 0.0, 0.9])
+    r = 1e-4 * np.diag([1.0, 0.16, 0.9, 2.5])
+    return ContinuousModel(A=a, B=b, G=g, C=c, D=d, H=h, Q=q, R=r, dt=0.01)

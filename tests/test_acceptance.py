@@ -10,9 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_system
+from conftest import config_scenario, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
-from lise.benchmarks import fault_scenario, fault_system, vehicle_scenario
 from lise.filters import (
     GammaPolicy,
     kalman_init,
@@ -23,7 +22,7 @@ from lise.filters import (
     ulise_step,
 )
 from lise.model import SystemModel, SystemStep
-from lise.simulate import Scenario, empirical_error_covariance, run_scenario
+from lise.simulate import empirical_error_covariance, run_scenario
 from lise.structural import strong_detectability
 
 # steady-state covariance diagonals of the six benchmark variants
@@ -66,7 +65,7 @@ MC_HORIZON = 420
 @pytest.fixture(scope="module")
 def benchmark_runs():
     t0 = time.time()
-    runs = {i: run_scenario(fault_scenario(i, structural_checks=False))
+    runs = {i: run_scenario(config_scenario(f"fault_h{i}", structural_checks=False))
             for i in range(1, 7)}
     runs["elapsed"] = time.time() - t0
     return runs
@@ -76,15 +75,16 @@ def benchmark_runs():
 def mc_runs():
     out = []
     for seed in MC_SEEDS:
-        sc = fault_scenario(1, horizon=MC_HORIZON, seed=seed, filters=("ULISE",),
-                            monte_carlo=MC_RUNS, structural_checks=False)
+        sc = config_scenario("fault_h1", horizon=MC_HORIZON, noise_seed=seed,
+                             filters=("ULISE",), monte_carlo=MC_RUNS,
+                             structural_checks=False)
         out.append(run_scenario(sc))
     return out
 
 
 @pytest.fixture(scope="module")
 def vehicle_run():
-    return run_scenario(vehicle_scenario())
+    return run_scenario(config_scenario("vehicle_tracking"))
 
 
 def test_criterion_01_steady_state_table(benchmark_runs):
@@ -103,7 +103,7 @@ def test_criterion_01_steady_state_table(benchmark_runs):
 def test_criterion_02_invariant_zeros_and_detectability():
     t0 = time.time()
     for i in range(1, 7):
-        step = fault_system(i).step(0)
+        step = config_scenario(f"fault_h{i}").model.step(0)
         det = strong_detectability(step)
         zs = np.sort_complex(det.zeros.zeros)
         want = ZERO_SETS[i]
@@ -251,13 +251,8 @@ def test_criterion_06_covariance_consistency(mc_runs):
 def test_criterion_07_gain_convergence_forgets_initialization():
     runs = {}
     for scale in (1.0, 100.0):
-        sc = fault_scenario(1, horizon=400, filters=("ULISE",),
-                            structural_checks=False)
-        sc = Scenario(model=sc.model, horizon=sc.horizon, d_signals=sc.d_signals,
-                      u_signals=sc.u_signals, x0_true=sc.x0_true,
-                      x0_mean=sc.x0_mean, p0=scale * np.eye(5),
-                      noise_seed=sc.noise_seed, filters=sc.filters,
-                      structural_checks=False)
+        sc = config_scenario("fault_h1", horizon=400, filters=("ULISE",),
+                             p0=scale * np.eye(5), structural_checks=False)
         runs[scale] = run_scenario(sc).filters["ULISE"].gain_l_series
     worst = 0.0
     for k in range(200, 401):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system
+from conftest import config_scenario, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
 from lise.decomposition import decompose, decompose_cached
 from lise.errors import EstimabilityError, InvalidInputError, NumericalError
@@ -23,7 +23,6 @@ from lise.filters import (
     ulise_init,
     ulise_step,
 )
-from lise.benchmarks import fault_system
 from lise.linalg import symmetrize
 from lise.model import SystemModel, SystemStep
 from lise.signals import Ramp, SquareWave, Step
@@ -62,7 +61,7 @@ class TestInit:
 
     def test_exact_init_recovers_feedthrough_input(self):
         # exact state and no noise make the time-0 input residual exact
-        model = fault_system(1)
+        model = config_scenario("fault_h1").model
         step0 = model.step(0)
         dec = decompose_cached(step0)
         rng = np.random.default_rng(7)
@@ -77,7 +76,7 @@ class TestInit:
     def test_zero_p0_spherical_noise_covariance(self):
         # spherical R decouples the output channels exactly, so with P0 = 0
         # the initial feedthrough-input covariance is rho * diag(1/sigma_i^2)
-        base = fault_system(1).step(0)
+        base = config_scenario("fault_h1").model.step(0)
         rho = 0.01
         step = SystemStep(A=base.A, B=base.B, C=base.C, D=base.D, G=base.G,
                           H=base.H, Q=base.Q, R=rho * np.eye(5))
@@ -91,7 +90,7 @@ class TestInit:
         assert np.allclose(pst.pxd1, 0.0)
 
     def test_p0_must_be_psd(self):
-        model = fault_system(1)
+        model = config_scenario("fault_h1").model
         with pytest.raises(InvalidInputError):
             ulise_init(model, np.zeros(5), -np.eye(5), np.zeros(5), np.zeros(1))
 
@@ -161,7 +160,7 @@ class TestKalmanCollapse:
                 assert o.dhat_prev.size == 0
 
     def test_kalman_rejects_unknown_inputs(self):
-        model = fault_system(1)
+        model = config_scenario("fault_h1").model
         with pytest.raises(InvalidInputError):
             kalman_init(model, np.zeros(5), np.eye(5))
 
@@ -260,7 +259,7 @@ class TestFullRankFeedthroughGain:
 class TestGammaPolicies:
     def test_policies_agree_on_estimates_and_covariances(self):
         # the gain parameterization family: different L, identical estimates
-        model = fault_system(1)
+        model = config_scenario("fault_h1").model
         sc = Scenario(model=model, horizon=120,
                       d_signals=[Step(1.0, 40, 80), Ramp(0.01, 10, 100),
                                  SquareWave(2.0, 15, 30, 90)],
@@ -287,7 +286,7 @@ class TestGammaPolicies:
         # input gain
         from lise.filters import _whitened_complement_reduction
 
-        model = fault_system(1)
+        model = config_scenario("fault_h1").model
         step = model.step(0)
         dec = decompose_cached(step)
         state = ulise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
@@ -415,7 +414,7 @@ class TestOlsVariant:
 
     def test_rank_deficient_input_map_raises(self):
         # dynamics-only input invisible in the feedthrough-free output
-        model = fault_system(1)
+        model = config_scenario("fault_h1").model
         step = model.step(0)
         g_bad = step.G.copy()
         g_bad[:, 0] = np.eye(5)[0]   # e1 lies in the feedthrough output span
@@ -447,7 +446,7 @@ class TestStepInvariants:
     def test_zero_noise_exactness(self):
         # strongly observable variant, exact start, vanishing noise: the
         # filter must track state and inputs essentially exactly
-        base = fault_system(3).step(0)
+        base = config_scenario("fault_h3").model.step(0)
         model = SystemModel.time_invariant(SystemStep(
             A=base.A, B=base.B, C=base.C, D=base.D, G=base.G, H=base.H,
             Q=np.zeros((5, 5)), R=1e-12 * np.eye(5)))
@@ -476,13 +475,14 @@ class TestStepInvariants:
         # the feedthrough rank changes along the run (0, 2, and full), so the
         # input blocks resize between steps; G is chosen so each transition
         # keeps the input-estimation rank condition satisfiable
-        base = fault_system(1).step(0)
+        base = config_scenario("fault_h1").model.step(0)
         g = np.array([[1.0, 0.0, -0.3],
                       [1.0, 0.0, 0.0],
                       [0.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0],
                       [0.0, 0.0, 1.0]])
-        h_by_phase = [np.zeros((5, 3)), np.array(base.H), fault_system(2).step(0).H]
+        h_by_phase = [np.zeros((5, 3)), np.array(base.H),
+                      config_scenario("fault_h2").model.step(0).H]
 
         def provider(k):
             return SystemStep(A=base.A, B=base.B, C=base.C, D=base.D, G=g,

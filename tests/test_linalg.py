@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import config_scenario
+from oracles import vehicle_tracking_model
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
-from lise.linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    expm,
-    generalized_eigenvalues,
-    pinv,
-    psd_sqrt,
-    rank,
-    svd_full,
-)
+from lise.linalg import Tolerance, expm, pinv, psd_sqrt, rank
 
 H1 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float)
 H2 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
@@ -30,32 +23,6 @@ def test_tolerance_invariants():
         Tolerance(zero_abs=-1e-3)
 
 
-class TestSvd:
-    def test_zero_matrix(self):
-        u, s, vt = svd_full(np.zeros((2, 3)))
-        assert np.allclose(s, 0.0)
-        assert np.allclose(u @ u.T, np.eye(2))
-        assert np.allclose(vt @ vt.T, np.eye(3))
-
-    def test_identity(self):
-        _, s, _ = svd_full(np.eye(3))
-        assert np.allclose(s, [1, 1, 1])
-
-    def test_two_unit_column_feedthrough(self):
-        # Gram oracle: eigenvalues of H'H are {0, 1, 1}, so the singular
-        # values must be (1, 1, 0)
-        gram_eigs = np.sort(np.linalg.eigvalsh(H1.T @ H1))[::-1]
-        expected = np.sqrt(np.clip(gram_eigs, 0, None))
-        _, s, _ = svd_full(H1)
-        assert np.allclose(s, expected)
-        assert np.allclose(expected, [1.0, 1.0, 0.0])
-        assert rank(H1) == 2
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            svd_full(np.array([[np.nan, 0.0]]))
-
-
 class TestRank:
     def test_empty(self):
         assert rank(np.zeros((0, 0))) == 0
@@ -66,6 +33,13 @@ class TestRank:
 
     def test_rank_one_outer_product(self):
         assert rank(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
+
+    def test_two_unit_column_feedthrough(self):
+        # Gram oracle: the eigenvalues of H'H are {0, 1, 1}, so two singular
+        # values are nonzero
+        gram_eigs = np.linalg.eigvalsh(H1.T @ H1)
+        assert np.allclose(gram_eigs, [0.0, 1.0, 1.0])
+        assert rank(H1) == np.count_nonzero(gram_eigs > 0.5) == 2
 
 
 class TestPinv:
@@ -81,10 +55,9 @@ class TestPinv:
     def test_left_inverse_of_tall_full_rank(self):
         # the C2 G2 product of the rank-2 feedthrough benchmark has full
         # column rank, so pinv is an exact left inverse
-        from lise.benchmarks import fault_system
         from lise.decomposition import decompose
 
-        dec = decompose(fault_system(1).step(0))
+        dec = decompose(config_scenario("fault_h1").model.step(0))
         c2g2 = dec.C2 @ dec.G2
         assert c2g2.shape[1] == 1
         assert np.allclose(pinv(c2g2) @ c2g2, np.eye(1), atol=1e-12)
@@ -99,9 +72,7 @@ class TestPsdSqrt:
         assert np.allclose(f @ f.T, np.diag([4.0, 9.0]))
 
     def test_benchmark_process_noise(self):
-        from lise.benchmarks import fault_system
-
-        q = fault_system(1).step(0).Q
+        q = config_scenario("fault_h1").model.step(0).Q
         f = psd_sqrt(q)
         assert np.linalg.norm(f @ f.T - q) < 1e-12
 
@@ -125,8 +96,6 @@ class TestExpm:
     def test_decoupled_damping_mode(self):
         # 0.01-second sample of the tracking model's velocity damping: the
         # (2,2) entry is a pure scalar exponential
-        from lise.benchmarks import vehicle_tracking_model
-
         cm = vehicle_tracking_model()
         ad = expm(cm.A * cm.dt)
         assert ad[1, 1] == pytest.approx(math.exp(-0.001), rel=1e-12)
@@ -136,62 +105,10 @@ class TestExpm:
             expm(np.zeros((2, 3)))
 
 
-class TestGeneralizedEigenvalues:
-    def test_plain_eigenvalues(self):
-        spec = generalized_eigenvalues(np.eye(2), np.diag([0.3, 0.8]))
-        assert not spec.singular
-        assert spec.n_infinite == 0
-        assert np.allclose(np.sort(spec.finite.real), [0.3, 0.8], atol=1e-12)
-
-    def test_all_infinite(self):
-        spec = generalized_eigenvalues(np.zeros((2, 2)), np.eye(2))
-        assert spec.finite.size == 0
-        assert spec.n_infinite == 2
-        assert not spec.singular
-
-    def test_singular_pencil_flagged(self):
-        # z*E - F has an identically zero second row
-        e = np.array([[1.0, 0.0], [0.0, 0.0]])
-        f = np.array([[1.0, 0.0], [0.0, 0.0]])
-        spec = generalized_eigenvalues(e, f)
-        assert spec.singular
-
-    def test_squared_down_zero_pencil_contains_benchmark_zeros(self):
-        # squaring the rank-2 feedthrough benchmark's zero pencil down to a
-        # square one keeps the true zeros among the eigenvalues
-        from lise.benchmarks import fault_system
-        from lise.structural import _pencil
-
-        e, f = _pencil(fault_system(1).step(0), DEFAULT_TOL)
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((e.shape[1], e.shape[0]))
-        spec = generalized_eigenvalues(w @ e, w @ f)
-        for want in (0.3, 0.8):
-            assert np.min(np.abs(spec.finite - want)) < 1e-6
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            generalized_eigenvalues(np.eye(2), np.eye(3))
-
-
 @st.composite
 def seeded_shape(draw, max_dim=6):
     return (draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim)),
             draw(st.integers(0, 2 ** 31)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seeded_shape())
-def test_svd_reconstructs(args):
-    p, q, seed = args
-    m = np.random.default_rng(seed).standard_normal((p, q))
-    u, s, vt = svd_full(m)
-    smat = np.zeros((p, q))
-    np.fill_diagonal(smat, s)
-    err = np.linalg.norm(u @ smat @ vt - m) / max(np.linalg.norm(m), 1e-12)
-    assert err < 1e-12
-    assert np.allclose(u @ u.T, np.eye(p), atol=1e-12)
-    assert np.allclose(vt @ vt.T, np.eye(q), atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stable_matrix
-from lise.benchmarks import vehicle_tracking_model
+from oracles import vehicle_tracking_model
 from lise.errors import InvalidInputError
 from lise.model import ContinuousModel, SystemModel, SystemStep, c2d_zoh, validate
 

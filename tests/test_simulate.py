@@ -12,12 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lise.simulate
-from conftest import random_system
+from conftest import config_scenario, random_system
 from oracles import (fault_input_samples, per_run_truth_oracle,
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
-from lise.benchmarks import fault_d_signals, fault_scenario, fault_system
-from lise.config import load_config
 from lise.errors import InvalidInputError
 from lise.filters import ulise_init, ulise_step
 from lise.linalg import DEFAULT_TOL
@@ -44,7 +42,7 @@ CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
                 "fault_h6", "vehicle_tracking")
 
 def _zero_noise_model():
-    base = fault_system(1).step(0)
+    base = config_scenario("fault_h1").model.step(0)
     step = SystemStep(A=base.A, B=base.B, C=base.C, D=base.D, G=base.G, H=base.H,
                       Q=np.zeros((5, 5)), R=1e-12 * np.eye(5))
     return SystemModel.time_invariant(step)
@@ -52,7 +50,7 @@ def _zero_noise_model():
 
 class TestSignals:
     def test_benchmark_fault_signal_values(self):
-        d = sample_signals(fault_d_signals(), 1001)
+        d = sample_signals(config_scenario("fault_h1").d_signals, 1001)
         assert d[600, 0] == 1.0
         assert d[600, 1] == pytest.approx(500.0 / 700.0)
         assert d[600, 2] == 3.0
@@ -63,7 +61,7 @@ class TestSignals:
         # the generic square wave must reproduce the explicitly written-out
         # on/off intervals, including the sign of every half period; the ramp
         # may differ by one ulp (slope*(k-k_on) vs (k-k_on)/700)
-        d = sample_signals(fault_d_signals(), 1001)
+        d = sample_signals(config_scenario("fault_h1").d_signals, 1001)
         ref = fault_input_samples(1001)
         assert np.array_equal(d[:, [0, 2]], ref[:, [0, 2]])
         assert np.allclose(d[:, 1], ref[:, 1], atol=1e-15)
@@ -91,13 +89,13 @@ class TestSimulateTruth:
         assert np.allclose(truth.d, 0.0)
 
     def test_seeded_repeatability_bitwise(self):
-        sc = fault_scenario(1, horizon=50)
+        sc = config_scenario("fault_h1", horizon=50)
         a = simulate_truth(sc)
         b = simulate_truth(sc)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_runs_have_independent_streams(self):
-        sc = fault_scenario(1, horizon=50)
+        sc = config_scenario("fault_h1", horizon=50)
         a = simulate_truth(sc, run_index=0)
         b = simulate_truth(sc, run_index=1)
         assert not np.array_equal(a.y, b.y)
@@ -157,8 +155,8 @@ class TestRunScenario:
     def test_batch_replay_matches_sequential_filter(self):
         # Monte-Carlo runs replay a precomputed gain schedule; run 1 must
         # equal a from-scratch sequential filter on run 1's data
-        sc = fault_scenario(1, horizon=80, monte_carlo=3,
-                            structural_checks=False)
+        sc = config_scenario("fault_h1", horizon=80, monte_carlo=3,
+                             structural_checks=False)
         res = run_scenario(sc)
         truth1 = simulate_truth(sc, run_index=1)
         model = sc.model
@@ -173,17 +171,14 @@ class TestRunScenario:
         # with exact start and vanishing noise, the delayed estimate indexed
         # k-1 matches the true input at k-1 (produced from measurement k)
         model = _zero_noise_model()
-        sc = Scenario(model=model, horizon=30,
-                      d_signals=fault_d_signals(), u_signals=[Constant(0.0)],
-                      x0_true=np.zeros(5), x0_mean=np.zeros(5),
-                      p0=np.zeros((5, 5)), noise_seed=2, filters=("ULISE",),
-                      structural_checks=False)
+        sc = config_scenario("fault_h1", model=model, horizon=30, p0=np.zeros((5, 5)),
+                             noise_seed=2, filters=("ULISE",), structural_checks=False)
         res = run_scenario(sc)
         fr = res.filters["ULISE"]
         assert np.allclose(fr.dhat, res.truth.d[:30], atol=1e-4)
 
     def test_trace_series_positive_and_settled(self):
-        res = run_scenario(fault_scenario(1, horizon=400, structural_checks=False))
+        res = run_scenario(config_scenario("fault_h1", horizon=400, structural_checks=False))
         for fr in res.filters.values():
             assert np.all(fr.tr_px > 0) and np.all(fr.tr_pd > 0)
             tail = fr.tr_px[-80:]
@@ -191,7 +186,7 @@ class TestRunScenario:
             assert fr.seconds_per_step > 0
 
     def test_structural_report_attached(self):
-        res = run_scenario(fault_scenario(1, horizon=30))
+        res = run_scenario(config_scenario("fault_h1", horizon=30))
         assert res.structural is not None
         assert res.structural.strongly_detectable.detectable
 
@@ -209,7 +204,7 @@ class TestRunScenario:
             return truth
 
         monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
-        sc = fault_scenario(1, horizon=20, monte_carlo=3, structural_checks=False)
+        sc = config_scenario("fault_h1", horizon=20, monte_carlo=3, structural_checks=False)
         res = run_scenario(sc, raise_filter_errors=False)
         for fr in res.filters.values():
             assert fr.failed_at == 7 and "y at k=7" in fr.error
@@ -217,7 +212,7 @@ class TestRunScenario:
             assert fr.steady == {}   # failed before the tail window
 
     def test_time_varying_model_validated_over_whole_horizon(self):
-        base = fault_system(1).step(0)
+        base = config_scenario("fault_h1").model.step(0)
         singular_r = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
 
         def provider(k):
@@ -225,10 +220,8 @@ class TestRunScenario:
                               H=base.H, Q=base.Q, R=base.R if k < 120 else singular_r)
 
         model = SystemModel.time_varying(provider, dims=(5, 1, 3, 5))
-        sc = Scenario(model=model, horizon=150, d_signals=fault_d_signals(),
-                      u_signals=[Constant(0.0)], x0_true=np.zeros(5),
-                      x0_mean=np.zeros(5), p0=np.eye(5), noise_seed=3,
-                      filters=("ULISE",), structural_checks=False)
+        sc = config_scenario("fault_h1", model=model, horizon=150, noise_seed=3,
+                             filters=("ULISE",), structural_checks=False)
         with pytest.raises(InvalidInputError, match=r"\[k=120\] R"):
             run_scenario(sc)
 
@@ -263,8 +256,7 @@ class TestRunScenario:
 
 
 def _config_scenario(name, horizon, **updates):
-    sc = load_config(ROOT / "configs" / f"{name}.yaml").scenario
-    return dataclasses.replace(sc, horizon=horizon, structural_checks=False, **updates)
+    return config_scenario(name, horizon=horizon, structural_checks=False, **updates)
 
 
 def _per_step_run(sc, **kwargs):
@@ -315,7 +307,7 @@ class TestGainCycle:
     def test_never_engages_on_time_varying_model(self):
         # the same plant behind a provider: its covariance state repeats just
         # the same, but a time-varying model keeps the per-step path
-        ti = fault_scenario(1, horizon=150, structural_checks=False)
+        ti = config_scenario("fault_h1", horizon=150, structural_checks=False)
         step = ti.model.step(0)
         tv = dataclasses.replace(ti, model=SystemModel.time_varying(
             lambda k: step, dims=(5, 1, 3, 5)))
@@ -334,7 +326,7 @@ class TestGainCycle:
             return truth
 
         monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
-        sc = fault_scenario(1, horizon=520, monte_carlo=2, structural_checks=False)
+        sc = config_scenario("fault_h1", horizon=520, monte_carlo=2, structural_checks=False)
         res = run_scenario(sc, raise_filter_errors=False)
         for fr in res.filters.values():
             assert fr.gain_cycle[0] < 500    # the step is served from the cycle
@@ -356,7 +348,7 @@ class TestGainCycle:
             return truth
 
         monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
-        sc = fault_scenario(1, horizon=620, monte_carlo=2, structural_checks=False)
+        sc = config_scenario("fault_h1", horizon=620, monte_carlo=2, structural_checks=False)
         res = run_scenario(sc, raise_filter_errors=False)
         for fr in res.filters.values():
             assert fr.gain_cycle[0] < k
@@ -518,17 +510,26 @@ def test_scripts_run(script, first_line):
     assert proc.stdout.splitlines()[0].split() == first_line
 
 
+def test_vehicle_script_rejects_a_horizon_past_its_signals():
+    # the config's bias samples and known input end at its horizon, 1000
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_vehicle_tracking.py"),
+                           "--horizon", "1001"],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--horizon may not exceed the config's horizon 1000" in proc.stderr
+    assert proc.stdout == ""
+
+
 def _failing_scenario():
-    base = fault_system(1).step(0)
+    base = config_scenario("fault_h1").model.step(0)
     g_bad = np.array(base.G)
     g_bad[:, 0] = np.eye(5)[0]
     model = SystemModel.time_invariant(SystemStep(
         A=base.A, B=base.B, C=base.C, D=base.D, G=g_bad, H=base.H,
         Q=base.Q, R=base.R))
-    return Scenario(model=model, horizon=10, d_signals=fault_d_signals(),
-                    u_signals=[Constant(0.0)], x0_true=np.zeros(5),
-                    x0_mean=np.zeros(5), p0=np.eye(5), noise_seed=3,
-                    filters=("ULISE",), structural_checks=False)
+    return config_scenario("fault_h1", model=model, horizon=10, noise_seed=3,
+                           filters=("ULISE",), structural_checks=False)
 
 
 def _undetectable_scenario():
@@ -542,17 +543,16 @@ def _undetectable_scenario():
 class TestEmpiricalCovariance:
     def test_zero_noise_gives_zero_matrix(self):
         model = _zero_noise_model()
-        sc = Scenario(model=model, horizon=20, d_signals=fault_d_signals(),
-                      u_signals=[Constant(0.0)], x0_true=np.zeros(5),
-                      x0_mean=np.zeros(5), p0=np.zeros((5, 5)), noise_seed=4,
-                      filters=("ULISE",), monte_carlo=4, structural_checks=False)
+        sc = config_scenario("fault_h1", model=model, horizon=20, p0=np.zeros((5, 5)),
+                             noise_seed=4, filters=("ULISE",), monte_carlo=4,
+                             structural_checks=False)
         res = run_scenario(sc)
         cov = empirical_error_covariance(res.filters["ULISE"], 15, "x")
         assert np.allclose(cov, 0.0, atol=1e-10)
         assert np.allclose(cov, cov.T)
 
     def test_needs_at_least_two_runs(self):
-        res = run_scenario(fault_scenario(1, horizon=10, structural_checks=False))
+        res = run_scenario(config_scenario("fault_h1", horizon=10, structural_checks=False))
         with pytest.raises(InvalidInputError):
             empirical_error_covariance(res.filters["ULISE"], 5)
 
@@ -578,7 +578,7 @@ class TestEmpiricalCovariance:
 
 class TestCsv:
     def test_step_and_summary_schema(self, tmp_path):
-        res = run_scenario(fault_scenario(2, horizon=40, structural_checks=False))
+        res = run_scenario(config_scenario("fault_h2", horizon=40, structural_checks=False))
         sp = tmp_path / "steps.csv"
         mp = tmp_path / "summary.csv"
         write_step_csv(res, sp)
@@ -598,7 +598,7 @@ class TestCsv:
         assert len(srows) == 4
 
     def test_deterministic_bytes(self, tmp_path):
-        sc = fault_scenario(3, horizon=30, structural_checks=False)
+        sc = config_scenario("fault_h3", horizon=30, structural_checks=False)
         out = []
         for i in range(2):
             res = run_scenario(sc)

@@ -1,20 +1,18 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system
+from conftest import config_scenario, random_system
 from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
-from lise.benchmarks import fault_system
-from lise.config import load_config
 from lise.errors import InvalidInputError
 from lise.linalg import DEFAULT_TOL, rank
 from lise.model import SystemModel, SystemStep
 from lise.structural import (
     _circle_scan,
+    _pencil,
     analyze,
     build_observability_matrices,
     invariant_zeros,
@@ -25,7 +23,6 @@ from lise.structural import (
     ulise_convergence_check,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
                 "fault_h6", "vehicle_tracking")
 
@@ -115,8 +112,8 @@ class TestStrongObservabilityTv:
 
 
 class TestStrongObservabilityTi:
-    def test_requires_time_invariant(self):
-        model = SystemModel.time_varying(lambda k: fault_system(1).step(0),
+    def test_requires_time_invariant(self, fault_models):
+        model = SystemModel.time_varying(lambda k: fault_models[1].step(0),
                                          dims=(5, 1, 3, 5))
         with pytest.raises(InvalidInputError):
             strong_observability_ti(model)
@@ -189,6 +186,19 @@ class TestInvariantZeros:
         zb = np.sort_complex(invariant_zeros(transformed).zeros)
         assert za.shape == zb.shape
         assert np.allclose(za, zb, atol=1e-6)
+
+    def test_squared_down_zero_pencil_contains_benchmark_zeros(self, fault_models):
+        # squaring the rank-2 feedthrough benchmark's zero pencil z*E - F down
+        # to a square one keeps the true zeros among its finite eigenvalues
+        e, f = _pencil(fault_models[1].step(0), DEFAULT_TOL)
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((e.shape[1], e.shape[0]))
+        alpha, beta = scipy.linalg.eig(w @ f, w @ e, right=False,
+                                       homogeneous_eigvals=True)
+        finite = np.abs(beta) > 1e-9 * np.abs(beta).max()
+        zs = alpha[finite] / beta[finite]
+        for want in (0.3, 0.8):
+            assert np.min(np.abs(zs - want)) < 1e-6
 
 
 class TestStrongDetectability:
@@ -321,7 +331,7 @@ class TestCircleScan:
 
     @pytest.mark.parametrize("config", CONFIG_NAMES)
     def test_bundled_configs_match_per_point_scan(self, config):
-        step = load_config(ROOT / "configs" / f"{config}.yaml").model.step(0)
+        step = config_scenario(config).model.step(0)
         ulise, plise = _assert_circles_match_per_point_scan(step)
         assert ulise.circle is not None and plise.circle is not None
 
