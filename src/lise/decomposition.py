@@ -11,13 +11,23 @@ consumes these factors.
 
 Empty blocks are first-class: with ``rank(H) = 0`` all the ``*1`` factors are
 0-width and the algebra flows through unchanged.
+
+The expensive part of a decomposition (the definiteness check of R, the SVD
+of H, T1/T2 and R1/R2) depends on H, R and the tolerance only, and is cached
+in two layers.  :func:`decompose_cached` keeps one decomposition per step
+object, so a time-invariant model decomposes once and pays no hashing after.
+Below it, :func:`decompose` takes the factorisation from a bounded LRU of
+``_FACTOR_CACHE_SIZE`` entries keyed by the tolerance and the exact bytes of
+H and R, so a time-varying model whose steps repeat the same H and R (fresh
+step objects every k) factors each distinct pair once and only projects C, D
+and G per step.  Cached arrays are read-only, and a failure is never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +43,18 @@ __all__ = [
     "decoupled_dynamics",
 ]
 
+# distinct (tolerance, H, R) factorisations kept by decompose
+_FACTOR_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True, eq=False)
 class OutputDecomposition:
-    """SVD factors and transformed system matrices of one time step."""
+    """SVD factors and transformed system matrices of one time step.
+
+    Every field but the projections C1, C2, D1, D2, G1 and G2 depends on H, R
+    and the tolerance only; those arrays are shared with the factor cache
+    and are read-only.
+    """
 
     p_h: int
     U1: np.ndarray      # l x p_h
@@ -55,39 +73,29 @@ class OutputDecomposition:
     H1: np.ndarray      # l x p_h, equals U1 @ Sigma
     R1: np.ndarray      # p_h x p_h, PD
     R2: np.ndarray      # (l - p_h) x (l - p_h), PD
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        return np.hstack([self.V1, self.V2])
-
-    @cached_property
-    def sigma_inv(self) -> np.ndarray:
-        if self.p_h == 0:
-            return np.zeros((0, 0))
-        return np.diag(1.0 / np.diag(self.Sigma))
-
-    @cached_property
-    def m1_sigma_residual(self) -> float:
-        """Unbiasedness residual ``||M1 Sigma - I||`` of the feedthrough-input
-        gain ``M1 = sigma_inv``: zero by construction, but measured anyway."""
-        return float(np.linalg.norm(self.sigma_inv @ self.Sigma - np.eye(self.p_h)))
+    V: np.ndarray       # p x p, [V1, V2]
+    sigma_inv: np.ndarray  # p_h x p_h, the feedthrough-input gain M1
+    # unbiasedness residual ||M1 Sigma - I|| of M1 = sigma_inv: zero by
+    # construction, but measured anyway
+    m1_sigma_residual: float
 
 
-def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
-    """Build the output decomposition for one system step.
+def _factor_output(h: np.ndarray, r: np.ndarray, tol: Tolerance) -> dict:
+    """The part of the decomposition that depends on H, R and ``tol`` only,
+    as the keyword arguments of :class:`OutputDecomposition`; every array
+    is read-only.
 
     Raises :class:`NotPositiveDefiniteError` when R is not positive definite.
     Sign convention: the first nonzero entry of each U1 column is positive,
-    so repeated decompositions of the same data are reproducible.
+    so repeated factorisations of the same data are reproducible.
     """
-    l, p = step.H.shape
-    n, m = step.n, step.m
+    l, p = h.shape
     try:
-        np.linalg.cholesky(symmetrize(step.R))
+        np.linalg.cholesky(symmetrize(r))
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
 
-    u, s, vt = np.linalg.svd(step.H)
+    u, s, vt = np.linalg.svd(h)
     # the rank rule of linalg.rank, applied to the singular values at hand
     p_h = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
@@ -108,18 +116,56 @@ def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposi
     sigma = np.diag(s[:p_h])
 
     t2 = u2.T
-    r2 = symmetrize(u2.T @ step.R @ u2)
+    r2 = symmetrize(u2.T @ r @ u2)
     if p_h > 0:
-        t1 = u1.T - u1.T @ step.R @ u2 @ np.linalg.solve(r2, u2.T)
+        t1 = u1.T - u1.T @ r @ u2 @ np.linalg.solve(r2, u2.T)
+        sigma_inv = np.diag(1.0 / np.diag(sigma))
     else:
         t1 = np.zeros((0, l))
-    r1 = symmetrize(t1 @ step.R @ t1.T)
+        sigma_inv = np.zeros((0, 0))
+    factor = dict(
+        U1=u1, U2=u2, V1=v1, V2=v2, Sigma=sigma, T1=t1, T2=t2,
+        H1=u1 @ sigma, R1=symmetrize(t1 @ r @ t1.T), R2=r2,
+        V=np.hstack([v1, v2]), sigma_inv=sigma_inv,
+    )
+    for a in factor.values():
+        a.setflags(write=False)
+    factor.update(
+        p_h=p_h,
+        m1_sigma_residual=float(np.linalg.norm(sigma_inv @ sigma - np.eye(p_h))),
+    )
+    return factor
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _cached_factor(tol: Tolerance, shape: tuple, h_bytes: bytes, r_bytes: bytes) -> dict:
+    """:func:`_factor_output` of the H and R with these bytes, through the LRU."""
+    l = shape[0]
+    return _factor_output(np.frombuffer(h_bytes).reshape(shape),
+                          np.frombuffer(r_bytes).reshape(l, l), tol)
+
+
+def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
+    """Build the output decomposition for one system step.
+
+    The factorisation of (H, R) comes from a bounded LRU keyed by ``tol``
+    and the exact bytes of H and R, and is computed on a miss; C, D and G
+    are projected on every call.  The arrays shared with the cache are
+    read-only.
+
+    Raises :class:`NotPositiveDefiniteError` when R is not positive definite
+    (on every call: failures are not cached).  Sign convention: the first
+    nonzero entry of each U1 column is positive, so repeated decompositions
+    of the same data are reproducible.
+    """
+    h = step.H
+    f = _cached_factor(tol, h.shape, h.tobytes(), step.R.tobytes())
+    t1, t2 = f["T1"], f["T2"]
     return OutputDecomposition(
-        p_h=p_h, U1=u1, U2=u2, V1=v1, V2=v2, Sigma=sigma, T1=t1, T2=t2,
         C1=t1 @ step.C, C2=t2 @ step.C,
         D1=t1 @ step.D, D2=t2 @ step.D,
-        G1=step.G @ v1, G2=step.G @ v2,
-        H1=u1 @ sigma, R1=r1, R2=r2,
+        G1=step.G @ f["V1"], G2=step.G @ f["V2"],
+        **f,
     )
 
 
@@ -132,7 +178,10 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     """Like :func:`decompose`, but reuses the result for a given step object.
 
     Time-invariant models hand out the same step object every call, so the
-    decomposition is computed once and repeated calls are bit-identical.
+    decomposition is built once, repeated calls are bit-identical, and no
+    call after the first hashes H and R.  A new step object (a time-varying
+    model's provider may build one per k) goes to :func:`decompose`, whose
+    LRU still shares the factorisation of an (H, R) pair seen before.
     """
     per_step = _CACHE.get(step)
     if per_step is None:

@@ -42,7 +42,7 @@ from .errors import (
     NumericalError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, pinv, symmetrize
-from .model import SystemModel
+from .model import SystemModel, SystemStep
 
 __all__ = [
     "GammaPolicy",
@@ -84,8 +84,10 @@ class GammaPolicy(enum.Enum):
 class UliseState:
     """Filter state carried between steps (updated-estimate variant).
 
-    ``dec`` is the output decomposition at time ``k``; ``ahat``/``qhat`` are
-    the feedthrough-decoupled dynamics cached for the next time update.
+    ``step`` is the model step at time ``k`` and ``dec`` its output
+    decomposition, so the next step fetches only its own model step;
+    ``ahat``/``qhat`` are the feedthrough-decoupled dynamics cached for the
+    next time update.
     """
 
     k: int
@@ -95,6 +97,7 @@ class UliseState:
     pd1: np.ndarray
     ahat: np.ndarray
     qhat: np.ndarray
+    step: SystemStep
     dec: OutputDecomposition
 
     # the step forms the new d1hat from the updated state
@@ -117,6 +120,7 @@ class PliseState:
     pxd1: np.ndarray
     ahat: np.ndarray
     qhat: np.ndarray
+    step: SystemStep
     dec: OutputDecomposition
     px_star: np.ndarray
 
@@ -126,9 +130,12 @@ class PliseState:
 
 @dataclass
 class KalmanState:
+    """State of the no-unknown-input filter; ``step`` is the model step at ``k``."""
+
     k: int
     xhat: np.ndarray
     px: np.ndarray
+    step: SystemStep
 
     # no feedthrough input (p = 0): the estimate update's d1hat is empty
     d1_from_propagated: ClassVar[bool] = False
@@ -418,10 +425,10 @@ def _gain_key(state: UliseState | PliseState) -> bytes:
 
     The gain half of :func:`_updated_variant_step` and :func:`plise_step`
     (gains, covariances, next covariance state) is a deterministic function
-    of these arrays, the model steps and their decompositions (``state.dec``
-    among them).  So on a time-invariant model two states with equal keys
-    give bitwise-equal gain halves.  A state field the gain half starts to
-    read must be added here.
+    of these arrays, the model steps and their decompositions (``state.step``
+    and ``state.dec`` among them).  So on a time-invariant model two states
+    with equal keys give bitwise-equal gain halves.  A state field the gain
+    half starts to read must be added here.
     """
     arrays = [state.px, state.pd1, state.ahat, state.qhat]
     if isinstance(state, PliseState):
@@ -443,7 +450,7 @@ def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
     pd1 = dec.sigma_inv @ (dec.C1 @ p0m @ dec.C1.T + dec.R1) @ dec.sigma_inv
     ahat, qhat = decoupled_dynamics(step0, dec)
     return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, pd1=symmetrize(pd1),
-                      ahat=ahat, qhat=qhat, dec=dec)
+                      ahat=ahat, qhat=qhat, step=step0, dec=dec)
 
 
 def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
@@ -453,7 +460,7 @@ def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
     pxd1 = -base.px @ base.dec.C1.T @ base.dec.sigma_inv
     return PliseState(k=0, xhat=base.xhat, px=base.px, d1hat=base.d1hat,
                       pd1=base.pd1, pxd1=pxd1, ahat=base.ahat, qhat=base.qhat,
-                      dec=base.dec, px_star=base.px.copy())
+                      step=base.step, dec=base.dec, px_star=base.px.copy())
 
 
 # the OLS variant shares the init (only the step gains differ)
@@ -463,7 +470,7 @@ cywz_init = ulise_init
 def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
                           gamma: GammaPolicy, tol: Tolerance, ols_state_gain: bool):
     k = state.k + 1
-    step_prev = model.step(state.k)
+    step_prev = state.step
     step = model.step(k)
     dec_k = decompose_cached(step, tol)
     dp = state.dec
@@ -509,7 +516,7 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
         m2, m2_state, gain_l, state.d1_from_propagated)
 
     new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
-                           ahat=ahat, qhat=qhat, dec=dec_k)
+                           ahat=ahat, qhat=qhat, step=step, dec=dec_k)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),
@@ -552,7 +559,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     covariance of state and both input components.
     """
     k = state.k + 1
-    step_prev = model.step(state.k)
+    step_prev = state.step
     step = model.step(k)
     dec_k = decompose_cached(step, tol)
     dp = state.dec
@@ -601,8 +608,8 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
         m2, m2, gain_l, state.d1_from_propagated)
     new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
-                           pxd1=pxd1_new, ahat=ahat, qhat=qhat, dec=dec_k,
-                           px_star=px_star)
+                           pxd1=pxd1_new, ahat=ahat, qhat=qhat, step=step,
+                           dec=dec_k, px_star=px_star)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),
@@ -618,7 +625,7 @@ def kalman_init(model: SystemModel, x0_mean, p0,
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     step0 = model.step(0)
     return KalmanState(k=0, xhat=_check_vector(x0_mean, step0.n, "x0_mean", 0),
-                       px=_check_p0(p0, step0.n, tol))
+                       px=_check_p0(p0, step0.n, tol), step=step0)
 
 
 def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
@@ -627,7 +634,7 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     k = state.k + 1
-    step_prev = model.step(state.k)
+    step_prev = state.step
     step = model.step(k)
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
@@ -642,7 +649,7 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     ilc = np.eye(n) - gain_l @ step.C
     px = symmetrize(ilc @ p_pred @ ilc.T + gain_l @ step.R @ gain_l.T)
 
-    new_state = KalmanState(k=k, xhat=xhat, px=px)
+    new_state = KalmanState(k=k, xhat=xhat, px=px, step=step)
     empty = np.zeros(0)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xpred, px=px, px_star=p_pred,

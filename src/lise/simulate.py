@@ -48,6 +48,7 @@ from .decomposition import OutputDecomposition, decompose_cached
 from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
+    KalmanState,
     _estimate_update,
     _feedthrough_input,
     _gain_key,
@@ -63,7 +64,7 @@ from .filters import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
 from .model import SystemModel, SystemStep, validate
-from .signals import sample_signals
+from .signals import Samples, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
 __all__ = [
@@ -316,9 +317,18 @@ class _CycleDetector:
         return None
 
 
+def _state_dec(state, tol: Tolerance) -> OutputDecomposition:
+    """The output decomposition of the model step a filter state carries."""
+    return decompose_cached(state.step, tol) if isinstance(state, KalmanState) else state.dec
+
+
 def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                tol: Tolerance):
     """Run the real step functions over run-0 data; collect series and gains.
+
+    Each step's model steps and decompositions are taken from the filter
+    states before and after it, so the pass asks the model for no step of
+    its own: the step functions fetch each ``model.step(k)`` once.
 
     On a time-invariant model, ULISE, PLISE and CYWZ steps are keyed by the
     bytes of the filter state their gain half reads (``filters._gain_key``).
@@ -351,17 +361,13 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                 cycle = (k, period)
                 break
         i = k - 1
-        step_prev = model.step(k - 1)
-        step = model.step(k)
-        dec_prev = decompose_cached(step_prev, tol)
+        prev = state
         try:
             if name == "KALMAN":
                 state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
-                dec_k = decompose_cached(step, tol)
             else:
                 state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
                                           scenario.gamma, tol)
-                dec_k = state.dec
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k
@@ -374,7 +380,8 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
-            step_prev=step_prev, step=step, dec_prev=dec_prev, dec=dec_k,
+            step_prev=prev.step, step=state.step,
+            dec_prev=_state_dec(prev, tol), dec=_state_dec(state, tol),
             m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
             from_propagated=state.d1_from_propagated,
         ))
@@ -514,6 +521,17 @@ def _steady_slice(n_steps: int, frac: float) -> slice:
     return slice(min(start, n_steps - 1), n_steps)
 
 
+def _check_sample_lengths(scenario: Scenario) -> None:
+    """Every explicit sample sequence must cover steps 0..horizon."""
+    need = scenario.horizon + 1
+    for group in ("d_signals", "u_signals"):
+        for i, spec in enumerate(getattr(scenario, group)):
+            if isinstance(spec, Samples) and len(spec.values) < need:
+                raise InvalidInputError(
+                    f"{group}[{i}] has {len(spec.values)} samples, but horizon "
+                    f"{scenario.horizon} needs {need} (k = 0..{scenario.horizon})")
+
+
 def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
                  raise_filter_errors: bool = True) -> RunResult:
     """Simulate the scenario and run every requested filter on the same data.
@@ -524,8 +542,11 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     is recorded on its :class:`FilterRun` instead of raising.  On a
     time-invariant model that is not strongly detectable the error also
     names that cause (the structural report's verdict, or one computed on
-    failure when the checks were skipped).
+    failure when the checks were skipped).  A ``Samples`` signal with fewer
+    than ``horizon + 1`` values raises :class:`InvalidInputError` rather than
+    being read as zero past its end.
     """
+    _check_sample_lengths(scenario)
     model = scenario.model
     violations = validate(model, range(scenario.horizon + 1)
                           if not model.is_time_invariant else None, tol)

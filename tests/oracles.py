@@ -3,9 +3,10 @@
 The closed-form references are written straight from the special-case
 equations (no feedthrough; full-column-rank feedthrough) without reusing the
 filter implementation, so they can serve as oracles for it.  The others are
-frozen copies of straightforward loops (per-run truth, per-step filter pass,
-batched replay, piecewise fault signals, per-point unit-circle scan,
-per-value CSV writer) that the library's faster code must reproduce.
+frozen copies of straightforward code (per-step output decomposition,
+per-run truth, per-step filter pass, batched replay, piecewise fault signals,
+per-point unit-circle scan, per-value CSV writer) that the library's faster
+code must reproduce.
 ``vehicle_tracking_model`` writes out the continuous-time matrices of
 ``configs/vehicle_tracking.yaml``, which only the tests read undiscretized.
 """
@@ -15,7 +16,7 @@ import time
 import numpy as np
 
 from lise.decomposition import decompose_cached, decoupled_dynamics
-from lise.errors import LiseError
+from lise.errors import LiseError, NotPositiveDefiniteError
 from lise.filters import kalman_init, kalman_step
 from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
 from lise.model import ContinuousModel
@@ -68,6 +69,57 @@ def full_rank_gain_oracle(step, px_star):
     h = step.H
     inner = np.eye(step.l) - h @ np.linalg.inv(h.T @ ri @ h) @ h.T @ ri
     return px_star @ step.C.T @ ri @ inner
+
+
+def decompose_oracle(step, tol=DEFAULT_TOL):
+    """The output decomposition of one step, computed from scratch.
+
+    A frozen copy of ``decomposition.decompose`` from before the (H, R)
+    factorisation was cached, with the decomposition's derived values
+    (``V``, ``sigma_inv``, ``m1_sigma_residual``) computed as it computed
+    them; returns every field by name.  The cached decomposition must
+    reproduce it bit for bit.
+    """
+    l, p = step.H.shape
+    try:
+        np.linalg.cholesky(symmetrize(step.R))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
+
+    u, s, vt = np.linalg.svd(step.H)
+    p_h = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
+    u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
+    v = vt.T
+    v1, v2 = v[:, :p_h].copy(), v[:, p_h:]
+    for j in range(p_h):
+        nz = np.flatnonzero(np.abs(u1[:, j]) > 1e-12)
+        if nz.size and u1[nz[0], j] < 0:
+            u1[:, j] = -u1[:, j]
+            v1[:, j] = -v1[:, j]
+    if p_h == 0:
+        u2 = np.eye(l)
+        v2 = np.eye(p)
+        u1 = np.zeros((l, 0))
+        v1 = np.zeros((p, 0))
+    sigma = np.diag(s[:p_h])
+
+    t2 = u2.T
+    r2 = symmetrize(u2.T @ step.R @ u2)
+    if p_h > 0:
+        t1 = u1.T - u1.T @ step.R @ u2 @ np.linalg.solve(r2, u2.T)
+    else:
+        t1 = np.zeros((0, l))
+    r1 = symmetrize(t1 @ step.R @ t1.T)
+    sigma_inv = np.zeros((0, 0)) if p_h == 0 else np.diag(1.0 / np.diag(sigma))
+    return dict(
+        p_h=p_h, U1=u1, U2=u2, V1=v1, V2=v2, Sigma=sigma, T1=t1, T2=t2,
+        C1=t1 @ step.C, C2=t2 @ step.C,
+        D1=t1 @ step.D, D2=t2 @ step.D,
+        G1=step.G @ v1, G2=step.G @ v2,
+        H1=u1 @ sigma, R1=r1, R2=r2,
+        V=np.hstack([v1, v2]), sigma_inv=sigma_inv,
+        m1_sigma_residual=float(np.linalg.norm(sigma_inv @ sigma - np.eye(p_h))),
+    )
 
 
 def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):

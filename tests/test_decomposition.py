@@ -1,17 +1,26 @@
+import dataclasses
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pd, random_system
+from conftest import config_scenario, random_pd, random_system
+from oracles import decompose_oracle
 from lise.decomposition import (
+    _FACTOR_CACHE_SIZE,
+    OutputDecomposition,
+    _cached_factor,
     decompose,
     decompose_cached,
     decoupled_dynamics,
     transform_measurement,
 )
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
-from lise.linalg import rank
+from lise.linalg import DEFAULT_TOL, Tolerance, rank
 from lise.model import SystemStep
 
 
@@ -154,3 +163,110 @@ def test_rank_from_own_svd_matches_linalg_rank(seed, p, rank_h):
     model = random_system(np.random.default_rng(seed), n=4, l=3, p=p, p_h=rank_h)
     step = model.step(0)
     assert decompose(step).p_h == rank(step.H) == rank_h
+
+
+def _assert_matches_oracle(step, tol=DEFAULT_TOL):
+    """Every field of ``decompose(step, tol)`` is bitwise the oracle's."""
+    dec = decompose(step, tol)
+    want = decompose_oracle(step, tol)
+    assert {f.name for f in dataclasses.fields(OutputDecomposition)} == set(want)
+    for name, value in want.items():
+        got = getattr(dec, name)
+        if isinstance(value, np.ndarray):
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+        else:
+            assert type(got) is type(value) and got == value, name
+    return dec
+
+
+class TestFactorCache:
+    def test_matches_oracle_on_every_step_of_the_online_plant(self):
+        # the time-varying fault plant of the online benchmark: A scaled by a
+        # sinusoid, H switching between variants 1 (rank 2) and 2 (rank 3)
+        # every 100 steps, a fresh step object per k
+        s1 = config_scenario("fault_h1").model.step(0)
+        h2 = config_scenario("fault_h2").model.step(0).H
+        _cached_factor.cache_clear()
+        ranks = set()
+        for k in range(1001):
+            scale = 1.0 + 0.2 * math.sin(2.0 * math.pi * k / 500.0 + 1.0)
+            step = SystemStep(A=scale * s1.A, B=s1.B, C=s1.C, D=s1.D, G=s1.G,
+                              H=s1.H if (k // 100) % 2 == 0 else h2, Q=s1.Q, R=s1.R)
+            ranks.add(_assert_matches_oracle(step).p_h)
+        assert ranks == {2, 3}
+        # two distinct (H, R) pairs: two factorisations for 1001 steps
+        assert _cached_factor.cache_info().misses == 2
+
+    def test_tolerance_is_part_of_the_key(self):
+        # singular values 1 and 1e-9: rank 2 under the default tolerance,
+        # rank 1 under a looser one
+        step = _step_with(np.diag([1.0, 1e-9, 0.0])[:, :2])
+        loose = Tolerance(rank_rel=1e-8)
+        ranks = [_assert_matches_oracle(step, tol).p_h
+                 for tol in (DEFAULT_TOL, loose, DEFAULT_TOL, loose)]
+        assert ranks == [2, 1, 2, 1]
+
+    def test_cached_arrays_are_read_only(self, fault_models):
+        dec = decompose(fault_models[1].step(0))
+        for name in ("U1", "U2", "V1", "V2", "Sigma", "T1", "T2", "H1", "R1", "R2",
+                     "V", "sigma_inv"):
+            with pytest.raises(ValueError):
+                getattr(dec, name)[...] = 0.0
+
+    def test_failures_are_not_cached(self):
+        step = _step_with(np.zeros((3, 1)), r=np.diag([1.0, 0.0, 1.0]), n=3)
+        before = _cached_factor.cache_info()
+        for _ in range(3):
+            with pytest.raises(NotPositiveDefiniteError):
+                decompose(step)
+        after = _cached_factor.cache_info()
+        assert after.misses - before.misses == 3
+        assert after.hits == before.hits
+
+    def test_step_identity_cache_skips_the_factor_cache(self, fault_models):
+        step = fault_models[4].step(0)
+        decompose_cached(step)
+        before = _cached_factor.cache_info()
+        decompose_cached(step)
+        assert _cached_factor.cache_info() == before
+
+    def test_size_is_bounded(self):
+        rng = np.random.default_rng(3)
+        steps = [_step_with(rng.standard_normal((5, 3))) for _ in range(300)]
+        _cached_factor.cache_clear()
+        for step in steps[:100]:
+            decompose(step)
+        assert _cached_factor.cache_info().currsize == _FACTOR_CACHE_SIZE == 64
+        tracemalloc.start()
+        try:
+            # after 100 more distinct H every entry was made while tracing
+            for step in steps[100:200]:
+                decompose(step)
+            # a full collection also empties the interpreter's free lists
+            gc.collect()
+            full, _ = tracemalloc.get_traced_memory()
+            for step in steps[200:]:
+                decompose(step)
+            gc.collect()
+            later, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _cached_factor.cache_info().currsize == 64
+        # 64 entries of a 5 x 3 H take a few KiB each, and 100 more distinct
+        # H leave the total where it was
+        assert full < 64 * 8 * 1024, full
+        assert abs(later - full) < 8 * 1024, (full, later)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_cached_decompose_matches_oracle_on_rank_switching_models(seed, p, rank_a, rank_b):
+    rng = np.random.default_rng(seed)
+    a = random_system(rng, n=4, l=3, p=p, p_h=min(rank_a, p)).step(0)
+    b = random_system(rng, n=4, l=3, p=p, p_h=min(rank_b, p)).step(0)
+    # fresh step objects that alternate between the two (H, R) pairs
+    for k in range(6):
+        src = a if k % 2 == 0 else b
+        step = SystemStep(A=(1.0 + 0.1 * k) * a.A, B=a.B, C=a.C, D=a.D, G=a.G,
+                          H=src.H, Q=a.Q, R=src.R)
+        assert _assert_matches_oracle(step).p_h == min(rank_a if k % 2 == 0 else rank_b, p)

@@ -502,6 +502,34 @@ class TestStepInvariants:
                     assert val < 1e-9
             assert state.k == 30
 
+    @pytest.mark.parametrize("variant", ["ULISE", "PLISE", "CYWZ", "KALMAN"])
+    def test_each_step_fetches_its_model_step_once(self, variant):
+        # step k-1 comes from the filter state, so stepping through k = 1..N
+        # asks the provider for k = 0..N once each
+        base = config_scenario("fault_h1").model.step(0)
+        p = 0 if variant == "KALMAN" else base.p
+        calls = []
+
+        def provider(k):
+            calls.append(k)
+            return SystemStep(A=base.A, B=base.B, C=base.C, D=base.D, G=base.G[:, :p],
+                              H=base.H[:, :p], Q=base.Q, R=base.R)
+
+        model = SystemModel.time_varying(provider, dims=(5, 1, p, 5), horizon_hint=20)
+        rng = np.random.default_rng(2)
+        ys = rng.standard_normal((21, 5))
+        us = rng.standard_normal((21, 1))
+        if variant == "KALMAN":
+            state = kalman_init(model, np.zeros(5), np.eye(5))
+        else:
+            init = plise_init if variant == "PLISE" else ulise_init
+            state = init(model, np.zeros(5), np.eye(5), ys[0], us[0])
+        step_fn = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step,
+                   "KALMAN": kalman_step}[variant]
+        for k in range(1, 21):
+            state, _ = step_fn(state, ys[k], us[k], us[k - 1], model)
+        assert calls == list(range(21))
+
     def test_gain_constraint_annihilates_feedthrough_directions(self, fault_models):
         outs = _drive(fault_models[1], 30)
         dec = decompose_cached(fault_models[1].step(0))

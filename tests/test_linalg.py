@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import config_scenario
 from oracles import vehicle_tracking_model
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
-from lise.linalg import Tolerance, expm, pinv, psd_sqrt, rank
+from lise.linalg import DEFAULT_TOL, Tolerance, expm, pinv, psd_sqrt, rank
 
 H1 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float)
 H2 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
@@ -40,6 +40,19 @@ class TestRank:
         gram_eigs = np.linalg.eigvalsh(H1.T @ H1)
         assert np.allclose(gram_eigs, [0.0, 1.0, 1.0])
         assert rank(H1) == np.count_nonzero(gram_eigs > 0.5) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6), st.integers(1, 6), st.integers(0, 6))
+def test_pinv_is_bitwise_numpy_pinv(seed, rows, cols, rk):
+    # rank-deficient products (the zero matrix at rank 0) included
+    rng = np.random.default_rng(seed)
+    rk = min(rk, rows, cols)
+    a = rng.standard_normal((rows, rk)) @ rng.standard_normal((rk, cols))
+    for tol in (DEFAULT_TOL, Tolerance(rank_rel=1e-3)):
+        got = pinv(a, tol)
+        want = np.linalg.pinv(a, rcond=tol.rank_rel)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPinv:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from conftest import config_scenario, random_system
 from oracles import (fault_input_samples, per_run_truth_oracle,
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
+from lise.cli import main as cli_main
 from lise.errors import InvalidInputError
 from lise.filters import ulise_init, ulise_step
 from lise.linalg import DEFAULT_TOL
@@ -519,6 +521,52 @@ def test_vehicle_script_rejects_a_horizon_past_its_signals():
     assert proc.returncode == 2
     assert "--horizon may not exceed the config's horizon 1000" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_samples_shorter_than_the_horizon_are_rejected():
+    # the config's bias samples cover k = 0..1000
+    sc = config_scenario("vehicle_tracking", horizon=2000)
+    with pytest.raises(InvalidInputError,
+                       match=r"d_signals\[1\] has 1001 samples, but horizon 2000"):
+        run_scenario(sc)
+
+
+def test_cli_run_rejects_samples_shorter_than_the_horizon(tmp_path, capsys):
+    text = (ROOT / "configs" / "vehicle_tracking.yaml").read_text()
+    assert text.count("horizon: 1000") == 1
+    cfg = tmp_path / "vehicle_2000.yaml"
+    cfg.write_text(text.replace("horizon: 1000", "horizon: 2000"))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) != 0
+    assert "d_signals[1] has 1001 samples, but horizon 2000" in capsys.readouterr().err
+
+
+def test_time_varying_filter_pass_fetches_each_step_once(monkeypatch):
+    base = config_scenario("fault_h1")
+    s1 = base.model.step(0)
+    calls = [0]
+
+    def provider(k):
+        calls[0] += 1
+        return SystemStep(A=(1.0 + 0.2 * math.sin(k / 80.0)) * s1.A, B=s1.B, C=s1.C,
+                          D=s1.D, G=s1.G, H=s1.H, Q=s1.Q, R=s1.R)
+
+    in_pass = []
+
+    def counted_pass(*args):
+        start = calls[0]
+        res = _full_pass(*args)
+        in_pass.append(calls[0] - start)
+        return res
+
+    monkeypatch.setattr(lise.simulate, "_full_pass", counted_pass)
+    model = SystemModel.time_varying(provider, dims=(s1.n, s1.m, s1.p, s1.l),
+                                     horizon_hint=1000)
+    sc = dataclasses.replace(base, model=model, horizon=1000, filters=("ULISE",),
+                             structural_checks=False)
+    run_scenario(sc)
+    assert len(in_pass) == 1 and in_pass[0] <= sc.horizon + 1
+    # validation and truth simulation fetch every step once more each
+    assert calls[0] <= 3 * (sc.horizon + 1)
 
 
 def _failing_scenario():
