@@ -3,20 +3,21 @@
 
     python3 scripts/bench.py --checkout change=. [--checkout parent=../old] \
         [--workloads fault_cli monte_carlo online_tv] --seeds 801-810 \
-        [--seconds 30] --out BENCH.json
+        --out BENCH.json
 
 Each ``--checkout LABEL=DIR`` names the root of a lise checkout; its own
-``perfbench/run.py`` runs there with ``--trace 0``, once per workload and
-seed.  With several checkouts, every seed runs each of them in turn, and the
-order is reversed on every other seed, so that machine drift hits all sides
-alike.  For each checkout and workload the output holds the median and
-quartiles of every end-to-end metric named in ``BENCHMARK.json``, the values
-of each run, the pass counts, the operation counts and the machine record
-that ``perfbench/run.py`` prints.  With two checkouts, the second is compared
-with the first on every metric: the change of the median, the first side's
-quartile distance, and the number of seeds on which the second side was
-better.  An existing ``--out`` file is updated in place: the workloads run now
-replace their earlier entries, so workloads can be run at different times.
+``perfbench/run.py`` runs there with ``--trace 0`` for ``BENCHMARK.json``'s
+``run_seconds``, once per workload and seed.  With several checkouts, every
+seed runs each of them in turn, and the order is reversed on every other
+seed, so that machine drift hits all sides alike.  For each checkout and
+workload the output holds the median and quartiles of every end-to-end
+metric named in ``BENCHMARK.json``, the values of each run, the pass counts,
+the operation counts and the machine record that ``perfbench/run.py``
+prints.  With two checkouts, the second is compared with the first on every
+metric: the change of the median, the first side's quartile distance, and
+the number of seeds on which the second side was better.  ``--out`` is
+written afresh from this one invocation, so all of its entries come from the
+same runs, trees and machine.
 """
 
 from __future__ import annotations
@@ -109,24 +110,18 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="seeds as ranges, e.g. 801-810 or 801,805")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length of each run (default: BENCHMARK.json run_seconds)")
-    ap.add_argument("--out", required=True, help="JSON file to write or update")
+    ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    doc = {"sides": {}, "comparison": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
     labels = [label for label, _ in args.checkout]
-    for label, _ in args.checkout:
-        doc["sides"].setdefault(label, {"workloads": {}})
+    doc = {"seconds": seconds, "sides": {label: {"workloads": {}} for label in labels},
+           "comparison": {}}
     for workload in args.workloads:
         runs = {label: [] for label in labels}
         for i, seed in enumerate(args.seeds):
@@ -145,7 +140,6 @@ def main(argv=None) -> int:
             base, new = (doc["sides"][x]["workloads"][workload] for x in labels)
             doc["comparison"][workload] = {"base": labels[0], "new": labels[1],
                                            **compare(base, new, better)}
-    doc["seconds"] = seconds
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -43,7 +43,13 @@ __all__ = [
     "decoupled_dynamics",
 ]
 
-# distinct (tolerance, H, R) factorisations kept by decompose
+# distinct (tolerance, H, R) factorisations kept by decompose.  An entry
+# with its key takes 3.8 KiB at the fault configs' 5 x 3 H (0.24 MiB for a
+# full cache) and 290 KiB at a 100 x 20 H; it grows with l^2.  The bundled
+# workloads use at most 7 entries; 64 lets a schedule that cycles through up
+# to 64 pairs hit.  A model whose pairs never repeat pays the key, the LRU
+# bookkeeping and an eviction on each miss: about 9 us against the ~150 us
+# factorisation at l = 5.
 _FACTOR_CACHE_SIZE = 64
 
 

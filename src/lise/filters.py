@@ -18,6 +18,12 @@ Each step consumes the current measurement ``y_k`` together with the known
 inputs ``u_k`` and ``u_{k-1}`` and produces the filtered state, the one-step
 delayed estimate of the unknown input ``d_{k-1}``, and their covariances.
 Unbiasedness of every gain is tracked per step in :attr:`StepOutput.unbiasedness`.
+
+The filter states carry the model step of their own time ``k`` (the
+required ``step`` field), and a step function takes step ``k - 1`` from the
+state, not from ``model``: it asks ``model`` for step ``k`` only, once.  A
+state built by hand rather than by the ``*_init``/``*_step`` functions must
+therefore hold ``model.step(state.k)`` in ``step``.
 """
 
 from __future__ import annotations
@@ -84,10 +90,10 @@ class GammaPolicy(enum.Enum):
 class UliseState:
     """Filter state carried between steps (updated-estimate variant).
 
-    ``step`` is the model step at time ``k`` and ``dec`` its output
-    decomposition, so the next step fetches only its own model step;
-    ``ahat``/``qhat`` are the feedthrough-decoupled dynamics cached for the
-    next time update.
+    ``step`` (required) is the model step at time ``k`` and ``dec`` its
+    output decomposition; the next step reads its step ``k - 1`` from here,
+    not from the model, and fetches only its own model step.  ``ahat``/``qhat``
+    are the feedthrough-decoupled dynamics cached for the next time update.
     """
 
     k: int
@@ -109,7 +115,8 @@ class PliseState:
     """Filter state of the propagated-estimate variant.
 
     Adds the state/feedthrough-input cross covariance ``pxd1`` and the latest
-    propagated covariance ``px_star``.
+    propagated covariance ``px_star``; ``step`` and ``dec`` are as in
+    :class:`UliseState`.
     """
 
     k: int
@@ -130,7 +137,11 @@ class PliseState:
 
 @dataclass
 class KalmanState:
-    """State of the no-unknown-input filter; ``step`` is the model step at ``k``."""
+    """State of the no-unknown-input filter.
+
+    ``step`` (required) is the model step at ``k``; :func:`kalman_step` reads
+    its step ``k - 1`` from here, not from the model.
+    """
 
     k: int
     xhat: np.ndarray
