@@ -12,15 +12,22 @@ consumes these factors.
 Empty blocks are first-class: with ``rank(H) = 0`` all the ``*1`` factors are
 0-width and the algebra flows through unchanged.
 
-The expensive part of a decomposition (the definiteness check of R, the SVD
-of H, T1/T2 and R1/R2) depends on H, R and the tolerance only, and is cached
-in two layers.  :func:`decompose_cached` keeps one decomposition per step
-object, so a time-invariant model decomposes once and pays no hashing after.
-Below it, :func:`decompose` takes the factorisation from a bounded LRU of
-``_FACTOR_CACHE_SIZE`` entries keyed by the tolerance and the exact bytes of
-H and R, so a time-varying model whose steps repeat the same H and R (fresh
-step objects every k) factors each distinct pair once and only projects C, D
-and G per step.  Cached arrays are read-only, and a failure is never cached.
+A decomposition depends on H, R, C, D, G and the tolerance only, never on
+A, B or Q, and is shared in two layers.  :func:`decompose_cached` keeps one
+decomposition per step object, so a time-invariant model decomposes once and
+pays no hashing after.  Below it, :func:`decompose` takes the whole
+decomposition from a bounded LRU of ``_FACTOR_CACHE_SIZE`` entries keyed by
+the tolerance, the shapes and the exact bytes of H, R, C, D and G, so a
+time-varying model whose steps repeat those matrices (fresh step objects
+every k, with only A, B or Q changing) builds each distinct decomposition
+once and hands out one shared object.  Every array of a decomposition is
+read-only, and a failure is never cached.
+
+Besides the SVD factors and projections, a decomposition holds the
+data-independent products that the filters and :func:`decoupled_dynamics`
+would otherwise rebuild every step: ``G1 Sigma^-1 C1``,
+``(G1 Sigma^-1 R1) (G1 Sigma^-1)^T`` and ``Sigma^-1 C1``.  Each is the
+leftmost factor of every product it enters, so using it changes no bit.
 """
 
 from __future__ import annotations
@@ -43,13 +50,14 @@ __all__ = [
     "decoupled_dynamics",
 ]
 
-# distinct (tolerance, H, R) factorisations kept by decompose.  An entry
-# with its key takes 3.8 KiB at the fault configs' 5 x 3 H (0.24 MiB for a
-# full cache) and 290 KiB at a 100 x 20 H; it grows with l^2.  The bundled
-# workloads use at most 7 entries; 64 lets a schedule that cycles through up
-# to 64 pairs hit.  A model whose pairs never repeat pays the key, the LRU
-# bookkeeping and an eviction on each miss: about 9 us against the ~150 us
-# factorisation at l = 5.
+# distinct decompositions kept by decompose, and distinct decomposition
+# pairs kept by the filters' per-pair gain constants.  A decomposition entry
+# with its key takes 5.9 KiB at the fault configs' 5 x 3 H with n = 5
+# (0.37 MiB for a full cache), 35 KiB at a 20 x 8 H with n = 20 and 650 KiB
+# at a 100 x 20 H with n = 100; it grows with (l + n)^2.  A pair entry takes
+# about 0.6 KiB, but keeps both of its decompositions alive.  The bundled
+# workloads use at most 7 decompositions; 64 lets a schedule that cycles
+# through up to 64 of them hit.
 _FACTOR_CACHE_SIZE = 64
 
 
@@ -57,9 +65,9 @@ _FACTOR_CACHE_SIZE = 64
 class OutputDecomposition:
     """SVD factors and transformed system matrices of one time step.
 
-    Every field but the projections C1, C2, D1, D2, G1 and G2 depends on H, R
-    and the tolerance only; those arrays are shared with the factor cache
-    and are read-only.
+    Every field depends on H, R, C, D, G and the tolerance only; the arrays
+    are read-only, and :func:`decompose` shares one object among all steps
+    with equal such matrices.
     """
 
     p_h: int
@@ -84,16 +92,18 @@ class OutputDecomposition:
     # unbiasedness residual ||M1 Sigma - I|| of M1 = sigma_inv: zero by
     # construction, but measured anyway
     m1_sigma_residual: float
+    gsi_c1: np.ndarray      # n x n, (G1 Sigma^-1) C1, removed from A
+    gsi_r1_gsi: np.ndarray  # n x n, (G1 Sigma^-1 R1) (G1 Sigma^-1)^T, added to Q
+    si_c1: np.ndarray       # p_h x n, Sigma^-1 C1
 
 
-def _factor_output(h: np.ndarray, r: np.ndarray, tol: Tolerance) -> dict:
-    """The part of the decomposition that depends on H, R and ``tol`` only,
-    as the keyword arguments of :class:`OutputDecomposition`; every array
-    is read-only.
+def _build(h, r, c, d, g, tol: Tolerance) -> OutputDecomposition:
+    """The decomposition of a step with these H, R, C, D and G, computed from
+    scratch; every array is read-only.
 
     Raises :class:`NotPositiveDefiniteError` when R is not positive definite.
     Sign convention: the first nonzero entry of each U1 column is positive,
-    so repeated factorisations of the same data are reproducible.
+    so repeated decompositions of the same data are reproducible.
     """
     l, p = h.shape
     try:
@@ -129,50 +139,54 @@ def _factor_output(h: np.ndarray, r: np.ndarray, tol: Tolerance) -> dict:
     else:
         t1 = np.zeros((0, l))
         sigma_inv = np.zeros((0, 0))
-    factor = dict(
+    r1 = symmetrize(t1 @ r @ t1.T)
+    c1, g1 = t1 @ c, g @ v1
+    gsi = g1 @ sigma_inv
+    arrays = dict(
         U1=u1, U2=u2, V1=v1, V2=v2, Sigma=sigma, T1=t1, T2=t2,
-        H1=u1 @ sigma, R1=symmetrize(t1 @ r @ t1.T), R2=r2,
-        V=np.hstack([v1, v2]), sigma_inv=sigma_inv,
+        C1=c1, C2=t2 @ c, D1=t1 @ d, D2=t2 @ d, G1=g1, G2=g @ v2,
+        H1=u1 @ sigma, R1=r1, R2=r2, V=np.hstack([v1, v2]), sigma_inv=sigma_inv,
+        gsi_c1=gsi @ c1, gsi_r1_gsi=gsi @ r1 @ gsi.T, si_c1=sigma_inv @ c1,
     )
-    for a in factor.values():
+    for a in arrays.values():
         a.setflags(write=False)
-    factor.update(
+    return OutputDecomposition(
         p_h=p_h,
         m1_sigma_residual=float(np.linalg.norm(sigma_inv @ sigma - np.eye(p_h))),
+        **arrays,
     )
-    return factor
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _cached_factor(tol: Tolerance, shape: tuple, h_bytes: bytes, r_bytes: bytes) -> dict:
-    """:func:`_factor_output` of the H and R with these bytes, through the LRU."""
-    l = shape[0]
-    return _factor_output(np.frombuffer(h_bytes).reshape(shape),
-                          np.frombuffer(r_bytes).reshape(l, l), tol)
+def _cached_decomposition(tol: Tolerance, dims: tuple, h_bytes: bytes, r_bytes: bytes,
+                          c_bytes: bytes, d_bytes: bytes, g_bytes: bytes
+                          ) -> OutputDecomposition:
+    """:func:`_build` of the matrices with these bytes, through the LRU.
+
+    The matrices are rebuilt from the key, so an entry depends on its key
+    only.
+    """
+    n, m, p, l = dims
+    return _build(np.frombuffer(h_bytes).reshape(l, p), np.frombuffer(r_bytes).reshape(l, l),
+                  np.frombuffer(c_bytes).reshape(l, n), np.frombuffer(d_bytes).reshape(l, m),
+                  np.frombuffer(g_bytes).reshape(n, p), tol)
 
 
 def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
     """Build the output decomposition for one system step.
 
-    The factorisation of (H, R) comes from a bounded LRU keyed by ``tol``
-    and the exact bytes of H and R, and is computed on a miss; C, D and G
-    are projected on every call.  The arrays shared with the cache are
-    read-only.
+    The decomposition comes from a bounded LRU keyed by ``tol`` and the
+    exact bytes of H, R, C, D and G, and is computed on a miss; steps with
+    equal such matrices share one read-only object.
 
     Raises :class:`NotPositiveDefiniteError` when R is not positive definite
     (on every call: failures are not cached).  Sign convention: the first
     nonzero entry of each U1 column is positive, so repeated decompositions
     of the same data are reproducible.
     """
-    h = step.H
-    f = _cached_factor(tol, h.shape, h.tobytes(), step.R.tobytes())
-    t1, t2 = f["T1"], f["T2"]
-    return OutputDecomposition(
-        C1=t1 @ step.C, C2=t2 @ step.C,
-        D1=t1 @ step.D, D2=t2 @ step.D,
-        G1=step.G @ f["V1"], G2=step.G @ f["V2"],
-        **f,
-    )
+    return _cached_decomposition(
+        tol, (step.n, step.m, step.p, step.l), step.H.tobytes(), step.R.tobytes(),
+        step.C.tobytes(), step.D.tobytes(), step.G.tobytes())
 
 
 _CACHE: "weakref.WeakKeyDictionary[SystemStep, dict[Tolerance, OutputDecomposition]]" = (
@@ -187,7 +201,8 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     decomposition is built once, repeated calls are bit-identical, and no
     call after the first hashes H and R.  A new step object (a time-varying
     model's provider may build one per k) goes to :func:`decompose`, whose
-    LRU still shares the factorisation of an (H, R) pair seen before.
+    LRU still hands out the decomposition of equal H, R, C, D and G seen
+    before.
     """
     per_step = _CACHE.get(step)
     if per_step is None:
@@ -218,7 +233,4 @@ def decoupled_dynamics(step: SystemStep, dec: OutputDecomposition) -> tuple[np.n
     """
     if dec.p_h == 0:
         return step.A.copy(), step.Q.copy()
-    gsi = dec.G1 @ dec.sigma_inv
-    ahat = step.A - gsi @ dec.C1
-    qhat = gsi @ dec.R1 @ gsi.T + step.Q
-    return ahat, symmetrize(qhat)
+    return step.A - dec.gsi_c1, symmetrize(dec.gsi_r1_gsi + step.Q)

@@ -19,6 +19,14 @@ inputs ``u_k`` and ``u_{k-1}`` and produces the filtered state, the one-step
 delayed estimate of the unknown input ``d_{k-1}``, and their covariances.
 Unbiasedness of every gain is tracked per step in :attr:`StepOutput.unbiasedness`.
 
+Gains and covariances do not depend on the data, and much of each gain step
+depends only on the output decompositions of steps ``k - 1`` and ``k``.  The
+decompositions are shared among steps with equal H, R, C, D and G (see
+:mod:`lise.decomposition`), and ``C2[k] G2[k-1]`` with its rank test and its
+pseudoinverse is built once per pair of decompositions (:func:`_pair_context`).
+A cached product always enters its products as the leftmost factor, so every
+result is bitwise what building it afresh gives.
+
 The filter states carry the model step of their own time ``k`` (the
 required ``step`` field), and a step function takes step ``k - 1`` from the
 state, not from ``model``: it asks ``model`` for step ``k`` only, once.  A
@@ -29,6 +37,7 @@ therefore hold ``model.step(state.k)`` in ``step``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -36,6 +45,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .decomposition import (
+    _FACTOR_CACHE_SIZE,
     OutputDecomposition,
     decompose_cached,
     decoupled_dynamics,
@@ -261,11 +271,45 @@ def _sym_block(upper) -> np.ndarray:
     return out
 
 
-def _input_gain_gls(p_tilde, dec_k, g2_prev, tol):
-    """BLUE gain for the dynamics-only input component, plus its covariance."""
-    r2_tilde = symmetrize(dec_k.C2 @ p_tilde @ dec_k.C2.T + dec_k.R2)
-    c2g2 = dec_k.C2 @ g2_prev
-    need = g2_prev.shape[1]
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, built once per size and read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+class _PairContext:
+    """The gain constants of step k that depend only on the output
+    decompositions of steps k-1 and k: ``c2g2 = C2[k] G2[k-1]``, which has
+    passed its rank test, and its pseudoinverse, the OLS input gain, built
+    on first use.  The arrays are read-only."""
+
+    def __init__(self, c2g2: np.ndarray, tol: Tolerance):
+        self.c2g2 = c2g2
+        self._tol = tol
+
+    @functools.cached_property
+    def c2g2_pinv(self) -> np.ndarray:
+        m = pinv(self.c2g2, self._tol)
+        m.setflags(write=False)
+        return m
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _pair_context(dec_prev: OutputDecomposition, dec: OutputDecomposition,
+                  tol: Tolerance) -> _PairContext:
+    """The :class:`_PairContext` of the decompositions of steps k-1 and k.
+
+    Decompositions compare by identity, so the LRU is keyed by the two
+    objects (which an entry keeps alive) and the tolerance; steps that share
+    their decompositions (every step of a time-invariant model, and the
+    steps of a time-varying one whose H, R, C, D and G repeat) share one
+    context.  Raises :class:`EstimabilityError` when ``rank(C2 G2)`` falls
+    short of the width of G2[k-1], on every call: failures are not cached.
+    """
+    c2g2 = dec.C2 @ dec_prev.G2
+    need = dec_prev.G2.shape[1]
     if need:
         s = np.linalg.svd(c2g2, compute_uv=False)
         got = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
@@ -274,9 +318,17 @@ def _input_gain_gls(p_tilde, dec_k, g2_prev, tol):
                 f"rank(C2 G2) = {got} < {need}: unbiased estimation of the "
                 "dynamics-only input component is impossible"
             )
+    c2g2.setflags(write=False)
+    return _PairContext(c2g2, tol)
+
+
+def _input_gain_gls(p_tilde, dec_k, c2g2):
+    """BLUE gain for the dynamics-only input component, plus its covariance,
+    given ``c2g2`` of the step's :class:`_PairContext`."""
+    r2_tilde = symmetrize(dec_k.C2 @ p_tilde @ dec_k.C2.T + dec_k.R2)
     x = _spd_solve(r2_tilde, c2g2, "innovation covariance of the feedthrough-free output")
     gram = c2g2.T @ x
-    if need:
+    if c2g2.shape[1]:
         try:
             pd2 = np.linalg.inv(gram)
         except np.linalg.LinAlgError as exc:
@@ -285,77 +337,70 @@ def _input_gain_gls(p_tilde, dec_k, g2_prev, tol):
     else:
         pd2 = np.zeros((0, 0))
     m2 = pd2 @ x.T
-    return m2, pd2, r2_tilde, c2g2
+    return m2, pd2
 
 
-def compute_gain_L(px_star, step, dec, m2_state, g2_prev,
+def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
                    gamma: GammaPolicy = GammaPolicy.DAROUACH,
                    tol: Tolerance = DEFAULT_TOL, *,
                    r_hat=None, closed_form: bool = True):
     """Optimal constrained state-update gain.
 
-    The innovation covariance ``r_star`` is singular whenever the unknown
-    input has a dynamics-only component, so the minimizer is parameterized by
-    a reduction ``r_check`` chosen per ``gamma``.  Every admissible reduction
-    yields the same estimates and covariances.  The returned gain satisfies
-    ``L @ U1 = 0`` (the unbiasedness constraint) by construction.
+    ``g2m2`` is ``G2[k-1] @ M2``, the dynamics-only input map of the state
+    path (``M2`` being the GLS input gain, or its OLS replacement), and
+    ``g2_prev`` is ``G2[k-1]``.  The innovation covariance ``r_star`` is
+    singular whenever the unknown input has a dynamics-only component, so the
+    minimizer is parameterized by a reduction ``r_check`` chosen per
+    ``gamma``.  Every admissible reduction yields the same estimates and
+    covariances.  The returned gain satisfies ``L @ U1 = 0`` (the
+    unbiasedness constraint) by construction.
 
     Under the default policy ``r_hat`` must be the covariance of the
     pre-update innovation; ``closed_form`` enables the reduction that bypasses
-    the projection SVD, which is exact only when ``r_star`` equals the
-    ``r_hat`` quadratic respected by the GLS state path (the updated-variant
-    and OLS-variant structure).
+    the projection SVD (and never forms ``r_star``), which is exact only when
+    ``r_star`` equals the ``r_hat`` quadratic respected by the GLS state path
+    (the updated-variant and OLS-variant structure).
 
-    Returns ``(L, m1_star, r_star)``.
+    Returns the gain ``L``.
     """
     c, r = step.C, step.R
     l = c.shape[0]
-    g2m2 = g2_prev @ m2_state
-    cross = c @ g2m2 @ dec.U2.T @ r
-    r_star = symmetrize(c @ px_star @ c.T + r - cross - cross.T)
     k_gain = px_star @ c.T - g2m2 @ dec.U2.T @ r
 
+    if gamma is GammaPolicy.DAROUACH and r_hat is None:
+        raise InvalidInputError("DAROUACH policy needs the pre-update covariance r_hat")
+    if gamma is GammaPolicy.DAROUACH and closed_form:
+        what = "pre-update innovation covariance"
+        r_hat_chol = _spd_factor(r_hat, what)
+        n_mat = _eye(l) - c @ g2m2 @ dec.U2.T
+        rh_inv_n = _factor_solve(r_hat_chol, n_mat, what)
+        if dec.p_h == 0:
+            return k_gain @ _factor_solve(r_hat_chol, _eye(l), what)
+        try:
+            core = np.linalg.inv(dec.U1.T @ rh_inv_n @ dec.U1)
+        except np.linalg.LinAlgError as exc:
+            raise GainConstructionError("reduced gain core is singular for this step") from exc
+        m1_star = dec.sigma_inv @ core @ dec.U1.T @ rh_inv_n
+        proj = _eye(l) - dec.H1 @ m1_star
+        # proj.T r_hat^-1 == (r_hat^-1 proj).T since r_hat is symmetric
+        return k_gain @ _factor_solve(r_hat_chol, proj, what).T
+
+    cross = c @ g2m2 @ dec.U2.T @ r
+    r_star = symmetrize(c @ px_star @ c.T + r - cross - cross.T)
     if gamma is GammaPolicy.DAROUACH:
-        if r_hat is None:
-            raise InvalidInputError("DAROUACH policy needs the pre-update covariance r_hat")
-        if closed_form:
-            what = "pre-update innovation covariance"
-            r_hat_chol = _spd_factor(r_hat, what)
-            n_mat = np.eye(l) - c @ g2m2 @ dec.U2.T
-            rh_inv_n = _factor_solve(r_hat_chol, n_mat, what)
-            if dec.p_h > 0:
-                try:
-                    core = np.linalg.inv(dec.U1.T @ rh_inv_n @ dec.U1)
-                except np.linalg.LinAlgError as exc:
-                    raise GainConstructionError(
-                        "reduced gain core is singular for this step"
-                    ) from exc
-                m1_star = dec.sigma_inv @ core @ dec.U1.T @ rh_inv_n
-                proj = np.eye(l) - dec.H1 @ m1_star
-                # proj.T r_hat^-1 == (r_hat^-1 proj).T since r_hat is symmetric
-                gain = k_gain @ _factor_solve(r_hat_chol, proj, what).T
-            else:
-                m1_star = np.zeros((0, l))
-                gain = k_gain @ _factor_solve(r_hat_chol, np.eye(l), what)
-            return gain, m1_star, r_star
         r_check = _whitened_complement_reduction(r_hat, r_star, c, g2_prev)
     else:
         r_check = pinv(r_star, tol)
-
-    if dec.p_h > 0:
-        core = dec.U1.T @ r_check @ dec.U1
-        try:
-            core_inv = np.linalg.inv(core)
-        except np.linalg.LinAlgError as exc:
-            raise GainConstructionError(
-                "gain reduction is inadmissible: U1' r_check U1 is singular"
-            ) from exc
-        m1_star = dec.sigma_inv @ core_inv @ dec.U1.T @ r_check
-        gain = k_gain @ (np.eye(l) - dec.H1 @ m1_star).T @ r_check
-    else:
-        m1_star = np.zeros((0, l))
-        gain = k_gain @ r_check
-    return gain, m1_star, r_star
+    if dec.p_h == 0:
+        return k_gain @ r_check
+    try:
+        core_inv = np.linalg.inv(dec.U1.T @ r_check @ dec.U1)
+    except np.linalg.LinAlgError as exc:
+        raise GainConstructionError(
+            "gain reduction is inadmissible: U1' r_check U1 is singular"
+        ) from exc
+    m1_star = dec.sigma_inv @ core_inv @ dec.U1.T @ r_check
+    return k_gain @ (_eye(l) - dec.H1 @ m1_star).T @ r_check
 
 
 def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
@@ -369,7 +414,7 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
     if q:
         u_t = np.linalg.svd(rh_half_inv @ c @ g2_prev)[0]
     else:
-        u_t = np.eye(l)
+        u_t = _eye(l)
     gam = u_t[:, q:].T @ rh_half_inv
     core = gam @ r_star @ gam.T
     try:
@@ -380,7 +425,7 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
 
 
 def _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l) -> dict[str, float]:
-    eye2 = np.eye(c2g2.shape[1])
+    eye2 = _eye(c2g2.shape[1])
     dev2 = float(np.linalg.norm(m2 @ c2g2 - eye2)) if c2g2.size else 0.0
     if m2_state is not m2 and c2g2.size:
         dev2 = max(dev2, float(np.linalg.norm(m2_state @ c2g2 - eye2)))
@@ -492,27 +537,30 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
     # estimation of the dynamics-only input component d2 at k-1
     p_tilde = symmetrize(state.ahat @ state.px @ state.ahat.T + state.qhat)
-    m2, pd2, r2_tilde, c2g2 = _input_gain_gls(p_tilde, dec_k, dp.G2, tol)
-    m2_state = pinv(c2g2, tol) if ols_state_gain else m2
+    ctx = _pair_context(dp, dec_k, tol)
+    c2g2 = ctx.c2g2
+    m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
+    m2_state = ctx.c2g2_pinv if ols_state_gain else m2
 
     w2 = dec_k.C2.T @ m2.T
-    pd12 = (dp.sigma_inv @ dp.C1 @ state.px @ step_prev.A.T @ w2
+    pd12 = (dp.si_c1 @ state.px @ step_prev.A.T @ w2
             - state.pd1 @ dp.G1.T @ w2)
     pd_prev = dp.V @ _sym_block([[state.pd1, pd12], [pd2]]) @ dp.V.T
 
     # time update
-    igmc = np.eye(n) - dp.G2 @ m2_state @ dec_k.C2
-    px_star = symmetrize(dp.G2 @ m2_state @ dec_k.R2 @ m2_state.T @ dp.G2.T
+    g2m2 = dp.G2 @ m2_state
+    igmc = _eye(n) - g2m2 @ dec_k.C2
+    px_star = symmetrize(g2m2 @ dec_k.R2 @ m2_state.T @ dp.G2.T
                          + igmc @ p_tilde @ igmc.T)
 
     # measurement update; p_tilde is exactly the pre-update second moment for
     # this variant (the updated-state input estimate makes them coincide), so
     # the reduction may use the SVD-free closed form on the GLS path
     r_hat = symmetrize(step.C @ p_tilde @ step.C.T + step.R)
-    gain_l, _, _ = compute_gain_L(px_star, step, dec_k, m2_state, dp.G2, gamma, tol,
-                                  r_hat=r_hat, closed_form=not ols_state_gain)
-    ilc = np.eye(n) - gain_l @ step.C
-    noise_cross = ilc @ (dp.G2 @ m2_state @ dec_k.U2.T @ step.R) @ gain_l.T
+    gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2, gamma, tol,
+                            r_hat=r_hat, closed_form=not ols_state_gain)
+    ilc = _eye(n) - gain_l @ step.C
+    noise_cross = ilc @ (g2m2 @ dec_k.U2.T @ step.R) @ gain_l.T
     px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
                     + gain_l @ step.R @ gain_l.T)
 
@@ -580,7 +628,8 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     n = step.n
 
     p_tilde = symmetrize(state.ahat @ state.px @ state.ahat.T + state.qhat)
-    m2, pd2, r2_tilde, c2g2 = _input_gain_gls(p_tilde, dec_k, dp.G2, tol)
+    c2g2 = _pair_context(dp, dec_k, tol).c2g2
+    m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
 
     w2 = dec_k.C2.T @ m2.T
     pxd2 = -state.px @ step_prev.A.T @ w2 - state.pxd1 @ dp.G1.T @ w2
@@ -590,7 +639,8 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     # time update from the joint covariance of (x, d1, d2) at k-1
     blockmap = np.hstack([step_prev.A, dp.G1, dp.G2])
     joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
-    qc = dp.G2 @ m2 @ dec_k.C2 @ step_prev.Q
+    g2m2 = dp.G2 @ m2
+    qc = g2m2 @ dec_k.C2 @ step_prev.Q
     px_star = symmetrize(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
 
     # covariance of d1 at k (estimated from the propagated state)
@@ -605,10 +655,10 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     # dimension whenever C2 G1 != 0, so only a rank-adaptive reduction
     # reproduces the published recursion.  The policy argument is accepted
     # for interface symmetry; estimates are reduction-invariant anyway.
-    gain_l, _, _ = compute_gain_L(px_star, step, dec_k, m2, dp.G2,
-                                  GammaPolicy.PSEUDO_INVERSE, tol)
-    ilc = np.eye(n) - gain_l @ step.C
-    noise_cross = ilc @ (dp.G2 @ m2 @ dec_k.U2.T @ step.R) @ gain_l.T
+    gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2,
+                            GammaPolicy.PSEUDO_INVERSE, tol)
+    ilc = _eye(n) - gain_l @ step.C
+    noise_cross = ilc @ (g2m2 @ dec_k.U2.T @ step.R) @ gain_l.T
     px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
                     + gain_l @ step.R @ gain_l.T)
     pxd1_new = (-(ilc @ px_star @ dec_k.C1.T @ dec_k.sigma_inv)
@@ -657,7 +707,7 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     r_tilde = symmetrize(step.C @ p_pred @ step.C.T + step.R)
     gain_l = _spd_solve(r_tilde, step.C @ p_pred, "innovation covariance").T
     xhat = xpred + gain_l @ (yv - step.C @ xpred - step.D @ uv)
-    ilc = np.eye(n) - gain_l @ step.C
+    ilc = _eye(n) - gain_l @ step.C
     px = symmetrize(ilc @ p_pred @ ilc.T + gain_l @ step.R @ gain_l.T)
 
     new_state = KalmanState(k=k, xhat=xhat, px=px, step=step)

@@ -68,7 +68,9 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Average a square matrix with its transpose (roundoff-drift control)."""
-    return 0.5 * (m + m.T)
+    s = m + m.T
+    s *= 0.5
+    return s
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -186,31 +186,33 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     x[:, 0] = scenario.x0_true
 
     # each model matrix and noise factor as a series over k = 0..N, fetched
-    # and factored once per k (once in all for a time-invariant model)
+    # and factored once per k (once in all for a time-invariant model); a
+    # time-varying step is copied into the preallocated series and dropped
+    def mats(step):
+        return (step.A, step.B, step.G, psd_sqrt(step.Q, tol),
+                step.C, step.D, step.H, psd_sqrt(step.R, tol))
+
     if model.is_time_invariant:
-        step0 = model.step(0)
-
-        def series(f):
-            mat = f(step0)
-            return np.broadcast_to(mat, (n_steps + 1,) + mat.shape)
+        series = [np.broadcast_to(mat, (n_steps + 1,) + mat.shape)
+                  for mat in mats(model.step(0))]
     else:
-        steps = [model.step(k) for k in range(n_steps + 1)]
-
-        def series(f):
-            return np.stack([f(s) for s in steps])
+        series = []
+        for k in range(n_steps + 1):
+            for i, mat in enumerate(mats(model.step(k))):
+                if k == 0:
+                    series.append(np.empty((n_steps + 1,) + mat.shape))
+                series[i][k] = mat
+    a, b, g, fq, c, dm, h, fr = series
 
     # only A x[k] depends on the recursion; every other term is formed for
     # all k at once.  The sums keep the one-run order (A x + B u + G d +
     # noise, C x + D u + H d + noise) so that rounding matches bit for bit.
-    a = series(lambda s: s.A)
-    bu = _gemv(series(lambda s: s.B), u)
-    gd = _gemv(series(lambda s: s.G), d)
-    x[:, 1:] = _gemv(series(lambda s: psd_sqrt(s.Q, tol))[:n_steps], x[:, 1:])
+    bu = _gemv(b, u)
+    gd = _gemv(g, d)
+    x[:, 1:] = _gemv(fq[:n_steps], x[:, 1:])
     for k in range(n_steps):
         x[:, k + 1] = _gemv(a[k], x[:, k]) + bu[k] + gd[k] + x[:, k + 1]
-    y[:] = (_gemv(series(lambda s: s.C), x) + _gemv(series(lambda s: s.D), u)
-            + _gemv(series(lambda s: s.H), d)
-            + _gemv(series(lambda s: psd_sqrt(s.R, tol)), y))
+    y[:] = _gemv(c, x) + _gemv(dm, u) + _gemv(h, d) + _gemv(fr, y)
     if single:
         return TruthTrajectories(x=x[0], y=y[0], d=d, u=u)
     return TruthTrajectories(x=x, y=y, d=d, u=u)

@@ -79,3 +79,25 @@ def random_system(rng, n=4, l=3, p=1, p_h=0, m=1, radius=0.9):
 @pytest.fixture(scope="session")
 def fault_models():
     return {i: config_scenario(f"fault_h{i}").model for i in range(1, 7)}
+
+
+def online_plant(horizon=1000):
+    """A copy of the time-varying fault plant of ``perfbench``'s online
+    workload: a fresh step per k from the provider, A of ``fault_h1`` scaled
+    by a sinusoid, and H switching between variants 1 (rank 2) and 2
+    (rank 3) every 100 steps.  Returns the model and the ``fault_h1``
+    scenario around it."""
+    import math
+
+    s1 = config_scenario("fault_h1").model.step(0)
+    h2 = config_scenario("fault_h2").model.step(0).H
+
+    def provider(k):
+        scale = 1.0 + 0.2 * math.sin(2.0 * math.pi * k / 500.0 + 1.0)
+        return SystemStep(A=scale * s1.A, B=s1.B, C=s1.C, D=s1.D, G=s1.G,
+                          H=s1.H if (k // 100) % 2 == 0 else h2, Q=s1.Q, R=s1.R)
+
+    model = SystemModel.time_varying(provider, dims=(s1.n, s1.m, s1.p, s1.l),
+                                     horizon_hint=horizon)
+    return model, config_scenario("fault_h1", model=model, horizon=horizon,
+                                  structural_checks=False)

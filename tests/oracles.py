@@ -16,8 +16,21 @@ import time
 import numpy as np
 
 from lise.decomposition import decompose_cached, decoupled_dynamics
-from lise.errors import LiseError, NotPositiveDefiniteError
-from lise.filters import kalman_init, kalman_step
+from lise.errors import (
+    EstimabilityError,
+    GainConstructionError,
+    LiseError,
+    NotPositiveDefiniteError,
+    NumericalError,
+)
+from lise.filters import (
+    GammaPolicy,
+    _factor_solve,
+    _spd_factor,
+    _sym_block,
+    kalman_init,
+    kalman_step,
+)
 from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
 from lise.model import ContinuousModel
 from lise.signals import sample_signals
@@ -77,8 +90,10 @@ def decompose_oracle(step, tol=DEFAULT_TOL):
     A frozen copy of ``decomposition.decompose`` from before the (H, R)
     factorisation was cached, with the decomposition's derived values
     (``V``, ``sigma_inv``, ``m1_sigma_residual``) computed as it computed
-    them; returns every field by name.  The cached decomposition must
-    reproduce it bit for bit.
+    them, and the per-step constants ``gsi_c1``, ``gsi_r1_gsi`` and
+    ``si_c1`` computed as ``decoupled_dynamics`` and the ULISE step computed
+    them before they were kept in the decomposition; returns every field by
+    name.  The cached decomposition must reproduce it bit for bit.
     """
     l, p = step.H.shape
     try:
@@ -111,15 +126,190 @@ def decompose_oracle(step, tol=DEFAULT_TOL):
         t1 = np.zeros((0, l))
     r1 = symmetrize(t1 @ step.R @ t1.T)
     sigma_inv = np.zeros((0, 0)) if p_h == 0 else np.diag(1.0 / np.diag(sigma))
+    c1, g1 = t1 @ step.C, step.G @ v1
+    gsi = g1 @ sigma_inv
     return dict(
         p_h=p_h, U1=u1, U2=u2, V1=v1, V2=v2, Sigma=sigma, T1=t1, T2=t2,
-        C1=t1 @ step.C, C2=t2 @ step.C,
+        C1=c1, C2=t2 @ step.C,
         D1=t1 @ step.D, D2=t2 @ step.D,
-        G1=step.G @ v1, G2=step.G @ v2,
+        G1=g1, G2=step.G @ v2,
         H1=u1 @ sigma, R1=r1, R2=r2,
         V=np.hstack([v1, v2]), sigma_inv=sigma_inv,
         m1_sigma_residual=float(np.linalg.norm(sigma_inv @ sigma - np.eye(p_h))),
+        gsi_c1=gsi @ c1, gsi_r1_gsi=gsi @ r1 @ gsi.T, si_c1=sigma_inv @ c1,
     )
+
+
+def _sym(m):
+    """``linalg.symmetrize`` as it was written when the step oracle was frozen."""
+    return 0.5 * (m + m.T)
+
+
+def _oracle_gain_l(px_star, step, dec, m2_state, g2_prev, gamma, tol, r_hat, closed_form):
+    """The state-update gain as ``filters.compute_gain_L`` formed it, with the
+    unused ``m1_star`` and ``r_star`` of the closed form dropped."""
+    c, r = step.C, step.R
+    l = c.shape[0]
+    g2m2 = g2_prev @ m2_state
+    cross = c @ g2m2 @ dec["U2"].T @ r
+    r_star = _sym(c @ px_star @ c.T + r - cross - cross.T)
+    k_gain = px_star @ c.T - g2m2 @ dec["U2"].T @ r
+    u1, h1, si = dec["U1"], dec["H1"], dec["sigma_inv"]
+    if gamma is GammaPolicy.DAROUACH and closed_form:
+        what = "pre-update innovation covariance"
+        chol = _spd_factor(r_hat, what)
+        n_mat = np.eye(l) - c @ g2m2 @ dec["U2"].T
+        rh_inv_n = _factor_solve(chol, n_mat, what)
+        if dec["p_h"] == 0:
+            return k_gain @ _factor_solve(chol, np.eye(l), what)
+        try:
+            core = np.linalg.inv(u1.T @ rh_inv_n @ u1)
+        except np.linalg.LinAlgError as exc:
+            raise GainConstructionError("reduced gain core is singular for this step") from exc
+        m1_star = si @ core @ u1.T @ rh_inv_n
+        proj = np.eye(l) - h1 @ m1_star
+        return k_gain @ _factor_solve(chol, proj, what).T
+    if gamma is GammaPolicy.DAROUACH:
+        w, v = np.linalg.eigh(_sym(r_hat))
+        if w[0] <= 0:
+            raise NumericalError("pre-update innovation covariance is not PD")
+        rh_half_inv = (v * (w ** -0.5)) @ v.T
+        q = g2_prev.shape[1]
+        u_t = np.linalg.svd(rh_half_inv @ c @ g2_prev)[0] if q else np.eye(l)
+        gam = u_t[:, q:].T @ rh_half_inv
+        try:
+            core_inv = np.linalg.inv(gam @ r_star @ gam.T)
+        except np.linalg.LinAlgError as exc:
+            raise GainConstructionError("reduced innovation covariance is singular") from exc
+        r_check = gam.T @ core_inv @ gam
+    else:
+        r_check = pinv(r_star, tol)
+    if dec["p_h"] == 0:
+        return k_gain @ r_check
+    try:
+        core_inv = np.linalg.inv(u1.T @ r_check @ u1)
+    except np.linalg.LinAlgError as exc:
+        raise GainConstructionError(
+            "gain reduction is inadmissible: U1' r_check U1 is singular") from exc
+    m1_star = si @ core_inv @ u1.T @ r_check
+    return k_gain @ (np.eye(l) - h1 @ m1_star).T @ r_check
+
+
+def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
+                tol=DEFAULT_TOL):
+    """One ULISE, PLISE or CYWZ step computed from scratch.
+
+    A frozen copy of the arithmetic of ``filters.ulise_step``, ``plise_step``
+    and ``cywz_step`` from before their data-independent constants
+    (``C2 G2`` and its pseudoinverse, ``G2 M2``, the decoupled dynamics and
+    ``Sigma^-1 C1``) were kept in caches.  Both decompositions come from
+    :func:`decompose_oracle`, every product keeps the association it had, and
+    nothing is shared between calls.  ``variant`` is ``"ULISE"``,
+    ``"PLISE"`` or ``"CYWZ"``.  Returns ``(state_fields, out_fields)``: the
+    next state's arrays and decomposition (as the dict of
+    :func:`decompose_oracle`), and the :class:`StepOutput` fields, by name.
+    Raises what the step raises, with the same message.
+    """
+    k = state.k + 1
+    step_prev, step = state.step, model.step(k)
+    dp, dk = decompose_oracle(step_prev, tol), decompose_oracle(step, tol)
+    y, u, u_prev = (np.asarray(v, dtype=float) for v in (y, u, u_prev))
+    n = step.n
+    ols = variant == "CYWZ"
+
+    def decoupled(st, dec):
+        if dec["p_h"] == 0:
+            return st.A.copy(), st.Q.copy()
+        gsi = dec["G1"] @ dec["sigma_inv"]
+        return st.A - gsi @ dec["C1"], _sym(gsi @ dec["R1"] @ gsi.T + st.Q)
+
+    # GLS input gain of the dynamics-only component
+    p_tilde = _sym(state.ahat @ state.px @ state.ahat.T + state.qhat)
+    r2_tilde = _sym(dk["C2"] @ p_tilde @ dk["C2"].T + dk["R2"])
+    c2g2 = dk["C2"] @ dp["G2"]
+    need = dp["G2"].shape[1]
+    if need:
+        sv = np.linalg.svd(c2g2, compute_uv=False)
+        got = int(np.count_nonzero(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] else 0
+        if got < need:
+            raise EstimabilityError(
+                f"rank(C2 G2) = {got} < {need}: unbiased estimation of the "
+                "dynamics-only input component is impossible")
+    what = "innovation covariance of the feedthrough-free output"
+    x = _factor_solve(_spd_factor(r2_tilde, what), c2g2, what)
+    if need:
+        try:
+            pd2 = _sym(np.linalg.inv(c2g2.T @ x))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("input-estimate information matrix is singular") from exc
+    else:
+        pd2 = np.zeros((0, 0))
+    m2 = pd2 @ x.T
+    m2_state = pinv(c2g2, tol) if ols else m2
+    w2 = dk["C2"].T @ m2.T
+    new = {}
+
+    if variant == "PLISE":
+        pxd2 = -state.px @ step_prev.A.T @ w2 - state.pxd1 @ dp["G1"].T @ w2
+        pd12 = -state.pxd1.T @ step_prev.A.T @ w2 - state.pd1 @ dp["G1"].T @ w2
+        blockmap = np.hstack([step_prev.A, dp["G1"], dp["G2"]])
+        joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
+        qc = dp["G2"] @ m2 @ dk["C2"] @ step_prev.Q
+        px_star = _sym(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
+        r1_tilde = dk["C1"] @ px_star @ dk["C1"].T + dk["R1"]
+        gain_l = _oracle_gain_l(px_star, step, dk, m2, dp["G2"],
+                                GammaPolicy.PSEUDO_INVERSE, tol, None, True)
+    else:
+        pd12 = (dp["sigma_inv"] @ dp["C1"] @ state.px @ step_prev.A.T @ w2
+                - state.pd1 @ dp["G1"].T @ w2)
+        igmc = np.eye(n) - dp["G2"] @ m2_state @ dk["C2"]
+        px_star = _sym(dp["G2"] @ m2_state @ dk["R2"] @ m2_state.T @ dp["G2"].T
+                       + igmc @ p_tilde @ igmc.T)
+        r_hat = _sym(step.C @ p_tilde @ step.C.T + step.R)
+        gain_l = _oracle_gain_l(px_star, step, dk, m2_state, dp["G2"], gamma, tol,
+                                r_hat, not ols)
+    pd_prev = dp["V"] @ _sym_block([[state.pd1, pd12], [pd2]]) @ dp["V"].T
+    ilc = np.eye(n) - gain_l @ step.C
+    noise_cross = ilc @ (dp["G2"] @ m2_state @ dk["U2"].T @ step.R) @ gain_l.T
+    px = _sym(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
+              + gain_l @ step.R @ gain_l.T)
+    if variant == "PLISE":
+        new["pxd1"] = (-(ilc @ px_star @ dk["C1"].T @ dk["sigma_inv"])
+                       - gain_l @ step.R @ dk["T2"].T @ m2.T @ dp["G2"].T
+                       @ dk["C1"].T @ dk["sigma_inv"])
+        new["px_star"] = px_star
+    else:
+        r1_tilde = dk["C1"] @ px @ dk["C1"].T + dk["R1"]
+    new["pd1"] = _sym(dk["sigma_inv"] @ r1_tilde @ dk["sigma_inv"])
+    new["ahat"], new["qhat"] = decoupled(step, dk)
+
+    # the estimate update
+    xpred = step_prev.A @ state.xhat + step_prev.B @ u_prev + dp["G1"] @ state.d1hat
+    z1, z2 = dk["T1"] @ y, dk["T2"] @ y
+    resid2 = z2 - dk["C2"] @ xpred - dk["D2"] @ u
+    d2hat = m2 @ resid2
+    dhat_prev = dp["V1"] @ state.d1hat + dp["V2"] @ d2hat
+    d2hat_state = m2_state @ resid2 if ols else d2hat
+    xstar = xpred + dp["G2"] @ d2hat_state
+    xhat = xstar + gain_l @ (y - step.C @ xstar - step.D @ u)
+    base = xstar if variant == "PLISE" else xhat
+    new["d1hat"] = dk["sigma_inv"] @ (z1 - dk["C1"] @ base - dk["D1"] @ u)
+    new["xhat"], new["px"], new["dec"] = xhat, px, dk
+
+    eye2 = np.eye(c2g2.shape[1])
+    dev2 = float(np.linalg.norm(m2 @ c2g2 - eye2)) if c2g2.size else 0.0
+    if ols and c2g2.size:
+        dev2 = max(dev2, float(np.linalg.norm(m2_state @ c2g2 - eye2)))
+    out = dict(
+        k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
+        dhat_prev=dhat_prev, pd_prev=_sym(pd_prev), gain_l=gain_l,
+        gain_m1=dk["sigma_inv"], gain_m2=m2, gain_m2_state=m2_state,
+        unbiasedness={
+            "m1_sigma": dk["m1_sigma_residual"], "m2_c2g2": dev2,
+            "l_u1": float(np.linalg.norm(gain_l @ dk["U1"])) if dk["p_h"] else 0.0,
+        },
+    )
+    return new, out
 
 
 def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):

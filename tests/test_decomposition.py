@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import math
 import tracemalloc
 
 import numpy as np
@@ -8,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import config_scenario, random_pd, random_system
+from conftest import online_plant, random_pd, random_system
 from oracles import decompose_oracle
 from lise.decomposition import (
     _FACTOR_CACHE_SIZE,
     OutputDecomposition,
-    _cached_factor,
+    _cached_decomposition,
     decompose,
     decompose_cached,
     decoupled_dynamics,
@@ -184,18 +183,14 @@ class TestFactorCache:
         # the time-varying fault plant of the online benchmark: A scaled by a
         # sinusoid, H switching between variants 1 (rank 2) and 2 (rank 3)
         # every 100 steps, a fresh step object per k
-        s1 = config_scenario("fault_h1").model.step(0)
-        h2 = config_scenario("fault_h2").model.step(0).H
-        _cached_factor.cache_clear()
+        model, _ = online_plant(1000)
+        _cached_decomposition.cache_clear()
         ranks = set()
         for k in range(1001):
-            scale = 1.0 + 0.2 * math.sin(2.0 * math.pi * k / 500.0 + 1.0)
-            step = SystemStep(A=scale * s1.A, B=s1.B, C=s1.C, D=s1.D, G=s1.G,
-                              H=s1.H if (k // 100) % 2 == 0 else h2, Q=s1.Q, R=s1.R)
-            ranks.add(_assert_matches_oracle(step).p_h)
+            ranks.add(_assert_matches_oracle(model.step(k)).p_h)
         assert ranks == {2, 3}
-        # two distinct (H, R) pairs: two factorisations for 1001 steps
-        assert _cached_factor.cache_info().misses == 2
+        # two distinct (H, R, C, D, G): two decompositions for 1001 steps
+        assert _cached_decomposition.cache_info().misses == 2
 
     def test_tolerance_is_part_of_the_key(self):
         # singular values 1 and 1e-9: rank 2 under the default tolerance,
@@ -208,35 +203,58 @@ class TestFactorCache:
 
     def test_cached_arrays_are_read_only(self, fault_models):
         dec = decompose(fault_models[1].step(0))
-        for name in ("U1", "U2", "V1", "V2", "Sigma", "T1", "T2", "H1", "R1", "R2",
-                     "V", "sigma_inv"):
+        arrays = [f.name for f in dataclasses.fields(OutputDecomposition)
+                  if isinstance(getattr(dec, f.name), np.ndarray)]
+        # every field but p_h and m1_sigma_residual, the projections included
+        assert len(arrays) == len(dataclasses.fields(OutputDecomposition)) - 2
+        for name in arrays:
             with pytest.raises(ValueError):
                 getattr(dec, name)[...] = 0.0
 
     def test_failures_are_not_cached(self):
         step = _step_with(np.zeros((3, 1)), r=np.diag([1.0, 0.0, 1.0]), n=3)
-        before = _cached_factor.cache_info()
+        before = _cached_decomposition.cache_info()
         for _ in range(3):
             with pytest.raises(NotPositiveDefiniteError):
                 decompose(step)
-        after = _cached_factor.cache_info()
+        after = _cached_decomposition.cache_info()
         assert after.misses - before.misses == 3
         assert after.hits == before.hits
 
     def test_step_identity_cache_skips_the_factor_cache(self, fault_models):
         step = fault_models[4].step(0)
         decompose_cached(step)
-        before = _cached_factor.cache_info()
+        before = _cached_decomposition.cache_info()
         decompose_cached(step)
-        assert _cached_factor.cache_info() == before
+        assert _cached_decomposition.cache_info() == before
+
+    def test_equal_h_and_r_with_different_c_d_or_g_get_distinct_decompositions(
+            self, fault_models):
+        base = fault_models[1].step(0)
+        rng = np.random.default_rng(5)
+
+        def variant(**changes):
+            mats = {name: getattr(base, name) for name in "ABCDGHQR"}
+            mats.update(changes)
+            return SystemStep(**mats)
+
+        steps = [variant(),
+                 variant(C=base.C + 0.1 * rng.standard_normal(base.C.shape)),
+                 variant(D=base.D + 1.0),
+                 variant(G=base.G + 0.1 * rng.standard_normal(base.G.shape))]
+        decs = [_assert_matches_oracle(step) for step in steps]
+        assert len({id(dec) for dec in decs}) == 4
+        # equal H, R, C, D and G in a fresh step object (A and Q changed)
+        # share the decomposition
+        assert decompose(variant(A=0.5 * base.A, Q=2.0 * base.Q)) is decs[0]
 
     def test_size_is_bounded(self):
         rng = np.random.default_rng(3)
         steps = [_step_with(rng.standard_normal((5, 3))) for _ in range(300)]
-        _cached_factor.cache_clear()
+        _cached_decomposition.cache_clear()
         for step in steps[:100]:
             decompose(step)
-        assert _cached_factor.cache_info().currsize == _FACTOR_CACHE_SIZE == 64
+        assert _cached_decomposition.cache_info().currsize == _FACTOR_CACHE_SIZE == 64
         tracemalloc.start()
         try:
             # after 100 more distinct H every entry was made while tracing
@@ -251,7 +269,7 @@ class TestFactorCache:
             later, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _cached_factor.cache_info().currsize == 64
+        assert _cached_decomposition.cache_info().currsize == 64
         # 64 entries of a 5 x 3 H take a few KiB each, and 100 more distinct
         # H leave the total where it was
         assert full < 64 * 8 * 1024, full

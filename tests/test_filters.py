@@ -1,16 +1,21 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import config_scenario, random_system
+from conftest import config_scenario, online_plant, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
 from lise.decomposition import decompose, decompose_cached
 from lise.errors import EstimabilityError, InvalidInputError, NumericalError
+from lise.decomposition import _FACTOR_CACHE_SIZE
 from lise.filters import (
     GammaPolicy,
     _factor_solve,
+    _pair_context,
     _spd_factor,
     _spd_solve,
     _sym_block,
@@ -23,7 +28,7 @@ from lise.filters import (
     ulise_init,
     ulise_step,
 )
-from lise.linalg import symmetrize
+from lise.linalg import DEFAULT_TOL, symmetrize
 from lise.model import SystemModel, SystemStep
 from lise.signals import Ramp, SquareWave, Step
 from lise.simulate import Scenario, simulate_truth
@@ -414,16 +419,93 @@ class TestOlsVariant:
 
     def test_rank_deficient_input_map_raises(self):
         # dynamics-only input invisible in the feedthrough-free output
-        model = config_scenario("fault_h1").model
-        step = model.step(0)
-        g_bad = step.G.copy()
-        g_bad[:, 0] = np.eye(5)[0]   # e1 lies in the feedthrough output span
-        bad = SystemModel.time_invariant(SystemStep(
-            A=step.A, B=step.B, C=step.C, D=step.D, G=g_bad, H=step.H,
-            Q=step.Q, R=step.R))
+        bad = _rank_deficient_fault_model()
         state = ulise_init(bad, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
         with pytest.raises(EstimabilityError, match="rank"):
             ulise_step(state, np.zeros(5), np.zeros(1), np.zeros(1), bad)
+
+
+def _rank_deficient_fault_model():
+    """fault_h1 with the dynamics-only input invisible in the
+    feedthrough-free output: rank(C2 G2) = 0 < 1."""
+    step = config_scenario("fault_h1").model.step(0)
+    g_bad = step.G.copy()
+    g_bad[:, 0] = np.eye(5)[0]   # e1 lies in the feedthrough output span
+    return SystemModel.time_invariant(SystemStep(
+        A=step.A, B=step.B, C=step.C, D=step.D, G=g_bad, H=step.H, Q=step.Q, R=step.R))
+
+
+class TestPairContext:
+    def test_rank_deficient_c2g2_raises_on_every_call(self):
+        model = _rank_deficient_fault_model()
+        dec = decompose_cached(model.step(0))
+        state = ulise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
+        before = _pair_context.cache_info()
+        for _ in range(3):
+            with pytest.raises(EstimabilityError, match="rank"):
+                _pair_context(dec, dec, DEFAULT_TOL)
+            with pytest.raises(EstimabilityError, match="rank"):
+                cywz_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
+        after = _pair_context.cache_info()
+        # a failure is never cached: every call is a miss
+        assert after.misses - before.misses == 6
+        assert after.hits == before.hits
+
+    def test_arrays_are_read_only(self):
+        dec = decompose_cached(config_scenario("fault_h1").model.step(0))
+        ctx = _pair_context(dec, dec, DEFAULT_TOL)
+        for arr in (ctx.c2g2, ctx.c2g2_pinv):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_one_context_per_decomposition_pair_of_the_online_plant(self):
+        # 300 steps cross two H switches: 2 decompositions, 4 ordered pairs,
+        # and one OLS pseudoinverse per pair
+        model, sc = online_plant(300)
+        truth = simulate_truth(sc, 0)
+        _pair_context.cache_clear()
+        state = ulise_init(model, sc.x0_mean, sc.p0, truth.y[0], truth.u[0])
+        pinvs = set()
+        for k in range(1, 301):
+            state, out = cywz_step(state, truth.y[k], truth.u[k], truth.u[k - 1], model)
+            pinvs.add(id(out.gain_m2_state))
+        info = _pair_context.cache_info()
+        assert (info.misses, info.hits) == (4, 296)
+        assert len(pinvs) == 4
+
+    def test_size_is_bounded(self):
+        rng = np.random.default_rng(8)
+        # rank-2 H of a 3-column G: C2 G2 is 3 x 1, of full column rank
+        decs = [decompose(SystemStep(
+            A=0.5 * np.eye(5), B=np.zeros((5, 1)), C=np.eye(5), D=np.zeros((5, 1)),
+            G=rng.standard_normal((5, 3)),
+            H=rng.standard_normal((5, 2)) @ rng.standard_normal((2, 3)),
+            Q=np.eye(5), R=np.eye(5))) for _ in range(301)]
+
+        def fill(lo, hi):
+            for i in range(lo, hi):
+                _pair_context(decs[i], decs[i + 1], DEFAULT_TOL).c2g2_pinv
+
+        _pair_context.cache_clear()
+        fill(0, 100)
+        assert _pair_context.cache_info().currsize == _FACTOR_CACHE_SIZE == 64
+        tracemalloc.start()
+        try:
+            # after 100 more distinct pairs every entry was made while tracing
+            fill(100, 200)
+            gc.collect()
+            full, _ = tracemalloc.get_traced_memory()
+            fill(200, 300)
+            gc.collect()
+            later, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _pair_context.cache_info().currsize == 64
+        # an entry takes well under 1 KiB besides the decompositions it keeps
+        # alive, which are made outside the trace; 100 more pairs leave the
+        # total where it was
+        assert full < 64 * 2 * 1024, full
+        assert abs(later - full) < 8 * 1024, (full, later)
 
 
 class TestStepInvariants:
@@ -541,7 +623,7 @@ def test_compute_gain_requires_r_hat_for_default_policy(fault_models):
     step = fault_models[1].step(0)
     dec = decompose_cached(step)
     with pytest.raises(InvalidInputError):
-        compute_gain_L(np.eye(5), step, dec, np.zeros((1, 3)), dec.G2,
+        compute_gain_L(np.eye(5), step, dec, dec.G2 @ np.zeros((1, 3)), dec.G2,
                        GammaPolicy.DAROUACH)
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lise.simulate
-from conftest import config_scenario, random_system
+from conftest import config_scenario, online_plant, random_system
 from oracles import (fault_input_samples, per_run_truth_oracle,
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
@@ -108,6 +108,22 @@ def _rank_switching_model(rng):
     """Time-varying model whose feedthrough rank alternates 0 and 2."""
     steps = [random_system(rng, n=4, l=3, p=2, p_h=p_h).step(0) for p_h in (0, 2)]
     return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
+
+
+def test_time_varying_truth_holds_one_step_at_a_time():
+    # the online plant's 1000 steps take about 3.4 MB when all are held at
+    # once; read one at a time into the series, the peak stays near the
+    # series themselves (1.1 MB) and the 112 KB of output
+    _, sc = online_plant(1000)
+    simulate_truth(sc, 0)
+    tracemalloc.start()
+    try:
+        truth = simulate_truth(sc, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert truth.x.shape == (1001, 5)
+    assert peak < 2_000_000, peak
 
 
 @settings(max_examples=30, deadline=None)
