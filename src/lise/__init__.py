@@ -14,7 +14,6 @@ from .decomposition import (
     decompose,
     decompose_cached,
     decoupled_dynamics,
-    transform_measurement,
 )
 from .errors import (
     ConfigError,

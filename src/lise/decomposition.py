@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 from .linalg import DEFAULT_TOL, Tolerance, symmetrize
 from .model import SystemStep
 
@@ -46,7 +46,6 @@ __all__ = [
     "OutputDecomposition",
     "decompose",
     "decompose_cached",
-    "transform_measurement",
     "decoupled_dynamics",
 ]
 
@@ -215,22 +214,13 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     return dec
 
 
-def transform_measurement(dec: OutputDecomposition, y) -> tuple[np.ndarray, np.ndarray]:
-    """Split a raw measurement into the feedthrough channel z1 and the rest z2."""
-    yv = np.asarray(y, dtype=float)
-    if yv.shape != (dec.T2.shape[1],):
-        raise InvalidInputError(
-            f"measurement must have shape ({dec.T2.shape[1]},), got {yv.shape}"
-        )
-    return dec.T1 @ yv, dec.T2 @ yv
-
-
 def decoupled_dynamics(step: SystemStep, dec: OutputDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Dynamics and process noise after absorbing the feedthrough input channel.
 
     Returns the pair ``(A - G1 Sigma^-1 C1, G1 Sigma^-1 R1 Sigma^-1 G1.T + Q)``
-    that propagates the filtered covariance one step.
+    that propagates the filtered covariance one step; with no feedthrough
+    (``p_h = 0``) that is the step's own read-only ``A`` and ``Q``.
     """
     if dec.p_h == 0:
-        return step.A.copy(), step.Q.copy()
+        return step.A, step.Q
     return step.A - dec.gsi_c1, symmetrize(dec.gsi_r1_gsi + step.Q)

@@ -32,6 +32,17 @@ required ``step`` field), and a step function takes step ``k - 1`` from the
 state, not from ``model``: it asks ``model`` for step ``k`` only, once.  A
 state built by hand rather than by the ``*_init``/``*_step`` functions must
 therefore hold ``model.step(state.k)`` in ``step``.
+
+A state holds only what the recursion carries from one step to the next:
+the estimates, the covariances that are not functions of the others, the
+step and its decomposition.  Each step derives the rest at its start: the
+feedthrough-decoupled dynamics ``(Ahat, Qhat)`` of step ``k - 1`` from
+:func:`~lise.decomposition.decoupled_dynamics` of ``state.step`` and
+``state.dec``, and, for the updated variants, the feedthrough-input
+covariance ``pd1`` from ``state.px`` (:func:`_pd1`).  This is an API
+change: the ``pd1``, ``ahat`` and ``qhat`` fields of :class:`UliseState`
+and the ``ahat``, ``qhat`` and ``px_star`` fields of :class:`PliseState`
+are gone (``StepOutput.px_star`` still reports the propagated covariance).
 """
 
 from __future__ import annotations
@@ -49,7 +60,6 @@ from .decomposition import (
     OutputDecomposition,
     decompose_cached,
     decoupled_dynamics,
-    transform_measurement,
 )
 from .errors import (
     EstimabilityError,
@@ -100,19 +110,19 @@ class GammaPolicy(enum.Enum):
 class UliseState:
     """Filter state carried between steps (updated-estimate variant).
 
+    ``xhat``/``px`` are the filtered state at time ``k`` and its covariance,
+    and ``d1hat`` the estimate of the feedthrough input component at ``k``.
     ``step`` (required) is the model step at time ``k`` and ``dec`` its
     output decomposition; the next step reads its step ``k - 1`` from here,
-    not from the model, and fetches only its own model step.  ``ahat``/``qhat``
-    are the feedthrough-decoupled dynamics cached for the next time update.
+    not from the model, and fetches only its own model step.  The covariance
+    of ``d1hat`` is ``_pd1(px, dec)``, and the next step derives it, and the
+    decoupled dynamics of ``step``, at its start.
     """
 
     k: int
     xhat: np.ndarray
     px: np.ndarray
     d1hat: np.ndarray
-    pd1: np.ndarray
-    ahat: np.ndarray
-    qhat: np.ndarray
     step: SystemStep
     dec: OutputDecomposition
 
@@ -124,9 +134,10 @@ class UliseState:
 class PliseState:
     """Filter state of the propagated-estimate variant.
 
-    Adds the state/feedthrough-input cross covariance ``pxd1`` and the latest
-    propagated covariance ``px_star``; ``step`` and ``dec`` are as in
-    :class:`UliseState`.
+    Here ``d1hat`` is estimated from the propagated state, so its covariance
+    ``pd1`` is not a function of ``px`` and is carried, with the
+    state/feedthrough-input cross covariance ``pxd1``; the other fields are
+    as in :class:`UliseState`.
     """
 
     k: int
@@ -135,11 +146,8 @@ class PliseState:
     d1hat: np.ndarray
     pd1: np.ndarray
     pxd1: np.ndarray
-    ahat: np.ndarray
-    qhat: np.ndarray
     step: SystemStep
     dec: OutputDecomposition
-    px_star: np.ndarray
 
     # the step forms the new d1hat from the propagated state
     d1_from_propagated: ClassVar[bool] = True
@@ -476,8 +484,8 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
 
 
 def _gain_key(state: UliseState | PliseState) -> bytes:
-    """The exact bytes of every array the gain half of the next step reads
-    from ``state``.
+    """The exact bytes of every covariance the gain half of the next step
+    reads from ``state``.
 
     The gain half of :func:`_updated_variant_step` and :func:`plise_step`
     (gains, covariances, next covariance state) is a deterministic function
@@ -486,10 +494,16 @@ def _gain_key(state: UliseState | PliseState) -> bytes:
     with equal keys give bitwise-equal gain halves.  A state field the gain
     half starts to read must be added here.
     """
-    arrays = [state.px, state.pd1, state.ahat, state.qhat]
     if isinstance(state, PliseState):
-        arrays.append(state.pxd1)
-    return b"".join(a.tobytes() for a in arrays)
+        return state.px.tobytes() + state.pd1.tobytes() + state.pxd1.tobytes()
+    return state.px.tobytes()
+
+
+def _pd1(p: np.ndarray, dec: OutputDecomposition) -> np.ndarray:
+    """Covariance of the feedthrough input estimate ``Sigma^-1 (z1 - C1 x -
+    D1 u)`` when the state estimate ``x`` has covariance ``p``:
+    ``Sigma^-1 (C1 p C1^T + R1) Sigma^-1``."""
+    return symmetrize(dec.sigma_inv @ (dec.C1 @ p @ dec.C1.T + dec.R1) @ dec.sigma_inv)
 
 
 def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
@@ -501,12 +515,8 @@ def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
     p0m = _check_p0(p0, step0.n, tol)
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
-    z1, _ = transform_measurement(dec, y0v)
-    d1hat = _feedthrough_input(dec, z1, xhat, u0v)
-    pd1 = dec.sigma_inv @ (dec.C1 @ p0m @ dec.C1.T + dec.R1) @ dec.sigma_inv
-    ahat, qhat = decoupled_dynamics(step0, dec)
-    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, pd1=symmetrize(pd1),
-                      ahat=ahat, qhat=qhat, step=step0, dec=dec)
+    d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, u0v)
+    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, step=step0, dec=dec)
 
 
 def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
@@ -515,8 +525,8 @@ def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
     base = ulise_init(model, x0_mean, p0, y0, u0, tol)
     pxd1 = -base.px @ base.dec.C1.T @ base.dec.sigma_inv
     return PliseState(k=0, xhat=base.xhat, px=base.px, d1hat=base.d1hat,
-                      pd1=base.pd1, pxd1=pxd1, ahat=base.ahat, qhat=base.qhat,
-                      step=base.step, dec=base.dec, px_star=base.px.copy())
+                      pd1=_pd1(base.px, base.dec), pxd1=pxd1, step=base.step,
+                      dec=base.dec)
 
 
 # the OLS variant shares the init (only the step gains differ)
@@ -536,7 +546,9 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     n = step.n
 
     # estimation of the dynamics-only input component d2 at k-1
-    p_tilde = symmetrize(state.ahat @ state.px @ state.ahat.T + state.qhat)
+    ahat, qhat = decoupled_dynamics(step_prev, dp)
+    p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
+    pd1_prev = _pd1(state.px, dp)
     ctx = _pair_context(dp, dec_k, tol)
     c2g2 = ctx.c2g2
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
@@ -544,8 +556,8 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
     w2 = dec_k.C2.T @ m2.T
     pd12 = (dp.si_c1 @ state.px @ step_prev.A.T @ w2
-            - state.pd1 @ dp.G1.T @ w2)
-    pd_prev = dp.V @ _sym_block([[state.pd1, pd12], [pd2]]) @ dp.V.T
+            - pd1_prev @ dp.G1.T @ w2)
+    pd_prev = dp.V @ _sym_block([[pd1_prev, pd12], [pd2]]) @ dp.V.T
 
     # time update
     g2m2 = dp.G2 @ m2_state
@@ -564,18 +576,11 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
                     + gain_l @ step.R @ gain_l.T)
 
-    # covariance of the feedthrough input component d1 at k (estimated from
-    # the updated state)
-    r1_tilde = dec_k.C1 @ px @ dec_k.C1.T + dec_k.R1
-    pd1 = symmetrize(dec_k.sigma_inv @ r1_tilde @ dec_k.sigma_inv)
-    ahat, qhat = decoupled_dynamics(step, dec_k)
-
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
         m2, m2_state, gain_l, state.d1_from_propagated)
 
-    new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
-                           ahat=ahat, qhat=qhat, step=step, dec=dec_k)
+    new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, step=step, dec=dec_k)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),
@@ -627,7 +632,8 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
-    p_tilde = symmetrize(state.ahat @ state.px @ state.ahat.T + state.qhat)
+    ahat, qhat = decoupled_dynamics(step_prev, dp)
+    p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
     c2g2 = _pair_context(dp, dec_k, tol).c2g2
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
 
@@ -644,9 +650,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     px_star = symmetrize(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
 
     # covariance of d1 at k (estimated from the propagated state)
-    r1_tilde = dec_k.C1 @ px_star @ dec_k.C1.T + dec_k.R1
-    pd1 = symmetrize(dec_k.sigma_inv @ r1_tilde @ dec_k.sigma_inv)
-    ahat, qhat = decoupled_dynamics(step, dec_k)
+    pd1 = _pd1(px_star, dec_k)
 
     # measurement update.  This variant always reduces the singular
     # innovation covariance with its pseudoinverse: its recursion weights the
@@ -669,8 +673,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
         m2, m2, gain_l, state.d1_from_propagated)
     new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
-                           pxd1=pxd1_new, ahat=ahat, qhat=qhat, step=step,
-                           dec=dec_k, px_star=px_star)
+                           pxd1=pxd1_new, step=step, dec=dec_k)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),

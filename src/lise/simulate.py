@@ -351,7 +351,6 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     px_diag = np.zeros((n_steps, model.n))
     pd_diag = np.zeros((n_steps, model.p))
     gains: list[_StepGains] = []
-    gain_l_series = []
     unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
     error = failed_at = cycle = None
     detector = (_CycleDetector() if model.is_time_invariant and name != "KALMAN"
@@ -378,7 +377,6 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         dhat[i] = out.dhat_prev
         px_diag[i] = np.diag(out.px)
         pd_diag[i] = np.diag(out.pd_prev)
-        gain_l_series.append(out.gain_l)
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
@@ -389,8 +387,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         ))
     if cycle is not None:
         try:
-            _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag,
-                         gain_l_series)
+            _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag)
         except LiseError as exc:
             failed_at = len(gains) + 1
             error = f"step {failed_at}: {exc}"
@@ -398,12 +395,10 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         xhat, dhat = xhat[:failed_at - 1], dhat[:failed_at - 1]
         px_diag, pd_diag = px_diag[:failed_at - 1], pd_diag[:failed_at - 1]
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
-    return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
-            failed_at, cycle)
+    return xhat, dhat, px_diag, pd_diag, gains, unb, seconds, error, failed_at, cycle
 
 
-def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag,
-                 gain_l_series):
+def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
     """Serve the steps from ``cycle = (k, period)`` on by the estimate update
     alone, appending to the pass's series in place.
 
@@ -428,7 +423,6 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag,
         xhat[i] = x
         px_diag[i] = px_diag[i - period]
         pd_diag[i] = pd_diag[i - period]
-        gain_l_series.append(g.gain_l)
         gains.append(g)
     if bad.size:
         raise _nonfinite_error(("y", "u", "u_prev")[int(np.argmin(ok[:, bad[0]]))], stop)
@@ -567,7 +561,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
 
     filters: dict[str, FilterRun] = {}
     for name in scenario.filters:
-        (xhat, dhat, px_diag, pd_diag, gains, l_series, unb, secs,
+        (xhat, dhat, px_diag, pd_diag, gains, unb, secs,
          error, failed_at, cycle) = _full_pass(name, scenario, truth0, tol)
         if error is not None and model.is_time_invariant:
             if detectability is None:
@@ -605,7 +599,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
             tr_px=px_diag.sum(axis=1), tr_pd=pd_diag.sum(axis=1),
             err_x=err_x, err_d=err_d, err_x_runs=err_x_runs, err_d_runs=err_d_runs,
             steady=steady, max_unbiasedness=unb, seconds_per_step=secs,
-            gain_l_series=l_series, error=error, failed_at=failed_at,
+            gain_l_series=[g.gain_l for g in gains], error=error, failed_at=failed_at,
             gain_cycle=cycle,
         )
     return RunResult(scenario=scenario, structural=structural, truth=truth0,

@@ -6,16 +6,18 @@ filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward code (per-step output decomposition,
 per-run truth, per-step filter pass, batched replay, piecewise fault signals,
 per-point unit-circle scan, per-value CSV writer) that the library's faster
-code must reproduce.
+code must reproduce.  ``mp_px_recursion`` is a 50-digit reference for the
+updated variants' covariance, against which their float64 error is bounded.
 ``vehicle_tracking_model`` writes out the continuous-time matrices of
 ``configs/vehicle_tracking.yaml``, which only the tests read undiscretized.
 """
 
 import time
 
+import mpmath
 import numpy as np
 
-from lise.decomposition import decompose_cached, decoupled_dynamics
+from lise.decomposition import decompose, decompose_cached, decoupled_dynamics
 from lise.errors import (
     EstimabilityError,
     GainConstructionError,
@@ -204,7 +206,10 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     (``C2 G2`` and its pseudoinverse, ``G2 M2``, the decoupled dynamics and
     ``Sigma^-1 C1``) were kept in caches.  Both decompositions come from
     :func:`decompose_oracle`, every product keeps the association it had, and
-    nothing is shared between calls.  ``variant`` is ``"ULISE"``,
+    nothing is shared between calls.  The decoupled dynamics of step k-1 and,
+    for ULISE and CYWZ, the feedthrough-input covariance ``pd1`` at k-1 are
+    derived from ``state.step``, its decomposition and ``state.px``, as the
+    step forms them from the state it receives.  ``variant`` is ``"ULISE"``,
     ``"PLISE"`` or ``"CYWZ"``.  Returns ``(state_fields, out_fields)``: the
     next state's arrays and decomposition (as the dict of
     :func:`decompose_oracle`), and the :class:`StepOutput` fields, by name.
@@ -223,8 +228,15 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
         gsi = dec["G1"] @ dec["sigma_inv"]
         return st.A - gsi @ dec["C1"], _sym(gsi @ dec["R1"] @ gsi.T + st.Q)
 
+    def pd1_of(p, dec):
+        return _sym(dec["sigma_inv"] @ (dec["C1"] @ p @ dec["C1"].T + dec["R1"])
+                    @ dec["sigma_inv"])
+
+    ahat, qhat = decoupled(step_prev, dp)
+    pd1 = state.pd1 if variant == "PLISE" else pd1_of(state.px, dp)
+
     # GLS input gain of the dynamics-only component
-    p_tilde = _sym(state.ahat @ state.px @ state.ahat.T + state.qhat)
+    p_tilde = _sym(ahat @ state.px @ ahat.T + qhat)
     r2_tilde = _sym(dk["C2"] @ p_tilde @ dk["C2"].T + dk["R2"])
     c2g2 = dk["C2"] @ dp["G2"]
     need = dp["G2"].shape[1]
@@ -251,24 +263,23 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
 
     if variant == "PLISE":
         pxd2 = -state.px @ step_prev.A.T @ w2 - state.pxd1 @ dp["G1"].T @ w2
-        pd12 = -state.pxd1.T @ step_prev.A.T @ w2 - state.pd1 @ dp["G1"].T @ w2
+        pd12 = -state.pxd1.T @ step_prev.A.T @ w2 - pd1 @ dp["G1"].T @ w2
         blockmap = np.hstack([step_prev.A, dp["G1"], dp["G2"]])
-        joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
+        joint = _sym_block([[state.px, state.pxd1, pxd2], [pd1, pd12], [pd2]])
         qc = dp["G2"] @ m2 @ dk["C2"] @ step_prev.Q
         px_star = _sym(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
-        r1_tilde = dk["C1"] @ px_star @ dk["C1"].T + dk["R1"]
         gain_l = _oracle_gain_l(px_star, step, dk, m2, dp["G2"],
                                 GammaPolicy.PSEUDO_INVERSE, tol, None, True)
     else:
         pd12 = (dp["sigma_inv"] @ dp["C1"] @ state.px @ step_prev.A.T @ w2
-                - state.pd1 @ dp["G1"].T @ w2)
+                - pd1 @ dp["G1"].T @ w2)
         igmc = np.eye(n) - dp["G2"] @ m2_state @ dk["C2"]
         px_star = _sym(dp["G2"] @ m2_state @ dk["R2"] @ m2_state.T @ dp["G2"].T
                        + igmc @ p_tilde @ igmc.T)
         r_hat = _sym(step.C @ p_tilde @ step.C.T + step.R)
         gain_l = _oracle_gain_l(px_star, step, dk, m2_state, dp["G2"], gamma, tol,
                                 r_hat, not ols)
-    pd_prev = dp["V"] @ _sym_block([[state.pd1, pd12], [pd2]]) @ dp["V"].T
+    pd_prev = dp["V"] @ _sym_block([[pd1, pd12], [pd2]]) @ dp["V"].T
     ilc = np.eye(n) - gain_l @ step.C
     noise_cross = ilc @ (dp["G2"] @ m2_state @ dk["U2"].T @ step.R) @ gain_l.T
     px = _sym(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
@@ -277,11 +288,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
         new["pxd1"] = (-(ilc @ px_star @ dk["C1"].T @ dk["sigma_inv"])
                        - gain_l @ step.R @ dk["T2"].T @ m2.T @ dp["G2"].T
                        @ dk["C1"].T @ dk["sigma_inv"])
-        new["px_star"] = px_star
-    else:
-        r1_tilde = dk["C1"] @ px @ dk["C1"].T + dk["R1"]
-    new["pd1"] = _sym(dk["sigma_inv"] @ r1_tilde @ dk["sigma_inv"])
-    new["ahat"], new["qhat"] = decoupled(step, dk)
+        new["pd1"] = pd1_of(px_star, dk)
 
     # the estimate update
     xpred = step_prev.A @ state.xhat + step_prev.B @ u_prev + dp["G1"] @ state.d1hat
@@ -379,7 +386,6 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
     px_diag = np.zeros((n_steps, model.n))
     pd_diag = np.zeros((n_steps, model.p))
     gains = []
-    gain_l_series = []
     unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
     error = failed_at = None
     for k in range(1, n_steps + 1):
@@ -405,7 +411,6 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         dhat[i] = out.dhat_prev
         px_diag[i] = np.diag(out.px)
         pd_diag[i] = np.diag(out.pd_prev)
-        gain_l_series.append(out.gain_l)
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
@@ -414,8 +419,7 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
             from_propagated=name == "PLISE",
         ))
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
-    return (xhat, dhat, px_diag, pd_diag, gains, gain_l_series, unb, seconds, error,
-            failed_at, None)
+    return xhat, dhat, px_diag, pd_diag, gains, unb, seconds, error, failed_at, None
 
 
 def per_step_replay_oracle(name, gains, ys, us, x0_mean):
@@ -577,3 +581,97 @@ def vehicle_tracking_model() -> ContinuousModel:
     q = 1e-4 * np.diag([0.0, 1.6, 0.0, 0.9])
     r = 1e-4 * np.diag([1.0, 0.16, 0.9, 2.5])
     return ContinuousModel(A=a, B=b, G=g, C=c, D=d, H=h, Q=q, R=r, dt=0.01)
+
+
+def mp_array(a):
+    """A float array as an object array of exactly equal ``mpmath.mpf``."""
+    a = np.asarray(a, dtype=float)
+    return np.array([mpmath.mpf(float(x)) for x in a.flat], dtype=object).reshape(a.shape)
+
+
+def _mp_inv(a):
+    """Inverse of a square object array of ``mpf`` (LU in ``mpmath``)."""
+    if a.size == 0:
+        return a.copy()
+    return np.array(mpmath.inverse(mpmath.matrix(a.tolist())).tolist(), dtype=object)
+
+
+def _mp_svd(a):
+    """Full SVD ``a = U diag(s) V^T`` of a nonempty object array of ``mpf``;
+    returns ``(U, s, V)``."""
+    u, s, vt = mpmath.svd_r(mpmath.matrix(a.tolist()), full_matrices=True)
+    return (np.array(u.tolist(), dtype=object), [s[i] for i in range(s.rows)],
+            np.array(vt.tolist(), dtype=object).T)
+
+
+def mp_px_recursion(variant, step, p0, n_steps, dps=50):
+    """``px`` of ULISE or CYWZ on the time-invariant ``step``, at ``dps``
+    decimal digits, for steps 1 to ``n_steps``.
+
+    Written from the equations in ``mpmath``, not from the filter code: the
+    output decomposition is built from an ``mpmath`` SVD of H, with the
+    feedthrough rank of the float path (``decompose``), and every inverse is
+    an ``mpmath`` LU.  The state gain takes the whitened-complement
+    reduction ``Gamma^T (Gamma r_star Gamma^T)^-1 Gamma`` for both variants.
+    Gamma's rows, ``u^T r_hat^-1/2`` over the ``u`` orthogonal to
+    ``r_hat^-1/2 C G2``, span the vectors orthogonal to ``C G2`` whatever
+    ``r_hat`` is, and the reduction depends on that span only, so Gamma is
+    taken once from an SVD of ``C G2``.  CYWZ's OLS gain is
+    ``(C2G2^T C2G2)^-1 C2G2^T``, ``C2 G2`` having full column rank.  The
+    float matrices enter exactly; returns a list of ``px`` as object arrays
+    of ``mpf``.
+    """
+    with mpmath.workdps(dps):
+        p_h = decompose(step).p_h
+        a, c, g, h, q, r = (mp_array(m) for m in (step.A, step.C, step.G, step.H,
+                                                    step.Q, step.R))
+        l, p = h.shape
+        n = a.shape[0]
+        if p_h:
+            u, s, v = _mp_svd(h)
+        else:
+            u, s, v = np.eye(l, dtype=object), [], np.eye(p, dtype=object)
+        u1, u2, v1, v2 = u[:, :p_h], u[:, p_h:], v[:, :p_h], v[:, p_h:]
+        sigma = np.diag(np.array(s[:p_h], dtype=object))
+        si = np.diag(np.array([1 / x for x in s[:p_h]], dtype=object))
+        r2 = u2.T @ r @ u2
+        t1 = u1.T - u1.T @ r @ u2 @ _mp_inv(r2) @ u2.T
+        c1, c2, g1, g2 = t1 @ c, u2.T @ c, g @ v1, g @ v2
+        r1 = t1 @ r @ t1.T
+        h1 = u1 @ sigma
+        ahat = a - g1 @ si @ c1
+        qhat = g1 @ si @ r1 @ si.T @ g1.T + q
+        c2g2 = c2 @ g2
+        cg2 = c @ g2
+        n_q = cg2.shape[1]
+        gam = (_mp_svd(cg2)[0][:, n_q:] if n_q else np.eye(l, dtype=object)).T
+        m2_ols = _mp_inv(c2g2.T @ c2g2) @ c2g2.T
+        u2t_r = u2.T @ r
+        eye_n, eye_l = np.eye(n, dtype=object), np.eye(l, dtype=object)
+
+        px = mp_array(p0)
+        out = []
+        for _ in range(n_steps):
+            p_tilde = ahat @ px @ ahat.T + qhat
+            r2_tilde = c2 @ p_tilde @ c2.T + r2
+            x = _mp_inv(r2_tilde) @ c2g2
+            m2 = _mp_inv(c2g2.T @ x) @ x.T
+            m2_state = m2_ols if variant == "CYWZ" else m2
+            g2m2 = g2 @ m2_state
+            igmc = eye_n - g2m2 @ c2
+            px_star = g2m2 @ r2 @ g2m2.T + igmc @ p_tilde @ igmc.T
+            cross = c @ g2m2 @ u2t_r
+            r_star = c @ px_star @ c.T + r - cross - cross.T
+            k_gain = px_star @ c.T - g2m2 @ u2t_r
+            r_check = gam.T @ _mp_inv(gam @ r_star @ gam.T) @ gam
+            if p_h:
+                m1_star = si @ _mp_inv(u1.T @ r_check @ u1) @ u1.T @ r_check
+                gain_l = k_gain @ (eye_l - h1 @ m1_star).T @ r_check
+            else:
+                gain_l = k_gain @ r_check
+            ilc = eye_n - gain_l @ c
+            noise_cross = ilc @ g2m2 @ u2t_r @ gain_l.T
+            px = (noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
+                  + gain_l @ r @ gain_l.T)
+            out.append(px)
+        return out

@@ -16,9 +16,9 @@ from lise.decomposition import (
     decompose,
     decompose_cached,
     decoupled_dynamics,
-    transform_measurement,
 )
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
+from lise.filters import ulise_init
 from lise.linalg import DEFAULT_TOL, Tolerance, rank
 from lise.model import SystemStep
 
@@ -68,7 +68,7 @@ class TestDecompose:
         assert np.array_equal(dec.U2, np.eye(5))   # deterministic choice
         _assert_invariants(step, dec)
         y = np.arange(5.0)
-        z1, z2 = transform_measurement(dec, y)
+        z1, z2 = dec.T1 @ y, dec.T2 @ y
         assert z1.size == 0
         assert np.allclose(z2, y)                  # orthogonal T2 with R = I
         assert np.isclose(np.linalg.norm(z2), np.linalg.norm(y))
@@ -109,23 +109,27 @@ class TestDecompose:
 
 
 class TestTransformMeasurement:
+    """The output transform: ``z1 = T1 y`` and ``z2 = T2 y``."""
+
     def test_zero(self, fault_models):
         dec = decompose(fault_models[1].step(0))
-        z1, z2 = transform_measurement(dec, np.zeros(5))
+        y = np.zeros(5)
+        z1, z2 = dec.T1 @ y, dec.T2 @ y
         assert np.allclose(z1, 0) and np.allclose(z2, 0)
 
     def test_feedthrough_direction(self, fault_models):
         # e3 lies along the first feedthrough direction of variant 1 and is
         # orthogonal to the feedthrough-free channel
         dec = decompose(fault_models[1].step(0))
-        z1, z2 = transform_measurement(dec, np.eye(5)[2])
+        y = np.eye(5)[2]
+        z1, z2 = dec.T1 @ y, dec.T2 @ y
         assert np.allclose(z1, [1.0, 0.0], atol=1e-12)
         assert np.allclose(z2, 0.0, atol=1e-12)
 
     def test_dim_mismatch(self, fault_models):
-        dec = decompose(fault_models[1].step(0))
-        with pytest.raises(InvalidInputError):
-            transform_measurement(dec, np.zeros(4))
+        # the filters transform the time-0 measurement after checking its shape
+        with pytest.raises(InvalidInputError, match=r"y0 at k=0 must have shape \(5,\)"):
+            ulise_init(fault_models[1], np.zeros(5), np.eye(5), np.zeros(4), np.zeros(1))
 
 
 def test_decoupled_dynamics_no_feedthrough():

@@ -316,6 +316,25 @@ class TestGainCycle:
             if fr.gain_cycle is not None:
                 _assert_periodic_from_cycle(fr)
 
+    # (k, period) of FilterRun.gain_cycle per filter at each config's horizon
+    BUNDLED_CYCLES = {
+        "fault_h1": {"ULISE": (129, 1), "PLISE": (133, 5), "CYWZ": (129, 1)},
+        "fault_h2": {"ULISE": (129, 1), "PLISE": (129, 1), "CYWZ": (129, 1)},
+        "fault_h3": {"ULISE": (65, 1), "PLISE": None, "CYWZ": (65, 1)},
+        "fault_h4": {"ULISE": (130, 2), "PLISE": None, "CYWZ": (130, 2)},
+        "fault_h5": {"ULISE": (65, 1), "PLISE": (424, 168), "CYWZ": (66, 2)},
+        "fault_h6": {"ULISE": (65, 1), "PLISE": (273, 17), "CYWZ": (65, 1)},
+        "vehicle_tracking": {"ULISE": None, "PLISE": None},
+    }
+
+    @pytest.mark.parametrize("config", CONFIG_NAMES)
+    def test_bundled_configs_detect_their_cycles(self, config):
+        # pins where Brent's detector first sees the covariance state repeat,
+        # so a change to the state or its key cannot move it unnoticed
+        res = run_scenario(config_scenario(config, structural_checks=False))
+        got = {name: fr.gain_cycle for name, fr in res.filters.items()}
+        assert got == self.BUNDLED_CYCLES[config]
+
     def test_cycle_found_and_monte_carlo_replay_matches(self):
         sc = _config_scenario("fault_h1", 300, monte_carlo=8)
         res = run_scenario(sc)

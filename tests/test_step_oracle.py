@@ -62,6 +62,9 @@ def _run_against_oracle(variant, model, ys, us, x0, p0, gamma, n_steps):
         for name, value in want.items():
             _assert_bitwise(getattr(out, name), value, (variant, k, name))
         want_dec = want_state.pop("dec")
+        # the oracle returns every array the state holds
+        assert ({f.name for f in dataclasses.fields(state)}
+                == set(want_state) | {"k", "step", "dec"}), variant
         for name, value in want_state.items():
             _assert_bitwise(getattr(state, name), value, (variant, k, "state", name))
         assert state.k == k
