@@ -14,8 +14,14 @@ Empty blocks are first-class: with ``rank(H) = 0`` all the ``*1`` factors are
 
 A decomposition depends on H, R, C, D, G and the tolerance only, never on
 A, B or Q, and is shared in two layers.  :func:`decompose_cached` keeps one
-decomposition per step object, so a time-invariant model decomposes once and
-pays no hashing after.  Below it, :func:`decompose` takes the whole
+entry per step object and tolerance, so a time-invariant model decomposes once
+and pays no hashing after.  The entry is the step's context
+(:class:`StepContext`): the decomposition together with the step's constants
+that also depend on A or Q, namely :func:`decoupled_dynamics` and PLISE's
+block map ``[A, G1, G2]``, so the filters form each once per step object.  An
+entry is built only for a step whose eight matrices are finite (a step with a
+NaN or an infinity raises :class:`~lise.errors.InvalidInputError` naming the
+matrix, on every call).  Below it, :func:`decompose` takes the whole
 decomposition from a bounded LRU of ``_FACTOR_CACHE_SIZE`` entries keyed by
 the tolerance, the shapes and the exact bytes of H, R, C, D and G, so a
 time-varying model whose steps repeat those matrices (fresh step objects
@@ -38,12 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, symmetrize
-from .model import SystemStep
+from .errors import InvalidInputError, NotPositiveDefiniteError
+from .linalg import DEFAULT_TOL, Tolerance, svd, symmetrize
+from .model import SystemStep, _nonfinite_matrix
 
 __all__ = [
     "OutputDecomposition",
+    "StepContext",
     "decompose",
     "decompose_cached",
     "decoupled_dynamics",
@@ -110,7 +117,7 @@ def _build(h, r, c, d, g, tol: Tolerance) -> OutputDecomposition:
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
 
-    u, s, vt = np.linalg.svd(h)
+    u, s, vt = svd(h)
     # the rank rule of linalg.rank, applied to the singular values at hand
     p_h = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
@@ -188,30 +195,80 @@ def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposi
         step.C.tobytes(), step.D.tobytes(), step.G.tobytes())
 
 
-_CACHE: "weakref.WeakKeyDictionary[SystemStep, dict[Tolerance, OutputDecomposition]]" = (
+class _NonFiniteMatrix(InvalidInputError):
+    """A model step has a matrix with non-finite entries; ``matrix`` names it."""
+
+    def __init__(self, matrix: str):
+        self.matrix = matrix
+        super().__init__(f"{matrix} has non-finite entries")
+
+
+class StepContext:
+    """The constants of one model step object that the filters read every
+    time the step is used: its decomposition ``dec``, the
+    :func:`decoupled_dynamics` pair ``(ahat, qhat)`` and, built on first use,
+    PLISE's ``blockmap = [A, G1, G2]``.  Every array is read-only.
+
+    A context holds arrays of its step, never the step itself, so the weak
+    per-step map of :func:`decompose_cached` lets the step go.
+    """
+
+    def __init__(self, step: SystemStep, dec: OutputDecomposition):
+        self.dec = dec
+        self.ahat, self.qhat = decoupled_dynamics(step, dec)
+        self.ahat.setflags(write=False)
+        self.qhat.setflags(write=False)
+        self._a = step.A
+
+    @functools.cached_property
+    def blockmap(self) -> np.ndarray:
+        m = np.hstack([self._a, self.dec.G1, self.dec.G2])
+        m.setflags(write=False)
+        return m
+
+
+_CACHE: "weakref.WeakKeyDictionary[SystemStep, dict[Tolerance, StepContext]]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _step_context(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> StepContext:
+    """The :class:`StepContext` of a step object, built on its first request.
+
+    Raises :class:`_NonFiniteMatrix` (an
+    :class:`~lise.errors.InvalidInputError`) when a matrix of ``step`` has a
+    non-finite entry, and whatever :func:`decompose` raises; failures are not
+    cached.
+    """
+    per_step = _CACHE.get(step)
+    if per_step is not None:
+        ctx = per_step.get(tol)
+        if ctx is not None:
+            return ctx
+    bad = _nonfinite_matrix(step)
+    if bad is not None:
+        raise _NonFiniteMatrix(bad)
+    ctx = StepContext(step, decompose(step, tol))
+    _CACHE.setdefault(step, {})[tol] = ctx
+    return ctx
 
 
 def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
     """Like :func:`decompose`, but reuses the result for a given step object.
 
-    Time-invariant models hand out the same step object every call, so the
-    decomposition is built once, repeated calls are bit-identical, and no
-    call after the first hashes H and R.  A new step object (a time-varying
+    Time-invariant models hand out the same step object every call, and
+    :meth:`SystemModel.step <lise.model.SystemModel.step>` hands out one step
+    object for repeated requests of the same k, so the decomposition is built
+    once per step object, repeated calls are bit-identical, and no call after
+    the first hashes H and R.  The decomposition is that of the step's
+    :class:`StepContext`, built here on the first request: a step with a
+    non-finite matrix raises :class:`~lise.errors.InvalidInputError` naming
+    the matrix, on every call.  A new step object (a time-varying
     model's provider may build one per k) goes to :func:`decompose`, whose
     LRU still hands out the decomposition of equal H, R, C, D and G seen
     before.
     """
-    per_step = _CACHE.get(step)
-    if per_step is None:
-        per_step = {}
-        _CACHE[step] = per_step
-    dec = per_step.get(tol)
-    if dec is None:
-        dec = decompose(step, tol)
-        per_step[tol] = dec
-    return dec
+    return _step_context(step, tol).dec
 
 
 def decoupled_dynamics(step: SystemStep, dec: OutputDecomposition) -> tuple[np.ndarray, np.ndarray]:

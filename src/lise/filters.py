@@ -31,24 +31,42 @@ The filter states carry the model step of their own time ``k`` (the
 required ``step`` field), and a step function takes step ``k - 1`` from the
 state, not from ``model``: it asks ``model`` for step ``k`` only, once.  A
 state built by hand rather than by the ``*_init``/``*_step`` functions must
-therefore hold ``model.step(state.k)`` in ``step``.
+therefore hold ``model.step(state.k)`` in ``step``.  A time-varying model
+hands out one step object for repeated requests of the same ``k``, so
+filters stepped side by side share it, and with it its context.
 
 A state holds only what the recursion carries from one step to the next:
 the estimates, the covariances that are not functions of the others, the
 step and its decomposition.  Each step derives the rest at its start: the
-feedthrough-decoupled dynamics ``(Ahat, Qhat)`` of step ``k - 1`` from
-:func:`~lise.decomposition.decoupled_dynamics` of ``state.step`` and
-``state.dec``, and, for the updated variants, the feedthrough-input
-covariance ``pd1`` from ``state.px`` (:func:`_pd1`).  This is an API
-change: the ``pd1``, ``ahat`` and ``qhat`` fields of :class:`UliseState`
-and the ``ahat``, ``qhat`` and ``px_star`` fields of :class:`PliseState`
-are gone (``StepOutput.px_star`` still reports the propagated covariance).
+feedthrough-decoupled dynamics ``(Ahat, Qhat)`` of step ``k - 1`` (and, for
+PLISE, its block map ``[A, G1, G2]``) come from the step context of
+``state.step`` (:class:`~lise.decomposition.StepContext`, formed once per
+step object alongside its decomposition), and, for the updated variants,
+the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
+Building a step's context rejects a step with a non-finite matrix (the
+Kalman filter checks its steps directly), naming the matrix and ``k``.
+This is an API change: the ``pd1``, ``ahat`` and ``qhat`` fields of
+:class:`UliseState` and the ``ahat``, ``qhat`` and ``px_star`` fields of
+:class:`PliseState` are gone (``StepOutput.px_star`` still reports the
+propagated covariance).
+
+The estimate half of a step (:func:`_estimate_update`) is split into the
+products that involve the data only (:func:`_data_products`) and the
+recursive remainder (:func:`_estimate_recursion`), so that a caller serving
+many steps with known gains (:mod:`lise.simulate`'s gain cycle) can form the
+data products for all of them at once.  The small inverses, SVDs and
+eigendecompositions call numpy's LAPACK gufuncs directly
+(:func:`lise.linalg.inv`, :func:`~lise.linalg.svd`,
+:func:`~lise.linalg.eigh`), bitwise what ``np.linalg`` gives, and the
+finiteness checks take one BLAS dot product, testing every entry only when
+it is not finite.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -58,8 +76,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .decomposition import (
     _FACTOR_CACHE_SIZE,
     OutputDecomposition,
+    _NonFiniteMatrix,
+    _step_context,
     decompose_cached,
-    decoupled_dynamics,
 )
 from .errors import (
     EstimabilityError,
@@ -67,8 +86,18 @@ from .errors import (
     InvalidInputError,
     NumericalError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, pinv, symmetrize
-from .model import SystemModel, SystemStep
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _finite,
+    _norm,
+    eigh,
+    inv,
+    pinv,
+    svd,
+    symmetrize,
+)
+from .model import SystemModel, SystemStep, _nonfinite_matrix
 
 __all__ = [
     "GammaPolicy",
@@ -202,9 +231,28 @@ def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (size,):
         raise InvalidInputError(f"{name} at k={k} must have shape ({size},), got {a.shape}")
-    if not np.isfinite(a).all():
+    if not (math.isfinite(a.dot(a)) or np.isfinite(a).all()):
         raise _nonfinite_error(name, k)
     return a
+
+
+def _checked_context(fetch, step: SystemStep, tol: Tolerance, k: int):
+    """``fetch(step, tol)`` for model step ``k``, ``fetch`` being
+    :func:`~lise.decomposition.decompose_cached` or ``_step_context``.  A
+    step with a non-finite matrix raises the :class:`InvalidInputError`
+    naming the matrix and ``k``."""
+    try:
+        return fetch(step, tol)
+    except _NonFiniteMatrix as exc:
+        raise _nonfinite_error(exc.matrix, k) from None
+
+
+def _check_step_finite(step: SystemStep, k: int) -> None:
+    """Raise the :class:`InvalidInputError` naming the first matrix of model
+    step ``k`` with a non-finite entry, if any."""
+    bad = _nonfinite_matrix(step)
+    if bad is not None:
+        raise _nonfinite_error(bad, k)
 
 
 def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
@@ -231,7 +279,7 @@ def _spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
     entries and a failed factorization raise :class:`NumericalError` naming
     ``what``.
     """
-    if not np.isfinite(mat).all():
+    if not _finite(mat):
         raise NumericalError(f"{what} has non-finite entries")
     c, info = dpotrf(mat, lower=0, clean=0)
     if info != 0:
@@ -242,7 +290,7 @@ def _spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
 def _factor_solve(c: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve with the :func:`_spd_factor` factor ``c`` of ``what``, as
     ``scipy.linalg.cho_solve`` does (LAPACK ``potrs``)."""
-    if not np.isfinite(rhs).all():
+    if not _finite(rhs):
         raise NumericalError(f"right-hand side for the {what} has non-finite entries")
     if rhs.size == 0:
         return np.zeros(rhs.shape)
@@ -338,7 +386,7 @@ def _input_gain_gls(p_tilde, dec_k, c2g2):
     gram = c2g2.T @ x
     if c2g2.shape[1]:
         try:
-            pd2 = np.linalg.inv(gram)
+            pd2 = inv(gram)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("input-estimate information matrix is singular") from exc
         pd2 = symmetrize(pd2)
@@ -385,7 +433,7 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
         if dec.p_h == 0:
             return k_gain @ _factor_solve(r_hat_chol, _eye(l), what)
         try:
-            core = np.linalg.inv(dec.U1.T @ rh_inv_n @ dec.U1)
+            core = inv(dec.U1.T @ rh_inv_n @ dec.U1)
         except np.linalg.LinAlgError as exc:
             raise GainConstructionError("reduced gain core is singular for this step") from exc
         m1_star = dec.sigma_inv @ core @ dec.U1.T @ rh_inv_n
@@ -402,7 +450,7 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
     if dec.p_h == 0:
         return k_gain @ r_check
     try:
-        core_inv = np.linalg.inv(dec.U1.T @ r_check @ dec.U1)
+        core_inv = inv(dec.U1.T @ r_check @ dec.U1)
     except np.linalg.LinAlgError as exc:
         raise GainConstructionError(
             "gain reduction is inadmissible: U1' r_check U1 is singular"
@@ -414,19 +462,19 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
 def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
     """Explicit projection onto the complement of the whitened input directions."""
     l = c.shape[0]
-    w, v = np.linalg.eigh(symmetrize(r_hat))
+    w, v = eigh(symmetrize(r_hat))
     if w[0] <= 0:
         raise NumericalError("pre-update innovation covariance is not PD")
     rh_half_inv = (v * (w ** -0.5)) @ v.T
     q = g2_prev.shape[1]
     if q:
-        u_t = np.linalg.svd(rh_half_inv @ c @ g2_prev)[0]
+        u_t = svd(rh_half_inv @ c @ g2_prev)[0]
     else:
         u_t = _eye(l)
     gam = u_t[:, q:].T @ rh_half_inv
     core = gam @ r_star @ gam.T
     try:
-        core_inv = np.linalg.inv(core)
+        core_inv = inv(core)
     except np.linalg.LinAlgError as exc:
         raise GainConstructionError("reduced innovation covariance is singular") from exc
     return gam.T @ core_inv @ gam
@@ -434,24 +482,56 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
 
 def _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l) -> dict[str, float]:
     eye2 = _eye(c2g2.shape[1])
-    dev2 = float(np.linalg.norm(m2 @ c2g2 - eye2)) if c2g2.size else 0.0
+    dev2 = _norm(m2 @ c2g2 - eye2) if c2g2.size else 0.0
     if m2_state is not m2 and c2g2.size:
-        dev2 = max(dev2, float(np.linalg.norm(m2_state @ c2g2 - eye2)))
+        dev2 = max(dev2, _norm(m2_state @ c2g2 - eye2))
     return {
         "m1_sigma": dec_k.m1_sigma_residual,
         "m2_c2g2": dev2,
-        "l_u1": float(np.linalg.norm(gain_l @ dec_k.U1)) if dec_k.p_h else 0.0,
+        "l_u1": _norm(gain_l @ dec_k.U1) if dec_k.p_h else 0.0,
     }
 
 
-def _feedthrough_input(dec, z1, x, u):
+def _feedthrough_input(dec, z1, x, d1u):
     """Estimate of the feedthrough input component, ``Sigma^-1 (z1 - C1 x - D1 u)``
-    with ``z1 = T1 y``.
+    with ``z1 = T1 y`` and ``d1u = D1 u``.
 
-    ``z1`` and ``x`` may also be column stacks; ``u`` is then an (m, 1)
-    column, so that it is not broadcast along the stack.
+    ``z1``, ``x`` and ``d1u`` may also be column stacks.
     """
-    return dec.sigma_inv @ (z1 - dec.C1 @ x - dec.D1 @ u)
+    return dec.sigma_inv @ (z1 - dec.C1 @ x - d1u)
+
+
+def _data_products(y, u, u_prev, step_prev, step, dec, mul=np.matmul):
+    """The products of one step's estimate update that involve the data
+    only: ``(B u_prev, T1 y, T2 y, D2 u, D u, D1 u)``, ``B`` of step k-1 and
+    the rest of step k.
+
+    ``mul(mat, v)`` forms each product: ``np.matmul`` for the vectors (or
+    column stacks) of :func:`_estimate_update`, or a function that forms
+    ``mat @ v`` for every vector of a stack at once, bitwise as ``mat @ v``.
+    """
+    return (mul(step_prev.B, u_prev), mul(dec.T1, y), mul(dec.T2, y),
+            mul(dec.D2, u), mul(step.D, u), mul(dec.D1, u))
+
+
+def _estimate_recursion(xhat, d1hat, y, products, step_prev, step, dec_prev, dec,
+                        m2, m2_state, gain_l, from_propagated: bool):
+    """The part of one step's estimate update that depends on the previous
+    estimates, given the step's :func:`_data_products`.
+
+    Returns ``(xhat, d1hat, d2hat, xstar)`` at ``k``, ``d2hat`` being the
+    estimate of the dynamics-only input component of ``d_{k-1}``.  The
+    arguments are as in :func:`_estimate_update`.
+    """
+    bu, z1, z2, d2u, du, d1u = products
+    xpred = step_prev.A @ xhat + bu + dec_prev.G1 @ d1hat
+    resid2 = z2 - dec.C2 @ xpred - d2u
+    d2hat = m2 @ resid2
+    d2hat_state = d2hat if m2_state is m2 else m2_state @ resid2
+    xstar = xpred + dec_prev.G2 @ d2hat_state
+    xhat = xstar + gain_l @ (y - step.C @ xstar - du)
+    base = xstar if from_propagated else xhat
+    return xhat, _feedthrough_input(dec, z1, base, d1u), d2hat, xstar
 
 
 def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
@@ -466,21 +546,21 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     instead of the updated one.  Returns ``(xhat, d1hat, dhat_prev, xstar)``
     at ``k``, ``dhat_prev`` being the estimate of ``d_{k-1}``.
 
-    Every product is a plain ``@``, so the data arguments may also be column
-    stacks (one column per data vector), and the matrices of R records may
-    be stacked along a leading axis to evaluate them all at once.  On 1-D
-    vectors every product is a gemv, as in the step functions.
+    It is the step's :func:`_data_products`, then its
+    :func:`_estimate_recursion`, then ``dhat_prev = V1 d1hat + V2 d2hat``; a
+    caller holding the products of many steps (the served gain cycle of
+    :mod:`lise.simulate`) runs the same three parts itself.  Every product is
+    a plain ``@``, so the data arguments may also be column stacks (one
+    column per data vector), and the matrices of R records may be stacked
+    along a leading axis to evaluate them all at once.  On 1-D vectors every
+    product is a gemv, as in the step functions.
     """
-    xpred = step_prev.A @ xhat + step_prev.B @ u_prev + dec_prev.G1 @ d1hat
-    z1, z2 = dec.T1 @ y, dec.T2 @ y
-    resid2 = z2 - dec.C2 @ xpred - dec.D2 @ u
-    d2hat = m2 @ resid2
+    products = _data_products(y, u, u_prev, step_prev, step, dec)
+    xhat_k, d1hat_k, d2hat, xstar = _estimate_recursion(
+        xhat, d1hat, y, products, step_prev, step, dec_prev, dec, m2, m2_state,
+        gain_l, from_propagated)
     dhat_prev = dec_prev.V1 @ d1hat + dec_prev.V2 @ d2hat
-    d2hat_state = d2hat if m2_state is m2 else m2_state @ resid2
-    xstar = xpred + dec_prev.G2 @ d2hat_state
-    xhat = xstar + gain_l @ (y - step.C @ xstar - step.D @ u)
-    base = xstar if from_propagated else xhat
-    return xhat, _feedthrough_input(dec, z1, base, u), dhat_prev, xstar
+    return xhat_k, d1hat_k, dhat_prev, xstar
 
 
 def _gain_key(state: UliseState | PliseState) -> bytes:
@@ -510,12 +590,12 @@ def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
                tol: Tolerance = DEFAULT_TOL) -> UliseState:
     """Initialize the updated-estimate filter from the time-0 measurement."""
     step0 = model.step(0)
-    dec = decompose_cached(step0, tol)
+    dec = _checked_context(decompose_cached, step0, tol, 0)
     xhat = _check_vector(x0_mean, step0.n, "x0_mean", 0)
     p0m = _check_p0(p0, step0.n, tol)
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
-    d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, u0v)
+    d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, dec.D1 @ u0v)
     return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, step=step0, dec=dec)
 
 
@@ -538,7 +618,8 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     k = state.k + 1
     step_prev = state.step
     step = model.step(k)
-    dec_k = decompose_cached(step, tol)
+    dec_k = _checked_context(decompose_cached, step, tol, k)
+    ctx_prev = _checked_context(_step_context, step_prev, tol, k - 1)
     dp = state.dec
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
@@ -546,7 +627,7 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     n = step.n
 
     # estimation of the dynamics-only input component d2 at k-1
-    ahat, qhat = decoupled_dynamics(step_prev, dp)
+    ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
     pd1_prev = _pd1(state.px, dp)
     ctx = _pair_context(dp, dec_k, tol)
@@ -625,14 +706,15 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     k = state.k + 1
     step_prev = state.step
     step = model.step(k)
-    dec_k = decompose_cached(step, tol)
+    dec_k = _checked_context(decompose_cached, step, tol, k)
+    ctx_prev = _checked_context(_step_context, step_prev, tol, k - 1)
     dp = state.dec
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
     upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
-    ahat, qhat = decoupled_dynamics(step_prev, dp)
+    ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
     c2g2 = _pair_context(dp, dec_k, tol).c2g2
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
@@ -643,7 +725,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     pd_prev = dp.V @ _sym_block([[state.pd1, pd12], [pd2]]) @ dp.V.T
 
     # time update from the joint covariance of (x, d1, d2) at k-1
-    blockmap = np.hstack([step_prev.A, dp.G1, dp.G2])
+    blockmap = ctx_prev.blockmap
     joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
     g2m2 = dp.G2 @ m2
     qc = g2m2 @ dec_k.C2 @ step_prev.Q
@@ -688,6 +770,7 @@ def kalman_init(model: SystemModel, x0_mean, p0,
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     step0 = model.step(0)
+    _check_step_finite(step0, 0)
     return KalmanState(k=0, xhat=_check_vector(x0_mean, step0.n, "x0_mean", 0),
                        px=_check_p0(p0, step0.n, tol), step=step0)
 
@@ -700,6 +783,7 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     k = state.k + 1
     step_prev = state.step
     step = model.step(k)
+    _check_step_finite(step, k)
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
     upv = _check_vector(u_prev, step.m, "u_prev", k)

@@ -3,14 +3,29 @@
 Every rank decision, pseudo-inverse, and definiteness check in the package
 goes through this module so that a single :class:`Tolerance` governs how
 floating-point fuzz is resolved.  All functions are pure.
+
+:func:`inv`, :func:`svd` and :func:`eigh` call numpy's own LAPACK gufuncs
+(``numpy.linalg._umath_linalg``) under numpy's own error callbacks, skipping
+the argument checks and dtype dispatch of the ``np.linalg`` wrappers, whose
+cost is a large part of a call on the 5 x 5 matrices of a filter step.  On a
+square (for ``svd``, any) 2-D float64 matrix each returns the bits of its
+``np.linalg`` namesake and raises numpy's :class:`numpy.linalg.LinAlgError`
+with numpy's message where the wrapper does; the filters' hot paths use them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import (
+    _raise_linalgerror_eigenvalues_nonconvergence,
+    _raise_linalgerror_singular,
+    _raise_linalgerror_svd_nonconvergence,
+)
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
 
@@ -18,6 +33,9 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "rank",
+    "inv",
+    "svd",
+    "eigh",
     "pinv",
     "psd_sqrt",
     "expm",
@@ -66,6 +84,25 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the array ``a`` is finite.
+
+    The sum of squares of the entries is one BLAS call; only when it is not
+    finite (a NaN, an infinity, or finite entries whose squares overflow) is
+    every entry tested, so an overflow never reads as non-finite (numpy
+    reports it as usual, by default with an overflow ``RuntimeWarning``).
+    """
+    r = a.ravel()
+    return math.isfinite(r.dot(r)) or bool(np.isfinite(r).all())
+
+
+def _norm(a: np.ndarray) -> float:
+    """``float(np.linalg.norm(a))`` (the 2-norm of a vector, the Frobenius
+    norm of a matrix), by the same operations without the wrapper."""
+    r = a.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Average a square matrix with its transpose (roundoff-drift control)."""
     s = m + m.T
@@ -87,17 +124,47 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
+# the floating-point error state np.linalg sets around each gufunc: an invalid
+# value (LAPACK's failure signal) calls numpy's raiser, the rest is ignored
+def _lapack_errstate(call):
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+@_lapack_errstate(_raise_linalgerror_singular)
+def inv(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(a)`` of a square float64 matrix, bitwise, by numpy's
+    own gufunc; a singular ``a`` raises numpy's ``LinAlgError``."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+@_lapack_errstate(_raise_linalgerror_svd_nonconvergence)
+def svd(a: np.ndarray, full_matrices: bool = True):
+    """``np.linalg.svd(a, full_matrices)`` of a float64 matrix as a plain
+    ``(u, s, vh)`` tuple, bitwise, by numpy's own gufunc."""
+    gufunc = _umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s
+    return gufunc(a, signature="d->ddd")
+
+
+@_lapack_errstate(_raise_linalgerror_eigenvalues_nonconvergence)
+def eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)`` (lower triangle) of a square float64 matrix as a
+    plain ``(w, v)`` tuple, bitwise, by numpy's own gufunc."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
 def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse; an empty matrix maps to its empty transpose.
 
     Singular values at or below ``rank_rel * smax`` count as zero.  The steps
-    are those of ``np.linalg.pinv(a, rcond=tol.rank_rel)``, so the result is
-    bitwise the same, without that wrapper's per-call cost.
+    are those of ``np.linalg.pinv(a, rcond=tol.rank_rel)``, with the SVD of
+    :func:`svd`, so the result is bitwise the same, without the wrappers'
+    per-call cost.
     """
     a = _as_matrix(m)
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]))
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = svd(a, full_matrices=False)
     large = s > tol.rank_rel * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
@@ -119,7 +186,7 @@ def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     scale = float(np.max(np.abs(a))) or 1.0
     if np.max(np.abs(a - a.T)) > tol.zero_abs * max(1.0, scale):
         raise InvalidInputError("psd_sqrt input is not symmetric to tolerance")
-    w, v = np.linalg.eigh(symmetrize(a))
+    w, v = eigh(symmetrize(a))
     if w[0] < -tol.zero_abs:
         raise NotPositiveDefiniteError(
             f"matrix has eigenvalue {w[0]:.3e} below -zero_abs; not PSD"

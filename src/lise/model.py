@@ -8,7 +8,9 @@ A system step bundles the eight matrices of
 where ``u`` is a known input and ``d`` an unknown one that may act on the
 dynamics (through G), on the measurement (through H), or both.  Models are
 either time-invariant (one fixed step) or time-varying (a pure provider
-function of the step index).  Continuous-time models are converted with a
+function of the step index).  A time-varying model remembers the last step
+its provider built, so callers that ask for the same k in turn (filters run
+side by side, one k at a time) share one step object and one call.  Continuous-time models are converted with a
 zero-order hold on both known and unknown inputs.
 """
 
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DEFAULT_TOL, Tolerance, expm, rank
+from .linalg import DEFAULT_TOL, Tolerance, _finite, expm, rank
 
 __all__ = [
     "SystemStep",
@@ -33,7 +35,17 @@ __all__ = [
 
 
 def _mat(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
-    a = np.array(value, dtype=float)
+    """``value`` as a read-only float64 2-D array of the given shape.
+
+    An array that is already read-only float64 and owns its data (such as
+    the matrices of another step) is taken as is; anything else is copied,
+    so that no later write to the input reaches the result.
+    """
+    if (type(value) is np.ndarray and value.dtype == np.float64 and value.base is None
+            and not value.flags.writeable):
+        a = value
+    else:
+        a = np.array(value, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {a.shape}")
     if rows is not None and a.shape[0] != rows:
@@ -42,6 +54,10 @@ def _mat(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must have {cols} columns, got {a.shape[1]}")
     a.setflags(write=False)
     return a
+
+
+# the eight matrices of a system step
+_MATRICES = ("A", "B", "C", "D", "G", "H", "Q", "R")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +91,7 @@ class SystemStep:
         h = _mat(self.H, l, g.shape[1], "H")
         q = _mat(self.Q, n, n, "Q")
         r = _mat(self.R, l, l, "R")
-        for name, val in (("A", a), ("B", b), ("C", c), ("D", d),
-                          ("G", g), ("H", h), ("Q", q), ("R", r)):
+        for name, val in zip(_MATRICES, (a, b, c, d, g, h, q, r)):
             object.__setattr__(self, name, val)
 
     @property
@@ -96,12 +111,24 @@ class SystemStep:
         return self.C.shape[0]
 
 
+def _nonfinite_matrix(step: SystemStep) -> Optional[str]:
+    """The name of the first of the eight matrices of ``step`` that has a
+    non-finite entry, or ``None``."""
+    for name in _MATRICES:
+        if not _finite(getattr(step, name)):
+            return name
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Time-invariant or time-varying system.
 
     Time-varying models are supplied as a deterministic provider ``k -> SystemStep``
-    so the whole horizon never needs to be materialized.
+    so the whole horizon never needs to be materialized.  :meth:`step` keeps
+    the last step the provider returned, with its k, and hands that object
+    out again while the same k is asked for; being deterministic, the
+    provider would have built an equal step.
     """
 
     n: int
@@ -111,6 +138,8 @@ class SystemModel:
     fixed: Optional[SystemStep] = None
     provider: Optional[Callable[[int], SystemStep]] = None
     horizon_hint: Optional[int] = None
+    # (k, step) of the last provider call
+    _last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
     def time_invariant(cls, step: SystemStep, horizon_hint: int | None = None) -> "SystemModel":
@@ -128,8 +157,17 @@ class SystemModel:
         return self.fixed is not None
 
     def step(self, k: int) -> SystemStep:
+        """The system step at time ``k``.
+
+        A time-varying model calls its provider only when ``k`` differs from
+        the k of the previous call, and otherwise returns the same step
+        object again; a step whose dims do not match is not remembered.
+        """
         if self.fixed is not None:
             return self.fixed
+        last = self._last
+        if last is not None and last[0] == k:
+            return last[1]
         if self.provider is None:
             raise InvalidInputError("model has neither fixed step nor provider")
         s = self.provider(k)
@@ -138,6 +176,7 @@ class SystemModel:
                 f"provider returned dims {(s.n, s.m, s.p, s.l)} at k={k}, "
                 f"expected {(self.n, self.m, self.p, self.l)}"
             )
+        object.__setattr__(self, "_last", (k, s))
         return s
 
 
@@ -152,7 +191,7 @@ class Violation:
 
 def _check_step(step: SystemStep, k: int, tol: Tolerance) -> list[Violation]:
     out = []
-    for name in ("A", "B", "C", "D", "G", "H", "Q", "R"):
+    for name in _MATRICES:
         a = getattr(step, name)
         if a.size and not np.all(np.isfinite(a)):
             out.append(Violation(k, name, f"{name} has non-finite entries"))

@@ -28,7 +28,9 @@ single saved key, so its memory does not grow with the horizon.  Once
 it finds a repeat (always before three times the step of the first one), the
 pass stops calling the step function, and each later step reuses the gains
 and covariances of the step one period earlier and runs only the estimate
-update the step functions share.  No tolerance is involved, so every output
+update the step functions share: its products of the data alone are formed
+for all served steps at once, and only its recursive remainder runs per
+step.  No tolerance is involved, so every output
 is bitwise what stepping the filter at every k gives;
 :attr:`FilterRun.gain_cycle` says from which step the cycle is served.
 Time-varying models and the Kalman filter step at every k.
@@ -36,7 +38,6 @@ Time-varying models and the Kalman filter step at every k.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
     KalmanState,
+    _data_products,
+    _estimate_recursion,
     _estimate_update,
     _feedthrough_input,
     _gain_key,
@@ -62,7 +65,7 @@ from .filters import (
     ulise_init,
     ulise_step,
 )
-from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
+from .linalg import DEFAULT_TOL, Tolerance, _norm, psd_sqrt
 from .model import SystemModel, SystemStep, validate
 from .signals import Samples, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
@@ -238,6 +241,12 @@ class _StepGains:
                                 self.dec_prev, self.dec, self.m2, self.m2_state,
                                 self.gain_l, self.from_propagated)
 
+    def recursion(self, xhat, d1hat, y, products):
+        """:func:`filters._estimate_recursion` with this record's gains."""
+        return _estimate_recursion(xhat, d1hat, y, products, self.step_prev, self.step,
+                                   self.dec_prev, self.dec, self.m2, self.m2_state,
+                                   self.gain_l, self.from_propagated)
+
 
 @dataclass
 class FilterRun:
@@ -402,12 +411,17 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
     """Serve the steps from ``cycle = (k, period)`` on by the estimate update
     alone, appending to the pass's series in place.
 
-    Each step reuses the gain record (model steps and decompositions
-    included) and covariance diagonals of the step one period earlier.  One
-    scan checks the inputs of all these steps first.  The first step with a
-    non-finite ``y``, ``u`` or ``u_prev`` is not served: it raises the
-    :class:`InvalidInputError` the step function would raise, naming the
-    inputs in that order.
+    Each step reuses the gain record and covariance diagonals of the step one
+    period earlier.  A cycle is served only on a time-invariant model, so
+    every step shares the model step and decomposition of ``state``: the
+    data-only products of the estimate update (:func:`filters._data_products`)
+    are formed for the whole range at once by :func:`_gemv`, bitwise as each
+    step would form them, the loop runs only the recursive remainder
+    (:func:`filters._estimate_recursion`), and ``dhat = V1 d1 + V2 d2`` is
+    formed for the range after it.  One scan checks the inputs of all these
+    steps first.  The first step with a non-finite ``y``, ``u`` or
+    ``u_prev`` is not served: it raises the :class:`InvalidInputError` the
+    step function would raise, naming the inputs in that order.
     """
     start, period = cycle
     n_steps = xhat.shape[0]
@@ -415,15 +429,23 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
     ok = np.stack([np.isfinite(ys[start:n_steps + 1]).all(axis=1), u_ok[1:], u_ok[:-1]])
     bad = np.flatnonzero(~ok.all(axis=0))
     stop = start + int(bad[0]) if bad.size else n_steps + 1
+    step, dec = state.step, state.dec
+    products = _data_products(ys[start:stop], us[start:stop], us[start - 1:stop - 1],
+                              step, step, dec, mul=_gemv)
+    d1_in = np.empty((stop - start, dec.p_h))
+    d2 = np.empty((stop - start, dec.V2.shape[1]))
     x, d1 = state.xhat, state.d1hat
-    for k in range(start, stop):
+    for j, row in enumerate(zip(*products)):
+        k = start + j
         i = k - 1
         g = gains[i - period]
-        x, d1, dhat[i], _ = g.update(x, d1, ys[k], us[k], us[k - 1])
+        d1_in[j] = d1
+        x, d1, d2[j], _ = g.recursion(x, d1, ys[k], row)
         xhat[i] = x
         px_diag[i] = px_diag[i - period]
         pd_diag[i] = pd_diag[i - period]
         gains.append(g)
+    dhat[start - 1:stop - 1] = _gemv(dec.V1, d1_in) + _gemv(dec.V2, d2)
     if bad.size:
         raise _nonfinite_error(("y", "u", "u_prev")[int(np.argmin(ok[:, bad[0]]))], stop)
 
@@ -501,7 +523,7 @@ def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
     # the filter initialisation of every run, on the columns of (n, M) stacks
     dec0 = g0.dec_prev
     x = np.broadcast_to(x0_mean, (runs, n))
-    d1 = _feedthrough_input(dec0, dec0.T1 @ ys[:, 0].T, x.T, us[0][:, None])
+    d1 = _feedthrough_input(dec0, dec0.T1 @ ys[:, 0].T, x.T, dec0.D1 @ us[0][:, None])
     s = np.concatenate([x, d1.T], axis=1)
     for i, g in enumerate(gains):
         fs, fy, fu, w = maps[id(g)]
@@ -649,11 +671,6 @@ def _atomic_write(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` of a 1-D array, by the same operations."""
-    return math.sqrt(v.dot(v))
 
 
 def write_step_csv(result: RunResult, path) -> None:

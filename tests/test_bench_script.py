@@ -1,9 +1,13 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +37,19 @@ def test_comparison_counts_wins_in_the_better_direction(bench):
     assert (lower["wins"], higher["wins"], lower["pairs"]) == (2, 1, 3)
     assert lower["median_change_pct"] == pytest.approx(-10.0)
     assert lower["base_quartile_distance_pct"] == 0.0
+
+
+def test_ab_steps_runs_one_repetition_on_the_same_checkout():
+    # both sides are this checkout, so their outputs must be bitwise equal
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_steps.py"), "--checkout", f"a={ROOT}",
+         "--checkout", f"b={ROOT}", "--reps", "1", "--steps", "20", "--configs", "fault_h1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("online", "run"):
+        res = report[name]
+        assert res["bitwise_equal"] and res["reps"] == 1
+        assert len(res["a"]["runs_s"]) == len(res["b"]["runs_s"]) == 1
+        assert res["wins"] in (0, 1)
+    assert "outputs bitwise equal: yes" in proc.stdout

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from conftest import online_plant, random_pd, random_system
 from oracles import decompose_oracle
 from lise.decomposition import (
+    _CACHE,
     _FACTOR_CACHE_SIZE,
     OutputDecomposition,
     _cached_decomposition,
+    _step_context,
     decompose,
     decompose_cached,
     decoupled_dynamics,
@@ -278,6 +281,54 @@ class TestFactorCache:
         # H leave the total where it was
         assert full < 64 * 8 * 1024, full
         assert abs(later - full) < 8 * 1024, (full, later)
+
+
+class TestStepContext:
+    """The per-step-object entry of decompose_cached."""
+
+    def test_holds_the_decoupled_dynamics_and_blockmap(self, fault_models):
+        for model in fault_models.values():
+            step = SystemStep(**{name: getattr(model.step(0), name) for name in "ABCDGHQR"})
+            dec = decompose_cached(step)
+            ctx = _step_context(step)
+            assert ctx.dec is dec
+            ahat, qhat = decoupled_dynamics(step, dec)
+            assert ctx.ahat.tobytes() == ahat.tobytes()
+            assert ctx.qhat.tobytes() == qhat.tobytes()
+            assert ctx.blockmap is ctx.blockmap
+            want = np.hstack([step.A, dec.G1, dec.G2])
+            assert ctx.blockmap.tobytes() == want.tobytes()
+            for arr in (ctx.ahat, ctx.qhat, ctx.blockmap):
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+    def test_one_entry_per_step_object_and_tolerance(self, fault_models):
+        step = fault_models[1].step(0)
+        loose = Tolerance(rank_rel=1e-8)
+        assert _step_context(step) is _step_context(step)
+        assert _step_context(step, loose) is not _step_context(step)
+        assert set(_CACHE[step]) >= {DEFAULT_TOL, loose}
+
+    def test_the_step_is_not_kept_alive(self, fault_models):
+        base = fault_models[1].step(0)
+        step = SystemStep(**{name: getattr(base, name) for name in "ABCDGHQR"})
+        _step_context(step).blockmap
+        ref = weakref.ref(step)
+        del step
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("matrix", list("ABCDGHQR"))
+    def test_nonfinite_matrix_raises_on_every_call(self, fault_models, matrix):
+        base = fault_models[1].step(0)
+        mats = {name: getattr(base, name) for name in "ABCDGHQR"}
+        bad = np.array(mats[matrix])
+        bad[0, 0] = np.inf
+        step = SystemStep(**{**mats, matrix: bad})
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=f"^{matrix} has non-finite entries$"):
+                decompose_cached(step)
+        assert step not in _CACHE
 
 
 @settings(max_examples=30, deadline=None)

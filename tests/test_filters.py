@@ -1,5 +1,8 @@
+import dataclasses
 import gc
 import tracemalloc
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,16 +12,25 @@ from hypothesis import strategies as st
 
 from conftest import config_scenario, online_plant, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
+import lise.decomposition
 from lise.decomposition import decompose, decompose_cached, decoupled_dynamics
-from lise.errors import EstimabilityError, InvalidInputError, NumericalError
+from lise.errors import (
+    EstimabilityError,
+    GainConstructionError,
+    InvalidInputError,
+    NumericalError,
+)
 from lise.decomposition import _FACTOR_CACHE_SIZE
 from lise.filters import (
     GammaPolicy,
+    _check_vector,
     _factor_solve,
+    _input_gain_gls,
     _pair_context,
     _spd_factor,
     _spd_solve,
     _sym_block,
+    _whitened_complement_reduction,
     compute_gain_L,
     cywz_step,
     kalman_init,
@@ -139,6 +151,53 @@ class TestNonFiniteInputs:
         init, _ = _FILTER_FNS[name]
         with pytest.raises(InvalidInputError, match=f"{field} at k=0"):
             init(model, args["x0_mean"], args["P0"], args["y0"], args["u0"])
+
+
+    @pytest.mark.parametrize("name,matrix", [
+        (name, matrix) for name in sorted(_FILTER_FNS)
+        for matrix in ("A", "B", "C", "D", "G", "H", "Q", "R")
+        # G and H are empty when p = 0
+        if not (name == "KALMAN" and matrix in ("G", "H"))])
+    @pytest.mark.parametrize("bad_k", [0, 5])
+    def test_nonfinite_model_matrix_is_rejected(self, name, matrix, bad_k):
+        # a provider step with a NaN entry fails at its first use, init
+        # included, with an InvalidInputError naming the matrix and the step;
+        # no filter returns a non-finite estimate
+        rng = np.random.default_rng(23)
+        p = 0 if name == "KALMAN" else 2
+        model0 = random_system(rng, n=4, l=3, p=p, p_h=min(p, 1))
+        base = model0.step(0)
+        poisoned = np.array(getattr(base, matrix))
+        poisoned[-1, 0] = np.nan
+
+        def provider(k):
+            return dataclasses.replace(base, **({matrix: poisoned} if k == bad_k else {}))
+
+        model = SystemModel.time_varying(provider, dims=(4, 1, p, 3))
+        ys = rng.standard_normal((8, 3))
+        us = rng.standard_normal((8, 1))
+        init, step_fn = _FILTER_FNS[name]
+        match = f"{matrix} at k={bad_k} has non-finite entries"
+        if bad_k == 0:
+            with pytest.raises(InvalidInputError, match=match):
+                init(model, np.zeros(4), np.eye(4), ys[0], us[0])
+            return
+        state = init(model, np.zeros(4), np.eye(4), ys[0], us[0])
+        for k in range(1, bad_k):
+            state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
+            assert np.all(np.isfinite(out.xhat))
+        for _ in range(2):  # a failure is not remembered: it raises again
+            with pytest.raises(InvalidInputError, match=match):
+                step_fn(state, ys[bad_k], us[bad_k], us[bad_k - 1], model)
+
+    def test_overflowing_but_finite_vector_is_accepted(self):
+        # the sum of squares overflows (numpy's overflow warning is silenced
+        # here), yet every entry is finite
+        big = np.array([1e200, -1e200, 3.0])
+        with np.errstate(over="ignore"):
+            assert _check_vector(big, 3, "y", 4) is big
+            with pytest.raises(InvalidInputError, match="y at k=4 has non-finite entries"):
+                _check_vector(np.array([1e200, np.inf, 3.0]), 3, "y", 4)
 
 
 class TestKalmanCollapse:
@@ -609,6 +668,37 @@ class TestStepInvariants:
             state, _ = step_fn(state, ys[k], us[k], us[k - 1], model)
         assert calls == list(range(21))
 
+    def test_interleaved_filters_share_one_provider_call_per_k(self, monkeypatch):
+        # ULISE, PLISE and CYWZ stepped side by side, one k at a time: the
+        # model's memo hands all three the step object of the first request,
+        # so 1000 steps make 1001 provider calls and 1001 decompositions
+        base = config_scenario("fault_h1").model.step(0)
+        h2 = config_scenario("fault_h2").model.step(0).H
+        calls = []
+
+        def provider(k):
+            calls.append(k)
+            return SystemStep(A=(1.0 + 0.2 * np.sin(k / 80.0)) * base.A, B=base.B,
+                              C=base.C, D=base.D, G=base.G,
+                              H=base.H if (k // 100) % 2 == 0 else h2, Q=base.Q, R=base.R)
+
+        decomposed = []
+        real = lise.decomposition.decompose
+        monkeypatch.setattr(lise.decomposition, "decompose",
+                            lambda step, tol: decomposed.append(step) or real(step, tol))
+        model = SystemModel.time_varying(provider, dims=(5, 1, 3, 5), horizon_hint=1000)
+        rng = np.random.default_rng(4)
+        ys = rng.standard_normal((1001, 5))
+        us = rng.standard_normal((1001, 1))
+        fns = [(ulise_init, ulise_step), (plise_init, plise_step), (ulise_init, cywz_step)]
+        states = [init(model, np.zeros(5), np.eye(5), ys[0], us[0]) for init, _ in fns]
+        for k in range(1, 1001):
+            for i, (_, step_fn) in enumerate(fns):
+                states[i], _ = step_fn(states[i], ys[k], us[k], us[k - 1], model)
+            assert states[0].step is states[1].step is states[2].step
+        assert calls == list(range(1001))
+        assert len(decomposed) == 1001 and len({id(s) for s in decomposed}) == 1001
+
     def test_gain_constraint_annihilates_feedthrough_directions(self, fault_models):
         outs = _drive(fault_models[1], 30)
         dec = decompose_cached(fault_models[1].step(0))
@@ -680,3 +770,44 @@ def test_sym_block_equals_np_block(seed, sizes):
     want = np.block(full)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+class TestSingularBranches:
+    """The error branches of the gain solves, on hand-made inputs that reach
+    them directly."""
+
+    def test_singular_input_information_matrix(self):
+        # a zero column of C2 G2 makes (C2 G2)' R2~^-1 (C2 G2) singular
+        dec = SimpleNamespace(C2=np.eye(2), R2=np.eye(2))
+        c2g2 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError,
+                           match="input-estimate information matrix is singular"):
+            _input_gain_gls(np.eye(2), dec, c2g2)
+
+    def test_singular_closed_form_core(self):
+        # U2 = U1 (not a valid decomposition) lets C G2 M2 U2' cancel U1, so
+        # U1' r_hat^-1 (I - C G2 M2 U2') U1 = 0
+        e1 = np.array([[1.0], [0.0]])
+        dec = SimpleNamespace(U1=e1, U2=e1, p_h=1, sigma_inv=np.eye(1), H1=e1)
+        step = SimpleNamespace(C=np.eye(2), R=np.eye(2))
+        with pytest.raises(GainConstructionError,
+                           match="reduced gain core is singular for this step"):
+            compute_gain_L(np.eye(2), step, dec, e1, np.zeros((2, 1)),
+                           GammaPolicy.DAROUACH, r_hat=np.eye(2))
+
+    def test_inadmissible_pseudo_inverse_reduction(self):
+        # r_star = diag(0, 1) has no range along U1 = e1
+        e1 = np.array([[1.0], [0.0]])
+        dec = SimpleNamespace(U1=e1, U2=np.array([[0.0], [1.0]]), p_h=1,
+                              sigma_inv=np.eye(1), H1=e1)
+        step = SimpleNamespace(C=np.eye(2), R=np.diag([0.0, 1.0]))
+        with pytest.raises(GainConstructionError, match="U1' r_check U1 is singular"):
+            compute_gain_L(np.zeros((2, 2)), step, dec, np.zeros((2, 1)),
+                           np.zeros((2, 1)), GammaPolicy.PSEUDO_INVERSE)
+
+    def test_singular_whitened_complement(self):
+        # r_star = 0 leaves nothing to invert on the complement
+        with pytest.raises(GainConstructionError,
+                           match="reduced innovation covariance is singular"):
+            _whitened_complement_reduction(np.eye(2), np.zeros((2, 2)), np.eye(2),
+                                           np.zeros((2, 0)))

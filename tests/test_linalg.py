@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,19 @@ from hypothesis import strategies as st
 from conftest import config_scenario
 from oracles import vehicle_tracking_model
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
-from lise.linalg import DEFAULT_TOL, Tolerance, expm, pinv, psd_sqrt, rank
+from lise.linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _finite,
+    _norm,
+    eigh,
+    expm,
+    inv,
+    pinv,
+    psd_sqrt,
+    rank,
+    svd,
+)
 
 H1 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float)
 H2 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
@@ -53,6 +66,96 @@ def test_pinv_is_bitwise_numpy_pinv(seed, rows, cols, rk):
         got = pinv(a, tol)
         want = np.linalg.pinv(a, rcond=tol.rank_rel)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _bitwise(got, want):
+    assert type(got) is type(want) is np.ndarray
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _outcome(fn, a):
+    """``fn(a)`` as a tuple of arrays, or the type and text of what it raised."""
+    try:
+        out = fn(a)
+    except Exception as exc:  # noqa: BLE001 - compared between two callables
+        return type(exc), str(exc)
+    return tuple(out) if isinstance(out, tuple) else (out,)
+
+
+# each direct kernel and the public numpy call it must reproduce bit for bit
+_KERNELS = {
+    "inv": (inv, np.linalg.inv),
+    "svd_full": (svd, np.linalg.svd),
+    "svd_reduced": (lambda a: svd(a, full_matrices=False),
+                    lambda a: np.linalg.svd(a, full_matrices=False)),
+    "eigh": (eigh, np.linalg.eigh),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.booleans(), st.sampled_from(sorted(_KERNELS)))
+def test_direct_kernels_are_bitwise_numpy(seed, rows, cols, rk, symmetric, kernel):
+    # rank-deficient (the zero matrix at rank 0), non-symmetric and symmetric
+    # inputs; a numpy that renames or changes a gufunc fails here
+    rng = np.random.default_rng(seed)
+    if kernel != "svd_full" and kernel != "svd_reduced":
+        cols = rows
+    rk = min(rk, rows, cols)
+    a = rng.standard_normal((rows, rk)) @ rng.standard_normal((rk, cols))
+    if symmetric and rows == cols:
+        a = a + a.T
+    got, want = (_outcome(fn, a) for fn in _KERNELS[kernel])
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _bitwise(g, w)
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@pytest.mark.parametrize("case", ["singular", "nan", "inf", "zero"])
+def test_direct_kernels_fail_as_numpy_does_and_warn_nothing(kernel, case):
+    a = {"singular": np.array([[1.0, 2.0], [2.0, 4.0]]), "nan": np.full((3, 3), np.nan),
+         "inf": np.array([[np.inf, 0.0], [0.0, 1.0]]), "zero": np.zeros((3, 3))}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = (_outcome(fn, a) for fn in _KERNELS[kernel])
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            _bitwise(g, w)
+
+
+def test_direct_kernels_raise_numpy_linalg_errors():
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        svd(np.full((3, 2), np.nan))
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        eigh(np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("a", [np.zeros(0), np.arange(5.0), np.arange(12.0).reshape(3, 4),
+                               np.arange(12.0).reshape(3, 4).T, np.full(3, 1e200)])
+def test_norm_is_bitwise_numpy_norm(a):
+    with np.errstate(over="ignore"):
+        assert _norm(a) == float(np.linalg.norm(a))
+
+
+def test_finite():
+    assert _finite(np.zeros((0, 3)))
+    assert _finite(np.eye(3))
+    with np.errstate(over="ignore"):
+        # squares that overflow are not non-finite entries
+        assert _finite(np.array([[1e300, -1e300]]))
+    assert not _finite(np.array([[1.0, np.nan]]))
+    assert not _finite(np.array([1.0, -np.inf]))
+    # a transposed (non-contiguous) view is tested entry by entry too
+    assert not _finite(np.array([[1.0, 2.0], [np.nan, 3.0]]).T)
 
 
 class TestPinv:

@@ -40,6 +40,79 @@ class TestSystemStep:
             s.A[0, 0] = 9.0
 
 
+    def test_step_rebuilt_from_another_steps_matrices_shares_them(self):
+        s = _simple_step()
+        t = SystemStep(A=s.A, B=s.B, C=s.C, D=s.D, G=s.G, H=s.H, Q=s.Q, R=s.R)
+        for name in "ABCDGHQR":
+            assert getattr(t, name) is getattr(s, name)
+
+    def test_writable_input_is_copied(self):
+        a = np.diag([0.5, 0.2])
+        s = _simple_step(A=a)
+        a[0, 0] = 9.0
+        assert s.A[0, 0] == 0.5 and s.A is not a
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        big = np.diag([0.5, 0.2, 0.1])
+        view = big[:2, :2]
+        view.setflags(write=False)
+        s = _simple_step(A=view)
+        big[0, 0] = 9.0
+        assert s.A[0, 0] == 0.5 and s.A.base is None
+
+    def test_other_dtypes_and_subclasses_are_converted(self):
+        a = np.eye(2, dtype=np.float32)
+        a.setflags(write=False)
+        assert _simple_step(A=a).A.dtype == np.float64
+
+        class Sub(np.ndarray):
+            pass
+
+        sub = np.eye(2).view(Sub).copy()
+        sub.setflags(write=False)
+        assert sub.base is None and type(_simple_step(A=sub).A) is np.ndarray
+
+
+class TestProviderMemo:
+    """A time-varying model asks its provider once per run of equal k."""
+
+    def _model(self, calls, dims=(2, 1, 1, 2)):
+        def provider(k):
+            calls.append(k)
+            return _simple_step(A=np.diag([0.5, 0.2]) * (1.0 + 0.01 * k))
+
+        return SystemModel.time_varying(provider, dims=dims)
+
+    def test_repeated_k_shares_one_step_object(self):
+        calls = []
+        model = self._model(calls)
+        steps = [model.step(k) for k in (0, 0, 1, 1, 1, 2)]
+        assert calls == [0, 1, 2]
+        assert steps[0] is steps[1] and steps[2] is steps[3] is steps[4]
+
+    def test_going_back_to_an_earlier_k_fetches_again(self):
+        calls = []
+        model = self._model(calls)
+        first = model.step(3)
+        model.step(4)
+        again = model.step(3)
+        assert calls == [3, 4, 3]
+        assert again is not first and np.array_equal(again.A, first.A)
+
+    def test_dims_mismatch_is_not_memoised(self):
+        calls = []
+        model = self._model(calls, dims=(2, 1, 1, 3))
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="provider returned dims"):
+                model.step(5)
+        assert calls == [5, 5]
+
+    def test_time_invariant_model_has_no_memo(self):
+        step = _simple_step()
+        model = SystemModel.time_invariant(step)
+        assert model.step(0) is model.step(7) is step
+
+
 class TestValidate:
     def test_fault_benchmark_is_valid(self, fault_models):
         model = fault_models[1]

@@ -316,6 +316,16 @@ class TestGainCycle:
             if fr.gain_cycle is not None:
                 _assert_periodic_from_cycle(fr)
 
+    @pytest.mark.parametrize("config", CONFIG_NAMES)
+    def test_bundled_configs_match_per_step_pass_at_full_horizon(self, config):
+        # the configs' own horizons, where every cycle of BUNDLED_CYCLES is
+        # served, those of period > 1 included (fault_h4, fault_h5, fault_h6)
+        sc = config_scenario(config, structural_checks=False)
+        res = run_scenario(sc)
+        _assert_same_runs(res, _per_step_run(sc))
+        got = {name: fr.gain_cycle for name, fr in res.filters.items()}
+        assert got == self.BUNDLED_CYCLES[config]
+
     # (k, period) of FilterRun.gain_cycle per filter at each config's horizon
     BUNDLED_CYCLES = {
         "fault_h1": {"ULISE": (129, 1), "PLISE": (133, 5), "CYWZ": (129, 1)},
