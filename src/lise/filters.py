@@ -58,15 +58,29 @@ data products for all of them at once.  The small inverses, SVDs and
 eigendecompositions call numpy's LAPACK gufuncs directly
 (:func:`lise.linalg.inv`, :func:`~lise.linalg.svd`,
 :func:`~lise.linalg.eigh`), bitwise what ``np.linalg`` gives, and the
-finiteness checks take one BLAS dot product, testing every entry only when
-it is not finite.
+finiteness checks sum the entries as Python floats, which never warns,
+testing every entry only when the sum is not finite.
+
+The matrix products of the gain half of ULISE, CYWZ and PLISE, of the
+Kalman step and of the estimate recursion on 1-D vectors use
+``ndarray.dot``: on C- or F-contiguous operands it makes the same BLAS call
+as ``@`` (gemm, gemv, syrk or ddot) and so gives the same bits, without the
+matmul gufunc's per-call dispatch, which is most of the cost of a product
+of 5 x 5 matrices.  ``@`` (``np.matmul``) stays for stacked and broadcast
+products (:func:`_estimate_update` on the stacked records of
+:mod:`lise.simulate`) and wherever an operand is a view that is neither C-
+nor F-contiguous: the decomposition's ``U2`` and ``T2 = U2.T`` (column
+blocks of the SVD factor of H, when ``0 < rank(H) < l``) and the column
+block of the projection SVD in :func:`_whitened_complement_reduction`.
+``dot`` would copy such a view and could take another BLAS kernel (a gemv
+on the copy of ``T2`` rounds differently).  So :func:`_data_products`,
+which forms ``T2 y``, always uses ``np.matmul``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -231,7 +245,7 @@ def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (size,):
         raise InvalidInputError(f"{name} at k={k} must have shape ({size},), got {a.shape}")
-    if not (math.isfinite(a.dot(a)) or np.isfinite(a).all()):
+    if not _finite(a):
         raise _nonfinite_error(name, k)
     return a
 
@@ -364,7 +378,7 @@ def _pair_context(dec_prev: OutputDecomposition, dec: OutputDecomposition,
     context.  Raises :class:`EstimabilityError` when ``rank(C2 G2)`` falls
     short of the width of G2[k-1], on every call: failures are not cached.
     """
-    c2g2 = dec.C2 @ dec_prev.G2
+    c2g2 = dec.C2.dot(dec_prev.G2)
     need = dec_prev.G2.shape[1]
     if need:
         s = np.linalg.svd(c2g2, compute_uv=False)
@@ -381,9 +395,9 @@ def _pair_context(dec_prev: OutputDecomposition, dec: OutputDecomposition,
 def _input_gain_gls(p_tilde, dec_k, c2g2):
     """BLUE gain for the dynamics-only input component, plus its covariance,
     given ``c2g2`` of the step's :class:`_PairContext`."""
-    r2_tilde = symmetrize(dec_k.C2 @ p_tilde @ dec_k.C2.T + dec_k.R2)
+    r2_tilde = symmetrize(dec_k.C2.dot(p_tilde).dot(dec_k.C2.T) + dec_k.R2)
     x = _spd_solve(r2_tilde, c2g2, "innovation covariance of the feedthrough-free output")
-    gram = c2g2.T @ x
+    gram = c2g2.T.dot(x)
     if c2g2.shape[1]:
         try:
             pd2 = inv(gram)
@@ -392,7 +406,7 @@ def _input_gain_gls(p_tilde, dec_k, c2g2):
         pd2 = symmetrize(pd2)
     else:
         pd2 = np.zeros((0, 0))
-    m2 = pd2 @ x.T
+    m2 = pd2.dot(x.T)
     return m2, pd2
 
 
@@ -421,42 +435,42 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
     """
     c, r = step.C, step.R
     l = c.shape[0]
-    k_gain = px_star @ c.T - g2m2 @ dec.U2.T @ r
+    k_gain = px_star.dot(c.T) - (g2m2 @ dec.U2.T).dot(r)
 
     if gamma is GammaPolicy.DAROUACH and r_hat is None:
         raise InvalidInputError("DAROUACH policy needs the pre-update covariance r_hat")
     if gamma is GammaPolicy.DAROUACH and closed_form:
         what = "pre-update innovation covariance"
         r_hat_chol = _spd_factor(r_hat, what)
-        n_mat = _eye(l) - c @ g2m2 @ dec.U2.T
+        n_mat = _eye(l) - c.dot(g2m2) @ dec.U2.T
         rh_inv_n = _factor_solve(r_hat_chol, n_mat, what)
         if dec.p_h == 0:
-            return k_gain @ _factor_solve(r_hat_chol, _eye(l), what)
+            return k_gain.dot(_factor_solve(r_hat_chol, _eye(l), what))
         try:
-            core = inv(dec.U1.T @ rh_inv_n @ dec.U1)
+            core = inv(dec.U1.T.dot(rh_inv_n).dot(dec.U1))
         except np.linalg.LinAlgError as exc:
             raise GainConstructionError("reduced gain core is singular for this step") from exc
-        m1_star = dec.sigma_inv @ core @ dec.U1.T @ rh_inv_n
-        proj = _eye(l) - dec.H1 @ m1_star
+        m1_star = dec.sigma_inv.dot(core).dot(dec.U1.T).dot(rh_inv_n)
+        proj = _eye(l) - dec.H1.dot(m1_star)
         # proj.T r_hat^-1 == (r_hat^-1 proj).T since r_hat is symmetric
-        return k_gain @ _factor_solve(r_hat_chol, proj, what).T
+        return k_gain.dot(_factor_solve(r_hat_chol, proj, what).T)
 
-    cross = c @ g2m2 @ dec.U2.T @ r
-    r_star = symmetrize(c @ px_star @ c.T + r - cross - cross.T)
+    cross = (c.dot(g2m2) @ dec.U2.T).dot(r)
+    r_star = symmetrize(c.dot(px_star).dot(c.T) + r - cross - cross.T)
     if gamma is GammaPolicy.DAROUACH:
         r_check = _whitened_complement_reduction(r_hat, r_star, c, g2_prev)
     else:
         r_check = pinv(r_star, tol)
     if dec.p_h == 0:
-        return k_gain @ r_check
+        return k_gain.dot(r_check)
     try:
-        core_inv = inv(dec.U1.T @ r_check @ dec.U1)
+        core_inv = inv(dec.U1.T.dot(r_check).dot(dec.U1))
     except np.linalg.LinAlgError as exc:
         raise GainConstructionError(
             "gain reduction is inadmissible: U1' r_check U1 is singular"
         ) from exc
-    m1_star = dec.sigma_inv @ core_inv @ dec.U1.T @ r_check
-    return k_gain @ (_eye(l) - dec.H1 @ m1_star).T @ r_check
+    m1_star = dec.sigma_inv.dot(core_inv).dot(dec.U1.T).dot(r_check)
+    return k_gain.dot((_eye(l) - dec.H1.dot(m1_star)).T).dot(r_check)
 
 
 def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
@@ -465,40 +479,41 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
     w, v = eigh(symmetrize(r_hat))
     if w[0] <= 0:
         raise NumericalError("pre-update innovation covariance is not PD")
-    rh_half_inv = (v * (w ** -0.5)) @ v.T
+    rh_half_inv = (v * (w ** -0.5)).dot(v.T)
     q = g2_prev.shape[1]
     if q:
-        u_t = svd(rh_half_inv @ c @ g2_prev)[0]
+        u_t = svd(rh_half_inv.dot(c).dot(g2_prev))[0]
     else:
         u_t = _eye(l)
     gam = u_t[:, q:].T @ rh_half_inv
-    core = gam @ r_star @ gam.T
+    core = gam.dot(r_star).dot(gam.T)
     try:
         core_inv = inv(core)
     except np.linalg.LinAlgError as exc:
         raise GainConstructionError("reduced innovation covariance is singular") from exc
-    return gam.T @ core_inv @ gam
+    return gam.T.dot(core_inv).dot(gam)
 
 
 def _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l) -> dict[str, float]:
     eye2 = _eye(c2g2.shape[1])
-    dev2 = _norm(m2 @ c2g2 - eye2) if c2g2.size else 0.0
+    dev2 = _norm(m2.dot(c2g2) - eye2) if c2g2.size else 0.0
     if m2_state is not m2 and c2g2.size:
-        dev2 = max(dev2, _norm(m2_state @ c2g2 - eye2))
+        dev2 = max(dev2, _norm(m2_state.dot(c2g2) - eye2))
     return {
         "m1_sigma": dec_k.m1_sigma_residual,
         "m2_c2g2": dev2,
-        "l_u1": _norm(gain_l @ dec_k.U1) if dec_k.p_h else 0.0,
+        "l_u1": _norm(gain_l.dot(dec_k.U1)) if dec_k.p_h else 0.0,
     }
 
 
-def _feedthrough_input(dec, z1, x, d1u):
+def _feedthrough_input(dec, z1, x, d1u, mul=np.matmul):
     """Estimate of the feedthrough input component, ``Sigma^-1 (z1 - C1 x - D1 u)``
-    with ``z1 = T1 y`` and ``d1u = D1 u``.
+    with ``z1 = T1 y`` and ``d1u = D1 u``, its products formed by ``mul`` as
+    in :func:`_estimate_recursion`.
 
     ``z1``, ``x`` and ``d1u`` may also be column stacks.
     """
-    return dec.sigma_inv @ (z1 - dec.C1 @ x - d1u)
+    return mul(dec.sigma_inv, z1 - mul(dec.C1, x) - d1u)
 
 
 def _data_products(y, u, u_prev, step_prev, step, dec, mul=np.matmul):
@@ -515,27 +530,30 @@ def _data_products(y, u, u_prev, step_prev, step, dec, mul=np.matmul):
 
 
 def _estimate_recursion(xhat, d1hat, y, products, step_prev, step, dec_prev, dec,
-                        m2, m2_state, gain_l, from_propagated: bool):
+                        m2, m2_state, gain_l, from_propagated: bool, mul=np.matmul):
     """The part of one step's estimate update that depends on the previous
     estimates, given the step's :func:`_data_products`.
 
     Returns ``(xhat, d1hat, d2hat, xstar)`` at ``k``, ``d2hat`` being the
     estimate of the dynamics-only input component of ``d_{k-1}``.  The
-    arguments are as in :func:`_estimate_update`.
+    arguments are as in :func:`_estimate_update`.  ``mul(mat, v)`` forms
+    every product: ``np.matmul`` for stacked matrices or column stacks, or
+    ``np.ndarray.dot``, the same BLAS call without the matmul gufunc's
+    dispatch, on 1-D vectors (every matrix here is C- or F-contiguous).
     """
     bu, z1, z2, d2u, du, d1u = products
-    xpred = step_prev.A @ xhat + bu + dec_prev.G1 @ d1hat
-    resid2 = z2 - dec.C2 @ xpred - d2u
-    d2hat = m2 @ resid2
-    d2hat_state = d2hat if m2_state is m2 else m2_state @ resid2
-    xstar = xpred + dec_prev.G2 @ d2hat_state
-    xhat = xstar + gain_l @ (y - step.C @ xstar - du)
+    xpred = mul(step_prev.A, xhat) + bu + mul(dec_prev.G1, d1hat)
+    resid2 = z2 - mul(dec.C2, xpred) - d2u
+    d2hat = mul(m2, resid2)
+    d2hat_state = d2hat if m2_state is m2 else mul(m2_state, resid2)
+    xstar = xpred + mul(dec_prev.G2, d2hat_state)
+    xhat = xstar + mul(gain_l, y - mul(step.C, xstar) - du)
     base = xstar if from_propagated else xhat
-    return xhat, _feedthrough_input(dec, z1, base, d1u), d2hat, xstar
+    return xhat, _feedthrough_input(dec, z1, base, d1u, mul), d2hat, xstar
 
 
 def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
-                     m2, m2_state, gain_l, from_propagated: bool):
+                     m2, m2_state, gain_l, from_propagated: bool, mul=np.matmul):
     """The data-dependent half of one filter step, given its gains.
 
     Advances the filtered state ``xhat`` and feedthrough-input estimate
@@ -549,17 +567,21 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     It is the step's :func:`_data_products`, then its
     :func:`_estimate_recursion`, then ``dhat_prev = V1 d1hat + V2 d2hat``; a
     caller holding the products of many steps (the served gain cycle of
-    :mod:`lise.simulate`) runs the same three parts itself.  Every product is
-    a plain ``@``, so the data arguments may also be column stacks (one
-    column per data vector), and the matrices of R records may be stacked
-    along a leading axis to evaluate them all at once.  On 1-D vectors every
-    product is a gemv, as in the step functions.
+    :mod:`lise.simulate`) runs the same three parts itself.  The data
+    products are always ``np.matmul``: ``T2`` is a view of the SVD factor
+    that may be neither C- nor F-contiguous, on which ``ndarray.dot`` would
+    copy and may take another BLAS kernel.  ``mul`` forms the rest.
+    With the default ``np.matmul`` the data arguments may also be column
+    stacks (one column per data vector), and the matrices of R records may
+    be stacked along a leading axis to evaluate them all at once; the step
+    functions pass ``np.ndarray.dot`` for their 1-D vectors.  On 1-D vectors
+    every product is a gemv either way, bitwise the same.
     """
     products = _data_products(y, u, u_prev, step_prev, step, dec)
     xhat_k, d1hat_k, d2hat, xstar = _estimate_recursion(
         xhat, d1hat, y, products, step_prev, step, dec_prev, dec, m2, m2_state,
-        gain_l, from_propagated)
-    dhat_prev = dec_prev.V1 @ d1hat + dec_prev.V2 @ d2hat
+        gain_l, from_propagated, mul)
+    dhat_prev = mul(dec_prev.V1, d1hat) + mul(dec_prev.V2, d2hat)
     return xhat_k, d1hat_k, dhat_prev, xstar
 
 
@@ -583,7 +605,8 @@ def _pd1(p: np.ndarray, dec: OutputDecomposition) -> np.ndarray:
     """Covariance of the feedthrough input estimate ``Sigma^-1 (z1 - C1 x -
     D1 u)`` when the state estimate ``x`` has covariance ``p``:
     ``Sigma^-1 (C1 p C1^T + R1) Sigma^-1``."""
-    return symmetrize(dec.sigma_inv @ (dec.C1 @ p @ dec.C1.T + dec.R1) @ dec.sigma_inv)
+    return symmetrize(dec.sigma_inv.dot(dec.C1.dot(p).dot(dec.C1.T) + dec.R1)
+                      .dot(dec.sigma_inv))
 
 
 def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
@@ -628,38 +651,38 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
     # estimation of the dynamics-only input component d2 at k-1
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
-    p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
+    p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
     pd1_prev = _pd1(state.px, dp)
     ctx = _pair_context(dp, dec_k, tol)
     c2g2 = ctx.c2g2
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
     m2_state = ctx.c2g2_pinv if ols_state_gain else m2
 
-    w2 = dec_k.C2.T @ m2.T
-    pd12 = (dp.si_c1 @ state.px @ step_prev.A.T @ w2
-            - pd1_prev @ dp.G1.T @ w2)
-    pd_prev = dp.V @ _sym_block([[pd1_prev, pd12], [pd2]]) @ dp.V.T
+    w2 = dec_k.C2.T.dot(m2.T)
+    pd12 = (dp.si_c1.dot(state.px).dot(step_prev.A.T).dot(w2)
+            - pd1_prev.dot(dp.G1.T).dot(w2))
+    pd_prev = dp.V.dot(_sym_block([[pd1_prev, pd12], [pd2]])).dot(dp.V.T)
 
     # time update
-    g2m2 = dp.G2 @ m2_state
-    igmc = _eye(n) - g2m2 @ dec_k.C2
-    px_star = symmetrize(g2m2 @ dec_k.R2 @ m2_state.T @ dp.G2.T
-                         + igmc @ p_tilde @ igmc.T)
+    g2m2 = dp.G2.dot(m2_state)
+    igmc = _eye(n) - g2m2.dot(dec_k.C2)
+    px_star = symmetrize(g2m2.dot(dec_k.R2).dot(m2_state.T).dot(dp.G2.T)
+                         + igmc.dot(p_tilde).dot(igmc.T))
 
     # measurement update; p_tilde is exactly the pre-update second moment for
     # this variant (the updated-state input estimate makes them coincide), so
     # the reduction may use the SVD-free closed form on the GLS path
-    r_hat = symmetrize(step.C @ p_tilde @ step.C.T + step.R)
+    r_hat = symmetrize(step.C.dot(p_tilde).dot(step.C.T) + step.R)
     gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2, gamma, tol,
                             r_hat=r_hat, closed_form=not ols_state_gain)
-    ilc = _eye(n) - gain_l @ step.C
-    noise_cross = ilc @ (g2m2 @ dec_k.U2.T @ step.R) @ gain_l.T
-    px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
-                    + gain_l @ step.R @ gain_l.T)
+    ilc = _eye(n) - gain_l.dot(step.C)
+    noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
+    px = symmetrize(noise_cross + noise_cross.T + ilc.dot(px_star).dot(ilc.T)
+                    + gain_l.dot(step.R).dot(gain_l.T))
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2_state, gain_l, state.d1_from_propagated)
+        m2, m2_state, gain_l, state.d1_from_propagated, np.ndarray.dot)
 
     new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, step=step, dec=dec_k)
     out = StepOutput(
@@ -715,21 +738,21 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     n = step.n
 
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
-    p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
+    p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
     c2g2 = _pair_context(dp, dec_k, tol).c2g2
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
 
-    w2 = dec_k.C2.T @ m2.T
-    pxd2 = -state.px @ step_prev.A.T @ w2 - state.pxd1 @ dp.G1.T @ w2
-    pd12 = -state.pxd1.T @ step_prev.A.T @ w2 - state.pd1 @ dp.G1.T @ w2
-    pd_prev = dp.V @ _sym_block([[state.pd1, pd12], [pd2]]) @ dp.V.T
+    w2 = dec_k.C2.T.dot(m2.T)
+    pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
+    pd12 = (-state.pxd1.T).dot(step_prev.A.T).dot(w2) - state.pd1.dot(dp.G1.T).dot(w2)
+    pd_prev = dp.V.dot(_sym_block([[state.pd1, pd12], [pd2]])).dot(dp.V.T)
 
     # time update from the joint covariance of (x, d1, d2) at k-1
     blockmap = ctx_prev.blockmap
     joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
-    g2m2 = dp.G2 @ m2
-    qc = g2m2 @ dec_k.C2 @ step_prev.Q
-    px_star = symmetrize(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
+    g2m2 = dp.G2.dot(m2)
+    qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
+    px_star = symmetrize(blockmap.dot(joint).dot(blockmap.T) + step_prev.Q - qc - qc.T)
 
     # covariance of d1 at k (estimated from the propagated state)
     pd1 = _pd1(px_star, dec_k)
@@ -743,17 +766,17 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     # for interface symmetry; estimates are reduction-invariant anyway.
     gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2,
                             GammaPolicy.PSEUDO_INVERSE, tol)
-    ilc = _eye(n) - gain_l @ step.C
-    noise_cross = ilc @ (g2m2 @ dec_k.U2.T @ step.R) @ gain_l.T
-    px = symmetrize(noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
-                    + gain_l @ step.R @ gain_l.T)
-    pxd1_new = (-(ilc @ px_star @ dec_k.C1.T @ dec_k.sigma_inv)
-                - gain_l @ step.R @ dec_k.T2.T @ m2.T @ dp.G2.T
-                @ dec_k.C1.T @ dec_k.sigma_inv)
+    ilc = _eye(n) - gain_l.dot(step.C)
+    noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
+    px = symmetrize(noise_cross + noise_cross.T + ilc.dot(px_star).dot(ilc.T)
+                    + gain_l.dot(step.R).dot(gain_l.T))
+    pxd1_new = (-(ilc.dot(px_star).dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+                - (gain_l.dot(step.R) @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
+                .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2, gain_l, state.d1_from_propagated)
+        m2, m2, gain_l, state.d1_from_propagated, np.ndarray.dot)
     new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
                            pxd1=pxd1_new, step=step, dec=dec_k)
     out = StepOutput(
@@ -789,13 +812,13 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
-    xpred = step_prev.A @ state.xhat + step_prev.B @ upv
-    p_pred = symmetrize(step_prev.A @ state.px @ step_prev.A.T + step_prev.Q)
-    r_tilde = symmetrize(step.C @ p_pred @ step.C.T + step.R)
-    gain_l = _spd_solve(r_tilde, step.C @ p_pred, "innovation covariance").T
-    xhat = xpred + gain_l @ (yv - step.C @ xpred - step.D @ uv)
-    ilc = _eye(n) - gain_l @ step.C
-    px = symmetrize(ilc @ p_pred @ ilc.T + gain_l @ step.R @ gain_l.T)
+    xpred = step_prev.A.dot(state.xhat) + step_prev.B.dot(upv)
+    p_pred = symmetrize(step_prev.A.dot(state.px).dot(step_prev.A.T) + step_prev.Q)
+    r_tilde = symmetrize(step.C.dot(p_pred).dot(step.C.T) + step.R)
+    gain_l = _spd_solve(r_tilde, step.C.dot(p_pred), "innovation covariance").T
+    xhat = xpred + gain_l.dot(yv - step.C.dot(xpred) - step.D.dot(uv))
+    ilc = _eye(n) - gain_l.dot(step.C)
+    px = symmetrize(ilc.dot(p_pred).dot(ilc.T) + gain_l.dot(step.R).dot(gain_l.T))
 
     new_state = KalmanState(k=k, xhat=xhat, px=px, step=step)
     empty = np.zeros(0)

@@ -87,13 +87,13 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of the array ``a`` is finite.
 
-    The sum of squares of the entries is one BLAS call; only when it is not
-    finite (a NaN, an infinity, or finite entries whose squares overflow) is
-    every entry tested, so an overflow never reads as non-finite (numpy
-    reports it as usual, by default with an overflow ``RuntimeWarning``).
+    The entries are summed as Python floats, whose arithmetic never warns
+    or raises; only when the sum is not finite (a NaN, an infinity, or
+    finite entries whose sum overflows) is every entry tested, so an
+    overflow never reads as non-finite.
     """
-    r = a.ravel()
-    return math.isfinite(r.dot(r)) or bool(np.isfinite(r).all())
+    r = a.ravel().tolist()
+    return math.isfinite(sum(r)) or all(map(math.isfinite, r))
 
 
 def _norm(a: np.ndarray) -> float:
@@ -158,8 +158,9 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Singular values at or below ``rank_rel * smax`` count as zero.  The steps
     are those of ``np.linalg.pinv(a, rcond=tol.rank_rel)``, with the SVD of
-    :func:`svd`, so the result is bitwise the same, without the wrappers'
-    per-call cost.
+    :func:`svd` and the final product by ``ndarray.dot`` (on these C- or
+    F-contiguous factors the gemm of numpy's ``matmul``), so the result is
+    bitwise the same, without the wrappers' per-call cost.
     """
     a = _as_matrix(m)
     if a.size == 0:
@@ -168,7 +169,7 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     large = s > tol.rank_rel * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return vt.T @ (s[:, None] * u.T)
+    return vt.T.dot(s[:, None] * u.T)
 
 
 def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -65,7 +65,7 @@ from .filters import (
     ulise_init,
     ulise_step,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _norm, psd_sqrt
+from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
 from .model import SystemModel, SystemStep, validate
 from .signals import Samples, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
@@ -242,10 +242,11 @@ class _StepGains:
                                 self.gain_l, self.from_propagated)
 
     def recursion(self, xhat, d1hat, y, products):
-        """:func:`filters._estimate_recursion` with this record's gains."""
+        """:func:`filters._estimate_recursion` with this record's gains, on
+        1-D vectors, its products by ``ndarray.dot`` as in the step functions."""
         return _estimate_recursion(xhat, d1hat, y, products, self.step_prev, self.step,
                                    self.dec_prev, self.dec, self.m2, self.m2_state,
-                                   self.gain_l, self.from_propagated)
+                                   self.gain_l, self.from_propagated, np.ndarray.dot)
 
 
 @dataclass
@@ -673,6 +674,14 @@ def _atomic_write(path, text: str):
         raise
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row of the 2-D array ``a``, bitwise
+    ``linalg._norm`` of each row: each row's sum of squares is the same
+    ``ddot``, here as one stacked (1 x n) @ (n x 1) matmul; a zero-width
+    ``a`` gives zeros."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+
+
 def write_step_csv(result: RunResult, path) -> None:
     """One row per step per filter; the ``dhat`` columns hold the delayed
     estimate of ``d[k-1]``.  A filter that failed mid-run contributes its
@@ -690,7 +699,7 @@ def write_step_csv(result: RunResult, path) -> None:
         # with p = 0, tr_pd and the err_d norms are sums over no terms: 0.0
         values = np.column_stack([
             fr.xhat, fr.dhat, fr.tr_px, fr.tr_pd,
-            [_norm(e) for e in fr.err_x], [_norm(e) for e in fr.err_d],
+            _row_norms(fr.err_x), _row_norms(fr.err_d),
         ])
         lines.extend(template % (k, name, *row)
                      for k, row in enumerate(values.tolist(), start=1))

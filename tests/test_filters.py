@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import tracemalloc
+import warnings
 
 from types import SimpleNamespace
 
@@ -191,11 +192,14 @@ class TestNonFiniteInputs:
                 step_fn(state, ys[bad_k], us[bad_k], us[bad_k - 1], model)
 
     def test_overflowing_but_finite_vector_is_accepted(self):
-        # the sum of squares overflows (numpy's overflow warning is silenced
-        # here), yet every entry is finite
+        # squares and sums of the entries overflow, yet every entry is
+        # finite: accepted, and the test warns nothing
         big = np.array([1e200, -1e200, 3.0])
-        with np.errstate(over="ignore"):
+        huge = np.array([1.7e308, 1.7e308, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert _check_vector(big, 3, "y", 4) is big
+            assert _check_vector(huge, 3, "y", 4) is huge
             with pytest.raises(InvalidInputError, match="y at k=4 has non-finite entries"):
                 _check_vector(np.array([1e200, np.inf, 3.0]), 3, "y", 4)
 

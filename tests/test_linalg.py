@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import config_scenario
 from oracles import vehicle_tracking_model
@@ -149,13 +150,98 @@ def test_norm_is_bitwise_numpy_norm(a):
 def test_finite():
     assert _finite(np.zeros((0, 3)))
     assert _finite(np.eye(3))
-    with np.errstate(over="ignore"):
-        # squares that overflow are not non-finite entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # squares or sums that overflow are not non-finite entries, and
+        # testing them warns nothing
         assert _finite(np.array([[1e300, -1e300]]))
-    assert not _finite(np.array([[1.0, np.nan]]))
-    assert not _finite(np.array([1.0, -np.inf]))
+        assert _finite(np.array([[1e308, 1e308], [1e308, 1e308]]))
+        assert not _finite(np.array([[1.0, np.nan]]))
+        assert not _finite(np.array([1.0, -np.inf]))
+        assert not _finite(np.array([np.inf, -np.inf]))
+        assert not _finite(np.array([1e308, 1e308, np.nan]))
     # a transposed (non-contiguous) view is tested entry by entry too
     assert not _finite(np.array([[1.0, 2.0], [np.nan, 3.0]]).T)
+
+
+def _entries(smallest, largest):
+    """Exact zeros of both signs and magnitudes in [smallest, largest]."""
+    magnitudes = st.floats(smallest, largest)
+    return st.one_of(st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda x: -x))
+
+
+_LAYOUTS = ("C", "F", "T")
+
+
+def _operand(draw, entries, shape, layout):
+    """A float64 array of ``shape``: C-ordered, F-ordered, or the transpose
+    of a C-ordered array (``T``; F-contiguous, like ``x.T`` in the filters)."""
+    if layout == "T":
+        return draw(arrays(np.float64, shape[::-1], elements=entries)).T
+    a = draw(arrays(np.float64, shape, elements=entries))
+    return np.asfortranarray(a) if layout == "F" else a
+
+
+def _vector(draw, entries, size):
+    """A float64 vector of ``size``, contiguous or strided (a column of a
+    C array, such as a caller's measurement vector may be)."""
+    stride = draw(st.integers(1, 3))
+    return draw(arrays(np.float64, size * stride, elements=entries))[::stride]
+
+
+def _bits(x, signed_zeros):
+    x = np.asarray(x)
+    return (x if signed_zeros else x + 0.0).tobytes()
+
+
+def _check_dot_against_matmul(data, entries, m, k, p, layout_a, layout_b, same):
+    """``same(a, b, a.dot(b), a @ b)`` for a matrix product, both
+    matrix-vector orders, a vector dot product and both syrk orders."""
+    draw = data.draw
+    a = _operand(draw, entries, (m, k), layout_a)
+    b = _operand(draw, entries, (k, p), layout_b)
+    pairs = [(a, b), (a, _vector(draw, entries, k)), (_vector(draw, entries, m), a),
+             (_vector(draw, entries, k), _vector(draw, entries, k)), (a, a.T), (a.T, a)]
+    for x, y in pairs:
+        got, want = x.dot(y), x @ y
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert same(x, y, got, want), (x, y)
+
+
+_DIMS = (st.integers(0, 8), st.integers(0, 8), st.integers(0, 8),
+         st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), *_DIMS)
+def test_dot_is_bitwise_matmul_on_contiguous_operands(data, m, k, p, layout_a, layout_b):
+    # the filter steps form their products with ndarray.dot on C- or
+    # F-contiguous matrices and on vectors: the BLAS call of ``@`` without
+    # the matmul gufunc's dispatch.  A numpy or BLAS that breaks that (with
+    # 1-row and 1-column matrices, vectors, transposed C arrays and the
+    # syrk of ``a a^T`` on one buffer among the cases) fails here.  No
+    # product of these entries overflows or underflows.  Two one-element
+    # operands dot multiplies directly, where matmul adds their product to
+    # +0.0, so there a zero product may differ in its sign alone.
+    def same(a, b, got, want):
+        signed = not (np.size(a) == 1 and np.size(b) == 1)
+        return _bits(got, signed) == _bits(want, signed)
+
+    _check_dot_against_matmul(data, _entries(1e-3, 1e3), m, k, p, layout_a, layout_b, same)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), *_DIMS)
+def test_dot_matches_matmul_up_to_the_sign_of_zero(data, m, k, p, layout_a, layout_b):
+    # with products that underflow, the two still agree bit for bit up to
+    # the sign of a zero: where matmul skips BLAS (a product over a single
+    # term) it adds the product to +0.0, while dot's BLAS call or direct
+    # multiply rounds an underflowing negative product to -0.0
+    def same(a, b, got, want):
+        return _bits(got, False) == _bits(want, False)
+
+    _check_dot_against_matmul(data, _entries(1e-300, 1e150), m, k, p, layout_a, layout_b,
+                              same)
 
 
 class TestPinv:

@@ -20,7 +20,7 @@ from oracles import (fault_input_samples, per_run_truth_oracle,
 from lise.cli import main as cli_main
 from lise.errors import InvalidInputError
 from lise.filters import ulise_init, ulise_step
-from lise.linalg import DEFAULT_TOL
+from lise.linalg import DEFAULT_TOL, _norm
 from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
                           sample_signals)
 from lise.simulate import (
@@ -28,6 +28,7 @@ from lise.simulate import (
     _CycleDetector,
     _apply_schedule,
     _full_pass,
+    _row_norms,
     Scenario,
     TruthTrajectories,
     empirical_error_covariance,
@@ -689,6 +690,26 @@ class TestCsv:
         srows = mp.read_text().splitlines()
         assert srows[0].split(",")[0] == "filter"
         assert len(srows) == 4
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES + ("p0",))
+    def test_row_norms_are_bitwise_per_row_norms(self, name):
+        # the error-norm columns, one stacked matmul per series, against the
+        # per-row norm; with p = 0 every err_d row has zero width
+        if name == "p0":
+            model = random_system(np.random.default_rng(4), n=4, l=3, p=0, p_h=0)
+            sc = Scenario(model=model, horizon=200, d_signals=[],
+                          u_signals=[Constant(0.3)], x0_true=np.ones(4),
+                          x0_mean=np.zeros(4), p0=np.eye(4), noise_seed=5,
+                          filters=("ULISE", "KALMAN"), structural_checks=False)
+        else:
+            sc = config_scenario(name, structural_checks=False)
+        res = run_scenario(sc)
+        for fr in res.filters.values():
+            for errs in (fr.err_x, fr.err_d):
+                want = np.array([_norm(e) for e in errs])
+                got = _row_norms(errs)
+                assert got.shape == want.shape == (sc.horizon,)
+                assert got.tobytes() == want.tobytes()
 
     def test_deterministic_bytes(self, tmp_path):
         sc = config_scenario("fault_h3", horizon=30, structural_checks=False)

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import config_scenario, random_system
@@ -104,6 +104,10 @@ def switching_model(rng, p, rank_a, rank_b):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
        st.sampled_from(GammaPolicy))
+# here T2 is a (2, 3) view of the SVD factor, neither C- nor F-contiguous:
+# ``T2.dot(y)`` in place of the data product ``T2 @ y`` copies it and takes
+# the other gemv kernel, and CYWZ's xhat at k = 9 then differs in the last bit
+@example(seed=0, p=1, rank_a=0, rank_b=1, gamma=GammaPolicy.DAROUACH)
 def test_steps_match_oracle_on_rank_switching_models(seed, p, rank_a, rank_b, gamma):
     rng = np.random.default_rng(seed)
     model = switching_model(rng, p, min(rank_a, p), min(rank_b, p))
