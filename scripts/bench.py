@@ -3,14 +3,13 @@
 
     python3 scripts/bench.py --checkout change=. [--checkout parent=../old] \
         [--workloads fault_cli monte_carlo online_tv] --seeds 801-810 \
-        [--seconds S] --out BENCH.json
+        --out BENCH.json
 
 Each ``--checkout LABEL=DIR`` names the root of a lise checkout; its own
 ``perfbench/run.py`` runs there with ``--trace 0`` for ``BENCHMARK.json``'s
-``run_seconds`` (or ``--seconds``, for shorter development runs; a committed
-``BENCH_*.json`` uses the default), once per workload and seed.  With
-several checkouts, every seed runs each of them in turn, and the order is
-reversed on every other seed, so that machine drift hits all sides alike.  For each checkout and
+``run_seconds``, once per workload and seed.  With several checkouts, every
+seed runs each of them in turn, and the order is reversed on every other
+seed, so that machine drift hits all sides alike.  For each checkout and
 workload the output holds the median and quartiles of every end-to-end
 metric named in ``BENCHMARK.json``, the values of each run, the pass counts,
 the operation counts and the machine record that ``perfbench/run.py``
@@ -111,16 +110,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="seeds as ranges, e.g. 801-810 or 801,805")
-    ap.add_argument("--seconds", type=float,
-                    help="length of each run, instead of BENCHMARK.json's run_seconds")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-    if args.seconds is not None and not args.seconds > 0:
-        ap.error("--seconds must be > 0")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 

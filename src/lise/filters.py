@@ -64,17 +64,26 @@ testing every entry only when the sum is not finite.
 The matrix products of the gain half of ULISE, CYWZ and PLISE, of the
 Kalman step and of the estimate recursion on 1-D vectors use
 ``ndarray.dot``: on C- or F-contiguous operands it makes the same BLAS call
-as ``@`` (gemm, gemv, syrk or ddot) and so gives the same bits, without the
-matmul gufunc's per-call dispatch, which is most of the cost of a product
-of 5 x 5 matrices.  ``@`` (``np.matmul``) stays for stacked and broadcast
-products (:func:`_estimate_update` on the stacked records of
-:mod:`lise.simulate`) and wherever an operand is a view that is neither C-
-nor F-contiguous: the decomposition's ``U2`` and ``T2 = U2.T`` (column
-blocks of the SVD factor of H, when ``0 < rank(H) < l``) and the column
-block of the projection SVD in :func:`_whitened_complement_reduction`.
-``dot`` would copy such a view and could take another BLAS kernel (a gemv
-on the copy of ``T2`` rounds differently).  So :func:`_data_products`,
-which forms ``T2 y``, always uses ``np.matmul``.
+as ``@`` (gemm, gemv, syrk or ddot) without the matmul gufunc's per-call
+dispatch, which is most of the cost of a product of 5 x 5 matrices.  The
+values are the same; only the sign of a zero may differ, where ``@`` skips
+BLAS for a product over a single term (an inner dimension of 1) and adds
+that term to +0.0, so a term that is -0.0 (an underflow, or a zero times a
+negative number) comes out +0.0 from ``@`` and may stay -0.0 from ``dot``.
+No output of the bundled configurations or of the tests changes.  ``@``
+(``np.matmul``) stays for stacked and broadcast products
+(:func:`_estimate_update` on the stacked records of :mod:`lise.simulate`),
+for the products on a caller's vectors (``dot`` would copy a reversed or
+broadcast vector and hand it to BLAS, where ``@`` runs its own loop;
+:func:`_product` picks the product of the estimate recursion from its
+vectors), and wherever an operand is a view that is neither C- nor
+F-contiguous: the decomposition's ``U2`` and ``T2 = U2.T`` (column blocks
+of the SVD factor of H, when ``0 < rank(H) < l``) and the column block of
+the projection SVD in :func:`_whitened_complement_reduction`.  ``dot``
+would copy such a view and could take another BLAS kernel (a gemv on the
+copy of ``T2`` rounds differently).  So :func:`_data_products`, which forms
+``T2 y`` and the products on the caller's ``y`` and ``u``, always uses
+``np.matmul``.
 """
 
 from __future__ import annotations
@@ -506,13 +515,31 @@ def _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l) -> dict[str, float]:
     }
 
 
-def _feedthrough_input(dec, z1, x, d1u, mul=np.matmul):
+def _product(*vectors):
+    """The product of the estimate recursion's matrices with ``vectors``:
+    ``np.ndarray.dot`` when every one is a C-contiguous 1-D vector, on which
+    it makes the gemv of ``@`` without the matmul gufunc's dispatch, else
+    ``np.matmul``.
+
+    So column stacks and stacked matrices, and a caller's vector with a
+    negative or zero stride (a reversed or broadcast ``x0_mean``), which
+    ``dot`` would copy and hand to BLAS where ``@`` runs its own loop, keep
+    ``@``.
+    """
+    for v in vectors:
+        if v.ndim != 1 or not v.flags.c_contiguous:
+            return np.matmul
+    return np.ndarray.dot
+
+
+def _feedthrough_input(dec, z1, x, d1u):
     """Estimate of the feedthrough input component, ``Sigma^-1 (z1 - C1 x - D1 u)``
-    with ``z1 = T1 y`` and ``d1u = D1 u``, its products formed by ``mul`` as
-    in :func:`_estimate_recursion`.
+    with ``z1 = T1 y`` and ``d1u = D1 u``, its products chosen by
+    :func:`_product` from ``x``.
 
     ``z1``, ``x`` and ``d1u`` may also be column stacks.
     """
+    mul = _product(x)
     return mul(dec.sigma_inv, z1 - mul(dec.C1, x) - d1u)
 
 
@@ -530,17 +557,18 @@ def _data_products(y, u, u_prev, step_prev, step, dec, mul=np.matmul):
 
 
 def _estimate_recursion(xhat, d1hat, y, products, step_prev, step, dec_prev, dec,
-                        m2, m2_state, gain_l, from_propagated: bool, mul=np.matmul):
+                        m2, m2_state, gain_l, from_propagated: bool):
     """The part of one step's estimate update that depends on the previous
     estimates, given the step's :func:`_data_products`.
 
     Returns ``(xhat, d1hat, d2hat, xstar)`` at ``k``, ``d2hat`` being the
     estimate of the dynamics-only input component of ``d_{k-1}``.  The
-    arguments are as in :func:`_estimate_update`.  ``mul(mat, v)`` forms
-    every product: ``np.matmul`` for stacked matrices or column stacks, or
-    ``np.ndarray.dot``, the same BLAS call without the matmul gufunc's
-    dispatch, on 1-D vectors (every matrix here is C- or F-contiguous).
+    arguments are as in :func:`_estimate_update`.  :func:`_product` picks
+    every product from ``xhat`` and ``d1hat``, the only vectors here that a
+    caller may hold (every other one is formed by the step, and every
+    matrix is C- or F-contiguous).
     """
+    mul = _product(xhat, d1hat)
     bu, z1, z2, d2u, du, d1u = products
     xpred = mul(step_prev.A, xhat) + bu + mul(dec_prev.G1, d1hat)
     resid2 = z2 - mul(dec.C2, xpred) - d2u
@@ -549,11 +577,11 @@ def _estimate_recursion(xhat, d1hat, y, products, step_prev, step, dec_prev, dec
     xstar = xpred + mul(dec_prev.G2, d2hat_state)
     xhat = xstar + mul(gain_l, y - mul(step.C, xstar) - du)
     base = xstar if from_propagated else xhat
-    return xhat, _feedthrough_input(dec, z1, base, d1u, mul), d2hat, xstar
+    return xhat, _feedthrough_input(dec, z1, base, d1u), d2hat, xstar
 
 
 def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
-                     m2, m2_state, gain_l, from_propagated: bool, mul=np.matmul):
+                     m2, m2_state, gain_l, from_propagated: bool):
     """The data-dependent half of one filter step, given its gains.
 
     Advances the filtered state ``xhat`` and feedthrough-input estimate
@@ -569,18 +597,18 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     caller holding the products of many steps (the served gain cycle of
     :mod:`lise.simulate`) runs the same three parts itself.  The data
     products are always ``np.matmul``: ``T2`` is a view of the SVD factor
-    that may be neither C- nor F-contiguous, on which ``ndarray.dot`` would
-    copy and may take another BLAS kernel.  ``mul`` forms the rest.
-    With the default ``np.matmul`` the data arguments may also be column
-    stacks (one column per data vector), and the matrices of R records may
-    be stacked along a leading axis to evaluate them all at once; the step
-    functions pass ``np.ndarray.dot`` for their 1-D vectors.  On 1-D vectors
-    every product is a gemv either way, bitwise the same.
+    that may be neither C- nor F-contiguous, and ``y`` and ``u`` are the
+    caller's, on which ``ndarray.dot`` would copy and may take another BLAS
+    kernel.  :func:`_product` picks the rest from the estimate vectors.  The
+    data arguments may also be column stacks (one column per data vector),
+    and the matrices of R records may be stacked along a leading axis to
+    evaluate them all at once, all with ``np.matmul``.
     """
     products = _data_products(y, u, u_prev, step_prev, step, dec)
     xhat_k, d1hat_k, d2hat, xstar = _estimate_recursion(
         xhat, d1hat, y, products, step_prev, step, dec_prev, dec, m2, m2_state,
-        gain_l, from_propagated, mul)
+        gain_l, from_propagated)
+    mul = _product(d1hat)
     dhat_prev = mul(dec_prev.V1, d1hat) + mul(dec_prev.V2, d2hat)
     return xhat_k, d1hat_k, dhat_prev, xstar
 
@@ -682,7 +710,7 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2_state, gain_l, state.d1_from_propagated, np.ndarray.dot)
+        m2, m2_state, gain_l, state.d1_from_propagated)
 
     new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, step=step, dec=dec_k)
     out = StepOutput(
@@ -776,7 +804,7 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2, gain_l, state.d1_from_propagated, np.ndarray.dot)
+        m2, m2, gain_l, state.d1_from_propagated)
     new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
                            pxd1=pxd1_new, step=step, dec=dec_k)
     out = StepOutput(
@@ -812,11 +840,13 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     upv = _check_vector(u_prev, step.m, "u_prev", k)
     n = step.n
 
-    xpred = step_prev.A.dot(state.xhat) + step_prev.B.dot(upv)
+    # the products on the caller's vectors (x0_mean at k = 1, u, u_prev)
+    # stay on @: dot would copy a reversed or broadcast one
+    xpred = step_prev.A @ state.xhat + step_prev.B @ upv
     p_pred = symmetrize(step_prev.A.dot(state.px).dot(step_prev.A.T) + step_prev.Q)
     r_tilde = symmetrize(step.C.dot(p_pred).dot(step.C.T) + step.R)
     gain_l = _spd_solve(r_tilde, step.C.dot(p_pred), "innovation covariance").T
-    xhat = xpred + gain_l.dot(yv - step.C.dot(xpred) - step.D.dot(uv))
+    xhat = xpred + gain_l.dot(yv - step.C.dot(xpred) - step.D @ uv)
     ilc = _eye(n) - gain_l.dot(step.C)
     px = symmetrize(ilc.dot(p_pred).dot(ilc.T) + gain_l.dot(step.R).dot(gain_l.T))
 

@@ -242,11 +242,10 @@ class _StepGains:
                                 self.gain_l, self.from_propagated)
 
     def recursion(self, xhat, d1hat, y, products):
-        """:func:`filters._estimate_recursion` with this record's gains, on
-        1-D vectors, its products by ``ndarray.dot`` as in the step functions."""
+        """:func:`filters._estimate_recursion` with this record's gains."""
         return _estimate_recursion(xhat, d1hat, y, products, self.step_prev, self.step,
                                    self.dec_prev, self.dec, self.m2, self.m2_state,
-                                   self.gain_l, self.from_propagated, np.ndarray.dot)
+                                   self.gain_l, self.from_propagated)
 
 
 @dataclass

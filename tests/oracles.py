@@ -319,6 +319,26 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     return new, out
 
 
+def kalman_step_oracle(state, y, u, u_prev, model):
+    """One Kalman step computed with ``@`` throughout.
+
+    A frozen copy of the arithmetic of ``filters.kalman_step`` from before
+    its products moved to ``ndarray.dot``, the caller's vectors taken as
+    they come.  Returns the :class:`StepOutput` fields it forms, by name.
+    """
+    step_prev, step = state.step, model.step(state.k + 1)
+    y, u, u_prev = (np.asarray(v, dtype=float) for v in (y, u, u_prev))
+    xpred = step_prev.A @ state.xhat + step_prev.B @ u_prev
+    p_pred = symmetrize(step_prev.A @ state.px @ step_prev.A.T + step_prev.Q)
+    r_tilde = symmetrize(step.C @ p_pred @ step.C.T + step.R)
+    what = "innovation covariance"
+    gain_l = _factor_solve(_spd_factor(r_tilde, what), step.C @ p_pred, what).T
+    xhat = xpred + gain_l @ (y - step.C @ xpred - step.D @ u)
+    ilc = np.eye(step.n) - gain_l @ step.C
+    px = symmetrize(ilc @ p_pred @ ilc.T + gain_l @ step.R @ gain_l.T)
+    return dict(xhat=xhat, xhat_star=xpred, px=px, px_star=p_pred, gain_l=gain_l)
+
+
 def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
     """Ground truth of one run, stepped one run at a time.
 

@@ -39,30 +39,6 @@ def test_comparison_counts_wins_in_the_better_direction(bench):
     assert lower["base_quartile_distance_pct"] == 0.0
 
 
-def test_seconds_overrides_the_run_length(bench, tmp_path, monkeypatch):
-    # the run itself is replaced: only the run length handed to it matters
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    calls = []
-
-    def run_once(checkout, workload, seed, seconds):
-        calls.append(seconds)
-        return {"correct": True, "attempted": 1, "failed": 0, "passes": 1, "machine": {},
-                "metrics": {m["name"]: 1.0 for m in spec["end_to_end"]}}
-
-    monkeypatch.setattr(bench, "run_once", run_once)
-    out = tmp_path / "bench.json"
-    argv = ["--checkout", f"a={ROOT}", "--workloads", "online_tv", "--seeds", "1-2",
-            "--out", str(out)]
-    default = spec["run_seconds"]
-    assert bench.main(argv) == 0
-    assert calls == [default] * 2 and json.loads(out.read_text())["seconds"] == default
-    calls.clear()
-    assert bench.main(argv + ["--seconds", "0.5"]) == 0
-    assert calls == [0.5] * 2 and json.loads(out.read_text())["seconds"] == 0.5
-    with pytest.raises(SystemExit):
-        bench.main(argv + ["--seconds", "0"])
-
-
 def test_ab_steps_runs_one_repetition_on_the_same_checkout():
     # both sides are this checkout, so their outputs must be bitwise equal
     proc = subprocess.run(

@@ -17,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import config_scenario, random_system
-from oracles import step_oracle
+from oracles import kalman_step_oracle, step_oracle
 from lise.errors import LiseError
 from lise.filters import (
     GammaPolicy,
     cywz_step,
+    kalman_init,
+    kalman_step,
     plise_init,
     plise_step,
     ulise_init,
@@ -115,3 +117,31 @@ def test_steps_match_oracle_on_rank_switching_models(seed, p, rank_a, rank_b, ga
     us = rng.standard_normal((31, 1))
     for variant in STEPS:
         _run_against_oracle(variant, model, ys, us, np.zeros(4), np.eye(4), gamma, 30)
+
+
+@pytest.mark.parametrize("p_h", [0, 1, 2])
+def test_steps_match_oracle_on_reversed_and_broadcast_vectors(p_h):
+    # x0_mean, y and u as views with negative or zero strides: ``dot`` copies
+    # such a vector and calls BLAS where the oracle's ``@`` runs numpy's own
+    # loop, and the two differ in the last bits on most such products
+    rng = np.random.default_rng(0)
+    model = random_system(rng, n=4, l=3, p=2, p_h=p_h, m=2)
+    ys = rng.standard_normal((31, 3))[:, ::-1]
+    us = np.broadcast_to(rng.standard_normal((31, 1)), (31, 2))
+    x0 = rng.standard_normal(4)[::-1]
+    for variant in STEPS:
+        assert _run_against_oracle(variant, model, ys, us, x0, np.eye(4),
+                                   GammaPolicy.DAROUACH, 30) == 30
+
+
+def test_kalman_step_matches_oracle_on_reversed_and_broadcast_vectors():
+    rng = np.random.default_rng(3)
+    model = random_system(rng, n=4, l=3, p=0, m=2)
+    ys = rng.standard_normal((31, 3))[:, ::-1]
+    us = np.broadcast_to(rng.standard_normal((31, 1)), (31, 2))
+    state = kalman_init(model, rng.standard_normal(4)[::-1], np.eye(4))
+    for k in range(1, 31):
+        want = kalman_step_oracle(state, ys[k], us[k], us[k - 1], model)
+        state, out = kalman_step(state, ys[k], us[k], us[k - 1], model)
+        for name, value in want.items():
+            _assert_bitwise(getattr(out, name), value, (k, name))
