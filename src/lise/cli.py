@@ -16,15 +16,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import ConfigDocument, load_config
-from .errors import ConfigError, LiseError
+from .errors import ConfigError, InvalidInputError, LiseError
 from .linalg import DEFAULT_TOL
 from .model import validate
 from .simulate import run_scenario, write_step_csv, write_summary_csv
 from .structural import (
-    invariant_zeros,
     plise_stability_check,
     strong_detectability,
     strong_observability_ti,
@@ -70,19 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _override_scenario(doc: ConfigDocument, args) -> None:
+    """Apply the command-line overrides to the scenario, one at a time, so
+    that a value the scenario rejects raises the :class:`ConfigError` naming
+    its flag."""
     sc = doc.scenario
     if sc is None:
         return
-    updates = {}
-    if args.seed is not None:
-        updates["noise_seed"] = args.seed
-    if args.mc is not None:
-        updates["monte_carlo"] = args.mc
-    if getattr(args, "filters", None):
-        updates["filters"] = tuple(args.filters)
-    if updates:
-        from dataclasses import replace
-        doc.scenario = replace(sc, **updates)
+    filters = getattr(args, "filters", None)
+    for flag, name, value in (("--seed", "noise_seed", args.seed),
+                              ("--mc", "monte_carlo", args.mc),
+                              ("--filters", "filters", tuple(filters) if filters else None)):
+        if value is not None:
+            try:
+                sc = replace(sc, **{name: value})
+            except InvalidInputError as exc:
+                raise ConfigError(str(exc), flag) from None
+    doc.scenario = sc
 
 
 def _out_dir(doc: ConfigDocument, args) -> str:

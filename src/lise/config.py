@@ -187,16 +187,13 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
         raise ConfigError(
             f"gamma must be one of {[g.value for g in GammaPolicy]}, got {gamma_name!r}",
             f"{path}.gamma") from None
-    seed = node.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer", f"{path}.seed")
     mc = node.get("monte_carlo", 1)
     if not isinstance(mc, int) or mc < 1:
         raise ConfigError("monte_carlo must be a positive integer", f"{path}.monte_carlo")
     try:
         return Scenario(
             model=model, horizon=horizon, d_signals=d_signals, u_signals=u_signals,
-            x0_true=x0_true, x0_mean=x0_mean, p0=p0, noise_seed=seed,
+            x0_true=x0_true, x0_mean=x0_mean, p0=p0, noise_seed=node.get("seed", 0),
             filters=tuple(filters), monte_carlo=mc, gamma=gamma,
             steady_window=float(node.get("steady_window", 0.2)),
             structural_checks=bool(node.get("structural_checks", True)),

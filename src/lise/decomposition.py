@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, svd, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, svd, symmetrize
 from .model import SystemStep, _nonfinite_matrix
 
 __all__ = [
@@ -118,8 +118,7 @@ def _build(h, r, c, d, g, tol: Tolerance) -> OutputDecomposition:
         raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
 
     u, s, vt = svd(h)
-    # the rank rule of linalg.rank, applied to the singular values at hand
-    p_h = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
+    p_h = _sv_rank(s, tol.rank_rel)
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
     v = vt.T
     v1, v2 = v[:, :p_h].copy(), v[:, p_h:]

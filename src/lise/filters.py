@@ -1,18 +1,24 @@
 """Recursive minimum-variance unbiased filters for joint state and
 unknown-input estimation.
 
-Two optimal three-step variants are provided, differing in which state
-estimate feeds the feedthrough-input estimate:
+The paper's filter is one recursion, written once in :func:`_lise_step`;
+its variants differ only in how the covariance is propagated:
 
 * :func:`ulise_step` estimates the feedthrough input component from the
-  measurement-updated state (globally optimal over linear estimators),
-* :func:`plise_step` estimates it from the propagated state.
+  measurement-updated state (globally optimal over linear estimators);
+* :func:`plise_step` estimates it from the propagated state, so its state
+  also carries that estimate's covariance and its cross covariance with the
+  state, and its time update propagates the joint covariance of the state
+  and both input components;
+* :func:`cywz_step`, the ordinary-least-squares variant, uses the
+  pseudo-inverse input gain ``pinv(C2 G2)`` instead of the
+  generalized-least-squares gain in the state and covariance updates, while
+  the reported input estimates stay BLUE.
 
-:func:`cywz_step` is the ordinary-least-squares variant: the state and
-covariance updates use the pseudo-inverse input gain ``pinv(C2 G2)`` instead
-of the generalized-least-squares gain, while the reported input estimates
-stay BLUE.  :func:`kalman_step` is the no-unknown-input special case; both
-main filters collapse to it exactly when p = 0.
+The public step functions check the state's class and call the shared body,
+which reads the variant from the state's ``d1_from_propagated``.
+:func:`kalman_step` is the no-unknown-input special case; both main filters
+collapse to it exactly when p = 0.
 
 Each step consumes the current measurement ``y_k`` together with the known
 inputs ``u_k`` and ``u_{k-1}`` and produces the filtered state, the one-step
@@ -27,13 +33,14 @@ pseudoinverse is built once per pair of decompositions (:func:`_pair_context`).
 A cached product always enters its products as the leftmost factor, so every
 result is bitwise what building it afresh gives.
 
-The filter states carry the model step of their own time ``k`` (the
-required ``step`` field), and a step function takes step ``k - 1`` from the
-state, not from ``model``: it asks ``model`` for step ``k`` only, once.  A
-state built by hand rather than by the ``*_init``/``*_step`` functions must
-therefore hold ``model.step(state.k)`` in ``step``.  A time-varying model
-hands out one step object for repeated requests of the same ``k``, so
-filters stepped side by side share it, and with it its context.
+Every filter state carries the model step of its own time ``k`` (the
+required ``step`` field) and its output decomposition (``dec``), and a step
+function takes step ``k - 1`` from the state, not from ``model``: it asks
+``model`` for step ``k`` only, once.  A state built by hand rather than by
+the ``*_init``/``*_step`` functions must therefore hold ``model.step(state.k)``
+in ``step`` and its decomposition in ``dec``.  A time-varying model hands out
+one step object for repeated requests of the same ``k``, so filters stepped
+side by side share it, and with it its context.
 
 A state holds only what the recursion carries from one step to the next:
 the estimates, the covariances that are not functions of the others, the
@@ -43,12 +50,8 @@ PLISE, its block map ``[A, G1, G2]``) come from the step context of
 ``state.step`` (:class:`~lise.decomposition.StepContext`, formed once per
 step object alongside its decomposition), and, for the updated variants,
 the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
-Building a step's context rejects a step with a non-finite matrix (the
-Kalman filter checks its steps directly), naming the matrix and ``k``.
-This is an API change: the ``pd1``, ``ahat`` and ``qhat`` fields of
-:class:`UliseState` and the ``ahat``, ``qhat`` and ``px_star`` fields of
-:class:`PliseState` are gone (``StepOutput.px_star`` still reports the
-propagated covariance).
+Fetching a step's context rejects a step with a non-finite matrix, naming
+the matrix and ``k``, and a step whose R is not positive definite.
 
 The estimate half of a step (:func:`_estimate_update`) is split into the
 products that involve the data only (:func:`_data_products`) and the
@@ -61,28 +64,27 @@ eigendecompositions call numpy's LAPACK gufuncs directly
 finiteness checks sum the entries as Python floats, which never warns,
 testing every entry only when the sum is not finite.
 
-The matrix products of the gain half of ULISE, CYWZ and PLISE, of the
-Kalman step and of the estimate recursion on 1-D vectors use
-``ndarray.dot``: on C- or F-contiguous operands it makes the same BLAS call
-as ``@`` (gemm, gemv, syrk or ddot) without the matmul gufunc's per-call
-dispatch, which is most of the cost of a product of 5 x 5 matrices.  The
-values are the same; only the sign of a zero may differ, where ``@`` skips
-BLAS for a product over a single term (an inner dimension of 1) and adds
-that term to +0.0, so a term that is -0.0 (an underflow, or a zero times a
-negative number) comes out +0.0 from ``@`` and may stay -0.0 from ``dot``.
-No output of the bundled configurations or of the tests changes.  ``@``
-(``np.matmul``) stays for stacked and broadcast products
-(:func:`_estimate_update` on the stacked records of :mod:`lise.simulate`),
-for the products on a caller's vectors (``dot`` would copy a reversed or
-broadcast vector and hand it to BLAS, where ``@`` runs its own loop;
-:func:`_product` picks the product of the estimate recursion from its
-vectors), and wherever an operand is a view that is neither C- nor
-F-contiguous: the decomposition's ``U2`` and ``T2 = U2.T`` (column blocks
-of the SVD factor of H, when ``0 < rank(H) < l``) and the column block of
-the projection SVD in :func:`_whitened_complement_reduction`.  ``dot``
-would copy such a view and could take another BLAS kernel (a gemv on the
-copy of ``T2`` rounds differently).  So :func:`_data_products`, which forms
-``T2 y`` and the products on the caller's ``y`` and ``u``, always uses
+The matrix products of the gain half of the step, of the Kalman step and of
+the estimate recursion on 1-D vectors use ``ndarray.dot``: on C- or
+F-contiguous operands it makes the same BLAS call as ``@`` (gemm, gemv, syrk
+or ddot) without the matmul gufunc's per-call dispatch, which is most of the
+cost of a product of 5 x 5 matrices.  The values are the same; only the sign
+of a zero may differ, where ``@`` skips BLAS for a product over a single
+term (an inner dimension of 1) and adds that term to +0.0, so a term that is
+-0.0 (an underflow, or a zero times a negative number) comes out +0.0 from
+``@`` and may stay -0.0 from ``dot``.  No output of the bundled
+configurations or of the tests changes.  ``@`` (``np.matmul``) stays for
+stacked and broadcast products (:func:`_estimate_update` on the stacked
+records of :mod:`lise.simulate`), for the products on a caller's vectors
+(``dot`` would copy a reversed or broadcast vector and hand it to BLAS,
+where ``@`` runs its own loop; :func:`_product` picks the product of the
+estimate recursion from its vectors), and wherever an operand is a view that
+is neither C- nor F-contiguous: the decomposition's ``U2`` and ``T2 = U2.T``
+(column blocks of the SVD factor of H, when ``0 < rank(H) < l``) and the
+column block of the projection SVD in :func:`_whitened_complement_reduction`.
+``dot`` would copy such a view and could take another BLAS kernel (a gemv on
+the copy of ``T2`` rounds differently).  So :func:`_data_products`, which
+forms ``T2 y`` and the products on the caller's ``y`` and ``u``, always uses
 ``np.matmul``.
 """
 
@@ -114,13 +116,14 @@ from .linalg import (
     Tolerance,
     _finite,
     _norm,
+    _sv_rank,
     eigh,
     inv,
     pinv,
     svd,
     symmetrize,
 )
-from .model import SystemModel, SystemStep, _nonfinite_matrix
+from .model import SystemModel, SystemStep
 
 __all__ = [
     "GammaPolicy",
@@ -209,14 +212,16 @@ class PliseState:
 class KalmanState:
     """State of the no-unknown-input filter.
 
-    ``step`` (required) is the model step at ``k``; :func:`kalman_step` reads
-    its step ``k - 1`` from here, not from the model.
+    ``step`` (required) is the model step at ``k`` and ``dec`` its output
+    decomposition, as in :class:`UliseState`; :func:`kalman_step` reads its
+    step ``k - 1`` from here, not from the model.
     """
 
     k: int
     xhat: np.ndarray
     px: np.ndarray
     step: SystemStep
+    dec: OutputDecomposition
 
     # no feedthrough input (p = 0): the estimate update's d1hat is empty
     d1_from_propagated: ClassVar[bool] = False
@@ -268,14 +273,6 @@ def _checked_context(fetch, step: SystemStep, tol: Tolerance, k: int):
         return fetch(step, tol)
     except _NonFiniteMatrix as exc:
         raise _nonfinite_error(exc.matrix, k) from None
-
-
-def _check_step_finite(step: SystemStep, k: int) -> None:
-    """Raise the :class:`InvalidInputError` naming the first matrix of model
-    step ``k`` with a non-finite entry, if any."""
-    bad = _nonfinite_matrix(step)
-    if bad is not None:
-        raise _nonfinite_error(bad, k)
 
 
 def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
@@ -390,8 +387,7 @@ def _pair_context(dec_prev: OutputDecomposition, dec: OutputDecomposition,
     c2g2 = dec.C2.dot(dec_prev.G2)
     need = dec_prev.G2.shape[1]
     if need:
-        s = np.linalg.svd(c2g2, compute_uv=False)
-        got = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
+        got = _sv_rank(np.linalg.svd(c2g2, compute_uv=False), tol.rank_rel)
         if got < need:
             raise EstimabilityError(
                 f"rank(C2 G2) = {got} < {need}: unbiased estimation of the "
@@ -617,12 +613,12 @@ def _gain_key(state: UliseState | PliseState) -> bytes:
     """The exact bytes of every covariance the gain half of the next step
     reads from ``state``.
 
-    The gain half of :func:`_updated_variant_step` and :func:`plise_step`
-    (gains, covariances, next covariance state) is a deterministic function
-    of these arrays, the model steps and their decompositions (``state.step``
-    and ``state.dec`` among them).  So on a time-invariant model two states
-    with equal keys give bitwise-equal gain halves.  A state field the gain
-    half starts to read must be added here.
+    The gain half of :func:`_lise_step` (gains, covariances, next
+    covariance state) is a deterministic function of these arrays, the model
+    steps and their decompositions (``state.step`` and ``state.dec`` among
+    them).  So on a time-invariant model two states with equal keys give
+    bitwise-equal gain halves.  A state field the gain half starts to read
+    must be added here.
     """
     if isinstance(state, PliseState):
         return state.px.tobytes() + state.pd1.tobytes() + state.pxd1.tobytes()
@@ -664,8 +660,18 @@ def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
 cywz_init = ulise_init
 
 
-def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
-                          gamma: GammaPolicy, tol: Tolerance, ols_state_gain: bool):
+def _lise_step(state: UliseState | PliseState, y, u, u_prev, model: SystemModel,
+               gamma: GammaPolicy, tol: Tolerance, ols_state_gain: bool = False):
+    """One step of the unified filter, the body of :func:`ulise_step`,
+    :func:`cywz_step` and :func:`plise_step`.
+
+    The variant comes from the state's class: ``d1_from_propagated`` selects
+    PLISE's carried feedthrough-input covariances and its time update from
+    the joint covariance of ``(x, d1, d2)``; ``ols_state_gain`` puts the
+    pseudo-inverse input gain in the state and covariance path (CYWZ).
+    Everything else is shared.
+    """
+    propagated = state.d1_from_propagated
     k = state.k + 1
     step_prev = state.step
     step = model.step(k)
@@ -680,27 +686,47 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     # estimation of the dynamics-only input component d2 at k-1
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
-    pd1_prev = _pd1(state.px, dp)
     ctx = _pair_context(dp, dec_k, tol)
     c2g2 = ctx.c2g2
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
     m2_state = ctx.c2g2_pinv if ols_state_gain else m2
 
+    # covariance of d1 at k-1 and -cov(d1, x) at k-1: carried by PLISE,
+    # functions of px for the updated variants
+    if propagated:
+        pd1_prev, neg_pd1x = state.pd1, -state.pxd1.T
+    else:
+        pd1_prev, neg_pd1x = _pd1(state.px, dp), dp.si_c1.dot(state.px)
     w2 = dec_k.C2.T.dot(m2.T)
-    pd12 = (dp.si_c1.dot(state.px).dot(step_prev.A.T).dot(w2)
-            - pd1_prev.dot(dp.G1.T).dot(w2))
+    pd12 = neg_pd1x.dot(step_prev.A.T).dot(w2) - pd1_prev.dot(dp.G1.T).dot(w2)
     pd_prev = dp.V.dot(_sym_block([[pd1_prev, pd12], [pd2]])).dot(dp.V.T)
 
     # time update
     g2m2 = dp.G2.dot(m2_state)
-    igmc = _eye(n) - g2m2.dot(dec_k.C2)
-    px_star = symmetrize(g2m2.dot(dec_k.R2).dot(m2_state.T).dot(dp.G2.T)
-                         + igmc.dot(p_tilde).dot(igmc.T))
+    if propagated:
+        # from the joint covariance of (x, d1, d2) at k-1
+        pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
+        blockmap = ctx_prev.blockmap
+        joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
+        qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
+        px_star = symmetrize(blockmap.dot(joint).dot(blockmap.T) + step_prev.Q - qc - qc.T)
+        # PLISE always reduces the singular innovation covariance with its
+        # pseudoinverse: its recursion weights the dynamics-only input
+        # estimate with the updated-variant one-step covariance, which
+        # inflates rank(r_star) past the fixed reduction dimension whenever
+        # C2 G1 != 0, so only a rank-adaptive reduction reproduces the
+        # published recursion.  Estimates are reduction-invariant anyway.
+        gamma, r_hat = GammaPolicy.PSEUDO_INVERSE, None
+    else:
+        igmc = _eye(n) - g2m2.dot(dec_k.C2)
+        px_star = symmetrize(g2m2.dot(dec_k.R2).dot(m2_state.T).dot(dp.G2.T)
+                             + igmc.dot(p_tilde).dot(igmc.T))
+        # p_tilde is exactly the pre-update second moment for the updated
+        # variants (the updated-state input estimate makes them coincide), so
+        # the reduction may use the SVD-free closed form on the GLS path
+        r_hat = symmetrize(step.C.dot(p_tilde).dot(step.C.T) + step.R)
 
-    # measurement update; p_tilde is exactly the pre-update second moment for
-    # this variant (the updated-state input estimate makes them coincide), so
-    # the reduction may use the SVD-free closed form on the GLS path
-    r_hat = symmetrize(step.C.dot(p_tilde).dot(step.C.T) + step.R)
+    # measurement update, Joseph form
     gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2, gamma, tol,
                             r_hat=r_hat, closed_form=not ols_state_gain)
     ilc = _eye(n) - gain_l.dot(step.C)
@@ -710,9 +736,17 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
 
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2_state, gain_l, state.d1_from_propagated)
+        m2, m2_state, gain_l, propagated)
 
-    new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, step=step, dec=dec_k)
+    if propagated:
+        # d1 at k is estimated from the propagated state
+        pxd1 = (-(ilc.dot(px_star).dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+                - (gain_l.dot(step.R) @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
+                .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+        new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=_pd1(px_star, dec_k),
+                               pxd1=pxd1, step=step, dec=dec_k)
+    else:
+        new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, step=step, dec=dec_k)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),
@@ -723,6 +757,12 @@ def _updated_variant_step(state: UliseState, y, u, u_prev, model: SystemModel,
     return new_state, out
 
 
+def _check_state(state, cls, step_name: str) -> None:
+    if not isinstance(state, cls):
+        raise InvalidInputError(
+            f"{step_name} needs a {cls.__name__}, got {type(state).__name__}")
+
+
 def ulise_step(state: UliseState, y, u, u_prev, model: SystemModel,
                gamma: GammaPolicy = GammaPolicy.DAROUACH,
                tol: Tolerance = DEFAULT_TOL):
@@ -731,8 +771,8 @@ def ulise_step(state: UliseState, y, u, u_prev, model: SystemModel,
     Requires ``rank(C2[k] G2[k-1]) = p - rank(H[k-1])``; otherwise an
     :class:`EstimabilityError` is raised naming the achieved rank.
     """
-    return _updated_variant_step(state, y, u, u_prev, model, gamma, tol,
-                                 ols_state_gain=False)
+    _check_state(state, UliseState, "ulise_step")
+    return _lise_step(state, y, u, u_prev, model, gamma, tol)
 
 
 def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
@@ -740,8 +780,8 @@ def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
               tol: Tolerance = DEFAULT_TOL):
     """Advance the OLS variant: pseudo-inverse input gain in the state and
     covariance path, BLUE gains in the reported input estimate."""
-    return _updated_variant_step(state, y, u, u_prev, model, gamma, tol,
-                                 ols_state_gain=True)
+    _check_state(state, UliseState, "cywz_step")
+    return _lise_step(state, y, u, u_prev, model, gamma, tol, ols_state_gain=True)
 
 
 def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
@@ -749,71 +789,18 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
                tol: Tolerance = DEFAULT_TOL):
     """Advance the propagated-estimate filter by one measurement.
 
-    Order of operations differs from the updated variant: the feedthrough
-    input estimate is formed from the propagated state before the measurement
-    update, and the propagated covariance is assembled from the full joint
-    covariance of state and both input components.
+    The feedthrough input estimate is formed from the propagated state, and
+    the propagated covariance is assembled from the full joint covariance of
+    state and both input components.  This variant always reduces the
+    singular innovation covariance with its pseudoinverse: its recursion
+    weights the dynamics-only input estimate with the updated-variant
+    one-step covariance, which inflates ``rank(r_star)`` past the fixed
+    reduction dimension whenever ``C2 G1 != 0``, so only a rank-adaptive
+    reduction reproduces the published recursion.  ``gamma`` is accepted for
+    interface symmetry; estimates are reduction-invariant anyway.
     """
-    k = state.k + 1
-    step_prev = state.step
-    step = model.step(k)
-    dec_k = _checked_context(decompose_cached, step, tol, k)
-    ctx_prev = _checked_context(_step_context, step_prev, tol, k - 1)
-    dp = state.dec
-    yv = _check_vector(y, step.l, "y", k)
-    uv = _check_vector(u, step.m, "u", k)
-    upv = _check_vector(u_prev, step.m, "u_prev", k)
-    n = step.n
-
-    ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
-    p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
-    c2g2 = _pair_context(dp, dec_k, tol).c2g2
-    m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
-
-    w2 = dec_k.C2.T.dot(m2.T)
-    pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
-    pd12 = (-state.pxd1.T).dot(step_prev.A.T).dot(w2) - state.pd1.dot(dp.G1.T).dot(w2)
-    pd_prev = dp.V.dot(_sym_block([[state.pd1, pd12], [pd2]])).dot(dp.V.T)
-
-    # time update from the joint covariance of (x, d1, d2) at k-1
-    blockmap = ctx_prev.blockmap
-    joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
-    g2m2 = dp.G2.dot(m2)
-    qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
-    px_star = symmetrize(blockmap.dot(joint).dot(blockmap.T) + step_prev.Q - qc - qc.T)
-
-    # covariance of d1 at k (estimated from the propagated state)
-    pd1 = _pd1(px_star, dec_k)
-
-    # measurement update.  This variant always reduces the singular
-    # innovation covariance with its pseudoinverse: its recursion weights the
-    # dynamics-only input estimate with the updated-variant one-step
-    # covariance, which inflates rank(r_star) past the fixed reduction
-    # dimension whenever C2 G1 != 0, so only a rank-adaptive reduction
-    # reproduces the published recursion.  The policy argument is accepted
-    # for interface symmetry; estimates are reduction-invariant anyway.
-    gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2,
-                            GammaPolicy.PSEUDO_INVERSE, tol)
-    ilc = _eye(n) - gain_l.dot(step.C)
-    noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
-    px = symmetrize(noise_cross + noise_cross.T + ilc.dot(px_star).dot(ilc.T)
-                    + gain_l.dot(step.R).dot(gain_l.T))
-    pxd1_new = (-(ilc.dot(px_star).dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-                - (gain_l.dot(step.R) @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
-                .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-
-    xhat, d1hat, dhat_prev, xstar = _estimate_update(
-        state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2, gain_l, state.d1_from_propagated)
-    new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=pd1,
-                           pxd1=pxd1_new, step=step, dec=dec_k)
-    out = StepOutput(
-        k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
-        dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),
-        gain_l=gain_l, gain_m1=dec_k.sigma_inv, gain_m2=m2, gain_m2_state=m2,
-        unbiasedness=_unbiasedness(dec_k, m2, m2, c2g2, gain_l),
-    )
-    return new_state, out
+    _check_state(state, PliseState, "plise_step")
+    return _lise_step(state, y, u, u_prev, model, gamma, tol)
 
 
 def kalman_init(model: SystemModel, x0_mean, p0,
@@ -821,20 +808,21 @@ def kalman_init(model: SystemModel, x0_mean, p0,
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     step0 = model.step(0)
-    _check_step_finite(step0, 0)
+    dec = _checked_context(decompose_cached, step0, tol, 0)
     return KalmanState(k=0, xhat=_check_vector(x0_mean, step0.n, "x0_mean", 0),
-                       px=_check_p0(p0, step0.n, tol), step=step0)
+                       px=_check_p0(p0, step0.n, tol), step=step0, dec=dec)
 
 
 def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
                 tol: Tolerance = DEFAULT_TOL):
     """Standard predict/update with Joseph-form covariance (p = 0 collapse)."""
+    _check_state(state, KalmanState, "kalman_step")
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     k = state.k + 1
     step_prev = state.step
     step = model.step(k)
-    _check_step_finite(step, k)
+    dec_k = _checked_context(decompose_cached, step, tol, k)
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
     upv = _check_vector(u_prev, step.m, "u_prev", k)
@@ -850,7 +838,7 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     ilc = _eye(n) - gain_l.dot(step.C)
     px = symmetrize(ilc.dot(p_pred).dot(ilc.T) + gain_l.dot(step.R).dot(gain_l.T))
 
-    new_state = KalmanState(k=k, xhat=xhat, px=px, step=step)
+    new_state = KalmanState(k=k, xhat=xhat, px=px, step=step, dec=dec_k)
     empty = np.zeros(0)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xpred, px=px, px_star=p_pred,

@@ -110,18 +110,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return s
 
 
+def _sv_rank(s: np.ndarray, rel: float) -> int:
+    """The numerical rank given the singular values ``s`` in descending
+    order: the count above ``rel * s[0]``, zero for an empty or zero matrix.
+
+    Callers keep their own SVD: a full and a values-only SVD of the same
+    matrix may differ in the last bits.
+    """
+    return int(np.count_nonzero(s > rel * s[0])) if s.size and s[0] else 0
+
+
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rel * smax``.
 
     Empty and zero matrices have rank 0.
     """
-    a = _as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return _sv_rank(np.linalg.svd(_as_matrix(m), compute_uv=False), tol.rank_rel)
 
 
 # the floating-point error state np.linalg sets around each gufunc: an invalid

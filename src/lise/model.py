@@ -262,23 +262,12 @@ class ContinuousModel:
     dt: float
 
     def __post_init__(self):
-        a = _mat(self.A, None, None, "A")
-        n = a.shape[0]
-        if a.shape[1] != n:
-            raise InvalidInputError(f"A must be square, got {a.shape}")
-        b = _mat(self.B, n, None, "B")
-        g = _mat(self.G, n, None, "G")
-        c = _mat(self.C, None, n, "C")
-        l = c.shape[0]
-        d = _mat(self.D, l, b.shape[1], "D")
-        h = _mat(self.H, l, g.shape[1], "H")
-        q = _mat(self.Q, n, n, "Q")
-        r = _mat(self.R, l, l, "R")
+        # the shape rules of a discrete step
+        step = SystemStep(**{name: getattr(self, name) for name in _MATRICES})
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise InvalidInputError(f"dt must be positive and finite, got {self.dt}")
-        for name, val in (("A", a), ("B", b), ("G", g), ("C", c), ("D", d),
-                          ("H", h), ("Q", q), ("R", r)):
-            object.__setattr__(self, name, val)
+        for name in _MATRICES:
+            object.__setattr__(self, name, getattr(step, name))
 
 
 def _zoh_input(a_c: np.ndarray, b_c: np.ndarray, dt: float) -> np.ndarray:

@@ -45,11 +45,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import OutputDecomposition, decompose_cached
+from .decomposition import OutputDecomposition
 from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
-    KalmanState,
     _data_products,
     _estimate_recursion,
     _estimate_update,
@@ -114,6 +113,13 @@ class Scenario:
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
         if self.horizon < 1:
             raise InvalidInputError("horizon must be >= 1")
+        if not isinstance(self.noise_seed, numbers.Integral) or self.noise_seed < 0:
+            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.noise_seed!r}")
+        n = self.model.n
+        if self.x0_true.shape != (n,):
+            raise InvalidInputError(f"x0_true must have shape ({n},), got {self.x0_true.shape}")
+        if not np.isfinite(self.x0_true).all():
+            raise InvalidInputError("x0_true has non-finite entries")
         if self.monte_carlo < 1:
             raise InvalidInputError("monte_carlo must be >= 1")
         if len(self.d_signals) != self.model.p:
@@ -328,11 +334,6 @@ class _CycleDetector:
         return None
 
 
-def _state_dec(state, tol: Tolerance) -> OutputDecomposition:
-    """The output decomposition of the model step a filter state carries."""
-    return decompose_cached(state.step, tol) if isinstance(state, KalmanState) else state.dec
-
-
 def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                tol: Tolerance):
     """Run the real step functions over run-0 data; collect series and gains.
@@ -390,7 +391,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
             step_prev=prev.step, step=state.step,
-            dec_prev=_state_dec(prev, tol), dec=_state_dec(state, tol),
+            dec_prev=prev.dec, dec=state.dec,
             m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
             from_propagated=state.d1_from_propagated,
         ))

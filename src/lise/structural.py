@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .decomposition import decompose_cached, decoupled_dynamics
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt, rank, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
 
 __all__ = [
@@ -237,12 +237,8 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
     rows, cols = e.shape
     rng = np.random.default_rng(0xC0FFEE)
 
-    def sigma(z: complex) -> np.ndarray:
-        return np.linalg.svd(z * e - f, compute_uv=False)
-
     def numeric_rank(z: complex, rel: float) -> int:
-        s = sigma(z)
-        return int(np.count_nonzero(s > rel * s[0])) if s.size and s[0] else 0
+        return _sv_rank(np.linalg.svd(z * e - f, compute_uv=False), rel)
 
     probes = rng.standard_normal(4) * 0.7 + 1.1 + 1j * rng.standard_normal(4)
     normal_rank = max(numeric_rank(z, tol.rank_rel) for z in probes)

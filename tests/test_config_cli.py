@@ -211,6 +211,40 @@ class TestCliRun:
         # the covariance recursion is data independent
         assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("x0_true,message", [
+        ("[1.0]", r"x0_true must have shape \(5,\), got \(1,\)"),
+        ("[1.0, 2.0]", r"x0_true must have shape \(5,\), got \(2,\)"),
+        ("[0, .nan, 0, 0, 0]", "x0_true has non-finite entries"),
+    ])
+    def test_bad_x0_true_is_a_config_error(self, tmp_path, capsys, x0_true, message):
+        cfg = _small_run_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("x0_true: [0, 0, 0, 0, 0]",
+                                               f"x0_true: {x0_true}"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario: x0_")
+        assert not (tmp_path / "res" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mc", "0", "monte_carlo must be >= 1"),
+        ("--seed", "-1", "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_bad_override_is_a_config_error_naming_the_flag(self, tmp_path, capsys,
+                                                            flag, value, message):
+        cfg = _small_run_config(tmp_path)
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out), flag, value]) == 1
+        assert f"config error: {flag}: {message}" in capsys.readouterr().err
+        assert not (out / "steps.csv").exists()
+
+    def test_negative_seed_in_config_is_rejected_by_the_same_rule(self, tmp_path):
+        cfg = _small_run_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("seed: 20260810", "seed: -1"))
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -1"):
+            load_config(cfg)
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = _small_run_config(tmp_path)
         target = tmp_path / "from_env"

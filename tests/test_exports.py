@@ -1,4 +1,5 @@
-"""The package exports no function or class that it never uses itself."""
+"""The package exports no function or class that it never uses itself, and
+its modules import no name from the package that they never read."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,25 @@ def test_every_export_is_used_by_the_package():
     assert USED_ONLY_OUTSIDE <= exported
     assert not USED_ONLY_OUTSIDE & read, "now used by the package: drop the exception"
     assert sorted(exported - read - USED_ONLY_OUTSIDE) == []
+
+
+def _unread_package_imports():
+    """``(module, name)`` for every name a module binds with ``from .x import
+    y`` and never reads.  ``__init__.py`` imports to re-export, so it is
+    left out."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                unread.extend((path.name, alias.asname or alias.name)
+                              for alias in node.names
+                              if (alias.asname or alias.name) not in read)
+    return unread
+
+
+def test_every_package_import_is_read():
+    assert _unread_package_imports() == []

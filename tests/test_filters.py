@@ -19,6 +19,7 @@ from lise.errors import (
     EstimabilityError,
     GainConstructionError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     NumericalError,
 )
 from lise.decomposition import _FACTOR_CACHE_SIZE
@@ -115,6 +116,31 @@ _FILTER_FNS = {
     "CYWZ": (ulise_init, cywz_step),
     "KALMAN": (lambda model, x0, p0, y0, u0: kalman_init(model, x0, p0), kalman_step),
 }
+# the state class each filter's step takes
+_STATE_CLASSES = {"ULISE": "UliseState", "PLISE": "PliseState", "CYWZ": "UliseState",
+                  "KALMAN": "KalmanState"}
+
+
+class TestStateClass:
+    """Each public step takes the state of its own variant only: the shared
+    step body reads the variant from the state's class."""
+
+    @pytest.mark.parametrize("step_name,state_name", [
+        (s, t) for s in sorted(_FILTER_FNS) for t in ("ULISE", "PLISE", "KALMAN")
+        if _STATE_CLASSES[s] != _STATE_CLASSES[t]])
+    def test_wrong_state_class_is_rejected(self, step_name, state_name):
+        rng = np.random.default_rng(24)
+        model = random_system(rng, n=4, l=2, p=0, p_h=0)
+        ys = rng.standard_normal((2, 2))
+        us = rng.standard_normal((2, 1))
+        init, _ = _FILTER_FNS[state_name]
+        _, step_fn = _FILTER_FNS[step_name]
+        state = init(model, np.zeros(4), np.eye(4), ys[0], us[0])
+        got = type(state).__name__
+        with pytest.raises(InvalidInputError,
+                           match=f"{step_fn.__name__} needs a "
+                                 f"{_STATE_CLASSES[step_name]}, got {got}"):
+            step_fn(state, ys[1], us[1], us[0], model)
 
 
 class TestNonFiniteInputs:
@@ -222,6 +248,30 @@ class TestKalmanCollapse:
                 assert np.allclose(o.xhat, ko.xhat, atol=1e-12)
                 assert np.allclose(o.px, ko.px, atol=1e-12)
                 assert o.dhat_prev.size == 0
+
+    def test_kalman_state_carries_its_decomposition(self):
+        rng = np.random.default_rng(12)
+        model = random_system(rng, n=3, l=2, p=0, p_h=0)
+        state = kalman_init(model, np.zeros(3), np.eye(3))
+        assert state.dec is decompose_cached(state.step)
+        state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        assert state.dec is decompose_cached(state.step)
+
+    def test_kalman_rejects_a_step_whose_r_is_not_pd(self):
+        # as the other filters do, at the step whose R fails
+        rng = np.random.default_rng(13)
+        base = random_system(rng, n=3, l=2, p=0, p_h=0).step(0)
+        bad_r = np.diag([1.0, -1.0])
+
+        def provider(k):
+            return dataclasses.replace(base, R=bad_r) if k == 3 else base
+
+        model = SystemModel.time_varying(provider, dims=(3, 1, 0, 2))
+        state = kalman_init(model, np.zeros(3), np.eye(3))
+        for k in (1, 2):
+            state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        with pytest.raises(NotPositiveDefiniteError, match="R is not PD"):
+            kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
 
     def test_kalman_rejects_unknown_inputs(self):
         model = config_scenario("fault_h1").model

@@ -15,6 +15,7 @@ from lise.linalg import (
     Tolerance,
     _finite,
     _norm,
+    _sv_rank,
     eigh,
     expm,
     inv,
@@ -54,6 +55,17 @@ class TestRank:
         gram_eigs = np.linalg.eigvalsh(H1.T @ H1)
         assert np.allclose(gram_eigs, [0.0, 1.0, 1.0])
         assert rank(H1) == np.count_nonzero(gram_eigs > 0.5) == 2
+
+    def test_zero_matrix(self):
+        assert rank(np.zeros((3, 2))) == 0
+
+    def test_cut_off_is_relative_to_the_largest_singular_value(self):
+        # the one rule every rank decision of the package uses
+        assert _sv_rank(np.array([]), 0.1) == 0
+        assert _sv_rank(np.array([0.0, 0.0]), 0.1) == 0
+        assert _sv_rank(np.array([4.0, 0.4, 0.3]), 0.1) == 1
+        assert _sv_rank(np.array([4.0, 0.41, 0.3]), 0.1) == 2
+        assert rank(np.diag([1.0, 1e-10, 1e-12])) == 2
 
 
 @settings(max_examples=200, deadline=None)

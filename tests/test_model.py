@@ -193,6 +193,25 @@ class TestC2d:
         assert np.array_equal(c2d_zoh(cm).step(0).R, cm.R)
         assert np.allclose(c2d_zoh(cm, scale_r_by_dt=True).step(0).R, cm.R / cm.dt)
 
+    @pytest.mark.parametrize("field,bad,message", [
+        ("A", np.zeros((2, 3)), r"A must be square, got \(2, 3\)"),
+        ("B", np.zeros((3, 1)), "B must have 2 rows, got 3"),
+        ("G", np.zeros((3, 1)), "G must have 2 rows, got 3"),
+        ("C", np.zeros((2, 3)), "C must have 2 columns, got 3"),
+        ("D", np.zeros((2, 2)), "D must have 1 columns, got 2"),
+        ("H", np.zeros((2, 2)), "H must have 1 columns, got 2"),
+        ("Q", np.zeros((2, 3)), "Q must have 2 columns, got 3"),
+        ("R", np.zeros((3, 2)), "R must have 2 rows, got 3"),
+        ("R", np.zeros(2), r"R must be 2-D, got shape \(2,\)"),
+    ])
+    def test_shapes_follow_the_step_rules(self, field, bad, message):
+        mats = dict(A=np.zeros((2, 2)), B=np.zeros((2, 1)), G=np.zeros((2, 1)),
+                    C=np.eye(2), D=np.zeros((2, 1)), H=np.zeros((2, 1)),
+                    Q=np.eye(2), R=np.eye(2))
+        mats[field] = bad
+        with pytest.raises(InvalidInputError, match=message):
+            ContinuousModel(**mats, dt=0.1)
+
     def test_invalid_dt(self):
         with pytest.raises(InvalidInputError):
             ContinuousModel(A=np.zeros((1, 1)), B=np.zeros((1, 0)), G=np.zeros((1, 0)),
