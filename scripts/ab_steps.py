@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two lise checkouts on the filter step loop and
-on ``lise run``.
+"""In-process A/B timing of two lise checkouts on the filter step loop, on
+``lise run`` and on its Monte-Carlo path.
 
     python3 scripts/ab_steps.py --checkout parent=../old --checkout change=. \
         [--reps 20] [--steps 1000] [--configs fault_h1 fault_h2 ...]
@@ -12,7 +12,7 @@ machine drift by 15-40 % over seconds to minutes (perfbench/README.md), more
 than a change to the fixed cost of a step; alternating the two packages in
 one process puts both sides under the same drift.
 
-Two benchmarks run, each once untimed per side first (as warm-up and for
+Three benchmarks run, each once untimed per side first (as warm-up and for
 the output comparison), then ``--reps`` times per side, the two sides in
 turn and their order reversed on every other repetition:
 
@@ -22,13 +22,19 @@ turn and their order reversed on every other repetition:
   plant of perfbench's ``online_tv``: A of ``fault_h1`` scaled by
   ``1 + 0.2 sin(2 pi k / 500 + phase)``, H switching between ``fault_h1``
   and ``fault_h2`` every 100 steps);
-- ``run``: ``lise run`` (the CLI's ``main``) on each of ``--configs`` in turn.
+- ``run``: ``lise run`` (the CLI's ``main``) on each of ``--configs`` in turn;
+- ``mc``: ``lise run --config fault_h1 --mc 128 --seed 1``: besides the
+  filter passes on run 0, the truth simulation of 128 runs and the
+  Monte-Carlo replay of the gain schedule, which neither of the other two
+  reaches.  Its CSVs hold run 0 only, so their bytes show that a replay
+  change leaves run 0 alone; the replayed runs are checked by the tests.
 
 For each benchmark the script prints, per side, the median and quartiles of
 the time of one repetition, the ratio of the second side's median to the
 first's, the number of repetitions the second side was faster, and whether
 the two sides' outputs are bitwise equal (every step output of ``online``,
-every written CSV byte of ``run``).  The last line is the same as JSON.
+every written CSV byte of ``run`` and ``mc``).  The last line is the same as
+JSON.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ CONFIGS = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5", "fault_h6
            "vehicle_tracking")
 FILTERS = ("ulise", "plise", "cywz")
 SWITCH, PERIOD, DEPTH = 100, 500.0, 0.2
+MC_RUNS = 128
 
 
 def load_package(root: str, name: str):
@@ -117,11 +124,21 @@ class Side:
 
     def run(self):
         """``lise run`` on every config; returns the time and the CSV bytes."""
+        return self._cli([["run", "--config", cfg] for cfg in self.configs])
+
+    def mc(self):
+        """``lise run --mc`` on fault_h1; returns the time and the CSV bytes."""
+        cfg = os.path.join(self.root, "configs", "fault_h1.yaml")
+        return self._cli([["run", "--config", cfg, "--mc", str(MC_RUNS), "--seed", "1"]])
+
+    def _cli(self, commands):
+        """Run the CLI's ``main`` on each argv, each writing into a directory
+        of its own; returns their total time and every written file's bytes."""
         files = {}
         seconds = 0.0
         with tempfile.TemporaryDirectory() as out:
-            for cfg in self.configs:
-                argv = ["run", "--config", cfg, "--out", os.path.join(out, os.path.basename(cfg))]
+            for i, argv in enumerate(commands):
+                argv = argv + ["--out", os.path.join(out, str(i))]
                 with contextlib.redirect_stdout(io.StringIO()):
                     t0 = time.perf_counter()
                     code = self.lise.cli.main(argv)
@@ -178,6 +195,7 @@ def main(argv=None) -> int:
     report = {
         "online": compare("online", sides, args.reps, same_online),
         "run": compare("run", sides, args.reps, lambda x, y: x == y),
+        "mc": compare("mc", sides, args.reps, lambda x, y: x == y),
     }
     for name, res in report.items():
         print(f"{name}: {res['reps']} alternating repetitions per side")

@@ -160,9 +160,6 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
     for key in ("horizon", "filters", "d_signals"):
         if key not in node:
             raise ConfigError(f"missing key {key!r}", path)
-    horizon = node["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ConfigError("horizon must be a positive integer", f"{path}.horizon")
     filters = node["filters"]
     if not isinstance(filters, list) or not filters:
         raise ConfigError("filters must be a non-empty list", f"{path}.filters")
@@ -187,14 +184,11 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
         raise ConfigError(
             f"gamma must be one of {[g.value for g in GammaPolicy]}, got {gamma_name!r}",
             f"{path}.gamma") from None
-    mc = node.get("monte_carlo", 1)
-    if not isinstance(mc, int) or mc < 1:
-        raise ConfigError("monte_carlo must be a positive integer", f"{path}.monte_carlo")
     try:
         return Scenario(
-            model=model, horizon=horizon, d_signals=d_signals, u_signals=u_signals,
+            model=model, horizon=node["horizon"], d_signals=d_signals, u_signals=u_signals,
             x0_true=x0_true, x0_mean=x0_mean, p0=p0, noise_seed=node.get("seed", 0),
-            filters=tuple(filters), monte_carlo=mc, gamma=gamma,
+            filters=tuple(filters), monte_carlo=node.get("monte_carlo", 1), gamma=gamma,
             steady_window=float(node.get("steady_window", 0.2)),
             structural_checks=bool(node.get("structural_checks", True)),
         )

@@ -17,8 +17,12 @@ update is a linear map of the previous state and feedthrough-input estimates
 and of the step's measurement and known inputs.  The replay takes the matrix
 of that map for each distinct gain record from the estimate update the step
 functions share, run on the columns of the identity, so the estimate
-recursion is written once; each replayed step is then one small matrix
-product over all runs.
+recursion is written once.  The runs lie on the last axis of a buffer of a
+few dozen steps, each step a contiguous block of its data and of the
+previous estimates, so each replayed step is one matrix product over all
+runs that writes the new estimates straight into the next step's block; the
+buffer is filled with the data and emptied into the outputs once per chunk
+of steps.
 
 On a time-invariant model the floating-point gain recursion of ULISE, PLISE
 and CYWZ settles into a covariance state that repeats bit for bit, either a
@@ -38,6 +42,7 @@ Time-varying models and the Kalman filter step at every k.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import time
 from dataclasses import dataclass
@@ -111,17 +116,21 @@ class Scenario:
         object.__setattr__(self, "x0_true", np.asarray(self.x0_true, dtype=float))
         object.__setattr__(self, "x0_mean", np.asarray(self.x0_mean, dtype=float))
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
-        if self.horizon < 1:
-            raise InvalidInputError("horizon must be >= 1")
+        for name in ("horizon", "monte_carlo"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
         if not isinstance(self.noise_seed, numbers.Integral) or self.noise_seed < 0:
             raise InvalidInputError(f"seed must be a nonnegative integer, got {self.noise_seed!r}")
         n = self.model.n
-        if self.x0_true.shape != (n,):
-            raise InvalidInputError(f"x0_true must have shape ({n},), got {self.x0_true.shape}")
-        if not np.isfinite(self.x0_true).all():
-            raise InvalidInputError("x0_true has non-finite entries")
-        if self.monte_carlo < 1:
-            raise InvalidInputError("monte_carlo must be >= 1")
+        for name, value, shape in (("x0_true", self.x0_true, (n,)),
+                                   ("x0_mean", self.x0_mean, (n,)), ("P0", self.p0, (n, n))):
+            if value.shape != shape:
+                raise InvalidInputError(f"{name} must have shape {shape}, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise InvalidInputError(f"{name} has non-finite entries")
         if len(self.d_signals) != self.model.p:
             raise InvalidInputError(
                 f"need {self.model.p} unknown-input signals, got {len(self.d_signals)}")
@@ -240,12 +249,6 @@ class _StepGains:
     m2_state: np.ndarray
     gain_l: np.ndarray
     from_propagated: bool
-
-    def update(self, xhat, d1hat, y, u, u_prev):
-        """:func:`filters._estimate_update` with this record's gains."""
-        return _estimate_update(xhat, d1hat, y, u, u_prev, self.step_prev, self.step,
-                                self.dec_prev, self.dec, self.m2, self.m2_state,
-                                self.gain_l, self.from_propagated)
 
     def recursion(self, xhat, d1hat, y, products):
         """:func:`filters._estimate_recursion` with this record's gains."""
@@ -451,41 +454,41 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
         raise _nonfinite_error(("y", "u", "u_prev")[int(np.argmin(ok[:, bad[0]]))], stop)
 
 
-class _Stacked:
-    """Reads attribute ``a`` as ``np.stack([o.a for o in objs])``."""
-
-    def __init__(self, objs):
-        self._objs = objs
-
-    def __getattr__(self, name):
-        return np.stack([getattr(o, name) for o in self._objs])
+# Steps per chunk of the replay buffer, which holds _CHUNK + 1 steps of rows =
+# l + 2 m + n + p_h + p values per run: 8 (_CHUNK + 1) rows M bytes, 0.57 MB
+# for fault_h1 at M = 128 (rows = 17), 7 % of the outputs it fills at N = 1000.
+_CHUNK = 32
 
 
-def _update_maps(group: Sequence[_StepGains]) -> np.ndarray:
-    """The estimate update of every record in ``group`` as one matrix each.
+def _update_maps(gains: Sequence[_StepGains]) -> list[np.ndarray]:
+    """The estimate update of every step of ``gains`` as one matrix.
 
-    The update is linear in ``v = [x; d1; y; u; u_prev]`` (``d1`` of the
-    previous step's feedthrough rank).  :meth:`_StepGains.update` is run once
-    on the columns of the identity, with the matrices of all records stacked
-    along a leading axis, so the records must share both feedthrough ranks.
-    Returns the (R, n + p_h + p, len(v)) stack of matrices ``F`` with
-    ``[xhat; d1hat; dhat_prev] = F v``.
+    The update is linear in ``v = [y; u; u_prev; x; d1]`` (``d1`` of the
+    previous step's feedthrough rank).  :func:`filters._estimate_update` is
+    run once per group of distinct records that share their model steps and
+    decompositions, on the columns of the identity: those matrices enter
+    once, and only ``m2``, ``m2_state`` and ``gain_l`` are stacked along a
+    leading axis, one slice per record.  Returns, for step ``i``, the
+    C-contiguous matrix ``F`` with ``[xhat; d1hat; dhat_prev] = F v``; steps
+    that share a record share its matrix.
     """
-    g0 = group[0]
-    sizes = [g0.step.n, g0.dec_prev.p_h, g0.step.l, g0.step.m, g0.step.m]
-    columns = np.split(np.eye(sum(sizes)), np.cumsum(sizes)[:-1])
-    stacked = _StepGains(
-        step_prev=_Stacked([g.step_prev for g in group]),
-        step=_Stacked([g.step for g in group]),
-        dec_prev=_Stacked([g.dec_prev for g in group]),
-        dec=_Stacked([g.dec for g in group]),
-        m2=np.stack([g.m2 for g in group]),
-        m2_state=np.stack([g.m2_state for g in group]),
-        gain_l=np.stack([g.gain_l for g in group]),
-        from_propagated=g0.from_propagated,
-    )
-    xhat, d1hat, dhat_prev, _ = stacked.update(*columns)
-    return np.concatenate([xhat, d1hat, dhat_prev], axis=1)
+    groups: dict[tuple, list[_StepGains]] = {}
+    for g in {id(g): g for g in gains}.values():
+        key = (id(g.step_prev), id(g.step), id(g.dec_prev), id(g.dec), g.from_propagated)
+        groups.setdefault(key, []).append(g)
+    maps = {}
+    for group in groups.values():
+        g0 = group[0]
+        sizes = [g0.step.l, g0.step.m, g0.step.m, g0.step.n, g0.dec_prev.p_h]
+        y, u, u_prev, x, d1 = np.split(np.eye(sum(sizes)), np.cumsum(sizes)[:-1])
+        m2, m2_state, gain_l = (np.stack([getattr(g, name) for g in group])
+                                for name in ("m2", "m2_state", "gain_l"))
+        xhat, d1hat, dhat_prev, _ = _estimate_update(
+            x, d1, y, u, u_prev, g0.step_prev, g0.step, g0.dec_prev, g0.dec,
+            m2, m2_state, gain_l, g0.from_propagated)
+        for g, f in zip(group, np.concatenate([xhat, d1hat, dhat_prev], axis=1)):
+            maps[id(g)] = f
+    return [maps[id(g)] for g in gains]
 
 
 def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
@@ -495,43 +498,51 @@ def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
     ``ys`` has shape (M, N+1, l); returns batched estimates (M, N, n) and
     (M, N, p).  The covariance side is untouched (it is data-independent).
     Each distinct gain record (the gain cycle shares them by identity) is
-    turned into the matrix of its estimate update by :func:`_update_maps`,
-    so the estimate recursion stays the one of the step functions, and each
-    step of the replay is one affine map of the (M, n + p_h) stack of
-    ``[x; d1]``, the step's measurements and its known inputs.
+    turned into the matrix ``F`` of its estimate update by
+    :func:`_update_maps`, so the estimate recursion stays the one of the
+    step functions.  The runs lie on the last axis of a (steps + 1, rows, M)
+    buffer whose step ``j`` holds ``[y_k; u_k; u_{k-1}; x; d1]`` of step
+    ``k``: each chunk of :data:`_CHUNK` steps is filled with its data once,
+    each step is the one product ``F z[j]`` written into the state rows of
+    ``z[j + 1]``, and each chunk is emptied into the outputs once.
     """
     runs = ys.shape[0]
     n_steps = len(gains)
     if n_steps == 0:
         raise InvalidInputError("empty gain schedule")
     g0 = gains[0]
-    n, l = g0.step.n, g0.step.l
-    xh = np.empty((runs, n_steps, n))
-    dh = np.empty((runs, n_steps, g0.step.p))
-
-    groups: dict[tuple, list[_StepGains]] = {}
-    for g in {id(g): g for g in gains}.values():
-        groups.setdefault((g.dec_prev.p_h, g.dec.p_h, g.from_propagated), []).append(g)
-    maps = {}
-    for (ph_prev, ph, _), group in groups.items():
-        w = n + ph_prev
-        # transposed into C order, so that each block is contiguous for gemm
-        for g, ft in zip(group, np.ascontiguousarray(_update_maps(group).swapaxes(1, 2))):
-            maps[id(g)] = (ft[:w], ft[w:w + l], ft[w + l:], n + ph)
-    # the known inputs of step k = i + 1 as one row [u_k, u_{k-1}]
-    uu = np.concatenate([us[1:n_steps + 1], us[:n_steps]], axis=1)
+    n, l, m, p = g0.step.n, g0.step.l, g0.step.m, g0.step.p
+    dw = l + 2 * m
+    maps = _update_maps(gains)
+    chunk = min(_CHUNK, n_steps)
+    z = np.empty((chunk + 1, dw + max(f.shape[0] for f in maps), runs))
 
     # the filter initialisation of every run, on the columns of (n, M) stacks
     dec0 = g0.dec_prev
     x = np.broadcast_to(x0_mean, (runs, n))
-    d1 = _feedthrough_input(dec0, dec0.T1 @ ys[:, 0].T, x.T, dec0.D1 @ us[0][:, None])
-    s = np.concatenate([x, d1.T], axis=1)
-    for i, g in enumerate(gains):
-        fs, fy, fu, w = maps[id(g)]
-        s = s @ fs + ys[:, i + 1] @ fy + uu[i] @ fu
-        xh[:, i] = s[:, :n]
-        dh[:, i] = s[:, w:]
-        s = s[:, :w]
+    z[0, dw:dw + n] = x.T
+    z[0, dw + n:dw + n + dec0.p_h] = _feedthrough_input(
+        dec0, dec0.T1 @ ys[:, 0].T, x.T, dec0.D1 @ us[0][:, None])
+    xh = np.empty((runs, n_steps, n))
+    dh = np.empty((runs, n_steps, p))
+    for start in range(0, n_steps, chunk):
+        part = maps[start:start + chunk]
+        c = len(part)
+        z[:c, :l] = ys[:, start + 1:start + c + 1].transpose(1, 2, 0)
+        z[:c, l:l + m] = us[start + 1:start + c + 1, :, None]
+        z[:c, l + m:dw] = us[start:start + c, :, None]
+        for j, f in enumerate(part):
+            f.dot(z[j, :f.shape[1]], out=z[j + 1, dw:dw + f.shape[0]])
+        xh[:, start:start + c] = z[1:c + 1, dw:dw + n].transpose(2, 0, 1)
+        # dhat_prev is the last p of the n + p_h + p rows a step writes, so it
+        # moves with p_h: one copy per run of steps with equal p_h
+        j = 0
+        for height, run in itertools.groupby(f.shape[0] for f in part):
+            b = j + len(list(run))
+            dh[:, start + j:start + b] = z[j + 1:b + 1, dw + height - p:dw + height].transpose(
+                2, 0, 1)
+            j = b
+        z[0, dw:] = z[c, dw:]
     return xh, dh
 
 
@@ -598,10 +609,12 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         err_x = xhat - truth0.x[1:n_ok + 1]
         err_d = dhat - truth0.d[:n_ok]
         if scenario.monte_carlo > 1 and n_ok:
-            xh_runs, dh_runs = _apply_schedule(gains, truth.y, truth.u,
-                                               scenario.x0_mean)
-            err_x_runs = xh_runs - truth.x[:, 1:n_ok + 1]
-            err_d_runs = dh_runs - truth.d[:n_ok]
+            # the errors overwrite the replayed estimates, so the batch holds
+            # one (M, N, .) array per series
+            err_x_runs, err_d_runs = _apply_schedule(gains, truth.y, truth.u,
+                                                     scenario.x0_mean)
+            err_x_runs -= truth.x[:, 1:n_ok + 1]
+            err_d_runs -= truth.d[:n_ok]
         else:
             err_x_runs = err_x[np.newaxis]
             err_d_runs = err_d[np.newaxis]

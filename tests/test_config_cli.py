@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,43 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: scenario: x0_")
         assert not (tmp_path / "res" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("x0_mean: [0, 0, 0, 0, 0]", "x0_mean: [0, 0]",
+         r"x0_mean must have shape \(5,\), got \(2,\)"),
+        ("x0_mean: [0, 0, 0, 0, 0]", "x0_mean: [0, 0, .inf, 0, 0]",
+         "x0_mean has non-finite entries"),
+        ("P0:\n    - [1, 0, 0, 0, 0]", "P0:\n    - [.nan, 0, 0, 0, 0]",
+         "P0 has non-finite entries"),
+        ("P0:\n    - [1, 0, 0, 0, 0]\n", "P0:\n", r"P0 must have shape \(5, 5\), got \(4, 5\)"),
+    ])
+    def test_bad_x0_mean_or_p0_is_a_config_error(self, tmp_path, capsys, old, new, message):
+        # the filter init would reject them too, but as a numerical failure
+        # (exit 3) after the structural checks and the truth simulation
+        cfg = _small_run_config(tmp_path)
+        text = cfg.read_text()
+        assert text.count(old) == 1
+        cfg.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario: ") and re.search(message, err)
+        assert not (tmp_path / "res" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("horizon", "10.0", "horizon must be an integer, got 10.0"),
+        ("horizon", "0", "horizon must be >= 1"),
+        ("monte_carlo", "1.5", "monte_carlo must be an integer, got 1.5"),
+        ("monte_carlo", "true", "monte_carlo must be an integer, got True"),
+        ("monte_carlo", "'2'", "monte_carlo must be an integer, got '2'"),
+    ])
+    def test_count_keys_must_be_integers(self, tmp_path, key, value, message):
+        cfg = _small_run_config(tmp_path)
+        line = {"horizon": "horizon: 60", "monte_carlo": "monte_carlo: 1"}[key]
+        cfg.write_text(cfg.read_text().replace(line, f"{key}: {value}"))
+        with pytest.raises(ConfigError, match=f"^scenario: {message}$"):
+            load_config(cfg)
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--mc", "0", "monte_carlo must be >= 1"),

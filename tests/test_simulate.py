@@ -19,11 +19,12 @@ from oracles import (fault_input_samples, per_run_truth_oracle,
                      per_value_step_csv)
 from lise.cli import main as cli_main
 from lise.errors import InvalidInputError
-from lise.filters import ulise_init, ulise_step
 from lise.linalg import DEFAULT_TOL, _norm
 from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
                           sample_signals)
 from lise.simulate import (
+    _INITS,
+    _STEPS,
     FilterFailure,
     _CycleDetector,
     _apply_schedule,
@@ -105,9 +106,30 @@ class TestSimulateTruth:
         assert np.array_equal(a.d, b.d)   # signals are shared, noise is not
 
 
-def _rank_switching_model(rng):
-    """Time-varying model whose feedthrough rank alternates 0 and 2."""
-    steps = [random_system(rng, n=4, l=3, p=2, p_h=p_h).step(0) for p_h in (0, 2)]
+@pytest.mark.parametrize("field, value", [
+    ("monte_carlo", 1.5), ("horizon", 10.0), ("monte_carlo", True), ("horizon", "10"),
+])
+def test_scenario_counts_must_be_integers(field, value):
+    with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got {value!r}$"):
+        config_scenario("fault_h1", **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x0_mean", np.zeros(2), r"x0_mean must have shape \(5,\), got \(2,\)"),
+    ("x0_mean", np.full(5, np.nan), "x0_mean has non-finite entries"),
+    ("p0", np.eye(4), r"P0 must have shape \(5, 5\), got \(4, 4\)"),
+    ("p0", np.full((5, 5), np.inf), "P0 has non-finite entries"),
+])
+def test_scenario_checks_the_filter_prior(field, value, message):
+    with pytest.raises(InvalidInputError, match=message):
+        config_scenario("fault_h1", **{field: value})
+
+
+def _rank_switching_model(rng, ranks=(0, 2)):
+    """Time-varying model whose feedthrough rank alternates between
+    ``ranks`` every two steps.  With the default, every filter stops at step
+    2, where rank(C2 G2) = 1 < 2; with (0, 1) every switch is estimable."""
+    steps = [random_system(rng, n=4, l=3, p=2, p_h=p_h).step(0) for p_h in ranks]
     return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
 
 
@@ -172,19 +194,32 @@ class TestRunScenario:
         assert np.allclose(a.px_diag, b.px_diag, atol=1e-12)
 
     def test_batch_replay_matches_sequential_filter(self):
-        # Monte-Carlo runs replay a precomputed gain schedule; run 1 must
-        # equal a from-scratch sequential filter on run 1's data
-        sc = config_scenario("fault_h1", horizon=80, monte_carlo=3,
-                             structural_checks=False)
-        res = run_scenario(sc)
-        truth1 = simulate_truth(sc, run_index=1)
-        model = sc.model
-        state = ulise_init(model, sc.x0_mean, sc.p0, truth1.y[0], truth1.u[0])
-        for k in range(1, 81):
-            state, out = ulise_step(state, truth1.y[k], truth1.u[k],
-                                    truth1.u[k - 1], model, sc.gamma)
-            replayed = res.filters["ULISE"].err_x_runs[1, k - 1] + truth1.x[k]
-            assert np.allclose(out.xhat, replayed, atol=1e-11)
+        # Monte-Carlo runs replay a precomputed gain schedule; each filter's
+        # run 1 must equal its own from-scratch sequential filter on run 1's
+        # data, on fault_h1 and on a time-varying model whose feedthrough
+        # rank changes inside the schedule
+        horizon = 40
+        switching = Scenario(
+            model=_rank_switching_model(np.random.default_rng(8), (0, 1)), horizon=horizon,
+            d_signals=[SquareWave(1.5, 2, 1, horizon)] * 2,
+            u_signals=[Ramp(0.3, 0, horizon)], x0_true=np.ones(4), x0_mean=np.zeros(4),
+            p0=np.eye(4), noise_seed=9, monte_carlo=3, filters=("ULISE", "PLISE", "CYWZ"),
+            structural_checks=False)
+        for sc in (config_scenario("fault_h1", horizon=80, monte_carlo=3,
+                                   structural_checks=False), switching):
+            res = run_scenario(sc)
+            truth1 = simulate_truth(sc, run_index=1)
+            model = sc.model
+            for name in ("ULISE", "PLISE", "CYWZ"):
+                fr = res.filters[name]
+                state = _INITS[name](model, sc.x0_mean, sc.p0, truth1.y[0], truth1.u[0])
+                for k in range(1, sc.horizon + 1):
+                    state, out = _STEPS[name](state, truth1.y[k], truth1.u[k],
+                                              truth1.u[k - 1], model, sc.gamma)
+                    replayed = fr.err_x_runs[1, k - 1] + truth1.x[k]
+                    assert np.allclose(out.xhat, replayed, atol=1e-11), (name, k)
+                    replayed = fr.err_d_runs[1, k - 1] + truth1.d[k - 1]
+                    assert np.allclose(out.dhat_prev, replayed, atol=1e-11), (name, k)
 
     def test_input_estimate_alignment(self):
         # with exact start and vanishing noise, the delayed estimate indexed
@@ -445,21 +480,51 @@ class TestReplay:
                       filters=("ULISE", "PLISE", "CYWZ"), structural_checks=False)
         _assert_replay_matches_oracle(sc)
 
+    def test_rank_switching_inside_the_schedule(self):
+        # feedthrough rank 0, 0, 1, 1, 0, ...: the replayed map changes shape
+        # inside a chunk, and every filter runs the whole horizon
+        model = _rank_switching_model(np.random.default_rng(8), (0, 1))
+        horizon = 70
+        sc = Scenario(model=model, horizon=horizon,
+                      d_signals=[SquareWave(1.5, 2, 1, horizon)] * 2,
+                      u_signals=[Ramp(0.3, 0, horizon)], x0_true=np.ones(4),
+                      x0_mean=np.zeros(4), p0=np.eye(4), noise_seed=9, monte_carlo=5,
+                      filters=("ULISE", "PLISE", "CYWZ"), structural_checks=False)
+        res = run_scenario(sc)
+        assert all(fr.xhat.shape[0] == horizon for fr in res.filters.values())
+        _assert_replay_matches_oracle(sc)
+
     def test_peak_memory_stays_near_the_outputs(self):
-        # the replay holds the two output arrays, the per-record maps and one
-        # step's (M, .) temporaries, never a data term of every step
-        sc = _config_scenario("fault_h1", 1000, monte_carlo=128)
-        truth = simulate_truth(sc, range(128))
-        truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
-        for name in sc.filters:
-            gains = _full_pass(name, sc, truth0, DEFAULT_TOL)[4]
-            tracemalloc.start()
-            try:
-                xh, dh = _apply_schedule(gains, truth.y, truth.u, sc.x0_mean)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * (xh.nbytes + dh.nbytes), (name, peak)
+        # the replay holds the two output arrays, the per-record maps (each an
+        # array object and its data, and the list naming one per step) and
+        # one chunk buffer, never a data term of every step; the vehicle's
+        # 1000 steps are all distinct records.  8 KiB covers the interpreter
+        # objects of one step (array views, loop counters).
+        runs = 128
+        for config in ("fault_h1", "vehicle_tracking"):
+            sc = _config_scenario(config, 1000, monte_carlo=runs)
+            truth = simulate_truth(sc, range(runs))
+            truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
+            step = sc.model.step(0)
+            for name in sc.filters:
+                gains = _full_pass(name, sc, truth0, DEFAULT_TOL)[4]
+                maps = lise.simulate._update_maps(gains)
+                records = {id(f): f for f in maps}.values()
+                chunk = min(lise.simulate._CHUNK, len(gains))
+                rows = step.l + 2 * step.m + max(f.shape[0] for f in maps)
+                held = (sum(f.nbytes + sys.getsizeof(f) for f in records)
+                        + sys.getsizeof(maps) + 8 * (chunk + 1) * rows * runs + 8192)
+                del maps, records
+                tracemalloc.start()
+                try:
+                    xh, dh = _apply_schedule(gains, truth.y, truth.u, sc.x0_mean)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                outputs = xh.nbytes + dh.nbytes
+                assert peak <= outputs + held, (config, name, peak, outputs, held)
+                if config == "fault_h1":
+                    assert peak <= 1.25 * outputs, (name, peak)
 
 
 @settings(max_examples=20, deadline=None)
