@@ -460,32 +460,51 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
 _CHUNK = 32
 
 
+class _Stacked:
+    """Reads attribute ``a`` as ``np.stack([o.a for o in objs])``."""
+
+    def __init__(self, objs):
+        self._objs = objs
+
+    def __getattr__(self, name):
+        return np.stack([getattr(o, name) for o in self._objs])
+
+
+def _shared(objs):
+    """``objs[0]`` when every one of ``objs`` is that object, else a
+    :class:`_Stacked` of them."""
+    first = objs[0]
+    return first if all(o is first for o in objs) else _Stacked(objs)
+
+
 def _update_maps(gains: Sequence[_StepGains]) -> list[np.ndarray]:
     """The estimate update of every step of ``gains`` as one matrix.
 
     The update is linear in ``v = [y; u; u_prev; x; d1]`` (``d1`` of the
     previous step's feedthrough rank).  :func:`filters._estimate_update` is
-    run once per group of distinct records that share their model steps and
-    decompositions, on the columns of the identity: those matrices enter
-    once, and only ``m2``, ``m2_state`` and ``gain_l`` are stacked along a
-    leading axis, one slice per record.  Returns, for step ``i``, the
+    run once per group of distinct records with equal feedthrough ranks, on
+    the columns of the identity.  ``m2``, ``m2_state`` and ``gain_l`` are
+    stacked along a leading axis, one slice per record; a model step or
+    decomposition that the whole group shares (every step of a
+    time-invariant model) enters once, and only those that differ (a
+    time-varying model's) are stacked too.  Returns, for step ``i``, the
     C-contiguous matrix ``F`` with ``[xhat; d1hat; dhat_prev] = F v``; steps
     that share a record share its matrix.
     """
     groups: dict[tuple, list[_StepGains]] = {}
     for g in {id(g): g for g in gains}.values():
-        key = (id(g.step_prev), id(g.step), id(g.dec_prev), id(g.dec), g.from_propagated)
-        groups.setdefault(key, []).append(g)
+        groups.setdefault((g.dec_prev.p_h, g.dec.p_h, g.from_propagated), []).append(g)
     maps = {}
     for group in groups.values():
         g0 = group[0]
         sizes = [g0.step.l, g0.step.m, g0.step.m, g0.step.n, g0.dec_prev.p_h]
         y, u, u_prev, x, d1 = np.split(np.eye(sum(sizes)), np.cumsum(sizes)[:-1])
-        m2, m2_state, gain_l = (np.stack([getattr(g, name) for g in group])
-                                for name in ("m2", "m2_state", "gain_l"))
-        xhat, d1hat, dhat_prev, _ = _estimate_update(
-            x, d1, y, u, u_prev, g0.step_prev, g0.step, g0.dec_prev, g0.dec,
-            m2, m2_state, gain_l, g0.from_propagated)
+        context = [_shared([getattr(g, name) for g in group])
+                   for name in ("step_prev", "step", "dec_prev", "dec")]
+        stacked = [np.stack([getattr(g, name) for g in group])
+                   for name in ("m2", "m2_state", "gain_l")]
+        xhat, d1hat, dhat_prev, _ = _estimate_update(x, d1, y, u, u_prev, *context, *stacked,
+                                                     g0.from_propagated)
         for g, f in zip(group, np.concatenate([xhat, d1hat, dhat_prev], axis=1)):
             maps[id(g)] = f
     return [maps[id(g)] for g in gains]

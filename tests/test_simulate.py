@@ -494,6 +494,13 @@ class TestReplay:
         assert all(fr.xhat.shape[0] == horizon for fr in res.filters.values())
         _assert_replay_matches_oracle(sc)
 
+    def test_fresh_step_every_k_time_varying_model(self):
+        # the online plant builds a new step object at every k, so the maps
+        # stack the records' model steps and decompositions too; H changes
+        # rank at k = 100 and 200
+        _, sc = online_plant(250)
+        _assert_replay_matches_oracle(dataclasses.replace(sc, monte_carlo=4))
+
     def test_peak_memory_stays_near_the_outputs(self):
         # the replay holds the two output arrays, the per-record maps (each an
         # array object and its data, and the list naming one per step) and
