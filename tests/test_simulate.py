@@ -133,6 +133,15 @@ def _rank_switching_model(rng, ranks=(0, 2)):
     return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
 
 
+def _switching_scenario(horizon, runs):
+    """ULISE, PLISE and CYWZ on the rank-(0, 1) switching model."""
+    return Scenario(model=_rank_switching_model(np.random.default_rng(8), (0, 1)),
+                    horizon=horizon, d_signals=[SquareWave(1.5, 2, 1, horizon)] * 2,
+                    u_signals=[Ramp(0.3, 0, horizon)], x0_true=np.ones(4),
+                    x0_mean=np.zeros(4), p0=np.eye(4), noise_seed=9, monte_carlo=runs,
+                    filters=("ULISE", "PLISE", "CYWZ"), structural_checks=False)
+
+
 def test_time_varying_truth_holds_one_step_at_a_time():
     # the online plant's 1000 steps take about 3.4 MB when all are held at
     # once; read one at a time into the series, the peak stays near the
@@ -198,15 +207,8 @@ class TestRunScenario:
         # run 1 must equal its own from-scratch sequential filter on run 1's
         # data, on fault_h1 and on a time-varying model whose feedthrough
         # rank changes inside the schedule
-        horizon = 40
-        switching = Scenario(
-            model=_rank_switching_model(np.random.default_rng(8), (0, 1)), horizon=horizon,
-            d_signals=[SquareWave(1.5, 2, 1, horizon)] * 2,
-            u_signals=[Ramp(0.3, 0, horizon)], x0_true=np.ones(4), x0_mean=np.zeros(4),
-            p0=np.eye(4), noise_seed=9, monte_carlo=3, filters=("ULISE", "PLISE", "CYWZ"),
-            structural_checks=False)
         for sc in (config_scenario("fault_h1", horizon=80, monte_carlo=3,
-                                   structural_checks=False), switching):
+                                   structural_checks=False), _switching_scenario(40, 3)):
             res = run_scenario(sc)
             truth1 = simulate_truth(sc, run_index=1)
             model = sc.model
@@ -483,15 +485,9 @@ class TestReplay:
     def test_rank_switching_inside_the_schedule(self):
         # feedthrough rank 0, 0, 1, 1, 0, ...: the replayed map changes shape
         # inside a chunk, and every filter runs the whole horizon
-        model = _rank_switching_model(np.random.default_rng(8), (0, 1))
-        horizon = 70
-        sc = Scenario(model=model, horizon=horizon,
-                      d_signals=[SquareWave(1.5, 2, 1, horizon)] * 2,
-                      u_signals=[Ramp(0.3, 0, horizon)], x0_true=np.ones(4),
-                      x0_mean=np.zeros(4), p0=np.eye(4), noise_seed=9, monte_carlo=5,
-                      filters=("ULISE", "PLISE", "CYWZ"), structural_checks=False)
+        sc = _switching_scenario(70, 5)
         res = run_scenario(sc)
-        assert all(fr.xhat.shape[0] == horizon for fr in res.filters.values())
+        assert all(fr.xhat.shape[0] == 70 for fr in res.filters.values())
         _assert_replay_matches_oracle(sc)
 
     def test_fresh_step_every_k_time_varying_model(self):
