@@ -189,8 +189,8 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
             model=model, horizon=node["horizon"], d_signals=d_signals, u_signals=u_signals,
             x0_true=x0_true, x0_mean=x0_mean, p0=p0, noise_seed=node.get("seed", 0),
             filters=tuple(filters), monte_carlo=node.get("monte_carlo", 1), gamma=gamma,
-            steady_window=float(node.get("steady_window", 0.2)),
-            structural_checks=bool(node.get("structural_checks", True)),
+            steady_window=node.get("steady_window", 0.2),
+            structural_checks=node.get("structural_checks", True),
         )
     except Exception as exc:
         raise ConfigError(str(exc), path) from None

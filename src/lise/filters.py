@@ -1,8 +1,13 @@
 """Recursive minimum-variance unbiased filters for joint state and
 unknown-input estimation.
 
-The paper's filter is one recursion, written once in :func:`_lise_step`;
-its variants differ only in how the covariance is propagated:
+Every filter step is one skeleton, written once in :func:`_step`: fetch the
+model step, check the data, run the filter's gain half, run the one estimate
+update (:func:`_estimate_update`) and build the new state and the
+:class:`StepOutput`.  Only the gain half differs per filter, and it reads
+the covariance state and the step contexts, never the estimates or the data.
+The paper's filter is one gain half, :func:`_lise_gains`; its variants
+differ only in how the covariance is propagated:
 
 * :func:`ulise_step` estimates the feedthrough input component from the
   measurement-updated state (globally optimal over linear estimators);
@@ -15,10 +20,12 @@ its variants differ only in how the covariance is propagated:
   generalized-least-squares gain in the state and covariance updates, while
   the reported input estimates stay BLUE.
 
-The public step functions check the state's class and call the shared body,
-which reads the variant from the state's ``d1_from_propagated``.
-:func:`kalman_step` is the no-unknown-input special case; both main filters
-collapse to it exactly when p = 0.
+The public step functions check the state's class and call the skeleton,
+whose gain half reads the variant from the state's ``d1_from_propagated``.
+:func:`kalman_step` is the no-unknown-input special case (p = 0): its gain
+half, :func:`_kalman_gains`, is the standard predict, gain and Joseph update,
+and its estimates come from the same estimate update with an empty
+feedthrough-input estimate.  Both main filters collapse to it when p = 0.
 
 Each step consumes the current measurement ``y_k`` together with the known
 inputs ``u_k`` and ``u_{k-1}`` and produces the filtered state, the one-step
@@ -64,11 +71,11 @@ eigendecompositions call numpy's LAPACK gufuncs directly
 finiteness checks sum the entries as Python floats, which never warns,
 testing every entry only when the sum is not finite.
 
-The matrix products of the gain half of the step, of the Kalman step and of
-the estimate recursion on 1-D vectors use ``ndarray.dot``: on C- or
-F-contiguous operands it makes the same BLAS call as ``@`` (gemm, gemv, syrk
-or ddot) without the matmul gufunc's per-call dispatch, which is most of the
-cost of a product of 5 x 5 matrices.  The values are the same; only the sign
+The matrix products of the gain halves and of the estimate recursion on
+1-D vectors use ``ndarray.dot``: on C- or F-contiguous operands it makes the
+same BLAS call as ``@`` (gemm, gemv, syrk or ddot) without the matmul
+gufunc's per-call dispatch, which is most of the cost of a product of 5 x 5
+matrices.  The values are the same; only the sign
 of a zero may differ, where ``@`` skips BLAS for a product over a single
 term (an inner dimension of 1) and adds that term to +0.0, so a term that is
 -0.0 (an underflow, or a zero times a negative number) comes out +0.0 from
@@ -212,14 +219,16 @@ class PliseState:
 class KalmanState:
     """State of the no-unknown-input filter.
 
-    ``step`` (required) is the model step at ``k`` and ``dec`` its output
-    decomposition, as in :class:`UliseState`; :func:`kalman_step` reads its
-    step ``k - 1`` from here, not from the model.
+    The fields are those of :class:`UliseState`; with p = 0 the feedthrough
+    input estimate ``d1hat`` is empty.  ``step`` (required) is the model
+    step at ``k`` and ``dec`` its output decomposition; :func:`kalman_step`
+    reads its step ``k - 1`` from here, not from the model.
     """
 
     k: int
     xhat: np.ndarray
     px: np.ndarray
+    d1hat: np.ndarray
     step: SystemStep
     dec: OutputDecomposition
 
@@ -609,16 +618,16 @@ def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
     return xhat_k, d1hat_k, dhat_prev, xstar
 
 
-def _gain_key(state: UliseState | PliseState) -> bytes:
+def _gain_key(state: UliseState | PliseState | KalmanState) -> bytes:
     """The exact bytes of every covariance the gain half of the next step
     reads from ``state``.
 
-    The gain half of :func:`_lise_step` (gains, covariances, next
-    covariance state) is a deterministic function of these arrays, the model
-    steps and their decompositions (``state.step`` and ``state.dec`` among
-    them).  So on a time-invariant model two states with equal keys give
-    bitwise-equal gain halves.  A state field the gain half starts to read
-    must be added here.
+    A gain half (:func:`_lise_gains`, :func:`_kalman_gains`: gains,
+    covariances, next covariance state) is a deterministic function of these
+    arrays, the model steps and their decompositions (``state.step`` and
+    ``state.dec`` among them).  So on a time-invariant model two states with
+    equal keys give bitwise-equal gain halves.  A state field the gain half
+    starts to read must be added here.
     """
     if isinstance(state, PliseState):
         return state.px.tobytes() + state.pd1.tobytes() + state.pxd1.tobytes()
@@ -633,13 +642,19 @@ def _pd1(p: np.ndarray, dec: OutputDecomposition) -> np.ndarray:
                       .dot(dec.sigma_inv))
 
 
+def _prior(model: SystemModel, x0_mean, p0, tol: Tolerance):
+    """Model step 0, its decomposition, and the checked prior mean and
+    covariance: the checks every ``*_init`` shares."""
+    step0 = model.step(0)
+    dec = _checked_context(decompose_cached, step0, tol, 0)
+    return (step0, dec, _check_vector(x0_mean, step0.n, "x0_mean", 0),
+            _check_p0(p0, step0.n, tol))
+
+
 def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
                tol: Tolerance = DEFAULT_TOL) -> UliseState:
     """Initialize the updated-estimate filter from the time-0 measurement."""
-    step0 = model.step(0)
-    dec = _checked_context(decompose_cached, step0, tol, 0)
-    xhat = _check_vector(x0_mean, step0.n, "x0_mean", 0)
-    p0m = _check_p0(p0, step0.n, tol)
+    step0, dec, xhat, p0m = _prior(model, x0_mean, p0, tol)
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
     d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, dec.D1 @ u0v)
@@ -660,9 +675,45 @@ def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
 cywz_init = ulise_init
 
 
-def _lise_step(state: UliseState | PliseState, y, u, u_prev, model: SystemModel,
-               gamma: GammaPolicy, tol: Tolerance, ols_state_gain: bool = False):
-    """One step of the unified filter, the body of :func:`ulise_step`,
+def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **options):
+    """One step of any filter: the skeleton that every public step shares.
+
+    Fetches model step ``k`` (the one model request of the step), its
+    decomposition and the context of step ``k - 1``, checks the data, runs
+    the filter's ``gain_half(state, ctx_prev, step, dec, tol, **options)``,
+    then the one :func:`_estimate_update`, and builds the new state of the
+    state's own class and the :class:`StepOutput`.
+
+    A gain half reads the covariance state (the fields of
+    :func:`_gain_key`, and ``state.step``/``state.dec``) and the step
+    contexts, never the estimates or the data.  It returns ``(cov, px_star,
+    pd_prev, gain_l, m2, m2_state, unbiasedness)``, ``cov`` being the
+    covariance fields of the new state by name.
+    """
+    k = state.k + 1
+    step = model.step(k)
+    dec_k = _checked_context(decompose_cached, step, tol, k)
+    ctx_prev = _checked_context(_step_context, state.step, tol, k - 1)
+    yv = _check_vector(y, step.l, "y", k)
+    uv = _check_vector(u, step.m, "u", k)
+    upv = _check_vector(u_prev, step.m, "u_prev", k)
+    cov, px_star, pd_prev, gain_l, m2, m2_state, unbiasedness = gain_half(
+        state, ctx_prev, step, dec_k, tol, **options)
+    xhat, d1hat, dhat_prev, xstar = _estimate_update(
+        state.xhat, state.d1hat, yv, uv, upv, state.step, step, state.dec, dec_k,
+        m2, m2_state, gain_l, state.d1_from_propagated)
+    out = StepOutput(
+        k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
+        dhat_prev=dhat_prev, pd_prev=pd_prev, gain_l=gain_l, gain_m1=dec_k.sigma_inv,
+        gain_m2=m2, gain_m2_state=m2_state, unbiasedness=unbiasedness,
+    )
+    return type(state)(k=k, xhat=xhat, d1hat=d1hat, step=step, dec=dec_k, **cov), out
+
+
+def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
+                dec_k: OutputDecomposition, tol: Tolerance, gamma: GammaPolicy,
+                ols_state_gain: bool = False):
+    """The gain half of the unified filter: of :func:`ulise_step`,
     :func:`cywz_step` and :func:`plise_step`.
 
     The variant comes from the state's class: ``d1_from_propagated`` selects
@@ -672,15 +723,7 @@ def _lise_step(state: UliseState | PliseState, y, u, u_prev, model: SystemModel,
     Everything else is shared.
     """
     propagated = state.d1_from_propagated
-    k = state.k + 1
-    step_prev = state.step
-    step = model.step(k)
-    dec_k = _checked_context(decompose_cached, step, tol, k)
-    ctx_prev = _checked_context(_step_context, step_prev, tol, k - 1)
-    dp = state.dec
-    yv = _check_vector(y, step.l, "y", k)
-    uv = _check_vector(u, step.m, "u", k)
-    upv = _check_vector(u_prev, step.m, "u_prev", k)
+    step_prev, dp = state.step, state.dec
     n = step.n
 
     # estimation of the dynamics-only input component d2 at k-1
@@ -733,28 +776,15 @@ def _lise_step(state: UliseState | PliseState, y, u, u_prev, model: SystemModel,
     noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
     px = symmetrize(noise_cross + noise_cross.T + ilc.dot(px_star).dot(ilc.T)
                     + gain_l.dot(step.R).dot(gain_l.T))
-
-    xhat, d1hat, dhat_prev, xstar = _estimate_update(
-        state.xhat, state.d1hat, yv, uv, upv, step_prev, step, dp, dec_k,
-        m2, m2_state, gain_l, propagated)
-
+    cov = {"px": px}
     if propagated:
         # d1 at k is estimated from the propagated state
-        pxd1 = (-(ilc.dot(px_star).dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-                - (gain_l.dot(step.R) @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
-                .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-        new_state = PliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, pd1=_pd1(px_star, dec_k),
-                               pxd1=pxd1, step=step, dec=dec_k)
-    else:
-        new_state = UliseState(k=k, xhat=xhat, px=px, d1hat=d1hat, step=step, dec=dec_k)
-    out = StepOutput(
-        k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
-        dhat_prev=dhat_prev, pd_prev=symmetrize(pd_prev),
-        gain_l=gain_l, gain_m1=dec_k.sigma_inv, gain_m2=m2,
-        gain_m2_state=m2_state,
-        unbiasedness=_unbiasedness(dec_k, m2, m2_state, c2g2, gain_l),
-    )
-    return new_state, out
+        cov["pd1"] = _pd1(px_star, dec_k)
+        cov["pxd1"] = (-(ilc.dot(px_star).dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+                       - (gain_l.dot(step.R) @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
+                       .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+    return (cov, px_star, symmetrize(pd_prev), gain_l, m2, m2_state,
+            _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l))
 
 
 def _check_state(state, cls, step_name: str) -> None:
@@ -772,7 +802,7 @@ def ulise_step(state: UliseState, y, u, u_prev, model: SystemModel,
     :class:`EstimabilityError` is raised naming the achieved rank.
     """
     _check_state(state, UliseState, "ulise_step")
-    return _lise_step(state, y, u, u_prev, model, gamma, tol)
+    return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma)
 
 
 def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
@@ -781,7 +811,8 @@ def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
     """Advance the OLS variant: pseudo-inverse input gain in the state and
     covariance path, BLUE gains in the reported input estimate."""
     _check_state(state, UliseState, "cywz_step")
-    return _lise_step(state, y, u, u_prev, model, gamma, tol, ols_state_gain=True)
+    return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma,
+                 ols_state_gain=True)
 
 
 def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
@@ -800,17 +831,34 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     interface symmetry; estimates are reduction-invariant anyway.
     """
     _check_state(state, PliseState, "plise_step")
-    return _lise_step(state, y, u, u_prev, model, gamma, tol)
+    return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma)
 
 
 def kalman_init(model: SystemModel, x0_mean, p0,
                 tol: Tolerance = DEFAULT_TOL) -> KalmanState:
+    """Initialize the no-unknown-input filter from the prior alone."""
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
-    step0 = model.step(0)
-    dec = _checked_context(decompose_cached, step0, tol, 0)
-    return KalmanState(k=0, xhat=_check_vector(x0_mean, step0.n, "x0_mean", 0),
-                       px=_check_p0(p0, step0.n, tol), step=step0, dec=dec)
+    step0, dec, xhat, p0m = _prior(model, x0_mean, p0, tol)
+    return KalmanState(k=0, xhat=xhat, px=p0m, d1hat=np.zeros(0), step=step0, dec=dec)
+
+
+def _kalman_gains(state: KalmanState, ctx_prev, step: SystemStep,
+                  dec_k: OutputDecomposition, tol: Tolerance):
+    """The gain half of :func:`kalman_step`: predict, gain and Joseph update.
+
+    With p = 0 there is no input gain (``m2`` is 0 x l), no input covariance
+    and no unbiasedness constraint to measure.
+    """
+    step_prev = state.step
+    p_pred = symmetrize(step_prev.A.dot(state.px).dot(step_prev.A.T) + step_prev.Q)
+    r_tilde = symmetrize(step.C.dot(p_pred).dot(step.C.T) + step.R)
+    gain_l = _spd_solve(r_tilde, step.C.dot(p_pred), "innovation covariance").T
+    ilc = _eye(step.n) - gain_l.dot(step.C)
+    px = symmetrize(ilc.dot(p_pred).dot(ilc.T) + gain_l.dot(step.R).dot(gain_l.T))
+    m2 = np.zeros((0, step.l))
+    return ({"px": px}, p_pred, np.zeros((0, 0)), gain_l, m2, m2,
+            {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0})
 
 
 def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
@@ -819,32 +867,4 @@ def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
     _check_state(state, KalmanState, "kalman_step")
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
-    k = state.k + 1
-    step_prev = state.step
-    step = model.step(k)
-    dec_k = _checked_context(decompose_cached, step, tol, k)
-    yv = _check_vector(y, step.l, "y", k)
-    uv = _check_vector(u, step.m, "u", k)
-    upv = _check_vector(u_prev, step.m, "u_prev", k)
-    n = step.n
-
-    # the products on the caller's vectors (x0_mean at k = 1, u, u_prev)
-    # stay on @: dot would copy a reversed or broadcast one
-    xpred = step_prev.A @ state.xhat + step_prev.B @ upv
-    p_pred = symmetrize(step_prev.A.dot(state.px).dot(step_prev.A.T) + step_prev.Q)
-    r_tilde = symmetrize(step.C.dot(p_pred).dot(step.C.T) + step.R)
-    gain_l = _spd_solve(r_tilde, step.C.dot(p_pred), "innovation covariance").T
-    xhat = xpred + gain_l.dot(yv - step.C.dot(xpred) - step.D @ uv)
-    ilc = _eye(n) - gain_l.dot(step.C)
-    px = symmetrize(ilc.dot(p_pred).dot(ilc.T) + gain_l.dot(step.R).dot(gain_l.T))
-
-    new_state = KalmanState(k=k, xhat=xhat, px=px, step=step, dec=dec_k)
-    empty = np.zeros(0)
-    out = StepOutput(
-        k=k, xhat=xhat, xhat_star=xpred, px=px, px_star=p_pred,
-        dhat_prev=empty, pd_prev=np.zeros((0, 0)),
-        gain_l=gain_l, gain_m1=np.zeros((0, 0)), gain_m2=np.zeros((0, step.l)),
-        gain_m2_state=np.zeros((0, step.l)),
-        unbiasedness={"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0},
-    )
-    return new_state, out
+    return _step(_kalman_gains, state, y, u, u_prev, model, tol)

@@ -24,9 +24,9 @@ runs that writes the new estimates straight into the next step's block; the
 buffer is filled with the data and emptied into the outputs once per chunk
 of steps.
 
-On a time-invariant model the floating-point gain recursion of ULISE, PLISE
-and CYWZ settles into a covariance state that repeats bit for bit, either a
-fixed point or a short cycle.  The pass keys every step by the exact bytes of
+On a time-invariant model the floating-point gain recursion of every filter
+settles into a covariance state that repeats bit for bit, either a fixed
+point or a short cycle.  The pass keys every step by the exact bytes of
 that state and watches the keys with Brent's cycle detection, which holds a
 single saved key, so its memory does not grow with the horizon.  Once
 it finds a repeat (always before three times the step of the first one), the
@@ -37,7 +37,8 @@ for all served steps at once, and only its recursive remainder runs per
 step.  No tolerance is involved, so every output
 is bitwise what stepping the filter at every k gives;
 :attr:`FilterRun.gain_cycle` says from which step the cycle is served.
-Time-varying models and the Kalman filter step at every k.
+Time-varying models step at every k.  The pass knows no filter by name: the
+Kalman filter is the p = 0 member, with an empty feedthrough-input estimate.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ __all__ = [
 FILTER_NAMES = ("ULISE", "PLISE", "CYWZ", "KALMAN")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a ``bool`` is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Simulation description: model, signals, noise seed, filters to run."""
@@ -118,11 +124,11 @@ class Scenario:
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
         for name in ("horizon", "monte_carlo"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise InvalidInputError(f"{name} must be >= 1")
-        if not isinstance(self.noise_seed, numbers.Integral) or self.noise_seed < 0:
+        if not _is_integer(self.noise_seed) or self.noise_seed < 0:
             raise InvalidInputError(f"seed must be a nonnegative integer, got {self.noise_seed!r}")
         n = self.model.n
         for name, value, shape in (("x0_true", self.x0_true, (n,)),
@@ -142,8 +148,14 @@ class Scenario:
         for name in self.filters:
             if name not in FILTER_NAMES:
                 raise InvalidInputError(f"unknown filter {name!r}; choose from {FILTER_NAMES}")
-        if not (0.0 < self.steady_window <= 1.0):
+        window = self.steady_window
+        if isinstance(window, bool) or not isinstance(window, numbers.Real):
+            raise InvalidInputError(f"steady_window must be a real number, got {window!r}")
+        if not (0.0 < window <= 1.0):
             raise InvalidInputError("steady_window must lie in (0, 1]")
+        if not isinstance(self.structural_checks, bool):
+            raise InvalidInputError(
+                f"structural_checks must be true or false, got {self.structural_checks!r}")
 
 
 @dataclass(frozen=True)
@@ -272,7 +284,7 @@ class FilterRun:
     covariance repeats the one ``period`` steps earlier.  The cycle may have
     begun before ``k``; :class:`_CycleDetector` bounds how long before.  It
     is ``None`` when no repeat was found within the horizon, and always for
-    time-varying models and the Kalman filter.
+    time-varying models.
     """
 
     name: str
@@ -307,8 +319,16 @@ class RunResult:
         return [f for f in self.filters.values() if f.error is not None]
 
 
-_INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init}
-_STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step}
+# Keep these flat module-level dicts whose values are the public *_init and
+# *_step functions or call them by their module-global names (the Kalman
+# adaptors to the shared signatures): perfbench/spans.py's tracer rebinds
+# dict values and module globals, and so traces a call through either.
+_INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init,
+          "KALMAN": lambda model, x0_mean, p0, y0, u0, tol=DEFAULT_TOL:
+          kalman_init(model, x0_mean, p0, tol)}
+_STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step,
+          "KALMAN": lambda state, y, u, u_prev, model, gamma=None, tol=DEFAULT_TOL:
+          kalman_step(state, y, u, u_prev, model, tol)}
 
 
 class _CycleDetector:
@@ -345,8 +365,8 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     states before and after it, so the pass asks the model for no step of
     its own: the step functions fetch each ``model.step(k)`` once.
 
-    On a time-invariant model, ULISE, PLISE and CYWZ steps are keyed by the
-    bytes of the filter state their gain half reads (``filters._gain_key``).
+    On a time-invariant model, the steps are keyed by the bytes of the
+    filter state their gain half reads (``filters._gain_key``).
     Once a key repeats, the gain half of every later step is a bitwise repeat
     of the one a period earlier, so the step function is no longer called:
     :func:`_serve_cycle` serves the remaining steps.
@@ -355,10 +375,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
     t0 = time.perf_counter()
-    if name == "KALMAN":
-        state = kalman_init(model, scenario.x0_mean, scenario.p0, tol)
-    else:
-        state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
     xhat = np.zeros((n_steps, model.n))
     dhat = np.zeros((n_steps, model.p))
     px_diag = np.zeros((n_steps, model.n))
@@ -366,8 +383,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     gains: list[_StepGains] = []
     unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
     error = failed_at = cycle = None
-    detector = (_CycleDetector() if model.is_time_invariant and name != "KALMAN"
-                else None)
+    detector = _CycleDetector() if model.is_time_invariant else None
     for k in range(1, n_steps + 1):
         if detector is not None:
             period = detector.observe(_gain_key(state))
@@ -377,11 +393,8 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         i = k - 1
         prev = state
         try:
-            if name == "KALMAN":
-                state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
-            else:
-                state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
-                                          scenario.gamma, tol)
+            state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
+                                      scenario.gamma, tol)
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k

@@ -340,6 +340,21 @@ def _circle_scan(build, nrows: int, candidates: np.ndarray,
                           worst_omega=float(omegas[worst]), threshold=threshold)
 
 
+def _c2g2_precondition(step: SystemStep, tol: Tolerance):
+    """The step's decomposition, ``C2 G2``, and the verdict of a failed
+    ``rank(C2 G2) = p - rank(H)`` precondition (``None`` when it holds),
+    which both filter certificates require."""
+    dec = decompose_cached(step, tol)
+    c2g2 = dec.C2 @ dec.G2
+    need = step.p - dec.p_h
+    got = rank(c2g2, tol)
+    failed = None if got == need else CertificateVerdict(
+        status="precondition_failed",
+        reason=f"rank(C2 G2) = {got} != p - rank(H) = {need}",
+    )
+    return dec, c2g2, failed
+
+
 def ulise_convergence_check(step: SystemStep,
                             tol: Tolerance = DEFAULT_TOL) -> CertificateVerdict:
     """Necessary and sufficient certificate for the updated-variant gains to
@@ -351,15 +366,9 @@ def ulise_convergence_check(step: SystemStep,
     the decoupled dynamics at that frequency, so those eigenvalues are the
     only candidates the grid could miss.
     """
-    dec = decompose_cached(step, tol)
-    c2g2 = dec.C2 @ dec.G2
-    need = step.p - dec.p_h
-    got = rank(c2g2, tol)
-    if got != need:
-        return CertificateVerdict(
-            status="precondition_failed",
-            reason=f"rank(C2 G2) = {got} != p - rank(H) = {need}",
-        )
+    dec, _, failed = _c2g2_precondition(step, tol)
+    if failed is not None:
+        return failed
     det = strong_detectability(step, tol)
     ahat, qhat = decoupled_dynamics(step, dec)
     q_half = psd_sqrt(qhat, tol)
@@ -393,15 +402,9 @@ def plise_stability_check(step: SystemStep,
     the precondition when the companion's noise coupling matrix is singular
     or its equivalent process noise is indefinite.
     """
-    dec = decompose_cached(step, tol)
-    c2g2 = dec.C2 @ dec.G2
-    need = step.p - dec.p_h
-    got = rank(c2g2, tol)
-    if got != need:
-        return CertificateVerdict(
-            status="precondition_failed",
-            reason=f"rank(C2 G2) = {got} != p - rank(H) = {need}",
-        )
+    dec, c2g2, failed = _c2g2_precondition(step, tol)
+    if failed is not None:
+        return failed
     m2t = np.linalg.pinv(c2g2) if c2g2.size else np.zeros((0, dec.C2.shape[0]))
     theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
     if theta.size:

@@ -8,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench.py"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,27 @@ def bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_tracer_sees_the_step_functions_of_a_run(tmp_path):
+    # perfbench's traced mode expects spans of the public step functions and
+    # of compute_gain_L on a lise run; its tracer rebinds them where the
+    # filter pass looks them up (the module globals and simulate's dicts)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import lise
+    import lise.cli
+    tracer = spans.Tracer().install(lise)
+    try:
+        tracer.start_pass()
+        assert lise.cli.main(["run", "--config", str(ROOT / "configs" / "fault_h1.yaml"),
+                              "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.remove()
+    summary = tracer.summarize(0)
+    for name in ("ulise_step", "plise_step", "cywz_step", "compute_gain_L"):
+        assert summary.count(f"filters.{name}") > 0, name
 
 
 def test_seed_ranges(bench):

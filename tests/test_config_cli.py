@@ -277,6 +277,29 @@ class TestCliRun:
         assert f"config error: {flag}: {message}" in capsys.readouterr().err
         assert not (out / "steps.csv").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", "true", "seed must be a nonnegative integer, got True"),
+        ("structural_checks", '"false"',
+         "structural_checks must be true or false, got 'false'"),
+        ("structural_checks", "1", "structural_checks must be true or false, got 1"),
+        ("steady_window", "true", "steady_window must be a real number, got True"),
+        ("steady_window", "'0.5'", "steady_window must be a real number, got '0.5'"),
+    ])
+    def test_mistyped_setting_is_a_config_error_naming_the_key(self, tmp_path, capsys,
+                                                                key, value, message):
+        # loaded as is, not coerced: "false" would read as true, true as 1.0
+        cfg = _small_run_config(tmp_path)
+        text = cfg.read_text()
+        old = "seed: 20260810" if key == "seed" else "monte_carlo: 1"
+        new = f"{key}: {value}" if key == "seed" else f"{old}\n  {key}: {value}"
+        assert text.count(old) == 1
+        cfg.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"^scenario: {message}$"):
+            load_config(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        assert f"config error: scenario: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "res" / "steps.csv").exists()
+
     def test_negative_seed_in_config_is_rejected_by_the_same_rule(self, tmp_path):
         cfg = _small_run_config(tmp_path)
         cfg.write_text(cfg.read_text().replace("seed: 20260810", "seed: -1"))

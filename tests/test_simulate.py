@@ -115,6 +115,19 @@ def test_scenario_counts_must_be_integers(field, value):
 
 
 @pytest.mark.parametrize("field, value, message", [
+    ("noise_seed", True, "seed must be a nonnegative integer, got True"),
+    ("steady_window", True, "steady_window must be a real number, got True"),
+    ("steady_window", "0.5", "steady_window must be a real number, got '0.5'"),
+    ("structural_checks", "false", "structural_checks must be true or false, got 'false'"),
+    ("structural_checks", 1, "structural_checks must be true or false, got 1"),
+])
+def test_scenario_rejects_mistyped_settings(field, value, message):
+    # a bool is no seed, and a string or a number no switch
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        config_scenario("fault_h1", **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
     ("x0_mean", np.zeros(2), r"x0_mean must have shape \(5,\), got \(2,\)"),
     ("x0_mean", np.full(5, np.nan), "x0_mean has non-finite entries"),
     ("p0", np.eye(4), r"P0 must have shape \(5, 5\), got \(4, 4\)"),
@@ -131,6 +144,15 @@ def _rank_switching_model(rng, ranks=(0, 2)):
     2, where rank(C2 G2) = 1 < 2; with (0, 1) every switch is estimable."""
     steps = [random_system(rng, n=4, l=3, p=2, p_h=p_h).step(0) for p_h in ranks]
     return SystemModel.time_varying(lambda k: steps[(k // 2) % 2], dims=(4, 1, 2, 3))
+
+
+def _no_input_scenario(horizon, runs):
+    """KALMAN and ULISE on fault_h1 with G and H emptied (p = 0)."""
+    base = config_scenario("fault_h1", horizon=horizon, monte_carlo=runs,
+                           structural_checks=False)
+    step = dataclasses.replace(base.model.step(0), G=np.zeros((5, 0)), H=np.zeros((5, 0)))
+    return dataclasses.replace(base, model=SystemModel.time_invariant(step), d_signals=(),
+                               filters=("KALMAN", "ULISE"))
 
 
 def _switching_scenario(horizon, runs):
@@ -205,14 +227,15 @@ class TestRunScenario:
     def test_batch_replay_matches_sequential_filter(self):
         # Monte-Carlo runs replay a precomputed gain schedule; each filter's
         # run 1 must equal its own from-scratch sequential filter on run 1's
-        # data, on fault_h1 and on a time-varying model whose feedthrough
-        # rank changes inside the schedule
+        # data, on fault_h1, on a time-varying model whose feedthrough rank
+        # changes inside the schedule, and on a p = 0 model with KALMAN
         for sc in (config_scenario("fault_h1", horizon=80, monte_carlo=3,
-                                   structural_checks=False), _switching_scenario(40, 3)):
+                                   structural_checks=False), _switching_scenario(40, 3),
+                   _no_input_scenario(80, 3)):
             res = run_scenario(sc)
             truth1 = simulate_truth(sc, run_index=1)
             model = sc.model
-            for name in ("ULISE", "PLISE", "CYWZ"):
+            for name in sc.filters:
                 fr = res.filters[name]
                 state = _INITS[name](model, sc.x0_mean, sc.p0, truth1.y[0], truth1.u[0])
                 for k in range(1, sc.horizon + 1):
@@ -382,6 +405,15 @@ class TestGainCycle:
         res = run_scenario(config_scenario(config, structural_checks=False))
         got = {name: fr.gain_cycle for name, fr in res.filters.items()}
         assert got == self.BUNDLED_CYCLES[config]
+
+    @pytest.mark.parametrize("runs", [1, 4])
+    def test_kalman_serves_its_fixed_point(self, runs):
+        # the Kalman filter is keyed and served like every other filter
+        sc = _no_input_scenario(200, runs)
+        res = run_scenario(sc)
+        assert res.filters["KALMAN"].gain_cycle == (65, 1)
+        _assert_periodic_from_cycle(res.filters["KALMAN"])
+        _assert_same_runs(res, _per_step_run(sc))
 
     def test_cycle_found_and_monte_carlo_replay_matches(self):
         sc = _config_scenario("fault_h1", 300, monte_carlo=8)
