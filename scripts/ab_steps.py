@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """In-process A/B timing of two lise checkouts on the filter step loop, on
-``lise run`` and on its Monte-Carlo path.
+``lise run``, on its Monte-Carlo path and on ``lise analyze``.
 
     python3 scripts/ab_steps.py --checkout parent=../old --checkout change=. \
         [--reps 20] [--steps 1000] [--configs fault_h1 fault_h2 ...]
@@ -12,7 +12,7 @@ machine drift by 15-40 % over seconds to minutes (perfbench/README.md), more
 than a change to the fixed cost of a step; alternating the two packages in
 one process puts both sides under the same drift.
 
-Three benchmarks run, each once untimed per side first (as warm-up and for
+Four benchmarks run, each once untimed per side first (as warm-up and for
 the output comparison), then ``--reps`` times per side, the two sides in
 turn and their order reversed on every other repetition:
 
@@ -27,14 +27,17 @@ turn and their order reversed on every other repetition:
   filter passes on run 0, the truth simulation of 128 runs and the
   Monte-Carlo replay of the gain schedule, which neither of the other two
   reaches.  Its CSVs hold run 0 only, so their bytes show that a replay
-  change leaves run 0 alone; the replayed runs are checked by the tests.
+  change leaves run 0 alone; the replayed runs are checked by the tests;
+- ``analyze``: ``lise analyze`` on each of ``--configs`` in turn, the
+  structural tests that ``lise run`` also makes before its filter passes.
 
 For each benchmark the script prints, per side, the median and quartiles of
 the time of one repetition, the ratio of the second side's median to the
 first's, the number of repetitions the second side was faster, and whether
-the two sides' outputs are bitwise equal (every step output of ``online``,
-every written CSV byte of ``run`` and ``mc``).  The last line is the same as
-JSON.
+the two sides' outputs are bitwise equal (every step output of ``online``;
+every written CSV byte of ``run`` and ``mc``, and the standard output of
+``run``, ``mc`` and ``analyze``, with the temporary output directory
+replaced by a placeholder).  The last line is the same as JSON.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def load_package(root: str, name: str):
 
 
 class Side:
-    """One checkout's package with the inputs of both benchmarks."""
+    """One checkout's package with the inputs of every benchmark."""
 
     def __init__(self, label: str, root: str, index: int, steps: int, configs):
         self.label, self.root = label, root
@@ -131,20 +134,27 @@ class Side:
         cfg = os.path.join(self.root, "configs", "fault_h1.yaml")
         return self._cli([["run", "--config", cfg, "--mc", str(MC_RUNS), "--seed", "1"]])
 
+    def analyze(self):
+        """``lise analyze`` on every config; returns the time and the stdout."""
+        return self._cli([["analyze", "--config", cfg] for cfg in self.configs])
+
     def _cli(self, commands):
         """Run the CLI's ``main`` on each argv, each writing into a directory
-        of its own; returns their total time and every written file's bytes."""
+        of its own; returns their total time, and every written file's bytes
+        and each command's standard output, the output directory written as
+        ``<out>``."""
         files = {}
         seconds = 0.0
         with tempfile.TemporaryDirectory() as out:
             for i, argv in enumerate(commands):
                 argv = argv + ["--out", os.path.join(out, str(i))]
-                with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
                     t0 = time.perf_counter()
                     code = self.lise.cli.main(argv)
                     seconds += time.perf_counter() - t0
                 if code != 0:
                     raise RuntimeError(f"{self.label}: lise {' '.join(argv)} exited {code}")
+                files[f"stdout of command {i}"] = stdout.getvalue().replace(out, "<out>")
             for dirpath, _, names in os.walk(out):
                 for name in names:
                     path = os.path.join(dirpath, name)
@@ -183,7 +193,7 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=20, help="timed repetitions per side")
     parser.add_argument("--steps", type=int, default=1000, help="steps of the online loop")
     parser.add_argument("--configs", nargs="+", default=list(CONFIGS), choices=CONFIGS,
-                        help="bundled configs that the run benchmark runs")
+                        help="bundled configs that the run and analyze benchmarks run")
     args = parser.parse_args(argv)
     if len(args.checkout) != 2:
         parser.error("give exactly two --checkout")
@@ -196,6 +206,7 @@ def main(argv=None) -> int:
         "online": compare("online", sides, args.reps, same_online),
         "run": compare("run", sides, args.reps, lambda x, y: x == y),
         "mc": compare("mc", sides, args.reps, lambda x, y: x == y),
+        "analyze": compare("analyze", sides, args.reps, lambda x, y: x == y),
     }
     for name, res in report.items():
         print(f"{name}: {res['reps']} alternating repetitions per side")

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .filters import GammaPolicy
 from .model import ContinuousModel, SystemModel, SystemStep, c2d_zoh
 from .signals import Constant, Ramp, Samples, SignalSpec, SquareWave, Step
-from .simulate import FILTER_NAMES, Scenario
+from .simulate import Scenario
 
 __all__ = ["ConfigDocument", "AnalysisSettings", "OutputSettings", "load_config"]
 
@@ -163,10 +163,6 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
     filters = node["filters"]
     if not isinstance(filters, list) or not filters:
         raise ConfigError("filters must be a non-empty list", f"{path}.filters")
-    for f in filters:
-        if f not in FILTER_NAMES:
-            raise ConfigError(f"unknown filter {f!r} (choose from {FILTER_NAMES})",
-                              f"{path}.filters")
     d_signals = [_parse_signal(s, f"{path}.d_signals[{i}]")
                  for i, s in enumerate(node["d_signals"])]
     u_signals = [_parse_signal(s, f"{path}.u_signals[{i}]")

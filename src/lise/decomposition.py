@@ -34,6 +34,15 @@ data-independent products that the filters and :func:`decoupled_dynamics`
 would otherwise rebuild every step: ``G1 Sigma^-1 C1``,
 ``(G1 Sigma^-1 R1) (G1 Sigma^-1)^T`` and ``Sigma^-1 C1``.  Each is the
 leftmost factor of every product it enters, so using it changes no bit.
+
+The constants of an ordered pair of decompositions, those of steps k-1 and
+k, live here too: ``C2[k] G2[k-1]``, its numerical rank and its
+pseudoinverse (:class:`_PairContext`).  The paper's estimability condition
+``rank(C2[k] G2[k-1]) = p - rank(H[k-1])`` is a property of the pair, read
+by the filters at every step and by the structural certificates on the
+self pair of a time-invariant step.  :func:`_pair_context` finds a pair's
+context through a weak map keyed by the later decomposition and then by the
+earlier one, so a context lives exactly as long as both decompositions.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, svd, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, pinv, rank, svd, symmetrize
 from .model import SystemStep, _nonfinite_matrix
 
 __all__ = [
@@ -56,14 +65,13 @@ __all__ = [
     "decoupled_dynamics",
 ]
 
-# distinct decompositions kept by decompose, and distinct decomposition
-# pairs kept by the filters' per-pair gain constants.  A decomposition entry
-# with its key takes 5.9 KiB at the fault configs' 5 x 3 H with n = 5
-# (0.37 MiB for a full cache), 35 KiB at a 20 x 8 H with n = 20 and 650 KiB
-# at a 100 x 20 H with n = 100; it grows with (l + n)^2.  A pair entry takes
-# about 0.6 KiB, but keeps both of its decompositions alive.  The bundled
-# workloads use at most 7 decompositions; 64 lets a schedule that cycles
-# through up to 64 of them hit.
+# distinct decompositions kept by decompose.  An entry with its key takes
+# 5.9 KiB at the fault configs' 5 x 3 H with n = 5 (0.37 MiB for a full
+# cache), 35 KiB at a 20 x 8 H with n = 20 and 650 KiB at a 100 x 20 H with
+# n = 100; it grows with (l + n)^2.  The bundled workloads use at most 7
+# decompositions; 64 lets a schedule that cycles through up to 64 of them
+# hit.  Pair contexts are not kept here: they live as long as their two
+# decompositions (see _pair_context).
 _FACTOR_CACHE_SIZE = 64
 
 
@@ -268,6 +276,54 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     before.
     """
     return _step_context(step, tol).dec
+
+
+class _PairContext:
+    """The constants of step k that depend only on the output decompositions
+    of steps k-1 and k: ``c2g2 = C2[k] G2[k-1]``, its numerical ``rank`` and,
+    built on first use, its pseudoinverse ``c2g2_pinv`` (the OLS input gain).
+    The pair satisfies the estimability condition when ``rank`` equals the
+    width of G2[k-1], ``p - rank(H[k-1])``.  The arrays are read-only.
+
+    A context holds no decomposition, so the weak maps of
+    :func:`_pair_context` let both of its decompositions go.
+    """
+
+    def __init__(self, dec_prev: OutputDecomposition, dec: OutputDecomposition, tol: Tolerance):
+        self.c2g2 = dec.C2.dot(dec_prev.G2)
+        self.c2g2.setflags(write=False)
+        self.rank = rank(self.c2g2, tol)
+        self._tol = tol
+
+    @functools.cached_property
+    def c2g2_pinv(self) -> np.ndarray:
+        m = pinv(self.c2g2, self._tol)
+        m.setflags(write=False)
+        return m
+
+
+# pair contexts by the decomposition of step k, then weakly by that of step
+# k-1 (a WeakKeyDictionary), then by tolerance
+_PAIRS: "weakref.WeakKeyDictionary[OutputDecomposition, weakref.WeakKeyDictionary]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _pair_context(dec_prev, dec, tol: Tolerance = DEFAULT_TOL) -> _PairContext:
+    """The :class:`_PairContext` of the decompositions of steps k-1 and k,
+    built on the pair's first request.
+
+    Decompositions compare by identity, so steps that share their
+    decompositions (every step of a time-invariant model, and the steps of a
+    time-varying one whose H, R, C, D and G repeat) share one context, and
+    it is dropped with the first of its two decompositions.
+    """
+    by_prev = _PAIRS.get(dec)
+    if by_prev is None:
+        by_prev = _PAIRS[dec] = weakref.WeakKeyDictionary()
+    ctx = by_prev.get(dec_prev, {}).get(tol)
+    if ctx is None:
+        ctx = by_prev.setdefault(dec_prev, {})[tol] = _PairContext(dec_prev, dec, tol)
+    return ctx
 
 
 def decoupled_dynamics(step: SystemStep, dec: OutputDecomposition) -> tuple[np.ndarray, np.ndarray]:

@@ -35,8 +35,10 @@ Unbiasedness of every gain is tracked per step in :attr:`StepOutput.unbiasedness
 Gains and covariances do not depend on the data, and much of each gain step
 depends only on the output decompositions of steps ``k - 1`` and ``k``.  The
 decompositions are shared among steps with equal H, R, C, D and G (see
-:mod:`lise.decomposition`), and ``C2[k] G2[k-1]`` with its rank test and its
-pseudoinverse is built once per pair of decompositions (:func:`_pair_context`).
+:mod:`lise.decomposition`), and ``C2[k] G2[k-1]`` with its rank and its
+pseudoinverse is built once per pair of decompositions and kept as long as
+both (:func:`lise.decomposition._pair_context`); every step reads the rank
+and raises :class:`~lise.errors.EstimabilityError` for a deficient pair.
 A cached product always enters its products as the leftmost factor, so every
 result is bitwise what building it afresh gives.
 
@@ -106,9 +108,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .decomposition import (
-    _FACTOR_CACHE_SIZE,
     OutputDecomposition,
     _NonFiniteMatrix,
+    _pair_context,
     _step_context,
     decompose_cached,
 )
@@ -123,7 +125,6 @@ from .linalg import (
     Tolerance,
     _finite,
     _norm,
-    _sv_rank,
     eigh,
     inv,
     pinv,
@@ -364,51 +365,10 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-class _PairContext:
-    """The gain constants of step k that depend only on the output
-    decompositions of steps k-1 and k: ``c2g2 = C2[k] G2[k-1]``, which has
-    passed its rank test, and its pseudoinverse, the OLS input gain, built
-    on first use.  The arrays are read-only."""
-
-    def __init__(self, c2g2: np.ndarray, tol: Tolerance):
-        self.c2g2 = c2g2
-        self._tol = tol
-
-    @functools.cached_property
-    def c2g2_pinv(self) -> np.ndarray:
-        m = pinv(self.c2g2, self._tol)
-        m.setflags(write=False)
-        return m
-
-
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _pair_context(dec_prev: OutputDecomposition, dec: OutputDecomposition,
-                  tol: Tolerance) -> _PairContext:
-    """The :class:`_PairContext` of the decompositions of steps k-1 and k.
-
-    Decompositions compare by identity, so the LRU is keyed by the two
-    objects (which an entry keeps alive) and the tolerance; steps that share
-    their decompositions (every step of a time-invariant model, and the
-    steps of a time-varying one whose H, R, C, D and G repeat) share one
-    context.  Raises :class:`EstimabilityError` when ``rank(C2 G2)`` falls
-    short of the width of G2[k-1], on every call: failures are not cached.
-    """
-    c2g2 = dec.C2.dot(dec_prev.G2)
-    need = dec_prev.G2.shape[1]
-    if need:
-        got = _sv_rank(np.linalg.svd(c2g2, compute_uv=False), tol.rank_rel)
-        if got < need:
-            raise EstimabilityError(
-                f"rank(C2 G2) = {got} < {need}: unbiased estimation of the "
-                "dynamics-only input component is impossible"
-            )
-    c2g2.setflags(write=False)
-    return _PairContext(c2g2, tol)
-
-
 def _input_gain_gls(p_tilde, dec_k, c2g2):
     """BLUE gain for the dynamics-only input component, plus its covariance,
-    given ``c2g2`` of the step's :class:`_PairContext`."""
+    given ``c2g2`` of the step's
+    :class:`~lise.decomposition._PairContext`."""
     r2_tilde = symmetrize(dec_k.C2.dot(p_tilde).dot(dec_k.C2.T) + dec_k.R2)
     x = _spd_solve(r2_tilde, c2g2, "innovation covariance of the feedthrough-free output")
     gram = c2g2.T.dot(x)
@@ -730,7 +690,11 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
     ctx = _pair_context(dp, dec_k, tol)
-    c2g2 = ctx.c2g2
+    c2g2, need = ctx.c2g2, dp.G2.shape[1]
+    if ctx.rank < need:
+        raise EstimabilityError(
+            f"rank(C2 G2) = {ctx.rank} < {need}: unbiased estimation of the "
+            "dynamics-only input component is impossible")
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
     m2_state = ctx.c2g2_pinv if ols_state_gain else m2
 

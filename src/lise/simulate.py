@@ -145,9 +145,11 @@ class Scenario:
                 f"need {self.model.m} known-input signals, got {len(self.u_signals)}")
         if not self.filters:
             raise InvalidInputError("at least one filter must be requested")
-        for name in self.filters:
+        for i, name in enumerate(self.filters):
             if name not in FILTER_NAMES:
                 raise InvalidInputError(f"unknown filter {name!r}; choose from {FILTER_NAMES}")
+            if name in self.filters[:i]:
+                raise InvalidInputError(f"filter {name!r} is requested more than once")
         window = self.steady_window
         if isinstance(window, bool) or not isinstance(window, numbers.Real):
             raise InvalidInputError(f"steady_window must be a real number, got {window!r}")
@@ -621,7 +623,8 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         detectability = structural.strongly_detectable
 
     truth = simulate_truth(scenario, range(scenario.monte_carlo), tol)
-    truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
+    # copies, so that a kept result does not pin the whole batch
+    truth0 = TruthTrajectories(x=truth.x[0].copy(), y=truth.y[0].copy(), d=truth.d, u=truth.u)
     n_steps = scenario.horizon
     tail = _steady_slice(n_steps, scenario.steady_window)
 
@@ -686,8 +689,11 @@ def empirical_error_covariance(run: FilterRun, k: int, which: str = "x") -> np.n
     """Unbiased sample covariance of the estimation error at time k across runs.
 
     ``which`` selects the state error (``"x"``, at k given k) or the
-    unknown-input error (``"d"``, the delayed estimate of d at time k).
+    unknown-input error (``"d"``, the delayed estimate of d at time k); any
+    other ``which`` raises :class:`InvalidInputError`.
     """
+    if which not in ("x", "d"):
+        raise InvalidInputError(f"which must be 'x' or 'd', got {which!r}")
     errs = run.err_x_runs if which == "x" else run.err_d_runs
     m = errs.shape[0]
     if m < 2:

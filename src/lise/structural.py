@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .decomposition import decompose_cached, decoupled_dynamics
+from .decomposition import _pair_context, decompose_cached, decoupled_dynamics
 from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
@@ -341,18 +341,19 @@ def _circle_scan(build, nrows: int, candidates: np.ndarray,
 
 
 def _c2g2_precondition(step: SystemStep, tol: Tolerance):
-    """The step's decomposition, ``C2 G2``, and the verdict of a failed
-    ``rank(C2 G2) = p - rank(H)`` precondition (``None`` when it holds),
-    which both filter certificates require."""
+    """The step's decomposition, the context of its self pair (``C2 G2``,
+    its rank and its pseudoinverse, shared with the filters' steps on this
+    decomposition), and the verdict of a failed ``rank(C2 G2) = p - rank(H)``
+    precondition (``None`` when it holds), which both filter certificates
+    require."""
     dec = decompose_cached(step, tol)
-    c2g2 = dec.C2 @ dec.G2
+    pair = _pair_context(dec, dec, tol)
     need = step.p - dec.p_h
-    got = rank(c2g2, tol)
-    failed = None if got == need else CertificateVerdict(
+    failed = None if pair.rank == need else CertificateVerdict(
         status="precondition_failed",
-        reason=f"rank(C2 G2) = {got} != p - rank(H) = {need}",
+        reason=f"rank(C2 G2) = {pair.rank} != p - rank(H) = {need}",
     )
-    return dec, c2g2, failed
+    return dec, pair, failed
 
 
 def ulise_convergence_check(step: SystemStep,
@@ -402,10 +403,10 @@ def plise_stability_check(step: SystemStep,
     the precondition when the companion's noise coupling matrix is singular
     or its equivalent process noise is indefinite.
     """
-    dec, c2g2, failed = _c2g2_precondition(step, tol)
+    dec, pair, failed = _c2g2_precondition(step, tol)
     if failed is not None:
         return failed
-    m2t = np.linalg.pinv(c2g2) if c2g2.size else np.zeros((0, dec.C2.shape[0]))
+    c2g2, m2t = pair.c2g2, pair.c2g2_pinv
     theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
     if theta.size:
         s = np.linalg.svd(theta, compute_uv=False)

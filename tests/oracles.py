@@ -624,22 +624,38 @@ def _mp_svd(a):
             np.array(vt.tolist(), dtype=object).T)
 
 
-def mp_px_recursion(variant, step, p0, n_steps, dps=50):
-    """``px`` of ULISE or CYWZ on the time-invariant ``step``, at ``dps``
-    decimal digits, for steps 1 to ``n_steps``.
+def _mp_pinv(a, rel):
+    """Pseudo-inverse of a nonempty object array of ``mpf``; singular values
+    at or below ``rel`` times the largest count as zero, as in
+    ``lise.linalg.pinv``."""
+    u, s, v = _mp_svd(a)
+    k = sum(x > rel * s[0] for x in s)
+    return v[:, :k] @ np.diag([1 / x for x in s[:k]]) @ u[:, :k].T
+
+
+def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
+    """``px`` of ULISE, CYWZ or PLISE on the time-invariant ``step``, at
+    ``dps`` decimal digits, for steps 1 to ``n_steps``.
 
     Written from the equations in ``mpmath``, not from the filter code: the
     output decomposition is built from an ``mpmath`` SVD of H, with the
     feedthrough rank of the float path (``decompose``), and every inverse is
-    an ``mpmath`` LU.  The state gain takes the whitened-complement
-    reduction ``Gamma^T (Gamma r_star Gamma^T)^-1 Gamma`` for both variants.
+    an ``mpmath`` LU.  For ULISE and CYWZ the state gain takes the
+    whitened-complement reduction ``Gamma^T (Gamma r_star Gamma^T)^-1 Gamma``.
     Gamma's rows, ``u^T r_hat^-1/2`` over the ``u`` orthogonal to
     ``r_hat^-1/2 C G2``, span the vectors orthogonal to ``C G2`` whatever
     ``r_hat`` is, and the reduction depends on that span only, so Gamma is
     taken once from an SVD of ``C G2``.  CYWZ's OLS gain is
-    ``(C2G2^T C2G2)^-1 C2G2^T``, ``C2 G2`` having full column rank.  The
-    float matrices enter exactly; returns a list of ``px`` as object arrays
-    of ``mpf``.
+    ``(C2G2^T C2G2)^-1 C2G2^T``, ``C2 G2`` having full column rank.
+
+    PLISE carries the feedthrough-input covariance ``pd1`` and its cross
+    covariance ``pxd1`` with the state, propagates the joint covariance of
+    ``(x, d1, d2)`` through ``[A, G1, G2]``, and reduces ``r_star`` by its
+    pseudo-inverse at the float path's rank rule: the singular values above
+    ``tol.rank_rel`` times the largest count, as in ``lise.linalg.pinv``.
+
+    The float matrices enter exactly; returns a list of ``px`` as object
+    arrays of ``mpf``.
     """
     with mpmath.workdps(dps):
         p_h = decompose(step).p_h
@@ -668,22 +684,38 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50):
         m2_ols = _mp_inv(c2g2.T @ c2g2) @ c2g2.T
         u2t_r = u2.T @ r
         eye_n, eye_l = np.eye(n, dtype=object), np.eye(l, dtype=object)
+        blockmap = np.hstack([a, g1, g2])
 
         px = mp_array(p0)
+        pd1 = si @ (c1 @ px @ c1.T + r1) @ si
+        pxd1 = -px @ c1.T @ si
         out = []
         for _ in range(n_steps):
             p_tilde = ahat @ px @ ahat.T + qhat
             r2_tilde = c2 @ p_tilde @ c2.T + r2
             x = _mp_inv(r2_tilde) @ c2g2
-            m2 = _mp_inv(c2g2.T @ x) @ x.T
+            pd2 = _mp_inv(c2g2.T @ x)
+            m2 = pd2 @ x.T
             m2_state = m2_ols if variant == "CYWZ" else m2
             g2m2 = g2 @ m2_state
-            igmc = eye_n - g2m2 @ c2
-            px_star = g2m2 @ r2 @ g2m2.T + igmc @ p_tilde @ igmc.T
+            if variant == "PLISE":
+                w2 = c2.T @ m2.T
+                pd12 = -pxd1.T @ a.T @ w2 - pd1 @ g1.T @ w2
+                pxd2 = -px @ a.T @ w2 - pxd1 @ g1.T @ w2
+                joint = np.block([[px, pxd1, pxd2], [pxd1.T, pd1, pd12],
+                                  [pxd2.T, pd12.T, pd2]])
+                qc = g2m2 @ c2 @ q
+                px_star = blockmap @ joint @ blockmap.T + q - qc - qc.T
+            else:
+                igmc = eye_n - g2m2 @ c2
+                px_star = g2m2 @ r2 @ g2m2.T + igmc @ p_tilde @ igmc.T
             cross = c @ g2m2 @ u2t_r
             r_star = c @ px_star @ c.T + r - cross - cross.T
             k_gain = px_star @ c.T - g2m2 @ u2t_r
-            r_check = gam.T @ _mp_inv(gam @ r_star @ gam.T) @ gam
+            if variant == "PLISE":
+                r_check = _mp_pinv(r_star, tol.rank_rel)
+            else:
+                r_check = gam.T @ _mp_inv(gam @ r_star @ gam.T) @ gam
             if p_h:
                 m1_star = si @ _mp_inv(u1.T @ r_check @ u1) @ u1.T @ r_check
                 gain_l = k_gain @ (eye_l - h1 @ m1_star).T @ r_check
@@ -693,5 +725,9 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50):
             noise_cross = ilc @ g2m2 @ u2t_r @ gain_l.T
             px = (noise_cross + noise_cross.T + ilc @ px_star @ ilc.T
                   + gain_l @ r @ gain_l.T)
+            if variant == "PLISE":
+                pd1 = si @ (c1 @ px_star @ c1.T + r1) @ si
+                pxd1 = (-(ilc @ px_star @ c1.T @ si)
+                        - gain_l @ r @ u2 @ m2.T @ g2.T @ c1.T @ si)
             out.append(px)
         return out

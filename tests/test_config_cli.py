@@ -363,6 +363,18 @@ class TestCliCompare:
         assert code == 0
         assert "CYWZ" in out
 
+    def test_duplicate_filters_are_a_config_error(self, tmp_path, capsys):
+        # on the command line and in the config's list: exit 1, naming the
+        # filter, and no run
+        cfg = _small_run_config(tmp_path)
+        assert main(["compare", "--config", str(cfg), "--filters", "ULISE", "ULISE"]) == 1
+        assert "filter 'ULISE' is requested more than once" in capsys.readouterr().err
+        cfg = _small_run_config(tmp_path, filters="[ULISE, PLISE, ULISE]")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "filter 'ULISE' is requested more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _small_run_config(tmp_path, filters="[ULISE]", horizon=60) -> Path:
     src = (CONFIGS / "fault_h1.yaml").read_text()

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import tracemalloc
 import warnings
+import weakref
 
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import config_scenario, online_plant, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
 import lise.decomposition
-from lise.decomposition import decompose, decompose_cached, decoupled_dynamics
+from lise.decomposition import _pair_context, decompose, decompose_cached, decoupled_dynamics
 from lise.errors import (
     EstimabilityError,
     GainConstructionError,
@@ -22,13 +23,11 @@ from lise.errors import (
     NotPositiveDefiniteError,
     NumericalError,
 )
-from lise.decomposition import _FACTOR_CACHE_SIZE
 from lise.filters import (
     GammaPolicy,
     _check_vector,
     _factor_solve,
     _input_gain_gls,
-    _pair_context,
     _spd_factor,
     _spd_solve,
     _sym_block,
@@ -45,6 +44,7 @@ from lise.filters import (
 from lise.linalg import DEFAULT_TOL, symmetrize
 from lise.model import SystemModel, SystemStep
 from lise.signals import Ramp, SquareWave, Step
+from lise.structural import analyze
 from lise.simulate import Scenario, simulate_truth
 
 
@@ -545,21 +545,44 @@ def _rank_deficient_fault_model():
         A=step.A, B=step.B, C=step.C, D=step.D, G=g_bad, H=step.H, Q=step.Q, R=step.R))
 
 
+def _pair_step(rng):
+    """A step with a rank-2 H of a 3-column G: C2 G2 is 3 x 1, of full
+    column rank."""
+    return SystemStep(
+        A=0.5 * np.eye(5), B=np.zeros((5, 1)), C=np.eye(5), D=np.zeros((5, 1)),
+        G=rng.standard_normal((5, 3)),
+        H=rng.standard_normal((5, 2)) @ rng.standard_normal((2, 3)),
+        Q=np.eye(5), R=np.eye(5))
+
+
 class TestPairContext:
     def test_rank_deficient_c2g2_raises_on_every_call(self):
         model = _rank_deficient_fault_model()
         dec = decompose_cached(model.step(0))
         state = ulise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
-        before = _pair_context.cache_info()
+        pstate = plise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
+        ctx = _pair_context(dec, dec, DEFAULT_TOL)
+        assert (ctx.rank, dec.G2.shape[1]) == (0, 1)
+        # the deficient pair keeps its context; every step on it raises
         for _ in range(3):
-            with pytest.raises(EstimabilityError, match="rank"):
-                _pair_context(dec, dec, DEFAULT_TOL)
-            with pytest.raises(EstimabilityError, match="rank"):
-                cywz_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
-        after = _pair_context.cache_info()
-        # a failure is never cached: every call is a miss
-        assert after.misses - before.misses == 6
-        assert after.hits == before.hits
+            for step_fn, st0 in ((ulise_step, state), (cywz_step, state), (plise_step, pstate)):
+                with pytest.raises(EstimabilityError, match=r"rank\(C2 G2\) = 0 < 1"):
+                    step_fn(st0, np.zeros(5), np.zeros(1), np.zeros(1), model)
+            assert _pair_context(dec, dec, DEFAULT_TOL) is ctx
+
+    def test_structural_checks_and_filters_share_the_self_pair_context(self):
+        # analyze forms the pseudoinverse that CYWZ's first step then uses;
+        # the scaled R gives a decomposition that no other test has paired
+        sc = config_scenario("fault_h1")
+        base = sc.model.step(0)
+        model = SystemModel.time_invariant(dataclasses.replace(base, R=1.5 * base.R))
+        analyze(model)
+        dec = decompose_cached(model.step(0))
+        ctx = _pair_context(dec, dec, DEFAULT_TOL)
+        assert "c2g2_pinv" in vars(ctx)
+        state = ulise_init(model, sc.x0_mean, sc.p0, np.zeros(5), np.zeros(1))
+        _, out = cywz_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
+        assert out.gain_m2_state is ctx.c2g2_pinv
 
     def test_arrays_are_read_only(self):
         dec = decompose_cached(config_scenario("fault_h1").model.step(0))
@@ -568,54 +591,71 @@ class TestPairContext:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
-    def test_one_context_per_decomposition_pair_of_the_online_plant(self):
+    def test_one_context_per_decomposition_pair_of_the_online_plant(self, monkeypatch):
         # 300 steps cross two H switches: 2 decompositions, 4 ordered pairs,
         # and one OLS pseudoinverse per pair
         model, sc = online_plant(300)
         truth = simulate_truth(sc, 0)
-        _pair_context.cache_clear()
+        found = []
+
+        def recording(dec_prev, dec, tol):
+            found.append(((dec_prev, dec), _pair_context(dec_prev, dec, tol)))
+            return found[-1][1]
+
+        monkeypatch.setattr(lise.filters, "_pair_context", recording)
         state = ulise_init(model, sc.x0_mean, sc.p0, truth.y[0], truth.u[0])
-        pinvs = set()
+        pinvs = []
         for k in range(1, 301):
             state, out = cywz_step(state, truth.y[k], truth.u[k], truth.u[k - 1], model)
-            pinvs.add(id(out.gain_m2_state))
-        info = _pair_context.cache_info()
-        assert (info.misses, info.hits) == (4, 296)
-        assert len(pinvs) == 4
+            pinvs.append(out.gain_m2_state)
+        assert len(found) == 300
+        contexts = {id(ctx): ctx for _, ctx in found}
+        assert len({pair for pair, _ in found}) == len(contexts) == 4
+        assert all(dict(found)[pair] is ctx for pair, ctx in found)
+        assert len({id(m) for m in pinvs}) == 4
+        assert all(any(m is c.c2g2_pinv for c in contexts.values()) for m in pinvs)
 
     def test_size_is_bounded(self):
+        # pairs of fresh decompositions that only the decomposition LRU
+        # keeps: the pair contexts go with them, so 100 more pairs leave the
+        # traced total where it was
         rng = np.random.default_rng(8)
-        # rank-2 H of a 3-column G: C2 G2 is 3 x 1, of full column rank
-        decs = [decompose(SystemStep(
-            A=0.5 * np.eye(5), B=np.zeros((5, 1)), C=np.eye(5), D=np.zeros((5, 1)),
-            G=rng.standard_normal((5, 3)),
-            H=rng.standard_normal((5, 2)) @ rng.standard_normal((2, 3)),
-            Q=np.eye(5), R=np.eye(5))) for _ in range(301)]
 
-        def fill(lo, hi):
-            for i in range(lo, hi):
-                _pair_context(decs[i], decs[i + 1], DEFAULT_TOL).c2g2_pinv
+        def fill(count):
+            prev = decompose(_pair_step(rng))
+            for _ in range(count):
+                dec = decompose(_pair_step(rng))
+                _pair_context(prev, dec, DEFAULT_TOL).c2g2_pinv
+                prev = dec
 
-        _pair_context.cache_clear()
-        fill(0, 100)
-        assert _pair_context.cache_info().currsize == _FACTOR_CACHE_SIZE == 64
+        fill(100)
         tracemalloc.start()
         try:
-            # after 100 more distinct pairs every entry was made while tracing
-            fill(100, 200)
+            # after 100 more pairs every live decomposition and context was
+            # made while tracing
+            fill(100)
             gc.collect()
             full, _ = tracemalloc.get_traced_memory()
-            fill(200, 300)
+            fill(100)
             gc.collect()
             later, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _pair_context.cache_info().currsize == 64
-        # an entry takes well under 1 KiB besides the decompositions it keeps
-        # alive, which are made outside the trace; 100 more pairs leave the
-        # total where it was
-        assert full < 64 * 2 * 1024, full
+        # the LRU's 64 decompositions of about 6 KiB, and their contexts
+        assert full < 64 * 8 * 1024, full
         assert abs(later - full) < 8 * 1024, (full, later)
+
+    def test_contexts_die_with_their_decompositions(self):
+        rng = np.random.default_rng(9)
+        decs = [decompose(_pair_step(rng)) for _ in range(101)]
+        ctxs = [_pair_context(decs[i], decs[i + 1], DEFAULT_TOL) for i in range(100)]
+        for ctx in ctxs:
+            ctx.c2g2_pinv
+        refs = [weakref.ref(obj) for obj in decs + ctxs]
+        del decs, ctxs, ctx
+        lise.decomposition._cached_decomposition.cache_clear()
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == 0
 
 
 class TestStepInvariants:

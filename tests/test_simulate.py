@@ -138,6 +138,12 @@ def test_scenario_checks_the_filter_prior(field, value, message):
         config_scenario("fault_h1", **{field: value})
 
 
+def test_scenario_rejects_a_filter_requested_twice():
+    # a repeated name would run the filter twice and keep one of its runs
+    with pytest.raises(InvalidInputError, match="^filter 'ULISE' is requested more than once$"):
+        config_scenario("fault_h1", filters=("ULISE", "PLISE", "ULISE"))
+
+
 def _rank_switching_model(rng, ranks=(0, 2)):
     """Time-varying model whose feedthrough rank alternates between
     ``ranks`` every two steps.  With the default, every filter stops at step
@@ -223,6 +229,18 @@ class TestRunScenario:
         a, b = res.filters["ULISE"], res.filters["KALMAN"]
         assert np.allclose(a.xhat, b.xhat, atol=1e-12)
         assert np.allclose(a.px_diag, b.px_diag, atol=1e-12)
+
+    def test_truth_holds_run_0_only(self):
+        # the result keeps copies of run 0, not views that pin the whole
+        # Monte-Carlo batch
+        sc = config_scenario("fault_h1", horizon=30, monte_carlo=8, filters=("ULISE",),
+                             structural_checks=False)
+        res = run_scenario(sc)
+        alone = simulate_truth(sc, 0)
+        assert res.truth.x.base is None and res.truth.y.base is None
+        for name in ("x", "y", "d", "u"):
+            got, want = getattr(res.truth, name), getattr(alone, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_batch_replay_matches_sequential_filter(self):
         # Monte-Carlo runs replay a precomputed gain schedule; each filter's
@@ -749,6 +767,13 @@ class TestEmpiricalCovariance:
         res = run_scenario(config_scenario("fault_h1", horizon=10, structural_checks=False))
         with pytest.raises(InvalidInputError):
             empirical_error_covariance(res.filters["ULISE"], 5)
+
+    @pytest.mark.parametrize("which", ["X", "D", "", "xd"])
+    def test_which_names_x_or_d(self, which):
+        res = run_scenario(config_scenario("fault_h1", horizon=10, monte_carlo=4,
+                                           filters=("ULISE",), structural_checks=False))
+        with pytest.raises(InvalidInputError, match="which must be 'x' or 'd'"):
+            empirical_error_covariance(res.filters["ULISE"], 5, which)
 
     def test_scalar_kalman_matches_riccati_fixed_point(self):
         # sample covariance across many runs against the closed-form
