@@ -9,6 +9,7 @@ rejected with the offending key path.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +20,7 @@ from .errors import ConfigError
 from .filters import GammaPolicy
 from .model import ContinuousModel, SystemModel, SystemStep, c2d_zoh
 from .signals import Constant, Ramp, Samples, SignalSpec, SquareWave, Step
-from .simulate import Scenario
+from .simulate import Scenario, _is_integer
 
 __all__ = ["ConfigDocument", "AnalysisSettings", "OutputSettings", "load_config"]
 
@@ -103,11 +104,18 @@ def _parse_model(node, path: str) -> SystemModel:
         if missing:
             raise ConfigError(f"missing keys {sorted(missing)}", f"{path}.continuous")
         mats = {k: _matrix(sub[k], f"{path}.continuous.{k}") for k in _MODEL_KEYS}
+        # loaded as is, not coerced: "false" would read as true, true as dt = 1
+        dt, scale_r = sub["dt"], sub.get("scale_r_by_dt", False)
+        if isinstance(dt, bool) or not isinstance(dt, numbers.Real):
+            raise ConfigError(f"dt must be a real number, got {dt!r}", f"{path}.continuous.dt")
+        if not isinstance(scale_r, bool):
+            raise ConfigError(f"scale_r_by_dt must be true or false, got {scale_r!r}",
+                              f"{path}.continuous.scale_r_by_dt")
         try:
             cm = ContinuousModel(A=mats["A"], B=mats["B"], G=mats["G"], C=mats["C"],
                                  D=mats["D"], H=mats["H"], Q=mats["Q"], R=mats["R"],
-                                 dt=float(sub["dt"]))
-            return c2d_zoh(cm, scale_r_by_dt=bool(sub.get("scale_r_by_dt", False)))
+                                 dt=float(dt))
+            return c2d_zoh(cm, scale_r_by_dt=scale_r)
         except Exception as exc:
             raise ConfigError(str(exc), f"{path}.continuous") from None
     _reject_unknown(node, _MODEL_KEYS, path)
@@ -203,8 +211,9 @@ def _parse_analysis(node, path: str) -> AnalysisSettings:
             raise ConfigError(f"unknown check {c!r} (choose from {ANALYSIS_CHECKS})",
                               f"{path}.checks")
     window = node.get("window")
-    if window is not None and (not isinstance(window, int) or window < 0):
-        raise ConfigError("window must be a nonnegative integer", f"{path}.window")
+    if window is not None and (not _is_integer(window) or window < 0):
+        raise ConfigError(f"window must be a nonnegative integer, got {window!r}",
+                          f"{path}.window")
     return AnalysisSettings(checks=tuple(checks), window=window)
 
 

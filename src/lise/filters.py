@@ -62,13 +62,16 @@ the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
 Fetching a step's context rejects a step with a non-finite matrix, naming
 the matrix and ``k``, and a step whose R is not positive definite.
 
-The estimate half of a step (:func:`_estimate_update`) is split into the
-products that involve the data only (:func:`_data_products`) and the
-recursive remainder (:func:`_estimate_recursion`), so that a caller serving
-many steps with known gains (:mod:`lise.simulate`'s gain cycle) can form the
-data products for all of them at once.  The small inverses, SVDs and
-eigendecompositions call numpy's LAPACK gufuncs directly
-(:func:`lise.linalg.inv`, :func:`~lise.linalg.svd`,
+The estimate half of a step (:func:`_estimate_update`) reads the model
+steps, decompositions and gains of steps ``k - 1`` and ``k`` from one
+:class:`_StepGains` record, the one form in which they travel, and takes the
+products that involve the data only (:func:`_data_products`) as an argument,
+so that a caller serving many steps with known gains (:mod:`lise.simulate`'s
+gain cycle) can form the data products for all of them at once; a caller
+replaying many records stacks their gains into one record.
+
+The small inverses, SVDs and eigendecompositions call numpy's LAPACK gufuncs
+directly (:func:`lise.linalg.inv`, :func:`~lise.linalg.svd`,
 :func:`~lise.linalg.eigh`), bitwise what ``np.linalg`` gives, and the
 finiteness checks sum the entries as Python floats, which never warns,
 testing every entry only when the sum is not finite.
@@ -93,8 +96,9 @@ is neither C- nor F-contiguous: the decomposition's ``U2`` and ``T2 = U2.T``
 column block of the projection SVD in :func:`_whitened_complement_reduction`.
 ``dot`` would copy such a view and could take another BLAS kernel (a gemv on
 the copy of ``T2`` rounds differently).  So :func:`_data_products`, which
-forms ``T2 y`` and the products on the caller's ``y`` and ``u``, always uses
-``np.matmul``.
+forms ``T2 y`` and the products on the caller's ``y`` and ``u``, never uses
+``dot``: a step passes ``np.matmul``, and the served gain cycle the stacked
+gemv of :mod:`lise.simulate`, bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -508,74 +512,72 @@ def _feedthrough_input(dec, z1, x, d1u):
     return mul(dec.sigma_inv, z1 - mul(dec.C1, x) - d1u)
 
 
-def _data_products(y, u, u_prev, step_prev, step, dec, mul=np.matmul):
+@dataclass
+class _StepGains:
+    """The data-independent arguments of one step's estimate update
+    (:func:`_estimate_update`): the model steps and output decompositions of
+    ``k - 1`` and ``k``, the input gain ``m2`` (and ``m2_state``, which is
+    ``m2`` itself except for the OLS variant), the state gain ``gain_l`` and
+    the ``d1_from_propagated`` of the filter's state class.
+
+    The fields may also hold a stack of the records of many steps: the gains
+    stacked along a leading axis, and the steps and decompositions shared or
+    read as stacks (:mod:`lise.simulate`'s replay maps).
+    """
+
+    step_prev: SystemStep
+    step: SystemStep
+    dec_prev: OutputDecomposition
+    dec: OutputDecomposition
+    m2: np.ndarray
+    m2_state: np.ndarray
+    gain_l: np.ndarray
+    from_propagated: bool
+
+
+def _data_products(y, u, u_prev, g: _StepGains, mul=np.matmul):
     """The products of one step's estimate update that involve the data
     only: ``(B u_prev, T1 y, T2 y, D2 u, D u, D1 u)``, ``B`` of step k-1 and
-    the rest of step k.
+    the rest of step k, read from the record ``g``.
 
     ``mul(mat, v)`` forms each product: ``np.matmul`` for the vectors (or
-    column stacks) of :func:`_estimate_update`, or a function that forms
-    ``mat @ v`` for every vector of a stack at once, bitwise as ``mat @ v``.
+    column stacks) of one step, or a function that forms ``mat @ v`` for
+    every vector of a stack at once, bitwise as ``mat @ v``.
     """
-    return (mul(step_prev.B, u_prev), mul(dec.T1, y), mul(dec.T2, y),
-            mul(dec.D2, u), mul(step.D, u), mul(dec.D1, u))
+    return (mul(g.step_prev.B, u_prev), mul(g.dec.T1, y), mul(g.dec.T2, y),
+            mul(g.dec.D2, u), mul(g.step.D, u), mul(g.dec.D1, u))
 
 
-def _estimate_recursion(xhat, d1hat, y, products, step_prev, step, dec_prev, dec,
-                        m2, m2_state, gain_l, from_propagated: bool):
-    """The part of one step's estimate update that depends on the previous
-    estimates, given the step's :func:`_data_products`.
+def _estimate_update(xhat, d1hat, y, products, g: _StepGains):
+    """The data-dependent half of one filter step, given its gain record.
 
-    Returns ``(xhat, d1hat, d2hat, xstar)`` at ``k``, ``d2hat`` being the
-    estimate of the dynamics-only input component of ``d_{k-1}``.  The
-    arguments are as in :func:`_estimate_update`.  :func:`_product` picks
-    every product from ``xhat`` and ``d1hat``, the only vectors here that a
-    caller may hold (every other one is formed by the step, and every
-    matrix is C- or F-contiguous).
+    Advances the filtered state ``xhat`` and feedthrough-input estimate
+    ``d1hat`` of time ``k-1`` by the checked measurement ``y`` and the
+    step's :func:`_data_products`, with the steps, decompositions and gains
+    of the record ``g``.  ``g.from_propagated`` forms the new ``d1hat`` from
+    the propagated state (PLISE) instead of the updated one.  Returns
+    ``(xhat, d1hat, dhat_prev, xstar)`` at ``k``, ``dhat_prev = V1 d1hat +
+    V2 d2hat`` being the estimate of ``d_{k-1}`` from the estimates of its
+    feedthrough and dynamics-only components.
+
+    :func:`_product` picks every product from ``xhat`` and ``d1hat``, the
+    only vectors here that a caller may hold (every other one is formed by
+    the step, and every matrix is C- or F-contiguous).  The data may also be
+    column stacks (one column per data vector), and the gains of many
+    records may be stacked along a leading axis to evaluate them all at
+    once, all with ``np.matmul``.
     """
     mul = _product(xhat, d1hat)
     bu, z1, z2, d2u, du, d1u = products
-    xpred = mul(step_prev.A, xhat) + bu + mul(dec_prev.G1, d1hat)
-    resid2 = z2 - mul(dec.C2, xpred) - d2u
-    d2hat = mul(m2, resid2)
-    d2hat_state = d2hat if m2_state is m2 else mul(m2_state, resid2)
-    xstar = xpred + mul(dec_prev.G2, d2hat_state)
-    xhat = xstar + mul(gain_l, y - mul(step.C, xstar) - du)
-    base = xstar if from_propagated else xhat
-    return xhat, _feedthrough_input(dec, z1, base, d1u), d2hat, xstar
-
-
-def _estimate_update(xhat, d1hat, y, u, u_prev, step_prev, step, dec_prev, dec,
-                     m2, m2_state, gain_l, from_propagated: bool):
-    """The data-dependent half of one filter step, given its gains.
-
-    Advances the filtered state ``xhat`` and feedthrough-input estimate
-    ``d1hat`` of time ``k-1`` by the checked measurement ``y`` and known
-    inputs ``u``/``u_prev``.  ``m2_state`` is ``m2`` itself except for the OLS
-    variant; ``from_propagated``, the ``d1_from_propagated`` of the filter's
-    state class, forms the new ``d1hat`` from the propagated state (PLISE)
-    instead of the updated one.  Returns ``(xhat, d1hat, dhat_prev, xstar)``
-    at ``k``, ``dhat_prev`` being the estimate of ``d_{k-1}``.
-
-    It is the step's :func:`_data_products`, then its
-    :func:`_estimate_recursion`, then ``dhat_prev = V1 d1hat + V2 d2hat``; a
-    caller holding the products of many steps (the served gain cycle of
-    :mod:`lise.simulate`) runs the same three parts itself.  The data
-    products are always ``np.matmul``: ``T2`` is a view of the SVD factor
-    that may be neither C- nor F-contiguous, and ``y`` and ``u`` are the
-    caller's, on which ``ndarray.dot`` would copy and may take another BLAS
-    kernel.  :func:`_product` picks the rest from the estimate vectors.  The
-    data arguments may also be column stacks (one column per data vector),
-    and the matrices of R records may be stacked along a leading axis to
-    evaluate them all at once, all with ``np.matmul``.
-    """
-    products = _data_products(y, u, u_prev, step_prev, step, dec)
-    xhat_k, d1hat_k, d2hat, xstar = _estimate_recursion(
-        xhat, d1hat, y, products, step_prev, step, dec_prev, dec, m2, m2_state,
-        gain_l, from_propagated)
-    mul = _product(d1hat)
-    dhat_prev = mul(dec_prev.V1, d1hat) + mul(dec_prev.V2, d2hat)
-    return xhat_k, d1hat_k, dhat_prev, xstar
+    xpred = mul(g.step_prev.A, xhat) + bu + mul(g.dec_prev.G1, d1hat)
+    resid2 = z2 - mul(g.dec.C2, xpred) - d2u
+    d2hat = mul(g.m2, resid2)
+    d2hat_state = d2hat if g.m2_state is g.m2 else mul(g.m2_state, resid2)
+    xstar = xpred + mul(g.dec_prev.G2, d2hat_state)
+    xhat_k = xstar + mul(g.gain_l, y - mul(g.step.C, xstar) - du)
+    base = xstar if g.from_propagated else xhat_k
+    dhat_prev = mul(g.dec_prev.V1, d1hat) + mul(g.dec_prev.V2, d2hat)
+    return xhat_k, _feedthrough_input(g.dec, z1, base, d1u), dhat_prev, xstar
 
 
 def _gain_key(state: UliseState | PliseState | KalmanState) -> bytes:
@@ -641,7 +643,8 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     Fetches model step ``k`` (the one model request of the step), its
     decomposition and the context of step ``k - 1``, checks the data, runs
     the filter's ``gain_half(state, ctx_prev, step, dec, tol, **options)``,
-    then the one :func:`_estimate_update`, and builds the new state of the
+    builds the step's :class:`_StepGains` from its output, runs the one
+    :func:`_estimate_update` with it, and builds the new state of the
     state's own class and the :class:`StepOutput`.
 
     A gain half reads the covariance state (the fields of
@@ -659,9 +662,10 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     upv = _check_vector(u_prev, step.m, "u_prev", k)
     cov, px_star, pd_prev, gain_l, m2, m2_state, unbiasedness = gain_half(
         state, ctx_prev, step, dec_k, tol, **options)
+    g = _StepGains(state.step, step, state.dec, dec_k, m2, m2_state, gain_l,
+                   state.d1_from_propagated)
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
-        state.xhat, state.d1hat, yv, uv, upv, state.step, step, state.dec, dec_k,
-        m2, m2_state, gain_l, state.d1_from_propagated)
+        state.xhat, state.d1hat, yv, _data_products(yv, uv, upv, g), g)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=pd_prev, gain_l=gain_l, gain_m1=dec_k.sigma_inv,

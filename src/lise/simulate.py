@@ -30,11 +30,11 @@ point or a short cycle.  The pass keys every step by the exact bytes of
 that state and watches the keys with Brent's cycle detection, which holds a
 single saved key, so its memory does not grow with the horizon.  Once
 it finds a repeat (always before three times the step of the first one), the
-pass stops calling the step function, and each later step reuses the gains
-and covariances of the step one period earlier and runs only the estimate
-update the step functions share: its products of the data alone are formed
-for all served steps at once, and only its recursive remainder runs per
-step.  No tolerance is involved, so every output
+pass stops calling the step function, and each later step reuses the gain
+record (:class:`filters._StepGains`) and covariances of the step one period
+earlier and runs only the estimate update the step functions share, on that
+record; the update's products of the data alone are formed for all served
+steps at once.  No tolerance is involved, so every output
 is bitwise what stepping the filter at every k gives;
 :attr:`FilterRun.gain_cycle` says from which step the cycle is served.
 Time-varying models step at every k.  The pass knows no filter by name: the
@@ -51,16 +51,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import OutputDecomposition
 from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
     _data_products,
-    _estimate_recursion,
     _estimate_update,
     _feedthrough_input,
     _gain_key,
     _nonfinite_error,
+    _StepGains,
     cywz_init,
     cywz_step,
     kalman_init,
@@ -71,7 +70,7 @@ from .filters import (
     ulise_step,
 )
 from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
-from .model import SystemModel, SystemStep, validate
+from .model import SystemModel, validate
 from .signals import Samples, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
@@ -251,27 +250,6 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
 
 
 @dataclass
-class _StepGains:
-    """The data-independent arguments of one step's estimate update
-    (:func:`filters._estimate_update`)."""
-
-    step_prev: SystemStep
-    step: SystemStep
-    dec_prev: OutputDecomposition
-    dec: OutputDecomposition
-    m2: np.ndarray
-    m2_state: np.ndarray
-    gain_l: np.ndarray
-    from_propagated: bool
-
-    def recursion(self, xhat, d1hat, y, products):
-        """:func:`filters._estimate_recursion` with this record's gains."""
-        return _estimate_recursion(xhat, d1hat, y, products, self.step_prev, self.step,
-                                   self.dec_prev, self.dec, self.m2, self.m2_state,
-                                   self.gain_l, self.from_propagated)
-
-
-@dataclass
 class FilterRun:
     """Time series and summaries of one filter over a scenario.
 
@@ -432,15 +410,15 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
 
     Each step reuses the gain record and covariance diagonals of the step one
     period earlier.  A cycle is served only on a time-invariant model, so
-    every step shares the model step and decomposition of ``state``: the
+    every record shares the model step and decomposition of ``state``: the
     data-only products of the estimate update (:func:`filters._data_products`)
-    are formed for the whole range at once by :func:`_gemv`, bitwise as each
-    step would form them, the loop runs only the recursive remainder
-    (:func:`filters._estimate_recursion`), and ``dhat = V1 d1 + V2 d2`` is
-    formed for the range after it.  One scan checks the inputs of all these
-    steps first.  The first step with a non-finite ``y``, ``u`` or
-    ``u_prev`` is not served: it raises the :class:`InvalidInputError` the
-    step function would raise, naming the inputs in that order.
+    are formed for the whole range at once by :func:`_gemv` with the last
+    record, bitwise as each step would form them, and each step runs
+    :func:`filters._estimate_update` on its row of them with its reused
+    record.  One scan checks the inputs of all these steps first.  The first
+    step with a non-finite ``y``, ``u`` or ``u_prev`` is not served: it
+    raises the :class:`InvalidInputError` the step function would raise,
+    naming the inputs in that order.
     """
     start, period = cycle
     n_steps = xhat.shape[0]
@@ -448,23 +426,18 @@ def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
     ok = np.stack([np.isfinite(ys[start:n_steps + 1]).all(axis=1), u_ok[1:], u_ok[:-1]])
     bad = np.flatnonzero(~ok.all(axis=0))
     stop = start + int(bad[0]) if bad.size else n_steps + 1
-    step, dec = state.step, state.dec
     products = _data_products(ys[start:stop], us[start:stop], us[start - 1:stop - 1],
-                              step, step, dec, mul=_gemv)
-    d1_in = np.empty((stop - start, dec.p_h))
-    d2 = np.empty((stop - start, dec.V2.shape[1]))
+                              gains[-1], mul=_gemv)
     x, d1 = state.xhat, state.d1hat
     for j, row in enumerate(zip(*products)):
         k = start + j
         i = k - 1
         g = gains[i - period]
-        d1_in[j] = d1
-        x, d1, d2[j], _ = g.recursion(x, d1, ys[k], row)
+        x, d1, dhat[i], _ = _estimate_update(x, d1, ys[k], row, g)
         xhat[i] = x
         px_diag[i] = px_diag[i - period]
         pd_diag[i] = pd_diag[i - period]
         gains.append(g)
-    dhat[start - 1:stop - 1] = _gemv(dec.V1, d1_in) + _gemv(dec.V2, d2)
     if bad.size:
         raise _nonfinite_error(("y", "u", "u_prev")[int(np.argmin(ok[:, bad[0]]))], stop)
 
@@ -498,13 +471,14 @@ def _update_maps(gains: Sequence[_StepGains]) -> list[np.ndarray]:
     The update is linear in ``v = [y; u; u_prev; x; d1]`` (``d1`` of the
     previous step's feedthrough rank).  :func:`filters._estimate_update` is
     run once per group of distinct records with equal feedthrough ranks, on
-    the columns of the identity.  ``m2``, ``m2_state`` and ``gain_l`` are
-    stacked along a leading axis, one slice per record; a model step or
-    decomposition that the whole group shares (every step of a
-    time-invariant model) enters once, and only those that differ (a
-    time-varying model's) are stacked too.  Returns, for step ``i``, the
-    C-contiguous matrix ``F`` with ``[xhat; d1hat; dhat_prev] = F v``; steps
-    that share a record share its matrix.
+    the columns of the identity, with one :class:`filters._StepGains` for the
+    whole group: ``m2``, ``m2_state`` and ``gain_l`` are stacked along a
+    leading axis, one slice per record; a model step or decomposition that
+    the whole group shares (every step of a time-invariant model) enters
+    once, and only those that differ (a time-varying model's) are stacked
+    too.  Returns, for step ``i``, the C-contiguous matrix ``F`` with
+    ``[xhat; d1hat; dhat_prev] = F v``; steps that share a record share its
+    matrix.
     """
     groups: dict[tuple, list[_StepGains]] = {}
     for g in {id(g): g for g in gains}.values():
@@ -514,12 +488,13 @@ def _update_maps(gains: Sequence[_StepGains]) -> list[np.ndarray]:
         g0 = group[0]
         sizes = [g0.step.l, g0.step.m, g0.step.m, g0.step.n, g0.dec_prev.p_h]
         y, u, u_prev, x, d1 = np.split(np.eye(sum(sizes)), np.cumsum(sizes)[:-1])
-        context = [_shared([getattr(g, name) for g in group])
-                   for name in ("step_prev", "step", "dec_prev", "dec")]
-        stacked = [np.stack([getattr(g, name) for g in group])
-                   for name in ("m2", "m2_state", "gain_l")]
-        xhat, d1hat, dhat_prev, _ = _estimate_update(x, d1, y, u, u_prev, *context, *stacked,
-                                                     g0.from_propagated)
+        context = {name: _shared([getattr(g, name) for g in group])
+                   for name in ("step_prev", "step", "dec_prev", "dec")}
+        stacked = {name: np.stack([getattr(g, name) for g in group])
+                   for name in ("m2", "m2_state", "gain_l")}
+        record = _StepGains(**context, **stacked, from_propagated=g0.from_propagated)
+        xhat, d1hat, dhat_prev, _ = _estimate_update(
+            x, d1, y, _data_products(y, u, u_prev, record), record)
         for g, f in zip(group, np.concatenate([xhat, d1hat, dhat_prev], axis=1)):
             maps[id(g)] = f
     return [maps[id(g)] for g in gains]

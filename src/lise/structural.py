@@ -167,16 +167,22 @@ class TiObservabilityVerdict:
 
 def strong_observability_ti(model: SystemModel,
                             tol: Tolerance = DEFAULT_TOL) -> TiObservabilityVerdict:
-    """Time-invariant joint observability: scan windows 0..n for a full-rank hit."""
+    """Time-invariant joint observability: scan windows 0..n for a full-rank hit.
+
+    The matrices are built once, for window n: those of window ``nt`` are
+    their leading blocks, the rows of steps 0..nt and the input columns of
+    steps 0..nt-1.
+    """
     if not model.is_time_invariant:
         raise InvalidInputError("time-invariant observability test needs a fixed model")
     n, p = model.n, model.p
-    p_h = decompose_cached(model.step(0), tol).p_h
+    mats = build_observability_matrices(model, n, tol)
+    p_h = mats.p_h[0]
     ranks = []
     witness = None
     for nt in range(n + 1):
-        mats = build_observability_matrices(model, nt, tol)
-        chk = RankCheck(rank(np.hstack([mats.o2, mats.i22]), tol),
+        rows, cols = mats.row_offsets[nt + 1], mats.col_offsets[nt]
+        chk = RankCheck(rank(np.hstack([mats.o2[:rows], mats.i22[:rows, :cols]]), tol),
                         n + nt * (p - p_h))
         ranks.append((nt, chk))
         if chk.ok and witness is None:

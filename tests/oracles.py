@@ -29,6 +29,7 @@ from lise.filters import (
     GammaPolicy,
     _factor_solve,
     _spd_factor,
+    _StepGains,
     _sym_block,
     kalman_init,
     kalman_step,
@@ -36,7 +37,7 @@ from lise.filters import (
 from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
 from lise.model import ContinuousModel
 from lise.signals import sample_signals
-from lise.simulate import _INITS, _STEPS, _run_rng, _StepGains
+from lise.simulate import _INITS, _STEPS, _run_rng
 from lise.structural import _OMEGA_GRID, UnitCircleTest
 
 

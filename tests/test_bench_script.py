@@ -75,3 +75,15 @@ def test_ab_steps_runs_one_repetition_on_the_same_checkout():
         assert len(res["a"]["runs_s"]) == len(res["b"]["runs_s"]) == 1
         assert res["wins"] in (0, 1)
     assert "outputs bitwise equal: yes" in proc.stdout
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    # a docstring, a comment, a blank line and three code lines, one of them
+    # a string that is not a docstring
+    src = tmp_path / "mod.py"
+    src.write_text('"""Module\ndocstring."""\n# a comment\n\nx = 1\n'
+                   'def f():\n    return "not a docstring"\n')
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "loc.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"     3 {src}", "     3 total"]

@@ -300,6 +300,26 @@ class TestCliRun:
         assert f"config error: scenario: {message}" in capsys.readouterr().err
         assert not (tmp_path / "res" / "steps.csv").exists()
 
+    @pytest.mark.parametrize("old,new,path,message", [
+        ("dt: 0.01", "dt: true", "model.continuous.dt", "dt must be a real number, got True"),
+        ("dt: 0.01", 'dt: 0.01\n    scale_r_by_dt: "false"', "model.continuous.scale_r_by_dt",
+         "scale_r_by_dt must be true or false, got 'false'"),
+        ("  checks: [validate,", "  window: true\n  checks: [validate,", "analysis.window",
+         "window must be a nonnegative integer, got True"),
+    ])
+    def test_mistyped_model_or_analysis_setting_is_a_config_error_naming_the_key(
+            self, tmp_path, capsys, old, new, path, message):
+        # "false" would divide R by dt, true would read as dt = 1 or window 1
+        text = (CONFIGS / "vehicle_tracking.yaml").read_text()
+        assert text.count(old) == 1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {message}$"):
+            load_config(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "res" / "vehicle_steps.csv").exists()
+
     def test_negative_seed_in_config_is_rejected_by_the_same_rule(self, tmp_path):
         cfg = _small_run_config(tmp_path)
         cfg.write_text(cfg.read_text().replace("seed: 20260810", "seed: -1"))
