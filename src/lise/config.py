@@ -4,12 +4,15 @@ A config has up to four blocks: ``model`` (discrete matrices, or a
 ``continuous`` sub-block that is discretized on load), ``scenario`` (signals,
 horizon, seed, filters), ``analysis`` (which structural checks to run), and
 ``output`` (paths).  Matrices are nested row-major arrays.  Unknown keys are
-rejected with the offending key path.
+rejected with the offending key path, and so is a bool or a string where a
+number is expected; an exponent without a dot (``5e-05``) reads as a number,
+as in YAML 1.2.
 """
 
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +29,20 @@ __all__ = ["ConfigDocument", "AnalysisSettings", "OutputSettings", "load_config"
 
 # libyaml's parser when PyYAML was built with it; the same documents, faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# a YAML 1.2 float with an exponent that YAML 1.1's rule, which wants a dot and
+# a signed exponent, leaves as a string: 5e-05, 1.5e3
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
+def _exponent_loader(base):
+    """The YAML loader ``base`` that also reads an unquoted
+    :data:`_EXPONENT_FLOAT` scalar as a float, as YAML 1.2 does."""
+    loader = type(base.__name__, (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
+    return loader
+
 
 ANALYSIS_CHECKS = (
     "validate",
@@ -70,23 +87,33 @@ def _reject_unknown(node: dict, allowed, path: str):
             raise ConfigError(f"unknown key {key!r} (allowed: {sorted(allowed)})", path)
 
 
-def _matrix(node, path: str) -> np.ndarray:
-    try:
-        arr = np.array(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"not a numeric matrix: {exc}", path) from None
-    if arr.ndim != 2:
-        raise ConfigError(f"matrix must be a nested (row-major) 2-D array, got {arr.ndim}-D", path)
-    return arr
+def _check_real(value, path: str, name: str = "entry"):
+    """Raise unless ``value`` is a real number, taken as loaded, not coerced:
+    a bool is not one (YAML ``true`` would read as 1), nor is a string
+    (``'1'`` would read as 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}", path)
 
 
-def _vector(node, path: str) -> np.ndarray:
+def _check_reals(node, path: str):
+    """:func:`_check_real` on ``node`` or on every entry of its nested lists."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_reals(item, f"{path}[{i}]")
+    else:
+        _check_real(node, path)
+
+
+def _array(node, path: str, ndim: int) -> np.ndarray:
+    """Nested lists of real numbers (row-major) as an ``ndim``-D float array."""
+    _check_reals(node, path)
     try:
         arr = np.array(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"not a numeric vector: {exc}", path) from None
-    if arr.ndim != 1:
-        raise ConfigError(f"expected a flat list of numbers, got {arr.ndim}-D", path)
+    except ValueError as exc:
+        raise ConfigError(f"not a numeric array: {exc}", path) from None
+    if arr.ndim != ndim:
+        raise ConfigError(f"expected a {ndim}-D array (nested lists, row-major), "
+                          f"got {arr.ndim}-D", path)
     return arr
 
 
@@ -103,26 +130,22 @@ def _parse_model(node, path: str) -> SystemModel:
         missing = (_MODEL_KEYS | {"dt"}) - set(sub)
         if missing:
             raise ConfigError(f"missing keys {sorted(missing)}", f"{path}.continuous")
-        mats = {k: _matrix(sub[k], f"{path}.continuous.{k}") for k in _MODEL_KEYS}
+        mats = {k: _array(sub[k], f"{path}.continuous.{k}", 2) for k in _MODEL_KEYS}
         # loaded as is, not coerced: "false" would read as true, true as dt = 1
         dt, scale_r = sub["dt"], sub.get("scale_r_by_dt", False)
-        if isinstance(dt, bool) or not isinstance(dt, numbers.Real):
-            raise ConfigError(f"dt must be a real number, got {dt!r}", f"{path}.continuous.dt")
+        _check_real(dt, f"{path}.continuous.dt", "dt")
         if not isinstance(scale_r, bool):
             raise ConfigError(f"scale_r_by_dt must be true or false, got {scale_r!r}",
                               f"{path}.continuous.scale_r_by_dt")
         try:
-            cm = ContinuousModel(A=mats["A"], B=mats["B"], G=mats["G"], C=mats["C"],
-                                 D=mats["D"], H=mats["H"], Q=mats["Q"], R=mats["R"],
-                                 dt=float(dt))
-            return c2d_zoh(cm, scale_r_by_dt=scale_r)
+            return c2d_zoh(ContinuousModel(**mats, dt=float(dt)), scale_r_by_dt=scale_r)
         except Exception as exc:
             raise ConfigError(str(exc), f"{path}.continuous") from None
     _reject_unknown(node, _MODEL_KEYS, path)
     missing = _MODEL_KEYS - set(node)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)}", path)
-    mats = {k: _matrix(node[k], f"{path}.{k}") for k in _MODEL_KEYS}
+    mats = {k: _array(node[k], f"{path}.{k}", 2) for k in _MODEL_KEYS}
     try:
         step = SystemStep(**mats)
     except Exception as exc:
@@ -150,6 +173,11 @@ def _parse_signal(node, path: str) -> SignalSpec:
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)}", path)
     kwargs = {k: node[k] for k in allowed}
+    for key, value in kwargs.items():
+        if key == "values":
+            _array(value, f"{path}.values", 1)
+        else:
+            _check_real(value, f"{path}.{key}", key)
     try:
         return cls(**kwargs)
     except Exception as exc:
@@ -177,10 +205,10 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
                  for i, s in enumerate(node.get("u_signals", []))]
     if not u_signals and model.m:
         u_signals = [Constant(0.0)] * model.m
-    x0_true = _vector(node.get("x0_true", np.zeros(model.n)), f"{path}.x0_true")
-    x0_mean = _vector(node.get("x0_mean", np.zeros(model.n)), f"{path}.x0_mean")
+    x0_true = _array(node.get("x0_true", [0.0] * model.n), f"{path}.x0_true", 1)
+    x0_mean = _array(node.get("x0_mean", [0.0] * model.n), f"{path}.x0_mean", 1)
     p0 = node.get("P0", None)
-    p0 = np.eye(model.n) if p0 is None else _matrix(p0, f"{path}.P0")
+    p0 = np.eye(model.n) if p0 is None else _array(p0, f"{path}.P0", 2)
     gamma_name = node.get("gamma", "darouach")
     try:
         gamma = GammaPolicy(gamma_name)
@@ -235,7 +263,7 @@ def load_config(path: str) -> ConfigDocument:
     """
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
+            raw = yaml.load(fh, Loader=_exponent_loader(_YAML_LOADER))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except yaml.YAMLError as exc:

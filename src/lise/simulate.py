@@ -27,16 +27,16 @@ of steps.
 On a time-invariant model the floating-point gain recursion of every filter
 settles into a covariance state that repeats bit for bit, either a fixed
 point or a short cycle.  The pass keys every step by the exact bytes of
-that state and watches the keys with Brent's cycle detection, which holds a
-single saved key, so its memory does not grow with the horizon.  Once
-it finds a repeat (always before three times the step of the first one), the
+that state and maps each key to the step that first produced it, so the
+first repeat is seen at the step where it occurs, with the cycle's minimal
+period; the map is dropped when the pass returns.  From that step on the
 pass stops calling the step function, and each later step reuses the gain
 record (:class:`filters._StepGains`) and covariances of the step one period
 earlier and runs only the estimate update the step functions share, on that
 record; the update's products of the data alone are formed for all served
-steps at once.  No tolerance is involved, so every output
-is bitwise what stepping the filter at every k gives;
-:attr:`FilterRun.gain_cycle` says from which step the cycle is served.
+steps at once.  No tolerance is involved, so every output is bitwise what
+stepping the filter at every k gives; :attr:`FilterRun.gain_cycle` says from
+which step the cycle is served.
 Time-varying models step at every k.  The pass knows no filter by name: the
 Kalman filter is the p = 0 member, with an empty feedthrough-input estimate.
 """
@@ -261,10 +261,10 @@ class FilterRun:
     period)`` when the pass found the filter's covariance state before
     measurement ``k`` bitwise equal to the one ``period`` steps earlier and
     served steps ``k`` on from the cycle: from step ``k`` on, every gain and
-    covariance repeats the one ``period`` steps earlier.  The cycle may have
-    begun before ``k``; :class:`_CycleDetector` bounds how long before.  It
-    is ``None`` when no repeat was found within the horizon, and always for
-    time-varying models.
+    covariance repeats the one ``period`` steps earlier.  ``k`` is the first
+    step whose state repeats an earlier one, and ``period`` is the cycle's
+    minimal period.  It is ``None`` when no repeat was found within the
+    horizon, and always for time-varying models.
     """
 
     name: str
@@ -311,32 +311,6 @@ _STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step,
           kalman_step(state, y, u, u_prev, model, tol)}
 
 
-class _CycleDetector:
-    """Brent's cycle detection over a sequence of byte keys, in O(1) memory.
-
-    Keys are numbered from 1 as they are observed.  The detector holds one
-    saved key, replaced by every key whose number is a power of two, and
-    compares each key with it bitwise.  If the keys repeat from the
-    ``mu``-th on with minimal period ``lam``, :meth:`observe` first returns
-    ``lam`` at key ``c + lam``, ``c`` the smallest power of two not below
-    ``mu`` or ``lam``: always before key ``2 * max(mu, lam) + lam``.
-    """
-
-    def __init__(self):
-        self._saved: Optional[bytes] = None
-        self._saved_at = 0
-        self._count = 0
-
-    def observe(self, key: bytes) -> Optional[int]:
-        """The period if ``key`` equals the saved key, else ``None``."""
-        self._count += 1
-        if key == self._saved:
-            return self._count - self._saved_at
-        if self._count & (self._count - 1) == 0:
-            self._saved, self._saved_at = key, self._count
-        return None
-
-
 def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                tol: Tolerance):
     """Run the real step functions over run-0 data; collect series and gains.
@@ -346,10 +320,11 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     its own: the step functions fetch each ``model.step(k)`` once.
 
     On a time-invariant model, the steps are keyed by the bytes of the
-    filter state their gain half reads (``filters._gain_key``).
-    Once a key repeats, the gain half of every later step is a bitwise repeat
-    of the one a period earlier, so the step function is no longer called:
-    :func:`_serve_cycle` serves the remaining steps.
+    filter state their gain half reads (``filters._gain_key``), and each key
+    is mapped to the first step it was seen at.  Once a key repeats, the
+    gain half of every later step is a bitwise repeat of the one a period
+    earlier, so the step function is no longer called: :func:`_serve_cycle`
+    serves the remaining steps.
     """
     model = scenario.model
     n_steps = scenario.horizon
@@ -363,12 +338,12 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     gains: list[_StepGains] = []
     unb = {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0}
     error = failed_at = cycle = None
-    detector = _CycleDetector() if model.is_time_invariant else None
+    first_seen: Optional[dict[bytes, int]] = {} if model.is_time_invariant else None
     for k in range(1, n_steps + 1):
-        if detector is not None:
-            period = detector.observe(_gain_key(state))
-            if period is not None:
-                cycle = (k, period)
+        if first_seen is not None:
+            first = first_seen.setdefault(_gain_key(state), k)
+            if first != k:
+                cycle = (k, k - first)
                 break
         i = k - 1
         prev = state

@@ -4,10 +4,11 @@ The closed-form references are written straight from the special-case
 equations (no feedthrough; full-column-rank feedthrough) without reusing the
 filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward code (per-step output decomposition,
-per-run truth, per-step filter pass, batched replay, piecewise fault signals,
-per-point unit-circle scan, per-value CSV writer) that the library's faster
-code must reproduce.  ``mp_px_recursion`` is a 50-digit reference for the
-updated variants' covariance, against which their float64 error is bounded.
+per-run truth, per-step filter pass and its first repeated covariance state,
+batched replay, piecewise fault signals, per-point unit-circle scan,
+per-value CSV writer) that the library's faster code must reproduce.
+``mp_px_recursion`` is a 50-digit reference for the updated variants'
+covariance, against which their float64 error is bounded.
 ``vehicle_tracking_model`` writes out the continuous-time matrices of
 ``configs/vehicle_tracking.yaml``, which only the tests read undiscretized.
 """
@@ -28,6 +29,7 @@ from lise.errors import (
 from lise.filters import (
     GammaPolicy,
     _factor_solve,
+    _gain_key,
     _spd_factor,
     _StepGains,
     _sym_block,
@@ -441,6 +443,34 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         ))
     seconds = (time.perf_counter() - t0) / max(len(gains), 1)
     return xhat, dhat, px_diag, pd_diag, gains, unb, seconds, error, failed_at, None
+
+
+def first_repeat_oracle(name, scenario, truth, tol=DEFAULT_TOL):
+    """The first step whose covariance state repeats an earlier one.
+
+    Steps the filter at every k, as the per-step pass does, and records
+    ``filters._gain_key`` of the state before every step in a list, until a
+    key equals one in the list.  Returns ``(k, k - first)`` for the first
+    key before step ``k`` that equals the one before an earlier step
+    ``first``, or ``None`` when none repeats before the horizon or the
+    filter fails: the ``FilterRun.gain_cycle`` that the pass must report on
+    a time-invariant model.
+    """
+    model = scenario.model
+    ys, us = truth.y, truth.u
+    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    keys = []
+    for k in range(1, scenario.horizon + 1):
+        key = _gain_key(state)
+        if key in keys:
+            return k, k - (keys.index(key) + 1)
+        keys.append(key)
+        try:
+            state, _ = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
+                                    scenario.gamma, tol)
+        except LiseError:
+            return None
+    return None
 
 
 def per_step_replay_oracle(name, gains, ys, us, x0_mean):

@@ -87,3 +87,22 @@ def test_loc_counts_code_lines_only(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"     3 {src}", "     3 total"]
+
+
+def test_gain_steps_counts_computed_and_served_steps():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gain_steps.py"), "--configs", "fault_h1",
+         "fault_h3"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["config", "filter", "gain_cycle", "computed", "served"]
+    got = {(config, name): (cycle, int(computed), int(served))
+           for config, name, cycle, computed, served in rows}
+    # a pass computes the steps before its cycle and serves the rest of its
+    # 1000 steps; PLISE on fault_h3 never repeats
+    assert got == {
+        ("fault_h1", "CYWZ"): ("93,1", 92, 908), ("fault_h1", "ULISE"): ("92,1", 91, 909),
+        ("fault_h1", "PLISE"): ("99,5", 98, 902), ("fault_h3", "CYWZ"): ("54,1", 53, 947),
+        ("fault_h3", "ULISE"): ("54,1", 53, 947), ("fault_h3", "PLISE"): ("None", 1000, 0),
+    }
+    assert total == ["total", "1387", "4613"]

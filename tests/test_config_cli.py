@@ -84,6 +84,77 @@ class TestLoadConfig:
             assert (yaml.load(text, Loader=yaml.CSafeLoader)
                     == yaml.load(text, Loader=yaml.SafeLoader)), path.name
 
+    @pytest.mark.parametrize("old,new,path,message", [
+        ("A: [[0.5, 0], [0, 0.2]]", "A: [[0.5, true], [0, 0.2]]", "model.A[0][1]",
+         "entry must be a real number, got True"),
+        ("horizon: 50", "horizon: 50\n  x0_true: ['1', 0]", "scenario.x0_true[0]",
+         "entry must be a real number, got '1'"),
+        ("amplitude: 1.0", "amplitude: true", "scenario.d_signals[0].amplitude",
+         "amplitude must be a real number, got True"),
+        ("{type: step, amplitude: 1.0,", "{type: ramp, slope: true,",
+         "scenario.d_signals[0].slope", "slope must be a real number, got True"),
+        ("value: 0.0", "value: '1'", "scenario.u_signals[0].value",
+         "value must be a real number, got '1'"),
+        ("{type: step, amplitude: 1.0, k_on: 10, k_off: 30}", "{type: samples, values: [true, 2]}",
+         "scenario.d_signals[0].values[0]", "entry must be a real number, got True"),
+        ("{type: step, amplitude: 1.0, k_on: 10, k_off: 30}", "{type: samples, values: 2}",
+         "scenario.d_signals[0].values", "expected a 1-D array (nested lists, row-major), "
+         "got 0-D"),
+        ("k_on: 10", "k_on: true", "scenario.d_signals[0].k_on",
+         "k_on must be a real number, got True"),
+        ("k_off: 30", "k_off: '30'", "scenario.d_signals[0].k_off",
+         "k_off must be a real number, got '30'"),
+        ("{type: step, amplitude: 1.0,", "{type: square_wave, amplitude: 1.0, half_period: true,",
+         "scenario.d_signals[0].half_period", "half_period must be a real number, got True"),
+    ])
+    def test_mistyped_number_is_a_config_error_naming_the_key(self, tmp_path, capsys, old,
+                                                               new, path, message):
+        # loaded as is, not coerced: true would read as 1, '1' as 1.0
+        text = load_min_config()
+        assert text.count(old) == 1
+        p = tmp_path / "bad.yaml"
+        p.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_config(p)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "res")]) == 1
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "res" / "steps.csv").exists()
+
+    def test_exponent_without_a_dot_is_a_number(self, tmp_path):
+        # YAML 1.1 leaves 1e-2 a string; it is YAML 1.2's float 0.01, and a
+        # quoted one stays a string
+        p = tmp_path / "cfg.yaml"
+        p.write_text(load_min_config().replace("Q: [[0.01, 0], [0, 0.01]]",
+                                               "Q: [[1e-2, 0], [0, 1.0e-2]]"))
+        assert np.array_equal(load_config(p).model.step(0).Q, 0.01 * np.eye(2))
+        p.write_text(load_min_config().replace("Q: [[0.01, 0], [0, 0.01]]",
+                                               "Q: [['1e-2', 0], [0, 0.01]]"))
+        with pytest.raises(ConfigError, match=r"^model\.Q\[0\]\[0\]: entry must be"):
+            load_config(p)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_bundled_configs_read_numbers_as_before(self, path):
+        # the loaded document is the plain YAML 1.1 one with every string that
+        # float() reads replaced by that float, as np.array(..., dtype=float)
+        # read those strings when they were coerced
+        def as_floats(node):
+            if isinstance(node, dict):
+                return {k: as_floats(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [as_floats(v) for v in node]
+            if isinstance(node, str):
+                try:
+                    return float(node)
+                except ValueError:
+                    pass
+            return node
+
+        text = path.read_text()
+        loaded = yaml.load(text, Loader=lise.config._exponent_loader(lise.config._YAML_LOADER))
+        assert loaded == as_floats(yaml.load(text, Loader=yaml.SafeLoader))
+        assert as_floats(loaded) == loaded
+        load_config(path)
+
 
 def load_min_config() -> str:
     return """

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import lise.simulate
 from conftest import config_scenario, online_plant, random_system
-from oracles import (fault_input_samples, per_run_truth_oracle,
+from oracles import (fault_input_samples, first_repeat_oracle, per_run_truth_oracle,
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
 from lise.cli import main as cli_main
@@ -26,7 +27,6 @@ from lise.simulate import (
     _INITS,
     _STEPS,
     FilterFailure,
-    _CycleDetector,
     _apply_schedule,
     _full_pass,
     _row_norms,
@@ -398,28 +398,30 @@ class TestGainCycle:
     @pytest.mark.parametrize("config", CONFIG_NAMES)
     def test_bundled_configs_match_per_step_pass_at_full_horizon(self, config):
         # the configs' own horizons, where every cycle of BUNDLED_CYCLES is
-        # served, those of period > 1 included (fault_h4, fault_h5, fault_h6)
+        # served, those of period > 1 included (fault_h4, fault_h5, fault_h6);
+        # each is served from the first repeat that the per-step pass sees
         sc = config_scenario(config, structural_checks=False)
         res = run_scenario(sc)
         _assert_same_runs(res, _per_step_run(sc))
-        got = {name: fr.gain_cycle for name, fr in res.filters.items()}
-        assert got == self.BUNDLED_CYCLES[config]
+        truth = simulate_truth(sc, 0)
+        for name, fr in res.filters.items():
+            assert fr.gain_cycle == first_repeat_oracle(name, sc, truth), name
 
     # (k, period) of FilterRun.gain_cycle per filter at each config's horizon
     BUNDLED_CYCLES = {
-        "fault_h1": {"ULISE": (129, 1), "PLISE": (133, 5), "CYWZ": (129, 1)},
-        "fault_h2": {"ULISE": (129, 1), "PLISE": (129, 1), "CYWZ": (129, 1)},
-        "fault_h3": {"ULISE": (65, 1), "PLISE": None, "CYWZ": (65, 1)},
-        "fault_h4": {"ULISE": (130, 2), "PLISE": None, "CYWZ": (130, 2)},
-        "fault_h5": {"ULISE": (65, 1), "PLISE": (424, 168), "CYWZ": (66, 2)},
-        "fault_h6": {"ULISE": (65, 1), "PLISE": (273, 17), "CYWZ": (65, 1)},
+        "fault_h1": {"ULISE": (92, 1), "PLISE": (99, 5), "CYWZ": (93, 1)},
+        "fault_h2": {"ULISE": (95, 1), "PLISE": (97, 1), "CYWZ": (95, 1)},
+        "fault_h3": {"ULISE": (54, 1), "PLISE": None, "CYWZ": (54, 1)},
+        "fault_h4": {"ULISE": (96, 2), "PLISE": None, "CYWZ": (95, 2)},
+        "fault_h5": {"ULISE": (65, 1), "PLISE": (269, 168), "CYWZ": (66, 2)},
+        "fault_h6": {"ULISE": (62, 1), "PLISE": (153, 17), "CYWZ": (62, 1)},
         "vehicle_tracking": {"ULISE": None, "PLISE": None},
     }
 
     @pytest.mark.parametrize("config", CONFIG_NAMES)
     def test_bundled_configs_detect_their_cycles(self, config):
-        # pins where Brent's detector first sees the covariance state repeat,
-        # so a change to the state or its key cannot move it unnoticed
+        # pins where the covariance state first repeats, so a change to the
+        # state or its key cannot move it unnoticed
         res = run_scenario(config_scenario(config, structural_checks=False))
         got = {name: fr.gain_cycle for name, fr in res.filters.items()}
         assert got == self.BUNDLED_CYCLES[config]
@@ -429,7 +431,7 @@ class TestGainCycle:
         # the Kalman filter is keyed and served like every other filter
         sc = _no_input_scenario(200, runs)
         res = run_scenario(sc)
-        assert res.filters["KALMAN"].gain_cycle == (65, 1)
+        assert res.filters["KALMAN"].gain_cycle == (55, 1)
         _assert_periodic_from_cycle(res.filters["KALMAN"])
         _assert_same_runs(res, _per_step_run(sc))
 
@@ -620,39 +622,56 @@ def test_cycle_replay_matches_per_step_pass_on_random_systems(seed, horizon):
                   structural_checks=False)
     res = run_scenario(sc, raise_filter_errors=False)
     _assert_same_runs(res, _per_step_run(sc, raise_filter_errors=False))
-    for fr in res.filters.values():
+    truth = simulate_truth(sc, 0)
+    for name, fr in res.filters.items():
+        assert fr.gain_cycle == first_repeat_oracle(name, sc, truth), name
         if fr.gain_cycle is not None:
             _assert_periodic_from_cycle(fr)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 300), st.integers(1, 300))
-def test_cycle_detector_finds_minimal_period_at_brent_bound(mu, lam):
-    # keys 1..mu-1 are distinct, then a cycle of lam distinct keys repeats
+def _keyed_pass(key, horizon):
+    """``_full_pass`` of ULISE on fault_h1 with the state before step ``j``
+    keyed by ``key(j)`` in place of its covariance bytes."""
+    sc = config_scenario("fault_h1", horizon=horizon, structural_checks=False)
+    keys = map(key, itertools.count(1))
+    with mock.patch.object(lise.simulate, "_gain_key", lambda state: next(keys)):
+        return _full_pass("ULISE", sc, simulate_truth(sc, 0), DEFAULT_TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40))
+def test_cycle_is_found_at_its_first_repeat_with_its_minimal_period(mu, lam):
+    # keys 1..mu-1 are distinct, then a cycle of lam distinct keys repeats:
+    # key mu + lam is the first key seen before
     def key(j):
         return b"pre%d" % j if j < mu else b"cyc%d" % ((j - mu) % lam)
 
-    c = 1
-    while c < max(mu, lam):
-        c *= 2
-    det = _CycleDetector()
-    for j in range(1, c + lam):
-        assert det.observe(key(j)) is None, j
-    assert det.observe(key(c + lam)) == lam
+    assert _keyed_pass(key, mu + lam)[-1] == (mu + lam, lam)
+    assert _keyed_pass(key, mu + lam - 1)[-1] is None
 
 
-@pytest.mark.parametrize("count", [200, 2000])
-def test_cycle_detector_memory_does_not_grow_with_the_horizon(count):
-    size = 4096
-    det = _CycleDetector()
-    tracemalloc.start()
-    try:
-        for j in range(count):
-            assert det.observe(j.to_bytes(8, "little") * (size // 8)) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * size   # the saved key and the one being observed
+def test_cycle_map_holds_each_key_once_and_is_dropped_with_the_pass():
+    # distinct keys, so the pass maps every one of its steps; a big key size
+    # makes the map's share of the traced memory stand out from the pass's
+    size, steps = 1 << 16, 100
+
+    def traced(key):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = _keyed_pass(key, steps)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out[-1] is None
+        return peak - before, after - before
+
+    peak_small, kept_small = traced(lambda j: j.to_bytes(8, "little"))
+    peak_big, kept_big = traced(lambda j: j.to_bytes(8, "little") * (size // 8))
+    # one copy of each of the steps' keys while the pass runs (the small
+    # keys' own share of the first peak is well under one big key), then none
+    assert (steps - 1) * size < peak_big - peak_small < (steps + 2) * size
+    assert kept_big - kept_small < size
 
 
 def test_python_m_lise_runs_the_cli():
