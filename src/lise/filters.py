@@ -60,11 +60,16 @@ PLISE, its block map ``[A, G1, G2]``) come from the step context of
 step object alongside its decomposition), and, for the updated variants,
 the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
 Fetching a step's context rejects a step with a non-finite matrix, naming
-the matrix and ``k``, and a step whose R is not positive definite.
+the matrix and ``k``, and a step whose R is not positive definite.  Each
+state class declares its covariance state once, in ``cov_fields``: ``px``,
+and for PLISE also ``pd1`` and ``pxd1``.  These are the fields a gain half
+reads (with ``step`` and ``dec``) and returns for the new state, and their
+bytes key the state in :func:`_gain_key`.
 
 The estimate half of a step (:func:`_estimate_update`) reads the model
 steps, decompositions and gains of steps ``k - 1`` and ``k`` from one
-:class:`_StepGains` record, the one form in which they travel, and takes the
+:class:`_StepGains` record, the one form in which they travel (the step's
+:class:`StepOutput` keeps it as ``gains``), and takes the
 products that involve the data only (:func:`_data_products`) as an argument,
 so that a caller serving many steps with known gains (:mod:`lise.simulate`'s
 gain cycle) can form the data products for all of them at once; a caller
@@ -184,6 +189,10 @@ class UliseState:
     not from the model, and fetches only its own model step.  The covariance
     of ``d1hat`` is ``_pd1(px, dec)``, and the next step derives it, and the
     decoupled dynamics of ``step``, at its start.
+
+    ``cov_fields`` names the covariance state: the fields that the next
+    step's gain half reads besides ``step`` and ``dec``, and that it returns
+    for the new state.  The gain half never reads the estimates.
     """
 
     k: int
@@ -193,6 +202,7 @@ class UliseState:
     step: SystemStep
     dec: OutputDecomposition
 
+    cov_fields: ClassVar[tuple[str, ...]] = ("px",)
     # the step forms the new d1hat from the updated state
     d1_from_propagated: ClassVar[bool] = False
 
@@ -203,8 +213,8 @@ class PliseState:
 
     Here ``d1hat`` is estimated from the propagated state, so its covariance
     ``pd1`` is not a function of ``px`` and is carried, with the
-    state/feedthrough-input cross covariance ``pxd1``; the other fields are
-    as in :class:`UliseState`.
+    state/feedthrough-input cross covariance ``pxd1``, in the covariance
+    state ``cov_fields``; the other fields are as in :class:`UliseState`.
     """
 
     k: int
@@ -216,6 +226,7 @@ class PliseState:
     step: SystemStep
     dec: OutputDecomposition
 
+    cov_fields: ClassVar[tuple[str, ...]] = ("px", "pd1", "pxd1")
     # the step forms the new d1hat from the propagated state
     d1_from_propagated: ClassVar[bool] = True
 
@@ -237,6 +248,7 @@ class KalmanState:
     step: SystemStep
     dec: OutputDecomposition
 
+    cov_fields: ClassVar[tuple[str, ...]] = ("px",)
     # no feedthrough input (p = 0): the estimate update's d1hat is empty
     d1_from_propagated: ClassVar[bool] = False
 
@@ -248,7 +260,8 @@ class StepOutput:
     The unknown-input estimate is one step delayed: the step consuming
     ``y_k`` finalizes ``dhat_prev`` as the estimate of ``d_{k-1}`` with
     covariance ``pd_prev``.  ``gain_m2_state`` differs from ``gain_m2`` only
-    for the OLS variant.
+    for the OLS variant.  ``gains`` is the step's gain record, the one its
+    estimate update ran on.
     """
 
     k: int
@@ -263,6 +276,7 @@ class StepOutput:
     gain_m2: np.ndarray
     gain_m2_state: np.ndarray
     unbiasedness: dict[str, float]
+    gains: _StepGains
 
 
 def _nonfinite_error(name: str, k: int) -> InvalidInputError:
@@ -344,21 +358,12 @@ def _sym_block(upper) -> np.ndarray:
 
     ``upper[i]`` holds the blocks of block row ``i`` from the diagonal on,
     and each block below the diagonal is the transpose of its mirror image.
-    The values are copied as ``np.block`` copies them, into a preallocated
-    C-ordered array, without ``np.block``'s per-call cost.
+    The values are copied as ``np.block`` copies them, one ``np.concatenate``
+    per block row and one for the rows, without ``np.block``'s per-call cost.
     """
-    offsets = [0]
-    for row in upper:
-        offsets.append(offsets[-1] + row[0].shape[0])
-    out = np.empty((offsets[-1], offsets[-1]))
-    for i, row in enumerate(upper):
-        rows = slice(offsets[i], offsets[i + 1])
-        for j, blk in enumerate(row, start=i):
-            cols = slice(offsets[j], offsets[j + 1])
-            out[rows, cols] = blk
-            if j > i:
-                out[cols, rows] = blk.T
-    return out
+    return np.concatenate([
+        np.concatenate([upper[j][i - j].T for j in range(i)] + list(row), axis=1)
+        for i, row in enumerate(upper)])
 
 
 @functools.cache
@@ -581,19 +586,16 @@ def _estimate_update(xhat, d1hat, y, products, g: _StepGains):
 
 
 def _gain_key(state: UliseState | PliseState | KalmanState) -> bytes:
-    """The exact bytes of every covariance the gain half of the next step
-    reads from ``state``.
+    """The exact bytes of the covariance state of ``state``: its class's
+    ``cov_fields``, joined in that order.
 
     A gain half (:func:`_lise_gains`, :func:`_kalman_gains`: gains,
     covariances, next covariance state) is a deterministic function of these
     arrays, the model steps and their decompositions (``state.step`` and
     ``state.dec`` among them).  So on a time-invariant model two states with
-    equal keys give bitwise-equal gain halves.  A state field the gain half
-    starts to read must be added here.
+    equal keys give bitwise-equal gain halves.
     """
-    if isinstance(state, PliseState):
-        return state.px.tobytes() + state.pd1.tobytes() + state.pxd1.tobytes()
-    return state.px.tobytes()
+    return b"".join(getattr(state, name).tobytes() for name in state.cov_fields)
 
 
 def _pd1(p: np.ndarray, dec: OutputDecomposition) -> np.ndarray:
@@ -645,13 +647,13 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     the filter's ``gain_half(state, ctx_prev, step, dec, tol, **options)``,
     builds the step's :class:`_StepGains` from its output, runs the one
     :func:`_estimate_update` with it, and builds the new state of the
-    state's own class and the :class:`StepOutput`.
+    state's own class and the :class:`StepOutput`, which keeps the record.
 
-    A gain half reads the covariance state (the fields of
-    :func:`_gain_key`, and ``state.step``/``state.dec``) and the step
+    A gain half reads the covariance state (the state class's
+    ``cov_fields``, and ``state.step``/``state.dec``) and the step
     contexts, never the estimates or the data.  It returns ``(cov, px_star,
     pd_prev, gain_l, m2, m2_state, unbiasedness)``, ``cov`` being the
-    covariance fields of the new state by name.
+    new state's ``cov_fields`` by name.
     """
     k = state.k + 1
     step = model.step(k)
@@ -669,7 +671,7 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=pd_prev, gain_l=gain_l, gain_m1=dec_k.sigma_inv,
-        gain_m2=m2, gain_m2_state=m2_state, unbiasedness=unbiasedness,
+        gain_m2=m2, gain_m2_state=m2_state, unbiasedness=unbiasedness, gains=g,
     )
     return type(state)(k=k, xhat=xhat, d1hat=d1hat, step=step, dec=dec_k, **cov), out
 
@@ -741,15 +743,16 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2, gamma, tol,
                             r_hat=r_hat, closed_form=not ols_state_gain)
     ilc = _eye(n) - gain_l.dot(step.C)
+    # (I - L C) P* and L R, shared by px and PLISE's pxd1
+    ilc_p, lr = ilc.dot(px_star), gain_l.dot(step.R)
     noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
-    px = symmetrize(noise_cross + noise_cross.T + ilc.dot(px_star).dot(ilc.T)
-                    + gain_l.dot(step.R).dot(gain_l.T))
+    px = symmetrize(noise_cross + noise_cross.T + ilc_p.dot(ilc.T) + lr.dot(gain_l.T))
     cov = {"px": px}
     if propagated:
         # d1 at k is estimated from the propagated state
         cov["pd1"] = _pd1(px_star, dec_k)
-        cov["pxd1"] = (-(ilc.dot(px_star).dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-                       - (gain_l.dot(step.R) @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
+        cov["pxd1"] = (-(ilc_p.dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+                       - (lr @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
                        .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
     return (cov, px_star, symmetrize(pd_prev), gain_l, m2, m2_state,
             _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l))

@@ -2,11 +2,16 @@
 
 Each spec turns into a sequence ``value[0..count-1]``; signals are zero
 outside their active window.  ``Samples`` shorter than the requested count
-are zero-padded at the end.
+are zero-padded at the end.  Parameters are taken as given, never coerced:
+an amplitude, slope, value or sample must be a finite real number, and a
+window bound or half period an integer; a bool or a string is neither, and
+a rejected parameter raises :class:`~lise.errors.InvalidInputError` naming
+it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -18,7 +23,24 @@ __all__ = ["Step", "Ramp", "SquareWave", "Constant", "Samples", "SignalSpec",
            "sample_signal", "sample_signals"]
 
 
+def _check_real(value, what: str):
+    """Raise unless ``value`` is one finite real number, taken as given: a
+    bool, a string or a sequence is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise InvalidInputError(f"{what} must be finite")
+
+
+def _check_integer(value, what: str):
+    """Raise unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_window(k_on: int, k_off: int):
+    _check_integer(k_on, "signal window k_on")
+    _check_integer(k_off, "signal window k_off")
     if k_on > k_off:
         raise InvalidInputError(f"signal window must satisfy k_on <= k_off, got [{k_on}, {k_off}]")
 
@@ -33,8 +55,7 @@ class Step:
 
     def __post_init__(self):
         _check_window(self.k_on, self.k_off)
-        if not np.isfinite(self.amplitude):
-            raise InvalidInputError("step amplitude must be finite")
+        _check_real(self.amplitude, "step amplitude")
 
     def at(self, k: int) -> float:
         return self.amplitude if self.k_on <= k <= self.k_off else 0.0
@@ -50,8 +71,7 @@ class Ramp:
 
     def __post_init__(self):
         _check_window(self.k_on, self.k_off)
-        if not np.isfinite(self.slope):
-            raise InvalidInputError("ramp slope must be finite")
+        _check_real(self.slope, "ramp slope")
 
     def at(self, k: int) -> float:
         return self.slope * (k - self.k_on) if self.k_on <= k <= self.k_off else 0.0
@@ -69,10 +89,10 @@ class SquareWave:
 
     def __post_init__(self):
         _check_window(self.k_on, self.k_off)
+        _check_integer(self.half_period, "square wave half_period")
         if self.half_period < 1:
             raise InvalidInputError("square wave half_period must be >= 1")
-        if not np.isfinite(self.amplitude):
-            raise InvalidInputError("square wave amplitude must be finite")
+        _check_real(self.amplitude, "square wave amplitude")
 
     def at(self, k: int) -> float:
         if not (self.k_on <= k <= self.k_off):
@@ -86,8 +106,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise InvalidInputError("constant value must be finite")
+        _check_real(self.value, "constant value")
 
     def at(self, k: int) -> float:
         return self.value
@@ -100,10 +119,14 @@ class Samples:
     values: tuple
 
     def __init__(self, values: Sequence[float]):
-        arr = tuple(float(v) for v in values)
-        if any(not np.isfinite(v) for v in arr):
-            raise InvalidInputError("sample values must be finite")
-        object.__setattr__(self, "values", arr)
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise InvalidInputError(
+                f"sample values must be a sequence of real numbers, got {values!r}") from None
+        for i, v in enumerate(values):
+            _check_real(v, f"sample values[{i}]")
+        object.__setattr__(self, "values", tuple(float(v) for v in values))
 
     def at(self, k: int) -> float:
         return self.values[k] if 0 <= k < len(self.values) else 0.0

@@ -315,9 +315,9 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                tol: Tolerance):
     """Run the real step functions over run-0 data; collect series and gains.
 
-    Each step's model steps and decompositions are taken from the filter
-    states before and after it, so the pass asks the model for no step of
-    its own: the step functions fetch each ``model.step(k)`` once.
+    Each step's gain record is the one its :class:`filters.StepOutput`
+    keeps, so the pass asks the model for no step of its own: the step
+    functions fetch each ``model.step(k)`` once.
 
     On a time-invariant model, the steps are keyed by the bytes of the
     filter state their gain half reads (``filters._gain_key``), and each key
@@ -346,7 +346,6 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
                 cycle = (k, k - first)
                 break
         i = k - 1
-        prev = state
         try:
             state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
                                       scenario.gamma, tol)
@@ -360,12 +359,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         pd_diag[i] = np.diag(out.pd_prev)
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
-        gains.append(_StepGains(
-            step_prev=prev.step, step=state.step,
-            dec_prev=prev.dec, dec=state.dec,
-            m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
-            from_propagated=state.d1_from_propagated,
-        ))
+        gains.append(out.gains)
     if cycle is not None:
         try:
             _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag)

@@ -10,7 +10,7 @@ general time-varying systems are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -457,7 +457,6 @@ class StructuralReport:
     invariant_zeros: InvariantZeros
     ulise_convergent: CertificateVerdict
     plise_bounded: CertificateVerdict
-    details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Plain-types rendering for serialization (report files, CSV)."""
@@ -480,7 +479,6 @@ class StructuralReport:
                 out[f"{name}_circle_min_sigma"] = cert.circle.min_sigma
             if cert.reason:
                 out[f"{name}_reason"] = cert.reason
-        out.update(self.details)
         return out
 
 

@@ -665,8 +665,12 @@ def _mp_pinv(a, rel):
 
 
 def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
-    """``px`` of ULISE, CYWZ or PLISE on the time-invariant ``step``, at
-    ``dps`` decimal digits, for steps 1 to ``n_steps``.
+    """``px``, the input gain ``M2`` and the state gain ``L`` of ULISE, CYWZ
+    or PLISE on the time-invariant ``step``, at ``dps`` decimal digits, for
+    steps 1 to ``n_steps``.  ``M2`` is returned as ``V2 M2 U2^T``, the map
+    from an output residual to the dynamics-only part of the estimate of
+    ``d``, which does not depend on the choice of the SVD bases ``U2`` and
+    ``V2`` (not unique when a complement has dimension above 1).
 
     Written from the equations in ``mpmath``, not from the filter code: the
     output decomposition is built from an ``mpmath`` SVD of H, with the
@@ -677,7 +681,9 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
     ``r_hat^-1/2 C G2``, span the vectors orthogonal to ``C G2`` whatever
     ``r_hat`` is, and the reduction depends on that span only, so Gamma is
     taken once from an SVD of ``C G2``.  CYWZ's OLS gain is
-    ``(C2G2^T C2G2)^-1 C2G2^T``, ``C2 G2`` having full column rank.
+    ``(C2G2^T C2G2)^-1 C2G2^T``, ``C2 G2`` having full column rank; the
+    returned ``M2`` is the GLS gain of the reported input estimate, for
+    CYWZ too.
 
     PLISE carries the feedthrough-input covariance ``pd1`` and its cross
     covariance ``pxd1`` with the state, propagates the joint covariance of
@@ -685,8 +691,8 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
     pseudo-inverse at the float path's rank rule: the singular values above
     ``tol.rank_rel`` times the largest count, as in ``lise.linalg.pinv``.
 
-    The float matrices enter exactly; returns a list of ``px`` as object
-    arrays of ``mpf``.
+    The float matrices enter exactly; returns three lists, of ``px``, ``M2``
+    and ``L`` per step, as object arrays of ``mpf``.
     """
     with mpmath.workdps(dps):
         p_h = decompose(step).p_h
@@ -720,7 +726,7 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
         px = mp_array(p0)
         pd1 = si @ (c1 @ px @ c1.T + r1) @ si
         pxd1 = -px @ c1.T @ si
-        out = []
+        pxs, m2s, gains_l = [], [], []
         for _ in range(n_steps):
             p_tilde = ahat @ px @ ahat.T + qhat
             r2_tilde = c2 @ p_tilde @ c2.T + r2
@@ -760,5 +766,7 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
                 pd1 = si @ (c1 @ px_star @ c1.T + r1) @ si
                 pxd1 = (-(ilc @ px_star @ c1.T @ si)
                         - gain_l @ r @ u2 @ m2.T @ g2.T @ c1.T @ si)
-            out.append(px)
-        return out
+            pxs.append(px)
+            m2s.append(v2 @ m2 @ u2.T)
+            gains_l.append(gain_l)
+        return pxs, m2s, gains_l

@@ -120,6 +120,25 @@ class TestLoadConfig:
         assert f"config error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "res" / "steps.csv").exists()
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("k_on: 10", "k_on: 0.5", "signal window k_on must be an integer, got 0.5"),
+        ("k_off: 30", "k_off: 30.0", "signal window k_off must be an integer, got 30.0"),
+        ("{type: step, amplitude: 1.0,", "{type: square_wave, amplitude: 1.0, half_period: 2.5,",
+         "square wave half_period must be an integer, got 2.5"),
+    ])
+    def test_fractional_signal_window_is_a_config_error(self, tmp_path, capsys, old, new,
+                                                        message):
+        # a real number passes the loader's type check; the signal rejects it
+        text = load_min_config()
+        assert text.count(old) == 1
+        p = tmp_path / "bad.yaml"
+        p.write_text(text.replace(old, new))
+        path = "scenario.d_signals[0]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_config(p)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "res")]) == 1
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
+
     def test_exponent_without_a_dot_is_a_number(self, tmp_path):
         # YAML 1.1 leaves 1e-2 a string; it is YAML 1.2's float 0.01, and a
         # quoted one stays a string

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import config_scenario, online_plant, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
 import lise.decomposition
-from lise.decomposition import _pair_context, decompose, decompose_cached, decoupled_dynamics
+from lise.decomposition import (_pair_context, _step_context, decompose, decompose_cached,
+                                decoupled_dynamics)
 from lise.errors import (
     EstimabilityError,
     GainConstructionError,
@@ -27,7 +28,10 @@ from lise.filters import (
     GammaPolicy,
     _check_vector,
     _factor_solve,
+    _gain_key,
     _input_gain_gls,
+    _kalman_gains,
+    _lise_gains,
     _spd_factor,
     _spd_solve,
     _sym_block,
@@ -141,6 +145,106 @@ class TestStateClass:
                            match=f"{step_fn.__name__} needs a "
                                  f"{_STATE_CLASSES[step_name]}, got {got}"):
             step_fn(state, ys[1], us[1], us[0], model)
+
+
+# each filter's gain half and its options, as its public step calls it
+_GAIN_HALVES = {
+    "ULISE": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
+    "PLISE": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
+    "CYWZ": (_lise_gains, {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": True}),
+    "KALMAN": (_kalman_gains, {}),
+}
+
+
+def _declaration_model(name, system):
+    """fault_h1 (with G and H emptied for the Kalman filter) or a
+    ``random_system`` draw (p = 0 for the Kalman filter)."""
+    if system == "random":
+        p, p_h = (0, 0) if name == "KALMAN" else (2, 1)
+        return random_system(np.random.default_rng(31), n=4, l=3, p=p, p_h=p_h)
+    model = config_scenario("fault_h1").model
+    if name != "KALMAN":
+        return model
+    s = model.step(0)
+    return SystemModel.time_invariant(SystemStep(
+        A=s.A, B=s.B, C=s.C, D=s.D, G=s.G[:, :0], H=s.H[:, :0], Q=s.Q, R=s.R))
+
+
+def _bits(value):
+    """A gain half's output with every array as its shape, dtype and bytes."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    return value
+
+
+class TestCovarianceState:
+    """Each state class declares its covariance state once, in
+    ``cov_fields``: the gain half returns exactly those fields, reads no
+    estimate, and ``_gain_key`` changes with every bit of them."""
+
+    @staticmethod
+    def _stepped(name, system):
+        """The model, the filter's state after three steps on random data,
+        and the gain half of the next step as a function of a state."""
+        model = _declaration_model(name, system)
+        init, step_fn = _FILTER_FNS[name]
+        rng = np.random.default_rng(5)
+        ys = rng.standard_normal((4, model.l))
+        us = rng.standard_normal((4, model.m))
+        state = init(model, np.zeros(model.n), np.eye(model.n), ys[0], us[0])
+        for k in range(1, 4):
+            prev = state
+            state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
+        # the step keeps the record its estimate update ran on
+        g = out.gains
+        pairs = [(g.step_prev, prev.step), (g.dec_prev, prev.dec), (g.step, state.step),
+                 (g.dec, state.dec), (g.m2, out.gain_m2), (g.m2_state, out.gain_m2_state),
+                 (g.gain_l, out.gain_l)]
+        assert all(a is b for a, b in pairs)
+        assert g.from_propagated is (name == "PLISE")
+        gain_half, options = _GAIN_HALVES[name]
+
+        def gains(s):
+            step = model.step(s.k + 1)
+            return gain_half(s, _step_context(s.step, DEFAULT_TOL), step,
+                             decompose_cached(step, DEFAULT_TOL), DEFAULT_TOL, **options)
+
+        return state, gains
+
+    @pytest.mark.parametrize("system", ["fault_h1", "random"])
+    @pytest.mark.parametrize("name", ["ULISE", "CYWZ", "PLISE", "KALMAN"])
+    def test_gain_half_returns_its_declared_fields(self, name, system):
+        state, gains = self._stepped(name, system)
+        assert tuple(gains(state)[0]) == type(state).cov_fields
+        assert type(state).cov_fields == (("px", "pd1", "pxd1") if name == "PLISE"
+                                          else ("px",))
+
+    @pytest.mark.parametrize("system", ["fault_h1", "random"])
+    @pytest.mark.parametrize("name", ["ULISE", "CYWZ", "PLISE", "KALMAN"])
+    def test_gain_half_reads_no_estimate(self, name, system):
+        state, gains = self._stepped(name, system)
+        blind = dataclasses.replace(state, xhat=np.full_like(state.xhat, np.nan),
+                                    d1hat=np.full_like(state.d1hat, np.nan))
+        assert _bits(gains(blind)) == _bits(gains(state))
+
+    @pytest.mark.parametrize("system", ["fault_h1", "random"])
+    @pytest.mark.parametrize("name", ["ULISE", "CYWZ", "PLISE", "KALMAN"])
+    def test_gain_key_changes_with_every_declared_bit(self, name, system):
+        state, _ = self._stepped(name, system)
+        key = _gain_key(state)
+        flipped = 0
+        for field in type(state).cov_fields:
+            value = getattr(state, field)
+            for i in range(value.size):
+                a = value.copy()
+                a.view(np.uint64).flat[i] ^= np.uint64(1)
+                assert _gain_key(dataclasses.replace(state, **{field: a})) != key, (field, i)
+                flipped += 1
+        assert flipped == sum(getattr(state, f).size for f in type(state).cov_fields) > 0
 
 
 class TestNonFiniteInputs:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from oracles import (fault_input_samples, first_repeat_oracle, per_run_truth_ora
 from lise.cli import main as cli_main
 from lise.errors import InvalidInputError
 from lise.linalg import DEFAULT_TOL, _norm
-from lise.signals import (Constant, Ramp, Samples, SquareWave, sample_signal,
+from lise.signals import (Constant, Ramp, Samples, SquareWave, Step, sample_signal,
                           sample_signals)
 from lise.simulate import (
     _INITS,
@@ -44,6 +45,14 @@ from lise.structural import strong_detectability
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
                 "fault_h6", "vehicle_tracking")
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes.  Unlike ``np.array_equal`` this tells
+    -0.0 from +0.0, which ``%.17g`` writes differently into ``steps.csv``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 def _zero_noise_model():
     base = config_scenario("fault_h1").model.step(0)
@@ -78,6 +87,39 @@ class TestSignals:
         with pytest.raises(InvalidInputError):
             SquareWave(amplitude=1.0, half_period=10, k_on=5, k_off=4)
 
+    @pytest.mark.parametrize("value", [True, "1", [1.0], np.ones(1)], ids=repr)
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: Step(v, 0, 2), "step amplitude"),
+        (lambda v: Ramp(v, 0, 2), "ramp slope"),
+        (lambda v: SquareWave(v, 1, 0, 2), "square wave amplitude"),
+        (lambda v: Constant(v), "constant value"),
+        (lambda v: Samples([1.0, v]), "sample values[1]"),
+    ], ids=["step", "ramp", "square_wave", "constant", "samples"])
+    def test_a_number_is_taken_as_given(self, make, field, value):
+        # a bool would read as 1, a string as 1.0, a sequence fails only when sampled
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(field)} must be a real number, got "):
+            make(value)
+
+    @pytest.mark.parametrize("value", [0.5, 3.0, True, "1"], ids=repr)
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: Step(1.0, v, 4), "signal window k_on"),
+        (lambda v: Ramp(1.0, 0, v), "signal window k_off"),
+        (lambda v: SquareWave(1.0, v, 0, 4), "square wave half_period"),
+    ], ids=["k_on", "k_off", "half_period"])
+    def test_a_window_is_an_integer(self, make, field, value):
+        # Ramp(1.0, 0.5, 3) would sample a ramp shifted by half a step
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(field)} must be an integer, got "):
+            make(value)
+
+    def test_numpy_scalars_are_numbers(self):
+        assert np.array_equal(sample_signal(Step(np.float64(2.0), np.int64(1), np.int64(2)), 4),
+                              [0.0, 2.0, 2.0, 0.0])
+        assert Samples(np.array([1, 2])).values == (1.0, 2.0)
+        with pytest.raises(InvalidInputError, match="^sample values must be a sequence"):
+            Samples(2.0)
+
 
 class TestSimulateTruth:
     def test_all_zero(self):
@@ -96,7 +138,7 @@ class TestSimulateTruth:
         sc = config_scenario("fault_h1", horizon=50)
         a = simulate_truth(sc)
         b = simulate_truth(sc)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert _same_bits(a.x, b.x) and _same_bits(a.y, b.y)
 
     def test_runs_have_independent_streams(self):
         sc = config_scenario("fault_h1", horizon=50)
@@ -210,10 +252,10 @@ def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying)
     for r in range(runs):
         x, y, d, u = per_run_truth_oracle(sc, r)
         single = simulate_truth(sc, r)
-        assert np.array_equal(batch.x[r], x) and np.array_equal(batch.y[r], y)
-        assert np.array_equal(single.x, x) and np.array_equal(single.y, y)
+        assert _same_bits(batch.x[r], x) and _same_bits(batch.y[r], y)
+        assert _same_bits(single.x, x) and _same_bits(single.y, y)
         for got in (batch, single):
-            assert np.array_equal(got.d, d) and np.array_equal(got.u, u)
+            assert _same_bits(got.d, d) and _same_bits(got.u, u)
 
 
 class TestRunScenario:
@@ -366,10 +408,10 @@ def _assert_same_runs(got, want):
     for name, a in got.filters.items():
         b = want.filters[name]
         for field in ("xhat", "dhat", "px_diag", "pd_diag", "err_x_runs", "err_d_runs"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), (name, field)
+            assert _same_bits(getattr(a, field), getattr(b, field)), (name, field)
         assert len(a.gain_l_series) == len(b.gain_l_series)
         for la, lb in zip(a.gain_l_series, b.gain_l_series):
-            assert np.array_equal(la, lb), name
+            assert _same_bits(la, lb), name
         assert a.max_unbiasedness == b.max_unbiasedness, name
         assert (a.error, a.failed_at) == (b.error, b.failed_at), name
 
@@ -380,7 +422,7 @@ def _assert_periodic_from_cycle(fr):
     gains = np.array(fr.gain_l_series)
     for series in (fr.px_diag, fr.pd_diag, gains):
         tail = series[start - 1:]
-        assert np.array_equal(tail, series[start - 1 - period:len(series) - period])
+        assert _same_bits(tail, series[start - 1 - period:len(series) - period])
 
 
 class TestGainCycle:
