@@ -139,15 +139,17 @@ class Side:
         return self._cli([["analyze", "--config", cfg] for cfg in self.configs])
 
     def _cli(self, commands):
-        """Run the CLI's ``main`` on each argv, each writing into a directory
-        of its own; returns their total time, and every written file's bytes
+        """Run the CLI's ``main`` on each argv, each ``run`` writing into a
+        directory of its own (``analyze`` writes no file and takes no
+        ``--out``); returns their total time, and every written file's bytes
         and each command's standard output, the output directory written as
         ``<out>``."""
         files = {}
         seconds = 0.0
         with tempfile.TemporaryDirectory() as out:
             for i, argv in enumerate(commands):
-                argv = argv + ["--out", os.path.join(out, str(i))]
+                if argv[0] == "run":
+                    argv = argv + ["--out", os.path.join(out, str(i))]
                 with contextlib.redirect_stdout(io.StringIO()) as stdout:
                     t0 = time.perf_counter()
                     code = self.lise.cli.main(argv)

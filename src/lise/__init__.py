@@ -26,7 +26,6 @@ from .errors import (
 )
 from .filters import (
     GammaPolicy,
-    KalmanState,
     PliseState,
     StepOutput,
     UliseState,

@@ -6,9 +6,16 @@ Subcommands::
     lise run     --config cfg.yaml          simulate, write per-step + summary CSV
     lise compare --config cfg.yaml          side-by-side steady state + dominance
 
+Each subcommand takes only the flags it reads.  ``analyze`` takes --config
+alone.  ``run`` and ``compare`` also take --seed and --mc, which override the
+scenario's noise seed and Monte-Carlo run count, and --strict, which aborts
+instead of warning when a structural check fails; ``compare`` takes
+--filters, the filters to compare.  Only ``run`` writes files: their
+directory comes from --out, else the LISE_OUT_DIR environment variable, else
+the config.
+
 Exit codes: 0 success, 1 usage/config error, 2 structural-check failure,
-3 runtime numerical failure.  The output directory comes from --out, else the
-LISE_OUT_DIR environment variable, else the config.
+3 runtime numerical failure.
 """
 
 from __future__ import annotations
@@ -48,21 +55,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to a YAML config file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario noise seed")
-    common.add_argument("--out", default=None, help="override the output directory")
-    common.add_argument("--mc", type=int, default=None,
-                        help="override the Monte-Carlo run count")
-    common.add_argument("--strict", action="store_true",
-                        help="abort instead of warning when structural checks fail")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to a YAML config file")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[config])
+    scenario.add_argument("--seed", type=int, default=None,
+                          help="override the scenario noise seed")
+    scenario.add_argument("--mc", type=int, default=None,
+                          help="override the Monte-Carlo run count")
+    scenario.add_argument("--strict", action="store_true",
+                          help="abort instead of warning when structural checks fail")
 
-    sub.add_parser("analyze", parents=[common],
+    sub.add_parser("analyze", parents=[config],
                    help="run the structural checks and print verdicts")
-    sub.add_parser("run", parents=[common],
-                   help="simulate the scenario and write CSV outputs")
-    cmp_p = sub.add_parser("compare", parents=[common],
+    run_p = sub.add_parser("run", parents=[scenario],
+                           help="simulate the scenario and write CSV outputs")
+    run_p.add_argument("--out", default=None, help="override the output directory")
+    cmp_p = sub.add_parser("compare", parents=[scenario],
                            help="run several filters and compare steady state")
     cmp_p.add_argument("--filters", nargs="+", default=None,
                        help="filters to compare (default: scenario's list)")
@@ -104,7 +112,7 @@ def _fmt_zero(z: complex) -> str:
     return f"{z.real:.6g}{sign}{abs(z.imag):.6g}j"
 
 
-def cmd_analyze(doc: ConfigDocument, args) -> int:
+def cmd_analyze(doc: ConfigDocument) -> int:
     model = doc.model
     checks = doc.analysis.checks
     tol = DEFAULT_TOL
@@ -267,9 +275,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         doc = load_config(args.config)
-        _override_scenario(doc, args)
         if args.command == "analyze":
-            return cmd_analyze(doc, args)
+            return cmd_analyze(doc)
+        _override_scenario(doc, args)
         if args.command == "run":
             return cmd_run(doc, args)
         return cmd_compare(doc, args)

@@ -239,9 +239,13 @@ def _parse_analysis(node, path: str) -> AnalysisSettings:
             raise ConfigError(f"unknown check {c!r} (choose from {ANALYSIS_CHECKS})",
                               f"{path}.checks")
     window = node.get("window")
-    if window is not None and (not _is_integer(window) or window < 0):
-        raise ConfigError(f"window must be a nonnegative integer, got {window!r}",
-                          f"{path}.window")
+    if window is not None:
+        if not _is_integer(window) or window < 0:
+            raise ConfigError(f"window must be a nonnegative integer, got {window!r}",
+                              f"{path}.window")
+        if "strong_observability" not in checks:
+            raise ConfigError("window is the strong_observability check's window, "
+                              "and checks does not list that check", f"{path}.window")
     return AnalysisSettings(checks=tuple(checks), window=window)
 
 

@@ -18,10 +18,11 @@ entry per step object and tolerance, so a time-invariant model decomposes once
 and pays no hashing after.  The entry is the step's context
 (:class:`StepContext`): the decomposition together with the step's constants
 that also depend on A or Q, namely :func:`decoupled_dynamics` and PLISE's
-block map ``[A, G1, G2]``, so the filters form each once per step object.  An
-entry is built only for a step whose eight matrices are finite (a step with a
-NaN or an infinity raises :class:`~lise.errors.InvalidInputError` naming the
-matrix, on every call).  Below it, :func:`decompose` takes the whole
+block map ``[A, G1, G2]``, so the filters and the structural tests form each
+once per step object.  An entry is built only for a step whose eight matrices
+are finite (a step with a NaN or an infinity raises
+:class:`~lise.errors.InvalidInputError` naming the matrix, on every call).
+Below it, :func:`decompose` takes the whole
 decomposition from a bounded LRU of ``_FACTOR_CACHE_SIZE`` entries keyed by
 the tolerance, the shapes and the exact bytes of H, R, C, D and G, so a
 time-varying model whose steps repeat those matrices (fresh step objects
@@ -211,10 +212,11 @@ class _NonFiniteMatrix(InvalidInputError):
 
 
 class StepContext:
-    """The constants of one model step object that the filters read every
-    time the step is used: its decomposition ``dec``, the
-    :func:`decoupled_dynamics` pair ``(ahat, qhat)`` and, built on first use,
-    PLISE's ``blockmap = [A, G1, G2]``.  Every array is read-only.
+    """The constants of one model step object that the filters and the
+    structural tests read every time the step is used: its decomposition
+    ``dec``, the :func:`decoupled_dynamics` pair ``(ahat, qhat)`` and, built
+    on first use, PLISE's ``blockmap = [A, G1, G2]``.  Every array is
+    read-only.
 
     A context holds arrays of its step, never the step itself, so the weak
     per-step map of :func:`decompose_cached` lets the step go.

@@ -22,9 +22,10 @@ differ only in how the covariance is propagated:
 
 The public step functions check the state's class and call the skeleton,
 whose gain half reads the variant from the state's ``d1_from_propagated``.
-:func:`kalman_step` is the no-unknown-input special case (p = 0): its gain
-half, :func:`_kalman_gains`, is the standard predict, gain and Joseph update,
-and its estimates come from the same estimate update with an empty
+:func:`kalman_step` is the no-unknown-input special case (p = 0): its state
+is an :class:`UliseState`, as that of :func:`cywz_step` is, its gain half,
+:func:`_kalman_gains`, is the standard predict, gain and Joseph update, and
+its estimates come from the same estimate update with an empty
 feedthrough-input estimate.  Both main filters collapse to it when p = 0.
 
 Each step consumes the current measurement ``y_k`` together with the known
@@ -146,7 +147,6 @@ __all__ = [
     "GammaPolicy",
     "UliseState",
     "PliseState",
-    "KalmanState",
     "StepOutput",
     "ulise_init",
     "ulise_step",
@@ -180,7 +180,9 @@ class GammaPolicy(enum.Enum):
 
 @dataclass
 class UliseState:
-    """Filter state carried between steps (updated-estimate variant).
+    """Filter state carried between steps: of the updated-estimate variant,
+    of the OLS variant and, with p = 0 and an empty ``d1hat``, of the Kalman
+    filter.
 
     ``xhat``/``px`` are the filtered state at time ``k`` and its covariance,
     and ``d1hat`` the estimate of the feedthrough input component at ``k``.
@@ -229,28 +231,6 @@ class PliseState:
     cov_fields: ClassVar[tuple[str, ...]] = ("px", "pd1", "pxd1")
     # the step forms the new d1hat from the propagated state
     d1_from_propagated: ClassVar[bool] = True
-
-
-@dataclass
-class KalmanState:
-    """State of the no-unknown-input filter.
-
-    The fields are those of :class:`UliseState`; with p = 0 the feedthrough
-    input estimate ``d1hat`` is empty.  ``step`` (required) is the model
-    step at ``k`` and ``dec`` its output decomposition; :func:`kalman_step`
-    reads its step ``k - 1`` from here, not from the model.
-    """
-
-    k: int
-    xhat: np.ndarray
-    px: np.ndarray
-    d1hat: np.ndarray
-    step: SystemStep
-    dec: OutputDecomposition
-
-    cov_fields: ClassVar[tuple[str, ...]] = ("px",)
-    # no feedthrough input (p = 0): the estimate update's d1hat is empty
-    d1_from_propagated: ClassVar[bool] = False
 
 
 @dataclass
@@ -585,7 +565,7 @@ def _estimate_update(xhat, d1hat, y, products, g: _StepGains):
     return xhat_k, _feedthrough_input(g.dec, z1, base, d1u), dhat_prev, xstar
 
 
-def _gain_key(state: UliseState | PliseState | KalmanState) -> bytes:
+def _gain_key(state: UliseState | PliseState) -> bytes:
     """The exact bytes of the covariance state of ``state``: its class's
     ``cov_fields``, joined in that order.
 
@@ -806,15 +786,16 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
 
 
 def kalman_init(model: SystemModel, x0_mean, p0,
-                tol: Tolerance = DEFAULT_TOL) -> KalmanState:
-    """Initialize the no-unknown-input filter from the prior alone."""
+                tol: Tolerance = DEFAULT_TOL) -> UliseState:
+    """Initialize the no-unknown-input filter from the prior alone; its state
+    is an :class:`UliseState` with an empty ``d1hat``."""
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     step0, dec, xhat, p0m = _prior(model, x0_mean, p0, tol)
-    return KalmanState(k=0, xhat=xhat, px=p0m, d1hat=np.zeros(0), step=step0, dec=dec)
+    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=np.zeros(0), step=step0, dec=dec)
 
 
-def _kalman_gains(state: KalmanState, ctx_prev, step: SystemStep,
+def _kalman_gains(state: UliseState, ctx_prev, step: SystemStep,
                   dec_k: OutputDecomposition, tol: Tolerance):
     """The gain half of :func:`kalman_step`: predict, gain and Joseph update.
 
@@ -832,10 +813,10 @@ def _kalman_gains(state: KalmanState, ctx_prev, step: SystemStep,
             {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0})
 
 
-def kalman_step(state: KalmanState, y, u, u_prev, model: SystemModel,
+def kalman_step(state: UliseState, y, u, u_prev, model: SystemModel,
                 tol: Tolerance = DEFAULT_TOL):
     """Standard predict/update with Joseph-form covariance (p = 0 collapse)."""
-    _check_state(state, KalmanState, "kalman_step")
+    _check_state(state, UliseState, "kalman_step")
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
     return _step(_kalman_gains, state, y, u, u_prev, model, tol)

@@ -189,6 +189,17 @@ def _gemv(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vecs[..., None])[..., 0]
 
 
+def _check_sample_lengths(scenario: Scenario) -> None:
+    """Every explicit sample sequence must cover steps 0..horizon."""
+    need = scenario.horizon + 1
+    for group in ("d_signals", "u_signals"):
+        for i, spec in enumerate(getattr(scenario, group)):
+            if isinstance(spec, Samples) and len(spec.values) < need:
+                raise InvalidInputError(
+                    f"{group}[{i}] has {len(spec.values)} samples, but horizon "
+                    f"{scenario.horizon} needs {need} (k = 0..{scenario.horizon})")
+
+
 def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
                    tol: Tolerance = DEFAULT_TOL) -> TruthTrajectories:
     """Simulate seeded runs of the model under the scenario's signals.
@@ -197,8 +208,11 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     (N+1, l).  A sequence of run indices gives the batch, with a leading run
     axis on ``x`` and ``y``; ``d`` and ``u`` are shared by all runs.  Every
     run is bitwise identical to simulating it on its own, and identical
-    (seed, run_index) pairs produce bitwise-identical trajectories.
+    (seed, run_index) pairs produce bitwise-identical trajectories.  A
+    ``Samples`` signal with fewer than ``horizon + 1`` values raises
+    :class:`InvalidInputError` rather than being read as zero past its end.
     """
+    _check_sample_lengths(scenario)
     single = isinstance(run_index, numbers.Integral)
     runs = [run_index] if single else list(run_index)
     model = scenario.model
@@ -529,17 +543,6 @@ def _steady_slice(n_steps: int, frac: float) -> slice:
     return slice(min(start, n_steps - 1), n_steps)
 
 
-def _check_sample_lengths(scenario: Scenario) -> None:
-    """Every explicit sample sequence must cover steps 0..horizon."""
-    need = scenario.horizon + 1
-    for group in ("d_signals", "u_signals"):
-        for i, spec in enumerate(getattr(scenario, group)):
-            if isinstance(spec, Samples) and len(spec.values) < need:
-                raise InvalidInputError(
-                    f"{group}[{i}] has {len(spec.values)} samples, but horizon "
-                    f"{scenario.horizon} needs {need} (k = 0..{scenario.horizon})")
-
-
 def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
                  raise_filter_errors: bool = True) -> RunResult:
     """Simulate the scenario and run every requested filter on the same data.
@@ -551,10 +554,9 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     time-invariant model that is not strongly detectable the error also
     names that cause (the structural report's verdict, or one computed on
     failure when the checks were skipped).  A ``Samples`` signal with fewer
-    than ``horizon + 1`` values raises :class:`InvalidInputError` rather than
-    being read as zero past its end.
+    than ``horizon + 1`` values raises :class:`InvalidInputError`
+    (:func:`simulate_truth`'s check).
     """
-    _check_sample_lengths(scenario)
     model = scenario.model
     violations = validate(model, range(scenario.horizon + 1)
                           if not model.is_time_invariant else None, tol)

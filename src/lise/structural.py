@@ -6,6 +6,11 @@ so a failed test is diagnosable.  The tests in this module apply to
 time-invariant systems except for the windowed observability test, which
 accepts time-varying models.  Uniform detectability/stabilizability tests for
 general time-varying systems are out of scope.
+
+Every test reads a step's decomposition and its decoupled dynamics
+``(Ahat, Qhat)`` from the step's context
+(:class:`~lise.decomposition.StepContext`), the one the filters read, so a
+step object's constants are formed once however many tests read them.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .decomposition import _pair_context, decompose_cached, decoupled_dynamics
+from .decomposition import _pair_context, _step_context
 from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
@@ -81,9 +86,9 @@ def build_observability_matrices(model: SystemModel, r: int,
     if r < 0:
         raise InvalidInputError("window length r must be nonnegative")
     n, p, l = model.n, model.p, model.l
-    steps = [model.step(k) for k in range(r + 1)]
-    decs = [decompose_cached(s, tol) for s in steps]
-    ahat = [decoupled_dynamics(s, d)[0] for s, d in zip(steps, decs)]
+    ctxs = [_step_context(model.step(k), tol) for k in range(r + 1)]
+    decs = [c.dec for c in ctxs]
+    ahat = [c.ahat for c in ctxs]
     p_h = [d.p_h for d in decs]
 
     row_sizes = [l - ph for ph in p_h]
@@ -211,15 +216,15 @@ class InvariantZeros:
 
 
 def _pencil(step: SystemStep, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    dec = decompose_cached(step, tol)
-    ahat, _ = decoupled_dynamics(step, dec)
+    ctx = _step_context(step, tol)
+    dec = ctx.dec
     n = step.n
     rows = n + dec.C2.shape[0]
     cols = n + dec.G2.shape[1]
     e = np.zeros((rows, cols))
     e[:n, :n] = np.eye(n)
     f = np.zeros((rows, cols))
-    f[:n, :n] = ahat
+    f[:n, :n] = ctx.ahat
     f[:n, n:] = dec.G2
     f[n:, :n] = -dec.C2
     return e, f
@@ -233,10 +238,9 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
     avoided; random squaring-down plus rank confirmation is exact with
     probability one and cheap at these sizes.
     """
-    dec = decompose_cached(step, tol)
-    if step.p > 0 and step.p == dec.p_h:
-        ahat, _ = decoupled_dynamics(step, dec)
-        zs = np.linalg.eigvals(ahat) if step.n else np.zeros(0, dtype=complex)
+    ctx = _step_context(step, tol)
+    if step.p > 0 and step.p == ctx.dec.p_h:
+        zs = np.linalg.eigvals(ctx.ahat) if step.n else np.zeros(0, dtype=complex)
         return InvariantZeros(zeros=np.sort_complex(zs), method="decoupled_spectrum")
 
     e, f = _pencil(step, tol)
@@ -347,19 +351,19 @@ def _circle_scan(build, nrows: int, candidates: np.ndarray,
 
 
 def _c2g2_precondition(step: SystemStep, tol: Tolerance):
-    """The step's decomposition, the context of its self pair (``C2 G2``,
-    its rank and its pseudoinverse, shared with the filters' steps on this
+    """The step's context, the context of its self pair (``C2 G2``, its
+    rank and its pseudoinverse, shared with the filters' steps on this
     decomposition), and the verdict of a failed ``rank(C2 G2) = p - rank(H)``
     precondition (``None`` when it holds), which both filter certificates
     require."""
-    dec = decompose_cached(step, tol)
-    pair = _pair_context(dec, dec, tol)
-    need = step.p - dec.p_h
+    ctx = _step_context(step, tol)
+    pair = _pair_context(ctx.dec, ctx.dec, tol)
+    need = step.p - ctx.dec.p_h
     failed = None if pair.rank == need else CertificateVerdict(
         status="precondition_failed",
         reason=f"rank(C2 G2) = {pair.rank} != p - rank(H) = {need}",
     )
-    return dec, pair, failed
+    return ctx, pair, failed
 
 
 def ulise_convergence_check(step: SystemStep,
@@ -373,11 +377,11 @@ def ulise_convergence_check(step: SystemStep,
     the decoupled dynamics at that frequency, so those eigenvalues are the
     only candidates the grid could miss.
     """
-    dec, _, failed = _c2g2_precondition(step, tol)
+    ctx, _, failed = _c2g2_precondition(step, tol)
     if failed is not None:
         return failed
     det = strong_detectability(step, tol)
-    ahat, qhat = decoupled_dynamics(step, dec)
+    dec, ahat, qhat = ctx.dec, ctx.ahat, ctx.qhat
     q_half = psd_sqrt(qhat, tol)
     r2_half = psd_sqrt(dec.R2, tol)
     n = step.n
@@ -409,9 +413,10 @@ def plise_stability_check(step: SystemStep,
     the precondition when the companion's noise coupling matrix is singular
     or its equivalent process noise is indefinite.
     """
-    dec, pair, failed = _c2g2_precondition(step, tol)
+    ctx, pair, failed = _c2g2_precondition(step, tol)
     if failed is not None:
         return failed
+    dec, ahat, qhat = ctx.dec, ctx.ahat, ctx.qhat
     c2g2, m2t = pair.c2g2, pair.c2g2_pinv
     theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
     if theta.size:
@@ -422,7 +427,6 @@ def plise_stability_check(step: SystemStep,
         theta_inv = np.linalg.inv(theta)
     else:
         theta_inv = theta
-    ahat, qhat = decoupled_dynamics(step, dec)
     n = step.n
     n_hat = np.eye(n) - dec.G2 @ m2t @ dec.C2
     s_hat = -n_hat @ ahat @ dec.G2 @ m2t @ dec.R2

@@ -89,6 +89,29 @@ def test_loc_counts_code_lines_only(tmp_path):
     assert proc.stdout.splitlines() == [f"     3 {src}", "     3 total"]
 
 
+def test_uncovered_lists_the_statements_a_run_never_executes(tmp_path):
+    # one test that raises from the first check of Tolerance: that raise
+    # ran, the next one did not, and every module body ran on import
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("import pytest\n"
+                     "from lise.errors import InvalidInputError\n"
+                     "from lise.linalg import Tolerance\n\n\n"
+                     "def test_probe():\n"
+                     "    with pytest.raises(InvalidInputError):\n"
+                     "        Tolerance(rank_rel=2.0)\n")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "uncovered.py"), "-q",
+                           "-p", "no:cacheprovider", str(probe)],
+                          capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "pytest exit code: 0" in lines
+    missed = [line.split(": ", 1)[1] for line in lines if line.startswith("src/lise/linalg.py:")]
+    assert 'raise InvalidInputError("tolerances must be strictly positive")' in missed
+    assert 'raise InvalidInputError("rank_rel must lie in (0, 1)")' not in missed
+    assert not [s for s in missed if s.startswith(("import ", "from ", "def ", "class "))]
+    assert lines[-1].startswith("total: ") and lines[-1].endswith(" statements never executed")
+
+
 def test_gain_steps_counts_computed_and_served_steps():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "gain_steps.py"), "--configs", "fault_h1",

@@ -257,6 +257,62 @@ analysis:
     def test_exit_1_on_usage_error(self):
         assert main(["analyze"]) == 1
 
+    def test_window_runs_the_windowed_observability_test(self, tmp_path, capsys):
+        text = (CONFIGS / "fault_h3.yaml").read_text()
+        assert text.count("analysis:\n") == 1
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text.replace("analysis:\n", "analysis:\n  window: 3\n"))
+        assert main(["analyze", "--config", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "strong observability (window 3): yes (rank 8/8)" in lines
+        assert not any(ln.startswith("strong observability:") for ln in lines)
+
+    def test_window_needs_the_observability_check(self, tmp_path, capsys):
+        # fault_h1 does not list strong_observability, so a window would
+        # print nothing and pass
+        text = (CONFIGS / "fault_h1.yaml").read_text()
+        assert "strong_observability" not in text
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text.replace("analysis:\n", "analysis:\n  window: 3\n"))
+        message = ("analysis.window: window is the strong_observability check's window, "
+                   "and checks does not list that check")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+        assert main(["analyze", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {message}" in captured.err
+
+    def test_violated_assumption_stops_with_exit_2(self, tmp_path, capsys):
+        # the checks after validate do not run on a model that breaks it
+        p = tmp_path / "cfg.yaml"
+        p.write_text("""
+model:
+  A: [[0.5]]
+  B: [[0]]
+  C: [[1.0]]
+  D: [[0]]
+  G: [[0.0]]
+  H: [[1.0]]
+  Q: [[0.1]]
+  R: [[0.0]]
+analysis:
+  checks: [validate, strong_detectability, ulise_convergence]
+""")
+        assert main(["analyze", "--config", str(p)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "model assumptions: VIOLATED [k=0] R: R not PD"]
+
+    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--mc", "0"], ["--out", "res"],
+                                       ["--strict"]])
+    def test_takes_only_the_config_flag(self, tmp_path, capsys, flags):
+        # analyze reads no scenario and writes no file
+        argv = ["analyze", "--config", str(CONFIGS / "fault_h1.yaml")] + flags
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+
 
 class TestCliRun:
     def test_writes_csvs(self, tmp_path, capsys):
@@ -472,6 +528,28 @@ class TestCliCompare:
         out = capsys.readouterr().out
         assert code == 0
         assert "CYWZ" in out
+
+    def test_takes_no_out_flag(self, tmp_path, capsys):
+        # compare prints its table and writes no file
+        cfg = _small_run_config(tmp_path, filters="[ULISE, PLISE]")
+        out = tmp_path / "res"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, verb", [("run", "run"), ("compare", "compare")])
+    def test_config_without_scenario_exits_1(self, tmp_path, capsys, command, verb):
+        text = (CONFIGS / "fault_h1.yaml").read_text()
+        start, end = text.index("scenario:"), text.index("analysis:")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text[:start] + text[end:])
+        assert load_config(p).scenario is None
+        argv = [command, "--config", str(p)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "res")]
+        assert main(argv) == 1
+        assert f"config has no scenario block; nothing to {verb}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_duplicate_filters_are_a_config_error(self, tmp_path, capsys):
         # on the command line and in the config's list: exit 1, naming the

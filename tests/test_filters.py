@@ -26,6 +26,7 @@ from lise.errors import (
 )
 from lise.filters import (
     GammaPolicy,
+    UliseState,
     _check_vector,
     _factor_solve,
     _gain_key,
@@ -122,7 +123,7 @@ _FILTER_FNS = {
 }
 # the state class each filter's step takes
 _STATE_CLASSES = {"ULISE": "UliseState", "PLISE": "PliseState", "CYWZ": "UliseState",
-                  "KALMAN": "KalmanState"}
+                  "KALMAN": "UliseState"}
 
 
 class TestStateClass:
@@ -360,6 +361,24 @@ class TestKalmanCollapse:
         assert state.dec is decompose_cached(state.step)
         state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
         assert state.dec is decompose_cached(state.step)
+
+    def test_kalman_state_is_the_updated_variant_state(self):
+        # the Kalman filter is the p = 0 member down to its state type: an
+        # UliseState with an empty d1hat, as the updated variants' states
+        # are on a model with p = 0; kalman_step still refuses a model with
+        # unknown inputs, whatever state it is handed
+        rng = np.random.default_rng(14)
+        model = random_system(rng, n=3, l=2, p=0, p_h=0)
+        state = kalman_init(model, np.zeros(3), np.eye(3))
+        assert type(state) is UliseState
+        assert state.d1hat.shape == (0,)
+        state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        assert type(state) is UliseState
+        fault = config_scenario("fault_h1").model
+        ustate = ulise_init(fault, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
+        with pytest.raises(InvalidInputError, match="^kalman filter applies only to "
+                                                    "models with p = 0$"):
+            kalman_step(ustate, np.zeros(5), np.zeros(1), np.zeros(1), fault)
 
     def test_kalman_rejects_a_step_whose_r_is_not_pd(self):
         # as the other filters do, at the step whose R fails

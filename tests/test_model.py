@@ -124,6 +124,18 @@ class TestValidate:
         fields = {v.field for v in validate(model)}
         assert "R" in fields
 
+    @pytest.mark.parametrize("overrides, field, message", [
+        (dict(A=np.array([[0.5, np.nan], [0.0, 0.2]])), "A", "A has non-finite entries"),
+        (dict(G=np.ones((2, 3)), H=np.zeros((2, 3))), "dims", "need l >= p >= 0, got l=2, p=3"),
+        (dict(Q=np.array([[0.1, 0.05], [0.0, 0.1]])), "Q", "Q not symmetric"),
+        (dict(Q=np.diag([0.1, -0.1])), "Q", "Q not PSD (min eigenvalue -1.000e-01)"),
+        (dict(R=np.array([[0.2, 0.1], [0.0, 0.2]])), "R", "R not symmetric"),
+    ])
+    def test_violation_names_its_field_and_step(self, overrides, field, message):
+        model = SystemModel.time_invariant(_simple_step(**overrides))
+        found = [(v.index, v.field, v.message) for v in validate(model)]
+        assert (0, field, message) in found
+
     def test_zero_input_maps_violate_stacked_rank(self):
         model = SystemModel.time_invariant(_simple_step(G=np.zeros((2, 1))))
         msgs = [v for v in validate(model) if v.field == "G/H"]

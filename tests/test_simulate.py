@@ -180,6 +180,19 @@ def test_scenario_checks_the_filter_prior(field, value, message):
         config_scenario("fault_h1", **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_signals", (Constant(0.0),) * 2, "need 3 unknown-input signals, got 2"),
+    ("u_signals", (), "need 1 known-input signals, got 0"),
+    ("filters", (), "at least one filter must be requested"),
+    ("steady_window", 0.0, r"steady_window must lie in \(0, 1\]"),
+    ("steady_window", 1.5, r"steady_window must lie in \(0, 1\]"),
+])
+def test_scenario_rejects_settings_that_do_not_fit(field, value, message):
+    # fault_h1 has p = 3 unknown and m = 1 known inputs
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        config_scenario("fault_h1", **{field: value})
+
+
 def test_scenario_rejects_a_filter_requested_twice():
     # a repeated name would run the filter twice and keep one of its runs
     with pytest.raises(InvalidInputError, match="^filter 'ULISE' is requested more than once$"):
@@ -756,6 +769,16 @@ def test_samples_shorter_than_the_horizon_are_rejected():
         run_scenario(sc)
 
 
+@pytest.mark.parametrize("runs", [0, range(3)])
+def test_truth_rejects_samples_shorter_than_the_horizon(runs):
+    # past its last sample the truth would read the bias as zero
+    sc = config_scenario("vehicle_tracking", horizon=1500)
+    with pytest.raises(InvalidInputError,
+                       match=r"^d_signals\[1\] has 1001 samples, but horizon 1500 needs "
+                             r"1501 \(k = 0\.\.1500\)$"):
+        simulate_truth(sc, runs)
+
+
 def test_cli_run_rejects_samples_shorter_than_the_horizon(tmp_path, capsys):
     text = (ROOT / "configs" / "vehicle_tracking.yaml").read_text()
     assert text.count("horizon: 1000") == 1
@@ -914,6 +937,16 @@ class TestCsv:
         rows = path.read_text().splitlines()
         assert len(rows) == 2
         assert "ULISE:ERROR" in rows[1]
+
+    def test_summary_row_is_empty_without_a_steady_state(self, tmp_path):
+        # ULISE fails at step 1, before the steady window starts
+        res = run_scenario(_failing_scenario(), raise_filter_errors=False)
+        assert res.filters["ULISE"].steady == {}
+        path = tmp_path / "summary.csv"
+        write_summary_csv(res, path)
+        rows = path.read_text().splitlines()
+        assert len(rows[0].split(",")) == 11
+        assert rows[1:] == ["ULISE" + "," * 10]
 
     @pytest.mark.parametrize("case", ["fault_h1", "failed_mid_run", "p_zero"])
     def test_bytes_equal_per_value_writer(self, tmp_path, case):

@@ -5,8 +5,12 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import config_scenario, random_system
+import lise.decomposition
+import lise.structural
+from conftest import CONFIGS, config_scenario, random_system
 from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
+from lise.cli import main as cli_main
+from lise.config import load_config
 from lise.errors import InvalidInputError
 from lise.linalg import DEFAULT_TOL, rank
 from lise.model import SystemModel, SystemStep
@@ -276,6 +280,32 @@ class TestPliseStability:
         cert = plise_stability_check(bad)
         assert cert.status == "precondition_failed"
 
+    def test_singular_noise_coupling_fails_the_precondition(self):
+        # with p = 0 the coupling matrix Theta is R2 = R itself; an R this
+        # badly conditioned is singular to the rank tolerance
+        step = SystemStep(A=0.5 * np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
+                          D=np.zeros((2, 0)), G=np.zeros((2, 0)), H=np.zeros((2, 0)),
+                          Q=np.eye(2), R=np.diag([1.0, 1e-12]))
+        cert = plise_stability_check(step)
+        assert cert.status == "precondition_failed"
+        assert cert.reason == "noise coupling matrix Theta is singular"
+        assert cert.circle is None and cert.detectability is None
+
+    def test_indefinite_equivalent_noise_fails_the_precondition(self):
+        # the exact equivalent process noise is PSD whenever R is PD; in
+        # floating point, a process noise of 1e10 along the input direction
+        # g (an eigenvector of A) leaves its smallest eigenvalue below
+        # -zero_abs, and the guard reports it
+        g = np.array([[0.388], [0.922]])
+        gg = g @ g.T
+        step = SystemStep(A=0.5 * np.eye(2) + 0.3 * gg, B=np.zeros((2, 0)),
+                          C=np.eye(2), D=np.zeros((2, 0)), G=g, H=np.zeros((2, 1)),
+                          Q=1e10 * gg, R=np.eye(2))
+        cert = plise_stability_check(step)
+        assert cert.status == "precondition_failed"
+        assert cert.reason == "equivalent process noise is indefinite"
+        assert cert.circle is None and cert.detectability is None
+
     def test_noise_coupling_always_invertible_on_valid_systems(self, fault_models):
         # with R PD and the rank condition holding, the coupling matrix is
         # block-diagonalized by the input-direction projector into two PD
@@ -306,6 +336,30 @@ class TestReport:
             d = rep.to_dict()
             assert isinstance(d["invariant_zeros"], list)
             assert d["strongly_detectable"] is True
+
+    def test_analyze_derives_the_decoupled_dynamics_once(self, monkeypatch, tmp_path):
+        # every test of one analyze reads (Ahat, Qhat) from the step's
+        # context, formed once for a freshly loaded model, and the CLI's
+        # analyze, which runs the tests one by one, forms it once too
+        calls = []
+        real = lise.decomposition.decoupled_dynamics
+
+        def counted(step, dec):
+            calls.append(step)
+            return real(step, dec)
+
+        monkeypatch.setattr(lise.decomposition, "decoupled_dynamics", counted)
+        # a module that imported the function by name would call it past
+        # the patch; count those calls too
+        monkeypatch.setattr(lise.structural, "decoupled_dynamics", counted, raising=False)
+        for name in CONFIG_NAMES:
+            path = CONFIGS / f"{name}.yaml"
+            calls.clear()
+            analyze(load_config(path).model)
+            assert len(calls) == 1, name
+            calls.clear()
+            assert cli_main(["analyze", "--config", str(path)]) == 0
+            assert len(calls) == 1, name
 
     def test_analyze_rejects_time_varying(self, fault_models):
         model = SystemModel.time_varying(lambda k: fault_models[1].step(0),
