@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B timing of two lise checkouts on the filter step loop, on
-``lise run``, on its Monte-Carlo path and on ``lise analyze``.
+the time-varying truth and scenario, on ``lise run``, on its Monte-Carlo
+path and on ``lise analyze``.
 
     python3 scripts/ab_steps.py --checkout parent=../old --checkout change=. \
         [--reps 20] [--steps 1000] [--configs fault_h1 fault_h2 ...]
@@ -12,7 +13,7 @@ machine drift by 15-40 % over seconds to minutes (perfbench/README.md), more
 than a change to the fixed cost of a step; alternating the two packages in
 one process puts both sides under the same drift.
 
-Four benchmarks run, each once untimed per side first (as warm-up and for
+Five benchmarks run, each once untimed per side first (as warm-up and for
 the output comparison), then ``--reps`` times per side, the two sides in
 turn and their order reversed on every other repetition:
 
@@ -22,6 +23,10 @@ turn and their order reversed on every other repetition:
   plant of perfbench's ``online_tv``: A of ``fault_h1`` scaled by
   ``1 + 0.2 sin(2 pi k / 500 + phase)``, H switching between ``fault_h1``
   and ``fault_h2`` every 100 steps);
+- ``tv``: on the same plant over ``--steps`` steps, ``simulate_truth`` of
+  run 0 and of runs 0..127, then ``run_scenario`` with ULISE at MC 1, which
+  validates the model, simulates its truth and runs the filter pass: the
+  time-varying truth and ``validate`` that ``online`` does not reach;
 - ``run``: ``lise run`` (the CLI's ``main``) on each of ``--configs`` in turn;
 - ``mc``: ``lise run --config fault_h1 --mc 128 --seed 1``: besides the
   filter passes on run 0, the truth simulation of 128 runs and the
@@ -35,15 +40,18 @@ For each benchmark the script prints, per side, the median and quartiles of
 the time of one repetition, the ratio of the second side's median to the
 first's, the number of repetitions the second side was faster, and whether
 the two sides' outputs are bitwise equal (every step output of ``online``;
-every written CSV byte of ``run`` and ``mc``, and the standard output of
-``run``, ``mc`` and ``analyze``, with the temporary output directory
-replaced by a placeholder).  The last line is the same as JSON.
+the truth ``x`` and ``y`` and every field of the ``FilterRun`` but its
+timing in ``tv``; every written CSV byte of ``run`` and ``mc``, and the
+standard output of ``run``, ``mc`` and ``analyze``, with the temporary
+output directory replaced by a placeholder).  The last line is the same as
+JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -125,6 +133,22 @@ class Side:
         seconds = time.perf_counter() - t0
         return seconds, [(o.xhat, o.dhat_prev, o.px, o.pd_prev) for o in outs]
 
+    def tv(self):
+        """The online plant's truth at M = 1 and M = 128, then ULISE's
+        ``run_scenario`` at MC 1; returns the time and the outputs' bytes."""
+        sim = self.lise.simulate
+        t0 = time.perf_counter()
+        truths = [sim.simulate_truth(self.scenario, 0),
+                  sim.simulate_truth(self.scenario, range(MC_RUNS))]
+        result = sim.run_scenario(self.scenario)
+        seconds = time.perf_counter() - t0
+        outs = [a.tobytes() for t in truths for a in (t.x, t.y)]
+        for run in result.filters.values():
+            for field in dataclasses.fields(run):
+                if field.name != "seconds_per_step":
+                    outs.append(_bytes(getattr(run, field.name)))
+        return seconds, outs
+
     def run(self):
         """``lise run`` on every config; returns the time and the CSV bytes."""
         return self._cli([["run", "--config", cfg] for cfg in self.configs])
@@ -163,6 +187,18 @@ class Side:
                     with open(path, "rb") as fh:
                         files[os.path.relpath(path, out)] = fh.read()
         return seconds, files
+
+
+def _bytes(value):
+    """``value`` with every array, also inside lists and dicts, as its dtype,
+    shape and bytes, so that ``==`` compares bit for bit."""
+    if hasattr(value, "tobytes"):
+        return (str(value.dtype), value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {k: _bytes(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bytes(v) for v in value]
+    return value
 
 
 def same_online(a, b) -> bool:
@@ -206,6 +242,7 @@ def main(argv=None) -> int:
     a, b = (s.label for s in sides)
     report = {
         "online": compare("online", sides, args.reps, same_online),
+        "tv": compare("tv", sides, args.reps, lambda x, y: x == y),
         "run": compare("run", sides, args.reps, lambda x, y: x == y),
         "mc": compare("mc", sides, args.reps, lambda x, y: x == y),
         "analyze": compare("analyze", sides, args.reps, lambda x, y: x == y),

@@ -176,25 +176,28 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vt.T.dot(s[:, None] * u.T)
 
 
-def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Symmetric factor ``f`` of a PSD matrix with ``f @ f.T == s``.
 
-    Eigenvalues in ``[-zero_abs, 0)`` are clamped to zero (covariance
-    recursions accumulate roundoff); anything more negative raises
-    :class:`NotPositiveDefiniteError`.
+    Eigenvalues in ``[-zero_abs * max(1, max|s|, scale), 0)`` are clamped to
+    zero (roundoff grows with the scale of the matrix, or with ``scale``,
+    that of the terms it was summed from); anything more negative raises
+    :class:`NotPositiveDefiniteError`.  The symmetry test uses the same
+    threshold.
     """
     a = _as_matrix(s, "psd matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"psd_sqrt needs a square matrix, got {a.shape}")
     if a.size == 0:
         return a.copy()
-    scale = float(np.max(np.abs(a))) or 1.0
-    if np.max(np.abs(a - a.T)) > tol.zero_abs * max(1.0, scale):
+    zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a))), scale)
+    if np.max(np.abs(a - a.T)) > zero:
         raise InvalidInputError("psd_sqrt input is not symmetric to tolerance")
     w, v = eigh(symmetrize(a))
-    if w[0] < -tol.zero_abs:
+    if w[0] < -zero:
         raise NotPositiveDefiniteError(
-            f"matrix has eigenvalue {w[0]:.3e} below -zero_abs; not PSD"
+            f"matrix has eigenvalue {w[0]:.3e} below -zero_abs * max(1, max|a|, scale) "
+            f"= {-zero:.3e}; not PSD"
         )
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T

@@ -189,32 +189,50 @@ class Violation:
     message: str
 
 
-def _check_step(step: SystemStep, k: int, tol: Tolerance) -> list[Violation]:
-    out = []
-    for name in _MATRICES:
-        a = getattr(step, name)
-        if a.size and not np.all(np.isfinite(a)):
-            out.append(Violation(k, name, f"{name} has non-finite entries"))
-    n, m, p, l = step.n, step.m, step.p, step.l
-    if not (n >= l >= 1):
-        out.append(Violation(k, "dims", f"need n >= l >= 1, got n={n}, l={l}"))
-    if not (l >= p >= 0):
-        out.append(Violation(k, "dims", f"need l >= p >= 0, got l={l}, p={p}"))
-    scale_q = max(1.0, float(np.max(np.abs(step.Q))) if step.Q.size else 0.0)
-    if np.max(np.abs(step.Q - step.Q.T), initial=0.0) > tol.zero_abs * scale_q:
-        out.append(Violation(k, "Q", "Q not symmetric"))
-    elif step.Q.size:
-        w = np.linalg.eigvalsh(0.5 * (step.Q + step.Q.T))
-        if w[0] < -tol.zero_abs * scale_q:
-            out.append(Violation(k, "Q", f"Q not PSD (min eigenvalue {w[0]:.3e})"))
-    scale_r = max(1.0, float(np.max(np.abs(step.R))) if step.R.size else 0.0)
-    if np.max(np.abs(step.R - step.R.T), initial=0.0) > tol.zero_abs * scale_r:
-        out.append(Violation(k, "R", "R not symmetric"))
-    else:
-        w = np.linalg.eigvalsh(0.5 * (step.R + step.R.T))
-        if w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]:
-            out.append(Violation(k, "R", "R not PD"))
-    return out
+class _LastCall:
+    """``fn`` called on arrays, recomputed only when their bytes change.
+
+    Keeps one ``(bytes, value)`` slot: the bytes of the arrays of the last
+    call and what ``fn`` returned for them.  A call whose arrays hold the
+    same bytes (same dtype and shape, as on every step of one model)
+    returns that value again; any other call replaces it.  Being a pure
+    function of those bytes, ``fn`` would have returned an equal value.
+    """
+
+    __slots__ = ("fn", "key", "value")
+
+    def __init__(self, fn: Callable):
+        self.fn, self.key, self.value = fn, None, None
+
+    def __call__(self, *arrays: np.ndarray):
+        key = b"".join([a.tobytes() for a in arrays])
+        if key != self.key:
+            self.value = self.fn(*arrays)
+            self.key = key
+        return self.value
+
+
+def _q_fault(q: np.ndarray, tol: Tolerance) -> Optional[str]:
+    """Why ``Q`` is not a symmetric PSD matrix, or ``None``."""
+    scale = max(1.0, float(np.max(np.abs(q))) if q.size else 0.0)
+    if np.max(np.abs(q - q.T), initial=0.0) > tol.zero_abs * scale:
+        return "Q not symmetric"
+    if q.size:
+        w = np.linalg.eigvalsh(0.5 * (q + q.T))
+        if w[0] < -tol.zero_abs * scale:
+            return f"Q not PSD (min eigenvalue {w[0]:.3e})"
+    return None
+
+
+def _r_fault(r: np.ndarray, tol: Tolerance) -> Optional[str]:
+    """Why ``R`` is not a symmetric PD matrix, or ``None``."""
+    scale = max(1.0, float(np.max(np.abs(r))) if r.size else 0.0)
+    if np.max(np.abs(r - r.T), initial=0.0) > tol.zero_abs * scale:
+        return "R not symmetric"
+    w = np.linalg.eigvalsh(0.5 * (r + r.T))
+    if w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]:
+        return "R not PD"
+    return None
 
 
 def validate(model: SystemModel, k_range: Iterable[int] | None = None,
@@ -222,7 +240,10 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
     """Check every model assumption over ``k_range``; empty list means valid.
 
     Includes the standing rank requirement that the stacked map
-    ``[G; H]`` reaches rank p at some step in the range.
+    ``[G; H]`` reaches rank p at some step in the range.  The Q check, the
+    R check and ``rank([G; H])`` run again only at a step whose matrices'
+    bytes differ from those of the previous step; a step that repeats them
+    reports the same violations under its own k.
     """
     if k_range is None:
         if model.is_time_invariant:
@@ -232,12 +253,26 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
     ks = list(k_range)
     if not ks:
         ks = [0]
+    q_fault = _LastCall(lambda q: _q_fault(q, tol))
+    r_fault = _LastCall(lambda r: _r_fault(r, tol))
+    stack_rank = _LastCall(lambda g, h: rank(np.vstack([g, h]), tol))
     violations: list[Violation] = []
     best_stack_rank = 0
     for k in ks:
         step = model.step(k)
-        violations.extend(_check_step(step, k, tol))
-        best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H]), tol))
+        for name in _MATRICES:
+            a = getattr(step, name)
+            if a.size and not np.all(np.isfinite(a)):
+                violations.append(Violation(k, name, f"{name} has non-finite entries"))
+        n, p, l = step.n, step.p, step.l
+        if not (n >= l >= 1):
+            violations.append(Violation(k, "dims", f"need n >= l >= 1, got n={n}, l={l}"))
+        if not (l >= p >= 0):
+            violations.append(Violation(k, "dims", f"need l >= p >= 0, got l={l}, p={p}"))
+        for name, fault in (("Q", q_fault(step.Q)), ("R", r_fault(step.R))):
+            if fault is not None:
+                violations.append(Violation(k, name, fault))
+        best_stack_rank = max(best_stack_rank, stack_rank(step.G, step.H))
     if best_stack_rank != model.p:
         violations.append(Violation(
             None, "G/H",

@@ -4,10 +4,10 @@ Ground truth is generated with a counter-based Philox (4x64) bit generator;
 run ``r`` of a scenario draws from the stream keyed ``(seed, r)``, so runs
 are reproducible individually.  All runs of a Monte-Carlo batch are
 simulated at once: each run's noise comes from its own stream, the model
-step and its noise factors are fetched once per time index, and the states
-of all runs are propagated as one (M, n) array, bitwise equal to simulating
-each run on its own.  Gaussian noise uses a PSD square-root factor of the
-covariance.
+step is fetched once per time index and its noise factors once per distinct
+matrix, and the states of all runs are propagated as one (M, n) array,
+bitwise equal to simulating each run on its own.  Gaussian noise uses a PSD
+square-root factor of the covariance.
 
 Filter gains and covariances do not depend on the data, so a Monte-Carlo
 batch runs the full step functions once (which also yields the reported
@@ -47,11 +47,11 @@ import itertools
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, LiseError
+from .errors import InvalidInputError, LiseError, NotPositiveDefiniteError
 from .filters import (
     GammaPolicy,
     _data_products,
@@ -70,7 +70,7 @@ from .filters import (
     ulise_step,
 )
 from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
-from .model import SystemModel, validate
+from .model import SystemModel, _LastCall, validate
 from .signals import Samples, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
@@ -208,13 +208,21 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     (N+1, l).  A sequence of run indices gives the batch, with a leading run
     axis on ``x`` and ``y``; ``d`` and ``u`` are shared by all runs.  Every
     run is bitwise identical to simulating it on its own, and identical
-    (seed, run_index) pairs produce bitwise-identical trajectories.  A
-    ``Samples`` signal with fewer than ``horizon + 1`` values raises
-    :class:`InvalidInputError` rather than being read as zero past its end.
+    (seed, run_index) pairs produce bitwise-identical trajectories.  A run
+    index that is not an integer (a ``bool`` included) and a ``Samples``
+    signal with fewer than ``horizon + 1`` values raise
+    :class:`InvalidInputError`, the latter rather than being read as zero
+    past its end.  A Q or R that cannot be factored raises
+    :class:`NotPositiveDefiniteError` (or :class:`InvalidInputError` if not
+    symmetric) naming the matrix and its k.
     """
     _check_sample_lengths(scenario)
-    single = isinstance(run_index, numbers.Integral)
+    single = not isinstance(run_index, Iterable)
     runs = [run_index] if single else list(run_index)
+    for r in runs:
+        if not _is_integer(r):
+            raise InvalidInputError(
+                f"run_index must be an integer or a sequence of integers, got {r!r}")
     model = scenario.model
     n_steps = scenario.horizon
     d = sample_signals(scenario.d_signals, n_steps + 1)
@@ -231,19 +239,29 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     x[:, 0] = scenario.x0_true
 
     # each model matrix and noise factor as a series over k = 0..N, fetched
-    # and factored once per k (once in all for a time-invariant model); a
-    # time-varying step is copied into the preallocated series and dropped
-    def mats(step):
-        return (step.A, step.B, step.G, psd_sqrt(step.Q, tol),
-                step.C, step.D, step.H, psd_sqrt(step.R, tol))
+    # once per k and factored once per distinct matrix: Q and R each keep
+    # the factor of their last bytes.  A time-varying step is copied into
+    # the preallocated series and dropped
+    last_q = _LastCall(lambda q: psd_sqrt(q, tol))
+    last_r = _LastCall(lambda r: psd_sqrt(r, tol))
+
+    def factor(last, name, mat, k):
+        try:
+            return last(mat)
+        except (InvalidInputError, NotPositiveDefiniteError) as exc:
+            raise type(exc)(f"{name} at k={k}: {exc}") from exc
+
+    def mats(k):
+        step = model.step(k)
+        return (step.A, step.B, step.G, factor(last_q, "Q", step.Q, k),
+                step.C, step.D, step.H, factor(last_r, "R", step.R, k))
 
     if model.is_time_invariant:
-        series = [np.broadcast_to(mat, (n_steps + 1,) + mat.shape)
-                  for mat in mats(model.step(0))]
+        series = [np.broadcast_to(mat, (n_steps + 1,) + mat.shape) for mat in mats(0)]
     else:
         series = []
         for k in range(n_steps + 1):
-            for i, mat in enumerate(mats(model.step(k))):
+            for i, mat in enumerate(mats(k)):
                 if k == 0:
                     series.append(np.empty((n_steps + 1,) + mat.shape))
                 series[i][k] = mat

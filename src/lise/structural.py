@@ -433,8 +433,11 @@ def plise_stability_check(step: SystemStep,
     f_s = n_hat @ ahat - s_hat @ theta_inv @ dec.C2
     q_s = symmetrize(dec.G2 @ m2t @ dec.R2 @ m2t.T @ dec.G2.T
                      + n_hat @ qhat @ n_hat.T - s_hat @ theta_inv @ s_hat.T)
+    # q_s sums terms of the scale of Q-hat and R2, whose rounding can leave
+    # an eigenvalue of the exactly PSD q_s that far below zero
+    scale = max(float(np.max(np.abs(qhat))), float(np.max(np.abs(dec.R2), initial=0.0)))
     try:
-        q_s_half = psd_sqrt(q_s, tol)
+        q_s_half = psd_sqrt(q_s, tol, scale)
     except NotPositiveDefiniteError:
         return CertificateVerdict(status="precondition_failed",
                                   reason="equivalent process noise is indefinite")

@@ -4,9 +4,10 @@ The closed-form references are written straight from the special-case
 equations (no feedthrough; full-column-rank feedthrough) without reusing the
 filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward code (per-step output decomposition,
-per-run truth, per-step filter pass and its first repeated covariance state,
-batched replay, piecewise fault signals, per-point unit-circle scan,
-per-value CSV writer) that the library's faster code must reproduce.
+per-run truth, per-step model validation, per-step filter pass and its first
+repeated covariance state, batched replay, piecewise fault signals,
+per-point unit-circle scan, per-value CSV writer) that the library's faster
+code must reproduce.
 ``mp_px_recursion`` is a 50-digit reference for the updated variants'
 covariance, against which their float64 error is bounded.
 ``vehicle_tracking_model`` writes out the continuous-time matrices of
@@ -36,8 +37,8 @@ from lise.filters import (
     kalman_init,
     kalman_step,
 )
-from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, symmetrize
-from lise.model import ContinuousModel
+from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, rank, symmetrize
+from lise.model import ContinuousModel, Violation
 from lise.signals import sample_signals
 from lise.simulate import _INITS, _STEPS, _run_rng
 from lise.structural import _OMEGA_GRID, UnitCircleTest
@@ -370,6 +371,61 @@ def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
             x[k + 1] = (step.A @ x[k] + step.B @ u[k] + step.G @ d[k]
                         + fq @ w_std[k])
     return x, y, d, u
+
+
+_MATRICES = ("A", "B", "C", "D", "G", "H", "Q", "R")
+
+
+def _per_step_check(step, k, tol):
+    out = []
+    for name in _MATRICES:
+        a = getattr(step, name)
+        if a.size and not np.all(np.isfinite(a)):
+            out.append(Violation(k, name, f"{name} has non-finite entries"))
+    n, p, l = step.n, step.p, step.l
+    if not (n >= l >= 1):
+        out.append(Violation(k, "dims", f"need n >= l >= 1, got n={n}, l={l}"))
+    if not (l >= p >= 0):
+        out.append(Violation(k, "dims", f"need l >= p >= 0, got l={l}, p={p}"))
+    scale_q = max(1.0, float(np.max(np.abs(step.Q))) if step.Q.size else 0.0)
+    if np.max(np.abs(step.Q - step.Q.T), initial=0.0) > tol.zero_abs * scale_q:
+        out.append(Violation(k, "Q", "Q not symmetric"))
+    elif step.Q.size:
+        w = np.linalg.eigvalsh(0.5 * (step.Q + step.Q.T))
+        if w[0] < -tol.zero_abs * scale_q:
+            out.append(Violation(k, "Q", f"Q not PSD (min eigenvalue {w[0]:.3e})"))
+    scale_r = max(1.0, float(np.max(np.abs(step.R))) if step.R.size else 0.0)
+    if np.max(np.abs(step.R - step.R.T), initial=0.0) > tol.zero_abs * scale_r:
+        out.append(Violation(k, "R", "R not symmetric"))
+    else:
+        w = np.linalg.eigvalsh(0.5 * (step.R + step.R.T))
+        if w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]:
+            out.append(Violation(k, "R", "R not PD"))
+    return out
+
+
+def per_step_validate_oracle(model, k_range=None, tol=DEFAULT_TOL):
+    """A frozen copy of the original ``validate``: every check, the Q and R
+    checks and ``rank([G; H])`` included, run afresh at every step."""
+    if k_range is None:
+        if model.is_time_invariant:
+            k_range = range(1)
+        else:
+            k_range = range((model.horizon_hint or 0) + 1)
+    ks = list(k_range) or [0]
+    violations = []
+    best_stack_rank = 0
+    for k in ks:
+        step = model.step(k)
+        violations.extend(_per_step_check(step, k, tol))
+        best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H]), tol))
+    if best_stack_rank != model.p:
+        violations.append(Violation(
+            None, "G/H",
+            f"max_k rank([G; H]) = {best_stack_rank} != p = {model.p}; "
+            "drop linearly dependent unknown-input columns",
+        ))
+    return violations
 
 
 def fault_input_samples(count: int) -> np.ndarray:

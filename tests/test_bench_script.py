@@ -69,7 +69,7 @@ def test_ab_steps_runs_one_repetition_on_the_same_checkout():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("online", "run", "mc", "analyze"):
+    for name in ("online", "tv", "run", "mc", "analyze"):
         res = report[name]
         assert res["bitwise_equal"] and res["reps"] == 1
         assert len(res["a"]["runs_s"]) == len(res["b"]["runs_s"]) == 1

@@ -298,6 +298,20 @@ class TestPsdSqrt:
         f = psd_sqrt(np.diag([1.0, -1e-12]))
         assert np.allclose(f @ f.T, np.diag([1.0, 0.0]), atol=1e-11)
 
+    def test_negative_eigenvalue_is_judged_at_the_matrix_scale(self):
+        # -1e-8 next to 1e4 lies within zero_abs * max|a| = 1e-6 and is
+        # clamped; -1e-5 does not
+        f = psd_sqrt(np.diag([1e4, -1e-8]))
+        assert np.array_equal(f, np.diag([100.0, 0.0]))
+        with pytest.raises(NotPositiveDefiniteError, match="below .* = -1.000e-06"):
+            psd_sqrt(np.diag([1e4, -1e-5]))
+
+    def test_scale_of_the_summed_terms_widens_the_threshold(self):
+        a = np.diag([1.0, -1e-7])
+        with pytest.raises(NotPositiveDefiniteError):
+            psd_sqrt(a)
+        assert np.array_equal(psd_sqrt(a, scale=1e4), np.diag([1.0, 0.0]))
+
 
 class TestExpm:
     def test_zero(self):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stable_matrix
-from oracles import vehicle_tracking_model
+import lise.model
+from conftest import config_scenario, online_plant, stable_matrix
+from oracles import per_step_validate_oracle, vehicle_tracking_model
 from lise.errors import InvalidInputError
 from lise.model import ContinuousModel, SystemModel, SystemStep, c2d_zoh, validate
 
@@ -162,6 +163,99 @@ class TestValidate:
         model = SystemModel.time_varying(lambda k: _simple_step(), dims=(3, 1, 1, 2))
         with pytest.raises(InvalidInputError):
             model.step(0)
+
+
+def _fault_plant(horizon, **at):
+    """fault_h1 as a time-varying model whose provider builds fresh arrays at
+    every k; ``at[name](k)`` gives matrix ``name`` at k (default: fault_h1's)."""
+    base = config_scenario("fault_h1").model.step(0)
+
+    def provider(k):
+        return SystemStep(**{name: np.array(at[name](k) if name in at else getattr(base, name))
+                             for name in ("A", "B", "C", "D", "G", "H", "Q", "R")})
+
+    return SystemModel.time_varying(provider, dims=(base.n, base.m, base.p, base.l),
+                                    horizon_hint=horizon)
+
+
+def _r_singular_from(k0):
+    r = config_scenario("fault_h1").model.step(0).R
+    singular = r.copy()
+    singular[4, :] = singular[:, 4] = 0.0
+    return lambda k: singular if k >= k0 else r
+
+
+def _q_asymmetric_at(ks):
+    q = config_scenario("fault_h1").model.step(0).Q
+    skew = q.copy()
+    skew[0, 1] += 1e-3
+    return lambda k: skew if k in ks else q
+
+
+def _input_maps(full_at, first_only_at):
+    # rank([G; H]) is p = 3 at k in full_at, 1 at k in first_only_at (only
+    # the first unknown input reaches the plant and the sensors) and 2 at
+    # every other k (the third does not)
+    step = config_scenario("fault_h1").model.step(0)
+    g2, h2 = step.G.copy(), step.H.copy()
+    g2[:, 2] = h2[:, 2] = 0.0
+    g1, h1 = g2.copy(), h2.copy()
+    g1[:, 1] = h1[:, 1] = 0.0
+
+    def pick(full, two, one):
+        return lambda k: full if k in full_at else one if k in first_only_at else two
+
+    return {"G": pick(step.G, g2, g1), "H": pick(step.H, h2, h1)}
+
+
+class TestValidateOnce:
+    """validate checks Q, R and [G; H] again only where their bytes change,
+    and reports exactly what checking every step reports."""
+
+    @pytest.mark.parametrize("horizon, at", [
+        (200, {"R": _r_singular_from(120)}),
+        (20, {"Q": _q_asymmetric_at((5, 6))}),
+        (15, _input_maps(full_at=(7,), first_only_at=())),
+        (15, _input_maps(full_at=(), first_only_at=(0, 1, 2))),
+        (12, {"Q": lambda k: np.diag([1.0, 1.0, 1.0, 1.0, -1.0 if k % 3 else 1.0]),
+              "R": lambda k: np.zeros((5, 5)) if k in (4, 9) else np.eye(5)}),
+    ], ids=["r-singular-from-120", "q-asymmetric-at-5-6", "rank-p-at-7-only",
+            "rank-2-after-rank-1", "alternating"])
+    def test_violations_equal_the_per_step_checks(self, horizon, at):
+        model = _fault_plant(horizon, **at)
+        got = validate(model)
+        assert got == per_step_validate_oracle(model)
+
+    def test_r_singular_from_120_is_reported_at_every_later_step(self):
+        got = validate(_fault_plant(200, R=_r_singular_from(120)))
+        assert [(v.index, v.field, v.message) for v in got] == [
+            (k, "R", "R not PD") for k in range(120, 201)]
+
+    def test_stacked_rank_is_the_best_over_the_steps(self):
+        assert validate(_fault_plant(15, **_input_maps(full_at=(7,), first_only_at=()))) == []
+        got = validate(_fault_plant(15, **_input_maps(full_at=(), first_only_at=(0, 1, 2))))
+        assert [(v.index, v.field) for v in got] == [(None, "G/H")]
+        assert got[0].message.startswith("max_k rank([G; H]) = 2 != p = 3")
+
+    def test_each_distinct_check_runs_once_on_the_online_plant(self, monkeypatch):
+        # the online plant's Q and R never change and its H switches every
+        # 100 steps: one eigendecomposition each of Q and R, and one rank of
+        # [G; H] per run of 100 equal steps (11 over k = 0..1000)
+        model, _ = online_plant(1000)
+        counts = {"eigvalsh": 0, "rank": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(lise.model, "rank", counting("rank", lise.model.rank))
+        assert validate(model, range(1001)) == []
+        assert counts == {"eigvalsh": 2, "rank": 11}
+        monkeypatch.undo()
+        assert per_step_validate_oracle(model, range(1001)) == []
 
 
 class TestC2d:

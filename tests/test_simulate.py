@@ -20,7 +20,7 @@ from oracles import (fault_input_samples, first_repeat_oracle, per_run_truth_ora
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
 from lise.cli import main as cli_main
-from lise.errors import InvalidInputError
+from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.linalg import DEFAULT_TOL, _norm
 from lise.signals import (Constant, Ramp, Samples, SquareWave, Step, sample_signal,
                           sample_signals)
@@ -39,7 +39,7 @@ from lise.simulate import (
     write_step_csv,
     write_summary_csv,
 )
-from lise.model import SystemModel, SystemStep
+from lise.model import SystemModel, SystemStep, validate
 from lise.structural import strong_detectability
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -269,6 +269,121 @@ def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying)
         assert _same_bits(single.x, x) and _same_bits(single.y, y)
         for got in (batch, single):
             assert _same_bits(got.d, d) and _same_bits(got.u, u)
+
+
+def _noise_candidates(m):
+    """Three variants of a noise covariance: itself, doubled, and itself
+    with every zero entry written as -0.0 (bitwise different, equal in
+    value)."""
+    return (m, 2.0 * m, np.where(m == 0.0, -0.0, m))
+
+
+def _noise_switching_scenario(q_schedule, r_schedule, runs=1):
+    """fault_h1 with Q and R taken at each k from the variants of
+    :func:`_noise_candidates` that the schedules name; the provider copies
+    them into fresh arrays at every k."""
+    base = config_scenario("fault_h1").model.step(0)
+    qs, rs = _noise_candidates(base.Q), _noise_candidates(base.R)
+
+    def provider(k):
+        return dataclasses.replace(base, Q=np.array(qs[q_schedule[k]]),
+                                   R=np.array(rs[r_schedule[k]]))
+
+    model = SystemModel.time_varying(provider, dims=(base.n, base.m, base.p, base.l))
+    return config_scenario("fault_h1", model=model, horizon=len(q_schedule) - 1,
+                           monte_carlo=runs, structural_checks=False)
+
+
+def _assert_truth_matches_per_run_oracle(q_schedule, r_schedule):
+    # each of Q and R is factored at k = 0 and at every k where the schedule
+    # switches to another variant, and at no other k
+    switches = sum(a != b for sched in (q_schedule, r_schedule)
+                   for a, b in zip(sched, sched[1:]))
+    for runs in (1, 3):
+        sc = _noise_switching_scenario(q_schedule, r_schedule, runs)
+        with mock.patch.object(lise.simulate, "psd_sqrt", wraps=lise.simulate.psd_sqrt) as f:
+            batch = simulate_truth(sc, range(runs))
+        assert f.call_count == 2 + switches
+        for r in range(runs):
+            x, y, _, _ = per_run_truth_oracle(sc, r)
+            assert _same_bits(batch.x[r], x) and _same_bits(batch.y[r], y)
+
+
+@pytest.mark.parametrize("q_schedule, r_schedule", [
+    ([0] * 6, [1] * 6),                                   # repeats only
+    ([0, 0, 1, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1, 1]),       # A-B-A
+    ([0, 1, 2, 1, 0, 2, 0, 1], [2, 0, 1, 0, 2, 1, 2, 0]),  # a change at every k
+    ([0, 2, 0, 2, 2, 0], [2, 0, 2, 0, 0, 2]),             # +0.0 against -0.0
+], ids=["repeats", "a-b-a", "every-k", "zero-sign"])
+def test_truth_with_switching_noise_equals_per_run_loop_bitwise(q_schedule, r_schedule):
+    _assert_truth_matches_per_run_oracle(q_schedule, r_schedule)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_truth_with_drawn_noise_schedules_equals_per_run_loop_bitwise(data):
+    n = data.draw(st.integers(2, 12))
+    q_schedule = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    r_schedule = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    _assert_truth_matches_per_run_oracle(q_schedule, r_schedule)
+
+
+@pytest.mark.parametrize("copies", [False, True], ids=["shared", "copied"])
+def test_truth_factors_each_distinct_noise_matrix_once(monkeypatch, copies):
+    # the online plant's Q and R never change, so one factor of each serves
+    # its 1,001 steps, also when the provider copies them at every k
+    plant, sc = online_plant(1000)
+    s = plant.step(0)
+    if copies:
+        model = SystemModel.time_varying(
+            lambda k: dataclasses.replace(plant.step(k), Q=np.array(s.Q), R=np.array(s.R)),
+            dims=(s.n, s.m, s.p, s.l))
+        sc = dataclasses.replace(sc, model=model)
+    real = lise.simulate.psd_sqrt
+    factored = []
+
+    def counting(a, tol=DEFAULT_TOL):
+        factored.append(a.tobytes())
+        return real(a, tol)
+
+    monkeypatch.setattr(lise.simulate, "psd_sqrt", counting)
+    simulate_truth(sc, 0)
+    assert factored == [s.Q.tobytes(), s.R.tobytes()]
+
+
+@pytest.mark.parametrize("name", ["Q", "R"])
+def test_truth_names_the_noise_matrix_and_step_it_cannot_factor(name):
+    model, _ = online_plant(400)
+    bad = -np.eye(5)
+
+    def provider(k):
+        step = model.step(k)
+        return dataclasses.replace(step, **{name: bad}) if k >= 300 else step
+
+    tv = SystemModel.time_varying(provider, dims=(5, 1, 3, 5))
+    sc = config_scenario("fault_h1", model=tv, horizon=400, structural_checks=False)
+    with pytest.raises(NotPositiveDefiniteError, match=f"^{name} at k=300: matrix has eigenvalue"):
+        simulate_truth(sc, range(2))
+
+
+@pytest.mark.parametrize("run_index", [True, False, [0, True], (2, 1.0)])
+def test_truth_rejects_a_run_index_that_is_not_an_integer(run_index):
+    sc = config_scenario("fault_h1", horizon=5)
+    bad = run_index if isinstance(run_index, (bool, float)) else run_index[-1]
+    with pytest.raises(InvalidInputError, match=re.escape(f"got {bad!r}")):
+        simulate_truth(sc, run_index)
+
+
+def test_process_noise_with_rounding_below_zero_at_its_scale_runs():
+    # an eigenvalue of -1e-8 next to 1e4 is rounding at Q's scale: validate
+    # accepts it, and the truth clamps it instead of rejecting Q
+    base = config_scenario("fault_h1").model.step(0)
+    step = dataclasses.replace(base, Q=np.diag([1e4, 1.0, 1.0, 1.0, -1e-8]))
+    model = SystemModel.time_invariant(step)
+    assert validate(model) == []
+    sc = config_scenario("fault_h1", model=model, horizon=20, structural_checks=False)
+    result = run_scenario(sc)
+    assert all(fr.error is None for fr in result.filters.values())
 
 
 class TestRunScenario:
