@@ -11,7 +11,6 @@ as in YAML 1.2.
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -19,11 +18,12 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
 from .filters import GammaPolicy
+from .linalg import DEFAULT_TOL, _psd_eigh
 from .model import ContinuousModel, SystemModel, SystemStep, c2d_zoh
-from .signals import Constant, Ramp, Samples, SignalSpec, SquareWave, Step
-from .simulate import Scenario, _is_integer
+from .signals import Constant, Ramp, Samples, SignalSpec, SquareWave, Step, _is_integer, _is_real
+from .simulate import Scenario
 
 __all__ = ["ConfigDocument", "AnalysisSettings", "OutputSettings", "load_config"]
 
@@ -88,10 +88,9 @@ def _reject_unknown(node: dict, allowed, path: str):
 
 
 def _check_real(value, path: str, name: str = "entry"):
-    """Raise unless ``value`` is a real number, taken as loaded, not coerced:
-    a bool is not one (YAML ``true`` would read as 1), nor is a string
-    (``'1'`` would read as 1.0)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """Raise unless ``value`` is a real number as loaded (:func:`_is_real`):
+    YAML ``true`` would read as 1, and ``'1'`` as 1.0."""
+    if not _is_real(value):
         raise ConfigError(f"{name} must be a real number, got {value!r}", path)
 
 
@@ -217,7 +216,7 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
             f"gamma must be one of {[g.value for g in GammaPolicy]}, got {gamma_name!r}",
             f"{path}.gamma") from None
     try:
-        return Scenario(
+        scenario = Scenario(
             model=model, horizon=node["horizon"], d_signals=d_signals, u_signals=u_signals,
             x0_true=x0_true, x0_mean=x0_mean, p0=p0, noise_seed=node.get("seed", 0),
             filters=tuple(filters), monte_carlo=node.get("monte_carlo", 1), gamma=gamma,
@@ -226,6 +225,12 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
         )
     except Exception as exc:
         raise ConfigError(str(exc), path) from None
+    # the filters' test of P0, at the command line's tolerance, before any work
+    try:
+        _psd_eigh(scenario.p0, DEFAULT_TOL, "P0")
+    except (InvalidInputError, NotPositiveDefiniteError) as exc:
+        raise ConfigError(str(exc), f"{path}.P0") from None
+    return scenario
 
 
 def _parse_analysis(node, path: str) -> AnalysisSettings:

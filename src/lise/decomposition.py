@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, pinv, rank, svd, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _psd_eigh, _sv_rank, pinv, rank, svd, symmetrize
 from .model import SystemStep, _nonfinite_matrix
 
 __all__ = [
@@ -116,14 +116,17 @@ def _build(h, r, c, d, g, tol: Tolerance) -> OutputDecomposition:
     """The decomposition of a step with these H, R, C, D and G, computed from
     scratch; every array is read-only.
 
-    Raises :class:`NotPositiveDefiniteError` when R is not positive definite.
+    Raises :class:`InvalidInputError` when R is not symmetric (the
+    symmetric-PSD rule of :func:`lise.linalg._psd_eigh`) and
+    :class:`NotPositiveDefiniteError` when it is not positive definite.
     Sign convention: the first nonzero entry of each U1 column is positive,
     so repeated decompositions of the same data are reproducible.
     """
     l, p = h.shape
     try:
+        _psd_eigh(r, tol, "R")
         np.linalg.cholesky(symmetrize(r))
-    except np.linalg.LinAlgError:
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
         raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
 
     u, s, vt = svd(h)
@@ -193,8 +196,9 @@ def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposi
     exact bytes of H, R, C, D and G, and is computed on a miss; steps with
     equal such matrices share one read-only object.
 
-    Raises :class:`NotPositiveDefiniteError` when R is not positive definite
-    (on every call: failures are not cached).  Sign convention: the first
+    Raises :class:`InvalidInputError` when R is not symmetric and
+    :class:`NotPositiveDefiniteError` when it is not positive definite (on
+    every call: failures are not cached).  Sign convention: the first
     nonzero entry of each U1 column is positive, so repeated decompositions
     of the same data are reproducible.
     """

@@ -60,12 +60,12 @@ PLISE, its block map ``[A, G1, G2]``) come from the step context of
 ``state.step`` (:class:`~lise.decomposition.StepContext`, formed once per
 step object alongside its decomposition), and, for the updated variants,
 the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
-Fetching a step's context rejects a step with a non-finite matrix, naming
-the matrix and ``k``, and a step whose R is not positive definite.  Each
-state class declares its covariance state once, in ``cov_fields``: ``px``,
-and for PLISE also ``pd1`` and ``pxd1``.  These are the fields a gain half
-reads (with ``step`` and ``dec``) and returns for the new state, and their
-bytes key the state in :func:`_gain_key`.
+Fetching a step's context rejects a step with a non-finite matrix or an
+asymmetric R, naming the matrix and ``k``, and a step whose R is not
+positive definite.  Each state class declares its covariance state once,
+in ``cov_fields``: ``px``, and for PLISE also ``pd1`` and ``pxd1``.  These
+are the fields a gain half reads (with ``step`` and ``dec``) and returns
+for the new state, and their bytes key the state in :func:`_gain_key`.
 
 The estimate half of a step (:func:`_estimate_update`) reads the model
 steps, decompositions and gains of steps ``k - 1`` and ``k`` from one
@@ -135,6 +135,7 @@ from .linalg import (
     Tolerance,
     _finite,
     _norm,
+    _psd_eigh,
     eigh,
     inv,
     pinv,
@@ -275,12 +276,14 @@ def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
 def _checked_context(fetch, step: SystemStep, tol: Tolerance, k: int):
     """``fetch(step, tol)`` for model step ``k``, ``fetch`` being
     :func:`~lise.decomposition.decompose_cached` or ``_step_context``.  A
-    step with a non-finite matrix raises the :class:`InvalidInputError`
-    naming the matrix and ``k``."""
+    step with a non-finite matrix or an asymmetric R raises the
+    :class:`InvalidInputError` naming the matrix and ``k``."""
     try:
         return fetch(step, tol)
     except _NonFiniteMatrix as exc:
         raise _nonfinite_error(exc.matrix, k) from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{exc} at k={k}") from None
 
 
 def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
@@ -289,11 +292,7 @@ def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
         raise InvalidInputError(f"P0 must be {n} x {n}, got {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError("P0 at k=0 has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > tol.zero_abs * scale:
-        raise InvalidInputError("P0 must be symmetric")
-    if a.size and np.linalg.eigvalsh(symmetrize(a))[0] < -tol.zero_abs * scale:
-        raise InvalidInputError("P0 must be PSD")
+    _psd_eigh(a, tol, "P0")
     return symmetrize(a)
 
 

@@ -1,8 +1,30 @@
 """Tolerance-disciplined numerical primitives.
 
-Every rank decision, pseudo-inverse, and definiteness check in the package
-goes through this module so that a single :class:`Tolerance` governs how
+Every rank rule, pseudo-inverse and symmetric-PSD test in the package is
+written in this module, so that a single :class:`Tolerance` governs how
 floating-point fuzz is resolved.  All functions are pure.
+
+The package's one test of a symmetric PSD matrix ``a`` (Q, R, P0, and the
+input of :func:`psd_sqrt`) is :func:`_psd_eigh`, the only reader of
+``Tolerance.zero_abs``.  Its threshold is ``zero_abs * max(1, max|a|,
+scale)``, ``scale`` being that of the terms ``a`` was summed from: ``a`` is
+symmetric when ``max|a - a^T|`` is at most the threshold, and PSD when the
+smallest eigenvalue of its symmetric part is at least minus the threshold.
+Other definiteness decisions are made where their matrix is, each for its
+own reason:
+
+* :func:`lise.decomposition._build` asks a Cholesky factorization whether R
+  is positive definite, which the rule (PSD) does not decide;
+* ``lise.filters._spd_factor`` reads LAPACK's ``potrf`` ``info``, as the
+  factor it needs comes from that same call;
+* ``lise.filters._whitened_complement_reduction`` needs ``w[0] > 0`` for
+  the inverse square root it forms from the same eigendecomposition;
+* ``lise.model._cov_fault`` adds, for R, a conditioning test, ``w[0] >=
+  rank_rel * w[-1]``, since an R that is PD only to roundoff cannot be
+  inverted;
+* the pencil rank and unit-circle scan of :mod:`lise.structural` compare
+  singular values and moduli, not eigenvalues of a covariance, and use
+  ``rank_rel`` and ``unit_circle_eps``.
 
 :func:`inv`, :func:`svd` and :func:`eigh` call numpy's own LAPACK gufuncs
 (``numpy.linalg._umath_linalg``) under numpy's own error callbacks, skipping
@@ -54,8 +76,9 @@ class Tolerance:
         rows), leaving several orders of magnitude between roundoff and the
         smallest structurally nonzero singular values.
     zero_abs
-        Absolute threshold for "is zero" comparisons (eigenvalue clamping,
-        symmetry checks).
+        Threshold of the symmetric-PSD rule (:func:`_psd_eigh`), relative to
+        ``max(1, max|a|, scale)``: the symmetry test and the clamping of
+        small negative eigenvalues.
     unit_circle_eps
         Half-width of the band around ``|z| = 1`` used when classifying
         (generalized) eigenvalues against the unit circle.
@@ -68,8 +91,10 @@ class Tolerance:
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
             raise InvalidInputError("rank_rel must lie in (0, 1)")
-        if self.zero_abs <= 0.0 or self.unit_circle_eps <= 0.0:
-            raise InvalidInputError("tolerances must be strictly positive")
+        for name in ("zero_abs", "unit_circle_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -176,29 +201,35 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vt.T.dot(s[:, None] * u.T)
 
 
+def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
+    """The eigendecomposition ``(w, v)`` of the symmetric part of the square
+    matrix ``a``, once ``a`` passes the symmetric-PSD rule (module docstring).
+
+    Raises :class:`InvalidInputError` (``"<what> not symmetric"``) or
+    :class:`NotPositiveDefiniteError` (``"<what> not PSD (min eigenvalue
+    ...)"``) naming the matrix ``what``.
+    """
+    zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a), initial=0.0)), scale)
+    if np.max(np.abs(a - a.T), initial=0.0) > zero:
+        raise InvalidInputError(f"{what} not symmetric")
+    w, v = eigh(symmetrize(a))
+    if w.size and w[0] < -zero:
+        raise NotPositiveDefiniteError(f"{what} not PSD (min eigenvalue {w[0]:.3e})")
+    return w, v
+
+
 def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Symmetric factor ``f`` of a PSD matrix with ``f @ f.T == s``.
 
-    Eigenvalues in ``[-zero_abs * max(1, max|s|, scale), 0)`` are clamped to
-    zero (roundoff grows with the scale of the matrix, or with ``scale``,
-    that of the terms it was summed from); anything more negative raises
-    :class:`NotPositiveDefiniteError`.  The symmetry test uses the same
-    threshold.
+    The matrix must pass the symmetric-PSD rule of :func:`_psd_eigh` at
+    ``scale`` (roundoff grows with the scale of the matrix, or with
+    ``scale``, that of the terms it was summed from); the eigenvalues it
+    lets through below zero are clamped to zero.
     """
     a = _as_matrix(s, "psd matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"psd_sqrt needs a square matrix, got {a.shape}")
-    if a.size == 0:
-        return a.copy()
-    zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a))), scale)
-    if np.max(np.abs(a - a.T)) > zero:
-        raise InvalidInputError("psd_sqrt input is not symmetric to tolerance")
-    w, v = eigh(symmetrize(a))
-    if w[0] < -zero:
-        raise NotPositiveDefiniteError(
-            f"matrix has eigenvalue {w[0]:.3e} below -zero_abs * max(1, max|a|, scale) "
-            f"= {-zero:.3e}; not PSD"
-        )
+    w, v = _psd_eigh(a, tol, "matrix", scale)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
 

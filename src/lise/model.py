@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .linalg import DEFAULT_TOL, Tolerance, _finite, expm, rank
+from .errors import InvalidInputError, NotPositiveDefiniteError
+from .linalg import DEFAULT_TOL, Tolerance, _finite, _psd_eigh, expm, rank
 
 __all__ = [
     "SystemStep",
@@ -212,25 +212,17 @@ class _LastCall:
         return self.value
 
 
-def _q_fault(q: np.ndarray, tol: Tolerance) -> Optional[str]:
-    """Why ``Q`` is not a symmetric PSD matrix, or ``None``."""
-    scale = max(1.0, float(np.max(np.abs(q))) if q.size else 0.0)
-    if np.max(np.abs(q - q.T), initial=0.0) > tol.zero_abs * scale:
-        return "Q not symmetric"
-    if q.size:
-        w = np.linalg.eigvalsh(0.5 * (q + q.T))
-        if w[0] < -tol.zero_abs * scale:
-            return f"Q not PSD (min eigenvalue {w[0]:.3e})"
-    return None
-
-
-def _r_fault(r: np.ndarray, tol: Tolerance) -> Optional[str]:
-    """Why ``R`` is not a symmetric PD matrix, or ``None``."""
-    scale = max(1.0, float(np.max(np.abs(r))) if r.size else 0.0)
-    if np.max(np.abs(r - r.T), initial=0.0) > tol.zero_abs * scale:
-        return "R not symmetric"
-    w = np.linalg.eigvalsh(0.5 * (r + r.T))
-    if w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]:
+def _cov_fault(a: np.ndarray, name: str, tol: Tolerance) -> Optional[str]:
+    """Why the noise covariance ``a`` fails its assumption, or ``None``: Q
+    (``name`` "Q") must be symmetric PSD, R (``name`` "R") symmetric PD with
+    a smallest eigenvalue of at least ``rank_rel`` times the largest."""
+    try:
+        w, _ = _psd_eigh(a, tol, name)
+    except InvalidInputError as exc:
+        return str(exc)
+    except NotPositiveDefiniteError as exc:
+        return "R not PD" if name == "R" else str(exc)
+    if name == "R" and (w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]):
         return "R not PD"
     return None
 
@@ -253,8 +245,8 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
     ks = list(k_range)
     if not ks:
         ks = [0]
-    q_fault = _LastCall(lambda q: _q_fault(q, tol))
-    r_fault = _LastCall(lambda r: _r_fault(r, tol))
+    q_fault = _LastCall(lambda q: _cov_fault(q, "Q", tol))
+    r_fault = _LastCall(lambda r: _cov_fault(r, "R", tol))
     stack_rank = _LastCall(lambda g, h: rank(np.vstack([g, h]), tol))
     violations: list[Violation] = []
     best_stack_rank = 0
@@ -262,14 +254,15 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
         step = model.step(k)
         for name in _MATRICES:
             a = getattr(step, name)
-            if a.size and not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 violations.append(Violation(k, name, f"{name} has non-finite entries"))
         n, p, l = step.n, step.p, step.l
         if not (n >= l >= 1):
             violations.append(Violation(k, "dims", f"need n >= l >= 1, got n={n}, l={l}"))
         if not (l >= p >= 0):
             violations.append(Violation(k, "dims", f"need l >= p >= 0, got l={l}, p={p}"))
-        for name, fault in (("Q", q_fault(step.Q)), ("R", r_fault(step.R))):
+        # an empty R (l = 0) has no eigenvalue to test; the dims check names it
+        for name, fault in (("Q", q_fault(step.Q)), ("R", r_fault(step.R) if l else None)):
             if fault is not None:
                 violations.append(Violation(k, name, fault))
         best_stack_rank = max(best_stack_rank, stack_rank(step.G, step.H))

@@ -23,24 +23,29 @@ __all__ = ["Step", "Ramp", "SquareWave", "Constant", "Samples", "SignalSpec",
            "sample_signal", "sample_signals"]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, taken as given; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, taken as given, not coerced: a
+    bool (which would read as 0 or 1), a string or a sequence is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_real(value, what: str):
-    """Raise unless ``value`` is one finite real number, taken as given: a
-    bool, a string or a sequence is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """Raise unless ``value`` is one finite real number (:func:`_is_real`)."""
+    if not _is_real(value):
         raise InvalidInputError(f"{what} must be a real number, got {value!r}")
     if not np.isfinite(value):
         raise InvalidInputError(f"{what} must be finite")
 
 
-def _check_integer(value, what: str):
-    """Raise unless ``value`` is an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
-
-
 def _check_window(k_on: int, k_off: int):
-    _check_integer(k_on, "signal window k_on")
-    _check_integer(k_off, "signal window k_off")
+    for name, value in (("k_on", k_on), ("k_off", k_off)):
+        if not _is_integer(value):
+            raise InvalidInputError(f"signal window {name} must be an integer, got {value!r}")
     if k_on > k_off:
         raise InvalidInputError(f"signal window must satisfy k_on <= k_off, got [{k_on}, {k_off}]")
 
@@ -89,7 +94,9 @@ class SquareWave:
 
     def __post_init__(self):
         _check_window(self.k_on, self.k_off)
-        _check_integer(self.half_period, "square wave half_period")
+        if not _is_integer(self.half_period):
+            raise InvalidInputError(
+                f"square wave half_period must be an integer, got {self.half_period!r}")
         if self.half_period < 1:
             raise InvalidInputError("square wave half_period must be >= 1")
         _check_real(self.amplitude, "square wave amplitude")

@@ -44,7 +44,6 @@ Kalman filter is the p = 0 member, with an empty feedthrough-input estimate.
 from __future__ import annotations
 
 import itertools
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -71,7 +70,7 @@ from .filters import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
 from .model import SystemModel, _LastCall, validate
-from .signals import Samples, sample_signals
+from .signals import Samples, _is_integer, _is_real, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
 __all__ = [
@@ -89,11 +88,6 @@ __all__ = [
 ]
 
 FILTER_NAMES = ("ULISE", "PLISE", "CYWZ", "KALMAN")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer; a ``bool`` is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +144,7 @@ class Scenario:
             if name in self.filters[:i]:
                 raise InvalidInputError(f"filter {name!r} is requested more than once")
         window = self.steady_window
-        if isinstance(window, bool) or not isinstance(window, numbers.Real):
+        if not _is_real(window):
             raise InvalidInputError(f"steady_window must be a real number, got {window!r}")
         if not (0.0 < window <= 1.0):
             raise InvalidInputError("steady_window must lie in (0, 1]")

@@ -421,7 +421,7 @@ def plise_stability_check(step: SystemStep,
     theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
     if theta.size:
         s = np.linalg.svd(theta, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:
+        if _sv_rank(s, tol.rank_rel) < s.size:
             return CertificateVerdict(status="precondition_failed",
                                       reason="noise coupling matrix Theta is singular")
         theta_inv = np.linalg.inv(theta)

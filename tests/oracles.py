@@ -4,10 +4,11 @@ The closed-form references are written straight from the special-case
 equations (no feedthrough; full-column-rank feedthrough) without reusing the
 filter implementation, so they can serve as oracles for it.  The others are
 frozen copies of straightforward code (per-step output decomposition,
-per-run truth, per-step model validation, per-step filter pass and its first
-repeated covariance state, batched replay, piecewise fault signals,
-per-point unit-circle scan, per-value CSV writer) that the library's faster
-code must reproduce.
+per-run truth, per-step model validation, the symmetric-PSD tests of Q, P0
+and ``psd_sqrt`` as each was once written on its own, per-step filter pass
+and its first repeated covariance state, batched replay, piecewise fault
+signals, per-point unit-circle scan, per-value CSV writer) that the
+library's faster or shared code must reproduce.
 ``mp_px_recursion`` is a 50-digit reference for the updated variants'
 covariance, against which their float64 error is bounded.
 ``vehicle_tracking_model`` writes out the continuous-time matrices of
@@ -23,6 +24,7 @@ from lise.decomposition import decompose, decompose_cached, decoupled_dynamics
 from lise.errors import (
     EstimabilityError,
     GainConstructionError,
+    InvalidInputError,
     LiseError,
     NotPositiveDefiniteError,
     NumericalError,
@@ -37,7 +39,7 @@ from lise.filters import (
     kalman_init,
     kalman_step,
 )
-from lise.linalg import DEFAULT_TOL, pinv, psd_sqrt, rank, symmetrize
+from lise.linalg import DEFAULT_TOL, eigh, pinv, psd_sqrt, rank, symmetrize
 from lise.model import ContinuousModel, Violation
 from lise.signals import sample_signals
 from lise.simulate import _INITS, _STEPS, _run_rng
@@ -426,6 +428,55 @@ def per_step_validate_oracle(model, k_range=None, tol=DEFAULT_TOL):
             "drop linearly dependent unknown-input columns",
         ))
     return violations
+
+
+def q_fault_oracle(q, tol=DEFAULT_TOL):
+    """A frozen copy of the original ``model._q_fault``: why ``Q`` is not a
+    symmetric PSD matrix, or ``None``."""
+    scale = max(1.0, float(np.max(np.abs(q))) if q.size else 0.0)
+    if np.max(np.abs(q - q.T), initial=0.0) > tol.zero_abs * scale:
+        return "Q not symmetric"
+    if q.size:
+        w = np.linalg.eigvalsh(0.5 * (q + q.T))
+        if w[0] < -tol.zero_abs * scale:
+            return f"Q not PSD (min eigenvalue {w[0]:.3e})"
+    return None
+
+
+def check_p0_oracle(p0, n, tol=DEFAULT_TOL):
+    """A frozen copy of the original ``filters._check_p0``: the symmetrized
+    P0, or :class:`InvalidInputError` ("P0 must be symmetric" or "P0 must be
+    PSD")."""
+    a = np.asarray(p0, dtype=float)
+    if a.shape != (n, n):
+        raise InvalidInputError(f"P0 must be {n} x {n}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError("P0 at k=0 has non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if np.max(np.abs(a - a.T)) > tol.zero_abs * scale:
+        raise InvalidInputError("P0 must be symmetric")
+    if a.size and np.linalg.eigvalsh(symmetrize(a))[0] < -tol.zero_abs * scale:
+        raise InvalidInputError("P0 must be PSD")
+    return symmetrize(a)
+
+
+def psd_sqrt_oracle(a, tol=DEFAULT_TOL, scale=0.0):
+    """A frozen copy of the original ``linalg.psd_sqrt`` on a finite square
+    matrix: its symmetric factor, or :class:`InvalidInputError` (not
+    symmetric) or :class:`NotPositiveDefiniteError` (not PSD)."""
+    if a.size == 0:
+        return a.copy()
+    zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a))), scale)
+    if np.max(np.abs(a - a.T)) > zero:
+        raise InvalidInputError("psd_sqrt input is not symmetric to tolerance")
+    w, v = eigh(symmetrize(a))
+    if w[0] < -zero:
+        raise NotPositiveDefiniteError(
+            f"matrix has eigenvalue {w[0]:.3e} below -zero_abs * max(1, max|a|, scale) "
+            f"= {-zero:.3e}; not PSD"
+        )
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.T
 
 
 def fault_input_samples(count: int) -> np.ndarray:

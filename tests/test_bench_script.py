@@ -106,7 +106,8 @@ def test_uncovered_lists_the_statements_a_run_never_executes(tmp_path):
     lines = proc.stdout.splitlines()
     assert "pytest exit code: 0" in lines
     missed = [line.split(": ", 1)[1] for line in lines if line.startswith("src/lise/linalg.py:")]
-    assert 'raise InvalidInputError("tolerances must be strictly positive")' in missed
+    assert ('raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")'
+            in missed)
     assert 'raise InvalidInputError("rank_rel must lie in (0, 1)")' not in missed
     assert not [s for s in missed if s.startswith(("import ", "from ", "def ", "class "))]
     assert lines[-1].startswith("total: ") and lines[-1].endswith(" statements never executed")

@@ -7,11 +7,12 @@ import pytest
 import yaml
 
 import lise.config
-from conftest import CONFIGS
+from conftest import CONFIGS, config_scenario
 from oracles import vehicle_tracking_model
 from lise.cli import main
 from lise.config import load_config
-from lise.errors import ConfigError
+from lise.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
+from lise.filters import ulise_init
 from lise.model import c2d_zoh
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
@@ -396,6 +397,30 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: scenario: ") and re.search(message, err)
         assert not (tmp_path / "res" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("row,exc,message", [
+        ("[1, 0.5, 0, 0, 0]", InvalidInputError, "P0 not symmetric"),
+        ("[-1, 0, 0, 0, 0]", NotPositiveDefiniteError,
+         r"P0 not PSD \(min eigenvalue -1.000e\+00\)"),
+    ])
+    def test_p0_that_fails_the_psd_rule_is_a_config_error(self, tmp_path, capsys, row, exc,
+                                                          message):
+        # the filters' own test of P0, made on load: before, lise run
+        # exited 3 after the structural checks and the truth simulation
+        cfg = _small_run_config(tmp_path)
+        text = cfg.read_text()
+        cfg.write_text(text.replace("P0:\n    - [1, 0, 0, 0, 0]", f"P0:\n    - {row}"))
+        with pytest.raises(ConfigError, match=f"^scenario.P0: {message}$"):
+            load_config(cfg)
+        p0 = np.eye(5)
+        p0[0] = yaml.safe_load(row)
+        with pytest.raises(exc, match=f"^{message}$"):
+            ulise_init(config_scenario("fault_h1").model, np.zeros(5), p0, np.zeros(5),
+                       np.zeros(1))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"config error: scenario.P0: {message}\n", err)
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("key,value,message", [
         ("horizon", "10.0", "horizon must be an integer, got 10.0"),

@@ -47,7 +47,7 @@ from lise.filters import (
     ulise_step,
 )
 from lise.linalg import DEFAULT_TOL, symmetrize
-from lise.model import SystemModel, SystemStep
+from lise.model import SystemModel, SystemStep, validate
 from lise.signals import Ramp, SquareWave, Step
 from lise.structural import analyze
 from lise.simulate import Scenario, simulate_truth
@@ -111,7 +111,7 @@ class TestInit:
 
     def test_p0_must_be_psd(self):
         model = config_scenario("fault_h1").model
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(NotPositiveDefiniteError, match=r"^P0 not PSD \(min eigenvalue"):
             ulise_init(model, np.zeros(5), -np.eye(5), np.zeros(5), np.zeros(1))
 
 
@@ -319,6 +319,36 @@ class TestNonFiniteInputs:
             state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
             assert np.all(np.isfinite(out.xhat))
         for _ in range(2):  # a failure is not remembered: it raises again
+            with pytest.raises(InvalidInputError, match=match):
+                step_fn(state, ys[bad_k], us[bad_k], us[bad_k - 1], model)
+
+    @pytest.mark.parametrize("name", ["ULISE", "PLISE", "CYWZ"])
+    @pytest.mark.parametrize("bad_k", [0, 5])
+    def test_asymmetric_r_is_rejected_naming_the_step(self, name, bad_k):
+        # fault_h1 with R[0][1] raised by half of R[0][0] from step bad_k on:
+        # validate reports it, and the filters no longer run on R's
+        # symmetric part (the decomposition factors only that part)
+        step = config_scenario("fault_h1").model.step(0)
+        r = np.array(step.R)
+        r[0, 1] += 0.5 * r[0, 0]
+        bad = dataclasses.replace(step, R=r)
+        assert [(v.field, v.message) for v in validate(SystemModel.time_invariant(bad))] == [
+            ("R", "R not symmetric")]
+        model = SystemModel.time_varying(lambda k: bad if k >= bad_k else step,
+                                         dims=(5, 1, 3, 5))
+        rng = np.random.default_rng(24)
+        ys = rng.standard_normal((bad_k + 1, 5))
+        us = np.zeros((bad_k + 1, 1))
+        init, step_fn = _FILTER_FNS[name]
+        match = f"^R not symmetric at k={bad_k}$"
+        if bad_k == 0:
+            with pytest.raises(InvalidInputError, match=match):
+                init(model, np.zeros(5), np.eye(5), ys[0], us[0])
+            return
+        state = init(model, np.zeros(5), np.eye(5), ys[0], us[0])
+        for k in range(1, bad_k):
+            state, _ = step_fn(state, ys[k], us[k], us[k - 1], model)
+        for _ in range(2):  # a failure is not cached: it raises again
             with pytest.raises(InvalidInputError, match=match):
                 step_fn(state, ys[bad_k], us[bad_k], us[bad_k - 1], model)
 

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import config_scenario
-from oracles import vehicle_tracking_model
+from oracles import (check_p0_oracle, psd_sqrt_oracle, q_fault_oracle,
+                     vehicle_tracking_model)
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.linalg import (
     DEFAULT_TOL,
     Tolerance,
     _finite,
     _norm,
+    _psd_eigh,
     _sv_rank,
     eigh,
     expm,
@@ -23,7 +25,10 @@ from lise.linalg import (
     psd_sqrt,
     rank,
     svd,
+    symmetrize,
 )
+from lise.filters import _check_p0
+from lise.model import _cov_fault
 
 H1 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float)
 H2 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
@@ -36,6 +41,18 @@ def test_tolerance_invariants():
         Tolerance(rank_rel=1.5)
     with pytest.raises(InvalidInputError):
         Tolerance(zero_abs=-1e-3)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("zero_abs", math.nan), ("zero_abs", math.inf), ("unit_circle_eps", math.nan),
+    ("unit_circle_eps", math.inf), ("zero_abs", 0.0), ("unit_circle_eps", -1e-6),
+])
+def test_tolerance_must_be_finite_and_positive(field, value):
+    # a NaN zero_abs would turn every symmetry and PSD test off: psd_sqrt
+    # of diag(1, -5) would return diag(1, 0)
+    with pytest.raises(InvalidInputError,
+                       match=f"^{field} must be finite and positive, got {value!r}$"):
+        Tolerance(**{field: value})
 
 
 class TestRank:
@@ -299,18 +316,74 @@ class TestPsdSqrt:
         assert np.allclose(f @ f.T, np.diag([1.0, 0.0]), atol=1e-11)
 
     def test_negative_eigenvalue_is_judged_at_the_matrix_scale(self):
-        # -1e-8 next to 1e4 lies within zero_abs * max|a| = 1e-6 and is
-        # clamped; -1e-5 does not
-        f = psd_sqrt(np.diag([1e4, -1e-8]))
+        # the threshold next to 1e4 is zero_abs * max|a| = 1e-6: -0.9e-6 is
+        # clamped, -1.1e-6 is not
+        f = psd_sqrt(np.diag([1e4, -0.9e-6]))
         assert np.array_equal(f, np.diag([100.0, 0.0]))
-        with pytest.raises(NotPositiveDefiniteError, match="below .* = -1.000e-06"):
-            psd_sqrt(np.diag([1e4, -1e-5]))
+        with pytest.raises(NotPositiveDefiniteError, match=r"^matrix not PSD \(min eigenvalue"):
+            psd_sqrt(np.diag([1e4, -1.1e-6]))
 
     def test_scale_of_the_summed_terms_widens_the_threshold(self):
         a = np.diag([1.0, -1e-7])
         with pytest.raises(NotPositiveDefiniteError):
             psd_sqrt(a)
         assert np.array_equal(psd_sqrt(a, scale=1e4), np.diag([1.0, 0.0]))
+
+
+@st.composite
+def _rule_cases(draw):
+    """A square matrix (n = 0..5, entries of magnitude 1e-12 to 1e12) that
+    is symmetric PSD, asymmetric by a drawn amount, or indefinite by a drawn
+    shift, and a drawn ``scale`` (0 or 1e-12 to 1e12)."""
+    n = draw(st.integers(0, 5))
+    b = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    a = b.dot(b.T) * 10.0 ** draw(st.integers(-12, 12))
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "indefinite"]))
+    if kind == "asymmetric" and n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[i, j] += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-14.0, 12.0))
+    elif kind == "indefinite" and n:
+        a -= 10.0 ** draw(st.floats(-14.0, 12.0)) * np.eye(n)
+    scale = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e12)))
+    return a, scale
+
+
+def _verdict(fn):
+    """The class of what ``fn()`` raises (``None`` if it returns) and its
+    return value."""
+    try:
+        return None, fn()
+    except (InvalidInputError, NotPositiveDefiniteError) as exc:
+        return type(exc), None
+
+
+class TestPsdRule:
+    """The one symmetric-PSD rule gives the verdict that each of the tests
+    it replaced gave on its own (``tests/oracles.py``), and ``psd_sqrt``
+    the same factor, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rule_cases())
+    def test_rule_agrees_with_each_test_it_replaced(self, case):
+        a, scale = case
+        n = a.shape[0]
+        # psd_sqrt at the drawn scale: the same verdict, the same factor
+        got, f = _verdict(lambda: psd_sqrt(a, DEFAULT_TOL, scale))
+        want, f_want = _verdict(lambda: psd_sqrt_oracle(a, DEFAULT_TOL, scale))
+        assert got is want
+        if n:
+            assert _verdict(lambda: _psd_eigh(a, DEFAULT_TOL, "matrix", scale))[0] is want
+        if want is None:
+            assert f.shape == f_want.shape and f.tobytes() == f_want.tobytes()
+        # validate's Q check and the filters' P0 check, at the matrix's scale
+        assert _cov_fault(a, "Q", DEFAULT_TOL) == q_fault_oracle(a)
+        if n:  # the original P0 test failed on an empty P0 (max of nothing)
+            rule, _ = _verdict(lambda: _psd_eigh(a, DEFAULT_TOL, "P0"))
+            want, p0_want = _verdict(lambda: check_p0_oracle(a, n))
+            got, p0 = _verdict(lambda: _check_p0(a, n, DEFAULT_TOL))
+            assert got is rule and (want is None) == (rule is None)
+            if rule is None:
+                assert p0.tobytes() == p0_want.tobytes()
 
 
 class TestExpm:

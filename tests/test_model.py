@@ -137,6 +137,15 @@ class TestValidate:
         found = [(v.index, v.field, v.message) for v in validate(model)]
         assert (0, field, message) in found
 
+    def test_no_output_is_a_dims_violation(self):
+        # C of shape (0, 2) and an empty R: the dims check names it, and the
+        # R check, with no eigenvalue to test, is skipped
+        step = _simple_step(C=np.zeros((0, 2)), D=np.zeros((0, 1)), H=np.zeros((0, 1)),
+                            R=np.zeros((0, 0)))
+        found = [(v.index, v.field, v.message) for v in validate(SystemModel.time_invariant(step))]
+        assert found == [(0, "dims", "need n >= l >= 1, got n=2, l=0"),
+                         (0, "dims", "need l >= p >= 0, got l=0, p=1")]
+
     def test_zero_input_maps_violate_stacked_rank(self):
         model = SystemModel.time_invariant(_simple_step(G=np.zeros((2, 1))))
         msgs = [v for v in validate(model) if v.field == "G/H"]
@@ -242,7 +251,7 @@ class TestValidateOnce:
         # 100 steps: one eigendecomposition each of Q and R, and one rank of
         # [G; H] per run of 100 equal steps (11 over k = 0..1000)
         model, _ = online_plant(1000)
-        counts = {"eigvalsh": 0, "rank": 0}
+        counts = {"_psd_eigh": 0, "rank": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -250,10 +259,10 @@ class TestValidateOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(lise.model, "_psd_eigh", counting("_psd_eigh", lise.model._psd_eigh))
         monkeypatch.setattr(lise.model, "rank", counting("rank", lise.model.rank))
         assert validate(model, range(1001)) == []
-        assert counts == {"eigvalsh": 2, "rank": 11}
+        assert counts == {"_psd_eigh": 2, "rank": 11}
         monkeypatch.undo()
         assert per_step_validate_oracle(model, range(1001)) == []
 

@@ -362,7 +362,7 @@ def test_truth_names_the_noise_matrix_and_step_it_cannot_factor(name):
 
     tv = SystemModel.time_varying(provider, dims=(5, 1, 3, 5))
     sc = config_scenario("fault_h1", model=tv, horizon=400, structural_checks=False)
-    with pytest.raises(NotPositiveDefiniteError, match=f"^{name} at k=300: matrix has eigenvalue"):
+    with pytest.raises(NotPositiveDefiniteError, match=f"^{name} at k=300: matrix not PSD"):
         simulate_truth(sc, range(2))
 
 

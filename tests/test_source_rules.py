@@ -1,0 +1,37 @@
+"""Rules that the package's source keeps: the symmetric-PSD threshold
+``Tolerance.zero_abs`` is read in one function only, so that the rule it
+sets cannot be written out again, and drift, elsewhere."""
+
+import ast
+from pathlib import Path
+
+import lise
+
+PACKAGE = Path(lise.__file__).resolve().parent
+
+
+def _zero_abs_reads():
+    """``(module, function)`` for every ``.zero_abs`` read and every
+    ``"zero_abs"`` string in the package, ``function`` being the innermost
+    enclosing function (``None`` at module or class level)."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr == "zero_abs":
+            found.add((module, function, "attribute"))
+        if isinstance(node, ast.Constant) and node.value == "zero_abs":
+            found.add((module, function, "string"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def test_only_the_psd_rule_reads_zero_abs():
+    # Tolerance's own check names its fields as strings
+    assert _zero_abs_reads() == {("linalg.py", "_psd_eigh", "attribute"),
+                                 ("linalg.py", "__post_init__", "string")}
