@@ -31,8 +31,8 @@ turn and their order reversed on every other repetition:
 - ``mc``: ``lise run --config fault_h1 --mc 128 --seed 1``: besides the
   filter passes on run 0, the truth simulation of 128 runs and the
   Monte-Carlo replay of the gain schedule, which neither of the other two
-  reaches.  Its CSVs hold run 0 only, so their bytes show that a replay
-  change leaves run 0 alone; the replayed runs are checked by the tests;
+  reaches.  Its CSVs hold run 0 only, so the batch that ``run_scenario``
+  returns to the CLI is compared as well;
 - ``analyze``: ``lise analyze`` on each of ``--configs`` in turn, the
   structural tests that ``lise run`` also makes before its filter passes.
 
@@ -40,11 +40,11 @@ For each benchmark the script prints, per side, the median and quartiles of
 the time of one repetition, the ratio of the second side's median to the
 first's, the number of repetitions the second side was faster, and whether
 the two sides' outputs are bitwise equal (every step output of ``online``;
-the truth ``x`` and ``y`` and every field of the ``FilterRun`` but its
-timing in ``tv``; every written CSV byte of ``run`` and ``mc``, and the
-standard output of ``run``, ``mc`` and ``analyze``, with the temporary
-output directory replaced by a placeholder).  The last line is the same as
-JSON.
+the truth ``x`` and ``y`` of every run and every field of each
+``FilterRun`` but its timing in ``tv`` and ``mc``; every written CSV byte of
+``run`` and ``mc``, and the standard output of ``run``, ``mc`` and
+``analyze``, with the temporary output directory replaced by a
+placeholder).  The last line is the same as JSON.
 """
 
 from __future__ import annotations
@@ -142,21 +142,34 @@ class Side:
                   sim.simulate_truth(self.scenario, range(MC_RUNS))]
         result = sim.run_scenario(self.scenario)
         seconds = time.perf_counter() - t0
-        outs = [a.tobytes() for t in truths for a in (t.x, t.y)]
-        for run in result.filters.values():
-            for field in dataclasses.fields(run):
-                if field.name != "seconds_per_step":
-                    outs.append(_bytes(getattr(run, field.name)))
-        return seconds, outs
+        return seconds, [a.tobytes() for t in truths for a in (t.x, t.y)] + _result_bytes(result)
 
     def run(self):
         """``lise run`` on every config; returns the time and the CSV bytes."""
         return self._cli([["run", "--config", cfg] for cfg in self.configs])
 
     def mc(self):
-        """``lise run --mc`` on fault_h1; returns the time and the CSV bytes."""
+        """``lise run --mc`` on fault_h1; returns the time, the CSV bytes and
+        the bytes of the batch that ``run_scenario`` returned to the CLI."""
+        cli = self.lise.cli
+        run_scenario = cli.run_scenario
+        results = []
+
+        def kept(*args, **kwargs):
+            results.append(run_scenario(*args, **kwargs))
+            return results[-1]
+
         cfg = os.path.join(self.root, "configs", "fault_h1.yaml")
-        return self._cli([["run", "--config", cfg, "--mc", str(MC_RUNS), "--seed", "1"]])
+        cli.run_scenario = kept
+        try:
+            seconds, files = self._cli([["run", "--config", cfg, "--mc", str(MC_RUNS),
+                                         "--seed", "1"]])
+        finally:
+            cli.run_scenario = run_scenario
+        (result,) = results
+        files["batch"] = [result.truth.x.tobytes(), result.truth.y.tobytes()]
+        files["batch"] += _result_bytes(result)
+        return seconds, files
 
     def analyze(self):
         """``lise analyze`` on every config; returns the time and the stdout."""
@@ -187,6 +200,12 @@ class Side:
                     with open(path, "rb") as fh:
                         files[os.path.relpath(path, out)] = fh.read()
         return seconds, files
+
+
+def _result_bytes(result) -> list:
+    """Every field of each ``FilterRun`` of ``result`` but its timing."""
+    return [_bytes(getattr(run, field.name)) for run in result.filters.values()
+            for field in dataclasses.fields(run) if field.name != "seconds_per_step"]
 
 
 def _bytes(value):

@@ -2,7 +2,7 @@
 
 Every rank rule, pseudo-inverse and symmetric-PSD test in the package is
 written in this module, so that a single :class:`Tolerance` governs how
-floating-point fuzz is resolved.  All functions are pure.
+floating-point fuzz is resolved.  All public functions are pure.
 
 The package's one test of a symmetric PSD matrix ``a`` (Q, R, P0, and the
 input of :func:`psd_sqrt`) is :func:`_psd_eigh`, the only reader of
@@ -33,11 +33,19 @@ cost is a large part of a call on the 5 x 5 matrices of a filter step.  On a
 square (for ``svd``, any) 2-D float64 matrix each returns the bits of its
 ``np.linalg`` namesake and raises numpy's :class:`numpy.linalg.LinAlgError`
 with numpy's message where the wrapper does; the filters' hot paths use them.
+
+:func:`_in_blocks` is the one place the package runs work on more than one
+CPU: it splits a batch of independent items into contiguous blocks, one per
+CPU the process may run on, for work that releases the GIL (LAPACK, BLAS and
+numpy's random fills).  Each item keeps its own LAPACK or BLAS call, so the
+results do not depend on the number of blocks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +134,59 @@ def _norm(a: np.ndarray) -> float:
     norm of a matrix), by the same operations without the wrapper."""
     r = a.ravel(order="K")
     return math.sqrt(r.dot(r))
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _block(work, start: int, stop: int, errors: list, i: int) -> None:
+    """Block ``i`` of :func:`_in_blocks` on a thread of its own: its
+    exception is kept in ``errors[i]``, to be raised on the calling thread."""
+    try:
+        work(start, stop)
+    except BaseException as exc:  # re-raised by _in_blocks
+        errors[i] = exc
+
+
+def _in_blocks(work, count: int, min_block: int) -> None:
+    """Call ``work(start, stop)`` on contiguous blocks that cover
+    ``range(count)``, one block per CPU the process may run on, none smaller
+    than ``min_block`` items.
+
+    The calling thread runs the first block, and a thread started for the
+    call runs each other block; all are joined before the call returns.  A
+    single block runs inline and starts no thread.  The first exception in
+    block order is raised once every block has ended.  ``work`` gains from
+    the extra threads only where it releases the GIL; it should allocate no
+    large array (glibc keeps an arena per thread), but write into arrays that
+    the caller allocated, and call no public function of the package:
+    perfbench's tracer wraps those and keeps a single stack of open spans.
+    """
+    blocks = max(1, min(_cpu_count(), count // max(min_block, 1)))
+    if blocks == 1:
+        work(0, count)
+        return
+    bounds = [count * i // blocks for i in range(blocks + 1)]
+    errors = [None] * blocks
+    threads = []
+    try:
+        for i in range(1, blocks):
+            threads.append(threading.Thread(
+                target=_block, args=(work, bounds[i], bounds[i + 1], errors, i)))
+            threads[-1].start()
+        work(bounds[0], bounds[1])
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -7,7 +7,12 @@ simulated at once: each run's noise comes from its own stream, the model
 step is fetched once per time index and its noise factors once per distinct
 matrix, and the states of all runs are propagated as one (M, n) array,
 bitwise equal to simulating each run on its own.  Gaussian noise uses a PSD
-square-root factor of the covariance.
+square-root factor of the covariance.  Each run's work outside the state
+recursion (its noise draws and its products with the noise factors and with
+C) releases the GIL and runs in contiguous blocks of runs, one per CPU the
+process may run on (:func:`lise.linalg._in_blocks`): the calling thread takes
+the first block and runs the recursion over all runs.  Each run keeps its
+own BLAS calls, so the truth is bitwise the same whatever the CPU count.
 
 Filter gains and covariances do not depend on the data, so a Monte-Carlo
 batch runs the full step functions once (which also yields the reported
@@ -68,7 +73,7 @@ from .filters import (
     ulise_init,
     ulise_step,
 )
-from .linalg import DEFAULT_TOL, Tolerance, psd_sqrt
+from .linalg import DEFAULT_TOL, Tolerance, _in_blocks, psd_sqrt
 from .model import SystemModel, _LastCall, validate
 from .signals import Samples, _is_integer, _is_real, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
@@ -88,6 +93,11 @@ __all__ = [
 ]
 
 FILTER_NAMES = ("ULISE", "PLISE", "CYWZ", "KALMAN")
+
+# the fewest run-steps (runs times horizon + 1) of a block of the truth's
+# per-run work: two blocks of fewer ran no faster than one, as the cost of
+# starting and joining a thread outweighed the work moved onto it
+_BLOCK_RUN_STEPS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +182,16 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _gemv(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``mat @ v`` for every vector ``v`` along the last axis of ``vecs``.
+def _gemv(mat: np.ndarray, vecs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``mat @ v`` for every vector ``v`` along the last axis of ``vecs``,
+    into ``out`` when given.
 
     ``mat`` is one matrix or a stack of them broadcast against ``vecs``.
     Each product is a separate gemv, the same BLAS path as ``mat @ v`` on a
     single vector, so batches reproduce one-run arithmetic bit for bit
     (``vecs @ mat.T`` is a gemm and may round differently).
     """
-    return np.matmul(mat, vecs[..., None])[..., 0]
+    return np.matmul(mat, vecs[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _check_sample_lengths(scenario: Scenario) -> None:
@@ -202,8 +213,13 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     (N+1, l).  A sequence of run indices gives the batch, with a leading run
     axis on ``x`` and ``y``; ``d`` and ``u`` are shared by all runs.  Every
     run is bitwise identical to simulating it on its own, and identical
-    (seed, run_index) pairs produce bitwise-identical trajectories.  A run
-    index that is not an integer (a ``bool`` included) and a ``Samples``
+    (seed, run_index) pairs produce bitwise-identical trajectories.  Each
+    run's noise draws and its products with the noise factors and with C
+    run in contiguous blocks of runs, one per CPU the process may run on;
+    the calling thread takes the first block, and a batch too small to
+    split, a single run always, starts no thread.  Each run keeps its own
+    BLAS calls, so the result is bitwise independent of the CPU count.  A
+    run index that is not an integer (a ``bool`` included) and a ``Samples``
     signal with fewer than ``horizon + 1`` values raise
     :class:`InvalidInputError`, the latter rather than being read as zero
     past its end.  A Q or R that cannot be factored raises
@@ -221,16 +237,6 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     n_steps = scenario.horizon
     d = sample_signals(scenario.d_signals, n_steps + 1)
     u = sample_signals(scenario.u_signals, n_steps + 1)
-
-    # each run's standard-normal draws go straight into its rows: process
-    # noise into x[r, 1:], then measurement noise into y[r]
-    x = np.empty((len(runs), n_steps + 1, model.n))
-    y = np.empty((len(runs), n_steps + 1, model.l))
-    for i, r in enumerate(runs):
-        rng = _run_rng(scenario.noise_seed, r)
-        rng.standard_normal(out=x[i, 1:])
-        rng.standard_normal(out=y[i])
-    x[:, 0] = scenario.x0_true
 
     # each model matrix and noise factor as a series over k = 0..N, fetched
     # once per k and factored once per distinct matrix: Q and R each keep
@@ -264,12 +270,43 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     # only A x[k] depends on the recursion; every other term is formed for
     # all k at once.  The sums keep the one-run order (A x + B u + G d +
     # noise, C x + D u + H d + noise) so that rounding matches bit for bit.
+    # The work of each run apart from the recursion, its standard-normal
+    # draws (process noise into w[r], then measurement noise into y[r]) and
+    # its products with fq, C and fr, releases the GIL and runs in blocks of
+    # runs, one per CPU, into arrays allocated here; the recursion runs here
+    # over all runs
+    n_runs = len(runs)
+    min_block = -(-_BLOCK_RUN_STEPS // (n_steps + 1))
+    x = np.empty((n_runs, n_steps + 1, model.n))
+    y = np.empty((n_runs, n_steps + 1, model.l))
+    w = np.empty((n_runs, n_steps, model.n))
+    x[:, 0] = scenario.x0_true
+
+    def noise(lo, hi):
+        for i in range(lo, hi):
+            rng = _run_rng(scenario.noise_seed, runs[i])
+            rng.standard_normal(out=w[i])
+            rng.standard_normal(out=y[i])
+        _gemv(fq[:n_steps], w[lo:hi], out=x[lo:hi, 1:])
+
+    _in_blocks(noise, n_runs, min_block)
+    del w
     bu = _gemv(b, u)
     gd = _gemv(g, d)
-    x[:, 1:] = _gemv(fq[:n_steps], x[:, 1:])
     for k in range(n_steps):
         x[:, k + 1] = _gemv(a[k], x[:, k]) + bu[k] + gd[k] + x[:, k + 1]
-    y[:] = _gemv(c, x) + _gemv(dm, u) + _gemv(h, d) + _gemv(fr, y)
+    du = _gemv(dm, u)
+    hd = _gemv(h, d)
+    fv = np.empty_like(y)
+
+    def outputs(lo, hi):
+        _gemv(fr, y[lo:hi], out=fv[lo:hi])
+        out = _gemv(c, x[lo:hi], out=y[lo:hi])
+        out += du
+        out += hd
+        out += fv[lo:hi]
+
+    _in_blocks(outputs, n_runs, min_block)
     if single:
         return TruthTrajectories(x=x[0], y=y[0], d=d, u=u)
     return TruthTrajectories(x=x, y=y, d=d, u=u)

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .decomposition import _pair_context, _step_context
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _sv_rank, psd_sqrt, rank, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _in_blocks, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
 
 __all__ = [
@@ -49,6 +49,11 @@ __all__ = [
 _OMEGA_GRID = 720
 # circle points per batched SVD; bounds the stack of pencil matrices in memory
 _SCAN_CHUNK = 256
+# the fewest singular values a block of the scan's SVDs computes: numpy
+# releases the GIL in a batched SVD only above 500 of them, so a smaller
+# block on a thread of its own runs after the others and adds the cost of
+# starting that thread
+_BLOCK_SINGULAR_VALUES = 512
 
 
 @dataclass(frozen=True)
@@ -329,9 +334,12 @@ def _circle_scan(build, nrows: int, candidates: np.ndarray,
     Scans a dense grid plus the angles of candidate eigenvalues within the
     unit-circle band (exact rank-drop frequencies can fall between grid
     points).  ``build(z)`` returns the stack of pencil matrices at the
-    points ``z``; each chunk of points takes one batched SVD, the same LAPACK
-    call per matrix as a per-point loop.  Ties go to the first point in scan
-    order.
+    points ``z``; the calling thread builds the stack of each chunk of
+    points, and the chunk's SVDs, which release the GIL, run in blocks of
+    points, one per CPU the process may run on (the calling thread takes the
+    first).  Each point keeps the same LAPACK call as a per-point loop, so
+    the result does not depend on the number of CPUs.  Ties go to the first
+    point in scan order.
     """
     omegas = list(np.linspace(0.0, 2.0 * np.pi, _OMEGA_GRID + 1))
     for lam in candidates:
@@ -339,10 +347,15 @@ def _circle_scan(build, nrows: int, candidates: np.ndarray,
             omegas.append(float(np.angle(lam)) % (2.0 * np.pi))
     omegas = np.array(omegas)
     zs = np.exp(1j * omegas)
-    sigma = np.concatenate([
-        np.linalg.svd(build(zs[i:i + _SCAN_CHUNK]), compute_uv=False)[:, [0, nrows - 1]]
-        for i in range(0, zs.size, _SCAN_CHUNK)
-    ])
+    sigma = np.empty((zs.size, 2))
+    for i in range(0, zs.size, _SCAN_CHUNK):
+        stack = build(zs[i:i + _SCAN_CHUNK])
+
+        def svds(lo, hi):
+            s = np.linalg.svd(stack[lo:hi], compute_uv=False)
+            sigma[i + lo:i + hi] = s[:, [0, nrows - 1]]
+
+        _in_blocks(svds, stack.shape[0], -(-_BLOCK_SINGULAR_VALUES // nrows))
     worst = int(np.argmin(sigma[:, 1]))
     min_sigma = float(sigma[worst, 1])
     threshold = tol.rank_rel * float(np.max(sigma[:, 0]))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
+import lise.cli
 import lise.config
+import lise.simulate
 from conftest import CONFIGS, config_scenario
 from oracles import vehicle_tracking_model
 from lise.cli import main
@@ -304,6 +306,47 @@ analysis:
         assert capsys.readouterr().out.splitlines() == [
             "model assumptions: VIOLATED [k=0] R: R not PD"]
 
+    def test_complex_zeros_print_as_a_plus_or_minus_bj(self, tmp_path, capsys):
+        # controllable canonical form: the zeros are the roots of
+        # z^2 - z + 0.5, that is 0.5 -+ 0.5j
+        p = tmp_path / "cfg.yaml"
+        p.write_text("""
+model:
+  A: [[0, 1, 0], [0, 0, 1], [0.1, 0.2, 0.3]]
+  B: [[0], [0], [0]]
+  C: [[0.5, -1.0, 1.0]]
+  D: [[0]]
+  G: [[0], [0], [1]]
+  H: [[0]]
+  Q: [[0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01]]
+  R: [[0.1]]
+analysis:
+  checks: [invariant_zeros]
+""")
+        assert main(["analyze", "--config", str(p)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.endswith("): 0.5-0.5j, 0.5+0.5j"), line
+
+    def test_observability_without_unknown_inputs_is_classical(self, tmp_path, capsys):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("""
+model:
+  A: [[0.5, 1.0], [0, 0.2]]
+  B: [[0], [0]]
+  C: [[1.0, 0]]
+  D: [[0]]
+  G: [[], []]
+  H: [[]]
+  Q: [[0.01, 0], [0, 0.01]]
+  R: [[0.1]]
+analysis:
+  checks: [strong_observability]
+""")
+        assert load_config(p).model.p == 0
+        assert main(["analyze", "--config", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "strong observability: yes (classical) (window 1)"]
+
     @pytest.mark.parametrize("flags", [["--seed", "1"], ["--mc", "0"], ["--out", "res"],
                                        ["--strict"]])
     def test_takes_only_the_config_flag(self, tmp_path, capsys, flags):
@@ -504,33 +547,78 @@ class TestCliRun:
         assert main(["run", "--config", str(cfg)]) == 0
         assert (target / "steps.csv").exists()
 
+    def test_out_dir_from_the_config(self, tmp_path, monkeypatch):
+        # neither --out nor LISE_OUT_DIR: the config's output.dir, relative
+        # to the working directory
+        cfg = _small_run_config(tmp_path)
+        monkeypatch.delenv("LISE_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert load_config(cfg).output.dir == "out"
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "steps.csv").exists()
+        assert (tmp_path / "out" / "summary.csv").exists()
+
     def test_strict_aborts_on_structural_failure(self, tmp_path, capsys):
         p = tmp_path / "cfg.yaml"
-        # estimable but not strongly detectable (transmission zero at 1.25)
-        p.write_text("""
-model:
-  A: [[0.7, -0.12], [1.0, 0.0]]
-  B: [[0], [0]]
-  C: [[1.0, -1.25]]
-  D: [[0]]
-  G: [[1.0], [0.0]]
-  H: [[0.0]]
-  Q: [[0.01, 0], [0, 0.01]]
-  R: [[0.1]]
-scenario:
-  horizon: 20
-  filters: [ULISE]
-  d_signals:
-    - {type: constant, value: 0.0}
-  u_signals:
-    - {type: constant, value: 0.0}
-""")
+        p.write_text(_UNDETECTABLE_CONFIG)
         out = tmp_path / "res"
         assert main(["run", "--config", str(p), "--out", str(out), "--strict"]) == 2
         assert not (out / "steps.csv").exists()
         # without --strict it warns and continues
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "steps.csv").exists()
+
+
+class TestCliFailures:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_failed_filter_is_named_and_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # a non-finite measurement at k = 7 fails every filter at step 7
+        real = lise.simulate.simulate_truth
+
+        def poisoned(scenario, run_index, tol):
+            truth = real(scenario, run_index, tol)
+            truth.y[:, 7, 0] = np.nan
+            return truth
+
+        monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
+        cfg = _small_run_config(tmp_path, filters="[ULISE, PLISE]")
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "res")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        for name in ("ULISE", "PLISE"):
+            assert any(line.startswith(f"{name} failed at step 7: ") and "y at k=7" in line
+                       for line in err), err
+
+    def test_compare_prints_dominance_violations(self, tmp_path, capsys, monkeypatch):
+        # ULISE's steady traces doubled: both exceed PLISE's
+        real = lise.cli.run_scenario
+
+        def inflated(scenario, **kwargs):
+            result = real(scenario, **kwargs)
+            steady = result.filters["ULISE"].steady
+            for key in ("tr_px", "tr_pd"):
+                steady[key] = 2.0 * steady[key] + 1.0
+            return result
+
+        monkeypatch.setattr(lise.cli, "run_scenario", inflated)
+        cfg = _small_run_config(tmp_path, filters="[ULISE, PLISE]", horizon=300)
+        assert main(["compare", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["dominance violation: trace(Px) ULISE > PLISE",
+                              "dominance violation: trace(Pd) ULISE > PLISE"]
+        assert not any(line.startswith("dominance check:") for line in lines)
+
+    def test_compare_strict_aborts_on_structural_failure(self, tmp_path, capsys):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(_UNDETECTABLE_CONFIG.replace("filters: [ULISE]", "filters: [ULISE, CYWZ]"))
+        assert main(["compare", "--config", str(p), "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "structural warning: system is not strongly detectable" in captured.err
+        assert "aborting (--strict)" in captured.err
 
 
 class TestCliCompare:
@@ -587,6 +675,27 @@ class TestCliCompare:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "filter 'ULISE' is requested more than once" in capsys.readouterr().err
         assert not out.exists()
+
+
+# estimable but not strongly detectable (transmission zero at 1.25)
+_UNDETECTABLE_CONFIG = """
+model:
+  A: [[0.7, -0.12], [1.0, 0.0]]
+  B: [[0], [0]]
+  C: [[1.0, -1.25]]
+  D: [[0]]
+  G: [[1.0], [0.0]]
+  H: [[0.0]]
+  Q: [[0.01, 0], [0, 0.01]]
+  R: [[0.1]]
+scenario:
+  horizon: 20
+  filters: [ULISE]
+  d_signals:
+    - {type: constant, value: 0.0}
+  u_signals:
+    - {type: constant, value: 0.0}
+"""
 
 
 def _small_run_config(tmp_path, filters="[ULISE]", horizon=60) -> Path:

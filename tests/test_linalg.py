@@ -1,8 +1,13 @@
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+
+import lise.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,7 +19,9 @@ from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _cpu_count,
     _finite,
+    _in_blocks,
     _norm,
     _psd_eigh,
     _sv_rank,
@@ -448,3 +455,74 @@ def test_expm_inverse(n, seed):
     m = np.random.default_rng(seed).standard_normal((n, n))
     m *= 2.0 / max(np.linalg.norm(m), 1.0)
     assert np.allclose(expm(m) @ expm(-m), np.eye(n), atol=1e-12)
+
+
+class TestInBlocks:
+    """``_in_blocks``: contiguous blocks, one per CPU, none below the
+    minimum, the first on the calling thread."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("count, min_block", [(0, 1), (1, 1), (5, 1), (5, 2),
+                                                  (17, 3), (17, 10), (100, 7)])
+    def test_blocks_cover_the_range_once(self, monkeypatch, cpus, count, min_block):
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: cpus)
+        calls = []
+        _in_blocks(lambda lo, hi: calls.append((lo, hi, threading.get_ident())),
+                   count, min_block)
+        calls.sort()
+        blocks = max(1, min(cpus, count // min_block))
+        assert len(calls) == blocks
+        assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
+        assert calls[-1][1] == count
+        if blocks > 1:
+            assert min(hi - lo for lo, hi, _ in calls) >= min_block
+        idents = [c[2] for c in calls]
+        assert idents[0] == threading.get_ident()
+        assert threading.get_ident() not in idents[1:]
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", None)   # any start fails
+        calls = []
+        _in_blocks(lambda lo, hi: calls.append((lo, hi)), 7, 4)
+        assert calls == [(0, 7)]
+
+    def test_the_first_error_in_block_order_is_raised_after_every_block(self, monkeypatch):
+        # blocks 1 and 2 fail, block 2 first; block 3 is still running then
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 4)
+        done = []
+
+        def work(lo, hi):
+            if lo == 1:
+                time.sleep(0.05)
+                raise ValueError("block 1 failed")
+            if lo == 2:
+                raise KeyError("block 2 failed")
+            if lo == 3:
+                time.sleep(0.1)
+            done.append(lo)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^block 1 failed$"):
+            _in_blocks(work, 4, 1)
+        assert sorted(done) == [0, 3]
+        assert threading.active_count() == before
+
+    def test_the_callers_error_waits_for_the_other_blocks(self, monkeypatch):
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 2)
+        done = []
+
+        def work(lo, hi):
+            if lo == 0:
+                raise ValueError("block 0 failed")
+            time.sleep(0.05)
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="^block 0 failed$"):
+            _in_blocks(work, 2, 1)
+        assert done == [1]
+
+    def test_cpu_count_is_the_affinity_or_the_machine_count(self, monkeypatch):
+        assert _cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _cpu_count() == (os.cpu_count() or 1)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lise.linalg
 import lise.simulate
 from conftest import config_scenario, online_plant, random_system
 from oracles import (fault_input_samples, first_repeat_oracle, per_run_truth_oracle,
@@ -40,7 +42,8 @@ from lise.simulate import (
     write_summary_csv,
 )
 from lise.model import SystemModel, SystemStep, validate
-from lise.structural import strong_detectability
+from lise.filters import ulise_init, ulise_step
+from lise.structural import analyze, strong_detectability
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_NAMES = ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5",
@@ -242,9 +245,16 @@ def test_time_varying_truth_holds_one_step_at_a_time():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31), st.sampled_from([1, 3, 7]), st.integers(1, 12),
-       st.booleans())
-def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying):
+@given(st.integers(0, 2 ** 31), st.integers(1, 9), st.integers(1, 12), st.booleans(),
+       st.sampled_from([1, 2, 3]))
+def test_batched_truth_equals_per_run_loop_bitwise(seed, runs, horizon, varying, cpus):
+    # blocks of at least two runs on 1, 2 or 3 CPUs: one to three blocks
+    with mock.patch("lise.linalg._cpu_count", lambda: cpus), \
+            mock.patch("lise.simulate._BLOCK_RUN_STEPS", 2 * (horizon + 1)):
+        _check_batched_truth(seed, runs, horizon, varying)
+
+
+def _check_batched_truth(seed, runs, horizon, varying):
     rng = np.random.default_rng(seed)
     if varying:
         model = _rank_switching_model(rng)
@@ -384,6 +394,84 @@ def test_process_noise_with_rounding_below_zero_at_its_scale_runs():
     sc = config_scenario("fault_h1", model=model, horizon=20, structural_checks=False)
     result = run_scenario(sc)
     assert all(fr.error is None for fr in result.filters.values())
+
+
+class TestThreads:
+    """The truth's and the circle scan's blocks (``linalg._in_blocks``)
+    leave no thread behind, start none for one block, and pass a block's
+    error to the caller."""
+
+    @staticmethod
+    def _count_starts(monkeypatch) -> list:
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    def test_no_thread_outlives_a_run_or_an_analysis(self, monkeypatch):
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 3)
+        started = self._count_starts(monkeypatch)
+        before = threading.active_count()
+        sc = config_scenario("fault_h1", monte_carlo=64)
+        run_scenario(sc)
+        assert threading.active_count() == before
+        ran = len(started)
+        assert ran > 0
+        analyze(sc.model)
+        assert threading.active_count() == before
+        assert len(started) > ran
+
+    def test_eight_blocks_with_fast_switching_equal_one_block(self, monkeypatch):
+        # more blocks than cores, and the GIL handed over every microsecond:
+        # the blocks write disjoint rows, so the truth stays bitwise that of
+        # one block
+        sc = config_scenario("fault_h1")
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 1)
+        want = simulate_truth(sc, range(100))
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 8)
+        started = self._count_starts(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_truth(sc, range(100))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 14   # seven blocks more than the caller's, twice
+        assert _same_bits(got.x, want.x) and _same_bits(got.y, want.y)
+
+    def test_one_run_and_a_filter_step_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 8)
+        started = self._count_starts(monkeypatch)
+        sc = config_scenario("fault_h1")
+        truth = simulate_truth(sc, 0)
+        simulate_truth(sc, [5])
+        state = ulise_init(sc.model, sc.x0_mean, sc.p0, truth.y[0], truth.u[0])
+        ulise_step(state, truth.y[1], truth.u[1], truth.u[0], sc.model)
+        assert started == []
+
+    def test_an_error_in_the_last_block_reaches_the_caller(self, monkeypatch):
+        # 30 runs of 1001 steps on 3 CPUs: blocks 0-9, 10-19 and 20-29, the
+        # last on a thread of its own
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 3)
+        started = self._count_starts(monkeypatch)
+        real = lise.simulate._run_rng
+
+        def failing(seed, run_index):
+            if run_index == 29:
+                raise RuntimeError("no noise stream for run 29")
+            return real(seed, run_index)
+
+        monkeypatch.setattr(lise.simulate, "_run_rng", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no noise stream for run 29$"):
+            simulate_truth(config_scenario("fault_h1"), range(30))
+        assert len(started) == 2
+        assert threading.active_count() == before
 
 
 class TestRunScenario:

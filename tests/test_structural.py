@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lise.decomposition
+import lise.linalg
 import lise.structural
 from conftest import CONFIGS, config_scenario, random_system
 from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
@@ -385,10 +386,13 @@ class TestCircleScan:
     """The batched unit-circle scan against the per-point loop."""
 
     @pytest.mark.parametrize("config", CONFIG_NAMES)
-    def test_bundled_configs_match_per_point_scan(self, config):
+    def test_bundled_configs_match_per_point_scan(self, config, monkeypatch):
+        # with 2 and 3 CPUs every chunk's SVDs run in two or three blocks
         step = config_scenario(config).model.step(0)
-        ulise, plise = _assert_circles_match_per_point_scan(step)
-        assert ulise.circle is not None and plise.circle is not None
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: cpus)
+            ulise, plise = _assert_circles_match_per_point_scan(step)
+            assert ulise.circle is not None and plise.circle is not None
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31), st.integers(1, 5), st.integers(1, 5),
