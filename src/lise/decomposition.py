@@ -13,22 +13,28 @@ Empty blocks are first-class: with ``rank(H) = 0`` all the ``*1`` factors are
 0-width and the algebra flows through unchanged.
 
 A decomposition depends on H, R, C, D, G and the tolerance only, never on
-A, B or Q, and is shared in two layers.  :func:`decompose_cached` keeps one
-entry per step object and tolerance, so a time-invariant model decomposes once
-and pays no hashing after.  The entry is the step's context
-(:class:`StepContext`): the decomposition together with the step's constants
-that also depend on A or Q, namely :func:`decoupled_dynamics` and PLISE's
-block map ``[A, G1, G2]``, so the filters and the structural tests form each
-once per step object.  An entry is built only for a step whose eight matrices
-are finite (a step with a NaN or an infinity raises
-:class:`~lise.errors.InvalidInputError` naming the matrix, on every call).
-Below it, :func:`decompose` takes the whole
-decomposition from a bounded LRU of ``_FACTOR_CACHE_SIZE`` entries keyed by
-the tolerance, the shapes and the exact bytes of H, R, C, D and G, so a
+A, B or Q.  :func:`decompose` builds one afresh on every call, and no
+module-level cache keeps one: the only maps here are weak, keyed by a step
+object or a decomposition, so a decomposition lives exactly as long as a
+step context, a filter state or a gain record uses it.  It is shared in two
+ways.  :func:`decompose_cached` keeps one entry per step object and
+tolerance, so a time-invariant model decomposes once.  The entry is the
+step's context (:class:`StepContext`): the decomposition together with the
+step's constants that also depend on A or Q, namely
+:func:`decoupled_dynamics` and PLISE's block map ``[A, G1, G2]``, so the
+filters and the structural tests form each once per step object.  And a
+step's context may be built with the previous step of the caller's chain
+(the filter state's step, or the previous step of an observability window):
+a step whose C, D, G, H and R are those of the previous one (the same
+arrays, or equal shapes and bytes) takes its decomposition, so a
 time-varying model whose steps repeat those matrices (fresh step objects
-every k, with only A, B or Q changing) builds each distinct decomposition
-once and hands out one shared object.  Every array of a decomposition is
-read-only, and a failure is never cached.
+every k, with only A, B or Q changing) decomposes once per run of equal
+such matrices.  A context is built only for a step whose eight matrices are
+finite (a step with a NaN or an infinity raises
+:class:`~lise.errors.InvalidInputError` naming the matrix, on every call)
+and whose Q passes the symmetric-PSD rule of :func:`lise.linalg._psd_eigh`,
+which runs once per change of Q along the chain.  Every array of a
+decomposition is read-only, and a failure is never cached.
 
 Besides the SVD factors and projections, a decomposition holds the
 data-independent products that the filters and :func:`decoupled_dynamics`
@@ -56,7 +62,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import DEFAULT_TOL, Tolerance, _psd_eigh, _sv_rank, pinv, rank, svd, symmetrize
-from .model import SystemStep, _nonfinite_matrix
+from .model import _MATRICES, SystemStep, _nonfinite_matrix
 
 __all__ = [
     "OutputDecomposition",
@@ -66,23 +72,13 @@ __all__ = [
     "decoupled_dynamics",
 ]
 
-# distinct decompositions kept by decompose.  An entry with its key takes
-# 5.9 KiB at the fault configs' 5 x 3 H with n = 5 (0.37 MiB for a full
-# cache), 35 KiB at a 20 x 8 H with n = 20 and 650 KiB at a 100 x 20 H with
-# n = 100; it grows with (l + n)^2.  The bundled workloads use at most 7
-# decompositions; 64 lets a schedule that cycles through up to 64 of them
-# hit.  Pair contexts are not kept here: they live as long as their two
-# decompositions (see _pair_context).
-_FACTOR_CACHE_SIZE = 64
-
-
 @dataclass(frozen=True, eq=False)
 class OutputDecomposition:
     """SVD factors and transformed system matrices of one time step.
 
     Every field depends on H, R, C, D, G and the tolerance only; the arrays
-    are read-only, and :func:`decompose` shares one object among all steps
-    with equal such matrices.
+    are read-only, and consecutive steps of a chain with equal such matrices
+    share one object (:func:`_step_context`).
     """
 
     p_h: int
@@ -112,16 +108,21 @@ class OutputDecomposition:
     si_c1: np.ndarray       # p_h x n, Sigma^-1 C1
 
 
-def _build(h, r, c, d, g, tol: Tolerance) -> OutputDecomposition:
-    """The decomposition of a step with these H, R, C, D and G, computed from
-    scratch; every array is read-only.
+def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
+    """Build the output decomposition for one system step, afresh on every
+    call; every array is read-only.
 
-    Raises :class:`InvalidInputError` when R is not symmetric (the
-    symmetric-PSD rule of :func:`lise.linalg._psd_eigh`) and
-    :class:`NotPositiveDefiniteError` when it is not positive definite.
-    Sign convention: the first nonzero entry of each U1 column is positive,
-    so repeated decompositions of the same data are reproducible.
+    It is built from C-contiguous copies of H, R, C, D and G, so that steps
+    with equal such matrices get bitwise-equal decompositions whatever the
+    memory order of the arrays they were made from (BLAS may round a product
+    on an F-ordered operand differently).  Raises :class:`InvalidInputError`
+    when R is not symmetric (the symmetric-PSD rule of
+    :func:`lise.linalg._psd_eigh`) and :class:`NotPositiveDefiniteError`
+    when it is not positive definite.  Sign convention: the first nonzero
+    entry of each U1 column is positive, so repeated decompositions of the
+    same data are reproducible.
     """
+    h, r, c, d, g = map(np.ascontiguousarray, (step.H, step.R, step.C, step.D, step.G))
     l, p = h.shape
     try:
         _psd_eigh(r, tol, "R")
@@ -174,39 +175,6 @@ def _build(h, r, c, d, g, tol: Tolerance) -> OutputDecomposition:
     )
 
 
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _cached_decomposition(tol: Tolerance, dims: tuple, h_bytes: bytes, r_bytes: bytes,
-                          c_bytes: bytes, d_bytes: bytes, g_bytes: bytes
-                          ) -> OutputDecomposition:
-    """:func:`_build` of the matrices with these bytes, through the LRU.
-
-    The matrices are rebuilt from the key, so an entry depends on its key
-    only.
-    """
-    n, m, p, l = dims
-    return _build(np.frombuffer(h_bytes).reshape(l, p), np.frombuffer(r_bytes).reshape(l, l),
-                  np.frombuffer(c_bytes).reshape(l, n), np.frombuffer(d_bytes).reshape(l, m),
-                  np.frombuffer(g_bytes).reshape(n, p), tol)
-
-
-def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
-    """Build the output decomposition for one system step.
-
-    The decomposition comes from a bounded LRU keyed by ``tol`` and the
-    exact bytes of H, R, C, D and G, and is computed on a miss; steps with
-    equal such matrices share one read-only object.
-
-    Raises :class:`InvalidInputError` when R is not symmetric and
-    :class:`NotPositiveDefiniteError` when it is not positive definite (on
-    every call: failures are not cached).  Sign convention: the first
-    nonzero entry of each U1 column is positive, so repeated decompositions
-    of the same data are reproducible.
-    """
-    return _cached_decomposition(
-        tol, (step.n, step.m, step.p, step.l), step.H.tobytes(), step.R.tobytes(),
-        step.C.tobytes(), step.D.tobytes(), step.G.tobytes())
-
-
 class _NonFiniteMatrix(InvalidInputError):
     """A model step has a matrix with non-finite entries; ``matrix`` names it."""
 
@@ -245,23 +213,42 @@ _CACHE: "weakref.WeakKeyDictionary[SystemStep, dict[Tolerance, StepContext]]" = 
 )
 
 
-def _step_context(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> StepContext:
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are the same array or equal in shape and bytes."""
+    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def _step_context(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
+                  prev: SystemStep | None = None) -> StepContext:
     """The :class:`StepContext` of a step object, built on its first request.
+
+    ``prev`` is the step before ``step`` on the caller's chain of steps, if
+    its context (for ``tol``) has been built.  A step whose C, D, G, H and R
+    are those of ``prev`` (:func:`_same`) takes the decomposition of
+    ``prev``'s context, and a step whose Q is that of ``prev`` skips the
+    symmetric-PSD rule on Q, which ``prev`` passed; any other step is
+    decomposed afresh (:func:`decompose`) and its Q put to the rule.
 
     Raises :class:`_NonFiniteMatrix` (an
     :class:`~lise.errors.InvalidInputError`) when a matrix of ``step`` has a
-    non-finite entry, and whatever :func:`decompose` raises; failures are not
-    cached.
+    non-finite entry, what :func:`~lise.linalg._psd_eigh` raises for Q and
+    whatever :func:`decompose` raises; failures are not cached.
     """
     per_step = _CACHE.get(step)
     if per_step is not None:
         ctx = per_step.get(tol)
         if ctx is not None:
             return ctx
-    bad = _nonfinite_matrix(step)
+    ctx_prev = None if prev is None else _CACHE.get(prev, {}).get(tol)
+    shared = ctx_prev is not None and all(
+        _same(getattr(step, name), getattr(prev, name)) for name in "CDGHR")
+    # a shared decomposition's five matrices equal those of a checked step
+    bad = _nonfinite_matrix(step, "ABQ" if shared else _MATRICES)
     if bad is not None:
         raise _NonFiniteMatrix(bad)
-    ctx = StepContext(step, decompose(step, tol))
+    if ctx_prev is None or not _same(step.Q, prev.Q):
+        _psd_eigh(step.Q, tol, "Q")
+    ctx = StepContext(step, ctx_prev.dec if shared else decompose(step, tol))
     _CACHE.setdefault(step, {})[tol] = ctx
     return ctx
 
@@ -272,14 +259,14 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     Time-invariant models hand out the same step object every call, and
     :meth:`SystemModel.step <lise.model.SystemModel.step>` hands out one step
     object for repeated requests of the same k, so the decomposition is built
-    once per step object, repeated calls are bit-identical, and no call after
-    the first hashes H and R.  The decomposition is that of the step's
-    :class:`StepContext`, built here on the first request: a step with a
-    non-finite matrix raises :class:`~lise.errors.InvalidInputError` naming
-    the matrix, on every call.  A new step object (a time-varying
-    model's provider may build one per k) goes to :func:`decompose`, whose
-    LRU still hands out the decomposition of equal H, R, C, D and G seen
-    before.
+    once per step object and repeated calls are bit-identical.  The
+    decomposition is that of the step's :class:`StepContext`, built here on
+    the first request: a step with a non-finite matrix raises
+    :class:`~lise.errors.InvalidInputError` naming the matrix, and a Q that
+    fails the symmetric-PSD rule raises what the rule raises, on every call.
+    A new step object (a time-varying model's provider may build one per k)
+    is decomposed afresh; the filters, which know the previous step, share
+    its decomposition instead when they can (see the module docstring).
     """
     return _step_context(step, tol).dec
 
@@ -319,9 +306,9 @@ def _pair_context(dec_prev, dec, tol: Tolerance = DEFAULT_TOL) -> _PairContext:
     built on the pair's first request.
 
     Decompositions compare by identity, so steps that share their
-    decompositions (every step of a time-invariant model, and the steps of a
-    time-varying one whose H, R, C, D and G repeat) share one context, and
-    it is dropped with the first of its two decompositions.
+    decompositions (every step of a time-invariant model, and a run of steps
+    of a time-varying one that repeat H, R, C, D and G) share one context,
+    and it is dropped with the first of its two decompositions.
     """
     by_prev = _PAIRS.get(dec)
     if by_prev is None:

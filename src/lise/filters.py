@@ -35,11 +35,13 @@ Unbiasedness of every gain is tracked per step in :attr:`StepOutput.unbiasedness
 
 Gains and covariances do not depend on the data, and much of each gain step
 depends only on the output decompositions of steps ``k - 1`` and ``k``.  The
-decompositions are shared among steps with equal H, R, C, D and G (see
-:mod:`lise.decomposition`), and ``C2[k] G2[k-1]`` with its rank and its
-pseudoinverse is built once per pair of decompositions and kept as long as
-both (:func:`lise.decomposition._pair_context`); every step reads the rank
-and raises :class:`~lise.errors.EstimabilityError` for a deficient pair.
+decomposition of step ``k`` is that of step ``k - 1`` when their H, R, C, D
+and G are equal (step ``k``'s context is fetched with ``state.step`` as the
+previous step of the chain; see :mod:`lise.decomposition`), and
+``C2[k] G2[k-1]`` with its rank and its pseudoinverse is built once per pair
+of decompositions and kept as long as both
+(:func:`lise.decomposition._pair_context`); every step reads the rank and
+raises :class:`~lise.errors.EstimabilityError` for a deficient pair.
 A cached product always enters its products as the leftmost factor, so every
 result is bitwise what building it afresh gives.
 
@@ -60,12 +62,13 @@ PLISE, its block map ``[A, G1, G2]``) come from the step context of
 ``state.step`` (:class:`~lise.decomposition.StepContext`, formed once per
 step object alongside its decomposition), and, for the updated variants,
 the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
-Fetching a step's context rejects a step with a non-finite matrix or an
-asymmetric R, naming the matrix and ``k``, and a step whose R is not
-positive definite.  Each state class declares its covariance state once,
-in ``cov_fields``: ``px``, and for PLISE also ``pd1`` and ``pxd1``.  These
-are the fields a gain half reads (with ``step`` and ``dec``) and returns
-for the new state, and their bytes key the state in :func:`_gain_key`.
+Fetching a step's context rejects a step with a non-finite matrix, an
+asymmetric Q or R, a Q that is not PSD or an R that is not positive
+definite, naming the matrix and ``k``.  Each state class declares its
+covariance state once, in ``cov_fields``: ``px``, and for PLISE also
+``pd1`` and ``pxd1``.  These are the fields a gain half reads (with
+``step`` and ``dec``) and returns for the new state, and their bytes key
+the state in :func:`_gain_key`.
 
 The estimate half of a step (:func:`_estimate_update`) reads the model
 steps, decompositions and gains of steps ``k - 1`` and ``k`` from one
@@ -128,6 +131,7 @@ from .errors import (
     EstimabilityError,
     GainConstructionError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     NumericalError,
 )
 from .linalg import (
@@ -273,17 +277,18 @@ def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
     return a
 
 
-def _checked_context(fetch, step: SystemStep, tol: Tolerance, k: int):
-    """``fetch(step, tol)`` for model step ``k``, ``fetch`` being
-    :func:`~lise.decomposition.decompose_cached` or ``_step_context``.  A
-    step with a non-finite matrix or an asymmetric R raises the
-    :class:`InvalidInputError` naming the matrix and ``k``."""
+def _checked_context(fetch, step: SystemStep, tol: Tolerance, k: int, *prev: SystemStep):
+    """``fetch(step, tol, *prev)`` for model step ``k``, ``fetch`` being
+    :func:`~lise.decomposition.decompose_cached` or ``_step_context`` (with
+    ``prev``, step ``k - 1``).  A step with a non-finite matrix, an
+    asymmetric Q or R, a Q that is not PSD or an R that is not PD raises the
+    error naming the matrix and ``k``."""
     try:
-        return fetch(step, tol)
+        return fetch(step, tol, *prev)
     except _NonFiniteMatrix as exc:
         raise _nonfinite_error(exc.matrix, k) from None
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{exc} at k={k}") from None
+    except (InvalidInputError, NotPositiveDefiniteError) as exc:
+        raise type(exc)(f"{exc} at k={k}") from None
 
 
 def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
@@ -636,8 +641,8 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     """
     k = state.k + 1
     step = model.step(k)
-    dec_k = _checked_context(decompose_cached, step, tol, k)
     ctx_prev = _checked_context(_step_context, state.step, tol, k - 1)
+    dec_k = _checked_context(_step_context, step, tol, k, state.step).dec
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
     upv = _check_vector(u_prev, step.m, "u_prev", k)

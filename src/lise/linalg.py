@@ -13,7 +13,7 @@ smallest eigenvalue of its symmetric part is at least minus the threshold.
 Other definiteness decisions are made where their matrix is, each for its
 own reason:
 
-* :func:`lise.decomposition._build` asks a Cholesky factorization whether R
+* :func:`lise.decomposition.decompose` asks a Cholesky factorization whether R
   is positive definite, which the rule (PSD) does not decide;
 * ``lise.filters._spd_factor`` reads LAPACK's ``potrf`` ``info``, as the
   factor it needs comes from that same call;

@@ -111,10 +111,10 @@ class SystemStep:
         return self.C.shape[0]
 
 
-def _nonfinite_matrix(step: SystemStep) -> Optional[str]:
-    """The name of the first of the eight matrices of ``step`` that has a
-    non-finite entry, or ``None``."""
-    for name in _MATRICES:
+def _nonfinite_matrix(step: SystemStep, names: Iterable[str] = _MATRICES) -> Optional[str]:
+    """The name of the first of the matrices ``names`` (by default all eight)
+    of ``step`` that has a non-finite entry, or ``None``."""
+    for name in names:
         if not _finite(getattr(step, name)):
             return name
     return None
@@ -124,8 +124,11 @@ def _nonfinite_matrix(step: SystemStep) -> Optional[str]:
 class SystemModel:
     """Time-invariant or time-varying system.
 
-    Time-varying models are supplied as a deterministic provider ``k -> SystemStep``
-    so the whole horizon never needs to be materialized.  :meth:`step` keeps
+    A model has exactly one of a ``fixed`` step, whose dims must be ``(n,
+    m, p, l)``, and a ``provider``; anything else raises
+    :class:`InvalidInputError` at construction.  Time-varying models are
+    supplied as a deterministic provider ``k -> SystemStep`` so the whole
+    horizon never needs to be materialized.  :meth:`step` keeps
     the last step the provider returned, with its k, and hands that object
     out again while the same k is asked for; being deterministic, the
     provider would have built an equal step.
@@ -140,6 +143,13 @@ class SystemModel:
     horizon_hint: Optional[int] = None
     # (k, step) of the last provider call
     _last: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if (self.fixed is None) == (self.provider is None):
+            raise InvalidInputError("a model needs exactly one of a fixed step and a provider")
+        s, dims = self.fixed, (self.n, self.m, self.p, self.l)
+        if s is not None and (s.n, s.m, s.p, s.l) != dims:
+            raise InvalidInputError(f"fixed step has dims {(s.n, s.m, s.p, s.l)}, expected {dims}")
 
     @classmethod
     def time_invariant(cls, step: SystemStep, horizon_hint: int | None = None) -> "SystemModel":
@@ -168,8 +178,6 @@ class SystemModel:
         last = self._last
         if last is not None and last[0] == k:
             return last[1]
-        if self.provider is None:
-            raise InvalidInputError("model has neither fixed step nor provider")
         s = self.provider(k)
         if (s.n, s.m, s.p, s.l) != (self.n, self.m, self.p, self.l):
             raise InvalidInputError(

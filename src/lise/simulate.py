@@ -549,8 +549,6 @@ def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
     """
     runs = ys.shape[0]
     n_steps = len(gains)
-    if n_steps == 0:
-        raise InvalidInputError("empty gain schedule")
     g0 = gains[0]
     n, l, m, p = g0.step.n, g0.step.l, g0.step.m, g0.step.p
     dw = l + 2 * m
@@ -653,12 +651,11 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         if n_ok > tail.start:
             steady = {
                 "px_diag": px_diag[tail].mean(axis=0),
-                "pd_diag": pd_diag[tail].mean(axis=0) if model.p else np.zeros(0),
+                "pd_diag": pd_diag[tail].mean(axis=0),
                 "tr_px": float(px_diag[tail].sum(axis=1).mean()),
-                "tr_pd": float(pd_diag[tail].sum(axis=1).mean()) if model.p else 0.0,
+                "tr_pd": float(pd_diag[tail].sum(axis=1).mean()),
                 "rms_err_x": np.sqrt((err_x[tail] ** 2).mean(axis=0)),
-                "rms_err_d": (np.sqrt((err_d[tail] ** 2).mean(axis=0))
-                              if model.p else np.zeros(0)),
+                "rms_err_d": np.sqrt((err_d[tail] ** 2).mean(axis=0)),
             }
         filters[name] = FilterRun(
             name=name, xhat=xhat, dhat=dhat, px_diag=px_diag, pd_diag=pd_diag,

@@ -91,7 +91,8 @@ def build_observability_matrices(model: SystemModel, r: int,
     if r < 0:
         raise InvalidInputError("window length r must be nonnegative")
     n, p, l = model.n, model.p, model.l
-    ctxs = [_step_context(model.step(k), tol) for k in range(r + 1)]
+    steps = [model.step(k) for k in range(r + 1)]
+    ctxs = [_step_context(s, tol, steps[k - 1] if k else None) for k, s in enumerate(steps)]
     decs = [c.dec for c in ctxs]
     ahat = [c.ahat for c in ctxs]
     p_h = [d.p_h for d in decs]

@@ -16,6 +16,7 @@ from lise.config import load_config
 from lise.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
 from lise.filters import ulise_init
 from lise.model import c2d_zoh
+from lise.signals import Constant
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
@@ -176,6 +177,79 @@ class TestLoadConfig:
         assert loaded == as_floats(yaml.load(text, Loader=yaml.SafeLoader))
         assert as_floats(loaded) == loaded
         load_config(path)
+
+
+def _replaced(old, new):
+    def edit(text):
+        assert text.count(old) == 1
+        return text.replace(old, new)
+    return edit
+
+
+def _continuous(dt):
+    """The minimal config with its model written as a continuous block."""
+    def edit(text):
+        model, scenario = text.split("scenario:")
+        rows = model.strip().splitlines()[1:]       # the matrices under "model:"
+        return ("model:\n  continuous:\n" + "".join(f"  {row}\n" for row in rows)
+                + f"    dt: {dt}\nscenario:{scenario}")
+    return edit
+
+
+# (edit of the minimal config, or a whole file, key path, message regex)
+_CONFIG_ERRORS = {
+    "non_mapping_block": (lambda t: t + "output: 3\n", "output", "expected a mapping, got int"),
+    "ragged_array": (_replaced("A: [[0.5, 0], [0, 0.2]]", "A: [[0.5, 0], [0]]"), "model.A",
+                     "not a numeric array: .+"),
+    "step_rejected": (_replaced("A: [[0.5, 0], [0, 0.2]]", "A: [[0.5, 0, 0], [0, 0.2, 0]]"),
+                      "model", re.escape("A must be square, got (2, 3)")),
+    "continuous_missing_keys": ("model:\n  continuous:\n    A: [[0]]\n    dt: 0.1\n",
+                                "model.continuous",
+                                re.escape("missing keys ['B', 'C', 'D', 'G', 'H', 'Q', 'R']")),
+    "continuous_rejected": (_continuous(0), "model.continuous",
+                            re.escape("dt must be positive and finite, got 0.0")),
+    "discrete_missing_keys": (_replaced("  R: [[0.1, 0], [0, 0.1]]\n", ""), "model",
+                              re.escape("missing keys ['R']")),
+    "signal_missing_keys": (_replaced("k_on: 10, k_off: 30}", "k_on: 10}"),
+                            "scenario.d_signals[0]", re.escape("missing keys ['k_off']")),
+    "scenario_missing_key": (_replaced("  horizon: 50\n", ""), "scenario",
+                             "missing key 'horizon'"),
+    "filters_not_a_list": (_replaced("filters: [ULISE]", "filters: ULISE"), "scenario.filters",
+                           "filters must be a non-empty list"),
+    "unknown_gamma": (_replaced("  horizon: 50\n", "  horizon: 50\n  gamma: bogus\n"),
+                      "scenario.gamma", r"gamma must be one of \[.+\], got 'bogus'"),
+    "empty_checks": (lambda t: t + "analysis:\n  checks: []\n", "analysis.checks",
+                     "checks must be a non-empty list"),
+    "unknown_check": (lambda t: t + "analysis:\n  checks: [validate, bogus]\n",
+                      "analysis.checks", r"unknown check 'bogus' \(choose from .+\)"),
+    "unreadable_file": (None, "", "cannot read config: .+"),
+    "empty_file": ("", "", "config file is empty"),
+    "missing_model": ("scenario:\n  horizon: 5\n", "<root>", "missing key 'model'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_config_error_names_message_and_key_path(tmp_path, case):
+    content, path, message = _CONFIG_ERRORS[case]
+    p = tmp_path / "bad.yaml"
+    if content is None:
+        p = tmp_path                # a directory: open() fails
+    else:
+        p.write_text(content(load_min_config()) if callable(content) else content)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    exc = info.value
+    assert type(exc) is ConfigError and exc.path == path
+    assert re.fullmatch((f"{re.escape(path)}: " if path else "") + message, str(exc)), str(exc)
+
+
+def test_u_signals_default_to_zero_for_each_known_input(tmp_path):
+    p = tmp_path / "cfg.yaml"
+    p.write_text(_replaced("  u_signals:\n    - {type: constant, value: 0.0}\n", "")(
+        load_min_config()))
+    doc = load_config(p)
+    assert doc.model.m == 1
+    assert doc.scenario.u_signals == (Constant(0.0),)
 
 
 def load_min_config() -> str:

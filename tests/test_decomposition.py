@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import online_plant, random_pd, random_system
 from oracles import decompose_oracle
+import lise.decomposition
 from lise.decomposition import (
     _CACHE,
-    _FACTOR_CACHE_SIZE,
     OutputDecomposition,
-    _cached_decomposition,
     _step_context,
     decompose,
     decompose_cached,
@@ -171,9 +170,10 @@ def test_rank_from_own_svd_matches_linalg_rank(seed, p, rank_h):
     assert decompose(step).p_h == rank(step.H) == rank_h
 
 
-def _assert_matches_oracle(step, tol=DEFAULT_TOL):
-    """Every field of ``decompose(step, tol)`` is bitwise the oracle's."""
-    dec = decompose(step, tol)
+def _assert_matches_oracle(step, tol=DEFAULT_TOL, dec=None):
+    """Every field of ``dec`` (by default ``decompose(step, tol)``) is
+    bitwise the oracle's."""
+    dec = decompose(step, tol) if dec is None else dec
     want = decompose_oracle(step, tol)
     assert {f.name for f in dataclasses.fields(OutputDecomposition)} == set(want)
     for name, value in want.items():
@@ -185,19 +185,37 @@ def _assert_matches_oracle(step, tol=DEFAULT_TOL):
     return dec
 
 
+def _chain(steps, tol=DEFAULT_TOL):
+    """The contexts of ``steps`` fetched in turn, each with the step before
+    it as ``prev``, as a filter fetches them."""
+    prev, ctxs = None, []
+    for step in steps:
+        ctxs.append(_step_context(step, tol, prev))
+        prev = step
+    return ctxs
+
+
+def _variant(base, **changes):
+    return SystemStep(**{**{name: getattr(base, name) for name in "ABCDGHQR"}, **changes})
+
+
 class TestFactorCache:
+    """Decompositions are built afresh by ``decompose`` and shared only along
+    a chain of steps (``_step_context`` with ``prev``)."""
+
     def test_matches_oracle_on_every_step_of_the_online_plant(self):
         # the time-varying fault plant of the online benchmark: A scaled by a
         # sinusoid, H switching between variants 1 (rank 2) and 2 (rank 3)
         # every 100 steps, a fresh step object per k
         model, _ = online_plant(1000)
-        _cached_decomposition.cache_clear()
-        ranks = set()
-        for k in range(1001):
-            ranks.add(_assert_matches_oracle(model.step(k)).p_h)
-        assert ranks == {2, 3}
-        # two distinct (H, R, C, D, G): two decompositions for 1001 steps
-        assert _cached_decomposition.cache_info().misses == 2
+        steps = [model.step(k) for k in range(1001)]
+        decs = [ctx.dec for ctx in _chain(steps)]
+        for step, dec in zip(steps, decs):
+            _assert_matches_oracle(step, dec=dec)
+        assert {dec.p_h for dec in decs} == {2, 3}
+        # one decomposition per run of equal H: k = 0-99, ..., 900-999, 1000
+        assert len({id(dec) for dec in decs}) == 11
+        assert all((decs[k] is decs[k - 1]) == (k % 100 != 0) for k in range(1, 1001))
 
     def test_tolerance_is_part_of_the_key(self):
         # singular values 1 and 1e-9: rank 2 under the default tolerance,
@@ -207,6 +225,10 @@ class TestFactorCache:
         ranks = [_assert_matches_oracle(step, tol).p_h
                  for tol in (DEFAULT_TOL, loose, DEFAULT_TOL, loose)]
         assert ranks == [2, 1, 2, 1]
+        # a step context per tolerance, and a chain shares within one only
+        ctxs = _chain([step, _variant(step, A=0.5 * step.A)], loose)
+        assert [ctx.dec.p_h for ctx in ctxs] == [1, 1]
+        assert ctxs[1].dec is ctxs[0].dec is not _step_context(step).dec
 
     def test_cached_arrays_are_read_only(self, fault_models):
         dec = decompose(fault_models[1].step(0))
@@ -218,69 +240,70 @@ class TestFactorCache:
             with pytest.raises(ValueError):
                 getattr(dec, name)[...] = 0.0
 
-    def test_failures_are_not_cached(self):
+    def test_failures_are_not_cached(self, monkeypatch):
         step = _step_with(np.zeros((3, 1)), r=np.diag([1.0, 0.0, 1.0]), n=3)
-        before = _cached_decomposition.cache_info()
+        built = []
+        real = lise.decomposition.decompose
+        monkeypatch.setattr(lise.decomposition, "decompose",
+                            lambda step, tol: built.append(step) or real(step, tol))
         for _ in range(3):
             with pytest.raises(NotPositiveDefiniteError):
-                decompose(step)
-        after = _cached_decomposition.cache_info()
-        assert after.misses - before.misses == 3
-        assert after.hits == before.hits
+                decompose_cached(step)
+        assert len(built) == 3
+        assert step not in _CACHE
 
-    def test_step_identity_cache_skips_the_factor_cache(self, fault_models):
+    def test_step_identity_cache_skips_the_factor_cache(self, fault_models, monkeypatch):
         step = fault_models[4].step(0)
-        decompose_cached(step)
-        before = _cached_decomposition.cache_info()
-        decompose_cached(step)
-        assert _cached_decomposition.cache_info() == before
+        dec = decompose_cached(step)
+        monkeypatch.setattr(lise.decomposition, "decompose", None)
+        assert decompose_cached(step) is dec
+        assert _step_context(step, DEFAULT_TOL, step).dec is dec
 
     def test_equal_h_and_r_with_different_c_d_or_g_get_distinct_decompositions(
             self, fault_models):
         base = fault_models[1].step(0)
         rng = np.random.default_rng(5)
-
-        def variant(**changes):
-            mats = {name: getattr(base, name) for name in "ABCDGHQR"}
-            mats.update(changes)
-            return SystemStep(**mats)
-
-        steps = [variant(),
-                 variant(C=base.C + 0.1 * rng.standard_normal(base.C.shape)),
-                 variant(D=base.D + 1.0),
-                 variant(G=base.G + 0.1 * rng.standard_normal(base.G.shape))]
-        decs = [_assert_matches_oracle(step) for step in steps]
+        changes = [{},
+                   {"C": base.C + 0.1 * rng.standard_normal(base.C.shape)},
+                   {"D": base.D + 1.0},
+                   {"G": base.G + 0.1 * rng.standard_normal(base.G.shape)}]
+        first = _variant(base)
+        decs = [_assert_matches_oracle(step, dec=_chain([first, step])[1].dec)
+                for step in [first] + [_variant(base, **c) for c in changes[1:]]]
         assert len({id(dec) for dec in decs}) == 4
         # equal H, R, C, D and G in a fresh step object (A and Q changed)
-        # share the decomposition
-        assert decompose(variant(A=0.5 * base.A, Q=2.0 * base.Q)) is decs[0]
+        # take the decomposition of the step before it
+        assert _chain([first, _variant(base, A=0.5 * base.A, Q=2.0 * base.Q)])[1].dec is decs[0]
+        # decompose itself builds afresh: equal bits, another object
+        again = _assert_matches_oracle(first)
+        assert again is not decs[0] and again is not decompose(first)
 
     def test_size_is_bounded(self):
+        # no module-level cache keeps a decomposition: 100 distinct ones
+        # leave nothing behind once dropped
         rng = np.random.default_rng(3)
-        steps = [_step_with(rng.standard_normal((5, 3))) for _ in range(300)]
-        _cached_decomposition.cache_clear()
+        steps = [_step_with(rng.standard_normal((5, 3))) for _ in range(200)]
         for step in steps[:100]:
-            decompose(step)
-        assert _cached_decomposition.cache_info().currsize == _FACTOR_CACHE_SIZE == 64
+            decompose_cached(step)
+        del step
         tracemalloc.start()
         try:
-            # after 100 more distinct H every entry was made while tracing
-            for step in steps[100:200]:
-                decompose(step)
-            # a full collection also empties the interpreter's free lists
+            refs = []
+            for step in steps[100:]:
+                refs.append(weakref.ref(decompose_cached(step)))
+            del step
             gc.collect()
-            full, _ = tracemalloc.get_traced_memory()
-            for step in steps[200:]:
-                decompose(step)
+            live, _ = tracemalloc.get_traced_memory()
+            del steps
             gc.collect()
             later, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _cached_decomposition.cache_info().currsize == 64
-        # 64 entries of a 5 x 3 H take a few KiB each, and 100 more distinct
-        # H leave the total where it was
-        assert full < 64 * 8 * 1024, full
-        assert abs(later - full) < 8 * 1024, (full, later)
+        # 100 step contexts of about 6 KiB each while their steps live
+        assert live > 100 * 4 * 1024, live
+        assert sum(ref() is not None for ref in refs) == 0
+        # what is left is the list of 100 weak references
+        assert later < 16 * 1024, later
 
 
 class TestStepContext:

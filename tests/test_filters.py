@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -351,6 +352,52 @@ class TestNonFiniteInputs:
         for _ in range(2):  # a failure is not cached: it raises again
             with pytest.raises(InvalidInputError, match=match):
                 step_fn(state, ys[bad_k], us[bad_k], us[bad_k - 1], model)
+
+    @pytest.mark.parametrize("name", ["ULISE", "PLISE", "CYWZ"])
+    @pytest.mark.parametrize("bad_k", [0, 7])
+    def test_indefinite_q_is_rejected_naming_the_step(self, name, bad_k):
+        # fault_h1 with Q[0][0] = -max|Q| from step bad_k on: validate
+        # reports it, and the first step that fetches it raises
+        step = config_scenario("fault_h1").model.step(0)
+        q = np.array(step.Q)
+        q[0, 0] = -np.max(np.abs(q))
+        bad = dataclasses.replace(step, Q=q)
+        message = "Q not PSD (min eigenvalue -1.000e-04)"
+        assert [(v.field, v.message) for v in validate(SystemModel.time_invariant(bad))] == [
+            ("Q", message)]
+        init, step_fn = _FILTER_FNS[name]
+        match = f"^{re.escape(message)} at k={bad_k}$"
+        rng = np.random.default_rng(25)
+        ys = rng.standard_normal((bad_k + 1, 5))
+        us = np.zeros((bad_k + 1, 1))
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{re.escape(message)} at k=0$"):
+            init(SystemModel.time_invariant(bad), np.zeros(5), np.eye(5), ys[0], us[0])
+        model = SystemModel.time_varying(
+            lambda k: dataclasses.replace(step, A=(1.0 + 0.01 * k) * step.A,
+                                          Q=q if k >= bad_k else step.Q),
+            dims=(5, 1, 3, 5))
+        if bad_k == 0:
+            with pytest.raises(NotPositiveDefiniteError, match=match):
+                init(model, np.zeros(5), np.eye(5), ys[0], us[0])
+            return
+        state = init(model, np.zeros(5), np.eye(5), ys[0], us[0])
+        for k in range(1, bad_k):
+            state, _ = step_fn(state, ys[k], us[k], us[k - 1], model)
+        for _ in range(2):  # a failure is not cached: it raises again
+            with pytest.raises(NotPositiveDefiniteError, match=match):
+                step_fn(state, ys[bad_k], us[bad_k], us[bad_k - 1], model)
+
+    def test_asymmetric_q_is_rejected_naming_the_step(self):
+        step = config_scenario("fault_h1").model.step(0)
+        q = np.array(step.Q)
+        q[0, 1] += 1e-3
+        model = SystemModel.time_varying(
+            lambda k: dataclasses.replace(step, Q=q) if k == 3 else step, dims=(5, 1, 3, 5))
+        state = ulise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
+        for k in range(1, 3):
+            state, _ = ulise_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
+        with pytest.raises(InvalidInputError, match="^Q not symmetric at k=3$"):
+            ulise_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
 
     def test_overflowing_but_finite_vector_is_accepted(self):
         # squares and sums of the entries overflow, yet every entry is
@@ -745,8 +792,9 @@ class TestPairContext:
                 arr[...] = 0.0
 
     def test_one_context_per_decomposition_pair_of_the_online_plant(self, monkeypatch):
-        # 300 steps cross two H switches: 2 decompositions, 4 ordered pairs,
-        # and one OLS pseudoinverse per pair
+        # k = 0-300 crosses three H switches: a decomposition per run of
+        # equal H (k = 0-99, 100-199, 200-299, 300), 6 ordered pairs, and
+        # one OLS pseudoinverse per pair
         model, sc = online_plant(300)
         truth = simulate_truth(sc, 0)
         found = []
@@ -763,15 +811,16 @@ class TestPairContext:
             pinvs.append(out.gain_m2_state)
         assert len(found) == 300
         contexts = {id(ctx): ctx for _, ctx in found}
-        assert len({pair for pair, _ in found}) == len(contexts) == 4
+        assert len({pair for pair, _ in found}) == len(contexts) == 6
+        assert len({id(dec) for pair, _ in found for dec in pair}) == 4
         assert all(dict(found)[pair] is ctx for pair, ctx in found)
-        assert len({id(m) for m in pinvs}) == 4
+        assert len({id(m) for m in pinvs}) == 6
         assert all(any(m is c.c2g2_pinv for c in contexts.values()) for m in pinvs)
 
     def test_size_is_bounded(self):
-        # pairs of fresh decompositions that only the decomposition LRU
-        # keeps: the pair contexts go with them, so 100 more pairs leave the
-        # traced total where it was
+        # pairs of fresh decompositions that nothing keeps: the pair
+        # contexts go with them, so 100 more pairs leave the traced total
+        # where it was
         rng = np.random.default_rng(8)
 
         def fill(count):
@@ -794,8 +843,8 @@ class TestPairContext:
             later, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the LRU's 64 decompositions of about 6 KiB, and their contexts
-        assert full < 64 * 8 * 1024, full
+        # not even the last pair of decompositions of about 6 KiB each
+        assert full < 8 * 1024, full
         assert abs(later - full) < 8 * 1024, (full, later)
 
     def test_contexts_die_with_their_decompositions(self):
@@ -806,7 +855,6 @@ class TestPairContext:
             ctx.c2g2_pinv
         refs = [weakref.ref(obj) for obj in decs + ctxs]
         del decs, ctxs, ctx
-        lise.decomposition._cached_decomposition.cache_clear()
         gc.collect()
         assert sum(ref() is not None for ref in refs) == 0
 
@@ -918,33 +966,86 @@ class TestStepInvariants:
     def test_interleaved_filters_share_one_provider_call_per_k(self, monkeypatch):
         # ULISE, PLISE and CYWZ stepped side by side, one k at a time: the
         # model's memo hands all three the step object of the first request,
-        # so 1000 steps make 1001 provider calls and 1001 decompositions
+        # so 1000 steps make 1001 provider calls, and a step takes the
+        # decomposition of the step before it when H, R, C, D and G repeat,
+        # so every pass decomposes once per run of equal H (k = 0-99, ...,
+        # 900-999, 1000): 11 times
         base = config_scenario("fault_h1").model.step(0)
         h2 = config_scenario("fault_h2").model.step(0).H
-        calls = []
-
-        def provider(k):
-            calls.append(k)
-            return SystemStep(A=(1.0 + 0.2 * np.sin(k / 80.0)) * base.A, B=base.B,
-                              C=base.C, D=base.D, G=base.G,
-                              H=base.H if (k // 100) % 2 == 0 else h2, Q=base.Q, R=base.R)
-
-        decomposed = []
+        decomposed, ruled = [], []
         real = lise.decomposition.decompose
         monkeypatch.setattr(lise.decomposition, "decompose",
                             lambda step, tol: decomposed.append(step) or real(step, tol))
-        model = SystemModel.time_varying(provider, dims=(5, 1, 3, 5), horizon_hint=1000)
+        rule = lise.decomposition._psd_eigh
+        monkeypatch.setattr(lise.decomposition, "_psd_eigh",
+                            lambda a, tol, what: ruled.append(what) or rule(a, tol, what))
         rng = np.random.default_rng(4)
         ys = rng.standard_normal((1001, 5))
         us = rng.standard_normal((1001, 1))
         fns = [(ulise_init, ulise_step), (plise_init, plise_step), (ulise_init, cywz_step)]
-        states = [init(model, np.zeros(5), np.eye(5), ys[0], us[0]) for init, _ in fns]
-        for k in range(1, 1001):
-            for i, (_, step_fn) in enumerate(fns):
-                states[i], _ = step_fn(states[i], ys[k], us[k], us[k - 1], model)
-            assert states[0].step is states[1].step is states[2].step
-        assert calls == list(range(1001))
-        assert len(decomposed) == 1001 and len({id(s) for s in decomposed}) == 1001
+        for _ in range(2):
+            made = []
+
+            def provider(k):
+                made.append(SystemStep(A=(1.0 + 0.2 * np.sin(k / 80.0)) * base.A, B=base.B,
+                                       C=base.C, D=base.D, G=base.G,
+                                       H=base.H if (k // 100) % 2 == 0 else h2,
+                                       Q=base.Q, R=base.R))
+                return made[-1]
+
+            model = SystemModel.time_varying(provider, dims=(5, 1, 3, 5), horizon_hint=1000)
+            decomposed.clear()
+            ruled.clear()
+            states = [init(model, np.zeros(5), np.eye(5), ys[0], us[0]) for init, _ in fns]
+            for k in range(1, 1001):
+                for i, (_, step_fn) in enumerate(fns):
+                    states[i], _ = step_fn(states[i], ys[k], us[k], us[k - 1], model)
+                assert states[0].step is states[1].step is states[2].step
+            assert len(made) == 1001
+            assert len(decomposed) == 11
+            assert all(s is made[k] for s, k in zip(decomposed, range(0, 1001, 100)))
+            # every step has fault_h1's Q object: the rule tests it once, at
+            # k = 0, and R once per decomposition
+            assert ruled == ["Q", "R"] + ["R"] * 10
+
+    def test_a_pass_leaves_no_decomposition_behind(self):
+        # every decomposition, step context and pair context of an
+        # interleaved pass dies with the pass's states, steps and model
+        model, sc = online_plant(300)
+        truth = simulate_truth(sc, 0)
+        fns = [(ulise_init, ulise_step), (plise_init, plise_step), (ulise_init, cywz_step)]
+        pairs = []
+        real = lise.filters._pair_context
+
+        def recording(dec_prev, dec, tol):
+            pairs.append(weakref.ref(real(dec_prev, dec, tol)))
+            return pairs[-1]()
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lise.filters, "_pair_context", recording)
+                states = [init(model, sc.x0_mean, sc.p0, truth.y[0], truth.u[0])
+                          for init, _ in fns]
+                refs = []
+                for k in range(1, 301):
+                    for i, (_, step_fn) in enumerate(fns):
+                        states[i], _ = step_fn(states[i], truth.y[k], truth.u[k],
+                                               truth.u[k - 1], model)
+                    refs.append(weakref.ref(states[0].dec))
+                    refs.append(weakref.ref(_step_context(states[0].step)))
+            gc.collect()
+            live, _ = tracemalloc.get_traced_memory()
+            assert sum(ref() is not None for ref in refs) > 0
+            del states, model, sc, truth
+            gc.collect()
+            later, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(ref() is not None for ref in refs + pairs) == 0
+        # the weak references themselves are what is left
+        assert later < live, (live, later)
+        assert later < len(refs + pairs) * 128 + 16 * 1024, later
 
     def test_gain_constraint_annihilates_feedthrough_directions(self, fault_models):
         outs = _drive(fault_models[1], 30)

@@ -168,6 +168,21 @@ class TestValidate:
         viol = validate(model)
         assert any(v.index == 3 and v.field == "R" for v in viol)
 
+    def test_model_needs_a_fixed_step_or_a_provider(self):
+        with pytest.raises(InvalidInputError, match="exactly one of a fixed step and a provider"):
+            SystemModel(2, 1, 1, 2)
+
+    def test_model_takes_not_both_a_fixed_step_and_a_provider(self):
+        step = _simple_step()
+        with pytest.raises(InvalidInputError, match="exactly one of a fixed step and a provider"):
+            SystemModel(2, 1, 1, 2, fixed=step, provider=lambda k: step)
+
+    def test_fixed_step_dim_mismatch_raises(self):
+        step = config_scenario("fault_h1").model.step(0)
+        with pytest.raises(InvalidInputError,
+                           match=r"fixed step has dims \(5, 1, 3, 5\), expected \(2, 1, 1, 2\)"):
+            SystemModel(2, 1, 1, 2, fixed=step)
+
     def test_provider_dim_mismatch_raises(self):
         model = SystemModel.time_varying(lambda k: _simple_step(), dims=(3, 1, 1, 2))
         with pytest.raises(InvalidInputError):

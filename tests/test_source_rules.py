@@ -1,6 +1,8 @@
 """Rules that the package's source keeps: the symmetric-PSD threshold
 ``Tolerance.zero_abs`` is read in one function only, so that the rule it
-sets cannot be written out again, and drift, elsewhere."""
+sets cannot be written out again, and drift, elsewhere; and no
+``functools.lru_cache`` keeps results for the life of the process, so that
+what a model step builds lives as long as its users."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,20 @@ def test_only_the_psd_rule_reads_zero_abs():
     # Tolerance's own check names its fields as strings
     assert _zero_abs_reads() == {("linalg.py", "_psd_eigh", "attribute"),
                                  ("linalg.py", "__post_init__", "string")}
+
+
+def _lru_cache_uses():
+    """``(module, line)`` for every ``lru_cache`` name or attribute and every
+    import of it in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+                    or (isinstance(node, ast.Name) and node.id == "lru_cache")
+                    or (isinstance(node, ast.alias) and node.name == "lru_cache")):
+                found.add((path.name, getattr(node, "lineno", None)))
+    return found
+
+
+def test_no_lru_cache_in_the_package():
+    assert _lru_cache_uses() == set()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lise.decomposition
 import lise.linalg
 import lise.structural
-from conftest import CONFIGS, config_scenario, random_system
+from conftest import CONFIGS, config_scenario, online_plant, random_system
 from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
 from lise.cli import main as cli_main
 from lise.config import load_config
@@ -89,6 +89,18 @@ class TestObservabilityMatrices:
                 cols = slice(mats.col_offsets[j], mats.col_offsets[j + 1])
                 assert np.allclose(mats.i22[rows, cols], 0.0)
 
+
+    def test_window_decomposes_once_per_run_of_equal_h(self, monkeypatch):
+        # the online plant's H switches every 100 steps: a window over
+        # k = 0-150 takes the previous step's decomposition on all but two
+        model, _ = online_plant(150)
+        built = []
+        real = lise.decomposition.decompose
+        monkeypatch.setattr(lise.decomposition, "decompose",
+                            lambda step, tol: built.append(step) or real(step, tol))
+        mats = build_observability_matrices(model, 150)
+        assert len(built) == 2
+        assert mats.p_h == [2] * 100 + [3] * 51
 
 class TestStrongObservabilityTv:
     def test_classical_reduction(self):
