@@ -10,8 +10,11 @@ dynamics (through G), on the measurement (through H), or both.  Models are
 either time-invariant (one fixed step) or time-varying (a pure provider
 function of the step index).  A time-varying model remembers the last step
 its provider built, so callers that ask for the same k in turn (filters run
-side by side, one k at a time) share one step object and one call.  Continuous-time models are converted with a
-zero-order hold on both known and unknown inputs.
+side by side, one k at a time) share one step object and one call.
+:func:`lise.simulate.run_scenario` asks the provider once per k, whatever
+the number of filters: its validation, truth and filter passes share each
+step object.  Continuous-time models are converted with a zero-order hold on
+both known and unknown inputs.
 """
 
 from __future__ import annotations
@@ -131,7 +134,9 @@ class SystemModel:
     horizon never needs to be materialized.  :meth:`step` keeps
     the last step the provider returned, with its k, and hands that object
     out again while the same k is asked for; being deterministic, the
-    provider would have built an equal step.
+    provider would have built an equal step.  ``horizon_hint`` (time-varying
+    models only) is the last k that :func:`validate` checks when it is given
+    no range.
     """
 
     n: int
@@ -152,8 +157,8 @@ class SystemModel:
             raise InvalidInputError(f"fixed step has dims {(s.n, s.m, s.p, s.l)}, expected {dims}")
 
     @classmethod
-    def time_invariant(cls, step: SystemStep, horizon_hint: int | None = None) -> "SystemModel":
-        return cls(step.n, step.m, step.p, step.l, fixed=step, horizon_hint=horizon_hint)
+    def time_invariant(cls, step: SystemStep) -> "SystemModel":
+        return cls(step.n, step.m, step.p, step.l, fixed=step)
 
     @classmethod
     def time_varying(cls, provider: Callable[[int], SystemStep],
@@ -261,8 +266,7 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
     for k in ks:
         step = model.step(k)
         for name in _MATRICES:
-            a = getattr(step, name)
-            if not np.isfinite(a).all():
+            if not _finite(getattr(step, name)):
                 violations.append(Violation(k, name, f"{name} has non-finite entries"))
         n, p, l = step.n, step.p, step.l
         if not (n >= l >= 1):

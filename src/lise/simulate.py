@@ -42,7 +42,10 @@ record; the update's products of the data alone are formed for all served
 steps at once.  No tolerance is involved, so every output is bitwise what
 stepping the filter at every k gives; :attr:`FilterRun.gain_cycle` says from
 which step the cycle is served.
-Time-varying models step at every k.  The pass knows no filter by name: the
+Time-varying models step at every k.  :func:`run_scenario` asks a
+time-varying model's provider once per k, whatever the number of filters:
+validation, the truth and every pass share each step object, and with it the
+step's context and decomposition.  The pass knows no filter by name: the
 Kalman filter is the p = 0 member, with an empty feedthrough-input estimate.
 """
 
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -603,10 +606,22 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     failure when the checks were skipped).  A ``Samples`` signal with fewer
     than ``horizon + 1`` values raises :class:`InvalidInputError`
     (:func:`simulate_truth`'s check).
+
+    A time-varying model is asked for each step k = 0..N once, so a
+    provider error or a step of the wrong dims raises at that k before
+    anything else runs.  Validation, the truth and every filter pass then
+    read that list of step objects, so each step's context (its
+    decomposition included) is built once for all the filters.  The list
+    lives only for the call, and :attr:`RunResult.scenario` is the given
+    scenario.
     """
-    model = scenario.model
-    violations = validate(model, range(scenario.horizon + 1)
-                          if not model.is_time_invariant else None, tol)
+    given, model = scenario, scenario.model
+    if not model.is_time_invariant:
+        steps = [model.step(k) for k in range(scenario.horizon + 1)]
+        model = SystemModel.time_varying(steps.__getitem__, (model.n, model.m, model.p, model.l),
+                                         horizon_hint=scenario.horizon)
+        scenario = replace(scenario, model=model)
+    violations = validate(model, tol=tol)
     if violations:
         msgs = "; ".join(f"[k={v.index}] {v.field}: {v.message}" for v in violations)
         raise InvalidInputError(f"model violates standing assumptions: {msgs}")
@@ -665,7 +680,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
             gain_l_series=[g.gain_l for g in gains], error=error, failed_at=failed_at,
             gain_cycle=cycle,
         )
-    return RunResult(scenario=scenario, structural=structural, truth=truth0,
+    return RunResult(scenario=given, structural=structural, truth=truth0,
                      filters=filters)
 
 

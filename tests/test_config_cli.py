@@ -642,6 +642,16 @@ class TestCliRun:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "steps.csv").exists()
 
+    def test_strict_has_nothing_to_gate_without_structural_checks(self, tmp_path, capsys):
+        # structural_checks: false leaves the run no report, so --strict runs on
+        p = tmp_path / "cfg.yaml"
+        p.write_text(_UNDETECTABLE_CONFIG.replace(
+            "  filters: [ULISE]", "  filters: [ULISE]\n  structural_checks: false"))
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(p), "--out", str(out), "--strict"]) == 0
+        assert (out / "steps.csv").exists()
+        assert "structural warning" not in capsys.readouterr().err
+
 
 class TestCliFailures:
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -110,6 +110,11 @@ class TestInit:
         assert np.allclose(pst.pd1, want, atol=1e-14)
         assert np.allclose(pst.pxd1, 0.0)
 
+    def test_p0_must_be_n_by_n(self):
+        model = config_scenario("fault_h1").model
+        with pytest.raises(InvalidInputError, match=r"^P0 must be 5 x 5, got \(4, 4\)$"):
+            ulise_init(model, np.zeros(5), np.eye(4), np.zeros(5), np.zeros(1))
+
     def test_p0_must_be_psd(self):
         model = config_scenario("fault_h1").model
         with pytest.raises(NotPositiveDefiniteError, match=r"^P0 not PSD \(min eigenvalue"):

@@ -290,6 +290,13 @@ class TestPinv:
     def test_empty(self):
         assert pinv(np.zeros((0, 4))).shape == (4, 0)
 
+    @pytest.mark.parametrize("fn", [pinv, rank])
+    def test_rejects_a_matrix_that_is_not_2d_or_not_finite(self, fn):
+        with pytest.raises(InvalidInputError, match=r"must be 2-D, got shape \(3,\)"):
+            fn(np.ones(3))
+        with pytest.raises(InvalidInputError, match="contains non-finite entries"):
+            fn(np.array([[1.0, np.nan]]))
+
     def test_left_inverse_of_tall_full_rank(self):
         # the C2 G2 product of the rank-2 feedthrough benchmark has full
         # column rank, so pinv is an exact left inverse
@@ -317,6 +324,10 @@ class TestPsdSqrt:
     def test_indefinite_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
             psd_sqrt(np.diag([1.0, -1.0]))
+
+    def test_non_square_raises(self):
+        with pytest.raises(InvalidInputError, match=r"square matrix, got \(2, 3\)"):
+            psd_sqrt(np.zeros((2, 3)))
 
     def test_small_negative_clamped(self):
         f = psd_sqrt(np.diag([1.0, -1e-12]))
@@ -411,6 +422,11 @@ class TestExpm:
     def test_non_square_raises(self):
         with pytest.raises(InvalidInputError):
             expm(np.zeros((2, 3)))
+
+    def test_empty(self):
+        a = np.zeros((0, 0))
+        e = expm(a)
+        assert e.shape == (0, 0) and e is not a
 
 
 @st.composite

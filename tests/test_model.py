@@ -250,6 +250,12 @@ class TestValidateOnce:
         got = validate(model)
         assert got == per_step_validate_oracle(model)
 
+    def test_an_empty_range_checks_step_0(self):
+        model = _fault_plant(12, Q=lambda k: -np.eye(5) if k == 0 else np.eye(5))
+        got = validate(model, range(0))
+        assert got == validate(model, [0])
+        assert [(v.index, v.field) for v in got] == [(0, "Q")]
+
     def test_r_singular_from_120_is_reported_at_every_later_step(self):
         got = validate(_fault_plant(200, R=_r_singular_from(120)))
         assert [(v.index, v.field, v.message) for v in got] == [

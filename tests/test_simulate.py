@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -89,6 +90,21 @@ class TestSignals:
     def test_invalid_window(self):
         with pytest.raises(InvalidInputError):
             SquareWave(amplitude=1.0, half_period=10, k_on=5, k_off=4)
+
+    @pytest.mark.parametrize("half_period", [0, -2])
+    def test_square_wave_half_period_is_positive(self, half_period):
+        with pytest.raises(InvalidInputError, match="^square wave half_period must be >= 1$"):
+            SquareWave(amplitude=1.0, half_period=half_period, k_on=0, k_off=4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: Step(v, 0, 2), "step amplitude"),
+        (lambda v: SquareWave(v, 1, 0, 2), "square wave amplitude"),
+        (lambda v: Constant(v), "constant value"),
+    ], ids=["step", "square_wave", "constant"])
+    def test_a_number_is_finite(self, make, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(field)} must be finite$"):
+            make(value)
 
     @pytest.mark.parametrize("value", [True, "1", [1.0], np.ones(1)], ids=repr)
     @pytest.mark.parametrize("make, field", [
@@ -992,16 +1008,12 @@ def test_cli_run_rejects_samples_shorter_than_the_horizon(tmp_path, capsys):
 
 
 def test_time_varying_filter_pass_fetches_each_step_once(monkeypatch):
-    base = config_scenario("fault_h1")
-    s1 = base.model.step(0)
-    calls = [0]
+    # validation, the truth and the three passes share one fetch per k, and
+    # the passes one decomposition per run of equal H (11 on the plant)
+    import lise.decomposition
 
-    def provider(k):
-        calls[0] += 1
-        return SystemStep(A=(1.0 + 0.2 * math.sin(k / 80.0)) * s1.A, B=s1.B, C=s1.C,
-                          D=s1.D, G=s1.G, H=s1.H, Q=s1.Q, R=s1.R)
-
-    in_pass = []
+    calls, in_pass, decs, refs = [0], [], [], []
+    decompose = lise.decomposition.decompose
 
     def counted_pass(*args):
         start = calls[0]
@@ -1009,15 +1021,45 @@ def test_time_varying_filter_pass_fetches_each_step_once(monkeypatch):
         in_pass.append(calls[0] - start)
         return res
 
+    def counted_decompose(*args):
+        dec = decompose(*args)
+        decs.append(weakref.ref(dec))
+        return dec
+
+    class CountedContext(lise.decomposition.StepContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
     monkeypatch.setattr(lise.simulate, "_full_pass", counted_pass)
-    model = SystemModel.time_varying(provider, dims=(s1.n, s1.m, s1.p, s1.l),
-                                     horizon_hint=1000)
-    sc = dataclasses.replace(base, model=model, horizon=1000, filters=("ULISE",),
-                             structural_checks=False)
-    run_scenario(sc)
-    assert len(in_pass) == 1 and in_pass[0] <= sc.horizon + 1
-    # validation and truth simulation fetch every step once more each
-    assert calls[0] <= 3 * (sc.horizon + 1)
+    monkeypatch.setattr(lise.decomposition, "decompose", counted_decompose)
+    monkeypatch.setattr(lise.decomposition, "StepContext", CountedContext)
+
+    def scenario():
+        model, sc = online_plant(1000)
+
+        def provider(k):
+            calls[0] += 1
+            step = model.provider(k)
+            refs.append(weakref.ref(step))
+            return step
+
+        counted = SystemModel.time_varying(provider, dims=(model.n, model.m, model.p, model.l))
+        return dataclasses.replace(sc, model=counted, filters=("ULISE", "PLISE", "CYWZ"))
+
+    sc = scenario()
+    sc_ref = weakref.ref(sc)
+    res = run_scenario(sc)
+    del sc
+    assert res.scenario is sc_ref()
+    assert in_pass == [0, 0, 0]
+    assert calls[0] == res.scenario.horizon + 1
+    assert len(decs) == 11
+    assert len(refs) == 1001 + 1001
+    # the result holds the caller's scenario, whose model keeps its last
+    # step; once it is dropped, no step, context or decomposition is left
+    del res
+    assert [r for r in [sc_ref] + refs + decs if r() is not None] == []
 
 
 def _failing_scenario():
@@ -1054,6 +1096,17 @@ class TestEmpiricalCovariance:
         res = run_scenario(config_scenario("fault_h1", horizon=10, structural_checks=False))
         with pytest.raises(InvalidInputError):
             empirical_error_covariance(res.filters["ULISE"], 5)
+
+    @pytest.mark.parametrize("which, k, inside", [("x", 0, 1), ("x", 11, 10),
+                                                   ("d", -1, 0), ("d", 10, 9)])
+    def test_time_outside_the_recorded_series(self, which, k, inside):
+        # the state error is recorded at k = 1..10, the input error at 0..9
+        res = run_scenario(config_scenario("fault_h1", horizon=10, monte_carlo=4,
+                                           filters=("ULISE",), structural_checks=False))
+        with pytest.raises(InvalidInputError, match=f"^time index {k} outside the recorded"):
+            empirical_error_covariance(res.filters["ULISE"], k, which)
+        assert empirical_error_covariance(res.filters["ULISE"], inside, which).shape[0] == (
+            5 if which == "x" else 3)
 
     @pytest.mark.parametrize("which", ["X", "D", "", "xd"])
     def test_which_names_x_or_d(self, which):
@@ -1122,6 +1175,15 @@ class TestCsv:
                 got = _row_norms(errs)
                 assert got.shape == want.shape == (sc.horizon,)
                 assert got.tobytes() == want.tobytes()
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
+        # the target is a directory: the final rename fails, and the
+        # temporary file written beside it is removed
+        res = run_scenario(config_scenario("fault_h1", horizon=10, structural_checks=False))
+        (tmp_path / "summary.csv").mkdir()
+        with pytest.raises(OSError):
+            write_summary_csv(res, tmp_path / "summary.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
     def test_deterministic_bytes(self, tmp_path):
         sc = config_scenario("fault_h3", horizon=30, structural_checks=False)

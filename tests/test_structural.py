@@ -90,6 +90,10 @@ class TestObservabilityMatrices:
                 assert np.allclose(mats.i22[rows, cols], 0.0)
 
 
+    def test_negative_window_rejected(self, fault_models):
+        with pytest.raises(InvalidInputError, match="window length r must be nonnegative"):
+            build_observability_matrices(fault_models[1], -1)
+
     def test_window_decomposes_once_per_run_of_equal_h(self, monkeypatch):
         # the online plant's H switches every 100 steps: a window over
         # k = 0-150 takes the previous step's decomposition on all but two
@@ -240,6 +244,36 @@ class TestStrongDetectability:
         assert not strong_detectability(step).detectable
 
 
+def _pbh_zeros(step):
+    """The eigenvalues of A-hat that (A-hat, C2) cannot observe (PBH test):
+    the invariant zeros when H has full column rank."""
+    ctx = lise.decomposition._step_context(step)
+    out = []
+    for z in np.linalg.eigvals(ctx.ahat):
+        s = np.linalg.svd(np.vstack([ctx.ahat - z * np.eye(step.n), ctx.dec.C2]),
+                          compute_uv=False)
+        if s[-1] <= 1e-8 * s[0]:
+            out.append(z)
+    return out
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8: with H of full column rank and l > p the "
+                          "verdict reads the whole spectrum of A-hat, not the rank-drop "
+                          "subset")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31))
+def test_full_feedthrough_detectability_is_the_pbh_test(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    l = int(rng.integers(2, n + 1))
+    p = int(rng.integers(1, l))
+    step = random_system(rng, n=n, l=l, p=p, p_h=p).step(0)
+    pbh = _pbh_zeros(step)
+    want = max(map(abs, pbh), default=0.0) < 1.0 - DEFAULT_TOL.unit_circle_eps
+    assert strong_detectability(step).detectable == want
+
+
 class TestUliseConvergence:
     def test_benchmarks_all_converge(self, fault_models):
         for idx in range(1, 7):
@@ -320,6 +354,21 @@ class TestPliseStability:
         assert cert.status != "precondition_failed", cert.reason
         assert cert.ok and cert.circle is not None and cert.detectability is not None
 
+    def test_indefinite_equivalent_noise_fails_the_precondition(self):
+        # pins today's verdict: Q passes the PSD rule with an eigenvalue of
+        # -5e-11 along e1, which the input projector N-hat maps onto 1e3 e2,
+        # where R2 (1e-12) adds too little to cover it, so the equivalent
+        # process noise has an eigenvalue near -5e-5, far below its threshold
+        step = SystemStep(A=0.5 * np.eye(3), B=np.zeros((3, 0)), C=np.array([[1.0, 0.0, 0.0]]),
+                          D=np.zeros((1, 0)), G=np.array([[1.0], [1e3], [0.0]]),
+                          H=np.zeros((1, 1)), Q=np.diag([-5e-11, 0.0, 1.0]),
+                          R=np.array([[1e-12]]))
+        assert validate(SystemModel.time_invariant(step)) == []
+        cert = plise_stability_check(step)
+        assert cert.status == "precondition_failed"
+        assert cert.reason == "equivalent process noise is indefinite"
+        assert cert.circle is None and cert.detectability is None
+
     def test_noise_coupling_always_invertible_on_valid_systems(self, fault_models):
         # with R PD and the rank condition holding, the coupling matrix is
         # block-diagonalized by the input-direction projector into two PD
@@ -350,6 +399,20 @@ class TestReport:
             d = rep.to_dict()
             assert isinstance(d["invariant_zeros"], list)
             assert d["strongly_detectable"] is True
+
+    def test_to_dict_carries_the_certificate_reasons(self, fault_models):
+        # a G whose first column is e1 breaks the rank condition of both
+        # certificates, which then name it as their reason
+        s = fault_models[1].step(0)
+        g_bad = np.array(s.G)
+        g_bad[:, 0] = np.eye(5)[0]
+        rep = analyze(SystemModel.time_invariant(SystemStep(
+            A=s.A, B=s.B, C=s.C, D=s.D, G=g_bad, H=s.H, Q=s.Q, R=s.R)))
+        d = rep.to_dict()
+        assert d["ulise_convergent"] == d["plise_bounded"] == "precondition_failed"
+        assert d["ulise_reason"] == rep.ulise_convergent.reason
+        assert d["plise_reason"] == rep.plise_bounded.reason
+        assert "ulise_circle_min_sigma" not in d
 
     def test_analyze_derives_the_decoupled_dynamics_once(self, monkeypatch, tmp_path):
         # every test of one analyze reads (Ahat, Qhat) from the step's
