@@ -12,6 +12,18 @@ consumes these factors.
 Empty blocks are first-class: with ``rank(H) = 0`` all the ``*1`` factors are
 0-width and the algebra flows through unchanged.
 
+A step's context (:class:`StepContext`) is the one owner of the step's
+admissibility: building it (:func:`_judged`) judges whether the eight
+matrices are finite, whether Q is symmetric PSD (the rule of
+:func:`lise.linalg._psd_eigh`) and whether R is symmetric, positive definite
+and well conditioned (:func:`_noise_factor`), and the context keeps the
+symmetric factors of Q and R that those rules' eigendecompositions give.
+The verdict is data, a list of faults: the filters, the structural tests and
+:func:`decompose_cached` raise the first, :func:`lise.model.validate`
+reports every one, and :func:`lise.simulate.simulate_truth` raises the first
+and draws its noise through the factors.  :func:`decompose` judges nothing;
+it is given only steps that their verdict admitted.
+
 A decomposition depends on H, R, C, D, G and the tolerance only, never on
 A, B or Q.  :func:`decompose` builds one afresh on every call, and no
 module-level cache keeps one: the only maps here are weak, keyed by a step
@@ -19,22 +31,22 @@ object or a decomposition, so a decomposition lives exactly as long as a
 step context, a filter state or a gain record uses it.  It is shared in two
 ways.  :func:`decompose_cached` keeps one entry per step object and
 tolerance, so a time-invariant model decomposes once.  The entry is the
-step's context (:class:`StepContext`): the decomposition together with the
-step's constants that also depend on A or Q, namely
-:func:`decoupled_dynamics` and PLISE's block map ``[A, G1, G2]``, so the
-filters and the structural tests form each once per step object.  And a
+step's context: the noise factors, the decomposition, and the step's
+constants that also depend on A or Q, namely :func:`decoupled_dynamics` and
+PLISE's block map ``[A, G1, G2]``, so the filters and the structural tests
+form each once per step object.  And a
 step's context may be built with the previous step of the caller's chain
-(the filter state's step, or the previous step of an observability window):
-a step whose C, D, G, H and R are those of the previous one (the same
-arrays, or equal shapes and bytes) takes its decomposition, so a
-time-varying model whose steps repeat those matrices (fresh step objects
-every k, with only A, B or Q changing) decomposes once per run of equal
-such matrices.  A context is built only for a step whose eight matrices are
-finite (a step with a NaN or an infinity raises
-:class:`~lise.errors.InvalidInputError` naming the matrix, on every call)
-and whose Q passes the symmetric-PSD rule of :func:`lise.linalg._psd_eigh`,
-which runs once per change of Q along the chain.  Every array of a
-decomposition is read-only, and a failure is never cached.
+(the filter state's step, the previous step of an observability window, of
+the truth or of :func:`~lise.model.validate`'s range), if that step was
+admitted: a matrix of the step that is that of the previous one (the same
+array, or equal shape and bytes) is not judged again, its factor is shared,
+and a step whose C, D, G, H and R are those of the previous one takes its
+decomposition.  So each of Q and R is factored once per change along the
+chain, and a time-varying model whose steps repeat those matrices (fresh
+step objects every k, with only A, B or Q changing) decomposes once per run
+of equal such matrices.  Every array of a context is read-only, and only an
+admitted step's context is kept: a faulty step is judged again, and raises
+again, on every request.
 
 Besides the SVD factors and projections, a decomposition holds the
 data-independent products that the filters and :func:`decoupled_dynamics`
@@ -61,8 +73,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _psd_eigh, _sv_rank, pinv, rank, svd, symmetrize
-from .model import _MATRICES, SystemStep, _nonfinite_matrix
+from .linalg import (DEFAULT_TOL, Tolerance, _eigh_sqrt, _finite, _psd_eigh, _sv_rank, pinv,
+                     rank, svd, symmetrize)
+from .model import _MATRICES, SystemStep
 
 __all__ = [
     "OutputDecomposition",
@@ -115,21 +128,15 @@ def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposi
     It is built from C-contiguous copies of H, R, C, D and G, so that steps
     with equal such matrices get bitwise-equal decompositions whatever the
     memory order of the arrays they were made from (BLAS may round a product
-    on an F-ordered operand differently).  Raises :class:`InvalidInputError`
-    when R is not symmetric (the symmetric-PSD rule of
-    :func:`lise.linalg._psd_eigh`) and :class:`NotPositiveDefiniteError`
-    when it is not positive definite.  Sign convention: the first nonzero
-    entry of each U1 column is positive, so repeated decompositions of the
-    same data are reproducible.
+    on an F-ordered operand differently).  It judges nothing: R must be
+    symmetric positive definite as the step's context judges it
+    (:class:`StepContext`), which :func:`decompose_cached` and the filters
+    check before they decompose.  Sign convention: the first nonzero entry
+    of each U1 column is positive, so repeated decompositions of the same
+    data are reproducible.
     """
     h, r, c, d, g = map(np.ascontiguousarray, (step.H, step.R, step.C, step.D, step.G))
     l, p = h.shape
-    try:
-        _psd_eigh(r, tol, "R")
-        np.linalg.cholesky(symmetrize(r))
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
-        raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
-
     u, s, vt = svd(h)
     p_h = _sv_rank(s, tol.rank_rel)
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
@@ -183,19 +190,46 @@ class _NonFiniteMatrix(InvalidInputError):
         super().__init__(f"{matrix} has non-finite entries")
 
 
+def _noise_factor(a: np.ndarray, tol: Tolerance, name: str) -> np.ndarray:
+    """The symmetric factor of the noise covariance ``a`` (``name`` "Q" or
+    "R"), :func:`~lise.linalg.psd_sqrt`'s bitwise, once ``a`` passes its
+    rule: the symmetric-PSD rule of :func:`~lise.linalg._psd_eigh` and, for
+    R, the package's one test of positive definiteness: the smallest
+    eigenvalue of that rule's eigendecomposition is positive and at least
+    ``rank_rel`` times the largest, as the filters invert blocks of R.
+
+    Raises what the rule raises, except that an R that is not PSD, or not
+    PD, raises :class:`NotPositiveDefiniteError` ("measurement covariance R
+    is not PD").  An empty R (no output) has no eigenvalue to test.
+    """
+    try:
+        w, v = _psd_eigh(a, tol, name)
+        pd = name == "Q" or not w.size or 0.0 < w[0] >= tol.rank_rel * w[-1]
+    except NotPositiveDefiniteError:
+        if name == "Q":
+            raise
+        pd = False
+    if not pd:
+        raise NotPositiveDefiniteError("measurement covariance R is not PD")
+    f = _eigh_sqrt(w, v)
+    f.setflags(write=False)
+    return f
+
+
 class StepContext:
-    """The constants of one model step object that the filters and the
-    structural tests read every time the step is used: its decomposition
-    ``dec``, the :func:`decoupled_dynamics` pair ``(ahat, qhat)`` and, built
-    on first use, PLISE's ``blockmap = [A, G1, G2]``.  Every array is
-    read-only.
+    """The constants of one admitted model step object that its users read
+    every time the step is used: ``factors``, which maps "Q" and "R" to the
+    symmetric factors their rules gave (:func:`_noise_factor`), the
+    decomposition ``dec``, the :func:`decoupled_dynamics` pair ``(ahat,
+    qhat)`` and, built on first use, PLISE's ``blockmap = [A, G1, G2]``.
+    Every array is read-only.
 
     A context holds arrays of its step, never the step itself, so the weak
     per-step map of :func:`decompose_cached` lets the step go.
     """
 
-    def __init__(self, step: SystemStep, dec: OutputDecomposition):
-        self.dec = dec
+    def __init__(self, step: SystemStep, dec: OutputDecomposition, factors: dict):
+        self.dec, self.factors = dec, factors
         self.ahat, self.qhat = decoupled_dynamics(step, dec)
         self.ahat.setflags(write=False)
         self.qhat.setflags(write=False)
@@ -218,38 +252,60 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
+def _judged(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
+            prev: SystemStep | None = None) -> tuple[list, StepContext | None]:
+    """The verdict on a step object and, if it admits the step, the step's
+    :class:`StepContext`, built on the first request and kept; a faulty step
+    is judged afresh on every request.
+
+    The verdict is a list of ``(matrix, error)`` pairs, empty for an
+    admitted step, in the order :func:`lise.model.validate` reports them: a
+    :class:`_NonFiniteMatrix` for each matrix with a non-finite entry, then
+    what the rules of Q and R raise (:func:`_noise_factor`); a non-finite Q
+    or R is not put to its rule.
+
+    ``prev`` is the step before ``step`` on the caller's chain of steps.  If
+    ``prev``'s context (for ``tol``) is kept, so ``prev`` was admitted, each
+    matrix of ``step`` that is that of ``prev`` (:func:`_same`) is taken as
+    judged: it is finite, a Q or R shares ``prev``'s factor, and a step
+    whose C, D, G, H and R are those of ``prev`` shares its decomposition.
+    Every other matrix is judged here, and an admitted step that shares no
+    decomposition is decomposed afresh (:func:`decompose`).
+    """
+    ctx = _CACHE.get(step, {}).get(tol)
+    if ctx is not None:
+        return [], ctx
+    ctx_prev = None if prev is None else _CACHE.get(prev, {}).get(tol)
+    same = set() if ctx_prev is None else {
+        name for name in "CDGHQR" if _same(getattr(step, name), getattr(prev, name))}
+    faults = [(name, _NonFiniteMatrix(name)) for name in _MATRICES
+              if name not in same and not _finite(getattr(step, name))]
+    factors = {name: ctx_prev.factors[name] for name in "QR" if name in same}
+    for name in "QR":
+        try:
+            if name not in same and all(bad != name for bad, _ in faults):
+                factors[name] = _noise_factor(getattr(step, name), tol, name)
+        except (InvalidInputError, NotPositiveDefiniteError) as exc:
+            faults.append((name, exc))
+    if faults:
+        return faults, None
+    dec = ctx_prev.dec if same.issuperset("CDGHR") else decompose(step, tol)
+    ctx = _CACHE.setdefault(step, {})[tol] = StepContext(step, dec, factors)
+    return faults, ctx
+
+
 def _step_context(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
                   prev: SystemStep | None = None) -> StepContext:
-    """The :class:`StepContext` of a step object, built on its first request.
+    """The :class:`StepContext` of an admitted step object (:func:`_judged`,
+    with ``prev`` the step before ``step`` on the caller's chain).
 
-    ``prev`` is the step before ``step`` on the caller's chain of steps, if
-    its context (for ``tol``) has been built.  A step whose C, D, G, H and R
-    are those of ``prev`` (:func:`_same`) takes the decomposition of
-    ``prev``'s context, and a step whose Q is that of ``prev`` skips the
-    symmetric-PSD rule on Q, which ``prev`` passed; any other step is
-    decomposed afresh (:func:`decompose`) and its Q put to the rule.
-
-    Raises :class:`_NonFiniteMatrix` (an
-    :class:`~lise.errors.InvalidInputError`) when a matrix of ``step`` has a
-    non-finite entry, what :func:`~lise.linalg._psd_eigh` raises for Q and
-    whatever :func:`decompose` raises; failures are not cached.
+    A faulty step raises its first fault: :class:`_NonFiniteMatrix` (an
+    :class:`~lise.errors.InvalidInputError`) for a matrix with a non-finite
+    entry, or what the rules of Q and R raise (:func:`_noise_factor`).
     """
-    per_step = _CACHE.get(step)
-    if per_step is not None:
-        ctx = per_step.get(tol)
-        if ctx is not None:
-            return ctx
-    ctx_prev = None if prev is None else _CACHE.get(prev, {}).get(tol)
-    shared = ctx_prev is not None and all(
-        _same(getattr(step, name), getattr(prev, name)) for name in "CDGHR")
-    # a shared decomposition's five matrices equal those of a checked step
-    bad = _nonfinite_matrix(step, "ABQ" if shared else _MATRICES)
-    if bad is not None:
-        raise _NonFiniteMatrix(bad)
-    if ctx_prev is None or not _same(step.Q, prev.Q):
-        _psd_eigh(step.Q, tol, "Q")
-    ctx = StepContext(step, ctx_prev.dec if shared else decompose(step, tol))
-    _CACHE.setdefault(step, {})[tol] = ctx
+    faults, ctx = _judged(step, tol, prev)
+    if faults:
+        raise faults[0][1]
     return ctx
 
 
@@ -262,8 +318,9 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     once per step object and repeated calls are bit-identical.  The
     decomposition is that of the step's :class:`StepContext`, built here on
     the first request: a step with a non-finite matrix raises
-    :class:`~lise.errors.InvalidInputError` naming the matrix, and a Q that
-    fails the symmetric-PSD rule raises what the rule raises, on every call.
+    :class:`~lise.errors.InvalidInputError` naming the matrix, and a Q or R
+    that fails its rule raises what :func:`_noise_factor` raises, on every
+    call.
     A new step object (a time-varying model's provider may build one per k)
     is decomposed afresh; the filters, which know the previous step, share
     its decomposition instead when they can (see the module docstring).

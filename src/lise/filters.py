@@ -64,7 +64,8 @@ step object alongside its decomposition), and, for the updated variants,
 the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
 Fetching a step's context rejects a step with a non-finite matrix, an
 asymmetric Q or R, a Q that is not PSD or an R that is not positive
-definite, naming the matrix and ``k``.  Each state class declares its
+definite to within ``rank_rel``, naming the matrix and ``k``: the context's
+verdict, the one :func:`lise.model.validate` reports.  Each state class declares its
 covariance state once, in ``cov_fields``: ``px``, and for PLISE also
 ``pd1`` and ``pxd1``.  These are the fields a gain half reads (with
 ``step`` and ``dec``) and returns for the new state, and their bytes key

@@ -13,15 +13,16 @@ smallest eigenvalue of its symmetric part is at least minus the threshold.
 Other definiteness decisions are made where their matrix is, each for its
 own reason:
 
-* :func:`lise.decomposition.decompose` asks a Cholesky factorization whether R
-  is positive definite, which the rule (PSD) does not decide;
+* a model step's context (:class:`lise.decomposition.StepContext`) decides
+  whether R is positive definite, which the rule (PSD) does not decide: the
+  eigenvalues of the rule's own eigendecomposition must have ``w[0] > 0``
+  and ``w[0] >= rank_rel * w[-1]``, since an R that is PD only to roundoff
+  cannot be inverted.  :func:`lise.model.validate`, the filters and the
+  truth read that one verdict;
 * ``lise.filters._spd_factor`` reads LAPACK's ``potrf`` ``info``, as the
   factor it needs comes from that same call;
 * ``lise.filters._whitened_complement_reduction`` needs ``w[0] > 0`` for
   the inverse square root it forms from the same eigendecomposition;
-* ``lise.model._cov_fault`` adds, for R, a conditioning test, ``w[0] >=
-  rank_rel * w[-1]``, since an R that is PD only to roundoff cannot be
-  inverted;
 * the pencil rank and unit-circle scan of :mod:`lise.structural` compare
   singular values and moduli, not eigenvalues of a covariance, and use
   ``rank_rel`` and ``unit_circle_eps``.
@@ -290,9 +291,14 @@ def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     a = _as_matrix(s, "psd matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"psd_sqrt needs a square matrix, got {a.shape}")
-    w, v = _psd_eigh(a, tol, "matrix", scale)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return _eigh_sqrt(*_psd_eigh(a, tol, "matrix", scale))
+
+
+def _eigh_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetric factor of :func:`psd_sqrt` from the eigendecomposition
+    ``(w, v)`` that :func:`_psd_eigh` returned, its eigenvalues below zero
+    clamped to zero."""
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def expm(m) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _finite, _psd_eigh, expm, rank
+from .linalg import DEFAULT_TOL, Tolerance, expm, rank
 
 __all__ = [
     "SystemStep",
@@ -114,15 +114,6 @@ class SystemStep:
         return self.C.shape[0]
 
 
-def _nonfinite_matrix(step: SystemStep, names: Iterable[str] = _MATRICES) -> Optional[str]:
-    """The name of the first of the matrices ``names`` (by default all eight)
-    of ``step`` that has a non-finite entry, or ``None``."""
-    for name in names:
-        if not _finite(getattr(step, name)):
-            return name
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Time-invariant or time-varying system.
@@ -202,82 +193,44 @@ class Violation:
     message: str
 
 
-class _LastCall:
-    """``fn`` called on arrays, recomputed only when their bytes change.
-
-    Keeps one ``(bytes, value)`` slot: the bytes of the arrays of the last
-    call and what ``fn`` returned for them.  A call whose arrays hold the
-    same bytes (same dtype and shape, as on every step of one model)
-    returns that value again; any other call replaces it.  Being a pure
-    function of those bytes, ``fn`` would have returned an equal value.
-    """
-
-    __slots__ = ("fn", "key", "value")
-
-    def __init__(self, fn: Callable):
-        self.fn, self.key, self.value = fn, None, None
-
-    def __call__(self, *arrays: np.ndarray):
-        key = b"".join([a.tobytes() for a in arrays])
-        if key != self.key:
-            self.value = self.fn(*arrays)
-            self.key = key
-        return self.value
-
-
-def _cov_fault(a: np.ndarray, name: str, tol: Tolerance) -> Optional[str]:
-    """Why the noise covariance ``a`` fails its assumption, or ``None``: Q
-    (``name`` "Q") must be symmetric PSD, R (``name`` "R") symmetric PD with
-    a smallest eigenvalue of at least ``rank_rel`` times the largest."""
-    try:
-        w, _ = _psd_eigh(a, tol, name)
-    except InvalidInputError as exc:
-        return str(exc)
-    except NotPositiveDefiniteError as exc:
-        return "R not PD" if name == "R" else str(exc)
-    if name == "R" and (w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]):
-        return "R not PD"
-    return None
-
-
 def validate(model: SystemModel, k_range: Iterable[int] | None = None,
              tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
     """Check every model assumption over ``k_range``; empty list means valid.
 
-    Includes the standing rank requirement that the stacked map
-    ``[G; H]`` reaches rank p at some step in the range.  The Q check, the
-    R check and ``rank([G; H])`` run again only at a step whose matrices'
-    bytes differ from those of the previous step; a step that repeats them
-    reports the same violations under its own k.
+    Whether a step's matrices are finite, its Q symmetric PSD and its R
+    symmetric, positive definite and well conditioned is the verdict of the
+    step's context (:class:`lise.decomposition.StepContext`), built along
+    the range as a filter builds it: Q and R are judged again only where
+    they change, and the filters then read the same contexts for the same
+    step objects.  Added here are the dims check and the standing rank
+    requirement that ``[G; H]`` reaches rank p at some step in the range,
+    computed again only where G or H changes (and not for a non-finite G or
+    H, which is reported as such).  A step that repeats the previous one's
+    matrices reports the same violations under its own k.
     """
+    from .decomposition import _judged, _NonFiniteMatrix, _same  # it imports this module
+
     if k_range is None:
-        if model.is_time_invariant:
-            k_range = range(1)
-        else:
-            k_range = range((model.horizon_hint or 0) + 1)
-    ks = list(k_range)
-    if not ks:
-        ks = [0]
-    q_fault = _LastCall(lambda q: _cov_fault(q, "Q", tol))
-    r_fault = _LastCall(lambda r: _cov_fault(r, "R", tol))
-    stack_rank = _LastCall(lambda g, h: rank(np.vstack([g, h]), tol))
+        k_range = range(1 if model.is_time_invariant else (model.horizon_hint or 0) + 1)
     violations: list[Violation] = []
-    best_stack_rank = 0
-    for k in ks:
+    best_stack_rank, prev = 0, None
+    for k in list(k_range) or [0]:
         step = model.step(k)
-        for name in _MATRICES:
-            if not _finite(getattr(step, name)):
-                violations.append(Violation(k, name, f"{name} has non-finite entries"))
+        faults = _judged(step, tol, prev)[0]
+        cut = sum(isinstance(exc, _NonFiniteMatrix) for _, exc in faults)
+        violations += [Violation(k, name, str(exc)) for name, exc in faults[:cut]]
         n, p, l = step.n, step.p, step.l
         if not (n >= l >= 1):
             violations.append(Violation(k, "dims", f"need n >= l >= 1, got n={n}, l={l}"))
         if not (l >= p >= 0):
             violations.append(Violation(k, "dims", f"need l >= p >= 0, got l={l}, p={p}"))
-        # an empty R (l = 0) has no eigenvalue to test; the dims check names it
-        for name, fault in (("Q", q_fault(step.Q)), ("R", r_fault(step.R) if l else None)):
-            if fault is not None:
-                violations.append(Violation(k, name, fault))
-        best_stack_rank = max(best_stack_rank, stack_rank(step.G, step.H))
+        violations += [Violation(k, name, "R not PD" if name == "R" and isinstance(
+            exc, NotPositiveDefiniteError) else str(exc)) for name, exc in faults[cut:]]
+        nonfinite = {name for name, _ in faults[:cut]}
+        repeat = prev is not None and _same(step.G, prev.G) and _same(step.H, prev.H)
+        if not (repeat or nonfinite & {"G", "H"}):
+            best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H]), tol))
+        prev = step
     if best_stack_rank != model.p:
         violations.append(Violation(
             None, "G/H",

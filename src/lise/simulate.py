@@ -4,10 +4,11 @@ Ground truth is generated with a counter-based Philox (4x64) bit generator;
 run ``r`` of a scenario draws from the stream keyed ``(seed, r)``, so runs
 are reproducible individually.  All runs of a Monte-Carlo batch are
 simulated at once: each run's noise comes from its own stream, the model
-step is fetched once per time index and its noise factors once per distinct
-matrix, and the states of all runs are propagated as one (M, n) array,
-bitwise equal to simulating each run on its own.  Gaussian noise uses a PSD
-square-root factor of the covariance.  Each run's work outside the state
+step is fetched once per time index, and the states of all runs are
+propagated as one (M, n) array, bitwise equal to simulating each run on its
+own.  Gaussian noise uses the symmetric square-root factors of Q and R that
+the step's context keeps (:class:`lise.decomposition.StepContext`), which
+judged the step as the filters judge it.  Each run's work outside the state
 recursion (its noise draws and its products with the noise factors and with
 C) releases the GIL and runs in contiguous blocks of runs, one per CPU the
 process may run on (:func:`lise.linalg._in_blocks`): the calling thread takes
@@ -58,9 +59,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, LiseError, NotPositiveDefiniteError
+from .decomposition import _step_context
+from .errors import InvalidInputError, LiseError
 from .filters import (
     GammaPolicy,
+    _checked_context,
     _data_products,
     _estimate_update,
     _feedthrough_input,
@@ -76,8 +79,8 @@ from .filters import (
     ulise_init,
     ulise_step,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _in_blocks, psd_sqrt
-from .model import SystemModel, _LastCall, validate
+from .linalg import DEFAULT_TOL, Tolerance, _in_blocks
+from .model import SystemModel, validate
 from .signals import Samples, _is_integer, _is_real, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
@@ -225,9 +228,11 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     run index that is not an integer (a ``bool`` included) and a ``Samples``
     signal with fewer than ``horizon + 1`` values raise
     :class:`InvalidInputError`, the latter rather than being read as zero
-    past its end.  A Q or R that cannot be factored raises
-    :class:`NotPositiveDefiniteError` (or :class:`InvalidInputError` if not
-    symmetric) naming the matrix and its k.
+    past its end.  Each step is judged by its context, as the filters judge
+    it: a step with a non-finite matrix, an asymmetric Q or R, a Q that is
+    not PSD or an R that is not PD raises the filters' error
+    (:class:`InvalidInputError` or :class:`NotPositiveDefiniteError`),
+    naming the matrix and its k.
     """
     _check_sample_lengths(scenario)
     single = not isinstance(run_index, Iterable)
@@ -242,29 +247,22 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     u = sample_signals(scenario.u_signals, n_steps + 1)
 
     # each model matrix and noise factor as a series over k = 0..N, fetched
-    # once per k and factored once per distinct matrix: Q and R each keep
-    # the factor of their last bytes.  A time-varying step is copied into
-    # the preallocated series and dropped
-    last_q = _LastCall(lambda q: psd_sqrt(q, tol))
-    last_r = _LastCall(lambda r: psd_sqrt(r, tol))
-
-    def factor(last, name, mat, k):
-        try:
-            return last(mat)
-        except (InvalidInputError, NotPositiveDefiniteError) as exc:
-            raise type(exc)(f"{name} at k={k}: {exc}") from exc
-
-    def mats(k):
+    # once per k.  The factors of Q and R are those of the steps' contexts,
+    # built along the chain of steps as a filter builds them, so each is
+    # formed once per change.  A time-varying step is copied into the
+    # preallocated series and dropped once the next step's context is built
+    def mats(k, prev=None):
         step = model.step(k)
-        return (step.A, step.B, step.G, factor(last_q, "Q", step.Q, k),
-                step.C, step.D, step.H, factor(last_r, "R", step.R, k))
+        f = _checked_context(_step_context, step, tol, k, prev).factors
+        return step, (step.A, step.B, step.G, f["Q"], step.C, step.D, step.H, f["R"])
 
     if model.is_time_invariant:
-        series = [np.broadcast_to(mat, (n_steps + 1,) + mat.shape) for mat in mats(0)]
+        series = [np.broadcast_to(mat, (n_steps + 1,) + mat.shape) for mat in mats(0)[1]]
     else:
-        series = []
+        series, step = [], None
         for k in range(n_steps + 1):
-            for i, mat in enumerate(mats(k)):
+            step, row = mats(k, step)
+            for i, mat in enumerate(row):
                 if k == 0:
                     series.append(np.empty((n_steps + 1,) + mat.shape))
                 series[i][k] = mat

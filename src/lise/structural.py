@@ -23,7 +23,8 @@ import scipy.linalg
 
 from .decomposition import _pair_context, _step_context
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _in_blocks, _sv_rank, psd_sqrt, rank, symmetrize
+from .linalg import (DEFAULT_TOL, Tolerance, _in_blocks, _norm, _sv_rank, psd_sqrt, rank,
+                     symmetrize)
 from .model import SystemModel, SystemStep
 
 __all__ = [
@@ -448,8 +449,12 @@ def plise_stability_check(step: SystemStep,
     q_s = symmetrize(dec.G2 @ m2t @ dec.R2 @ m2t.T @ dec.G2.T
                      + n_hat @ qhat @ n_hat.T - s_hat @ theta_inv @ s_hat.T)
     # q_s sums terms of the scale of Q-hat and R2, whose rounding can leave
-    # an eigenvalue of the exactly PSD q_s that far below zero
-    scale = max(float(np.max(np.abs(qhat))), float(np.max(np.abs(dec.R2), initial=0.0)))
+    # an eigenvalue of the exactly PSD q_s that far below zero; and N-hat
+    # moves an eigenvalue of Q that the step rule admits below zero (down to
+    # -zero_abs max(1, max|Q|)) by up to ||N-hat||^2 times as much
+    q_max = float(np.max(np.abs(qhat)))
+    scale = max(q_max, float(np.max(np.abs(dec.R2), initial=0.0)),
+                _norm(n_hat) ** 2 * max(1.0, q_max))
     try:
         q_s_half = psd_sqrt(q_s, tol, scale)
     except NotPositiveDefiniteError:

@@ -92,9 +92,11 @@ class TestDecompose:
         _assert_invariants(step, dec)
 
     def test_r_not_pd_raises(self):
+        # decompose judges nothing; the step's context, through which
+        # decompose_cached and the filters decompose, rejects R
         step = _step_with(np.zeros((3, 1)), r=np.diag([1.0, 0.0, 1.0]), n=3)
-        with pytest.raises(NotPositiveDefiniteError):
-            decompose(step)
+        with pytest.raises(NotPositiveDefiniteError, match="^measurement covariance R is not PD$"):
+            decompose_cached(step)
 
     def test_sign_convention_deterministic(self, fault_models):
         step = fault_models[1].step(0)
@@ -241,15 +243,18 @@ class TestFactorCache:
                 getattr(dec, name)[...] = 0.0
 
     def test_failures_are_not_cached(self, monkeypatch):
+        # R is judged again on every request, and never decomposed
         step = _step_with(np.zeros((3, 1)), r=np.diag([1.0, 0.0, 1.0]), n=3)
-        built = []
-        real = lise.decomposition.decompose
+        judged, built = [], []
+        real_rule, real = lise.decomposition._psd_eigh, lise.decomposition.decompose
+        monkeypatch.setattr(lise.decomposition, "_psd_eigh",
+                            lambda a, tol, what: judged.append(what) or real_rule(a, tol, what))
         monkeypatch.setattr(lise.decomposition, "decompose",
                             lambda step, tol: built.append(step) or real(step, tol))
         for _ in range(3):
             with pytest.raises(NotPositiveDefiniteError):
                 decompose_cached(step)
-        assert len(built) == 3
+        assert judged == ["Q", "R"] * 3 and built == []
         assert step not in _CACHE
 
     def test_step_identity_cache_skips_the_factor_cache(self, fault_models, monkeypatch):

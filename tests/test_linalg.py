@@ -34,8 +34,8 @@ from lise.linalg import (
     svd,
     symmetrize,
 )
+from lise.decomposition import _noise_factor
 from lise.filters import _check_p0
-from lise.model import _cov_fault
 
 H1 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float)
 H2 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
@@ -393,8 +393,14 @@ class TestPsdRule:
             assert _verdict(lambda: _psd_eigh(a, DEFAULT_TOL, "matrix", scale))[0] is want
         if want is None:
             assert f.shape == f_want.shape and f.tobytes() == f_want.tobytes()
-        # validate's Q check and the filters' P0 check, at the matrix's scale
-        assert _cov_fault(a, "Q", DEFAULT_TOL) == q_fault_oracle(a)
+        # the step contexts' Q check (what validate reports and the filters
+        # raise) and the filters' P0 check, at the matrix's scale
+        try:
+            fault = None
+            _noise_factor(a, DEFAULT_TOL, "Q")
+        except (InvalidInputError, NotPositiveDefiniteError) as exc:
+            fault = str(exc)
+        assert fault == q_fault_oracle(a)
         if n:  # the original P0 test failed on an empty P0 (max of nothing)
             rule, _ = _verdict(lambda: _psd_eigh(a, DEFAULT_TOL, "P0"))
             want, p0_want = _verdict(lambda: check_p0_oracle(a, n))

@@ -269,8 +269,9 @@ class TestValidateOnce:
 
     def test_each_distinct_check_runs_once_on_the_online_plant(self, monkeypatch):
         # the online plant's Q and R never change and its H switches every
-        # 100 steps: one eigendecomposition each of Q and R, and one rank of
-        # [G; H] per run of 100 equal steps (11 over k = 0..1000)
+        # 100 steps: one eigendecomposition each of Q and R (by the step
+        # contexts, which judge them), and one rank of [G; H] per run of 100
+        # equal steps (11 over k = 0..1000)
         model, _ = online_plant(1000)
         counts = {"_psd_eigh": 0, "rank": 0}
 
@@ -280,7 +281,8 @@ class TestValidateOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(lise.model, "_psd_eigh", counting("_psd_eigh", lise.model._psd_eigh))
+        monkeypatch.setattr(lise.decomposition, "_psd_eigh",
+                            counting("_psd_eigh", lise.decomposition._psd_eigh))
         monkeypatch.setattr(lise.model, "rank", counting("rank", lise.model.rank))
         assert validate(model, range(1001)) == []
         assert counts == {"_psd_eigh": 2, "rank": 11}

@@ -23,8 +23,8 @@ from oracles import (fault_input_samples, first_repeat_oracle, per_run_truth_ora
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
 from lise.cli import main as cli_main
-from lise.errors import InvalidInputError, NotPositiveDefiniteError
-from lise.linalg import DEFAULT_TOL, _norm
+from lise.errors import InvalidInputError, LiseError, NotPositiveDefiniteError
+from lise.linalg import DEFAULT_TOL, _norm, symmetrize
 from lise.signals import (Constant, Ramp, Samples, SquareWave, Step, sample_signal,
                           sample_signals)
 from lise.simulate import (
@@ -43,7 +43,7 @@ from lise.simulate import (
     write_summary_csv,
 )
 from lise.model import SystemModel, SystemStep, validate
-from lise.filters import ulise_init, ulise_step
+from lise.filters import cywz_step, plise_init, plise_step, ulise_init, ulise_step
 from lise.structural import analyze, strong_detectability
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,13 +321,15 @@ def _noise_switching_scenario(q_schedule, r_schedule, runs=1):
 
 
 def _assert_truth_matches_per_run_oracle(q_schedule, r_schedule):
-    # each of Q and R is factored at k = 0 and at every k where the schedule
-    # switches to another variant, and at no other k
+    # each of Q and R is factored (by the step contexts) at k = 0 and at
+    # every k where the schedule switches to another variant, and at no
+    # other k
     switches = sum(a != b for sched in (q_schedule, r_schedule)
                    for a, b in zip(sched, sched[1:]))
     for runs in (1, 3):
         sc = _noise_switching_scenario(q_schedule, r_schedule, runs)
-        with mock.patch.object(lise.simulate, "psd_sqrt", wraps=lise.simulate.psd_sqrt) as f:
+        with mock.patch.object(lise.decomposition, "_noise_factor",
+                               wraps=lise.decomposition._noise_factor) as f:
             batch = simulate_truth(sc, range(runs))
         assert f.call_count == 2 + switches
         for r in range(runs):
@@ -365,20 +367,23 @@ def test_truth_factors_each_distinct_noise_matrix_once(monkeypatch, copies):
             lambda k: dataclasses.replace(plant.step(k), Q=np.array(s.Q), R=np.array(s.R)),
             dims=(s.n, s.m, s.p, s.l))
         sc = dataclasses.replace(sc, model=model)
-    real = lise.simulate.psd_sqrt
+    real = lise.decomposition._noise_factor
     factored = []
 
-    def counting(a, tol=DEFAULT_TOL):
+    def counting(a, tol, name):
         factored.append(a.tobytes())
-        return real(a, tol)
+        return real(a, tol, name)
 
-    monkeypatch.setattr(lise.simulate, "psd_sqrt", counting)
+    monkeypatch.setattr(lise.decomposition, "_noise_factor", counting)
     simulate_truth(sc, 0)
     assert factored == [s.Q.tobytes(), s.R.tobytes()]
 
 
-@pytest.mark.parametrize("name", ["Q", "R"])
-def test_truth_names_the_noise_matrix_and_step_it_cannot_factor(name):
+@pytest.mark.parametrize("name, message", [
+    ("Q", r"Q not PSD \(min eigenvalue -1.000e\+00\)"),
+    ("R", "measurement covariance R is not PD")])
+def test_truth_names_the_noise_matrix_and_step_it_cannot_factor(name, message):
+    # the filters' error, as the truth judges each step by its context
     model, _ = online_plant(400)
     bad = -np.eye(5)
 
@@ -388,7 +393,7 @@ def test_truth_names_the_noise_matrix_and_step_it_cannot_factor(name):
 
     tv = SystemModel.time_varying(provider, dims=(5, 1, 3, 5))
     sc = config_scenario("fault_h1", model=tv, horizon=400, structural_checks=False)
-    with pytest.raises(NotPositiveDefiniteError, match=f"^{name} at k=300: matrix not PSD"):
+    with pytest.raises(NotPositiveDefiniteError, match=f"^{message} at k=300$"):
         simulate_truth(sc, range(2))
 
 
@@ -1244,3 +1249,119 @@ class TestCsv:
         write_step_csv(res, path)
         header = path.read_text().splitlines()[0]
         assert "dhat" not in header
+
+
+def _with_eigenvalue(a, w0):
+    """The symmetric matrix ``a`` with its smallest eigenvalue set to ``w0``."""
+    w, v = np.linalg.eigh(a)
+    w[0] = w0
+    return symmetrize((v * w) @ v.T)
+
+
+def _noise_case_scenario(base, bad_k, horizon, **changes):
+    """A time-varying model of ``base`` whose steps from ``bad_k`` on have
+    the matrices ``changes``, with ``horizon_hint = bad_k - 1`` so that
+    ``validate``'s default range ends just before them, and a one-run
+    scenario around it."""
+    changed = dataclasses.replace(base, **changes)
+    model = SystemModel.time_varying(lambda k: changed if k >= bad_k else base,
+                                     dims=(base.n, base.m, base.p, base.l),
+                                     horizon_hint=bad_k - 1)
+    return Scenario(model=model, horizon=horizon, d_signals=[Constant(0.0)] * base.p,
+                    u_signals=[Constant(0.0)] * base.m, x0_true=np.zeros(base.n),
+                    x0_mean=np.zeros(base.n), p0=np.eye(base.n), noise_seed=3,
+                    filters=("ULISE",), structural_checks=False)
+
+
+_LISE_STEPS = [(ulise_init, ulise_step), (plise_init, plise_step), (ulise_init, cywz_step)]
+
+
+def _first_failure(init, step_fn, model, horizon, rng):
+    """``(k, error)`` of the first step of the filter over ``horizon`` steps
+    of drawn data that raises, or ``None``."""
+    ys = rng.standard_normal((horizon + 1, model.l))
+    us = rng.standard_normal((horizon + 1, model.m))
+    state = init(model, np.zeros(model.n), np.eye(model.n), ys[0], us[0])
+    for k in range(1, horizon + 1):
+        try:
+            state, _ = step_fn(state, ys[k], us[k], us[k - 1], model)
+        except LiseError as exc:
+            return k, exc
+    return None
+
+
+class TestOneVerdictPerStep:
+    """validate, the filters' steps and the truth judge a step by one rule,
+    that of the step's context."""
+
+    def test_r_too_badly_conditioned_past_the_validated_window_fails_every_reader(self):
+        # fault_h1 whose R has condition number 1e13 from k = 11 on, past the
+        # horizon_hint of 10: a Cholesky factorization accepts such an R,
+        # and the steps used to run on it to k = 40
+        base = config_scenario("fault_h1").model.step(0)
+        w = np.linalg.eigvalsh(base.R)
+        sc = _noise_case_scenario(base, 11, 40, R=_with_eigenvalue(base.R, w[-1] * 1e-13))
+        model = sc.model
+        assert validate(model) == []
+        assert [(v.index, v.field, v.message) for v in validate(model, range(41))] == [
+            (k, "R", "R not PD") for k in range(11, 41)]
+        message = "^measurement covariance R is not PD at k=11$"
+        for init, step_fn in _LISE_STEPS:
+            k, exc = _first_failure(init, step_fn, model, 40, np.random.default_rng(2))
+            assert k == 11 and type(exc) is NotPositiveDefiniteError
+            assert re.match(message, str(exc))
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            simulate_truth(sc, range(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.integers(1, 4), st.integers(0, 1),
+           st.sampled_from([("Q", 2.0), ("Q", -2.0), ("R", 10.0), ("R", 0.1)]))
+    def test_validate_steps_and_truth_agree_across_the_thresholds(self, seed, bad_k, p_h,
+                                                                   case):
+        # a Q eigenvalue at +-2 zero_abs times its scale, or an R condition
+        # number of 0.1 or 10 times 1 / rank_rel, from step bad_k on
+        name, factor = case
+        rng = np.random.default_rng(seed)
+        base = random_system(rng, n=4, l=3, p=1, p_h=p_h).step(0)
+        a = getattr(base, name)
+        if name == "Q":
+            w0 = factor * DEFAULT_TOL.zero_abs * max(1.0, float(np.max(np.abs(a))))
+        else:
+            w0 = np.linalg.eigvalsh(a)[-1] * DEFAULT_TOL.rank_rel * factor
+        horizon = 5
+        sc = _noise_case_scenario(base, bad_k, horizon, **{name: _with_eigenvalue(a, w0)})
+        found = [(v.index, v.field) for v in validate(sc.model, range(horizon + 1))]
+        violated = bool(found)
+        assert found == ([(k, name) for k in range(bad_k, horizon + 1)] if violated else [])
+        naming = re.compile(rf"\b{name}\b.* at k={bad_k}$")
+        for init, step_fn in _LISE_STEPS:
+            failure = _first_failure(init, step_fn, sc.model, horizon, rng)
+            named = failure is not None and failure[0] == bad_k and bool(
+                naming.search(str(failure[1])))
+            assert named == violated, failure
+            assert violated or failure is None, failure
+        try:
+            simulate_truth(sc, 0)
+            truth_named = False
+        except (InvalidInputError, NotPositiveDefiniteError) as exc:
+            truth_named = bool(naming.search(str(exc)))
+        assert truth_named == violated
+        assert violated == ((name, factor) in {("Q", -2.0), ("R", 0.1)})
+
+    def test_one_run_factors_q_and_r_once_and_never_by_cholesky(self, monkeypatch):
+        # validation, the truth and the three filters read one step context:
+        # one eigendecomposition each of Q and R, and no Cholesky of R
+        sc = config_scenario("fault_h1", horizon=200, structural_checks=False)
+        step = sc.model.step(0)
+        fresh = dataclasses.replace(sc, model=SystemModel.time_invariant(
+            SystemStep(**{name: np.array(getattr(step, name)) for name in "ABCDGHQR"})))
+        targets = {symmetrize(step.Q).tobytes(): "Q", symmetrize(step.R).tobytes(): "R"}
+        seen, cholesky = [], []
+        real_eigh, real_cholesky = lise.linalg.eigh, np.linalg.cholesky
+        monkeypatch.setattr(lise.linalg, "eigh",
+                            lambda a: seen.append(targets.get(a.tobytes())) or real_eigh(a))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: cholesky.append(a) or real_cholesky(a))
+        run_scenario(fresh)
+        assert sorted(name for name in seen if name) == ["Q", "R"]
+        assert cholesky == []

@@ -1,8 +1,9 @@
 """Rules that the package's source keeps: the symmetric-PSD threshold
-``Tolerance.zero_abs`` is read in one function only, so that the rule it
-sets cannot be written out again, and drift, elsewhere; and no
-``functools.lru_cache`` keeps results for the life of the process, so that
-what a model step builds lives as long as its users."""
+``Tolerance.zero_abs`` is read in one function only, and R's positive
+definiteness is decided in one function only, so that neither rule can be
+written out again, and drift, elsewhere; and no ``functools.lru_cache``
+keeps results for the life of the process, so that what a model step builds
+lives as long as its users."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,50 @@ def _lru_cache_uses():
 
 def test_no_lru_cache_in_the_package():
     assert _lru_cache_uses() == set()
+
+
+def _functions(predicate):
+    """``(module, function)`` for every function of the package with a node
+    for which ``predicate`` holds, ``function`` being the innermost function
+    that encloses the node."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if predicate(node):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def _named(*names):
+    """A predicate: the node is a name, an attribute, an imported name or a
+    definition called one of ``names``."""
+    def predicate(node):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef))
+                else None)
+        return name in names
+    return predicate
+
+
+def test_one_function_decides_whether_r_is_positive_definite():
+    # the decision compares rank_rel with eigenvalues: of the functions that
+    # read rank_rel, only one computes an eigendecomposition
+    reads_rank_rel = _functions(lambda node: isinstance(node, ast.Attribute)
+                                and node.attr == "rank_rel")
+    calls_eigh = _functions(_named("eigh", "_psd_eigh", "eigvalsh"))
+    assert reads_rank_rel & calls_eigh == {("decomposition.py", "_noise_factor")}
+
+
+def test_no_cholesky_and_no_second_admissibility_path():
+    # R is factored once, by its eigendecomposition; validate and the truth
+    # read the step contexts instead of judging Q and R on their own
+    assert _functions(_named("cholesky")) == set()
+    assert _functions(_named("_LastCall", "_cov_fault")) == set()

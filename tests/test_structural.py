@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from conftest import CONFIGS, config_scenario, online_plant, random_system
 from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
 from lise.cli import main as cli_main
 from lise.config import load_config
-from lise.errors import InvalidInputError
+from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.linalg import DEFAULT_TOL, rank
 from lise.model import SystemModel, SystemStep, validate
 from lise.structural import (
@@ -328,15 +330,21 @@ class TestPliseStability:
         assert cert.status == "precondition_failed"
 
     def test_singular_noise_coupling_fails_the_precondition(self):
-        # with p = 0 the coupling matrix Theta is R2 = R itself; an R this
-        # badly conditioned is singular to the rank tolerance
+        # with p = 0 the coupling matrix Theta is R2 = R itself.  The step
+        # rule admits an R whose eigenvalue ratio is rank_rel (w[0] >=
+        # rank_rel * w[-1]), and the rank of Theta, which counts singular
+        # values strictly above rank_rel times the largest, calls it singular
         step = SystemStep(A=0.5 * np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
                           D=np.zeros((2, 0)), G=np.zeros((2, 0)), H=np.zeros((2, 0)),
-                          Q=np.eye(2), R=np.diag([1.0, 1e-12]))
+                          Q=np.eye(2), R=np.diag([1.0, DEFAULT_TOL.rank_rel]))
+        assert validate(SystemModel.time_invariant(step)) == []
         cert = plise_stability_check(step)
         assert cert.status == "precondition_failed"
         assert cert.reason == "noise coupling matrix Theta is singular"
         assert cert.circle is None and cert.detectability is None
+        # a worse conditioned R fails the step rule before any certificate
+        with pytest.raises(NotPositiveDefiniteError, match="^measurement covariance R is not PD$"):
+            plise_stability_check(dataclasses.replace(step, R=np.diag([1.0, 1e-12])))
 
     def test_large_process_noise_meets_the_precondition(self):
         # the exact equivalent process noise is PSD whenever R is PD; in
@@ -354,20 +362,24 @@ class TestPliseStability:
         assert cert.status != "precondition_failed", cert.reason
         assert cert.ok and cert.circle is not None and cert.detectability is not None
 
-    def test_indefinite_equivalent_noise_fails_the_precondition(self):
-        # pins today's verdict: Q passes the PSD rule with an eigenvalue of
-        # -5e-11 along e1, which the input projector N-hat maps onto 1e3 e2,
-        # where R2 (1e-12) adds too little to cover it, so the equivalent
-        # process noise has an eigenvalue near -5e-5, far below its threshold
+    def test_rule_level_q_eigenvalue_meets_the_precondition(self):
+        # Q passes the PSD rule with an eigenvalue of -5e-11 along e1, which
+        # the input projector N-hat maps onto 1e3 e2, where R2 (1e-12) adds
+        # too little to cover it: the equivalent process noise has an
+        # eigenvalue near -5e-5.  Judged at ||N-hat||^2 max(1, max|Q-hat|)
+        # (about 1e6), that is rounding, and the verdict is the one of the
+        # same step with that eigenvalue at zero
         step = SystemStep(A=0.5 * np.eye(3), B=np.zeros((3, 0)), C=np.array([[1.0, 0.0, 0.0]]),
                           D=np.zeros((1, 0)), G=np.array([[1.0], [1e3], [0.0]]),
                           H=np.zeros((1, 1)), Q=np.diag([-5e-11, 0.0, 1.0]),
                           R=np.array([[1e-12]]))
         assert validate(SystemModel.time_invariant(step)) == []
         cert = plise_stability_check(step)
-        assert cert.status == "precondition_failed"
-        assert cert.reason == "equivalent process noise is indefinite"
-        assert cert.circle is None and cert.detectability is None
+        assert cert.status == "ok", cert.reason
+        assert cert.circle is not None and cert.detectability is not None
+        clamped = plise_stability_check(dataclasses.replace(step, Q=np.diag([0.0, 0.0, 1.0])))
+        assert clamped.status == "ok"
+        assert cert.circle.min_sigma == pytest.approx(clamped.circle.min_sigma, rel=1e-6)
 
     def test_noise_coupling_always_invertible_on_valid_systems(self, fault_models):
         # with R PD and the rank condition holding, the coupling matrix is
