@@ -381,7 +381,7 @@ def test_truth_factors_each_distinct_noise_matrix_once(monkeypatch, copies):
 
 @pytest.mark.parametrize("name, message", [
     ("Q", r"Q not PSD \(min eigenvalue -1.000e\+00\)"),
-    ("R", "measurement covariance R is not PD")])
+    ("R", "measurement covariance R is not PD")], ids=["Q", "R"])
 def test_truth_names_the_noise_matrix_and_step_it_cannot_factor(name, message):
     # the filters' error, as the truth judges each step by its context
     model, _ = online_plant(400)
