@@ -33,8 +33,9 @@ ways.  :func:`decompose_cached` keeps one entry per step object and
 tolerance, so a time-invariant model decomposes once.  The entry is the
 step's context: the noise factors, the decomposition, and the step's
 constants that also depend on A or Q, namely :func:`decoupled_dynamics` and
-PLISE's block map ``[A, G1, G2]``, so the filters and the structural tests
-form each once per step object.  And a
+PLISE's block map ``[A, G1, G2]``, each built on first use, so the filters
+and the structural tests form each once per step object and the truth and
+:func:`~lise.model.validate`, which do not read them, never.  And a
 step's context may be built with the previous step of the caller's chain
 (the filter state's step, the previous step of an observability window, of
 the truth or of :func:`~lise.model.validate`'s range), if that step was
@@ -119,6 +120,12 @@ class OutputDecomposition:
     gsi_c1: np.ndarray      # n x n, (G1 Sigma^-1) C1, removed from A
     gsi_r1_gsi: np.ndarray  # n x n, (G1 Sigma^-1 R1) (G1 Sigma^-1)^T, added to Q
     si_c1: np.ndarray       # p_h x n, Sigma^-1 C1
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
@@ -211,35 +218,38 @@ def _noise_factor(a: np.ndarray, tol: Tolerance, name: str) -> np.ndarray:
         pd = False
     if not pd:
         raise NotPositiveDefiniteError("measurement covariance R is not PD")
-    f = _eigh_sqrt(w, v)
-    f.setflags(write=False)
-    return f
+    return _read_only(_eigh_sqrt(w, v))
 
 
 class StepContext:
     """The constants of one admitted model step object that its users read
     every time the step is used: ``factors``, which maps "Q" and "R" to the
     symmetric factors their rules gave (:func:`_noise_factor`), the
-    decomposition ``dec``, the :func:`decoupled_dynamics` pair ``(ahat,
-    qhat)`` and, built on first use, PLISE's ``blockmap = [A, G1, G2]``.
-    Every array is read-only.
+    decomposition ``dec`` and, built on first use, the
+    :func:`decoupled_dynamics` pair ``(ahat, qhat)`` and PLISE's ``blockmap
+    = [A, G1, G2]``, so that the truth and :func:`lise.model.validate`,
+    which read only the verdict and the factors, never form them.  Every
+    array is read-only.
 
     A context holds arrays of its step, never the step itself, so the weak
-    per-step map of :func:`decompose_cached` lets the step go.
+    per-step map of :func:`decompose_cached` lets the step go: its ``A`` and
+    ``Q``, all that :func:`decoupled_dynamics` reads of a step.
     """
 
     def __init__(self, step: SystemStep, dec: OutputDecomposition, factors: dict):
         self.dec, self.factors = dec, factors
-        self.ahat, self.qhat = decoupled_dynamics(step, dec)
-        self.ahat.setflags(write=False)
-        self.qhat.setflags(write=False)
-        self._a = step.A
+        self.A, self.Q = step.A, step.Q
+
+    @functools.cached_property
+    def _dynamics(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, decoupled_dynamics(self, self.dec)))
+
+    ahat = property(lambda self: self._dynamics[0])
+    qhat = property(lambda self: self._dynamics[1])
 
     @functools.cached_property
     def blockmap(self) -> np.ndarray:
-        m = np.hstack([self._a, self.dec.G1, self.dec.G2])
-        m.setflags(write=False)
-        return m
+        return _read_only(np.hstack([self.A, self.dec.G1, self.dec.G2]))
 
 
 _CACHE: "weakref.WeakKeyDictionary[SystemStep, dict[Tolerance, StepContext]]" = (
@@ -340,16 +350,13 @@ class _PairContext:
     """
 
     def __init__(self, dec_prev: OutputDecomposition, dec: OutputDecomposition, tol: Tolerance):
-        self.c2g2 = dec.C2.dot(dec_prev.G2)
-        self.c2g2.setflags(write=False)
+        self.c2g2 = _read_only(dec.C2.dot(dec_prev.G2))
         self.rank = rank(self.c2g2, tol)
         self._tol = tol
 
     @functools.cached_property
     def c2g2_pinv(self) -> np.ndarray:
-        m = pinv(self.c2g2, self._tol)
-        m.setflags(write=False)
-        return m
+        return _read_only(pinv(self.c2g2, self._tol))
 
 
 # pair contexts by the decomposition of step k, then weakly by that of step

@@ -109,12 +109,23 @@ the copy of ``T2`` rounds differently).  So :func:`_data_products`, which
 forms ``T2 y`` and the products on the caller's ``y`` and ``u``, never uses
 ``dot``: a step passes ``np.matmul``, and the served gain cycle the stacked
 gemv of :mod:`lise.simulate`, bitwise equal to it.
+
+Every elementwise pass (``+``, ``-``, ``*``, ``/``) of a gain step runs on
+operands of one layout: a transposed view such as ``m.T`` (F-ordered when
+``m`` is C-ordered) enters a sum as a C-ordered copy, ``m.T.copy()``, as in
+:func:`lise.linalg.symmetrize`, and :func:`_sym_block` writes the mirrored
+blocks into one matrix.  numpy runs a pass over operands of two layouts on
+its strided loop, at more than twice the cost of a same-layout pass on 5 x 5
+matrices.  The copy changes no value and no order of operations, so every
+bit stays; ``tests/test_source_rules.py`` keeps the rule for this module and
+:mod:`lise.linalg`.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -343,12 +354,17 @@ def _sym_block(upper) -> np.ndarray:
 
     ``upper[i]`` holds the blocks of block row ``i`` from the diagonal on,
     and each block below the diagonal is the transpose of its mirror image.
-    The values are copied as ``np.block`` copies them, one ``np.concatenate``
-    per block row and one for the rows, without ``np.block``'s per-call cost.
+    The values are those of ``np.block``, each block written into one
+    preallocated matrix, without ``np.block``'s per-call cost.
     """
-    return np.concatenate([
-        np.concatenate([upper[j][i - j].T for j in range(i)] + list(row), axis=1)
-        for i, row in enumerate(upper)])
+    edges = [0, *itertools.accumulate(row[0].shape[0] for row in upper)]
+    out = np.empty((edges[-1], edges[-1]))
+    for i, row in enumerate(upper):
+        for j, block in enumerate(row, i):
+            out[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = block
+            if j > i:
+                out[edges[j]:edges[j + 1], edges[i]:edges[i + 1]] = block.T
+    return out
 
 
 @functools.cache
@@ -424,7 +440,7 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
         return k_gain.dot(_factor_solve(r_hat_chol, proj, what).T)
 
     cross = (c.dot(g2m2) @ dec.U2.T).dot(r)
-    r_star = symmetrize(c.dot(px_star).dot(c.T) + r - cross - cross.T)
+    r_star = symmetrize(c.dot(px_star).dot(c.T) + r - cross - cross.T.copy())
     if gamma is GammaPolicy.DAROUACH:
         r_check = _whitened_complement_reduction(r_hat, r_star, c, g2_prev)
     else:
@@ -704,10 +720,10 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     if propagated:
         # from the joint covariance of (x, d1, d2) at k-1
         pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
-        blockmap = ctx_prev.blockmap
+        bmap = ctx_prev.blockmap
         joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
         qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
-        px_star = symmetrize(blockmap.dot(joint).dot(blockmap.T) + step_prev.Q - qc - qc.T)
+        px_star = symmetrize(bmap.dot(joint).dot(bmap.T) + step_prev.Q - qc - qc.T.copy())
         # PLISE always reduces the singular innovation covariance with its
         # pseudoinverse: its recursion weights the dynamics-only input
         # estimate with the updated-variant one-step covariance, which
@@ -731,7 +747,7 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     # (I - L C) P* and L R, shared by px and PLISE's pxd1
     ilc_p, lr = ilc.dot(px_star), gain_l.dot(step.R)
     noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
-    px = symmetrize(noise_cross + noise_cross.T + ilc_p.dot(ilc.T) + lr.dot(gain_l.T))
+    px = symmetrize(noise_cross + noise_cross.T.copy() + ilc_p.dot(ilc.T) + lr.dot(gain_l.T))
     cov = {"px": px}
     if propagated:
         # d1 at k is estimated from the propagated state

@@ -113,7 +113,7 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not _finite(a):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
 
@@ -191,8 +191,14 @@ def _in_blocks(work, count: int, min_block: int) -> None:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average a square matrix with its transpose (roundoff-drift control)."""
-    s = m + m.T
+    """Average a square matrix with its transpose (roundoff-drift control).
+
+    ``(m^T + m) / 2`` on a C-ordered copy of ``m^T``, so that the sum runs on
+    operands of one layout; addition commutes exactly, so the bits are those
+    of ``(m + m^T) / 2``.
+    """
+    s = m.T.copy()
+    s += m
     s *= 0.5
     return s
 
@@ -260,7 +266,7 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     large = s > tol.rank_rel * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return vt.T.dot(s[:, None] * u.T)
+    return vt.T.dot((u * s).T)
 
 
 def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
@@ -272,7 +278,7 @@ def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
     ...)"``) naming the matrix ``what``.
     """
     zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a), initial=0.0)), scale)
-    if np.max(np.abs(a - a.T), initial=0.0) > zero:
+    if np.max(np.abs(a - a.T.copy()), initial=0.0) > zero:
         raise InvalidInputError(f"{what} not symmetric")
     w, v = eigh(symmetrize(a))
     if w.size and w[0] < -zero:

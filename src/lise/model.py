@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, expm, rank
+from .linalg import DEFAULT_TOL, Tolerance, expm, rank, symmetrize
 
 __all__ = [
     "SystemStep",
@@ -291,8 +291,7 @@ def c2d_zoh(cm: ContinuousModel, scale_r_by_dt: bool = False) -> SystemModel:
     aug[:n, n:] = cm.Q
     aug[n:, n:] = cm.A.T
     phi = expm(aug * cm.dt)
-    q_d = phi[n:, n:].T @ phi[:n, n:]
-    q_d = 0.5 * (q_d + q_d.T)
+    q_d = symmetrize(phi[n:, n:].T @ phi[:n, n:])
     r_d = cm.R / cm.dt if scale_r_by_dt else cm.R
     step = SystemStep(A=a_d, B=b_d, C=cm.C, D=cm.D, G=g_d, H=cm.H, Q=q_d, R=r_d)
     return SystemModel.time_invariant(step)

@@ -280,6 +280,26 @@ def test_dot_matches_matmul_up_to_the_sign_of_zero(data, m, k, p, layout_a, layo
                               same)
 
 
+# zeros of both signs, subnormals, entries whose sums overflow, and any
+# other finite float
+_SYMMETRIZE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.2e-308, 1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 6), st.sampled_from(_LAYOUTS))
+def test_symmetrize_is_bitwise_the_average_with_the_transpose(data, n, layout):
+    # symmetrize adds m to a C-ordered copy of m.T; addition commutes
+    # exactly, so every entry and the layout are those of (m + m.T) * 0.5
+    m = _operand(data.draw, _SYMMETRIZE_ENTRIES, (n, n), layout)
+    with np.errstate(over="ignore"):
+        got, want = symmetrize(m), (m + m.T) * 0.5
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
 class TestPinv:
     def test_identity(self):
         assert np.allclose(pinv(np.eye(3)), np.eye(3))

@@ -3,10 +3,14 @@
 definiteness is decided in one function only, so that neither rule can be
 written out again, and drift, elsewhere; and no ``functools.lru_cache``
 keeps results for the life of the process, so that what a model step builds
-lives as long as its users."""
+lives as long as its users; and no elementwise pass of the filter step pairs a
+transposed view with a matrix, so that every pass runs on operands of one
+layout."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import lise
 
@@ -102,3 +106,34 @@ def test_no_cholesky_and_no_second_admissibility_path():
     # read the step contexts instead of judging Q and R on their own
     assert _functions(_named("cholesky")) == set()
     assert _functions(_named("_LastCall", "_cov_fault")) == set()
+
+
+def _transposed_passes(path):
+    """``(line, source)`` of every ``+ - * /`` (augmented assignments too)
+    in the module at ``path`` that pairs a ``.T`` view with an operand that
+    is not a number."""
+    def number(node):
+        return isinstance(node.operand if isinstance(node, ast.UnaryOp) else node,
+                          ast.Constant)
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp):
+            pair = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            pair = (node.target, node.value)
+        else:
+            continue
+        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)) and any(
+                isinstance(a, ast.Attribute) and a.attr == "T" and not number(b)
+                for a, b in (pair, pair[::-1])):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("module", ["filters.py", "linalg.py"])
+def test_no_elementwise_pass_pairs_a_transposed_view_with_a_matrix(module):
+    # numpy runs a pass over a C-ordered matrix and its F-ordered transpose
+    # on its strided loop, at more than twice the cost of a same-layout pass
+    # on 5 x 5 matrices (the layout rule of the filters' module docstring)
+    assert _transposed_passes(PACKAGE / module) == []
