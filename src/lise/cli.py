@@ -6,6 +6,11 @@ Subcommands::
     lise run     --config cfg.yaml          simulate, write per-step + summary CSV
     lise compare --config cfg.yaml          side-by-side steady state + dominance
 
+``compare`` prints one row per metric and one column per filter: the
+tail-window means of the covariance diagonals (``px_ii``, ``pd_ii``) and
+traces, then run 0's RMS tracking errors over the same window, per state
+(``rms_x_i``) and per unknown input (``rms_d_i``).
+
 Each subcommand takes only the flags it reads.  ``analyze`` takes --config
 alone.  ``run`` and ``compare`` also take --seed and --mc, which override the
 scenario's noise seed and Monte-Carlo run count, and --strict, which aborts
@@ -232,15 +237,17 @@ def cmd_compare(doc: ConfigDocument, args) -> int:
     model = doc.scenario.model
     names = [n for n in doc.scenario.filters if result.filters[n].error is None]
     header = ["metric"] + list(names)
-    rows = []
-    for i in range(model.n):
-        rows.append([f"px_{i + 1}{i + 1}"]
-                    + [f"{result.filters[n].steady['px_diag'][i]:.6g}" for n in names])
-    for i in range(model.p):
-        rows.append([f"pd_{i + 1}{i + 1}"]
-                    + [f"{result.filters[n].steady['pd_diag'][i]:.6g}" for n in names])
-    rows.append(["tr_px"] + [f"{result.filters[n].steady['tr_px']:.6g}" for n in names])
-    rows.append(["tr_pd"] + [f"{result.filters[n].steady['tr_pd']:.6g}" for n in names])
+    steady = [result.filters[n].steady for n in names]
+
+    def vector_rows(key, label, size):
+        return [[label.format(i + 1)] + [f"{s[key][i]:.6g}" for s in steady]
+                for i in range(size)]
+
+    rows = (vector_rows("px_diag", "px_{0}{0}", model.n)
+            + vector_rows("pd_diag", "pd_{0}{0}", model.p)
+            + [[key] + [f"{s[key]:.6g}" for s in steady] for key in ("tr_px", "tr_pd")]
+            + vector_rows("rms_err_x", "rms_x_{0}", model.n)
+            + vector_rows("rms_err_d", "rms_d_{0}", model.p))
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     for r in [header] + rows:
         print("  ".join(s.rjust(w) for s, w in zip(r, widths)))

@@ -1,5 +1,7 @@
+import functools
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,20 +63,53 @@ def test_comparison_counts_wins_in_the_better_direction(bench):
     assert lower["base_quartile_distance_pct"] == 0.0
 
 
-def test_ab_steps_runs_one_repetition_on_the_same_checkout():
-    # both sides are this checkout, so their outputs must be bitwise equal
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ab_steps.py"), "--checkout", f"a={ROOT}",
-         "--checkout", f"b={ROOT}", "--reps", "1", "--steps", "20", "--configs", "fault_h1"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("online", "tv", "run", "mc", "analyze"):
-        res = report[name]
-        assert res["bitwise_equal"] and res["reps"] == 1
-        assert len(res["a"]["runs_s"]) == len(res["b"]["runs_s"]) == 1
-        assert res["wins"] in (0, 1)
-    assert "outputs bitwise equal: yes" in proc.stdout
+def test_bitwise_check_finds_a_checkout_equal_to_itself(bench):
+    # both sides are this checkout, so every mode's outputs are bitwise equal
+    assert bench.bitwise_check([("a", str(ROOT)), ("b", str(ROOT))], steps=20,
+                               configs=("fault_h1",)) == dict.fromkeys(bench.MODES, True)
+
+
+def test_a_last_bit_in_symmetrize_fails_the_check_and_the_exit_code(bench, tmp_path,
+                                                                     monkeypatch):
+    # a copy whose symmetrize scales by the float after 0.5: the online step
+    # outputs differ, and bench.py exits 1 once its JSON is written
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src" / "lise", copy / "src" / "lise",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "configs", copy / "configs")
+    linalg = copy / "src" / "lise" / "linalg.py"
+    text = linalg.read_text()
+    assert text.count("    s *= 0.5\n") == 1
+    linalg.write_text(text.replace("    s *= 0.5\n", "    s *= 0.5000000000000001\n"))
+    monkeypatch.setattr(bench, "bitwise_check", functools.partial(
+        bench.bitwise_check, steps=20, configs=("fault_h1",)))
+    # the perfbench pairs are not under test: every run reads the same
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(bench, "run_once", lambda *args: {
+        "correct": True, "attempted": 1, "failed": 0, "passes": 1, "machine": {},
+        "metrics": dict.fromkeys(metrics, 1.0)})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--checkout", f"parent={ROOT}", "--checkout", f"change={copy}",
+                       "--workloads", "online_tv", "--seeds", "1", "--out", str(out)]) == 1
+    equal = json.loads(out.read_text())["bitwise_equal"]
+    assert set(equal) == set(bench.MODES) and equal["online"] is False
+
+
+@pytest.mark.parametrize("files", [(), ("configs/fault_h1.yaml",), ("src/lise/__init__.py",)],
+                         ids=["missing", "no-package", "no-configs"])
+def test_a_bad_checkout_is_a_usage_error_naming_it(bench, tmp_path, capsys, files):
+    bad = tmp_path / "old"
+    for name in files:
+        (bad / name).parent.mkdir(parents=True, exist_ok=True)
+        (bad / name).touch()
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--checkout", f"change={ROOT}", "--checkout", f"parent={bad}",
+                    "--seeds", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --checkout: {bad} is not a lise checkout" in err
+    assert not out.exists()
 
 
 def test_loc_counts_code_lines_only(tmp_path):

@@ -11,6 +11,7 @@ import lise.config
 import lise.simulate
 from conftest import CONFIGS, config_scenario
 from oracles import vehicle_tracking_model
+from test_acceptance import STEADY_TABLE
 from lise.cli import main
 from lise.config import load_config
 from lise.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
@@ -713,6 +714,32 @@ class TestCliCompare:
         assert code == 0
         assert "dominance check: ULISE steady traces are minimal" in out
         assert "px_11" in out
+
+    @pytest.mark.parametrize("variant", range(1, 7))
+    def test_prints_the_published_steady_state_table(self, capsys, variant):
+        # criterion 1's table, read off the printed rows of each filter
+        assert main(["compare", "--config", str(CONFIGS / f"fault_h{variant}.yaml")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        names = header.split()[1:]
+        assert sorted(names) == sorted(STEADY_TABLE[variant])
+        cells = {row.split()[0]: row.split()[1:] for row in rows}
+        labels = [f"px_{i}{i}" for i in range(1, 6)] + [f"pd_{i}{i}" for i in range(1, 4)]
+        for j, name in enumerate(names):
+            got = np.array([float(cells[label][j]) for label in labels])
+            assert np.max(np.abs(got - STEADY_TABLE[variant][name])) < 5e-4, name
+
+    def test_rms_rows_are_the_steady_run_0_errors(self, capsys):
+        assert main(["compare", "--config", str(CONFIGS / "vehicle_tracking.yaml")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        cells = {row.split()[0]: row.split()[1:] for row in rows}
+        result = lise.simulate.run_scenario(config_scenario("vehicle_tracking"))
+        for j, name in enumerate(header.split()[1:]):
+            steady = result.filters[name].steady
+            for prefix, key in (("rms_x", "rms_err_x"), ("rms_d", "rms_err_d")):
+                assert [cells[f"{prefix}_{i + 1}"][j] for i in range(len(steady[key]))] \
+                    == [f"{v:.6g}" for v in steady[key]], (name, key)
+        assert [label for label in cells if label.startswith("rms")] == [
+            "rms_x_1", "rms_x_2", "rms_x_3", "rms_x_4", "rms_d_1", "rms_d_2"]
 
     def test_needs_two_filters(self, tmp_path, capsys):
         cfg = _small_run_config(tmp_path)

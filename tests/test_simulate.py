@@ -986,30 +986,6 @@ def test_python_m_lise_runs_the_cli():
     assert "analyze" in proc.stdout
 
 
-@pytest.mark.parametrize("script, first_line", [
-    ("run_fault_benchmark.py", ["variant", "filter", "px_11", "px_22", "px_33", "px_44",
-                                "px_55", "pd_11", "pd_22", "pd_33"]),
-    ("run_vehicle_tracking.py", ["discretized", "model:", "n=4,", "l=4,", "p=2"]),
-])
-def test_scripts_run(script, first_line):
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--horizon", "60"],
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].split() == first_line
-
-
-def test_vehicle_script_rejects_a_horizon_past_its_signals():
-    # the config's bias samples and known input end at its horizon, 1000
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_vehicle_tracking.py"),
-                           "--horizon", "1001"],
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert "--horizon may not exceed the config's horizon 1000" in proc.stderr
-    assert proc.stdout == ""
-
-
 def test_samples_shorter_than_the_horizon_are_rejected():
     # the config's bias samples cover k = 0..1000
     sc = config_scenario("vehicle_tracking", horizon=2000)
