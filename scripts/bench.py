@@ -22,8 +22,8 @@ packages run on the same numpy, and five modes compare their outputs:
 - ``tv``: on the same plant, ``simulate_truth`` of run 0 and of runs
   0..127, then ``run_scenario`` with ULISE at MC 1, which validates the
   model, simulates its truth and runs the filter pass; the truth ``x`` and
-  ``y`` of every run and every field of the ``FilterRun`` but its timing are
-  compared;
+  ``y`` of every run and every field of the ``FilterRun`` (but an older
+  checkout's timing field) are compared;
 - ``run``: ``lise run`` (the CLI's ``main``) on each bundled config;
 - ``mc``: ``lise run --config fault_h1 --mc 128 --seed 1``, whose truth of
   128 runs and Monte-Carlo replay neither of the others reaches.  Its CSVs
@@ -218,7 +218,9 @@ class Side:
 
 
 def _result_bytes(result) -> list:
-    """Every field of each ``FilterRun`` of ``result`` but its timing."""
+    """Every field of each ``FilterRun`` of ``result``; a checkout whose
+    ``FilterRun`` still has the timing field ``seconds_per_step`` compares
+    without it."""
     return [_bytes(getattr(run, field.name)) for run in result.filters.values()
             for field in dataclasses.fields(run) if field.name != "seconds_per_step"]
 

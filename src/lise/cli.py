@@ -202,36 +202,45 @@ def _structural_gate(result, strict: bool) -> int:
     return EXIT_OK
 
 
-def cmd_run(doc: ConfigDocument, args) -> int:
+def _run_gated(doc: ConfigDocument, args, verb: str):
+    """The run of ``lise run`` and ``lise compare``: ``(exit code, result)``.
+
+    A config without a scenario is rejected, naming ``verb``, with no
+    result.  Otherwise the scenario runs with each filter's failure kept on
+    its record, and the structural gate decides the code; when the gate
+    passes, each failed filter is reported on stderr.
+    """
     if doc.scenario is None:
-        print("config has no scenario block; nothing to run", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = _out_dir(doc, args)
-    os.makedirs(out_dir, exist_ok=True)
+        print(f"config has no scenario block; nothing to {verb}", file=sys.stderr)
+        return EXIT_USAGE, None
     result = run_scenario(doc.scenario, raise_filter_errors=False)
     gate = _structural_gate(result, args.strict)
+    if gate == EXIT_OK:
+        for fr in result.failed:
+            print(f"{fr.name} failed at step {fr.failed_at}: {fr.error}", file=sys.stderr)
+    return gate, result
+
+
+def cmd_run(doc: ConfigDocument, args) -> int:
+    gate, result = _run_gated(doc, args, "run")
     if gate != EXIT_OK:
         return gate
+    out_dir = _out_dir(doc, args)
+    os.makedirs(out_dir, exist_ok=True)
     step_path = os.path.join(out_dir, doc.output.per_step)
     summary_path = os.path.join(out_dir, doc.output.summary)
     write_step_csv(result, step_path)
     write_summary_csv(result, summary_path)
     print(f"wrote {step_path}")
     print(f"wrote {summary_path}")
-    for fr in result.failed:
-        print(f"{fr.name} failed at step {fr.failed_at}: {fr.error}", file=sys.stderr)
     return EXIT_NUMERICAL if result.failed else EXIT_OK
 
 
 def cmd_compare(doc: ConfigDocument, args) -> int:
-    if doc.scenario is None:
-        print("config has no scenario block; nothing to compare", file=sys.stderr)
-        return EXIT_USAGE
-    if len(doc.scenario.filters) < 2:
+    if doc.scenario is not None and len(doc.scenario.filters) < 2:
         print("compare needs at least two filters", file=sys.stderr)
         return EXIT_USAGE
-    result = run_scenario(doc.scenario, raise_filter_errors=False)
-    gate = _structural_gate(result, args.strict)
+    gate, result = _run_gated(doc, args, "compare")
     if gate != EXIT_OK:
         return gate
     model = doc.scenario.model
@@ -268,8 +277,6 @@ def cmd_compare(doc: ConfigDocument, args) -> int:
                 print(f"dominance violation: {v}")
         else:
             print("dominance check: ULISE steady traces are minimal (as expected)")
-    for fr in result.failed:
-        print(f"{fr.name} failed at step {fr.failed_at}: {fr.error}", file=sys.stderr)
     return EXIT_NUMERICAL if result.failed else EXIT_OK
 
 

@@ -28,7 +28,9 @@ A decomposition depends on H, R, C, D, G and the tolerance only, never on
 A, B or Q.  :func:`decompose` builds one afresh on every call, and no
 module-level cache keeps one: the only maps here are weak, keyed by a step
 object or a decomposition, so a decomposition lives exactly as long as a
-step context, a filter state or a gain record uses it.  It is shared in two
+step context or a gain record uses it (a filter state holds no
+decomposition: it keeps its step, and with it the step's context).  It is
+shared in two
 ways.  :func:`decompose_cached` keeps one entry per step object and
 tolerance, so a time-invariant model decomposes once.  The entry is the
 step's context: the noise factors, the decomposition, and the step's

@@ -46,30 +46,31 @@ A cached product always enters its products as the leftmost factor, so every
 result is bitwise what building it afresh gives.
 
 Every filter state carries the model step of its own time ``k`` (the
-required ``step`` field) and its output decomposition (``dec``), and a step
-function takes step ``k - 1`` from the state, not from ``model``: it asks
-``model`` for step ``k`` only, once.  A state built by hand rather than by
-the ``*_init``/``*_step`` functions must therefore hold ``model.step(state.k)``
-in ``step`` and its decomposition in ``dec``.  A time-varying model hands out
-one step object for repeated requests of the same ``k``, so filters stepped
-side by side share it, and with it its context.
+required ``step`` field), and a step function takes step ``k - 1`` from the
+state, not from ``model``: it asks ``model`` for step ``k`` only, once.  A
+state built by hand rather than by the ``*_init``/``*_step`` functions needs
+nothing else besides its estimates and covariance state: ``step`` must be
+``model.step(state.k)``, and the step derives everything it reads of that
+step from it.  A time-varying model hands out one step object for repeated
+requests of the same ``k``, so filters stepped side by side share it, and
+with it its context.
 
 A state holds only what the recursion carries from one step to the next:
-the estimates, the covariances that are not functions of the others, the
-step and its decomposition.  Each step derives the rest at its start: the
-feedthrough-decoupled dynamics ``(Ahat, Qhat)`` of step ``k - 1`` (and, for
-PLISE, its block map ``[A, G1, G2]``) come from the step context of
+the estimates, the covariances that are not functions of the others, and
+the step.  Each step derives the rest at its start from the step context of
 ``state.step`` (:class:`~lise.decomposition.StepContext`, formed once per
-step object alongside its decomposition), and, for the updated variants,
-the feedthrough-input covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
+step object): the output decomposition of step ``k - 1``, its
+feedthrough-decoupled dynamics ``(Ahat, Qhat)`` (and, for PLISE, its block
+map ``[A, G1, G2]``), and, for the updated variants, the feedthrough-input
+covariance ``pd1`` from ``state.px`` (:func:`_pd1`).
 Fetching a step's context rejects a step with a non-finite matrix, an
 asymmetric Q or R, a Q that is not PSD or an R that is not positive
 definite to within ``rank_rel``, naming the matrix and ``k``: the context's
 verdict, the one :func:`lise.model.validate` reports.  Each state class declares its
 covariance state once, in ``cov_fields``: ``px``, and for PLISE also
-``pd1`` and ``pxd1``.  These are the fields a gain half reads (with
-``step`` and ``dec``) and returns for the new state, and their bytes key
-the state in :func:`_gain_key`.
+``pd1`` and ``pxd1``.  These are the fields a gain half reads (with the
+step contexts) and returns for the new state, and their bytes key the state
+in :func:`_gain_key`.
 
 The estimate half of a step (:func:`_estimate_update`) reads the model
 steps, decompositions and gains of steps ``k - 1`` and ``k`` from one
@@ -203,15 +204,15 @@ class UliseState:
 
     ``xhat``/``px`` are the filtered state at time ``k`` and its covariance,
     and ``d1hat`` the estimate of the feedthrough input component at ``k``.
-    ``step`` (required) is the model step at time ``k`` and ``dec`` its
-    output decomposition; the next step reads its step ``k - 1`` from here,
-    not from the model, and fetches only its own model step.  The covariance
-    of ``d1hat`` is ``_pd1(px, dec)``, and the next step derives it, and the
-    decoupled dynamics of ``step``, at its start.
+    ``step`` (required) is the model step at time ``k``; the next step
+    reads its step ``k - 1`` from here, not from the model, and fetches only
+    its own model step.  The covariance of ``d1hat`` is ``_pd1(px, dec)``,
+    ``dec`` being the decomposition of ``step``'s context, and the next step
+    derives it, and the decoupled dynamics of ``step``, at its start.
 
     ``cov_fields`` names the covariance state: the fields that the next
-    step's gain half reads besides ``step`` and ``dec``, and that it returns
-    for the new state.  The gain half never reads the estimates.
+    step's gain half reads besides ``step``, and that it returns for the new
+    state.  The gain half never reads the estimates.
     """
 
     k: int
@@ -219,7 +220,6 @@ class UliseState:
     px: np.ndarray
     d1hat: np.ndarray
     step: SystemStep
-    dec: OutputDecomposition
 
     cov_fields: ClassVar[tuple[str, ...]] = ("px",)
     # the step forms the new d1hat from the updated state
@@ -243,7 +243,6 @@ class PliseState:
     pd1: np.ndarray
     pxd1: np.ndarray
     step: SystemStep
-    dec: OutputDecomposition
 
     cov_fields: ClassVar[tuple[str, ...]] = ("px", "pd1", "pxd1")
     # the step forms the new d1hat from the propagated state
@@ -269,7 +268,6 @@ class StepOutput:
     dhat_prev: np.ndarray
     pd_prev: np.ndarray
     gain_l: np.ndarray
-    gain_m1: np.ndarray
     gain_m2: np.ndarray
     gain_m2_state: np.ndarray
     unbiasedness: dict[str, float]
@@ -592,9 +590,9 @@ def _gain_key(state: UliseState | PliseState) -> bytes:
 
     A gain half (:func:`_lise_gains`, :func:`_kalman_gains`: gains,
     covariances, next covariance state) is a deterministic function of these
-    arrays, the model steps and their decompositions (``state.step`` and
-    ``state.dec`` among them).  So on a time-invariant model two states with
-    equal keys give bitwise-equal gain halves.
+    arrays and the contexts of the model steps (``state.step``'s among them).
+    So on a time-invariant model two states with equal keys give
+    bitwise-equal gain halves.
     """
     return b"".join(getattr(state, name).tobytes() for name in state.cov_fields)
 
@@ -623,17 +621,17 @@ def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
     d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, dec.D1 @ u0v)
-    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, step=step0, dec=dec)
+    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, step=step0)
 
 
 def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
                tol: Tolerance = DEFAULT_TOL) -> PliseState:
     """Initialize the propagated-estimate filter (adds the cross covariance)."""
     base = ulise_init(model, x0_mean, p0, y0, u0, tol)
-    pxd1 = -base.px @ base.dec.C1.T @ base.dec.sigma_inv
+    dec = _step_context(base.step, tol).dec
+    pxd1 = -base.px @ dec.C1.T @ dec.sigma_inv
     return PliseState(k=0, xhat=base.xhat, px=base.px, d1hat=base.d1hat,
-                      pd1=_pd1(base.px, base.dec), pxd1=pxd1, step=base.step,
-                      dec=base.dec)
+                      pd1=_pd1(base.px, dec), pxd1=pxd1, step=base.step)
 
 
 # the OLS variant shares the init (only the step gains differ)
@@ -651,8 +649,9 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     state's own class and the :class:`StepOutput`, which keeps the record.
 
     A gain half reads the covariance state (the state class's
-    ``cov_fields``, and ``state.step``/``state.dec``) and the step
-    contexts, never the estimates or the data.  It returns ``(cov, px_star,
+    ``cov_fields``) and the step contexts, ``ctx_prev`` of ``state.step``
+    (whose decomposition is the one step ``k - 1`` ran on) and that of
+    step ``k``, never the estimates or the data.  It returns ``(cov, px_star,
     pd_prev, gain_l, m2, m2_state, unbiasedness)``, ``cov`` being the
     new state's ``cov_fields`` by name.
     """
@@ -665,16 +664,16 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     upv = _check_vector(u_prev, step.m, "u_prev", k)
     cov, px_star, pd_prev, gain_l, m2, m2_state, unbiasedness = gain_half(
         state, ctx_prev, step, dec_k, tol, **options)
-    g = _StepGains(state.step, step, state.dec, dec_k, m2, m2_state, gain_l,
+    g = _StepGains(state.step, step, ctx_prev.dec, dec_k, m2, m2_state, gain_l,
                    state.d1_from_propagated)
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, _data_products(yv, uv, upv, g), g)
     out = StepOutput(
         k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
-        dhat_prev=dhat_prev, pd_prev=pd_prev, gain_l=gain_l, gain_m1=dec_k.sigma_inv,
-        gain_m2=m2, gain_m2_state=m2_state, unbiasedness=unbiasedness, gains=g,
+        dhat_prev=dhat_prev, pd_prev=pd_prev, gain_l=gain_l, gain_m2=m2,
+        gain_m2_state=m2_state, unbiasedness=unbiasedness, gains=g,
     )
-    return type(state)(k=k, xhat=xhat, d1hat=d1hat, step=step, dec=dec_k, **cov), out
+    return type(state)(k=k, xhat=xhat, d1hat=d1hat, step=step, **cov), out
 
 
 def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
@@ -690,7 +689,7 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     Everything else is shared.
     """
     propagated = state.d1_from_propagated
-    step_prev, dp = state.step, state.dec
+    step_prev, dp = state.step, ctx_prev.dec
     n = step.n
 
     # estimation of the dynamics-only input component d2 at k-1
@@ -812,8 +811,8 @@ def kalman_init(model: SystemModel, x0_mean, p0,
     is an :class:`UliseState` with an empty ``d1hat``."""
     if model.p != 0:
         raise InvalidInputError("kalman filter applies only to models with p = 0")
-    step0, dec, xhat, p0m = _prior(model, x0_mean, p0, tol)
-    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=np.zeros(0), step=step0, dec=dec)
+    step0, _, xhat, p0m = _prior(model, x0_mean, p0, tol)
+    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=np.zeros(0), step=step0)
 
 
 def _kalman_gains(state: UliseState, ctx_prev, step: SystemStep,

@@ -53,7 +53,6 @@ Kalman filter is the p = 0 member, with an empty feedthrough-input estimate.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -320,8 +319,8 @@ class FilterRun:
     ``xhat[i]`` is the filtered state after consuming measurement ``k = i+1``;
     ``dhat[i]`` is the (one-step delayed) estimate of the unknown input at
     time ``i``.  ``*_runs`` arrays hold the errors of every Monte-Carlo run.
-    ``seconds_per_step`` is the mean wall time per step of the whole pass,
-    steps served from the gain cycle included.  ``gain_cycle`` is ``(k,
+    Every field is a function of the scenario and tolerance alone: two runs
+    of one scenario give equal records, down to the bytes.  ``gain_cycle`` is ``(k,
     period)`` when the pass found the filter's covariance state before
     measurement ``k`` bitwise equal to the one ``period`` steps earlier and
     served steps ``k`` on from the cycle: from step ``k`` on, every gain and
@@ -344,7 +343,6 @@ class FilterRun:
     err_d_runs: np.ndarray
     steady: dict
     max_unbiasedness: dict
-    seconds_per_step: float
     gain_l_series: list
     error: Optional[str] = None
     failed_at: Optional[int] = None
@@ -393,7 +391,6 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     model = scenario.model
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
-    t0 = time.perf_counter()
     state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
     xhat = np.zeros((n_steps, model.n))
     dhat = np.zeros((n_steps, model.p))
@@ -433,8 +430,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     if failed_at is not None:
         xhat, dhat = xhat[:failed_at - 1], dhat[:failed_at - 1]
         px_diag, pd_diag = px_diag[:failed_at - 1], pd_diag[:failed_at - 1]
-    seconds = (time.perf_counter() - t0) / max(len(gains), 1)
-    return xhat, dhat, px_diag, pd_diag, gains, unb, seconds, error, failed_at, cycle
+    return xhat, dhat, px_diag, pd_diag, gains, unb, error, failed_at, cycle
 
 
 def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):
@@ -636,7 +632,7 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
 
     filters: dict[str, FilterRun] = {}
     for name in scenario.filters:
-        (xhat, dhat, px_diag, pd_diag, gains, unb, secs,
+        (xhat, dhat, px_diag, pd_diag, gains, unb,
          error, failed_at, cycle) = _full_pass(name, scenario, truth0, tol)
         if error is not None and model.is_time_invariant:
             if detectability is None:
@@ -674,9 +670,8 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
             name=name, xhat=xhat, dhat=dhat, px_diag=px_diag, pd_diag=pd_diag,
             tr_px=px_diag.sum(axis=1), tr_pd=pd_diag.sum(axis=1),
             err_x=err_x, err_d=err_d, err_x_runs=err_x_runs, err_d_runs=err_d_runs,
-            steady=steady, max_unbiasedness=unb, seconds_per_step=secs,
-            gain_l_series=[g.gain_l for g in gains], error=error, failed_at=failed_at,
-            gain_cycle=cycle,
+            steady=steady, max_unbiasedness=unb, gain_l_series=[g.gain_l for g in gains],
+            error=error, failed_at=failed_at, gain_cycle=cycle,
         )
     return RunResult(scenario=given, structural=structural, truth=truth0,
                      filters=filters)

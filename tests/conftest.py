@@ -12,6 +12,34 @@ from lise.model import SystemModel, SystemStep, validate
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Keep hypothesis from recording the failing draw of an xfail-marked
+    property as a discovery.
+
+    Hypothesis keeps a failing property's draws on its pytest item, and at
+    the end of the session writes them to ``.hypothesis/patches/`` as new
+    ``@example`` lines, importing libcst to do so.  On an xfail-marked
+    property the failing draw is the known defect the mark pins, so it is
+    dropped; the property still runs every draw and still xfails.
+    """
+    yield
+    if item.get_closest_marker("xfail") is not None:
+        vars(item).pop("_hypothesis_failing_examples", None)
+
+
+def bits(value):
+    """``value`` with every array, also inside tuples, lists and dicts, as
+    its shape, dtype and bytes, so that ``==`` compares bit for bit."""
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    return value
+
+
 @functools.cache
 def _bundled_scenario(name):
     return load_config(CONFIGS / f"{name}.yaml").scenario

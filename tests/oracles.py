@@ -15,8 +15,6 @@ covariance, against which their float64 error is bounded.
 ``configs/vehicle_tracking.yaml``, which only the tests read undiscretized.
 """
 
-import time
-
 import mpmath
 import numpy as np
 
@@ -217,8 +215,9 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     derived from ``state.step``, its decomposition and ``state.px``, as the
     step forms them from the state it receives.  ``variant`` is ``"ULISE"``,
     ``"PLISE"`` or ``"CYWZ"``.  Returns ``(state_fields, out_fields)``: the
-    next state's arrays and decomposition (as the dict of
-    :func:`decompose_oracle`), and the :class:`StepOutput` fields, by name.
+    next state's arrays and the decomposition of its step (as the dict of
+    :func:`decompose_oracle`, under ``"dec"``), and the :class:`StepOutput`
+    fields, by name.
     Raises what the step raises, with the same message.
     """
     k = state.k + 1
@@ -316,7 +315,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     out = dict(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
         dhat_prev=dhat_prev, pd_prev=_sym(pd_prev), gain_l=gain_l,
-        gain_m1=dk["sigma_inv"], gain_m2=m2, gain_m2_state=m2_state,
+        gain_m2=m2, gain_m2_state=m2_state,
         unbiasedness={
             "m1_sigma": dk["m1_sigma_residual"], "m2_c2g2": dev2,
             "l_u1": float(np.linalg.norm(gain_l @ dk["U1"])) if dk["p_h"] else 0.0,
@@ -506,7 +505,6 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
     model = scenario.model
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
-    t0 = time.perf_counter()
     if name == "KALMAN":
         state = kalman_init(model, scenario.x0_mean, scenario.p0, tol)
     else:
@@ -525,11 +523,9 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         try:
             if name == "KALMAN":
                 state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
-                dec_k = decompose_cached(step, tol)
             else:
                 state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
                                           scenario.gamma, tol)
-                dec_k = state.dec
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k
@@ -544,12 +540,12 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         for key in unb:
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
-            step_prev=step_prev, step=step, dec_prev=dec_prev, dec=dec_k,
+            step_prev=step_prev, step=step, dec_prev=dec_prev,
+            dec=decompose_cached(step, tol),
             m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
             from_propagated=name == "PLISE",
         ))
-    seconds = (time.perf_counter() - t0) / max(len(gains), 1)
-    return xhat, dhat, px_diag, pd_diag, gains, unb, seconds, error, failed_at, None
+    return xhat, dhat, px_diag, pd_diag, gains, unb, error, failed_at, None
 
 
 def first_repeat_oracle(name, scenario, truth, tol=DEFAULT_TOL):

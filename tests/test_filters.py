@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import config_scenario, online_plant, random_system
+from conftest import bits, config_scenario, online_plant, random_system
 from oracles import full_rank_gain_oracle, no_feedthrough_oracle
 import lise.decomposition
 from lise.decomposition import (_pair_context, _step_context, decompose, decompose_cached,
@@ -177,15 +177,31 @@ def _declaration_model(name, system):
         A=s.A, B=s.B, C=s.C, D=s.D, G=s.G[:, :0], H=s.H[:, :0], Q=s.Q, R=s.R))
 
 
-def _bits(value):
-    """A gain half's output with every array as its shape, dtype and bytes."""
-    if isinstance(value, (tuple, list)):
-        return tuple(_bits(v) for v in value)
-    if isinstance(value, dict):
-        return {key: _bits(v) for key, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return value.shape, value.dtype.str, value.tobytes()
-    return value
+@pytest.mark.parametrize("system", ["fault_h1", "random"])
+@pytest.mark.parametrize("name", sorted(_FILTER_FNS))
+def test_hand_built_state_steps_as_the_init_state(name, system):
+    # a state needs its k, estimates, covariance state and model step alone:
+    # one built by hand, on a fresh step object of the same matrices, steps
+    # bit for bit as the one the init returns
+    model = _declaration_model(name, system)
+    init, step_fn = _FILTER_FNS[name]
+    rng = np.random.default_rng(8)
+    ys = rng.standard_normal((21, model.l))
+    us = rng.standard_normal((21, model.m))
+    state = init(model, rng.standard_normal(model.n), np.eye(model.n), ys[0], us[0])
+    step0 = SystemStep(**{m: getattr(state.step, m) for m in "ABCDGHQR"})
+    fields = ("xhat", "d1hat") + type(state).cov_fields
+    hand = type(state)(k=0, step=step0, **{f: getattr(state, f).copy() for f in fields})
+    for k in range(1, 21):
+        args = (ys[k], us[k], us[k - 1], model)
+        state, out = step_fn(state, *args)
+        hand, hand_out = step_fn(hand, *args)
+        assert hand.k == state.k == k
+        for f in fields:
+            assert bits(getattr(hand, f)) == bits(getattr(state, f)), (k, f)
+        for f in dataclasses.fields(out):
+            got, want = getattr(hand_out, f.name), getattr(out, f.name)
+            assert f.name == "gains" or bits(got) == bits(want), (k, f.name)
 
 
 class TestCovarianceState:
@@ -208,9 +224,9 @@ class TestCovarianceState:
             state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
         # the step keeps the record its estimate update ran on
         g = out.gains
-        pairs = [(g.step_prev, prev.step), (g.dec_prev, prev.dec), (g.step, state.step),
-                 (g.dec, state.dec), (g.m2, out.gain_m2), (g.m2_state, out.gain_m2_state),
-                 (g.gain_l, out.gain_l)]
+        pairs = [(g.step_prev, prev.step), (g.dec_prev, _step_context(prev.step).dec),
+                 (g.step, state.step), (g.dec, _step_context(state.step).dec),
+                 (g.m2, out.gain_m2), (g.m2_state, out.gain_m2_state), (g.gain_l, out.gain_l)]
         assert all(a is b for a, b in pairs)
         assert g.from_propagated is (name == "PLISE")
         gain_half, options = _GAIN_HALVES[name]
@@ -236,7 +252,7 @@ class TestCovarianceState:
         state, gains = self._stepped(name, system)
         blind = dataclasses.replace(state, xhat=np.full_like(state.xhat, np.nan),
                                     d1hat=np.full_like(state.d1hat, np.nan))
-        assert _bits(gains(blind)) == _bits(gains(state))
+        assert bits(gains(blind)) == bits(gains(state))
 
     @pytest.mark.parametrize("system", ["fault_h1", "random"])
     @pytest.mark.parametrize("name", ["ULISE", "CYWZ", "PLISE", "KALMAN"])
@@ -436,13 +452,16 @@ class TestKalmanCollapse:
                 assert np.allclose(o.px, ko.px, atol=1e-12)
                 assert o.dhat_prev.size == 0
 
-    def test_kalman_state_carries_its_decomposition(self):
+    def test_kalman_state_carries_only_its_step(self):
+        # the decompositions a step runs on are those of the contexts of its
+        # two model steps, not copies kept on the state
         rng = np.random.default_rng(12)
         model = random_system(rng, n=3, l=2, p=0, p_h=0)
         state = kalman_init(model, np.zeros(3), np.eye(3))
-        assert state.dec is decompose_cached(state.step)
-        state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
-        assert state.dec is decompose_cached(state.step)
+        assert [f.name for f in dataclasses.fields(state)] == ["k", "xhat", "px", "d1hat", "step"]
+        new, out = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        assert out.gains.dec_prev is decompose_cached(state.step)
+        assert out.gains.dec is decompose_cached(new.step)
 
     def test_kalman_state_is_the_updated_variant_state(self):
         # the Kalman filter is the p = 0 member down to its state type: an
@@ -611,7 +630,7 @@ class TestGammaPolicies:
         state = ulise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
         rng = np.random.default_rng(1)
         for k in range(1, 30):
-            ahat, qhat = decoupled_dynamics(state.step, state.dec)
+            ahat, qhat = decoupled_dynamics(state.step, dec)
             p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
             r_hat = step.C @ p_tilde @ step.C.T + step.R
             y = rng.standard_normal(5)
@@ -681,7 +700,7 @@ class TestGammaPolicies:
             for step_fn in (ulise_step, cywz_step):
                 state = ulise_init(model, np.zeros(n), np.eye(n), ys[0], us[0])
                 for k in range(1, 9):
-                    ahat, qhat = decoupled_dynamics(state.step, state.dec)
+                    ahat, qhat = decoupled_dynamics(state.step, dec)
                     p_tilde = symmetrize(ahat @ state.px @ ahat.T + qhat)
                     r_hat = step.C @ p_tilde @ step.C.T + step.R
                     state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
@@ -1037,7 +1056,7 @@ class TestStepInvariants:
                     for i, (_, step_fn) in enumerate(fns):
                         states[i], _ = step_fn(states[i], truth.y[k], truth.u[k],
                                                truth.u[k - 1], model)
-                    refs.append(weakref.ref(states[0].dec))
+                    refs.append(weakref.ref(decompose_cached(states[0].step)))
                     refs.append(weakref.ref(_step_context(states[0].step)))
             gc.collect()
             live, _ = tracemalloc.get_traced_memory()

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import config_scenario
 from oracles import mp_array, mp_px_recursion
+from lise.decomposition import decompose_cached
 from lise.filters import cywz_step, plise_init, plise_step, ulise_init, ulise_step
 
 N_STEPS = 60
@@ -58,7 +59,8 @@ def _worst_errors(config, name):
     state = init(model, sc.x0_mean, sc.p0, zl, zm)
     worst = dict.fromkeys(("px", "M2", "L"), 0.0)
     with mpmath.workdps(50):
-        v2, t2 = mp_array(state.dec.V2), mp_array(state.dec.T2)
+        dec = decompose_cached(state.step)
+        v2, t2 = mp_array(dec.V2), mp_array(dec.T2)
         for k in range(N_STEPS):
             state, out = step_fn(state, zl, zm, zm, model, sc.gamma)
             got = (mp_array(out.px), v2 @ mp_array(out.gain_m2) @ t2, mp_array(out.gain_l))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import lise.linalg
 import lise.simulate
-from conftest import config_scenario, online_plant, random_system
+from conftest import bits, config_scenario, online_plant, random_system
 from oracles import (fault_input_samples, first_repeat_oracle, per_run_truth_oracle,
                      per_step_full_pass_oracle, per_step_replay_oracle,
                      per_value_step_csv)
@@ -576,7 +576,17 @@ class TestRunScenario:
             assert np.all(fr.tr_px > 0) and np.all(fr.tr_pd > 0)
             tail = fr.tr_px[-80:]
             assert np.max(np.abs(np.diff(tail))) / tail[-1] < 1e-6
-            assert fr.seconds_per_step > 0
+
+    @pytest.mark.parametrize("runs", [1, 8])
+    def test_two_runs_of_one_scenario_are_equal_field_by_field(self, runs):
+        # a record holds nothing that differs between runs, such as a timing
+        sc = config_scenario("fault_h1", monte_carlo=runs)
+        first, second = (run_scenario(sc).filters for _ in range(2))
+        assert first.keys() == second.keys()
+        for name, a in first.items():
+            for field in dataclasses.fields(a):
+                got, want = getattr(a, field.name), getattr(second[name], field.name)
+                assert bits(got) == bits(want), (name, field.name)
 
     def test_structural_report_attached(self):
         res = run_scenario(config_scenario("fault_h1", horizon=30))
