@@ -33,7 +33,11 @@ packages run on the same numpy, and five modes compare their outputs:
 
 ``run``, ``mc`` and ``analyze`` compare every written CSV byte and the
 standard output, with the temporary output directory replaced by a
-placeholder.  The output JSON records ``bitwise_equal`` per mode.
+placeholder.  The output JSON records ``bitwise_equal`` per mode and, in
+``bitwise_differs``, what differs in each mode that is not equal: the
+written files and standard outputs by name, the ``FilterRun`` fields as
+``"<filter> <field>"``, and for ``online`` the first differing index of its
+list of step outputs (three per k, in the order ULISE, PLISE, CYWZ).
 
 Then ``perfbench/run.py`` runs in each checkout with ``--trace 0`` for
 ``BENCHMARK.json``'s ``run_seconds``, once per workload and seed.  With
@@ -162,8 +166,8 @@ class Side:
         sim = self.lise.simulate
         truths = [sim.simulate_truth(self.scenario, 0),
                   sim.simulate_truth(self.scenario, range(MC_RUNS))]
-        return _bytes([(t.x, t.y) for t in truths]) + _result_bytes(
-            sim.run_scenario(self.scenario))
+        return {"truth": _bytes([(t.x, t.y) for t in truths]),
+                **_result_bytes(sim.run_scenario(self.scenario))}
 
     def run(self):
         """``lise run`` on every config."""
@@ -187,8 +191,8 @@ class Side:
         finally:
             cli.run_scenario = run_scenario
         (result,) = results
-        files["batch"] = _bytes([result.truth.x, result.truth.y]) + _result_bytes(result)
-        return files
+        files["truth"] = _bytes([result.truth.x, result.truth.y])
+        return {**files, **_result_bytes(result)}
 
     def analyze(self):
         """``lise analyze`` on every config."""
@@ -217,12 +221,13 @@ class Side:
         return files
 
 
-def _result_bytes(result) -> list:
-    """Every field of each ``FilterRun`` of ``result``; a checkout whose
-    ``FilterRun`` still has the timing field ``seconds_per_step`` compares
-    without it."""
-    return [_bytes(getattr(run, field.name)) for run in result.filters.values()
-            for field in dataclasses.fields(run) if field.name != "seconds_per_step"]
+def _result_bytes(result) -> dict:
+    """Every field of each ``FilterRun`` of ``result``, keyed ``"<filter>
+    <field>"``; a checkout whose ``FilterRun`` still has the timing field
+    ``seconds_per_step`` compares without it."""
+    return {f"{run.name} {field.name}": _bytes(getattr(run, field.name))
+            for run in result.filters.values()
+            for field in dataclasses.fields(run) if field.name != "seconds_per_step"}
 
 
 def _bytes(value):
@@ -237,12 +242,24 @@ def _bytes(value):
     return value
 
 
+def differences(a, b) -> list:
+    """Where two outputs of one mode differ: the sorted keys whose entries
+    differ, for dicts; for lists, the first index at which they differ (the
+    shorter one's length when it is a prefix of the other)."""
+    if a == b:
+        return []
+    if isinstance(a, dict):
+        return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return [next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))]
+
+
 def bitwise_check(checkouts, steps: int = 1000, configs=CONFIGS) -> dict:
-    """Whether the two checkouts' outputs are bitwise equal, per mode; the
-    online plant runs ``steps`` steps, and ``run`` and ``analyze`` take
-    ``configs``."""
+    """Where the two checkouts' outputs differ, per mode (:func:`differences`,
+    empty when they are bitwise equal); the online plant runs ``steps``
+    steps, and ``run`` and ``analyze`` take ``configs``."""
     sides = [Side(label, root, i, steps, configs) for i, (label, root) in enumerate(checkouts)]
-    return {mode: getattr(sides[0], mode)() == getattr(sides[1], mode)() for mode in MODES}
+    return {mode: differences(getattr(sides[0], mode)(), getattr(sides[1], mode)())
+            for mode in MODES}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -319,10 +336,12 @@ def main(argv=None) -> int:
     doc = {"seconds": seconds, "sides": {label: {"workloads": {}} for label in labels},
            "comparison": {}}
     if len(labels) == 2:
-        doc["bitwise_equal"] = bitwise_check(args.checkout)
+        differs = bitwise_check(args.checkout)
+        doc["bitwise_equal"] = {mode: not entries for mode, entries in differs.items()}
+        doc["bitwise_differs"] = {mode: entries for mode, entries in differs.items() if entries}
         print("outputs bitwise equal: " + ", ".join(
-            f"{mode} {'yes' if same else 'NO'}" for mode, same in doc["bitwise_equal"].items()),
-            flush=True)
+            f"{mode} NO {entries}" if entries else f"{mode} yes"
+            for mode, entries in differs.items()), flush=True)
     for workload in args.workloads:
         runs = {label: [] for label in labels}
         for i, seed in enumerate(args.seeds):

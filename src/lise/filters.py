@@ -255,9 +255,9 @@ class StepOutput:
 
     The unknown-input estimate is one step delayed: the step consuming
     ``y_k`` finalizes ``dhat_prev`` as the estimate of ``d_{k-1}`` with
-    covariance ``pd_prev``.  ``gain_m2_state`` differs from ``gain_m2`` only
-    for the OLS variant.  ``gains`` is the step's gain record, the one its
-    estimate update ran on.
+    covariance ``pd_prev``.  ``gains`` is the step's gain record, the one
+    its estimate update ran on: the step's gains ``gains.gain_l``,
+    ``gains.m2`` and ``gains.m2_state`` are read there.
     """
 
     k: int
@@ -267,9 +267,6 @@ class StepOutput:
     px_star: np.ndarray
     dhat_prev: np.ndarray
     pd_prev: np.ndarray
-    gain_l: np.ndarray
-    gain_m2: np.ndarray
-    gain_m2_state: np.ndarray
     unbiasedness: dict[str, float]
     gains: _StepGains
 
@@ -668,11 +665,8 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
                    state.d1_from_propagated)
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, _data_products(yv, uv, upv, g), g)
-    out = StepOutput(
-        k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
-        dhat_prev=dhat_prev, pd_prev=pd_prev, gain_l=gain_l, gain_m2=m2,
-        gain_m2_state=m2_state, unbiasedness=unbiasedness, gains=g,
-    )
+    out = StepOutput(k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
+                     dhat_prev=dhat_prev, pd_prev=pd_prev, unbiasedness=unbiasedness, gains=g)
     return type(state)(k=k, xhat=xhat, d1hat=d1hat, step=step, **cov), out
 
 

@@ -16,19 +16,20 @@ the first block and runs the recursion over all runs.  Each run keeps its
 own BLAS calls, so the truth is bitwise the same whatever the CPU count.
 
 Filter gains and covariances do not depend on the data, so a Monte-Carlo
-batch runs the full step functions once (which also yields the reported
-covariance series and the gain schedule) and then replays the schedule over
-all measurement realizations.  With its gains fixed, one step's estimate
-update is a linear map of the previous state and feedthrough-input estimates
-and of the step's measurement and known inputs.  The replay takes the matrix
-of that map for each distinct gain record from the estimate update the step
-functions share, run on the columns of the identity, so the estimate
-recursion is written once.  The runs lie on the last axis of a buffer of a
-few dozen steps, each step a contiguous block of its data and of the
-previous estimates, so each replayed step is one matrix product over all
-runs that writes the new estimates straight into the next step's block; the
-buffer is filled with the data and emptied into the outputs once per chunk
-of steps.
+batch runs the full step functions once, over run 0 (which also yields the
+reported covariance series, run 0's estimates and the gain schedule), and
+then replays the schedule over the measurements of runs 1..M-1 alone: each
+run's estimates are computed once.  With its gains fixed, one step's
+estimate update is a linear map of the previous state and feedthrough-input
+estimates and of the step's measurement and known inputs.  The replay takes
+the matrix of that map for each distinct gain record from the estimate
+update the step functions share, run on the columns of the identity, so the
+estimate recursion is written once.  The replayed runs lie on the last axis
+of a buffer of a few dozen steps, each step a contiguous block of its data
+and of the previous estimates, so each replayed step is one matrix product
+over those runs that writes the new estimates straight into the next step's
+block; the buffer is filled with the data and emptied into the outputs once
+per chunk of steps.
 
 On a time-invariant model the floating-point gain recursion of every filter
 settles into a covariance state that repeats bit for bit, either a fixed
@@ -158,6 +159,9 @@ class Scenario:
                 raise InvalidInputError(f"unknown filter {name!r}; choose from {FILTER_NAMES}")
             if name in self.filters[:i]:
                 raise InvalidInputError(f"filter {name!r} is requested more than once")
+            if name == "KALMAN" and self.model.p:
+                raise InvalidInputError(
+                    f"filter 'KALMAN' applies only to models with p = 0, got p = {self.model.p}")
         window = self.steady_window
         if not _is_real(window):
             raise InvalidInputError(f"steady_window must be a real number, got {window!r}")
@@ -318,7 +322,9 @@ class FilterRun:
 
     ``xhat[i]`` is the filtered state after consuming measurement ``k = i+1``;
     ``dhat[i]`` is the (one-step delayed) estimate of the unknown input at
-    time ``i``.  ``*_runs`` arrays hold the errors of every Monte-Carlo run.
+    time ``i``.  ``*_runs`` arrays hold the errors of every Monte-Carlo run,
+    (M, N, .); their row 0 is run 0's, which ``err_x`` and ``err_d`` are
+    views of: those of the pass, never replayed.
     Every field is a function of the scenario and tolerance alone: two runs
     of one scenario give equal records, down to the bytes.  ``gain_cycle`` is ``(k,
     period)`` when the pass found the filter's covariance state before
@@ -531,10 +537,13 @@ def _update_maps(gains: Sequence[_StepGains]) -> list[np.ndarray]:
 
 def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
                     x0_mean: np.ndarray):
-    """Replay precomputed gains over a batch of measurement sequences.
+    """Replay precomputed gains over runs 1..M-1 of a batch of measurement
+    sequences.
 
     ``ys`` has shape (M, N+1, l); returns batched estimates (M, N, n) and
-    (M, N, p).  The covariance side is untouched (it is data-independent).
+    (M, N, p) whose row 0 is left unset: run 0's estimates are the filter
+    pass's, which the caller writes there.  The covariance side is
+    untouched (it is data-independent).
     Each distinct gain record (the gain cycle shares them by identity) is
     turned into the matrix ``F`` of its estimate update by
     :func:`_update_maps`, so the estimate recursion stays the one of the
@@ -551,31 +560,32 @@ def _apply_schedule(gains: Sequence[_StepGains], ys: np.ndarray, us: np.ndarray,
     dw = l + 2 * m
     maps = _update_maps(gains)
     chunk = min(_CHUNK, n_steps)
-    z = np.empty((chunk + 1, dw + max(f.shape[0] for f in maps), runs))
+    z = np.empty((chunk + 1, dw + max(f.shape[0] for f in maps), runs - 1))
 
-    # the filter initialisation of every run, on the columns of (n, M) stacks
+    # the filter initialisation of runs 1..M-1, on the columns of (n, M - 1)
+    # stacks
     dec0 = g0.dec_prev
-    x = np.broadcast_to(x0_mean, (runs, n))
+    x = np.broadcast_to(x0_mean, (runs - 1, n))
     z[0, dw:dw + n] = x.T
     z[0, dw + n:dw + n + dec0.p_h] = _feedthrough_input(
-        dec0, dec0.T1 @ ys[:, 0].T, x.T, dec0.D1 @ us[0][:, None])
+        dec0, dec0.T1 @ ys[1:, 0].T, x.T, dec0.D1 @ us[0][:, None])
     xh = np.empty((runs, n_steps, n))
     dh = np.empty((runs, n_steps, p))
     for start in range(0, n_steps, chunk):
         part = maps[start:start + chunk]
         c = len(part)
-        z[:c, :l] = ys[:, start + 1:start + c + 1].transpose(1, 2, 0)
+        z[:c, :l] = ys[1:, start + 1:start + c + 1].transpose(1, 2, 0)
         z[:c, l:l + m] = us[start + 1:start + c + 1, :, None]
         z[:c, l + m:dw] = us[start:start + c, :, None]
         for j, f in enumerate(part):
             f.dot(z[j, :f.shape[1]], out=z[j + 1, dw:dw + f.shape[0]])
-        xh[:, start:start + c] = z[1:c + 1, dw:dw + n].transpose(2, 0, 1)
+        xh[1:, start:start + c] = z[1:c + 1, dw:dw + n].transpose(2, 0, 1)
         # dhat_prev is the last p of the n + p_h + p rows a step writes, so it
         # moves with p_h: one copy per run of steps with equal p_h
         j = 0
         for height, run in itertools.groupby(f.shape[0] for f in part):
             b = j + len(list(run))
-            dh[:, start + j:start + b] = z[j + 1:b + 1, dw + height - p:dw + height].transpose(
+            dh[1:, start + j:start + b] = z[j + 1:b + 1, dw + height - p:dw + height].transpose(
                 2, 0, 1)
             j = b
         z[0, dw:] = z[c, dw:]
@@ -643,18 +653,19 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         if error is not None and raise_filter_errors:
             raise FilterFailure(name, error)
         n_ok = xhat.shape[0]
-        err_x = xhat - truth0.x[1:n_ok + 1]
-        err_d = dhat - truth0.d[:n_ok]
+        # the errors overwrite the replayed estimates of runs 1..M-1, so the
+        # batch holds one (M, N, .) array per series; its row 0 holds the
+        # pass's own errors, which are err_x and err_d
         if scenario.monte_carlo > 1 and n_ok:
-            # the errors overwrite the replayed estimates, so the batch holds
-            # one (M, N, .) array per series
             err_x_runs, err_d_runs = _apply_schedule(gains, truth.y, truth.u,
                                                      scenario.x0_mean)
-            err_x_runs -= truth.x[:, 1:n_ok + 1]
-            err_d_runs -= truth.d[:n_ok]
+            err_x_runs[1:] -= truth.x[1:, 1:n_ok + 1]
+            err_d_runs[1:] -= truth.d[:n_ok]
         else:
-            err_x_runs = err_x[np.newaxis]
-            err_d_runs = err_d[np.newaxis]
+            err_x_runs = np.empty((1,) + xhat.shape)
+            err_d_runs = np.empty((1,) + dhat.shape)
+        err_x = np.subtract(xhat, truth0.x[1:n_ok + 1], out=err_x_runs[0])
+        err_d = np.subtract(dhat, truth0.d[:n_ok], out=err_d_runs[0])
         steady = {}
         # a filter that failed before the tail window has no steady state
         if n_ok > tail.start:

@@ -217,7 +217,8 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     ``"PLISE"`` or ``"CYWZ"``.  Returns ``(state_fields, out_fields)``: the
     next state's arrays and the decomposition of its step (as the dict of
     :func:`decompose_oracle`, under ``"dec"``), and the :class:`StepOutput`
-    fields, by name.
+    fields by attribute path, the gains under ``"gains.gain_l"``,
+    ``"gains.m2"`` and ``"gains.m2_state"``.
     Raises what the step raises, with the same message.
     """
     k = state.k + 1
@@ -314,8 +315,8 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
         dev2 = max(dev2, float(np.linalg.norm(m2_state @ c2g2 - eye2)))
     out = dict(
         k=k, xhat=xhat, xhat_star=xstar, px=px, px_star=px_star,
-        dhat_prev=dhat_prev, pd_prev=_sym(pd_prev), gain_l=gain_l,
-        gain_m2=m2, gain_m2_state=m2_state,
+        dhat_prev=dhat_prev, pd_prev=_sym(pd_prev),
+        **{"gains.gain_l": gain_l, "gains.m2": m2, "gains.m2_state": m2_state},
         unbiasedness={
             "m1_sigma": dk["m1_sigma_residual"], "m2_c2g2": dev2,
             "l_u1": float(np.linalg.norm(gain_l @ dk["U1"])) if dk["p_h"] else 0.0,
@@ -329,7 +330,8 @@ def kalman_step_oracle(state, y, u, u_prev, model):
 
     A frozen copy of the arithmetic of ``filters.kalman_step`` from before
     its products moved to ``ndarray.dot``, the caller's vectors taken as
-    they come.  Returns the :class:`StepOutput` fields it forms, by name.
+    they come.  Returns the :class:`StepOutput` fields it forms by attribute
+    path, the gain under ``"gains.gain_l"``.
     """
     step_prev, step = state.step, model.step(state.k + 1)
     y, u, u_prev = (np.asarray(v, dtype=float) for v in (y, u, u_prev))
@@ -341,7 +343,8 @@ def kalman_step_oracle(state, y, u, u_prev, model):
     xhat = xpred + gain_l @ (y - step.C @ xpred - step.D @ u)
     ilc = np.eye(step.n) - gain_l @ step.C
     px = symmetrize(ilc @ p_pred @ ilc.T + gain_l @ step.R @ gain_l.T)
-    return dict(xhat=xhat, xhat_star=xpred, px=px, px_star=p_pred, gain_l=gain_l)
+    return {"xhat": xhat, "xhat_star": xpred, "px": px, "px_star": p_pred,
+            "gains.gain_l": gain_l}
 
 
 def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
@@ -542,7 +545,7 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         gains.append(_StepGains(
             step_prev=step_prev, step=step, dec_prev=dec_prev,
             dec=decompose_cached(step, tol),
-            m2=out.gain_m2, m2_state=out.gain_m2_state, gain_l=out.gain_l,
+            m2=out.gains.m2, m2_state=out.gains.m2_state, gain_l=out.gains.gain_l,
             from_propagated=name == "PLISE",
         ))
     return xhat, dhat, px_diag, pd_diag, gains, unb, error, failed_at, None

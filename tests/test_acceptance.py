@@ -185,9 +185,9 @@ def test_criterion_04_special_case_oracles():
             oracle = full_rank_gain_oracle(step0, out.px_star)
             scale = max(1.0, float(np.linalg.norm(oracle)),
                         float(np.linalg.norm(out.px_star)))
-            assert np.linalg.norm(out.gain_l - oracle) <= 1e-9 * scale
+            assert np.linalg.norm(out.gains.gain_l - oracle) <= 1e-9 * scale
             if full_row:
-                assert np.linalg.norm(out.gain_l) <= 1e-9 * scale
+                assert np.linalg.norm(out.gains.gain_l) <= 1e-9 * scale
     print("\n[criterion 4] PASS: 100 no-feedthrough systems match the "
           "closed-form recursion to 1e-9; 100 full-rank-feedthrough systems "
           "match the closed-form gain to 1e-9")

@@ -64,15 +64,23 @@ def test_comparison_counts_wins_in_the_better_direction(bench):
 
 
 def test_bitwise_check_finds_a_checkout_equal_to_itself(bench):
-    # both sides are this checkout, so every mode's outputs are bitwise equal
+    # both sides are this checkout, so no mode's outputs differ anywhere
     assert bench.bitwise_check([("a", str(ROOT)), ("b", str(ROOT))], steps=20,
-                               configs=("fault_h1",)) == dict.fromkeys(bench.MODES, True)
+                               configs=("fault_h1",)) == {mode: [] for mode in bench.MODES}
+
+
+def test_differences_name_keys_or_the_first_index(bench):
+    assert bench.differences({"a": 1, "b": 2}, {"a": 1, "b": 3, "c": 4}) == ["b", "c"]
+    assert bench.differences([1, 2, 3, 4], [1, 2, 0, 5]) == [2]
+    assert bench.differences([1, 2], [1, 2, 3]) == [2]
+    assert bench.differences([1, 2], [1, 2]) == bench.differences({"a": 1}, {"a": 1}) == []
 
 
 def test_a_last_bit_in_symmetrize_fails_the_check_and_the_exit_code(bench, tmp_path,
                                                                      monkeypatch):
     # a copy whose symmetrize scales by the float after 0.5: the online step
-    # outputs differ, and bench.py exits 1 once its JSON is written
+    # outputs differ from ULISE's first, and bench.py exits 1 once its JSON
+    # is written
     copy = tmp_path / "copy"
     shutil.copytree(ROOT / "src" / "lise", copy / "src" / "lise",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -91,8 +99,12 @@ def test_a_last_bit_in_symmetrize_fails_the_check_and_the_exit_code(bench, tmp_p
     out = tmp_path / "bench.json"
     assert bench.main(["--checkout", f"parent={ROOT}", "--checkout", f"change={copy}",
                        "--workloads", "online_tv", "--seeds", "1", "--out", str(out)]) == 1
-    equal = json.loads(out.read_text())["bitwise_equal"]
+    doc = json.loads(out.read_text())
+    equal, differs = doc["bitwise_equal"], doc["bitwise_differs"]
     assert set(equal) == set(bench.MODES) and equal["online"] is False
+    assert differs["online"] == [0]
+    assert set(differs) == {mode for mode, same in equal.items() if not same}
+    assert "ULISE xhat" in differs["tv"] and "0/summary.csv" in differs["run"]
 
 
 @pytest.mark.parametrize("files", [(), ("configs/fault_h1.yaml",), ("src/lise/__init__.py",)],

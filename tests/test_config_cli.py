@@ -741,6 +741,20 @@ class TestCliCompare:
         assert [label for label in cells if label.startswith("rms")] == [
             "rms_x_1", "rms_x_2", "rms_x_3", "rms_x_4", "rms_d_1", "rms_d_2"]
 
+    @pytest.mark.parametrize("power", [-12, -8, -4, 4, 8, 12])
+    def test_dominance_verdict_does_not_depend_on_the_units(self, tmp_path, capsys, power):
+        # Q, R and P0 of fault_h1 scaled together by 10^power scale every
+        # covariance alike; at 1e8 ULISE's trace(Px) lies 1.2e-15 (relative)
+        # above CYWZ's, whose exact covariances are equal
+        doc = yaml.safe_load((CONFIGS / "fault_h1.yaml").read_text())
+        for node, key in ((doc["model"], "Q"), (doc["model"], "R"), (doc["scenario"], "P0")):
+            node[key] = (10.0 ** power * np.array(node[key], dtype=float)).tolist()
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["compare", "--config", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "dominance check: ULISE steady traces are minimal (as expected)")
+
     def test_needs_two_filters(self, tmp_path, capsys):
         cfg = _small_run_config(tmp_path)
         assert main(["compare", "--config", str(cfg)]) == 1
@@ -786,6 +800,26 @@ class TestCliCompare:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "filter 'ULISE' is requested more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_kalman_on_a_model_with_unknown_inputs_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        # in the config's list it fails at path scenario, on the command
+        # line naming --filters; fault_h1 has p = 3
+        monkeypatch.setattr(lise.cli, "run_scenario", None)
+        message = "filter 'KALMAN' applies only to models with p = 0, got p = 3"
+        cfg = _small_run_config(tmp_path, filters="[ULISE, KALMAN]")
+        out = tmp_path / "res"
+        argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: scenario: {message}\n")
+        assert not out.exists()
+        if command == "compare":
+            cfg = _small_run_config(tmp_path, filters="[ULISE, PLISE]")
+            assert main(["compare", "--config", str(cfg), "--filters", "ULISE", "KALMAN"]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"config error: --filters: {message}\n")
 
 
 # estimable but not strongly detectable (transmission zero at 1.25)

@@ -225,8 +225,7 @@ class TestCovarianceState:
         # the step keeps the record its estimate update ran on
         g = out.gains
         pairs = [(g.step_prev, prev.step), (g.dec_prev, _step_context(prev.step).dec),
-                 (g.step, state.step), (g.dec, _step_context(state.step).dec),
-                 (g.m2, out.gain_m2), (g.m2_state, out.gain_m2_state), (g.gain_l, out.gain_l)]
+                 (g.step, state.step), (g.dec, _step_context(state.step).dec)]
         assert all(a is b for a, b in pairs)
         assert g.from_propagated is (name == "PLISE")
         gain_half, options = _GAIN_HALVES[name]
@@ -515,7 +514,7 @@ class TestKalmanCollapse:
         for k in range(1, 6):
             state, out = kalman_step(state, np.zeros(2), np.zeros(0), np.zeros(0), model)
             open_loop = a @ px_prev @ a.T + step.Q
-            assert np.linalg.norm(out.gain_l) < 1e-9
+            assert np.linalg.norm(out.gains.gain_l) < 1e-9
             assert np.allclose(state.px, open_loop, atol=1e-6)
             px_prev = state.px
 
@@ -574,7 +573,7 @@ class TestFullRankFeedthroughGain:
         for gamma in GammaPolicy:
             for out in _drive(model, 12, seed=seed, gamma=gamma)[2:]:
                 oracle = full_rank_gain_oracle(model.step(0), out.px_star)
-                assert np.allclose(out.gain_l, oracle, atol=1e-9)
+                assert np.allclose(out.gains.gain_l, oracle, atol=1e-9)
 
     def test_square_full_row_rank_kills_the_gain(self):
         # l = p with invertible feedthrough: the update must not move the
@@ -588,7 +587,7 @@ class TestFullRankFeedthroughGain:
                           Q=0.1 * np.eye(4), R=0.3 * np.eye(3))
         model = SystemModel.time_invariant(step)
         for out in _drive(model, 10)[1:]:
-            assert np.linalg.norm(out.gain_l) < 1e-9
+            assert np.linalg.norm(out.gains.gain_l) < 1e-9
             oracle = full_rank_gain_oracle(model.step(0), out.px_star)
             assert np.linalg.norm(oracle) < 1e-9
             assert np.allclose(out.xhat, out.xhat_star, atol=1e-9)
@@ -637,14 +636,14 @@ class TestGammaPolicies:
             state, out = ulise_step(state, y, np.zeros(1), np.zeros(1), model,
                                     GammaPolicy.DAROUACH)
             # recompute the explicit-reduction gain at this step
-            m2 = out.gain_m2
+            m2 = out.gains.m2
             r_check = _whitened_complement_reduction(r_hat, _r_star(step, dec, out, m2),
                                                      step.C, dec.G2)
             k_gain = out.px_star @ step.C.T - dec.G2 @ m2 @ dec.U2.T @ step.R
             core = np.linalg.inv(dec.U1.T @ r_check @ dec.U1)
             m1s = dec.sigma_inv @ core @ dec.U1.T @ r_check
             explicit = k_gain @ (np.eye(5) - dec.H1 @ m1s).T @ r_check
-            assert np.allclose(out.gain_l, explicit, atol=1e-10)
+            assert np.allclose(out.gains.gain_l, explicit, atol=1e-10)
 
     def test_policies_agree_on_random_systems(self):
         # reduction invariance across the admissible family, over varied
@@ -705,8 +704,8 @@ class TestGammaPolicies:
                     r_hat = step.C @ p_tilde @ step.C.T + step.R
                     state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
                     n_mat = (np.eye(l)
-                             - step.C @ dec.G2 @ out.gain_m2_state @ dec.U2.T)
-                    lhs = _r_star(step, dec, out, out.gain_m2_state)
+                             - step.C @ dec.G2 @ out.gains.m2_state @ dec.U2.T)
+                    lhs = _r_star(step, dec, out, out.gains.m2_state)
                     rhs = n_mat @ r_hat @ n_mat.T
                     assert np.allclose(lhs, rhs, atol=1e-9 * np.linalg.norm(rhs))
 
@@ -734,7 +733,7 @@ class TestOlsVariant:
         for k in range(1, 16):
             sa, oa = ulise_step(sa, ys[k], us[k], us[k - 1], model)
             sb, ob = cywz_step(sb, ys[k], us[k], us[k - 1], model)
-            assert np.allclose(oa.gain_m2, ob.gain_m2_state, atol=1e-12)
+            assert np.allclose(oa.gains.m2, ob.gains.m2_state, atol=1e-12)
             assert np.allclose(oa.xhat, ob.xhat, atol=1e-12)
             assert np.allclose(oa.px, ob.px, atol=1e-12)
 
@@ -744,8 +743,8 @@ class TestOlsVariant:
         model = fault_models[5]
         outs = _drive(model, 40, init=ulise_init, step_fn=cywz_step)
         out = outs[-1]
-        assert not np.allclose(out.gain_m2, out.gain_m2_state)
-        gls = out.gain_m2
+        assert not np.allclose(out.gains.m2, out.gains.m2_state)
+        gls = out.gains.m2
         dec = decompose_cached(model.step(0))
         # BLUE covariance identity: pd2 == m2 r2_tilde m2'
         c2g2 = dec.C2 @ dec.G2
@@ -806,7 +805,7 @@ class TestPairContext:
         assert "c2g2_pinv" in vars(ctx)
         state = ulise_init(model, sc.x0_mean, sc.p0, np.zeros(5), np.zeros(1))
         _, out = cywz_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
-        assert out.gain_m2_state is ctx.c2g2_pinv
+        assert out.gains.m2_state is ctx.c2g2_pinv
 
     def test_arrays_are_read_only(self):
         dec = decompose_cached(config_scenario("fault_h1").model.step(0))
@@ -832,7 +831,7 @@ class TestPairContext:
         pinvs = []
         for k in range(1, 301):
             state, out = cywz_step(state, truth.y[k], truth.u[k], truth.u[k - 1], model)
-            pinvs.append(out.gain_m2_state)
+            pinvs.append(out.gains.m2_state)
         assert len(found) == 300
         contexts = {id(ctx): ctx for _, ctx in found}
         assert len({pair for pair, _ in found}) == len(contexts) == 6
@@ -1075,7 +1074,7 @@ class TestStepInvariants:
         outs = _drive(fault_models[1], 30)
         dec = decompose_cached(fault_models[1].step(0))
         for out in outs:
-            assert np.linalg.norm(out.gain_l @ dec.U1) < 1e-10
+            assert np.linalg.norm(out.gains.gain_l @ dec.U1) < 1e-10
 
 
 def test_compute_gain_requires_r_hat_for_default_policy(fault_models):

@@ -63,7 +63,7 @@ def _worst_errors(config, name):
         v2, t2 = mp_array(dec.V2), mp_array(dec.T2)
         for k in range(N_STEPS):
             state, out = step_fn(state, zl, zm, zm, model, sc.gamma)
-            got = (mp_array(out.px), v2 @ mp_array(out.gain_m2) @ t2, mp_array(out.gain_l))
+            got = (mp_array(out.px), v2 @ mp_array(out.gains.m2) @ t2, mp_array(out.gains.gain_l))
             for key, g, ref in zip(worst, got, (w[k] for w in want)):
                 worst[key] = max(worst[key], _rel_error(g, ref))
     return worst

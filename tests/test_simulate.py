@@ -203,6 +203,8 @@ def test_scenario_checks_the_filter_prior(field, value, message):
     ("d_signals", (Constant(0.0),) * 2, "need 3 unknown-input signals, got 2"),
     ("u_signals", (), "need 1 known-input signals, got 0"),
     ("filters", (), "at least one filter must be requested"),
+    ("filters", ("ULISE", "KALMAN"),
+     "filter 'KALMAN' applies only to models with p = 0, got p = 3"),
     ("steady_window", 0.0, r"steady_window must lie in \(0, 1\]"),
     ("steady_window", 1.5, r"steady_window must lie in \(0, 1\]"),
 ])
@@ -560,6 +562,32 @@ class TestRunScenario:
                     replayed = fr.err_d_runs[1, k - 1] + truth1.d[k - 1]
                     assert np.allclose(out.dhat_prev, replayed, atol=1e-11), (name, k)
 
+    @pytest.mark.parametrize("runs", [1, 2, 128])
+    @pytest.mark.parametrize("case", ["fault_h1", "time_varying", "failing"])
+    def test_run_0_of_the_batch_is_the_pass(self, monkeypatch, case, runs):
+        # run 0 is computed once, by the filter pass: row 0 of the batch is
+        # err_x and err_d bit for bit, also for a filter that fails mid-run
+        # (a non-finite measurement at k = 50 of every run)
+        if case == "failing":
+            real = lise.simulate.simulate_truth
+
+            def poisoned(scenario, run_index, tol):
+                truth = real(scenario, run_index, tol)
+                truth.y[:, 50, 0] = np.nan
+                return truth
+
+            monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
+        sc = (_switching_scenario(80, runs) if case == "time_varying"
+              else config_scenario("fault_h1", horizon=200, monte_carlo=runs,
+                                   structural_checks=False))
+        res = run_scenario(sc, raise_filter_errors=False)
+        for name, fr in res.filters.items():
+            assert fr.failed_at == (50 if case == "failing" else None), name
+            assert fr.err_x_runs.shape == (runs,) + fr.xhat.shape, name
+            assert fr.err_d_runs.shape == (runs,) + fr.dhat.shape, name
+            assert _same_bits(fr.err_x_runs[0], fr.err_x), name
+            assert _same_bits(fr.err_d_runs[0], fr.err_d), name
+
     def test_input_estimate_alignment(self):
         # with exact start and vanishing noise, the delayed estimate indexed
         # k-1 matches the true input at k-1 (produced from measurement k)
@@ -805,8 +833,9 @@ class TestGainCycle:
 
 def _assert_replay_matches_oracle(sc):
     """Replay every filter's schedule over the MC batch against the frozen
-    batched recursion: each array within 1e-11 of the oracle, relative to
-    its largest entry (at least 1)."""
+    batched recursion: rows 1.. of each array, the replayed runs, within
+    1e-11 of the oracle's, relative to their largest entry (at least 1); row
+    0 is left to the caller, which writes the filter pass's run 0 there."""
     truth = simulate_truth(sc, range(sc.monte_carlo))
     truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
     for name in sc.filters:
@@ -817,6 +846,7 @@ def _assert_replay_matches_oracle(sc):
         want = per_step_replay_oracle(name, gains, truth.y, truth.u, sc.x0_mean)
         for a, b in zip(got, want):
             assert a.shape == b.shape, name
+            a, b = a[1:], b[1:]
             scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-11 * scale, err_msg=name)
 

@@ -11,6 +11,7 @@ from scratch gives.
 import dataclasses
 import math
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def _run_against_oracle(variant, model, ys, us, x0, p0, gamma, n_steps):
             return k - 1
         state, out = step_fn(*args, gamma)
         for name, value in want.items():
-            _assert_bitwise(getattr(out, name), value, (variant, k, name))
+            _assert_bitwise(attrgetter(name)(out), value, (variant, k, name))
         want_dec = want_state.pop("dec")
         # the oracle returns every array the state holds
         assert ({f.name for f in dataclasses.fields(state)}
@@ -148,4 +149,4 @@ def test_kalman_step_matches_oracle_on_reversed_and_broadcast_vectors():
         want = kalman_step_oracle(state, ys[k], us[k], us[k - 1], model)
         state, out = kalman_step(state, ys[k], us[k], us[k - 1], model)
         for name, value in want.items():
-            _assert_bitwise(getattr(out, name), value, (k, name))
+            _assert_bitwise(attrgetter(name)(out), value, (k, name))
