@@ -174,7 +174,7 @@ def cmd_analyze(doc: ConfigDocument) -> int:
             continue
         cert = certificate(step, tol)
         extra = f" ({cert.reason})" if cert.reason else ""
-        if cert.circle is not None:
+        if cert.circle is not None and cert.circle.min_sigma is not None:
             extra = f" (min circle sigma {cert.circle.min_sigma:.4g})"
         print(f"{label}: {cert.status}{extra}")
         failed |= not cert.ok

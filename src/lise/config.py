@@ -164,7 +164,7 @@ _SIGNAL_KEYS = {
 def _parse_signal(node, path: str) -> SignalSpec:
     node = _require_mapping(node, path)
     kind = node.get("type")
-    if kind not in _SIGNAL_KEYS:
+    if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
         raise ConfigError(f"signal type must be one of {sorted(_SIGNAL_KEYS)}, got {kind!r}", path)
     allowed, cls = _SIGNAL_KEYS[kind]
     _reject_unknown(node, allowed | {"type"}, path)
@@ -183,6 +183,14 @@ def _parse_signal(node, path: str) -> SignalSpec:
         raise ConfigError(str(exc), path) from None
 
 
+def _parse_signals(node: dict, key: str, path: str) -> list:
+    """The list of signals under ``key`` (none when the key is absent)."""
+    signals = node.get(key, [])
+    if not isinstance(signals, list):
+        raise ConfigError(f"{key} must be a list of signals, got {signals!r}", f"{path}.{key}")
+    return [_parse_signal(s, f"{path}.{key}[{i}]") for i, s in enumerate(signals)]
+
+
 _SCENARIO_KEYS = {
     "horizon", "seed", "monte_carlo", "filters", "x0_true", "x0_mean", "P0",
     "d_signals", "u_signals", "gamma", "steady_window", "structural_checks",
@@ -198,10 +206,8 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
     filters = node["filters"]
     if not isinstance(filters, list) or not filters:
         raise ConfigError("filters must be a non-empty list", f"{path}.filters")
-    d_signals = [_parse_signal(s, f"{path}.d_signals[{i}]")
-                 for i, s in enumerate(node["d_signals"])]
-    u_signals = [_parse_signal(s, f"{path}.u_signals[{i}]")
-                 for i, s in enumerate(node.get("u_signals", []))]
+    d_signals = _parse_signals(node, "d_signals", path)
+    u_signals = _parse_signals(node, "u_signals", path)
     if not u_signals and model.m:
         u_signals = [Constant(0.0)] * model.m
     x0_true = _array(node.get("x0_true", [0.0] * model.n), f"{path}.x0_true", 1)

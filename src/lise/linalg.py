@@ -23,9 +23,10 @@ own reason:
   factor it needs comes from that same call;
 * ``lise.filters._whitened_complement_reduction`` needs ``w[0] > 0`` for
   the inverse square root it forms from the same eigendecomposition;
-* the pencil rank and unit-circle scan of :mod:`lise.structural` compare
-  singular values and moduli, not eigenvalues of a covariance, and use
-  ``rank_rel`` and ``unit_circle_eps``.
+* the pencil ranks and the certificates' unit-circle rank tests of
+  :mod:`lise.structural` compare singular values and moduli, not
+  eigenvalues of a covariance, and use ``rank_rel`` and
+  ``unit_circle_eps``.
 
 :func:`inv`, :func:`svd` and :func:`eigh` call numpy's own LAPACK gufuncs
 (``numpy.linalg._umath_linalg``) under numpy's own error callbacks, skipping

@@ -23,8 +23,7 @@ import scipy.linalg
 
 from .decomposition import _pair_context, _step_context
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import (DEFAULT_TOL, Tolerance, _in_blocks, _norm, _sv_rank, psd_sqrt, rank,
-                     symmetrize)
+from .linalg import DEFAULT_TOL, Tolerance, _norm, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
 
 __all__ = [
@@ -46,15 +45,6 @@ __all__ = [
     "plise_stability_check",
     "analyze",
 ]
-
-_OMEGA_GRID = 720
-# circle points per batched SVD; bounds the stack of pencil matrices in memory
-_SCAN_CHUNK = 256
-# the fewest singular values a block of the scan's SVDs computes: numpy
-# releases the GIL in a batched SVD only above 500 of them, so a smaller
-# block on a thread of its own runs after the others and adds the cost of
-# starting that thread
-_BLOCK_SINGULAR_VALUES = 512
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,14 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
 
     def projected_spectrum() -> np.ndarray:
         w = rng.standard_normal((cols, rows))
-        alpha, beta = scipy.linalg.eig(w @ f, w @ e, right=False, homogeneous_eigvals=True)
+        try:
+            with np.errstate(over="raise"):
+                wf = w @ f
+            alpha, beta = scipy.linalg.eig(wf, w @ e, right=False, homogeneous_eigvals=True)
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            # a projection that overflows, or a QZ that does not converge
+            raise InvalidInputError(f"invariant zeros test: the projected system pencil "
+                                    f"has no generalized eigenvalues: {exc}") from None
         scale = max(np.max(np.abs(alpha)), np.max(np.abs(beta)), 1.0)
         keep = np.abs(beta) > tol.rank_rel * scale
         return alpha[keep] / beta[keep]
@@ -304,9 +301,16 @@ def strong_detectability(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Dete
 
 @dataclass(frozen=True)
 class UnitCircleTest:
+    """Outcome of a certificate's rank test on the unit circle.
+
+    ``min_sigma`` is the smallest tested singular value and ``worst_omega``
+    the angle where it occurs, both ``None`` when no point was tested;
+    ``threshold`` is the value a point's singular value must reach.
+    """
+
     ok: bool
-    min_sigma: float
-    worst_omega: float
+    min_sigma: Optional[float]
+    worst_omega: Optional[float]
     threshold: float
 
 
@@ -329,39 +333,29 @@ class CertificateVerdict:
         return self.status == "ok"
 
 
-def _circle_scan(build, nrows: int, candidates: np.ndarray,
+def _circle_scan(f: np.ndarray, e: np.ndarray, candidates: np.ndarray,
                  tol: Tolerance) -> UnitCircleTest:
-    """Minimum of the nrows-th singular value of the pencil over the circle.
+    """Row-rank test of the pencil ``F + z E`` on the unit circle.
 
-    Scans a dense grid plus the angles of candidate eigenvalues within the
-    unit-circle band (exact rank-drop frequencies can fall between grid
-    points).  ``build(z)`` returns the stack of pencil matrices at the
-    points ``z``; the calling thread builds the stack of each chunk of
-    points, and the chunk's SVDs, which release the GIL, run in blocks of
-    points, one per CPU the process may run on (the calling thread takes the
-    first).  Each point keeps the same LAPACK call as a per-point loop, so
-    the result does not depend on the number of CPUs.  Ties go to the first
-    point in scan order.
+    The pencil can lose row rank on the circle only at an eigenvalue of the
+    dynamics (see the certificates), so it is tested at ``e^{j angle(lam)}``
+    for each candidate eigenvalue ``lam`` within ``max(unit_circle_eps,
+    1e-3)`` of the circle, on the circle rather than at ``lam``; with no
+    candidate in that band nothing is tested and the test passes.  A point
+    passes when the pencil has as many singular values there as rows, all at
+    least ``rank_rel (||F||_2 + ||E||_2)``, a bound on its largest singular
+    value anywhere on the circle, so a pencil that is zero at a point up to
+    roundoff fails there.
     """
-    omegas = list(np.linspace(0.0, 2.0 * np.pi, _OMEGA_GRID + 1))
-    for lam in candidates:
-        if abs(abs(lam) - 1.0) <= max(tol.unit_circle_eps, 1e-3):
-            omegas.append(float(np.angle(lam)) % (2.0 * np.pi))
-    omegas = np.array(omegas)
-    zs = np.exp(1j * omegas)
-    sigma = np.empty((zs.size, 2))
-    for i in range(0, zs.size, _SCAN_CHUNK):
-        stack = build(zs[i:i + _SCAN_CHUNK])
-
-        def svds(lo, hi):
-            s = np.linalg.svd(stack[lo:hi], compute_uv=False)
-            sigma[i + lo:i + hi] = s[:, [0, nrows - 1]]
-
-        _in_blocks(svds, stack.shape[0], -(-_BLOCK_SINGULAR_VALUES // nrows))
-    worst = int(np.argmin(sigma[:, 1]))
-    min_sigma = float(sigma[worst, 1])
-    threshold = tol.rank_rel * float(np.max(sigma[:, 0]))
-    return UnitCircleTest(ok=min_sigma >= threshold, min_sigma=min_sigma,
+    threshold = tol.rank_rel * float(np.linalg.norm(f, 2) + np.linalg.norm(e, 2))
+    near = np.abs(np.abs(candidates) - 1.0) <= max(tol.unit_circle_eps, 1e-3)
+    omegas = np.angle(candidates[near]) % (2.0 * np.pi)
+    if not omegas.size:
+        return UnitCircleTest(ok=True, min_sigma=None, worst_omega=None, threshold=threshold)
+    pencils = f + np.exp(1j * omegas)[:, None, None] * e
+    sigma = np.linalg.svd(pencils, compute_uv=False)[:, f.shape[0] - 1]
+    worst = int(np.argmin(sigma))
+    return UnitCircleTest(ok=bool(sigma[worst] >= threshold), min_sigma=float(sigma[worst]),
                           worst_omega=float(omegas[worst]), threshold=threshold)
 
 
@@ -389,32 +383,21 @@ def ulise_convergence_check(step: SystemStep,
     Requires strong detectability plus full row rank of the filter-dynamics
     controllability pencil on the whole unit circle.  Because the measurement
     noise block is PD, a rank drop at ``e^{j w}`` forces a left eigenvector of
-    the decoupled dynamics at that frequency, so those eigenvalues are the
-    only candidates the grid could miss.
+    the decoupled dynamics at that frequency (a PBH test), so the pencil is
+    tested at the eigenvalues of A-hat on the circle only.
     """
     ctx, _, failed = _c2g2_precondition(step, tol)
     if failed is not None:
         return failed
     det = strong_detectability(step, tol)
-    dec, ahat, qhat = ctx.dec, ctx.ahat, ctx.qhat
-    q_half = psd_sqrt(qhat, tol)
-    r2_half = psd_sqrt(dec.R2, tol)
+    dec, ahat = ctx.dec, ctx.ahat
     n = step.n
-    l2 = dec.C2.shape[0]
-    q = dec.G2.shape[1]
-
-    def build(z: np.ndarray) -> np.ndarray:
-        # [[A^ - z I, G2, Q^1/2, 0], [z C2, 0, 0, R2^1/2]] at every point z
-        zc = z[:, None, None]
-        out = np.zeros((z.size, n + l2, 2 * n + q + l2), dtype=complex)
-        out[:, :n, :n] = ahat - zc * np.eye(n)
-        out[:, :n, n:n + q] = dec.G2
-        out[:, :n, n + q:2 * n + q] = q_half
-        out[:, n:, :n] = zc * dec.C2
-        out[:, n:, 2 * n + q:] = r2_half
-        return out
-
-    circle = _circle_scan(build, n + l2, np.linalg.eigvals(ahat), tol)
+    # the pencil [[A^ - z I, G2, Q^1/2, 0], [z C2, 0, 0, R2^1/2]] = F + z E
+    f = scipy.linalg.block_diag(np.hstack([ahat, dec.G2, psd_sqrt(ctx.qhat, tol)]),
+                                psd_sqrt(dec.R2, tol))
+    e = np.zeros(f.shape)
+    e[:, :n] = np.vstack([-np.eye(n), dec.C2])
+    circle = _circle_scan(f, e, np.linalg.eigvals(ahat), tol)
     status = "ok" if (det.detectable and circle.ok) else "failed"
     return CertificateVerdict(status=status, detectability=det, circle=circle)
 
@@ -426,7 +409,9 @@ def plise_stability_check(step: SystemStep,
 
     Built on a simplified fixed-gain companion of the filter: the test fails
     the precondition when the companion's noise coupling matrix is singular
-    or its equivalent process noise is indefinite.
+    or its equivalent process noise is indefinite.  The pencil
+    ``[zI - F_s, Q_s^1/2]`` loses row rank only at an eigenvalue of ``F_s``
+    (a PBH test), so it is tested at those on the circle only.
     """
     ctx, pair, failed = _c2g2_precondition(step, tol)
     if failed is not None:
@@ -462,14 +447,9 @@ def plise_stability_check(step: SystemStep,
                                   reason="equivalent process noise is indefinite")
     det = strong_detectability(step, tol)
 
-    def build(z: np.ndarray) -> np.ndarray:
-        # [z I - F_s, Q_s^1/2] at every point z
-        out = np.empty((z.size, n, n + q_s_half.shape[1]), dtype=complex)
-        out[:, :, :n] = z[:, None, None] * np.eye(n) - f_s
-        out[:, :, n:] = q_s_half
-        return out
-
-    circle = _circle_scan(build, n, np.linalg.eigvals(f_s), tol)
+    # the pencil [z I - F_s, Q_s^1/2] = F + z E
+    f = np.hstack([-f_s, q_s_half])
+    circle = _circle_scan(f, np.eye(*f.shape), np.linalg.eigvals(f_s), tol)
     status = "ok" if (det.detectable and circle.ok) else "failed"
     return CertificateVerdict(status=status, detectability=det, circle=circle)
 
@@ -501,7 +481,7 @@ class StructuralReport:
             "plise_bounded": self.plise_bounded.status,
         }
         for name, cert in (("ulise", self.ulise_convergent), ("plise", self.plise_bounded)):
-            if cert.circle is not None:
+            if cert.circle is not None and cert.circle.min_sigma is not None:
                 out[f"{name}_circle_min_sigma"] = cert.circle.min_sigma
             if cert.reason:
                 out[f"{name}_reason"] = cert.reason

@@ -41,7 +41,7 @@ from lise.linalg import DEFAULT_TOL, eigh, pinv, psd_sqrt, rank, symmetrize
 from lise.model import ContinuousModel, Violation
 from lise.signals import sample_signals
 from lise.simulate import _INITS, _STEPS, _run_rng
-from lise.structural import _OMEGA_GRID, UnitCircleTest
+from lise.structural import UnitCircleTest
 
 
 def no_feedthrough_oracle(model, ys, us, x0, p0):
@@ -617,13 +617,15 @@ def per_step_replay_oracle(name, gains, ys, us, x0_mean):
 
 
 def per_point_circle_scan(build, nrows, candidates, tol=DEFAULT_TOL):
-    """The unit-circle scan with one SVD per point.
+    """The unit-circle scan on a 721-point grid, with one SVD per point.
 
     A frozen copy of the original ``structural._circle_scan`` loop, which
-    took ``build(z)`` for a single point ``z``; the batched scan must give
-    equal ``UnitCircleTest`` fields.
+    took ``build(z)`` for a single point ``z`` and scanned 720 equal steps
+    of the circle plus the angles of the candidate eigenvalues near it,
+    against ``rank_rel`` times the largest singular value it met.  The test
+    at the candidate points only must reach the same verdict (``ok``).
     """
-    omegas = list(np.linspace(0.0, 2.0 * np.pi, _OMEGA_GRID + 1))
+    omegas = list(np.linspace(0.0, 2.0 * np.pi, 720 + 1))
     for lam in candidates:
         if abs(abs(lam) - 1.0) <= max(tol.unit_circle_eps, 1e-3):
             omegas.append(float(np.angle(lam)) % (2.0 * np.pi))

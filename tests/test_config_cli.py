@@ -49,12 +49,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="missing keys"):
             load_config(p)
 
-    def test_bad_signal_type(self, tmp_path):
+    def test_bad_signal_type(self, tmp_path, capsys):
+        # an unknown name, a list or a mapping as a signal's type, and a
+        # signal list that is not a list: each a named error, and `lise
+        # run` exits 1
+        d_line = "  d_signals:\n    - {type: step, amplitude: 1.0, k_on: 10, k_off: 30}\n"
+        u_line = "  u_signals:\n    - {type: constant, value: 0.0}\n"
         p = tmp_path / "bad.yaml"
-        p.write_text(load_min_config().replace("type: constant, value: 0.0",
-                                               "type: sine, value: 0.0"))
-        with pytest.raises(ConfigError, match="signal type"):
-            load_config(p)
+        for old, new, match in (
+                ("type: constant", "type: sine", r"^scenario\.u_signals\[0\]: signal type"),
+                ("type: constant", "type: [constant]", r"^scenario\.u_signals\[0\]: signal type"),
+                ("type: step", "type: {step: 1}", r"^scenario\.d_signals\[0\]: signal type"),
+                (d_line, "  d_signals: false\n", r"^scenario\.d_signals: d_signals must be a list"),
+                (d_line, "  d_signals: 2.5\n", r"^scenario\.d_signals: d_signals must be a list"),
+                (u_line, "  u_signals: false\n", r"^scenario\.u_signals: u_signals must be a list"),
+                (u_line, "  u_signals: 2.5\n", r"^scenario\.u_signals: u_signals must be a list")):
+            text = load_min_config()
+            assert old in text
+            p.write_text(text.replace(old, new))
+            with pytest.raises(ConfigError, match=match):
+                load_config(p)
+            capsys.readouterr()
+            assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith("config error: scenario.")
 
     def test_bad_filter_name(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -331,6 +348,18 @@ analysis:
         p = tmp_path / "cfg.yaml"
         p.write_text("nonsense: {}\n")
         assert main(["analyze", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("matrix", ["A", "C"])
+    def test_exit_3_when_the_invariant_zeros_overflow(self, tmp_path, capsys, matrix):
+        # one entry of 1e308 overflows the invariant-zeros test's random
+        # projection of the system pencil, or keeps its QZ from converging:
+        # an error that names the test, not a traceback
+        doc = yaml.safe_load((CONFIGS / "fault_h1.yaml").read_text())
+        doc["model"][matrix][0][0] = 1e308
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["analyze", "--config", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("error: invariant zeros test: ")
 
     def test_exit_1_on_usage_error(self):
         assert main(["analyze"]) == 1

@@ -141,7 +141,7 @@ def test_invariance_on_a_float_unstable_draw(name, seed):
     "ULISE", "CYWZ",
     pytest.param("PLISE", marks=pytest.mark.xfail(
         strict=True, reason="PLISE breaks down on some certified draws "
-                            "(CHANGES.md FOUND, ROADMAP item 8)")),
+                            "(CHANGES.md FOUND, ROADMAP item 11)")),
 ])
 def test_filter_stays_bounded_on_a_certified_draw(name, seed):
     # 300 steps of zero data from P0 = I

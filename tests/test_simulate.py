@@ -437,9 +437,9 @@ def test_process_noise_with_rounding_below_zero_at_its_scale_runs():
 
 
 class TestThreads:
-    """The truth's and the circle scan's blocks (``linalg._in_blocks``)
-    leave no thread behind, start none for one block, and pass a block's
-    error to the caller."""
+    """The truth's blocks (``linalg._in_blocks``) leave no thread behind,
+    start none for one block, and pass a block's error to the caller; the
+    structural analysis starts none."""
 
     @staticmethod
     def _count_starts(monkeypatch) -> list:
@@ -464,7 +464,7 @@ class TestThreads:
         assert ran > 0
         analyze(sc.model)
         assert threading.active_count() == before
-        assert len(started) > ran
+        assert len(started) == ran
 
     def test_eight_blocks_with_fast_switching_equal_one_block(self, monkeypatch):
         # more blocks than cores, and the GIL handed over every microsecond:

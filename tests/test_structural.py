@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lise.decomposition
-import lise.linalg
 import lise.structural
 from conftest import CONFIGS, config_scenario, online_plant, random_system
-from oracles import per_point_circle_scan, plise_circle_oracle, ulise_circle_oracle
+from oracles import plise_circle_oracle, ulise_circle_oracle
 from lise.cli import main as cli_main
 from lise.config import load_config
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.linalg import DEFAULT_TOL, rank
 from lise.model import SystemModel, SystemStep, validate
 from lise.structural import (
-    _circle_scan,
     _pencil,
     analyze,
     build_observability_matrices,
@@ -281,7 +279,8 @@ class TestUliseConvergence:
         for idx in range(1, 7):
             cert = ulise_convergence_check(fault_models[idx].step(0))
             assert cert.ok, (idx, cert)
-            assert cert.circle.min_sigma > cert.circle.threshold
+            # no mode of A-hat near the circle: no point to test
+            assert cert.circle.ok and cert.circle.min_sigma is None
 
     def test_kalman_collapse(self):
         rng = np.random.default_rng(2)
@@ -379,7 +378,7 @@ class TestPliseStability:
         assert cert.circle is not None and cert.detectability is not None
         clamped = plise_stability_check(dataclasses.replace(step, Q=np.diag([0.0, 0.0, 1.0])))
         assert clamped.status == "ok"
-        assert cert.circle.min_sigma == pytest.approx(clamped.circle.min_sigma, rel=1e-6)
+        assert cert.circle.threshold == pytest.approx(clamped.circle.threshold, rel=1e-6)
 
     def test_noise_coupling_always_invertible_on_valid_systems(self, fault_models):
         # with R PD and the rank condition holding, the coupling matrix is
@@ -458,35 +457,73 @@ class TestReport:
 
 
 def _assert_circles_match_per_point_scan(step):
-    """Both certificates' circle tests equal the per-point loop's, field by
-    field; returns the two verdicts."""
+    """Both certificates' circle verdicts equal the 721-point grid scan's;
+    returns the two certificates."""
     ulise = ulise_convergence_check(step)
     if ulise.circle is not None:
-        assert ulise.circle == ulise_circle_oracle(step)
+        assert ulise.circle.ok == ulise_circle_oracle(step).ok
     plise = plise_stability_check(step)
     if plise.circle is not None:
-        assert plise.circle == plise_circle_oracle(step)
+        assert plise.circle.ok == plise_circle_oracle(step).ok
     return ulise, plise
 
 
+def _unit_circle_draw(seed):
+    """A system built to have modes on the unit circle.
+
+    n = 2-5, l = 1..n, p = 0..l, H = 0, R = I and no known input.  A is
+    T blockdiag T^-1 with T = randn + 2 I, and about 60 % of its blocks on
+    the circle: rotations by 0.1-3.0 rad, or +-1; the others have radius
+    0.2-0.95.  C is randn, G randn zeroed in 30 % of draws, and Q = F F^T
+    of rank 0..n.
+    """
+    rng = np.random.default_rng(50_000 + seed)
+    n = int(rng.integers(2, 6))
+    l = int(rng.integers(1, n + 1))
+    p = int(rng.integers(0, l + 1))
+    blocks = []
+    size = 0
+    while size < n:
+        on = rng.random() < 0.6
+        if n - size >= 2 and rng.random() < 0.5:
+            th = rng.uniform(0.1, 3.0)
+            r = 1.0 if on else rng.uniform(0.2, 0.95)
+            blocks.append(r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
+        else:
+            sign = rng.choice([-1.0, 1.0])
+            blocks.append(np.array([[sign * (1.0 if on else rng.uniform(0.2, 0.95))]]))
+        size += blocks[-1].shape[0]
+    t = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    a = t @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(t)
+    c = rng.standard_normal((l, n))
+    g = rng.standard_normal((n, p)) * (rng.random() >= 0.3)
+    f = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+    return SystemStep(A=a, B=np.zeros((n, 0)), C=c, D=np.zeros((l, 0)), G=g,
+                      H=np.zeros((l, p)), Q=f @ f.T, R=np.eye(l))
+
+
+# draws whose PLISE pencil is zero at its candidate point up to roundoff
+# (largest singular value there 3e-17 to 1.8e-16): a threshold taken from that
+# point's own largest singular value would pass them
+_ZERO_PENCIL_SEEDS = (205, 330, 398, 408)
+
+
 class TestCircleScan:
-    """The batched unit-circle scan against the per-point loop."""
+    """The rank test at the candidate points against the 721-point grid
+    scan (``oracles.per_point_circle_scan``): the same verdicts."""
 
     @pytest.mark.parametrize("config", CONFIG_NAMES)
-    def test_bundled_configs_match_per_point_scan(self, config, monkeypatch):
-        # with 2 and 3 CPUs every chunk's SVDs run in two or three blocks
+    def test_bundled_configs_match_per_point_scan(self, config):
         step = config_scenario(config).model.step(0)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: cpus)
-            ulise, plise = _assert_circles_match_per_point_scan(step)
-            assert ulise.circle is not None and plise.circle is not None
+        ulise, plise = _assert_circles_match_per_point_scan(step)
+        assert ulise.circle is not None and plise.circle is not None
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31), st.integers(1, 5), st.integers(1, 5),
            st.integers(0, 5), st.integers(0, 5), st.sampled_from([0.5, 0.9, 1.0, 1.2]))
     def test_random_systems_match_per_point_scan(self, seed, n, l, p, p_h, radius):
-        # radius 1.0 puts an eigenvalue on the circle, so candidate angles
-        # are appended to the grid
+        # radius 1.0 puts an eigenvalue on the circle, so there are
+        # candidate points to test
         l = min(l, n)
         p = min(p, l)
         p_h = min(p_h, p)
@@ -494,10 +531,31 @@ class TestCircleScan:
                               p_h=p_h, radius=radius)
         _assert_circles_match_per_point_scan(model.step(0))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 999))
+    @example(seed=_ZERO_PENCIL_SEEDS[0])
+    @example(seed=_ZERO_PENCIL_SEEDS[1])
+    @example(seed=_ZERO_PENCIL_SEEDS[2])
+    @example(seed=_ZERO_PENCIL_SEEDS[3])
+    def test_unit_circle_modes_match_per_point_scan(self, seed):
+        _assert_circles_match_per_point_scan(_unit_circle_draw(seed))
+
+    @pytest.mark.parametrize("seed", _ZERO_PENCIL_SEEDS)
+    def test_a_pencil_zero_at_its_candidate_fails(self, seed):
+        cert = plise_stability_check(_unit_circle_draw(seed))
+        assert cert.status == "failed" and not cert.circle.ok
+        assert cert.circle.min_sigma < 1e-15 < cert.circle.threshold
+
+    def test_no_candidate_tests_nothing(self, fault_models):
+        # every mode of fault_h1 lies well inside the circle
+        cert = ulise_convergence_check(fault_models[1].step(0))
+        assert cert.circle.ok
+        assert cert.circle.min_sigma is None and cert.circle.worst_omega is None
+        assert cert.circle.threshold > 0.0
+
     def test_marginal_mode_matches_per_point_scan(self):
         # the marginal mode of test_unit_circle_mode_without_noise_fails:
-        # sigma is exactly 0 at omega = 0 and again at the candidate angle 0
-        # appended after the grid (about 1e-16 at omega = 2 pi)
+        # sigma is exactly 0 at its candidate point z = 1
         step = SystemStep(A=np.eye(1), B=np.zeros((1, 0)), C=np.eye(1),
                           D=np.zeros((1, 0)), G=np.zeros((1, 0)), H=np.zeros((1, 0)),
                           Q=np.zeros((1, 1)), R=np.eye(1))
@@ -505,17 +563,3 @@ class TestCircleScan:
         for cert in (ulise, plise):
             assert cert.status == "failed"
             assert cert.circle.min_sigma == 0.0 and cert.circle.worst_omega == 0.0
-
-    def test_ties_go_to_the_first_point(self):
-        # |cos omega| rounded to zero at both pi/2 and 3 pi/2: the loop's
-        # strict < kept the first of the two
-        def one(z):
-            return np.diag([1.0, np.round(abs(z.real), 6)]).astype(complex)
-
-        def stack(zs):
-            return np.stack([one(z) for z in zs])
-
-        got = _circle_scan(stack, 2, np.zeros(0), DEFAULT_TOL)
-        assert got == per_point_circle_scan(one, 2, np.zeros(0))
-        assert got.min_sigma == 0.0
-        assert got.worst_omega == pytest.approx(np.pi / 2)
