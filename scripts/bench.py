@@ -18,7 +18,9 @@ packages run on the same numpy, and five modes compare their outputs:
   time-varying fault plant whose provider builds a fresh step every k (the
   plant of perfbench's ``online_tv``: A of ``fault_h1`` scaled by
   ``1 + 0.2 sin(2 pi k / 500 + phase)``, H switching between ``fault_h1``
-  and ``fault_h2`` every 100 steps); every step output is compared;
+  and ``fault_h2`` every 100 steps), then as many to each of the three on
+  ``fault_h1`` with G and H emptied (p = 0, where the steps form no product
+  of an empty input component); every step output is compared;
 - ``tv``: on the same plant, ``simulate_truth`` of run 0 and of runs
   0..127, then ``run_scenario`` with ULISE at MC 1, which validates the
   model, simulates its truth and runs the filter pass; the truth ``x`` and
@@ -37,7 +39,8 @@ placeholder.  The output JSON records ``bitwise_equal`` per mode and, in
 ``bitwise_differs``, what differs in each mode that is not equal: the
 written files and standard outputs by name, the ``FilterRun`` fields as
 ``"<filter> <field>"``, and for ``online`` the first differing index of its
-list of step outputs (three per k, in the order ULISE, PLISE, CYWZ).
+list of step outputs (three per k, in the order ULISE, PLISE, CYWZ, the
+online plant's steps first and then the p = 0 ones).
 
 Then ``perfbench/run.py`` runs in each checkout with ``--trace 0`` for
 ``BENCHMARK.json``'s ``run_seconds``, once per workload and seed.  With
@@ -145,19 +148,26 @@ class Side:
             u_signals=sc.u_signals, x0_true=sc.x0_true, x0_mean=sc.x0_mean, p0=sc.p0,
             noise_seed=1, filters=("ULISE",), structural_checks=False)
         self.truth = lise.simulate.simulate_truth(self.scenario, 0)
+        no_input = dataclasses.replace(s1, G=s1.G[:, :0], H=s1.H[:, :0])
+        self.scenario_p0 = dataclasses.replace(
+            self.scenario, model=lise.model.SystemModel.time_invariant(no_input),
+            d_signals=())
 
     def online(self):
-        """Every output of the step loop over the online plant."""
+        """Every output of the step loop over the online plant, then over
+        the p = 0 model."""
         f = self.lise.filters
-        sc, y, u = self.scenario, self.truth.y, self.truth.u
-        steps = [getattr(f, f"{name}_step") for name in FILTERS]
-        states = [getattr(f, f"{name}_init")(self.model, sc.x0_mean, sc.p0, y[0], u[0])
-                  for name in FILTERS]
         outs = []
-        for k in range(1, self.steps + 1):
-            for i, step in enumerate(steps):
-                states[i], out = step(states[i], y[k], u[k], u[k - 1], self.model)
-                outs.append((out.xhat, out.dhat_prev, out.px, out.pd_prev))
+        for sc in (self.scenario, self.scenario_p0):
+            truth = self.truth if sc is self.scenario else self.lise.simulate.simulate_truth(sc, 0)
+            y, u = truth.y, truth.u
+            steps = [getattr(f, f"{name}_step") for name in FILTERS]
+            states = [getattr(f, f"{name}_init")(sc.model, sc.x0_mean, sc.p0, y[0], u[0])
+                      for name in FILTERS]
+            for k in range(1, self.steps + 1):
+                for i, step in enumerate(steps):
+                    states[i], out = step(states[i], y[k], u[k], u[k - 1], sc.model)
+                    outs.append((out.xhat, out.dhat_prev, out.px, out.pd_prev))
         return _bytes(outs)
 
     def tv(self):

@@ -1,10 +1,10 @@
 """Joint state and unknown-input estimation for linear discrete-time systems.
 
 The package provides two optimal recursive filters (an updated-estimate and a
-propagated-estimate variant), an ordinary-least-squares variant, and the
-Kalman special case, together with the structural tests (joint observability,
-strong detectability, convergence certificates) that decide when they apply,
-a seeded simulation harness, and a CLI.
+propagated-estimate variant, both the Kalman filter when there is no unknown
+input) and an ordinary-least-squares variant, together with the structural
+tests (joint observability, strong detectability, convergence certificates)
+that decide when they apply, a seeded simulation harness, and a CLI.
 """
 
 __version__ = "0.1.0"
@@ -32,8 +32,6 @@ from .filters import (
     compute_gain_L,
     cywz_init,
     cywz_step,
-    kalman_init,
-    kalman_step,
     plise_init,
     plise_step,
     ulise_init,

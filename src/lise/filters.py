@@ -22,11 +22,21 @@ differ only in how the covariance is propagated:
 
 The public step functions check the state's class and call the skeleton,
 whose gain half reads the variant from the state's ``d1_from_propagated``.
-:func:`kalman_step` is the no-unknown-input special case (p = 0): its state
-is an :class:`UliseState`, as that of :func:`cywz_step` is, its gain half,
-:func:`_kalman_gains`, is the standard predict, gain and Joseph update, and
-its estimates come from the same estimate update with an empty
-feedthrough-input estimate.  Both main filters collapse to it when p = 0.
+
+An input component of width 0 forms nothing.  Which work a step skips is
+decided from the widths of the blocks alone: ``p_h = rank(H[k-1])``, the
+width of the feedthrough component ``d1``, and ``q = p - p_h``, that of the
+dynamics-only component ``d2``.  With ``q = 0`` the gain half runs no solve
+for the input gain (it still factors the innovation covariance of the
+feedthrough-free output, which tests it positive definite), no product with
+``G2 M2``, and the time update of the updated variants is ``p_tilde``
+itself; with ``p_h = 0`` no covariance of ``d1`` is formed; and the
+estimate update forms ``G1 d1hat``, ``G2 d2hat`` and ``V2 d2hat`` only for a
+component that is present.  A skipped product is an empty array or a zero
+term of a sum, so no value changes.  The Kalman filter is the p = 0 case of
+this one recursion: with no unknown input, :func:`ulise_step` is the
+predict, gain and Joseph update, and the ``KALMAN`` filter name of
+:mod:`lise.simulate` runs it.
 
 Each step consumes the current measurement ``y_k`` together with the known
 inputs ``u_k`` and ``u_{k-1}`` and produces the filtered state, the one-step
@@ -172,8 +182,6 @@ __all__ = [
     "plise_step",
     "cywz_init",
     "cywz_step",
-    "kalman_init",
-    "kalman_step",
     "compute_gain_L",
 ]
 
@@ -198,9 +206,9 @@ class GammaPolicy(enum.Enum):
 
 @dataclass
 class UliseState:
-    """Filter state carried between steps: of the updated-estimate variant,
-    of the OLS variant and, with p = 0 and an empty ``d1hat``, of the Kalman
-    filter.
+    """Filter state carried between steps: of the updated-estimate variant
+    and of the OLS variant (with p = 0, and an empty ``d1hat``, that of the
+    Kalman filter).
 
     ``xhat``/``px`` are the filtered state at time ``k`` and its covariance,
     and ``d1hat`` the estimate of the feedthrough input component at ``k``.
@@ -362,6 +370,14 @@ def _sym_block(upper) -> np.ndarray:
     return out
 
 
+def _present(upper, widths):
+    """The upper block triangle ``upper`` (as :func:`_sym_block` takes it)
+    without the block rows and columns of the components whose width in
+    ``widths`` is 0; their blocks, empty, may be given as ``None``."""
+    keep = [w > 0 for w in widths]
+    return [[b for b, k in zip(row, keep[i:]) if k] for i, row in enumerate(upper) if keep[i]]
+
+
 @functools.cache
 def _eye(n: int) -> np.ndarray:
     """The n x n identity, built once per size and read-only."""
@@ -373,20 +389,24 @@ def _eye(n: int) -> np.ndarray:
 def _input_gain_gls(p_tilde, dec_k, c2g2):
     """BLUE gain for the dynamics-only input component, plus its covariance,
     given ``c2g2`` of the step's
-    :class:`~lise.decomposition._PairContext`."""
+    :class:`~lise.decomposition._PairContext`.
+
+    With no such component (``c2g2`` has no column) the innovation covariance
+    is still factored, which tests it positive definite, and the gain and
+    covariance are empty.
+    """
+    what = "innovation covariance of the feedthrough-free output"
     r2_tilde = symmetrize(dec_k.C2.dot(p_tilde).dot(dec_k.C2.T) + dec_k.R2)
-    x = _spd_solve(r2_tilde, c2g2, "innovation covariance of the feedthrough-free output")
-    gram = c2g2.T.dot(x)
-    if c2g2.shape[1]:
-        try:
-            pd2 = inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("input-estimate information matrix is singular") from exc
-        pd2 = symmetrize(pd2)
-    else:
-        pd2 = np.zeros((0, 0))
-    m2 = pd2.dot(x.T)
-    return m2, pd2
+    r2_chol = _spd_factor(r2_tilde, what)
+    if not c2g2.shape[1]:
+        return np.zeros((0, r2_tilde.shape[0])), np.zeros((0, 0))
+    x = _factor_solve(r2_chol, c2g2, what)
+    try:
+        pd2 = inv(c2g2.T.dot(x))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("input-estimate information matrix is singular") from exc
+    pd2 = symmetrize(pd2)
+    return pd2.dot(x.T), pd2
 
 
 def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
@@ -414,17 +434,23 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
     """
     c, r = step.C, step.R
     l = c.shape[0]
-    k_gain = px_star.dot(c.T) - (g2m2 @ dec.U2.T).dot(r)
+    # g2m2 is zero when step k-1 has no dynamics-only input: no term of it
+    # is formed then
+    q = g2_prev.shape[1]
+    k_gain = px_star.dot(c.T)
+    if q:
+        k_gain = k_gain - (g2m2 @ dec.U2.T).dot(r)
 
     if gamma is GammaPolicy.DAROUACH and r_hat is None:
         raise InvalidInputError("DAROUACH policy needs the pre-update covariance r_hat")
     if gamma is GammaPolicy.DAROUACH and closed_form:
         what = "pre-update innovation covariance"
         r_hat_chol = _spd_factor(r_hat, what)
-        n_mat = _eye(l) - c.dot(g2m2) @ dec.U2.T
+        # n_mat = I - C G2 M2 U2' is the identity when q = 0
+        n_mat = _eye(l) - c.dot(g2m2) @ dec.U2.T if q else _eye(l)
         rh_inv_n = _factor_solve(r_hat_chol, n_mat, what)
         if dec.p_h == 0:
-            return k_gain.dot(_factor_solve(r_hat_chol, _eye(l), what))
+            return k_gain.dot(_factor_solve(r_hat_chol, _eye(l), what) if q else rh_inv_n)
         try:
             core = inv(dec.U1.T.dot(rh_inv_n).dot(dec.U1))
         except np.linalg.LinAlgError as exc:
@@ -434,8 +460,11 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
         # proj.T r_hat^-1 == (r_hat^-1 proj).T since r_hat is symmetric
         return k_gain.dot(_factor_solve(r_hat_chol, proj, what).T)
 
-    cross = (c.dot(g2m2) @ dec.U2.T).dot(r)
-    r_star = symmetrize(c.dot(px_star).dot(c.T) + r - cross - cross.T.copy())
+    r_star = c.dot(px_star).dot(c.T) + r
+    if q:
+        cross = (c.dot(g2m2) @ dec.U2.T).dot(r)
+        r_star = r_star - cross - cross.T.copy()
+    r_star = symmetrize(r_star)
     if gamma is GammaPolicy.DAROUACH:
         r_check = _whitened_complement_reduction(r_hat, r_star, c, g2_prev)
     else:
@@ -453,18 +482,23 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
 
 
 def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
-    """Explicit projection onto the complement of the whitened input directions."""
-    l = c.shape[0]
+    """Explicit projection onto the complement of the whitened input
+    directions (none when ``g2_prev`` has no column).
+
+    ``r_hat`` with a non-finite entry (an overflow of the covariance
+    recursion) raises :class:`NumericalError` before LAPACK sees it.
+    """
+    if not _finite(r_hat):
+        raise NumericalError("pre-update innovation covariance has non-finite entries")
     w, v = eigh(symmetrize(r_hat))
     if w[0] <= 0:
         raise NumericalError("pre-update innovation covariance is not PD")
     rh_half_inv = (v * (w ** -0.5)).dot(v.T)
     q = g2_prev.shape[1]
+    gam = rh_half_inv
     if q:
         u_t = svd(rh_half_inv.dot(c).dot(g2_prev))[0]
-    else:
-        u_t = _eye(l)
-    gam = u_t[:, q:].T @ rh_half_inv
+        gam = u_t[:, q:].T @ rh_half_inv
     core = gam.dot(r_star).dot(gam.T)
     try:
         core_inv = inv(core)
@@ -570,14 +604,21 @@ def _estimate_update(xhat, d1hat, y, products, g: _StepGains):
     """
     mul = _product(xhat, d1hat)
     bu, z1, z2, d2u, du, d1u = products
-    xpred = mul(g.step_prev.A, xhat) + bu + mul(g.dec_prev.G1, d1hat)
-    resid2 = z2 - mul(g.dec.C2, xpred) - d2u
-    d2hat = mul(g.m2, resid2)
-    d2hat_state = d2hat if g.m2_state is g.m2 else mul(g.m2_state, resid2)
-    xstar = xpred + mul(g.dec_prev.G2, d2hat_state)
+    p1, q = d1hat.shape[0], g.m2.shape[-2]
+    xpred = mul(g.step_prev.A, xhat) + bu
+    if p1:
+        xpred = xpred + mul(g.dec_prev.G1, d1hat)
+    xstar = xpred
+    if q:
+        resid2 = z2 - mul(g.dec.C2, xpred) - d2u
+        d2hat = mul(g.m2, resid2)
+        d2hat_state = d2hat if g.m2_state is g.m2 else mul(g.m2_state, resid2)
+        xstar = xpred + mul(g.dec_prev.G2, d2hat_state)
     xhat_k = xstar + mul(g.gain_l, y - mul(g.step.C, xstar) - du)
     base = xstar if g.from_propagated else xhat_k
-    dhat_prev = mul(g.dec_prev.V1, d1hat) + mul(g.dec_prev.V2, d2hat)
+    dhat_prev = mul(g.dec_prev.V1, d1hat)
+    if q:
+        dhat_prev = dhat_prev + mul(g.dec_prev.V2, d2hat)
     return xhat_k, _feedthrough_input(g.dec, z1, base, d1u), dhat_prev, xstar
 
 
@@ -585,8 +626,8 @@ def _gain_key(state: UliseState | PliseState) -> bytes:
     """The exact bytes of the covariance state of ``state``: its class's
     ``cov_fields``, joined in that order.
 
-    A gain half (:func:`_lise_gains`, :func:`_kalman_gains`: gains,
-    covariances, next covariance state) is a deterministic function of these
+    The gain half (:func:`_lise_gains`: gains, covariances, next
+    covariance state) is a deterministic function of these
     arrays and the contexts of the model steps (``state.step``'s among them).
     So on a time-invariant model two states with equal keys give
     bitwise-equal gain halves.
@@ -685,38 +726,54 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     propagated = state.d1_from_propagated
     step_prev, dp = state.step, ctx_prev.dec
     n = step.n
+    # the widths of the input components d1 and d2 at k-1: the products,
+    # solves and blocks of a component of width 0 are not formed
+    p1, q = dp.p_h, dp.G2.shape[1]
 
     # estimation of the dynamics-only input component d2 at k-1
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
     ctx = _pair_context(dp, dec_k, tol)
-    c2g2, need = ctx.c2g2, dp.G2.shape[1]
-    if ctx.rank < need:
+    c2g2 = ctx.c2g2
+    if ctx.rank < q:
         raise EstimabilityError(
-            f"rank(C2 G2) = {ctx.rank} < {need}: unbiased estimation of the "
+            f"rank(C2 G2) = {ctx.rank} < {q}: unbiased estimation of the "
             "dynamics-only input component is impossible")
     m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
     m2_state = ctx.c2g2_pinv if ols_state_gain else m2
 
-    # covariance of d1 at k-1 and -cov(d1, x) at k-1: carried by PLISE,
-    # functions of px for the updated variants
-    if propagated:
-        pd1_prev, neg_pd1x = state.pd1, -state.pxd1.T
-    else:
-        pd1_prev, neg_pd1x = _pd1(state.px, dp), dp.si_c1.dot(state.px)
-    w2 = dec_k.C2.T.dot(m2.T)
-    pd12 = neg_pd1x.dot(step_prev.A.T).dot(w2) - pd1_prev.dot(dp.G1.T).dot(w2)
-    pd_prev = dp.V.dot(_sym_block([[pd1_prev, pd12], [pd2]])).dot(dp.V.T)
+    # covariance of d at k-1 from those of d1 and d2 and their cross
+    # covariance; that of d1 is carried by PLISE and a function of px for
+    # the updated variants
+    pd1_prev = w2 = pd12 = None
+    if p1:
+        pd1_prev = state.pd1 if propagated else _pd1(state.px, dp)
+    if q:
+        w2 = dec_k.C2.T.dot(m2.T)
+    if p1 and q:
+        # -cov(d1, x) at k-1
+        neg_pd1x = -state.pxd1.T if propagated else dp.si_c1.dot(state.px)
+        pd12 = neg_pd1x.dot(step_prev.A.T).dot(w2) - pd1_prev.dot(dp.G1.T).dot(w2)
+    pd_prev = np.zeros((0, 0))
+    if p1 or q:
+        pd_prev = symmetrize(dp.V.dot(_sym_block(_present([[pd1_prev, pd12], [pd2]], (p1, q))))
+                             .dot(dp.V.T))
 
     # time update
     g2m2 = dp.G2.dot(m2_state)
     if propagated:
         # from the joint covariance of (x, d1, d2) at k-1
-        pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
+        pxd2 = None
+        if q:
+            pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
         bmap = ctx_prev.blockmap
-        joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
-        qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
-        px_star = symmetrize(bmap.dot(joint).dot(bmap.T) + step_prev.Q - qc - qc.T.copy())
+        joint = _sym_block(_present([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]],
+                                    (n, p1, q)))
+        px_star = bmap.dot(joint).dot(bmap.T) + step_prev.Q
+        if q:
+            qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
+            px_star = px_star - qc - qc.T.copy()
+        px_star = symmetrize(px_star)
         # PLISE always reduces the singular innovation covariance with its
         # pseudoinverse: its recursion weights the dynamics-only input
         # estimate with the updated-variant one-step covariance, which
@@ -725,9 +782,12 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
         # published recursion.  Estimates are reduction-invariant anyway.
         gamma, r_hat = GammaPolicy.PSEUDO_INVERSE, None
     else:
-        igmc = _eye(n) - g2m2.dot(dec_k.C2)
-        px_star = symmetrize(g2m2.dot(dec_k.R2).dot(m2_state.T).dot(dp.G2.T)
-                             + igmc.dot(p_tilde).dot(igmc.T))
+        # with no dynamics-only input nothing is subtracted from p_tilde
+        px_star = p_tilde
+        if q:
+            igmc = _eye(n) - g2m2.dot(dec_k.C2)
+            px_star = symmetrize(g2m2.dot(dec_k.R2).dot(m2_state.T).dot(dp.G2.T)
+                                 + igmc.dot(p_tilde).dot(igmc.T))
         # p_tilde is exactly the pre-update second moment for the updated
         # variants (the updated-state input estimate makes them coincide), so
         # the reduction may use the SVD-free closed form on the GLS path
@@ -739,16 +799,20 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     ilc = _eye(n) - gain_l.dot(step.C)
     # (I - L C) P* and L R, shared by px and PLISE's pxd1
     ilc_p, lr = ilc.dot(px_star), gain_l.dot(step.R)
-    noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
-    px = symmetrize(noise_cross + noise_cross.T.copy() + ilc_p.dot(ilc.T) + lr.dot(gain_l.T))
-    cov = {"px": px}
+    px = ilc_p.dot(ilc.T)
+    if q:
+        noise_cross = ilc.dot((g2m2 @ dec_k.U2.T).dot(step.R)).dot(gain_l.T)
+        px = noise_cross + noise_cross.T.copy() + px
+    cov = {"px": symmetrize(px + lr.dot(gain_l.T))}
     if propagated:
         # d1 at k is estimated from the propagated state
         cov["pd1"] = _pd1(px_star, dec_k)
-        cov["pxd1"] = (-(ilc_p.dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-                       - (lr @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
-                       .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
-    return (cov, px_star, symmetrize(pd_prev), gain_l, m2, m2_state,
+        pxd1 = -(ilc_p.dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+        if q:
+            pxd1 = pxd1 - ((lr @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
+                           .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
+        cov["pxd1"] = pxd1
+    return (cov, px_star, pd_prev, gain_l, m2, m2_state,
             _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l))
 
 
@@ -797,40 +861,3 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     """
     _check_state(state, PliseState, "plise_step")
     return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma)
-
-
-def kalman_init(model: SystemModel, x0_mean, p0,
-                tol: Tolerance = DEFAULT_TOL) -> UliseState:
-    """Initialize the no-unknown-input filter from the prior alone; its state
-    is an :class:`UliseState` with an empty ``d1hat``."""
-    if model.p != 0:
-        raise InvalidInputError("kalman filter applies only to models with p = 0")
-    step0, _, xhat, p0m = _prior(model, x0_mean, p0, tol)
-    return UliseState(k=0, xhat=xhat, px=p0m, d1hat=np.zeros(0), step=step0)
-
-
-def _kalman_gains(state: UliseState, ctx_prev, step: SystemStep,
-                  dec_k: OutputDecomposition, tol: Tolerance):
-    """The gain half of :func:`kalman_step`: predict, gain and Joseph update.
-
-    With p = 0 there is no input gain (``m2`` is 0 x l), no input covariance
-    and no unbiasedness constraint to measure.
-    """
-    step_prev = state.step
-    p_pred = symmetrize(step_prev.A.dot(state.px).dot(step_prev.A.T) + step_prev.Q)
-    r_tilde = symmetrize(step.C.dot(p_pred).dot(step.C.T) + step.R)
-    gain_l = _spd_solve(r_tilde, step.C.dot(p_pred), "innovation covariance").T
-    ilc = _eye(step.n) - gain_l.dot(step.C)
-    px = symmetrize(ilc.dot(p_pred).dot(ilc.T) + gain_l.dot(step.R).dot(gain_l.T))
-    m2 = np.zeros((0, step.l))
-    return ({"px": px}, p_pred, np.zeros((0, 0)), gain_l, m2, m2,
-            {"m1_sigma": 0.0, "m2_c2g2": 0.0, "l_u1": 0.0})
-
-
-def kalman_step(state: UliseState, y, u, u_prev, model: SystemModel,
-                tol: Tolerance = DEFAULT_TOL):
-    """Standard predict/update with Joseph-form covariance (p = 0 collapse)."""
-    _check_state(state, UliseState, "kalman_step")
-    if model.p != 0:
-        raise InvalidInputError("kalman filter applies only to models with p = 0")
-    return _step(_kalman_gains, state, y, u, u_prev, model, tol)

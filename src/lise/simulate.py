@@ -48,7 +48,10 @@ Time-varying models step at every k.  :func:`run_scenario` asks a
 time-varying model's provider once per k, whatever the number of filters:
 validation, the truth and every pass share each step object, and with it the
 step's context and decomposition.  The pass knows no filter by name: the
-Kalman filter is the p = 0 member, with an empty feedthrough-input estimate.
+Kalman filter (``KALMAN``) is ULISE's recursion on a model with p = 0, whose
+steps form no product of an empty input component
+(:mod:`lise.filters`), and a replayed update whose input estimates no
+stacked gain reaches holds them once for its whole group of records.
 """
 
 from __future__ import annotations
@@ -72,8 +75,6 @@ from .filters import (
     _StepGains,
     cywz_init,
     cywz_step,
-    kalman_init,
-    kalman_step,
     plise_init,
     plise_step,
     ulise_init,
@@ -368,15 +369,12 @@ class RunResult:
 
 
 # Keep these flat module-level dicts whose values are the public *_init and
-# *_step functions or call them by their module-global names (the Kalman
-# adaptors to the shared signatures): perfbench/spans.py's tracer rebinds
-# dict values and module globals, and so traces a call through either.
-_INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init,
-          "KALMAN": lambda model, x0_mean, p0, y0, u0, tol=DEFAULT_TOL:
-          kalman_init(model, x0_mean, p0, tol)}
-_STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step,
-          "KALMAN": lambda state, y, u, u_prev, model, gamma=None, tol=DEFAULT_TOL:
-          kalman_step(state, y, u, u_prev, model, tol)}
+# *_step functions: perfbench/spans.py's tracer rebinds dict values and
+# module globals, and so traces a call through either.  KALMAN is ULISE's
+# recursion, which Scenario admits under that name on a model with p = 0
+# only.
+_INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init, "KALMAN": ulise_init}
+_STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step, "KALMAN": ulise_step}
 
 
 def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
@@ -528,9 +526,12 @@ def _update_maps(gains: Sequence[_StepGains]) -> list[np.ndarray]:
         stacked = {name: np.stack([getattr(g, name) for g in group])
                    for name in ("m2", "m2_state", "gain_l")}
         record = _StepGains(**context, **stacked, from_propagated=g0.from_propagated)
-        xhat, d1hat, dhat_prev, _ = _estimate_update(
-            x, d1, y, _data_products(y, u, u_prev, record), record)
-        for g, f in zip(group, np.concatenate([xhat, d1hat, dhat_prev], axis=1)):
+        parts = _estimate_update(x, d1, y, _data_products(y, u, u_prev, record), record)[:3]
+        # a part that no stacked gain reaches (the input estimates, when the
+        # update forms no product of an empty input component) is one matrix
+        # for the whole group
+        parts = [np.broadcast_to(a, (len(group),) + a.shape[-2:]) for a in parts]
+        for g, f in zip(group, np.concatenate(parts, axis=1)):
             maps[id(g)] = f
     return [maps[id(g)] for g in gains]
 

@@ -15,6 +15,8 @@ covariance, against which their float64 error is bounded.
 ``configs/vehicle_tracking.yaml``, which only the tests read undiscretized.
 """
 
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 
@@ -34,8 +36,6 @@ from lise.filters import (
     _spd_factor,
     _StepGains,
     _sym_block,
-    kalman_init,
-    kalman_step,
 )
 from lise.linalg import DEFAULT_TOL, eigh, pinv, psd_sqrt, rank, symmetrize
 from lise.model import ContinuousModel, Violation
@@ -326,12 +326,13 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
 
 
 def kalman_step_oracle(state, y, u, u_prev, model):
-    """One Kalman step computed with ``@`` throughout.
+    """One textbook Kalman step (predict, gain, Joseph update) computed with
+    ``@`` throughout, from ``state``'s ``k``, ``xhat``, ``px`` and ``step``.
 
-    A frozen copy of the arithmetic of ``filters.kalman_step`` from before
-    its products moved to ``ndarray.dot``, the caller's vectors taken as
-    they come.  Returns the :class:`StepOutput` fields it forms by attribute
-    path, the gain under ``"gains.gain_l"``.
+    A frozen copy of the arithmetic of the package's former separate Kalman
+    step, the caller's vectors taken as they come.  Returns the
+    :class:`StepOutput` fields it forms by attribute path, the gain under
+    ``"gains.gain_l"``.
     """
     step_prev, step = state.step, model.step(state.k + 1)
     y, u, u_prev = (np.asarray(v, dtype=float) for v in (y, u, u_prev))
@@ -345,6 +346,19 @@ def kalman_step_oracle(state, y, u, u_prev, model):
     px = symmetrize(ilc @ p_pred @ ilc.T + gain_l @ step.R @ gain_l.T)
     return {"xhat": xhat, "xhat_star": xpred, "px": px, "px_star": p_pred,
             "gains.gain_l": gain_l}
+
+
+def kalman_oracle_pass(model, ys, us, x0, p0, n_steps):
+    """``n_steps`` chained :func:`kalman_step_oracle` steps from the prior
+    ``(x0, p0)`` over the data ``ys``, ``us``; returns each step's outputs."""
+    state = SimpleNamespace(k=0, xhat=np.asarray(x0, dtype=float),
+                            px=np.asarray(p0, dtype=float), step=model.step(0))
+    outs = []
+    for k in range(1, n_steps + 1):
+        outs.append(kalman_step_oracle(state, ys[k], us[k], us[k - 1], model))
+        state = SimpleNamespace(k=k, xhat=outs[-1]["xhat"], px=outs[-1]["px"],
+                                step=model.step(k))
+    return outs
 
 
 def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
@@ -508,10 +522,7 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
     model = scenario.model
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
-    if name == "KALMAN":
-        state = kalman_init(model, scenario.x0_mean, scenario.p0, tol)
-    else:
-        state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
     xhat = np.zeros((n_steps, model.n))
     dhat = np.zeros((n_steps, model.p))
     px_diag = np.zeros((n_steps, model.n))
@@ -524,11 +535,8 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
         step = model.step(k)
         dec_prev = decompose_cached(step_prev, tol)
         try:
-            if name == "KALMAN":
-                state, out = kalman_step(state, ys[k], us[k], us[k - 1], model, tol)
-            else:
-                state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
-                                          scenario.gamma, tol)
+            state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
+                                      scenario.gamma, tol)
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k

@@ -107,6 +107,25 @@ def test_a_last_bit_in_symmetrize_fails_the_check_and_the_exit_code(bench, tmp_p
     assert "ULISE xhat" in differs["tv"] and "0/summary.csv" in differs["run"]
 
 
+def test_the_online_mode_compares_the_p0_steps_after_the_plant(bench, tmp_path):
+    # a copy whose state gain differs in the last bit only where step k has
+    # no feedthrough, which no step of the online plant lacks: the online
+    # outputs differ first at the p = 0 leg's first step, after the plant's
+    # three outputs per k
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src" / "lise", copy / "src" / "lise",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "configs", copy / "configs")
+    filters = copy / "src" / "lise" / "filters.py"
+    text = filters.read_text()
+    old = "            return k_gain.dot("
+    assert text.count(old) == 1
+    filters.write_text(text.replace(old, "            return 1.0000000000000002 * k_gain.dot("))
+    sides = [bench.Side(label, str(root), i, 20, ("fault_h1",))
+             for i, (label, root) in enumerate([("a", ROOT), ("b", copy)])]
+    assert bench.differences(sides[0].online(), sides[1].online()) == [60]
+
+
 @pytest.mark.parametrize("files", [(), ("configs/fault_h1.yaml",), ("src/lise/__init__.py",)],
                          ids=["missing", "no-package", "no-configs"])
 def test_a_bad_checkout_is_a_usage_error_naming_it(bench, tmp_path, capsys, files):

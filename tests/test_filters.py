@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, config_scenario, online_plant, random_system
-from oracles import full_rank_gain_oracle, no_feedthrough_oracle
+from oracles import full_rank_gain_oracle, kalman_oracle_pass, no_feedthrough_oracle
 import lise.decomposition
 from lise.decomposition import (_pair_context, _step_context, decompose, decompose_cached,
                                 decoupled_dynamics)
@@ -32,7 +32,6 @@ from lise.filters import (
     _factor_solve,
     _gain_key,
     _input_gain_gls,
-    _kalman_gains,
     _lise_gains,
     _spd_factor,
     _spd_solve,
@@ -40,8 +39,6 @@ from lise.filters import (
     _whitened_complement_reduction,
     compute_gain_L,
     cywz_step,
-    kalman_init,
-    kalman_step,
     plise_init,
     plise_step,
     ulise_init,
@@ -121,11 +118,12 @@ class TestInit:
             ulise_init(model, np.zeros(5), -np.eye(5), np.zeros(5), np.zeros(1))
 
 
+# KALMAN is ULISE's recursion, on a model with p = 0
 _FILTER_FNS = {
     "ULISE": (ulise_init, ulise_step),
     "PLISE": (plise_init, plise_step),
     "CYWZ": (ulise_init, cywz_step),
-    "KALMAN": (lambda model, x0, p0, y0, u0: kalman_init(model, x0, p0), kalman_step),
+    "KALMAN": (ulise_init, ulise_step),
 }
 # the state class each filter's step takes
 _STATE_CLASSES = {"ULISE": "UliseState", "PLISE": "PliseState", "CYWZ": "UliseState",
@@ -159,7 +157,7 @@ _GAIN_HALVES = {
     "ULISE": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
     "PLISE": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
     "CYWZ": (_lise_gains, {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": True}),
-    "KALMAN": (_kalman_gains, {}),
+    "KALMAN": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
 }
 
 
@@ -292,9 +290,7 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("name,field", [
         (name, field) for name in sorted(_FILTER_FNS)
-        for field in ("x0_mean", "P0", "y0", "u0")
-        # the Kalman filter is not initialized from a measurement
-        if not (name == "KALMAN" and field in ("y0", "u0"))])
+        for field in ("x0_mean", "P0", "y0", "u0")])
     def test_nonfinite_init_is_rejected(self, name, field):
         rng = np.random.default_rng(22)
         model = random_system(rng, n=4, l=3, p=0 if name == "KALMAN" else 1, p_h=0)
@@ -433,52 +429,51 @@ class TestNonFiniteInputs:
 
 
 class TestKalmanCollapse:
+    """With p = 0 every variant is the Kalman filter: ULISE's recursion, which
+    the ``KALMAN`` filter name runs."""
+
     def test_all_variants_match_kalman_bitwise_tolerance(self):
         rng = np.random.default_rng(11)
         model = random_system(rng, n=4, l=2, p=0, p_h=0, m=2)
         ys = rng.standard_normal((31, 2))
         us = rng.standard_normal((31, 2))
         x0 = rng.standard_normal(4)
-        kstate = kalman_init(model, x0, np.eye(4))
-        ustate = ulise_init(model, x0, np.eye(4), ys[0], us[0])
-        pstate = plise_init(model, x0, np.eye(4), ys[0], us[0])
-        for k in range(1, 31):
-            kstate, ko = kalman_step(kstate, ys[k], us[k], us[k - 1], model)
-            ustate, uo = ulise_step(ustate, ys[k], us[k], us[k - 1], model)
-            pstate, po = plise_step(pstate, ys[k], us[k], us[k - 1], model)
-            for o in (uo, po):
-                assert np.allclose(o.xhat, ko.xhat, atol=1e-12)
-                assert np.allclose(o.px, ko.px, atol=1e-12)
-                assert o.dhat_prev.size == 0
+        kalman = kalman_oracle_pass(model, ys, us, x0, np.eye(4), 30)
+        for init, step_fn in ((ulise_init, ulise_step), (plise_init, plise_step),
+                              (ulise_init, cywz_step)):
+            state = init(model, x0, np.eye(4), ys[0], us[0])
+            for k in range(1, 31):
+                state, out = step_fn(state, ys[k], us[k], us[k - 1], model)
+                assert np.allclose(out.xhat, kalman[k - 1]["xhat"], atol=1e-12)
+                assert np.allclose(out.px, kalman[k - 1]["px"], atol=1e-12)
+                assert out.dhat_prev.size == 0 and out.pd_prev.shape == (0, 0)
 
     def test_kalman_state_carries_only_its_step(self):
         # the decompositions a step runs on are those of the contexts of its
         # two model steps, not copies kept on the state
         rng = np.random.default_rng(12)
         model = random_system(rng, n=3, l=2, p=0, p_h=0)
-        state = kalman_init(model, np.zeros(3), np.eye(3))
+        state = ulise_init(model, np.zeros(3), np.eye(3), np.zeros(2), np.zeros(1))
         assert [f.name for f in dataclasses.fields(state)] == ["k", "xhat", "px", "d1hat", "step"]
-        new, out = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        new, out = ulise_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
         assert out.gains.dec_prev is decompose_cached(state.step)
         assert out.gains.dec is decompose_cached(new.step)
 
     def test_kalman_state_is_the_updated_variant_state(self):
         # the Kalman filter is the p = 0 member down to its state type: an
-        # UliseState with an empty d1hat, as the updated variants' states
-        # are on a model with p = 0; kalman_step still refuses a model with
-        # unknown inputs, whatever state it is handed
+        # UliseState with an empty d1hat; the KALMAN filter name is refused
+        # on a model with unknown inputs
         rng = np.random.default_rng(14)
         model = random_system(rng, n=3, l=2, p=0, p_h=0)
-        state = kalman_init(model, np.zeros(3), np.eye(3))
+        state = ulise_init(model, np.zeros(3), np.eye(3), np.zeros(2), np.zeros(1))
         assert type(state) is UliseState
         assert state.d1hat.shape == (0,)
-        state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
-        assert type(state) is UliseState
-        fault = config_scenario("fault_h1").model
-        ustate = ulise_init(fault, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
-        with pytest.raises(InvalidInputError, match="^kalman filter applies only to "
-                                                    "models with p = 0$"):
-            kalman_step(ustate, np.zeros(5), np.zeros(1), np.zeros(1), fault)
+        state, _ = ulise_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        assert type(state) is UliseState and state.d1hat.shape == (0,)
+        sc = config_scenario("fault_h1")
+        with pytest.raises(InvalidInputError, match="^filter 'KALMAN' applies only to "
+                                                    "models with p = 0, got p = 3$"):
+            dataclasses.replace(sc, filters=("KALMAN",))
 
     def test_kalman_rejects_a_step_whose_r_is_not_pd(self):
         # as the other filters do, at the step whose R fails
@@ -490,16 +485,16 @@ class TestKalmanCollapse:
             return dataclasses.replace(base, R=bad_r) if k == 3 else base
 
         model = SystemModel.time_varying(provider, dims=(3, 1, 0, 2))
-        state = kalman_init(model, np.zeros(3), np.eye(3))
+        state = ulise_init(model, np.zeros(3), np.eye(3), np.zeros(2), np.zeros(1))
         for k in (1, 2):
-            state, _ = kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
-        with pytest.raises(NotPositiveDefiniteError, match="R is not PD"):
-            kalman_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+            state, _ = ulise_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
+        with pytest.raises(NotPositiveDefiniteError, match="R is not PD at k=3"):
+            ulise_step(state, np.zeros(2), np.zeros(1), np.zeros(1), model)
 
     def test_kalman_rejects_unknown_inputs(self):
-        model = config_scenario("fault_h1").model
-        with pytest.raises(InvalidInputError):
-            kalman_init(model, np.zeros(5), np.eye(5))
+        sc = config_scenario("fault_h1")
+        with pytest.raises(InvalidInputError, match="^filter 'KALMAN' applies only to "):
+            dataclasses.replace(sc, filters=("ULISE", "KALMAN"))
 
     def test_no_information_limit(self):
         # R -> infinity: the gain vanishes and the covariance follows the
@@ -509,10 +504,10 @@ class TestKalmanCollapse:
                           G=np.zeros((2, 0)), H=np.zeros((2, 0)),
                           Q=0.1 * np.eye(2), R=1e12 * np.eye(2))
         model = SystemModel.time_invariant(step)
-        state = kalman_init(model, np.zeros(2), np.eye(2))
+        state = ulise_init(model, np.zeros(2), np.eye(2), np.zeros(2), np.zeros(0))
         px_prev = state.px
         for k in range(1, 6):
-            state, out = kalman_step(state, np.zeros(2), np.zeros(0), np.zeros(0), model)
+            state, out = ulise_step(state, np.zeros(2), np.zeros(0), np.zeros(0), model)
             open_loop = a @ px_prev @ a.T + step.Q
             assert np.linalg.norm(out.gains.gain_l) < 1e-9
             assert np.allclose(state.px, open_loop, atol=1e-6)
@@ -527,19 +522,19 @@ class TestKalmanCollapse:
         step = SystemStep(A=[[a]], B=np.zeros((1, 0)), C=[[1.0]], D=np.zeros((1, 0)),
                           G=np.zeros((1, 0)), H=np.zeros((1, 0)), Q=[[q]], R=[[r]])
         model = SystemModel.time_invariant(step)
-        state = kalman_init(model, np.zeros(1), np.eye(1))
+        state = ulise_init(model, np.zeros(1), np.eye(1), np.zeros(1), np.zeros(0))
         for _ in range(200):
-            state, _ = kalman_step(state, np.zeros(1), np.zeros(0), np.zeros(0), model)
+            state, _ = ulise_step(state, np.zeros(1), np.zeros(0), np.zeros(0), model)
         assert state.px[0, 0] == pytest.approx(p_oracle, abs=1e-12)
 
     def test_posterior_contracts_with_full_observation(self):
         # monotone non-increasing trace when C = I and the plant is stable
         rng = np.random.default_rng(2)
         model = random_system(rng, n=3, l=3, p=0, p_h=0, m=0)
-        state = kalman_init(model, np.zeros(3), 10 * np.eye(3))
+        state = ulise_init(model, np.zeros(3), 10 * np.eye(3), np.zeros(3), np.zeros(0))
         traces = [np.trace(state.px)]
         for _ in range(30):
-            state, _ = kalman_step(state, np.zeros(3), np.zeros(0), np.zeros(0), model)
+            state, _ = ulise_step(state, np.zeros(3), np.zeros(0), np.zeros(0), model)
             traces.append(np.trace(state.px))
         assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(traces, traces[1:]))
 
@@ -975,13 +970,8 @@ class TestStepInvariants:
         rng = np.random.default_rng(2)
         ys = rng.standard_normal((21, 5))
         us = rng.standard_normal((21, 1))
-        if variant == "KALMAN":
-            state = kalman_init(model, np.zeros(5), np.eye(5))
-        else:
-            init = plise_init if variant == "PLISE" else ulise_init
-            state = init(model, np.zeros(5), np.eye(5), ys[0], us[0])
-        step_fn = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step,
-                   "KALMAN": kalman_step}[variant]
+        init, step_fn = _FILTER_FNS[variant]
+        state = init(model, np.zeros(5), np.eye(5), ys[0], us[0])
         for k in range(1, 21):
             state, _ = step_fn(state, ys[k], us[k], us[k - 1], model)
         assert calls == list(range(21))
