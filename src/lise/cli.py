@@ -20,7 +20,10 @@ directory comes from --out, else the LISE_OUT_DIR environment variable, else
 the config.
 
 Exit codes: 0 success, 1 usage/config error, 2 structural-check failure,
-3 runtime numerical failure.
+3 runtime numerical failure.  A model that fails the standing assumptions
+(:func:`lise.model.validate`) exits 2 from every subcommand, each violation
+printed as ``model assumptions: VIOLATED ...``, and ``run`` and ``compare``
+do no other work on it.
 """
 
 from __future__ import annotations
@@ -117,6 +120,15 @@ def _fmt_zero(z: complex) -> str:
     return f"{z.real:.6g}{sign}{abs(z.imag):.6g}j"
 
 
+def _assumptions_hold(model, file) -> bool:
+    """Whether ``model`` meets the standing assumptions; each violation is
+    printed to ``file``."""
+    violations = validate(model, tol=DEFAULT_TOL)
+    for v in violations:
+        print(f"model assumptions: VIOLATED [k={v.index}] {v.field}: {v.message}", file=file)
+    return not violations
+
+
 def cmd_analyze(doc: ConfigDocument) -> int:
     model = doc.model
     checks = doc.analysis.checks
@@ -124,15 +136,9 @@ def cmd_analyze(doc: ConfigDocument) -> int:
     failed = False
 
     if "validate" in checks:
-        violations = validate(model, tol=tol)
-        if violations:
-            failed = True
-            for v in violations:
-                print(f"model assumptions: VIOLATED [k={v.index}] {v.field}: {v.message}")
-        else:
-            print("model assumptions: ok")
-        if violations:
+        if not _assumptions_hold(model, sys.stdout):
             return EXIT_CHECK_FAILED
+        print("model assumptions: ok")
 
     step = model.step(0)
     if "strong_observability" in checks:
@@ -203,7 +209,8 @@ def _structural_gate(result, strict: bool) -> int:
 def _run_gated(doc: ConfigDocument, args, verb: str):
     """The run of ``lise run`` and ``lise compare``: ``(exit code, result)``.
 
-    A config without a scenario is rejected, naming ``verb``, with no
+    A config without a scenario is rejected, naming ``verb``, and a model
+    that fails the standing assumptions fails the check, each with no
     result.  Otherwise the scenario runs with each filter's failure kept on
     its record, and the structural gate decides the code; when the gate
     passes, each failed filter is reported on stderr.
@@ -211,6 +218,8 @@ def _run_gated(doc: ConfigDocument, args, verb: str):
     if doc.scenario is None:
         print(f"config has no scenario block; nothing to {verb}", file=sys.stderr)
         return EXIT_USAGE, None
+    if not _assumptions_hold(doc.scenario.model, sys.stderr):
+        return EXIT_CHECK_FAILED, None
     result = run_scenario(doc.scenario, raise_filter_errors=False)
     gate = _structural_gate(result, args.strict)
     if gate == EXIT_OK:

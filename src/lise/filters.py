@@ -347,35 +347,26 @@ def _factor_solve(c: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve with a matrix that the model assumptions make PD; no regularization."""
-    return _factor_solve(_spd_factor(mat, what), rhs, what)
-
-
 def _sym_block(upper) -> np.ndarray:
     """The symmetric block matrix whose upper block triangle is ``upper``.
 
     ``upper[i]`` holds the blocks of block row ``i`` from the diagonal on,
     and each block below the diagonal is the transpose of its mirror image.
-    The values are those of ``np.block``, each block written into one
-    preallocated matrix, without ``np.block``'s per-call cost.
+    A block row whose diagonal block is empty or ``None`` (a component of
+    width 0, never formed) is left out with its block column, whose other
+    blocks may be ``None`` too.  The values are those of ``np.block``, each
+    block written into one preallocated matrix, without ``np.block``'s
+    per-call cost.
     """
-    edges = [0, *itertools.accumulate(row[0].shape[0] for row in upper)]
+    rows = [i for i, row in enumerate(upper) if row[0] is not None and row[0].size]
+    edges = [0, *itertools.accumulate(upper[i][0].shape[0] for i in rows)]
     out = np.empty((edges[-1], edges[-1]))
-    for i, row in enumerate(upper):
-        for j, block in enumerate(row, i):
-            out[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = block
-            if j > i:
-                out[edges[j]:edges[j + 1], edges[i]:edges[i + 1]] = block.T
+    for a, i in enumerate(rows):
+        for b, j in enumerate(rows[a:], a):
+            out[edges[a]:edges[a + 1], edges[b]:edges[b + 1]] = block = upper[i][j - i]
+            if b > a:
+                out[edges[b]:edges[b + 1], edges[a]:edges[a + 1]] = block.T
     return out
-
-
-def _present(upper, widths):
-    """The upper block triangle ``upper`` (as :func:`_sym_block` takes it)
-    without the block rows and columns of the components whose width in
-    ``widths`` is 0; their blocks, empty, may be given as ``None``."""
-    keep = [w > 0 for w in widths]
-    return [[b for b, k in zip(row, keep[i:]) if k] for i, row in enumerate(upper) if keep[i]]
 
 
 @functools.cache
@@ -437,9 +428,7 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
     # g2m2 is zero when step k-1 has no dynamics-only input: no term of it
     # is formed then
     q = g2_prev.shape[1]
-    k_gain = px_star.dot(c.T)
-    if q:
-        k_gain = k_gain - (g2m2 @ dec.U2.T).dot(r)
+    k_gain = px_star.dot(c.T) - (g2m2 @ dec.U2.T).dot(r) if q else px_star.dot(c.T)
 
     if gamma is GammaPolicy.DAROUACH and r_hat is None:
         raise InvalidInputError("DAROUACH policy needs the pre-update covariance r_hat")
@@ -495,10 +484,7 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
         raise NumericalError("pre-update innovation covariance is not PD")
     rh_half_inv = (v * (w ** -0.5)).dot(v.T)
     q = g2_prev.shape[1]
-    gam = rh_half_inv
-    if q:
-        u_t = svd(rh_half_inv.dot(c).dot(g2_prev))[0]
-        gam = u_t[:, q:].T @ rh_half_inv
+    gam = svd(rh_half_inv.dot(c).dot(g2_prev))[0][:, q:].T @ rh_half_inv if q else rh_half_inv
     core = gam.dot(r_star).dot(gam.T)
     try:
         core_inv = inv(core)
@@ -608,17 +594,15 @@ def _estimate_update(xhat, d1hat, y, products, g: _StepGains):
     xpred = mul(g.step_prev.A, xhat) + bu
     if p1:
         xpred = xpred + mul(g.dec_prev.G1, d1hat)
-    xstar = xpred
+    xstar, dhat_prev = xpred, mul(g.dec_prev.V1, d1hat)
     if q:
         resid2 = z2 - mul(g.dec.C2, xpred) - d2u
         d2hat = mul(g.m2, resid2)
         d2hat_state = d2hat if g.m2_state is g.m2 else mul(g.m2_state, resid2)
         xstar = xpred + mul(g.dec_prev.G2, d2hat_state)
+        dhat_prev = dhat_prev + mul(g.dec_prev.V2, d2hat)
     xhat_k = xstar + mul(g.gain_l, y - mul(g.step.C, xstar) - du)
     base = xstar if g.from_propagated else xhat_k
-    dhat_prev = mul(g.dec_prev.V1, d1hat)
-    if q:
-        dhat_prev = dhat_prev + mul(g.dec_prev.V2, d2hat)
     return xhat_k, _feedthrough_input(g.dec, z1, base, d1u), dhat_prev, xstar
 
 
@@ -643,19 +627,13 @@ def _pd1(p: np.ndarray, dec: OutputDecomposition) -> np.ndarray:
                       .dot(dec.sigma_inv))
 
 
-def _prior(model: SystemModel, x0_mean, p0, tol: Tolerance):
-    """Model step 0, its decomposition, and the checked prior mean and
-    covariance: the checks every ``*_init`` shares."""
-    step0 = model.step(0)
-    dec = _checked_context(decompose_cached, step0, tol, 0)
-    return (step0, dec, _check_vector(x0_mean, step0.n, "x0_mean", 0),
-            _check_p0(p0, step0.n, tol))
-
-
 def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
                tol: Tolerance = DEFAULT_TOL) -> UliseState:
     """Initialize the updated-estimate filter from the time-0 measurement."""
-    step0, dec, xhat, p0m = _prior(model, x0_mean, p0, tol)
+    step0 = model.step(0)
+    dec = _checked_context(decompose_cached, step0, tol, 0)
+    xhat = _check_vector(x0_mean, step0.n, "x0_mean", 0)
+    p0m = _check_p0(p0, step0.n, tol)
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
     d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, dec.D1 @ u0v)
@@ -734,41 +712,34 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
     ctx = _pair_context(dp, dec_k, tol)
-    c2g2 = ctx.c2g2
     if ctx.rank < q:
         raise EstimabilityError(
             f"rank(C2 G2) = {ctx.rank} < {q}: unbiased estimation of the "
             "dynamics-only input component is impossible")
-    m2, pd2 = _input_gain_gls(p_tilde, dec_k, c2g2)
+    m2, pd2 = _input_gain_gls(p_tilde, dec_k, ctx.c2g2)
     m2_state = ctx.c2g2_pinv if ols_state_gain else m2
 
     # covariance of d at k-1 from those of d1 and d2 and their cross
     # covariance; that of d1 is carried by PLISE and a function of px for
     # the updated variants
-    pd1_prev = w2 = pd12 = None
-    if p1:
-        pd1_prev = state.pd1 if propagated else _pd1(state.px, dp)
-    if q:
-        w2 = dec_k.C2.T.dot(m2.T)
+    pd1_prev = (state.pd1 if propagated else _pd1(state.px, dp)) if p1 else None
+    w2 = dec_k.C2.T.dot(m2.T) if q else None
+    pd12 = None
     if p1 and q:
         # -cov(d1, x) at k-1
         neg_pd1x = -state.pxd1.T if propagated else dp.si_c1.dot(state.px)
         pd12 = neg_pd1x.dot(step_prev.A.T).dot(w2) - pd1_prev.dot(dp.G1.T).dot(w2)
-    pd_prev = np.zeros((0, 0))
-    if p1 or q:
-        pd_prev = symmetrize(dp.V.dot(_sym_block(_present([[pd1_prev, pd12], [pd2]], (p1, q))))
-                             .dot(dp.V.T))
+    pd_prev = (symmetrize(dp.V.dot(_sym_block([[pd1_prev, pd12], [pd2]])).dot(dp.V.T))
+               if p1 or q else np.zeros((0, 0)))
 
     # time update
     g2m2 = dp.G2.dot(m2_state)
     if propagated:
         # from the joint covariance of (x, d1, d2) at k-1
-        pxd2 = None
-        if q:
-            pxd2 = (-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
+        pxd2 = ((-state.px).dot(step_prev.A.T).dot(w2) - state.pxd1.dot(dp.G1.T).dot(w2)
+                if q else None)
         bmap = ctx_prev.blockmap
-        joint = _sym_block(_present([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]],
-                                    (n, p1, q)))
+        joint = _sym_block([[state.px, state.pxd1, pxd2], [state.pd1, pd12], [pd2]])
         px_star = bmap.dot(joint).dot(bmap.T) + step_prev.Q
         if q:
             qc = g2m2.dot(dec_k.C2).dot(step_prev.Q)
@@ -813,7 +784,7 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
                            .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
         cov["pxd1"] = pxd1
     return (cov, px_star, pd_prev, gain_l, m2, m2_state,
-            _unbiasedness(dec_k, m2, m2_state, c2g2, gain_l))
+            _unbiasedness(dec_k, m2, m2_state, ctx.c2g2, gain_l))
 
 
 def _check_state(state, cls, step_name: str) -> None:

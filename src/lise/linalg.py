@@ -10,6 +10,9 @@ input of :func:`psd_sqrt`) is :func:`_psd_eigh`, the only reader of
 scale)``, ``scale`` being that of the terms ``a`` was summed from: ``a`` is
 symmetric when ``max|a - a^T|`` is at most the threshold, and PSD when the
 smallest eigenvalue of its symmetric part is at least minus the threshold.
+An ``a`` with an entry beyond half the largest float fails it: its
+symmetric part overflows, and the eigenvalues of a non-finite matrix would
+pass any comparison unnoticed.
 Other definiteness decisions are made where their matrix is, each for its
 own reason:
 
@@ -274,11 +277,15 @@ def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
     """The eigendecomposition ``(w, v)`` of the symmetric part of the square
     matrix ``a``, once ``a`` passes the symmetric-PSD rule (module docstring).
 
-    Raises :class:`InvalidInputError` (``"<what> not symmetric"``) or
-    :class:`NotPositiveDefiniteError` (``"<what> not PSD (min eigenvalue
-    ...)"``) naming the matrix ``what``.
+    Raises :class:`InvalidInputError` (``"<what> not symmetric"``, or
+    ``"<what> has entries too large: ..."`` when its symmetric part would
+    overflow) or :class:`NotPositiveDefiniteError` (``"<what> not PSD (min
+    eigenvalue ...)"``) naming the matrix ``what``.
     """
-    zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a), initial=0.0)), scale)
+    amax = float(np.max(np.abs(a), initial=0.0))
+    if amax > np.finfo(float).max / 2:
+        raise InvalidInputError(f"{what} has entries too large: its symmetric part overflows")
+    zero = tol.zero_abs * max(1.0, amax, scale)
     if np.max(np.abs(a - a.T.copy()), initial=0.0) > zero:
         raise InvalidInputError(f"{what} not symmetric")
     w, v = eigh(symmetrize(a))

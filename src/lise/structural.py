@@ -11,6 +11,11 @@ Every test reads a step's decomposition and its decoupled dynamics
 ``(Ahat, Qhat)`` from the step's context
 (:class:`~lise.decomposition.StepContext`), the one the filters read, so a
 step object's constants are formed once however many tests read them.
+
+A finite model whose entries are too large makes a test's products
+overflow.  Each test runs with numpy's floating-point warnings off
+(:func:`_quiet`), tests the matrices it forms for finiteness, and raises an
+:class:`~lise.errors.InvalidInputError` naming the test and the matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import scipy.linalg
 
 from .decomposition import _pair_context, _step_context
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _norm, _sv_rank, psd_sqrt, rank, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _finite, _norm, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
 
 __all__ = [
@@ -45,6 +50,18 @@ __all__ = [
     "plise_stability_check",
     "analyze",
 ]
+
+
+# decorates a test to run with numpy's overflow, invalid and divide warnings
+# off: an overflow shows as a non-finite matrix, which the test names
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _overflow_check(test: str, name: str, *mats: np.ndarray) -> None:
+    """Raise the :class:`InvalidInputError` naming ``test`` and the matrix
+    ``name`` when an entry of ``mats`` (that matrix's parts) is not finite."""
+    if not all(map(_finite, mats)):
+        raise InvalidInputError(f"{test}: {name} overflows (non-finite entries)")
 
 
 @dataclass(frozen=True)
@@ -76,9 +93,13 @@ class ObservabilityMatrices:
     p_h: list[int]
 
 
+@_quiet
 def build_observability_matrices(model: SystemModel, r: int,
                                  tol: Tolerance = DEFAULT_TOL) -> ObservabilityMatrices:
-    """Assemble the window-r observability and invertibility matrices."""
+    """Assemble the window-r observability and invertibility matrices.
+
+    Products that overflow raise :class:`InvalidInputError` naming them.
+    """
     if r < 0:
         raise InvalidInputError("window length r must be nonnegative")
     n, p, l = model.n, model.p, model.l
@@ -110,6 +131,7 @@ def build_observability_matrices(model: SystemModel, r: int,
             )
             if k < r:
                 carry = ahat[k] @ carry
+    _overflow_check("strong observability test", "the observability matrix of A-hat", o2, i22)
     return ObservabilityMatrices(r=r, o2=o2, i22=i22, row_offsets=row_offsets,
                                  col_offsets=col_offsets, ahat=ahat, p_h=p_h)
 
@@ -227,6 +249,7 @@ def _pencil(step: SystemStep, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return e, f
 
 
+@_quiet
 def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> InvariantZeros:
     """Invariant zeros of a time-invariant step.
 
@@ -375,6 +398,7 @@ def _c2g2_precondition(step: SystemStep, tol: Tolerance):
     return ctx, pair, failed
 
 
+@_quiet
 def ulise_convergence_check(step: SystemStep,
                             tol: Tolerance = DEFAULT_TOL) -> CertificateVerdict:
     """Necessary and sufficient certificate for the updated-variant gains to
@@ -392,6 +416,7 @@ def ulise_convergence_check(step: SystemStep,
     det = strong_detectability(step, tol)
     dec, ahat = ctx.dec, ctx.ahat
     n = step.n
+    _overflow_check("ULISE convergence check", "Q-hat = Q + G1 Sigma^-1 R1 Sigma^-1 G1'", ctx.qhat)
     # the pencil [[A^ - z I, G2, Q^1/2, 0], [z C2, 0, 0, R2^1/2]] = F + z E
     f = scipy.linalg.block_diag(np.hstack([ahat, dec.G2, psd_sqrt(ctx.qhat, tol)]),
                                 psd_sqrt(dec.R2, tol))
@@ -402,6 +427,7 @@ def ulise_convergence_check(step: SystemStep,
     return CertificateVerdict(status=status, detectability=det, circle=circle)
 
 
+@_quiet
 def plise_stability_check(step: SystemStep,
                           tol: Tolerance = DEFAULT_TOL) -> CertificateVerdict:
     """Sufficient certificate for bounded errors and covariances of the
@@ -433,6 +459,7 @@ def plise_stability_check(step: SystemStep,
     f_s = n_hat @ ahat - s_hat @ theta_inv @ dec.C2
     q_s = symmetrize(dec.G2 @ m2t @ dec.R2 @ m2t.T @ dec.G2.T
                      + n_hat @ qhat @ n_hat.T - s_hat @ theta_inv @ s_hat.T)
+    _overflow_check("PLISE stability check", "the fixed-gain companion's F_s or Q_s", f_s, q_s)
     # q_s sums terms of the scale of Q-hat and R2, whose rounding can leave
     # an eigenvalue of the exactly PSD q_s that far below zero; and N-hat
     # moves an eigenvalue of Q that the step rule admits below zero (down to

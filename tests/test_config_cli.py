@@ -1,10 +1,18 @@
+import contextlib
+import copy
+import io
+import math
 import os
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lise.cli
 import lise.config
@@ -849,6 +857,154 @@ class TestCliCompare:
             assert main(["compare", "--config", str(cfg), "--filters", "ULISE", "KALMAN"]) == 1
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"config error: --filters: {message}\n")
+
+
+def _mutated(tmp_path, name, path, value):
+    """``configs/<name>.yaml`` with the leaf at ``path`` set to ``value``
+    (with the horizon 40 first), written to ``tmp_path``."""
+    doc = copy.deepcopy(_HORIZON_40[name])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    p = Path(tmp_path) / "cfg.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    return p
+
+
+def _cli(argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)`` in this process; a
+    RuntimeWarning raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# models whose products overflow in a structural test or a filter step
+_OVERFLOWS = {"A10": ("fault_h1", ("model", "A", 1, 0)), "A13": ("fault_h1", ("model", "A", 1, 3)),
+              "C01": ("fault_h1", ("model", "C", 0, 1)), "Q44": ("fault_h5", ("model", "Q", 4, 4)),
+              "C22": ("fault_h1", ("model", "C", 2, 2))}
+
+
+class TestNamedFailures:
+    @pytest.mark.parametrize("case,command,code,stream,line", [
+        ("A10", "analyze", 3, "err", "error: PLISE stability check: the fixed-gain "
+                                     "companion's F_s or Q_s overflows (non-finite entries)"),
+        ("A10", "run", 3, "err", "error: strong observability test: the observability matrix "
+                                 "of A-hat overflows (non-finite entries)"),
+        ("A13", "analyze", 0, "out", "PLISE boundedness: ok"),
+        ("A13", "run", 3, "err", "error: strong observability test: "),
+        ("C01", "analyze", 3, "err", "error: PLISE stability check: "),
+        ("C01", "run", 3, "err", "error: PLISE stability check: "),
+        ("Q44", "analyze", 2, "out", "model assumptions: VIOLATED [k=0] Q: Q has entries too "
+                                     "large: its symmetric part overflows"),
+        ("Q44", "run", 2, "err", "model assumptions: VIOLATED [k=0] Q: Q has entries too large: "),
+    ], ids=["A10-analyze", "A10-run", "A13-analyze", "A13-run", "C01-analyze", "C01-run",
+            "Q44-analyze", "Q44-run"])
+    def test_a_structural_overflow_is_a_named_error(self, tmp_path, case, command, code,
+                                                   stream, line):
+        # an entry of 1e308 overflows a structural test's products: the last
+        # line names the test and its matrix, and numpy warns nothing; a Q
+        # whose symmetric part overflows fails the standing assumptions
+        cfg = _mutated(tmp_path, *_OVERFLOWS[case], 1e308)
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "res")]
+        got, out, err = _cli(argv)
+        assert got == code
+        assert {"out": out, "err": err}[stream].splitlines()[-1].startswith(line), (out, err)
+
+    def test_cywz_covariance_overflow_names_the_step(self, tmp_path):
+        # fault_h1 with C[2][2] = 1e308: the covariance overflows in the
+        # first step, and CYWZ's reduction names r_hat before LAPACK's
+        # eigensolver sees it
+        cfg = _mutated(tmp_path, *_OVERFLOWS["C22"], 1e308)
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            # the filter steps' own products still warn as they overflow
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 3
+        lines = err.getvalue().splitlines()
+        assert ("CYWZ failed at step 1: step 1: pre-update innovation covariance has "
+                "non-finite entries") in lines, lines
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_violated_assumption_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # as from analyze: a model that fails the standing assumptions fails
+        # the check (exit 2), naming each violation, and nothing runs
+        monkeypatch.setattr(lise.cli, "run_scenario", None)
+        cfg = _small_run_config(tmp_path, filters="[ULISE, PLISE]")
+        text = cfg.read_text()
+        old = "R:\n    - [0.01, 0, 0, 0.005, 0]"
+        assert text.count(old) == 1
+        cfg.write_text(text.replace(old, "R:\n    - [-0.01, 0, 0, 0.005, 0]"))
+        out = tmp_path / "res"
+        argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "model assumptions: VIOLATED [k=0] R: R not PD\n")
+        assert not out.exists()
+
+
+# one leaf of a bundled config replaced by one of these values, or deleted
+_DELETE = type("Delete", (), {"__repr__": lambda self: "DELETE"})()
+_VALUES = (True, False, "x", None, [], {}, math.nan, math.inf, -math.inf, -1, 0, 1, 2.5, 1e30,
+           1e308, -1e308, [1.0, 2.0], _DELETE)
+_HORIZON_40 = {}
+for _name in ("fault_h1", "fault_h2", "fault_h3", "fault_h4", "fault_h5", "fault_h6",
+              "vehicle_tracking"):
+    _HORIZON_40[_name] = yaml.safe_load((CONFIGS / f"{_name}.yaml").read_text())
+    _HORIZON_40[_name]["scenario"]["horizon"] = 40
+
+
+def _leaves(node, path=()):
+    """The paths of the scalar leaves under ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+_LEAVES = [(name, path) for name, doc in _HORIZON_40.items() for path in _leaves(doc)]
+# what a failure's message names: a step k, a model matrix, or a check
+_NAMED = re.compile(r"\bk=\d+|\bstep \d+|\b([ABCDGHQR]|P0)\b|\b(test|check)\b")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_VALUES))
+@example(leaf=_OVERFLOWS["A10"], value=1e308)
+@example(leaf=_OVERFLOWS["A13"], value=1e308)
+@example(leaf=_OVERFLOWS["C01"], value=1e308)
+@example(leaf=_OVERFLOWS["Q44"], value=1e308)
+@example(leaf=_OVERFLOWS["C22"], value=1e308)
+def test_a_mutated_config_runs_or_fails_with_a_named_error(leaf, value):
+    # lise run on a bundled config with one leaf replaced or deleted: it
+    # runs, or it is a config error naming the key path, or it fails a
+    # check or a step with a message that names the step, a matrix or the
+    # check; an uncaught exception fails the property with its traceback
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfg = _mutated(tmp, *leaf, value)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--out", os.path.join(tmp, "res")])
+    err = err.getvalue()
+    if code == 1:
+        assert re.match(r"config error: \S+: ", err), err
+    elif code in (2, 3):
+        assert _NAMED.search(err), err
+    else:
+        assert code == 0, (code, err)
 
 
 # estimable but not strongly detectable (transmission zero at 1.25)

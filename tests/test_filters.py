@@ -34,7 +34,6 @@ from lise.filters import (
     _input_gain_gls,
     _lise_gains,
     _spd_factor,
-    _spd_solve,
     _sym_block,
     _whitened_complement_reduction,
     compute_gain_L,
@@ -1079,6 +1078,12 @@ def _spd(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return a @ a.T + 0.1 * np.eye(n), rng
+
+
+def _spd_solve(mat, rhs, what):
+    """A solve with a matrix that the model assumptions make PD, as the
+    filters make it: factor, then solve with the factor."""
+    return _factor_solve(_spd_factor(mat, what), rhs, what)
 
 
 @settings(max_examples=60, deadline=None)

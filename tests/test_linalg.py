@@ -430,6 +430,20 @@ class TestPsdRule:
                 assert p0.tobytes() == p0_want.tobytes()
 
 
+    def test_an_entry_whose_symmetric_part_overflows_fails_the_rule(self):
+        # the eigenvalues of the overflowed symmetric part would be NaN,
+        # which passes every comparison of the rule: rejected, naming the
+        # matrix, with no numpy warning; an entry just below the bound passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match=r"^Q has entries too large: its symmetric part "
+                                     r"overflows$"):
+                _psd_eigh(np.diag([1.0, 1e308]), DEFAULT_TOL, "Q")
+            w, _ = _psd_eigh(np.diag([1.0, 8.9e307]), DEFAULT_TOL, "Q")
+        assert w[0] == 1.0 and w[1] == pytest.approx(8.9e307, rel=1e-15)
+
+
 class TestExpm:
     def test_zero(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3))

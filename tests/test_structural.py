@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,25 @@ class TestUliseConvergence:
         rng = np.random.default_rng(2)
         model = random_system(rng, n=3, l=2, p=0, p_h=0)
         assert ulise_convergence_check(model.step(0)).ok
+
+    def test_an_overflowing_q_hat_is_a_named_error(self):
+        # a feedthrough input entering the dynamics with gain 1e200 adds
+        # G1 Sigma^-1 R1 Sigma^-1 G1' = 1e400 to Q: the check names Q-hat,
+        # and numpy warns nothing
+        step = SystemStep(A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=np.eye(2),
+                          D=np.zeros((2, 1)), G=[[1e200], [0.0]], H=[[1.0], [0.0]],
+                          Q=0.1 * np.eye(2), R=np.eye(2))
+        with warnings.catch_warnings():
+            # the decomposition's own product G1 Sigma^-1 R1 Sigma^-1 G1'
+            # still warns as it overflows
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert validate(SystemModel.time_invariant(step)) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^ULISE convergence check: Q-hat = Q "
+                                                        r"\+ G1 Sigma\^-1 R1 Sigma\^-1 G1' "
+                                                        r"overflows \(non-finite entries\)$"):
+                ulise_convergence_check(step)
 
     def test_unit_circle_mode_without_noise_fails(self):
         # marginal mode, no process noise, nothing to excite it: the
