@@ -363,7 +363,8 @@ def _sym_block(upper) -> np.ndarray:
     out = np.empty((edges[-1], edges[-1]))
     for a, i in enumerate(rows):
         for b, j in enumerate(rows[a:], a):
-            out[edges[a]:edges[a + 1], edges[b]:edges[b + 1]] = block = upper[i][j - i]
+            block = upper[i][j - i]
+            out[edges[a]:edges[a + 1], edges[b]:edges[b + 1]] = block
             if b > a:
                 out[edges[b]:edges[b + 1], edges[a]:edges[a + 1]] = block.T
     return out
@@ -484,7 +485,10 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
         raise NumericalError("pre-update innovation covariance is not PD")
     rh_half_inv = (v * (w ** -0.5)).dot(v.T)
     q = g2_prev.shape[1]
-    gam = svd(rh_half_inv.dot(c).dot(g2_prev))[0][:, q:].T @ rh_half_inv if q else rh_half_inv
+    gam = rh_half_inv
+    if q:
+        u_t = svd(rh_half_inv.dot(c).dot(g2_prev))[0]
+        gam = u_t[:, q:].T @ rh_half_inv
     core = gam.dot(r_star).dot(gam.T)
     try:
         core_inv = inv(core)
