@@ -352,21 +352,20 @@ def _sym_block(upper) -> np.ndarray:
 
     ``upper[i]`` holds the blocks of block row ``i`` from the diagonal on,
     and each block below the diagonal is the transpose of its mirror image.
-    A block row whose diagonal block is empty or ``None`` (a component of
-    width 0, never formed) is left out with its block column, whose other
-    blocks may be ``None`` too.  The values are those of ``np.block``, each
-    block written into one preallocated matrix, without ``np.block``'s
-    per-call cost.
+    A block given as ``None`` (of a component of width 0, never formed) is
+    left out; a diagonal block that is ``None`` has width 0.  The values
+    are those of ``np.block``, each block written into one preallocated
+    matrix, without ``np.block``'s per-call cost.
     """
-    rows = [i for i, row in enumerate(upper) if row[0] is not None and row[0].size]
-    edges = [0, *itertools.accumulate(upper[i][0].shape[0] for i in rows)]
+    edges = [0, *itertools.accumulate(0 if row[0] is None else row[0].shape[0]
+                                      for row in upper)]
     out = np.empty((edges[-1], edges[-1]))
-    for a, i in enumerate(rows):
-        for b, j in enumerate(rows[a:], a):
-            block = upper[i][j - i]
-            out[edges[a]:edges[a + 1], edges[b]:edges[b + 1]] = block
-            if b > a:
-                out[edges[b]:edges[b + 1], edges[a]:edges[a + 1]] = block.T
+    for i, row in enumerate(upper):
+        for j, block in enumerate(row, i):
+            if block is not None:
+                out[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = block
+                if j > i:
+                    out[edges[j]:edges[j + 1], edges[i]:edges[i + 1]] = block.T
     return out
 
 
