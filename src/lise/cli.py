@@ -23,7 +23,8 @@ Exit codes: 0 success, 1 usage/config error, 2 structural-check failure,
 3 runtime numerical failure.  A model that fails the standing assumptions
 (:func:`lise.model.validate`) exits 2 from every subcommand, each violation
 printed as ``model assumptions: VIOLATED ...``, and ``run`` and ``compare``
-do no other work on it.
+do no other work on it.  A command runs with numpy's floating-point warnings
+off: an overflow ends in the named error or the exit code that reports it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigDocument, load_config
@@ -224,7 +227,8 @@ def _run_gated(doc: ConfigDocument, args, verb: str):
     gate = _structural_gate(result, args.strict)
     if gate == EXIT_OK:
         for fr in result.failed:
-            print(f"{fr.name} failed at step {fr.failed_at}: {fr.error}", file=sys.stderr)
+            # the error starts with the step it failed at
+            print(f"{fr.name} failed at {fr.error}", file=sys.stderr)
     return gate, result
 
 
@@ -295,20 +299,24 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; this tool reserves 2 for failed
         # structural checks
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        doc = load_config(args.config)
-        if args.command == "analyze":
-            return cmd_analyze(doc)
-        _override_scenario(doc, args)
-        if args.command == "run":
-            return cmd_run(doc, args)
-        return cmd_compare(doc, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # one floating-point policy per command: an overflow shows as a
+    # non-finite matrix or estimate, which a named error or exit code
+    # reports, so numpy's warnings would only repeat it on stderr
+    with np.errstate(all="ignore"):
+        try:
+            doc = load_config(args.config)
+            if args.command == "analyze":
+                return cmd_analyze(doc)
+            _override_scenario(doc, args)
+            if args.command == "run":
+                return cmd_run(doc, args)
+            return cmd_compare(doc, args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except LiseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 unknown-input estimation.
 
 Every filter step is one skeleton, written once in :func:`_step`: fetch the
-model step, check the data, run the filter's gain half, run the one estimate
-update (:func:`_estimate_update`) and build the new state and the
-:class:`StepOutput`.  Only the gain half differs per filter, and it reads
-the covariance state and the step contexts, never the estimates or the data.
-The paper's filter is one gain half, :func:`_lise_gains`; its variants
-differ only in how the covariance is propagated:
+model step, check the data, run the gain half (:func:`_lise_gains`), run the
+one estimate update (:func:`_estimate_update`) and build the new state and
+the :class:`StepOutput`.  The gain half reads the covariance state and the
+step contexts, never the estimates or the data.  The paper's filter is that
+one gain half; its variants differ only in how the covariance is
+propagated:
 
 * :func:`ulise_step` estimates the feedthrough input component from the
   measurement-updated state (globally optimal over linear estimators);
@@ -20,8 +20,9 @@ differ only in how the covariance is propagated:
   generalized-least-squares gain in the state and covariance updates, while
   the reported input estimates stay BLUE.
 
-The public step functions check the state's class and call the skeleton,
-whose gain half reads the variant from the state's ``d1_from_propagated``.
+The public step functions check the state's class and call the skeleton;
+the gain half reads the variant from the state's ``d1_from_propagated`` and
+from the skeleton's ``ols_state_gain``, which only :func:`cywz_step` sets.
 
 An input component of width 0 forms nothing.  Which work a step skips is
 decided from the widths of the blocks alone: ``p_h = rank(H[k-1])``, the
@@ -78,7 +79,7 @@ asymmetric Q or R, a Q that is not PSD or an R that is not positive
 definite to within ``rank_rel``, naming the matrix and ``k``: the context's
 verdict, the one :func:`lise.model.validate` reports.  Each state class declares its
 covariance state once, in ``cov_fields``: ``px``, and for PLISE also
-``pd1`` and ``pxd1``.  These are the fields a gain half reads (with the
+``pd1`` and ``pxd1``.  These are the fields the gain half reads (with the
 step contexts) and returns for the new state, and their bytes key the state
 in :func:`_gain_key`.
 
@@ -95,9 +96,12 @@ The small inverses, SVDs and eigendecompositions call numpy's LAPACK gufuncs
 directly (:func:`lise.linalg.inv`, :func:`~lise.linalg.svd`,
 :func:`~lise.linalg.eigh`), bitwise what ``np.linalg`` gives, and the
 finiteness checks sum the entries as Python floats, which never warns,
-testing every entry only when the sum is not finite.
+testing every entry only when the sum is not finite.  Every inverse goes
+through :func:`_inv`, which turns a singular matrix into the error that
+names it, and both reductions of the state gain form its feedthrough
+projection in :func:`_feedthrough_projection`.
 
-The matrix products of the gain halves and of the estimate recursion on
+The matrix products of the gain half and of the estimate recursion on
 1-D vectors use ``ndarray.dot``: on C- or F-contiguous operands it makes the
 same BLAS call as ``@`` (gemm, gemv, syrk or ddot) without the matmul
 gufunc's per-call dispatch, which is most of the cost of a product of 5 x 5
@@ -377,6 +381,15 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
+def _inv(a: np.ndarray, error, message: str) -> np.ndarray:
+    """``inv(a)``; a singular ``a`` raises ``error(message)``, the caller's
+    named error, in place of numpy's ``LinAlgError``."""
+    try:
+        return inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise error(message) from exc
+
+
 def _input_gain_gls(p_tilde, dec_k, c2g2):
     """BLUE gain for the dynamics-only input component, plus its covariance,
     given ``c2g2`` of the step's
@@ -392,11 +405,8 @@ def _input_gain_gls(p_tilde, dec_k, c2g2):
     if not c2g2.shape[1]:
         return np.zeros((0, r2_tilde.shape[0])), np.zeros((0, 0))
     x = _factor_solve(r2_chol, c2g2, what)
-    try:
-        pd2 = inv(c2g2.T.dot(x))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("input-estimate information matrix is singular") from exc
-    pd2 = symmetrize(pd2)
+    pd2 = symmetrize(_inv(c2g2.T.dot(x), NumericalError,
+                          "input-estimate information matrix is singular"))
     return pd2.dot(x.T), pd2
 
 
@@ -440,12 +450,8 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
         rh_inv_n = _factor_solve(r_hat_chol, n_mat, what)
         if dec.p_h == 0:
             return k_gain.dot(_factor_solve(r_hat_chol, _eye(l), what) if q else rh_inv_n)
-        try:
-            core = inv(dec.U1.T.dot(rh_inv_n).dot(dec.U1))
-        except np.linalg.LinAlgError as exc:
-            raise GainConstructionError("reduced gain core is singular for this step") from exc
-        m1_star = dec.sigma_inv.dot(core).dot(dec.U1.T).dot(rh_inv_n)
-        proj = _eye(l) - dec.H1.dot(m1_star)
+        proj = _feedthrough_projection(dec, rh_inv_n,
+                                       "reduced gain core is singular for this step")
         # proj.T r_hat^-1 == (r_hat^-1 proj).T since r_hat is symmetric
         return k_gain.dot(_factor_solve(r_hat_chol, proj, what).T)
 
@@ -456,18 +462,24 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
     r_star = symmetrize(r_star)
     if gamma is GammaPolicy.DAROUACH:
         r_check = _whitened_complement_reduction(r_hat, r_star, c, g2_prev)
-    else:
+    elif _finite(r_star):
         r_check = pinv(r_star, tol)
+    else:
+        raise NumericalError("innovation covariance r_star has non-finite entries")
     if dec.p_h == 0:
         return k_gain.dot(r_check)
-    try:
-        core_inv = inv(dec.U1.T.dot(r_check).dot(dec.U1))
-    except np.linalg.LinAlgError as exc:
-        raise GainConstructionError(
-            "gain reduction is inadmissible: U1' r_check U1 is singular"
-        ) from exc
-    m1_star = dec.sigma_inv.dot(core_inv).dot(dec.U1.T).dot(r_check)
-    return k_gain.dot((_eye(l) - dec.H1.dot(m1_star)).T).dot(r_check)
+    proj = _feedthrough_projection(dec, r_check,
+                                   "gain reduction is inadmissible: U1' r_check U1 is singular")
+    return k_gain.dot(proj.T).dot(r_check)
+
+
+def _feedthrough_projection(dec, m, singular: str) -> np.ndarray:
+    """``I - H1 Sigma^-1 (U1' m U1)^-1 U1' m`` of the decomposition ``dec``
+    for the reduction ``m`` of the innovation covariance, the factor of the
+    state gain that makes ``L U1 = 0``; a singular ``U1' m U1`` raises
+    :class:`GainConstructionError` with the message ``singular``."""
+    core = _inv(dec.U1.T.dot(m).dot(dec.U1), GainConstructionError, singular)
+    return _eye(m.shape[0]) - dec.H1.dot(dec.sigma_inv.dot(core).dot(dec.U1.T).dot(m))
 
 
 def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
@@ -488,11 +500,8 @@ def _whitened_complement_reduction(r_hat, r_star, c, g2_prev):
     if q:
         u_t = svd(rh_half_inv.dot(c).dot(g2_prev))[0]
         gam = u_t[:, q:].T @ rh_half_inv
-    core = gam.dot(r_star).dot(gam.T)
-    try:
-        core_inv = inv(core)
-    except np.linalg.LinAlgError as exc:
-        raise GainConstructionError("reduced innovation covariance is singular") from exc
+    core_inv = _inv(gam.dot(r_star).dot(gam.T), GainConstructionError,
+                    "reduced innovation covariance is singular")
     return gam.T.dot(core_inv).dot(gam)
 
 
@@ -657,22 +666,15 @@ def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
 cywz_init = ulise_init
 
 
-def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **options):
+def _step(state, y, u, u_prev, model: SystemModel, tol: Tolerance, gamma: GammaPolicy,
+          ols_state_gain: bool = False):
     """One step of any filter: the skeleton that every public step shares.
 
     Fetches model step ``k`` (the one model request of the step), its
     decomposition and the context of step ``k - 1``, checks the data, runs
-    the filter's ``gain_half(state, ctx_prev, step, dec, tol, **options)``,
-    builds the step's :class:`_StepGains` from its output, runs the one
-    :func:`_estimate_update` with it, and builds the new state of the
-    state's own class and the :class:`StepOutput`, which keeps the record.
-
-    A gain half reads the covariance state (the state class's
-    ``cov_fields``) and the step contexts, ``ctx_prev`` of ``state.step``
-    (whose decomposition is the one step ``k - 1`` ran on) and that of
-    step ``k``, never the estimates or the data.  It returns ``(cov, px_star,
-    pd_prev, gain_l, m2, m2_state, unbiasedness)``, ``cov`` being the
-    new state's ``cov_fields`` by name.
+    the gain half :func:`_lise_gains`, runs the one :func:`_estimate_update`
+    on the gain record it returns, and builds the new state of the state's
+    own class and the :class:`StepOutput`, which keeps the record.
     """
     k = state.k + 1
     step = model.step(k)
@@ -681,10 +683,8 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
     upv = _check_vector(u_prev, step.m, "u_prev", k)
-    cov, px_star, pd_prev, gain_l, m2, m2_state, unbiasedness = gain_half(
-        state, ctx_prev, step, dec_k, tol, **options)
-    g = _StepGains(state.step, step, ctx_prev.dec, dec_k, m2, m2_state, gain_l,
-                   state.d1_from_propagated)
+    cov, px_star, pd_prev, g, unbiasedness = _lise_gains(state, ctx_prev, step, dec_k, tol,
+                                                         gamma, ols_state_gain)
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, _data_products(yv, uv, upv, g), g)
     out = StepOutput(k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
@@ -694,7 +694,7 @@ def _step(gain_half, state, y, u, u_prev, model: SystemModel, tol: Tolerance, **
 
 def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
                 dec_k: OutputDecomposition, tol: Tolerance, gamma: GammaPolicy,
-                ols_state_gain: bool = False):
+                ols_state_gain: bool):
     """The gain half of the unified filter: of :func:`ulise_step`,
     :func:`cywz_step` and :func:`plise_step`.
 
@@ -703,6 +703,13 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     the joint covariance of ``(x, d1, d2)``; ``ols_state_gain`` puts the
     pseudo-inverse input gain in the state and covariance path (CYWZ).
     Everything else is shared.
+
+    Reads the covariance state (the state class's ``cov_fields``) and the
+    step contexts, ``ctx_prev`` of ``state.step`` (whose decomposition is
+    the one step ``k - 1`` ran on) and that of step ``k``, never the
+    estimates or the data.  Returns ``(cov, px_star, pd_prev, gains,
+    unbiasedness)``: ``cov`` is the new state's ``cov_fields`` by name and
+    ``gains`` the step's :class:`_StepGains` record.
     """
     propagated = state.d1_from_propagated
     step_prev, dp = state.step, ctx_prev.dec
@@ -786,8 +793,8 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
             pxd1 = pxd1 - ((lr @ dec_k.T2.T).dot(m2.T).dot(dp.G2.T)
                            .dot(dec_k.C1.T).dot(dec_k.sigma_inv))
         cov["pxd1"] = pxd1
-    return (cov, px_star, pd_prev, gain_l, m2, m2_state,
-            _unbiasedness(dec_k, m2, m2_state, ctx.c2g2, gain_l))
+    g = _StepGains(step_prev, step, dp, dec_k, m2, m2_state, gain_l, propagated)
+    return cov, px_star, pd_prev, g, _unbiasedness(dec_k, m2, m2_state, ctx.c2g2, gain_l)
 
 
 def _check_state(state, cls, step_name: str) -> None:
@@ -805,7 +812,7 @@ def ulise_step(state: UliseState, y, u, u_prev, model: SystemModel,
     :class:`EstimabilityError` is raised naming the achieved rank.
     """
     _check_state(state, UliseState, "ulise_step")
-    return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma)
+    return _step(state, y, u, u_prev, model, tol, gamma)
 
 
 def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
@@ -814,8 +821,7 @@ def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
     """Advance the OLS variant: pseudo-inverse input gain in the state and
     covariance path, BLUE gains in the reported input estimate."""
     _check_state(state, UliseState, "cywz_step")
-    return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma,
-                 ols_state_gain=True)
+    return _step(state, y, u, u_prev, model, tol, gamma, ols_state_gain=True)
 
 
 def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
@@ -834,4 +840,4 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     interface symmetry; estimates are reduction-invariant anyway.
     """
     _check_state(state, PliseState, "plise_step")
-    return _step(_lise_gains, state, y, u, u_prev, model, tol, gamma=gamma)
+    return _step(state, y, u, u_prev, model, tol, gamma)

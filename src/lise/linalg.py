@@ -149,11 +149,13 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _block(work, start: int, stop: int, errors: list, i: int) -> None:
-    """Block ``i`` of :func:`_in_blocks` on a thread of its own: its
-    exception is kept in ``errors[i]``, to be raised on the calling thread."""
+def _block(work, start: int, stop: int, errors: list, i: int, errstate: dict) -> None:
+    """Block ``i`` of :func:`_in_blocks` on a thread of its own, under the
+    calling thread's floating-point error state ``errstate``: its exception
+    is kept in ``errors[i]``, to be raised on the calling thread."""
     try:
-        work(start, stop)
+        with np.errstate(**errstate):
+            work(start, stop)
     except BaseException as exc:  # re-raised by _in_blocks
         errors[i] = exc
 
@@ -171,6 +173,8 @@ def _in_blocks(work, count: int, min_block: int) -> None:
     large array (glibc keeps an arena per thread), but write into arrays that
     the caller allocated, and call no public function of the package:
     perfbench's tracer wraps those and keeps a single stack of open spans.
+    numpy's floating-point error state is the thread's own, so each started
+    thread sets the caller's (``np.geterr()``) once for its block.
     """
     blocks = max(1, min(_cpu_count(), count // max(min_block, 1)))
     if blocks == 1:
@@ -178,11 +182,12 @@ def _in_blocks(work, count: int, min_block: int) -> None:
         return
     bounds = [count * i // blocks for i in range(blocks + 1)]
     errors = [None] * blocks
+    errstate = np.geterr()
     threads = []
     try:
         for i in range(1, blocks):
             threads.append(threading.Thread(
-                target=_block, args=(work, bounds[i], bounds[i + 1], errors, i)))
+                target=_block, args=(work, bounds[i], bounds[i + 1], errors, i, errstate)))
             threads[-1].start()
         work(bounds[0], bounds[1])
     finally:

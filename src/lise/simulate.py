@@ -334,7 +334,10 @@ class FilterRun:
     covariance repeats the one ``period`` steps earlier.  ``k`` is the first
     step whose state repeats an earlier one, and ``period`` is the cycle's
     minimal period.  It is ``None`` when no repeat was found within the
-    horizon, and always for time-varying models.
+    horizon, and always for time-varying models.  ``error`` is ``None``
+    unless the pass failed, and then starts with ``step k:``, ``k`` being
+    ``failed_at``, the step whose error it reports: one that raised, or the
+    first whose estimates are not finite.
     """
 
     name: str
@@ -385,8 +388,11 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     keeps, so the pass asks the model for no step of its own: the step
     functions fetch each ``model.step(k)`` once.
 
+    A pass whose estimates turn non-finite fails at the first such step
+    (:func:`_first_nonfinite_estimate`), as when that step had raised.
+
     On a time-invariant model, the steps are keyed by the bytes of the
-    filter state their gain half reads (``filters._gain_key``), and each key
+    filter state the gain half reads (``filters._gain_key``), and each key
     is mapped to the first step it was seen at.  Once a key repeats, the
     gain half of every later step is a bitwise repeat of the one a period
     earlier, so the step function is no longer called: :func:`_serve_cycle`
@@ -431,10 +437,33 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         except LiseError as exc:
             failed_at = len(gains) + 1
             error = f"step {failed_at}: {exc}"
+    bad = _first_nonfinite_estimate(xhat[:len(gains)], dhat[:len(gains)])
+    if bad is not None:
+        failed_at, error = bad
+        del gains[failed_at - 1:]
+        if cycle is not None and cycle[0] > failed_at:
+            cycle = None
     if failed_at is not None:
         xhat, dhat = xhat[:failed_at - 1], dhat[:failed_at - 1]
         px_diag, pd_diag = px_diag[:failed_at - 1], pd_diag[:failed_at - 1]
     return xhat, dhat, px_diag, pd_diag, gains, unb, error, failed_at, cycle
+
+
+def _first_nonfinite_estimate(xhat: np.ndarray, dhat: np.ndarray):
+    """``(k, error)`` of the first step whose row of ``xhat`` or ``dhat``
+    has a non-finite entry, the error giving both estimates of that step, or
+    ``None`` when every entry is finite.
+
+    One scan over the whole series: a step checks its data and its gains,
+    never its estimates, which overflow from a finite prior mean or finite
+    data too large for the recursion (the init's estimate of the
+    feedthrough input enters ``dhat`` at step 1).
+    """
+    bad = np.flatnonzero(~(np.isfinite(xhat).all(axis=1) & np.isfinite(dhat).all(axis=1)))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i + 1, f"step {i + 1}: non-finite estimate: xhat = {xhat[i]} and dhat = {dhat[i]}"
 
 
 def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):

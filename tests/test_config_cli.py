@@ -890,6 +890,12 @@ def _cli(argv):
 _OVERFLOWS = {"A10": ("fault_h1", ("model", "A", 1, 0)), "A13": ("fault_h1", ("model", "A", 1, 3)),
               "C01": ("fault_h1", ("model", "C", 0, 1)), "Q44": ("fault_h5", ("model", "Q", 4, 4)),
               "C22": ("fault_h1", ("model", "C", 2, 2))}
+# leaves whose overflow printed numpy warnings before the named error, or
+# (the prior mean) wrote non-finite estimates and exited 0
+_WARNED = {"x0_mean1": ("fault_h3", ("scenario", "x0_mean", 1)),
+           "C20": ("fault_h2", ("model", "C", 2, 0)),
+           "G12": ("fault_h1", ("model", "G", 1, 2)),
+           "A44": ("fault_h6", ("model", "A", 4, 4))}
 
 
 class TestNamedFailures:
@@ -922,18 +928,33 @@ class TestNamedFailures:
 
     def test_cywz_covariance_overflow_names_the_step(self, tmp_path):
         # fault_h1 with C[2][2] = 1e308: the covariance overflows in the
-        # first step, and CYWZ's reduction names r_hat before LAPACK's
-        # eigensolver sees it
+        # first step, and each reduction names its innovation covariance
+        # before LAPACK sees it (CYWZ's r_hat, PLISE's r_star), with no
+        # numpy warning first; each line names the step once
         cfg = _mutated(tmp_path, *_OVERFLOWS["C22"], 1e308)
-        err = io.StringIO()
-        with warnings.catch_warnings():
-            # the filter steps' own products still warn as they overflow
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 3
-        lines = err.getvalue().splitlines()
-        assert ("CYWZ failed at step 1: step 1: pre-update innovation covariance has "
+        code, _, err = _cli(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
+        assert code == 3
+        lines = err.splitlines()
+        assert ("CYWZ failed at step 1: pre-update innovation covariance has "
                 "non-finite entries") in lines, lines
+        assert "PLISE failed at step 1: innovation covariance r_star has non-finite entries" in (
+            lines)
+
+    def test_a_prior_mean_too_large_fails_with_the_partial_rows(self, tmp_path):
+        # fault_h3 with x0_mean[1] = 1e308: every estimate of every filter is
+        # non-finite from step 1, so each filter fails there, exit 3, with
+        # its error row in steps.csv and no numpy warning on stderr
+        cfg = _mutated(tmp_path, *_WARNED["x0_mean1"], 1e308)
+        out = tmp_path / "res"
+        code, _, err = _cli(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        error = ("step 1: non-finite estimate: xhat = [nan nan nan nan nan] and "
+                 "dhat = [nan nan nan]")
+        for name in ("CYWZ", "ULISE", "PLISE"):
+            assert f"{name} failed at {error}" in err.splitlines(), err
+        rows = (out / "steps.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["1", f"{name}:ERROR:{error}"] for name in ("CYWZ", "ULISE", "PLISE")]
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_violated_assumption_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
@@ -987,18 +1008,24 @@ _NAMED = re.compile(r"\bk=\d+|\bstep \d+|\b([ABCDGHQR]|P0)\b|\b(test|check)\b")
 @example(leaf=_OVERFLOWS["C01"], value=1e308)
 @example(leaf=_OVERFLOWS["Q44"], value=1e308)
 @example(leaf=_OVERFLOWS["C22"], value=1e308)
+@example(leaf=_WARNED["x0_mean1"], value=1e308)
+@example(leaf=_WARNED["C20"], value=1e200)
+@example(leaf=_WARNED["G12"], value=-1e308)
+@example(leaf=_WARNED["A44"], value=1e30)
 def test_a_mutated_config_runs_or_fails_with_a_named_error(leaf, value):
     # lise run on a bundled config with one leaf replaced or deleted: it
     # runs, or it is a config error naming the key path, or it fails a
     # check or a step with a message that names the step, a matrix or the
-    # check; an uncaught exception fails the property with its traceback
+    # check; an uncaught exception fails the property with its traceback.
+    # No numpy warning reaches stderr
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("always", RuntimeWarning)
         cfg = _mutated(tmp, *leaf, value)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", "--config", str(cfg), "--out", os.path.join(tmp, "res")])
     err = err.getvalue()
+    assert "RuntimeWarning" not in err, err
     if code == 1:
         assert re.match(r"config error: \S+: ", err), err
     elif code in (2, 3):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import bits, config_scenario, online_plant, random_system
 from oracles import full_rank_gain_oracle, kalman_oracle_pass, no_feedthrough_oracle
 import lise.decomposition
+import lise.filters
 from lise.decomposition import (_pair_context, _step_context, decompose, decompose_cached,
                                 decoupled_dynamics)
 from lise.errors import (
@@ -151,12 +152,12 @@ class TestStateClass:
             step_fn(state, ys[1], us[1], us[0], model)
 
 
-# each filter's gain half and its options, as its public step calls it
-_GAIN_HALVES = {
-    "ULISE": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
-    "PLISE": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
-    "CYWZ": (_lise_gains, {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": True}),
-    "KALMAN": (_lise_gains, {"gamma": GammaPolicy.DAROUACH}),
+# the options each filter's public step runs the gain half with
+_GAIN_OPTIONS = {
+    "ULISE": {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": False},
+    "PLISE": {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": False},
+    "CYWZ": {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": True},
+    "KALMAN": {"gamma": GammaPolicy.DAROUACH, "ols_state_gain": False},
 }
 
 
@@ -225,12 +226,16 @@ class TestCovarianceState:
                  (g.step, state.step), (g.dec, _step_context(state.step).dec)]
         assert all(a is b for a, b in pairs)
         assert g.from_propagated is (name == "PLISE")
-        gain_half, options = _GAIN_HALVES[name]
+        options = _GAIN_OPTIONS[name]
 
         def gains(s):
+            # the gain half's outputs, its gain record by the fields that
+            # the step computes
             step = model.step(s.k + 1)
-            return gain_half(s, _step_context(s.step, DEFAULT_TOL), step,
-                             decompose_cached(step, DEFAULT_TOL), DEFAULT_TOL, **options)
+            cov, px_star, pd_prev, g, unb = _lise_gains(
+                s, _step_context(s.step, DEFAULT_TOL), step,
+                decompose_cached(step, DEFAULT_TOL), DEFAULT_TOL, **options)
+            return cov, px_star, pd_prev, g.gain_l, g.m2, g.m2_state, unb
 
         return state, gains
 
@@ -1115,6 +1120,18 @@ def test_spd_solve_rejects_indefinite_or_nonfinite(seed, n, cols, fault):
         mat[i, j] = np.nan if fault == "nan" else np.inf
     with pytest.raises(NumericalError, match="test matrix"):
         _spd_solve(mat, rhs, "test matrix")
+
+
+def test_a_failed_potrs_solve_is_a_named_error(monkeypatch):
+    # LAPACK's potrs fails only on an illegal argument (info < 0), which
+    # the factor and the right-hand side of a step never are: a stub
+    # stands in for it
+    mat, rng = _spd(0, 3)
+    factor = _spd_factor(mat, "test matrix")
+    monkeypatch.setattr(lise.filters, "dpotrs", lambda c, b, lower: (b, -2))
+    with pytest.raises(NumericalError,
+                       match=r"^solve with the test matrix failed \(potrs info -2\)$"):
+        _factor_solve(factor, rng.standard_normal(3), "test matrix")
 
 
 def test_spd_solve_empty_blocks():

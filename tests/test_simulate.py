@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -494,6 +495,23 @@ class TestThreads:
         ulise_step(state, truth.y[1], truth.u[1], truth.u[0], sc.model)
         assert started == []
 
+    def test_every_block_runs_under_the_callers_error_state(self, monkeypatch):
+        # numpy's error state is per thread: each started thread takes the
+        # caller's for its block, so an overflow in the last block raises
+        # under over="raise" and is silent under over="ignore"
+        monkeypatch.setattr(lise.linalg, "_cpu_count", lambda: 2)
+        big = np.full(4, 1e308)
+
+        def work(lo, hi):
+            if hi == 4:
+                big[lo:hi] * 10.0
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            lise.linalg._in_blocks(work, 4, 1)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lise.linalg._in_blocks(work, 4, 1)
+
     def test_an_error_in_the_last_block_reaches_the_caller(self, monkeypatch):
         # 30 runs of 1001 steps on 3 CPUs: blocks 0-9, 10-19 and 20-29, the
         # last on a thread of its own
@@ -641,6 +659,20 @@ class TestRunScenario:
             assert fr.failed_at == 7 and "y at k=7" in fr.error
             assert fr.xhat.shape[0] == 6 and np.all(np.isfinite(fr.xhat))
             assert fr.steady == {}   # failed before the tail window
+
+    def test_a_prior_mean_too_large_fails_at_the_first_step(self):
+        # A x0_mean overflows in the first prediction; no step checks its
+        # estimates, so the pass's one scan of them names the first step
+        sc = config_scenario("fault_h3", horizon=40, x0_mean=np.array([0.0, 1e308, 0, 0, 0]))
+        with np.errstate(all="ignore"):
+            res = run_scenario(sc, raise_filter_errors=False)
+            for fr in res.filters.values():
+                assert fr.failed_at == 1 and fr.gain_cycle is None
+                assert fr.error == ("step 1: non-finite estimate: xhat = [nan nan nan nan nan] "
+                                    "and dhat = [nan nan nan]")
+                assert fr.xhat.shape == (0, 5) and fr.gain_l_series == []
+            with pytest.raises(FilterFailure, match="step 1: non-finite estimate: xhat = "):
+                run_scenario(sc)
 
     def test_time_varying_model_validated_over_whole_horizon(self):
         base = config_scenario("fault_h1").model.step(0)
@@ -831,6 +863,34 @@ class TestGainCycle:
             assert fr.err_x_runs.shape == (2, k - 1, 5)
         with pytest.raises(FilterFailure, match=f"step {k}: {named} at k={k}"):
             run_scenario(sc)
+
+    @pytest.mark.parametrize("k", [11, 501])
+    def test_estimates_that_overflow_fail_at_their_step(self, monkeypatch, k):
+        # finite measurements too large for the estimate recursion: step k
+        # subtracts a predicted output of about 1.7e308 from -1.7e308, and the
+        # pass fails there, with its gains cut to the steps before; a cycle
+        # is reported only when it starts by then (it starts before k = 100)
+        real = lise.simulate.simulate_truth
+
+        def poisoned(scenario, run_index, tol):
+            truth = real(scenario, run_index, tol)
+            truth.y[..., k - 1, :] = 1.7e308
+            truth.y[..., k, :] = -1.7e308
+            return truth
+
+        monkeypatch.setattr(lise.simulate, "simulate_truth", poisoned)
+        sc = config_scenario("fault_h1", horizon=520, monte_carlo=2, structural_checks=False)
+        with np.errstate(all="ignore"):
+            res = run_scenario(sc, raise_filter_errors=False)
+            for fr in res.filters.values():
+                assert (fr.gain_cycle is not None) == (k > 100)
+                assert fr.failed_at == k
+                assert fr.error.startswith(f"step {k}: non-finite estimate: xhat = [")
+                assert fr.xhat.shape[0] == len(fr.gain_l_series) == k - 1
+                assert fr.err_x_runs.shape == (2, k - 1, 5)
+                assert np.all(np.isfinite(fr.err_x_runs))
+            with pytest.raises(FilterFailure, match=f"step {k}: non-finite estimate: xhat = "):
+                run_scenario(sc)
 
 
 def _assert_replay_matches_oracle(sc):

@@ -348,6 +348,21 @@ class TestPliseStability:
         cert = plise_stability_check(bad)
         assert cert.status == "precondition_failed"
 
+    def test_an_indefinite_equivalent_process_noise_fails_the_precondition(
+            self, fault_models, monkeypatch):
+        # on an admitted step Q_s is a sum of PSD terms: in a basis of
+        # range(C2 G2) and its complement, R2 = [[a, b], [b', c]] gives
+        # Theta = diag(-a, c), and -S Theta^-1 S' = X1 (a - b c^-1 b') X1'.
+        # So no model reaches the precondition, and a factor that fails
+        # stands in for rounding past its bound
+        def indefinite(*args):
+            raise NotPositiveDefiniteError("matrix not PSD (min eigenvalue -1.000e+00)")
+
+        monkeypatch.setattr(lise.structural, "psd_sqrt", indefinite)
+        cert = plise_stability_check(fault_models[1].step(0))
+        assert cert.status == "precondition_failed"
+        assert cert.reason == "equivalent process noise is indefinite"
+
     def test_singular_noise_coupling_fails_the_precondition(self):
         # with p = 0 the coupling matrix Theta is R2 = R itself.  The step
         # rule admits an R whose eigenvalue ratio is rank_rel (w[0] >=
@@ -444,6 +459,15 @@ class TestReport:
         assert d["ulise_reason"] == rep.ulise_convergent.reason
         assert d["plise_reason"] == rep.plise_bounded.reason
         assert "ulise_circle_min_sigma" not in d
+
+    def test_to_dict_carries_the_vehicle_circle_witnesses(self):
+        # the vehicle's certificates hold a circle witness, which lise
+        # analyze prints and to_dict keeps at full precision
+        rep = analyze(load_config(CONFIGS / "vehicle_tracking.yaml").model)
+        d = rep.to_dict()
+        for name, cert in (("ulise", rep.ulise_convergent), ("plise", rep.plise_bounded)):
+            assert d[f"{name}_circle_min_sigma"] == cert.circle.min_sigma > 0
+            assert f"{name}_reason" not in d
 
     def test_analyze_derives_the_decoupled_dynamics_once(self, monkeypatch, tmp_path):
         # every test of one analyze reads (Ahat, Qhat) from the step's
