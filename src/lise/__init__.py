@@ -39,7 +39,6 @@ from .filters import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    Tolerance,
     expm,
     pinv,
     psd_sqrt,

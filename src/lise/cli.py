@@ -39,7 +39,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigDocument, load_config
 from .errors import ConfigError, InvalidInputError, LiseError
-from .linalg import DEFAULT_TOL
 from .model import validate
 from .simulate import run_scenario, write_step_csv, write_summary_csv
 from .structural import (
@@ -126,7 +125,7 @@ def _fmt_zero(z: complex) -> str:
 def _assumptions_hold(model, file) -> bool:
     """Whether ``model`` meets the standing assumptions; each violation is
     printed to ``file``."""
-    violations = validate(model, tol=DEFAULT_TOL)
+    violations = validate(model)
     for v in violations:
         print(f"model assumptions: VIOLATED [k={v.index}] {v.field}: {v.message}", file=file)
     return not violations
@@ -135,7 +134,6 @@ def _assumptions_hold(model, file) -> bool:
 def cmd_analyze(doc: ConfigDocument) -> int:
     model = doc.model
     checks = doc.analysis.checks
-    tol = DEFAULT_TOL
     failed = False
 
     if "validate" in checks:
@@ -146,13 +144,13 @@ def cmd_analyze(doc: ConfigDocument) -> int:
     step = model.step(0)
     if "strong_observability" in checks:
         if doc.analysis.window is not None:
-            verdict = strong_observability_tv(model, doc.analysis.window, tol)
+            verdict = strong_observability_tv(model, doc.analysis.window)
             tag = "yes" if verdict.observable else "no"
             print(f"strong observability (window {doc.analysis.window}): {tag} "
                   f"(rank {verdict.combined.achieved}/{verdict.combined.required})")
             failed |= not verdict.observable
         else:
-            verdict = strong_observability_ti(model, tol)
+            verdict = strong_observability_ti(model)
             if model.p == 0:
                 tag = "yes (classical)" if verdict.observable else "no (classical)"
             else:
@@ -163,7 +161,7 @@ def cmd_analyze(doc: ConfigDocument) -> int:
             failed |= not verdict.observable
 
     if "invariant_zeros" in checks or "strong_detectability" in checks:
-        det = strong_detectability(step, tol)
+        det = strong_detectability(step)
         zs = det.zeros
         if "invariant_zeros" in checks:
             ordered = sorted(zs.zeros, key=lambda z: (z.real, z.imag))
@@ -181,7 +179,7 @@ def cmd_analyze(doc: ConfigDocument) -> int:
             ("plise_stability", "PLISE boundedness", plise_stability_check)):
         if check not in checks:
             continue
-        cert = certificate(step, tol)
+        cert = certificate(step)
         extra = f" ({cert.reason})" if cert.reason else ""
         if cert.circle is not None and cert.circle.min_sigma is not None:
             extra = f" (min circle sigma {cert.circle.min_sigma:.4g})"

@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
 from .filters import GammaPolicy
-from .linalg import DEFAULT_TOL, _psd_eigh
+from .linalg import _psd_eigh
 from .model import ContinuousModel, SystemModel, SystemStep, c2d_zoh
 from .signals import Constant, Ramp, Samples, SignalSpec, SquareWave, Step, _is_integer, _is_real
 from .simulate import Scenario
@@ -231,9 +231,9 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
         )
     except Exception as exc:
         raise ConfigError(str(exc), path) from None
-    # the filters' test of P0, at the command line's tolerance, before any work
+    # the filters' test of P0, before any work
     try:
-        _psd_eigh(scenario.p0, DEFAULT_TOL, "P0")
+        _psd_eigh(scenario.p0, "P0")
     except (InvalidInputError, NotPositiveDefiniteError) as exc:
         raise ConfigError(str(exc), f"{path}.P0") from None
     return scenario

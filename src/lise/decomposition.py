@@ -24,17 +24,16 @@ reports every one, and :func:`lise.simulate.simulate_truth` raises the first
 and draws its noise through the factors.  :func:`decompose` judges nothing;
 it is given only steps that their verdict admitted.
 
-A decomposition depends on H, R, C, D, G and the tolerance only, never on
-A, B or Q.  :func:`decompose` builds one afresh on every call, and no
-module-level cache keeps one: the only maps here are weak, keyed by a step
-object or a decomposition, so a decomposition lives exactly as long as a
-step context or a gain record uses it (a filter state holds no
-decomposition: it keeps its step, and with it the step's context).  It is
-shared in two
-ways.  :func:`decompose_cached` keeps one entry per step object and
-tolerance, so a time-invariant model decomposes once.  The entry is the
-step's context: the noise factors, the decomposition, and the step's
-constants that also depend on A or Q, namely :func:`decoupled_dynamics` and
+A decomposition depends on H, R, C, D and G only, never on A, B or Q.
+:func:`decompose` builds one afresh on every call, and no module-level cache
+keeps one: the only maps here are weak, keyed by a step object or a
+decomposition, so a decomposition lives exactly as long as a step context
+or a gain record uses it (a filter state holds no decomposition: it keeps
+its step, and with it the step's context).  It is shared in two ways.
+:func:`decompose_cached` keeps one entry per step object, so a
+time-invariant model decomposes once.  The entry is the step's context: the
+noise factors, the decomposition, and the step's constants that also depend
+on A or Q, namely :func:`decoupled_dynamics` and
 PLISE's block map ``[A, G1, G2]``, each built on first use, so the filters
 and the structural tests form each once per step object and the truth and
 :func:`~lise.model.validate`, which do not read them, never.  And a
@@ -76,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import (DEFAULT_TOL, Tolerance, _eigh_sqrt, _finite, _psd_eigh, _sv_rank, pinv,
-                     rank, svd, symmetrize)
+from .linalg import (DEFAULT_TOL, _eigh_sqrt, _finite, _psd_eigh, _sv_rank, pinv, rank, svd,
+                     symmetrize)
 from .model import _MATRICES, SystemStep
 
 __all__ = [
@@ -92,9 +91,9 @@ __all__ = [
 class OutputDecomposition:
     """SVD factors and transformed system matrices of one time step.
 
-    Every field depends on H, R, C, D, G and the tolerance only; the arrays
-    are read-only, and consecutive steps of a chain with equal such matrices
-    share one object (:func:`_step_context`).
+    Every field depends on H, R, C, D and G only; the arrays are read-only,
+    and consecutive steps of a chain with equal such matrices share one
+    object (:func:`_step_context`).
     """
 
     p_h: int
@@ -130,7 +129,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
+def decompose(step: SystemStep) -> OutputDecomposition:
     """Build the output decomposition for one system step, afresh on every
     call; every array is read-only.
 
@@ -147,7 +146,7 @@ def decompose(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposi
     h, r, c, d, g = map(np.ascontiguousarray, (step.H, step.R, step.C, step.D, step.G))
     l, p = h.shape
     u, s, vt = svd(h)
-    p_h = _sv_rank(s, tol.rank_rel)
+    p_h = _sv_rank(s, DEFAULT_TOL.rank_rel)
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
     v = vt.T
     v1, v2 = v[:, :p_h].copy(), v[:, p_h:]
@@ -199,7 +198,7 @@ class _NonFiniteMatrix(InvalidInputError):
         super().__init__(f"{matrix} has non-finite entries")
 
 
-def _noise_factor(a: np.ndarray, tol: Tolerance, name: str) -> np.ndarray:
+def _noise_factor(a: np.ndarray, name: str) -> np.ndarray:
     """The symmetric factor of the noise covariance ``a`` (``name`` "Q" or
     "R"), :func:`~lise.linalg.psd_sqrt`'s bitwise, once ``a`` passes its
     rule: the symmetric-PSD rule of :func:`~lise.linalg._psd_eigh` and, for
@@ -212,8 +211,8 @@ def _noise_factor(a: np.ndarray, tol: Tolerance, name: str) -> np.ndarray:
     is not PD").  An empty R (no output) has no eigenvalue to test.
     """
     try:
-        w, v = _psd_eigh(a, tol, name)
-        pd = name == "Q" or not w.size or 0.0 < w[0] >= tol.rank_rel * w[-1]
+        w, v = _psd_eigh(a, name)
+        pd = name == "Q" or not w.size or 0.0 < w[0] >= DEFAULT_TOL.rank_rel * w[-1]
     except NotPositiveDefiniteError:
         if name == "Q":
             raise
@@ -254,9 +253,7 @@ class StepContext:
         return _read_only(np.hstack([self.A, self.dec.G1, self.dec.G2]))
 
 
-_CACHE: "weakref.WeakKeyDictionary[SystemStep, dict[Tolerance, StepContext]]" = (
-    weakref.WeakKeyDictionary()
-)
+_CACHE: "weakref.WeakKeyDictionary[SystemStep, StepContext]" = weakref.WeakKeyDictionary()
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -264,8 +261,7 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
-def _judged(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
-            prev: SystemStep | None = None) -> tuple[list, StepContext | None]:
+def _judged(step: SystemStep, prev: SystemStep | None = None) -> tuple[list, StepContext | None]:
     """The verdict on a step object and, if it admits the step, the step's
     :class:`StepContext`, built on the first request and kept; a faulty step
     is judged afresh on every request.
@@ -277,17 +273,17 @@ def _judged(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
     or R is not put to its rule.
 
     ``prev`` is the step before ``step`` on the caller's chain of steps.  If
-    ``prev``'s context (for ``tol``) is kept, so ``prev`` was admitted, each
-    matrix of ``step`` that is that of ``prev`` (:func:`_same`) is taken as
-    judged: it is finite, a Q or R shares ``prev``'s factor, and a step
+    ``prev``'s context is kept, so ``prev`` was admitted, each matrix of
+    ``step`` that is that of ``prev`` (:func:`_same`) is taken as judged: it
+    is finite, a Q or R shares ``prev``'s factor, and a step
     whose C, D, G, H and R are those of ``prev`` shares its decomposition.
     Every other matrix is judged here, and an admitted step that shares no
     decomposition is decomposed afresh (:func:`decompose`).
     """
-    ctx = _CACHE.get(step, {}).get(tol)
+    ctx = _CACHE.get(step)
     if ctx is not None:
         return [], ctx
-    ctx_prev = None if prev is None else _CACHE.get(prev, {}).get(tol)
+    ctx_prev = None if prev is None else _CACHE.get(prev)
     same = set() if ctx_prev is None else {
         name for name in "CDGHQR" if _same(getattr(step, name), getattr(prev, name))}
     faults = [(name, _NonFiniteMatrix(name)) for name in _MATRICES
@@ -296,18 +292,17 @@ def _judged(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
     for name in "QR":
         try:
             if name not in same and all(bad != name for bad, _ in faults):
-                factors[name] = _noise_factor(getattr(step, name), tol, name)
+                factors[name] = _noise_factor(getattr(step, name), name)
         except (InvalidInputError, NotPositiveDefiniteError) as exc:
             faults.append((name, exc))
     if faults:
         return faults, None
-    dec = ctx_prev.dec if same.issuperset("CDGHR") else decompose(step, tol)
-    ctx = _CACHE.setdefault(step, {})[tol] = StepContext(step, dec, factors)
+    dec = ctx_prev.dec if same.issuperset("CDGHR") else decompose(step)
+    ctx = _CACHE[step] = StepContext(step, dec, factors)
     return faults, ctx
 
 
-def _step_context(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
-                  prev: SystemStep | None = None) -> StepContext:
+def _step_context(step: SystemStep, prev: SystemStep | None = None) -> StepContext:
     """The :class:`StepContext` of an admitted step object (:func:`_judged`,
     with ``prev`` the step before ``step`` on the caller's chain).
 
@@ -315,13 +310,13 @@ def _step_context(step: SystemStep, tol: Tolerance = DEFAULT_TOL,
     :class:`~lise.errors.InvalidInputError`) for a matrix with a non-finite
     entry, or what the rules of Q and R raise (:func:`_noise_factor`).
     """
-    faults, ctx = _judged(step, tol, prev)
+    faults, ctx = _judged(step, prev)
     if faults:
         raise faults[0][1]
     return ctx
 
 
-def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDecomposition:
+def decompose_cached(step: SystemStep) -> OutputDecomposition:
     """Like :func:`decompose`, but reuses the result for a given step object.
 
     Time-invariant models hand out the same step object every call, and
@@ -337,7 +332,7 @@ def decompose_cached(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> OutputDe
     is decomposed afresh; the filters, which know the previous step, share
     its decomposition instead when they can (see the module docstring).
     """
-    return _step_context(step, tol).dec
+    return _step_context(step).dec
 
 
 class _PairContext:
@@ -351,23 +346,22 @@ class _PairContext:
     :func:`_pair_context` let both of its decompositions go.
     """
 
-    def __init__(self, dec_prev: OutputDecomposition, dec: OutputDecomposition, tol: Tolerance):
+    def __init__(self, dec_prev: OutputDecomposition, dec: OutputDecomposition):
         self.c2g2 = _read_only(dec.C2.dot(dec_prev.G2))
-        self.rank = rank(self.c2g2, tol)
-        self._tol = tol
+        self.rank = rank(self.c2g2)
 
     @functools.cached_property
     def c2g2_pinv(self) -> np.ndarray:
-        return _read_only(pinv(self.c2g2, self._tol))
+        return _read_only(pinv(self.c2g2))
 
 
 # pair contexts by the decomposition of step k, then weakly by that of step
-# k-1 (a WeakKeyDictionary), then by tolerance
+# k-1 (a WeakKeyDictionary)
 _PAIRS: "weakref.WeakKeyDictionary[OutputDecomposition, weakref.WeakKeyDictionary]" = (
     weakref.WeakKeyDictionary())
 
 
-def _pair_context(dec_prev, dec, tol: Tolerance = DEFAULT_TOL) -> _PairContext:
+def _pair_context(dec_prev, dec) -> _PairContext:
     """The :class:`_PairContext` of the decompositions of steps k-1 and k,
     built on the pair's first request.
 
@@ -379,9 +373,9 @@ def _pair_context(dec_prev, dec, tol: Tolerance = DEFAULT_TOL) -> _PairContext:
     by_prev = _PAIRS.get(dec)
     if by_prev is None:
         by_prev = _PAIRS[dec] = weakref.WeakKeyDictionary()
-    ctx = by_prev.get(dec_prev, {}).get(tol)
+    ctx = by_prev.get(dec_prev)
     if ctx is None:
-        ctx = by_prev.setdefault(dec_prev, {})[tol] = _PairContext(dec_prev, dec, tol)
+        ctx = by_prev[dec_prev] = _PairContext(dec_prev, dec)
     return ctx
 
 

@@ -162,8 +162,6 @@ from .errors import (
     NumericalError,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
     _finite,
     _norm,
     _psd_eigh,
@@ -296,27 +294,27 @@ def _check_vector(v, size: int, name: str, k: int) -> np.ndarray:
     return a
 
 
-def _checked_context(fetch, step: SystemStep, tol: Tolerance, k: int, *prev: SystemStep):
-    """``fetch(step, tol, *prev)`` for model step ``k``, ``fetch`` being
+def _checked_context(fetch, step: SystemStep, k: int, *prev: SystemStep):
+    """``fetch(step, *prev)`` for model step ``k``, ``fetch`` being
     :func:`~lise.decomposition.decompose_cached` or ``_step_context`` (with
     ``prev``, step ``k - 1``).  A step with a non-finite matrix, an
     asymmetric Q or R, a Q that is not PSD or an R that is not PD raises the
     error naming the matrix and ``k``."""
     try:
-        return fetch(step, tol, *prev)
+        return fetch(step, *prev)
     except _NonFiniteMatrix as exc:
         raise _nonfinite_error(exc.matrix, k) from None
     except (InvalidInputError, NotPositiveDefiniteError) as exc:
         raise type(exc)(f"{exc} at k={k}") from None
 
 
-def _check_p0(p0, n: int, tol: Tolerance) -> np.ndarray:
+def _check_p0(p0, n: int) -> np.ndarray:
     a = np.asarray(p0, dtype=float)
     if a.shape != (n, n):
         raise InvalidInputError(f"P0 must be {n} x {n}, got {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError("P0 at k=0 has non-finite entries")
-    _psd_eigh(a, tol, "P0")
+    _psd_eigh(a, "P0")
     return symmetrize(a)
 
 
@@ -411,8 +409,7 @@ def _input_gain_gls(p_tilde, dec_k, c2g2):
 
 
 def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
-                   gamma: GammaPolicy = GammaPolicy.DAROUACH,
-                   tol: Tolerance = DEFAULT_TOL, *,
+                   gamma: GammaPolicy = GammaPolicy.DAROUACH, *,
                    r_hat=None, closed_form: bool = True):
     """Optimal constrained state-update gain.
 
@@ -463,7 +460,7 @@ def compute_gain_L(px_star, step, dec, g2m2, g2_prev,
     if gamma is GammaPolicy.DAROUACH:
         r_check = _whitened_complement_reduction(r_hat, r_star, c, g2_prev)
     elif _finite(r_star):
-        r_check = pinv(r_star, tol)
+        r_check = pinv(r_star)
     else:
         raise NumericalError("innovation covariance r_star has non-finite entries")
     if dec.p_h == 0:
@@ -639,24 +636,22 @@ def _pd1(p: np.ndarray, dec: OutputDecomposition) -> np.ndarray:
                       .dot(dec.sigma_inv))
 
 
-def ulise_init(model: SystemModel, x0_mean, p0, y0, u0,
-               tol: Tolerance = DEFAULT_TOL) -> UliseState:
+def ulise_init(model: SystemModel, x0_mean, p0, y0, u0) -> UliseState:
     """Initialize the updated-estimate filter from the time-0 measurement."""
     step0 = model.step(0)
-    dec = _checked_context(decompose_cached, step0, tol, 0)
+    dec = _checked_context(decompose_cached, step0, 0)
     xhat = _check_vector(x0_mean, step0.n, "x0_mean", 0)
-    p0m = _check_p0(p0, step0.n, tol)
+    p0m = _check_p0(p0, step0.n)
     y0v = _check_vector(y0, step0.l, "y0", 0)
     u0v = _check_vector(u0, step0.m, "u0", 0)
     d1hat = _feedthrough_input(dec, dec.T1 @ y0v, xhat, dec.D1 @ u0v)
     return UliseState(k=0, xhat=xhat, px=p0m, d1hat=d1hat, step=step0)
 
 
-def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
-               tol: Tolerance = DEFAULT_TOL) -> PliseState:
+def plise_init(model: SystemModel, x0_mean, p0, y0, u0) -> PliseState:
     """Initialize the propagated-estimate filter (adds the cross covariance)."""
-    base = ulise_init(model, x0_mean, p0, y0, u0, tol)
-    dec = _step_context(base.step, tol).dec
+    base = ulise_init(model, x0_mean, p0, y0, u0)
+    dec = _step_context(base.step).dec
     pxd1 = -base.px @ dec.C1.T @ dec.sigma_inv
     return PliseState(k=0, xhat=base.xhat, px=base.px, d1hat=base.d1hat,
                       pd1=_pd1(base.px, dec), pxd1=pxd1, step=base.step)
@@ -666,7 +661,7 @@ def plise_init(model: SystemModel, x0_mean, p0, y0, u0,
 cywz_init = ulise_init
 
 
-def _step(state, y, u, u_prev, model: SystemModel, tol: Tolerance, gamma: GammaPolicy,
+def _step(state, y, u, u_prev, model: SystemModel, gamma: GammaPolicy,
           ols_state_gain: bool = False):
     """One step of any filter: the skeleton that every public step shares.
 
@@ -678,13 +673,13 @@ def _step(state, y, u, u_prev, model: SystemModel, tol: Tolerance, gamma: GammaP
     """
     k = state.k + 1
     step = model.step(k)
-    ctx_prev = _checked_context(_step_context, state.step, tol, k - 1)
-    dec_k = _checked_context(_step_context, step, tol, k, state.step).dec
+    ctx_prev = _checked_context(_step_context, state.step, k - 1)
+    dec_k = _checked_context(_step_context, step, k, state.step).dec
     yv = _check_vector(y, step.l, "y", k)
     uv = _check_vector(u, step.m, "u", k)
     upv = _check_vector(u_prev, step.m, "u_prev", k)
-    cov, px_star, pd_prev, g, unbiasedness = _lise_gains(state, ctx_prev, step, dec_k, tol,
-                                                         gamma, ols_state_gain)
+    cov, px_star, pd_prev, g, unbiasedness = _lise_gains(state, ctx_prev, step, dec_k, gamma,
+                                                         ols_state_gain)
     xhat, d1hat, dhat_prev, xstar = _estimate_update(
         state.xhat, state.d1hat, yv, _data_products(yv, uv, upv, g), g)
     out = StepOutput(k=k, xhat=xhat, xhat_star=xstar, px=cov["px"], px_star=px_star,
@@ -693,8 +688,7 @@ def _step(state, y, u, u_prev, model: SystemModel, tol: Tolerance, gamma: GammaP
 
 
 def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
-                dec_k: OutputDecomposition, tol: Tolerance, gamma: GammaPolicy,
-                ols_state_gain: bool):
+                dec_k: OutputDecomposition, gamma: GammaPolicy, ols_state_gain: bool):
     """The gain half of the unified filter: of :func:`ulise_step`,
     :func:`cywz_step` and :func:`plise_step`.
 
@@ -721,7 +715,7 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
     # estimation of the dynamics-only input component d2 at k-1
     ahat, qhat = ctx_prev.ahat, ctx_prev.qhat
     p_tilde = symmetrize(ahat.dot(state.px).dot(ahat.T) + qhat)
-    ctx = _pair_context(dp, dec_k, tol)
+    ctx = _pair_context(dp, dec_k)
     if ctx.rank < q:
         raise EstimabilityError(
             f"rank(C2 G2) = {ctx.rank} < {q}: unbiased estimation of the "
@@ -775,7 +769,7 @@ def _lise_gains(state: UliseState | PliseState, ctx_prev, step: SystemStep,
         r_hat = symmetrize(step.C.dot(p_tilde).dot(step.C.T) + step.R)
 
     # measurement update, Joseph form
-    gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2, gamma, tol,
+    gain_l = compute_gain_L(px_star, step, dec_k, g2m2, dp.G2, gamma,
                             r_hat=r_hat, closed_form=not ols_state_gain)
     ilc = _eye(n) - gain_l.dot(step.C)
     # (I - L C) P* and L R, shared by px and PLISE's pxd1
@@ -804,29 +798,26 @@ def _check_state(state, cls, step_name: str) -> None:
 
 
 def ulise_step(state: UliseState, y, u, u_prev, model: SystemModel,
-               gamma: GammaPolicy = GammaPolicy.DAROUACH,
-               tol: Tolerance = DEFAULT_TOL):
+               gamma: GammaPolicy = GammaPolicy.DAROUACH):
     """Advance the updated-estimate filter by one measurement.
 
     Requires ``rank(C2[k] G2[k-1]) = p - rank(H[k-1])``; otherwise an
     :class:`EstimabilityError` is raised naming the achieved rank.
     """
     _check_state(state, UliseState, "ulise_step")
-    return _step(state, y, u, u_prev, model, tol, gamma)
+    return _step(state, y, u, u_prev, model, gamma)
 
 
 def cywz_step(state: UliseState, y, u, u_prev, model: SystemModel,
-              gamma: GammaPolicy = GammaPolicy.DAROUACH,
-              tol: Tolerance = DEFAULT_TOL):
+              gamma: GammaPolicy = GammaPolicy.DAROUACH):
     """Advance the OLS variant: pseudo-inverse input gain in the state and
     covariance path, BLUE gains in the reported input estimate."""
     _check_state(state, UliseState, "cywz_step")
-    return _step(state, y, u, u_prev, model, tol, gamma, ols_state_gain=True)
+    return _step(state, y, u, u_prev, model, gamma, ols_state_gain=True)
 
 
 def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
-               gamma: GammaPolicy = GammaPolicy.DAROUACH,
-               tol: Tolerance = DEFAULT_TOL):
+               gamma: GammaPolicy = GammaPolicy.DAROUACH):
     """Advance the propagated-estimate filter by one measurement.
 
     The feedthrough input estimate is formed from the propagated state, and
@@ -840,4 +831,4 @@ def plise_step(state: PliseState, y, u, u_prev, model: SystemModel,
     interface symmetry; estimates are reduction-invariant anyway.
     """
     _check_state(state, PliseState, "plise_step")
-    return _step(state, y, u, u_prev, model, tol, gamma)
+    return _step(state, y, u, u_prev, model, gamma)

@@ -1,12 +1,14 @@
 """Tolerance-disciplined numerical primitives.
 
 Every rank rule, pseudo-inverse and symmetric-PSD test in the package is
-written in this module, so that a single :class:`Tolerance` governs how
-floating-point fuzz is resolved.  All public functions are pure.
+written in this module.  Every threshold the package compares floating-point
+fuzz against is a field of the one fixed :data:`DEFAULT_TOL`, read where the
+decision is taken; no function takes a tolerance.  All public functions are
+pure.
 
 The package's one test of a symmetric PSD matrix ``a`` (Q, R, P0, and the
 input of :func:`psd_sqrt`) is :func:`_psd_eigh`, the only reader of
-``Tolerance.zero_abs``.  Its threshold is ``zero_abs * max(1, max|a|,
+``DEFAULT_TOL.zero_abs``.  Its threshold is ``zero_abs * max(1, max|a|,
 scale)``, ``scale`` being that of the terms ``a`` was summed from: ``a`` is
 symmetric when ``max|a - a^T|`` is at most the threshold, and PSD when the
 smallest eigenvalue of its symmetric part is at least minus the threshold.
@@ -28,8 +30,8 @@ own reason:
   the inverse square root it forms from the same eigendecomposition;
 * the pencil ranks and the certificates' unit-circle rank tests of
   :mod:`lise.structural` compare singular values and moduli, not
-  eigenvalues of a covariance, and use ``rank_rel`` and
-  ``unit_circle_eps``.
+  eigenvalues of a covariance, and use ``rank_rel``; strong detectability
+  compares the moduli of the invariant zeros with ``1 - unit_circle_eps``.
 
 :func:`inv`, :func:`svd` and :func:`eigh` call numpy's own LAPACK gufuncs
 (``numpy.linalg._umath_linalg``) under numpy's own error callbacks, skipping
@@ -65,7 +67,6 @@ from numpy.linalg._linalg import (
 from .errors import InvalidInputError, NotPositiveDefiniteError
 
 __all__ = [
-    "Tolerance",
     "DEFAULT_TOL",
     "rank",
     "inv",
@@ -80,11 +81,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Thresholds for floating-point comparisons.
+    """Thresholds for floating-point comparisons, those of :data:`DEFAULT_TOL`.
 
     rank_rel
         Relative singular-value cutoff: values below ``rank_rel * smax`` do
-        not count toward rank.  The default is a generous multiple of
+        not count toward rank.  The value is a generous multiple of
         ``max_dim * machine_eps`` for the matrix sizes handled here (tens of
         rows), leaving several orders of magnitude between roundoff and the
         smallest structurally nonzero singular values.
@@ -93,21 +94,13 @@ class Tolerance:
         ``max(1, max|a|, scale)``: the symmetry test and the clamping of
         small negative eigenvalues.
     unit_circle_eps
-        Half-width of the band around ``|z| = 1`` used when classifying
-        (generalized) eigenvalues against the unit circle.
+        Margin inside the unit circle: an invariant zero counts as stable
+        when its modulus is below ``1 - unit_circle_eps``.
     """
 
     rank_rel: float = 1e-11
     zero_abs: float = 1e-10
     unit_circle_eps: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.rank_rel < 1.0):
-            raise InvalidInputError("rank_rel must lie in (0, 1)")
-        for name in ("zero_abs", "unit_circle_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -222,12 +215,12 @@ def _sv_rank(s: np.ndarray, rel: float) -> int:
     return int(np.count_nonzero(s > rel * s[0])) if s.size and s[0] else 0
 
 
-def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
+def rank(m) -> int:
     """Numerical rank: singular values above ``rank_rel * smax``.
 
     Empty and zero matrices have rank 0.
     """
-    return _sv_rank(np.linalg.svd(_as_matrix(m), compute_uv=False), tol.rank_rel)
+    return _sv_rank(np.linalg.svd(_as_matrix(m), compute_uv=False), DEFAULT_TOL.rank_rel)
 
 
 # the floating-point error state np.linalg sets around each gufunc: an invalid
@@ -259,11 +252,11 @@ def eigh(a: np.ndarray):
     return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
-def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse; an empty matrix maps to its empty transpose.
 
     Singular values at or below ``rank_rel * smax`` count as zero.  The steps
-    are those of ``np.linalg.pinv(a, rcond=tol.rank_rel)``, with the SVD of
+    are those of ``np.linalg.pinv(a, rcond=DEFAULT_TOL.rank_rel)``, with the SVD of
     :func:`svd` and the final product by ``ndarray.dot`` (on these C- or
     F-contiguous factors the gemm of numpy's ``matmul``), so the result is
     bitwise the same, without the wrappers' per-call cost.
@@ -272,13 +265,13 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]))
     u, s, vt = svd(a, full_matrices=False)
-    large = s > tol.rank_rel * s.max()
+    large = s > DEFAULT_TOL.rank_rel * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
     return vt.T.dot((u * s).T)
 
 
-def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
+def _psd_eigh(a: np.ndarray, what: str, scale: float = 0.0):
     """The eigendecomposition ``(w, v)`` of the symmetric part of the square
     matrix ``a``, once ``a`` passes the symmetric-PSD rule (module docstring).
 
@@ -290,7 +283,7 @@ def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
     amax = float(np.max(np.abs(a), initial=0.0))
     if amax > np.finfo(float).max / 2:
         raise InvalidInputError(f"{what} has entries too large: its symmetric part overflows")
-    zero = tol.zero_abs * max(1.0, amax, scale)
+    zero = DEFAULT_TOL.zero_abs * max(1.0, amax, scale)
     if np.max(np.abs(a - a.T.copy()), initial=0.0) > zero:
         raise InvalidInputError(f"{what} not symmetric")
     w, v = eigh(symmetrize(a))
@@ -299,7 +292,7 @@ def _psd_eigh(a: np.ndarray, tol: Tolerance, what: str, scale: float = 0.0):
     return w, v
 
 
-def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def psd_sqrt(s, scale: float = 0.0) -> np.ndarray:
     """Symmetric factor ``f`` of a PSD matrix with ``f @ f.T == s``.
 
     The matrix must pass the symmetric-PSD rule of :func:`_psd_eigh` at
@@ -310,7 +303,7 @@ def psd_sqrt(s, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     a = _as_matrix(s, "psd matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"psd_sqrt needs a square matrix, got {a.shape}")
-    return _eigh_sqrt(*_psd_eigh(a, tol, "matrix", scale))
+    return _eigh_sqrt(*_psd_eigh(a, "matrix", scale))
 
 
 def _eigh_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:

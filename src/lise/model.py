@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, expm, rank, symmetrize
+from .linalg import expm, rank, symmetrize
 
 __all__ = [
     "SystemStep",
@@ -193,8 +193,7 @@ class Violation:
     message: str
 
 
-def validate(model: SystemModel, k_range: Iterable[int] | None = None,
-             tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
+def validate(model: SystemModel, k_range: Iterable[int] | None = None) -> list[Violation]:
     """Check every model assumption over ``k_range``; empty list means valid.
 
     Whether a step's matrices are finite, its Q symmetric PSD and its R
@@ -216,7 +215,7 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
     best_stack_rank, prev = 0, None
     for k in list(k_range) or [0]:
         step = model.step(k)
-        faults = _judged(step, tol, prev)[0]
+        faults = _judged(step, prev)[0]
         cut = sum(isinstance(exc, _NonFiniteMatrix) for _, exc in faults)
         violations += [Violation(k, name, str(exc)) for name, exc in faults[:cut]]
         n, p, l = step.n, step.p, step.l
@@ -229,7 +228,7 @@ def validate(model: SystemModel, k_range: Iterable[int] | None = None,
         nonfinite = {name for name, _ in faults[:cut]}
         repeat = prev is not None and _same(step.G, prev.G) and _same(step.H, prev.H)
         if not (repeat or nonfinite & {"G", "H"}):
-            best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H]), tol))
+            best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H])))
         prev = step
     if best_stack_rank != model.p:
         violations.append(Violation(

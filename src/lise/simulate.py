@@ -80,7 +80,7 @@ from .filters import (
     ulise_init,
     ulise_step,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _in_blocks
+from .linalg import _in_blocks
 from .model import SystemModel, validate
 from .signals import Samples, _is_integer, _is_real, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
@@ -215,8 +215,7 @@ def _check_sample_lengths(scenario: Scenario) -> None:
                     f"{scenario.horizon} needs {need} (k = 0..{scenario.horizon})")
 
 
-def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
-                   tol: Tolerance = DEFAULT_TOL) -> TruthTrajectories:
+def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0) -> TruthTrajectories:
     """Simulate seeded runs of the model under the scenario's signals.
 
     An integer ``run_index`` gives one run, with ``x`` (N+1, n) and ``y``
@@ -257,7 +256,7 @@ def simulate_truth(scenario: Scenario, run_index: int | Sequence[int] = 0,
     # preallocated series and dropped once the next step's context is built
     def mats(k, prev=None):
         step = model.step(k)
-        f = _checked_context(_step_context, step, tol, k, prev).factors
+        f = _checked_context(_step_context, step, k, prev).factors
         return step, (step.A, step.B, step.G, f["Q"], step.C, step.D, step.H, f["R"])
 
     if model.is_time_invariant:
@@ -326,8 +325,8 @@ class FilterRun:
     time ``i``.  ``*_runs`` arrays hold the errors of every Monte-Carlo run,
     (M, N, .); their row 0 is run 0's, which ``err_x`` and ``err_d`` are
     views of: those of the pass, never replayed.
-    Every field is a function of the scenario and tolerance alone: two runs
-    of one scenario give equal records, down to the bytes.  ``gain_cycle`` is ``(k,
+    Every field is a function of the scenario alone: two runs of one
+    scenario give equal records, down to the bytes.  ``gain_cycle`` is ``(k,
     period)`` when the pass found the filter's covariance state before
     measurement ``k`` bitwise equal to the one ``period`` steps earlier and
     served steps ``k`` on from the cycle: from step ``k`` on, every gain and
@@ -380,8 +379,7 @@ _INITS = {"ULISE": ulise_init, "PLISE": plise_init, "CYWZ": cywz_init, "KALMAN":
 _STEPS = {"ULISE": ulise_step, "PLISE": plise_step, "CYWZ": cywz_step, "KALMAN": ulise_step}
 
 
-def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
-               tol: Tolerance):
+def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories):
     """Run the real step functions over run-0 data; collect series and gains.
 
     Each step's gain record is the one its :class:`filters.StepOutput`
@@ -401,7 +399,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
     model = scenario.model
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
-    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0])
     xhat = np.zeros((n_steps, model.n))
     dhat = np.zeros((n_steps, model.p))
     px_diag = np.zeros((n_steps, model.n))
@@ -419,7 +417,7 @@ def _full_pass(name: str, scenario: Scenario, truth: TruthTrajectories,
         i = k - 1
         try:
             state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
-                                      scenario.gamma, tol)
+                                      scenario.gamma)
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k
@@ -627,8 +625,7 @@ def _steady_slice(n_steps: int, frac: float) -> slice:
     return slice(min(start, n_steps - 1), n_steps)
 
 
-def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
-                 raise_filter_errors: bool = True) -> RunResult:
+def run_scenario(scenario: Scenario, raise_filter_errors: bool = True) -> RunResult:
     """Simulate the scenario and run every requested filter on the same data.
 
     Structural verdicts are computed first (time-invariant models only).
@@ -655,16 +652,16 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
         model = SystemModel.time_varying(steps.__getitem__, (model.n, model.m, model.p, model.l),
                                          horizon_hint=scenario.horizon)
         scenario = replace(scenario, model=model)
-    violations = validate(model, tol=tol)
+    violations = validate(model)
     if violations:
         msgs = "; ".join(f"[k={v.index}] {v.field}: {v.message}" for v in violations)
         raise InvalidInputError(f"model violates standing assumptions: {msgs}")
     structural = detectability = None
     if scenario.structural_checks and model.is_time_invariant:
-        structural = analyze(model, tol)
+        structural = analyze(model)
         detectability = structural.strongly_detectable
 
-    truth = simulate_truth(scenario, range(scenario.monte_carlo), tol)
+    truth = simulate_truth(scenario, range(scenario.monte_carlo))
     # copies, so that a kept result does not pin the whole batch
     truth0 = TruthTrajectories(x=truth.x[0].copy(), y=truth.y[0].copy(), d=truth.d, u=truth.u)
     n_steps = scenario.horizon
@@ -673,10 +670,10 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL,
     filters: dict[str, FilterRun] = {}
     for name in scenario.filters:
         (xhat, dhat, px_diag, pd_diag, gains, unb,
-         error, failed_at, cycle) = _full_pass(name, scenario, truth0, tol)
+         error, failed_at, cycle) = _full_pass(name, scenario, truth0)
         if error is not None and model.is_time_invariant:
             if detectability is None:
-                detectability = strong_detectability(model.step(0), tol)
+                detectability = strong_detectability(model.step(0))
             if not detectability.detectable:
                 error += ("; model is not strongly detectable (max zero modulus "
                           f"{detectability.max_zero_modulus:.3g})")

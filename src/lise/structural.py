@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .decomposition import _pair_context, _step_context
 from .errors import InvalidInputError, NotPositiveDefiniteError
-from .linalg import DEFAULT_TOL, Tolerance, _finite, _norm, _sv_rank, psd_sqrt, rank, symmetrize
+from .linalg import DEFAULT_TOL, _finite, _norm, _sv_rank, psd_sqrt, rank, symmetrize
 from .model import SystemModel, SystemStep
 
 __all__ = [
@@ -55,6 +55,13 @@ __all__ = [
 # decorates a test to run with numpy's overflow, invalid and divide warnings
 # off: an overflow shows as a non-finite matrix, which the test names
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+# the certificates test their pencil at the eigenvalues within this distance
+# of the unit circle (_circle_scan)
+_CIRCLE_BAND = 1e-3
+# relative singular-value cut under which a candidate invariant zero must
+# drop the pencil's rank to be kept (invariant_zeros)
+_ZERO_CONFIRM_REL = 1e-8
 
 
 def _overflow_check(test: str, name: str, *mats: np.ndarray) -> None:
@@ -94,8 +101,7 @@ class ObservabilityMatrices:
 
 
 @_quiet
-def build_observability_matrices(model: SystemModel, r: int,
-                                 tol: Tolerance = DEFAULT_TOL) -> ObservabilityMatrices:
+def build_observability_matrices(model: SystemModel, r: int) -> ObservabilityMatrices:
     """Assemble the window-r observability and invertibility matrices.
 
     Products that overflow raise :class:`InvalidInputError` naming them.
@@ -104,7 +110,7 @@ def build_observability_matrices(model: SystemModel, r: int,
         raise InvalidInputError("window length r must be nonnegative")
     n, p, l = model.n, model.p, model.l
     steps = [model.step(k) for k in range(r + 1)]
-    ctxs = [_step_context(s, tol, steps[k - 1] if k else None) for k, s in enumerate(steps)]
+    ctxs = [_step_context(s, steps[k - 1] if k else None) for k, s in enumerate(steps)]
     decs = [c.dec for c in ctxs]
     ahat = [c.ahat for c in ctxs]
     p_h = [d.p_h for d in decs]
@@ -149,8 +155,7 @@ class TvObservabilityVerdict:
     matrices: ObservabilityMatrices
 
 
-def strong_observability_tv(model: SystemModel, r: int,
-                            tol: Tolerance = DEFAULT_TOL) -> TvObservabilityVerdict:
+def strong_observability_tv(model: SystemModel, r: int) -> TvObservabilityVerdict:
     """Joint state and unknown-input observability over a finite window.
 
     The verdict is the combined-matrix rank test; the necessary conditions
@@ -160,9 +165,9 @@ def strong_observability_tv(model: SystemModel, r: int,
     the stacked matrix).
     """
     n, p, l = model.n, model.p, model.l
-    mats = build_observability_matrices(model, r, tol)
+    mats = build_observability_matrices(model, r)
     required = n + r * p - int(np.sum(mats.p_h[:r]))
-    combined = RankCheck(rank(np.hstack([mats.o2, mats.i22]), tol), required)
+    combined = RankCheck(rank(np.hstack([mats.o2, mats.i22])), required)
 
     p_h_r = mats.p_h[r]
     if l != p:
@@ -171,11 +176,11 @@ def strong_observability_tv(model: SystemModel, r: int,
     else:
         r0 = None
         window_ok = (l == p == n) and (p_h_r == 0)
-    o2_rank = RankCheck(rank(mats.o2, tol), n)
+    o2_rank = RankCheck(rank(mats.o2), n)
     column_ranks = []
     for j in range(1, r + 1):
         block = mats.i22[:, mats.col_offsets[j - 1]:mats.col_offsets[j]]
-        column_ranks.append(RankCheck(rank(block, tol), p - mats.p_h[j - 1]))
+        column_ranks.append(RankCheck(rank(block), p - mats.p_h[j - 1]))
     return TvObservabilityVerdict(
         observable=combined.ok, combined=combined, window_ok=window_ok, r0=r0,
         o2_rank=o2_rank, column_ranks=column_ranks, matrices=mats,
@@ -189,8 +194,7 @@ class TiObservabilityVerdict:
     ranks: list[tuple[int, RankCheck]]
 
 
-def strong_observability_ti(model: SystemModel,
-                            tol: Tolerance = DEFAULT_TOL) -> TiObservabilityVerdict:
+def strong_observability_ti(model: SystemModel) -> TiObservabilityVerdict:
     """Time-invariant joint observability: scan windows 0..n for a full-rank hit.
 
     The matrices are built once, for window n: those of window ``nt`` are
@@ -200,13 +204,13 @@ def strong_observability_ti(model: SystemModel,
     if not model.is_time_invariant:
         raise InvalidInputError("time-invariant observability test needs a fixed model")
     n, p = model.n, model.p
-    mats = build_observability_matrices(model, n, tol)
+    mats = build_observability_matrices(model, n)
     p_h = mats.p_h[0]
     ranks = []
     witness = None
     for nt in range(n + 1):
         rows, cols = mats.row_offsets[nt + 1], mats.col_offsets[nt]
-        chk = RankCheck(rank(np.hstack([mats.o2[:rows], mats.i22[:rows, :cols]]), tol),
+        chk = RankCheck(rank(np.hstack([mats.o2[:rows], mats.i22[:rows, :cols]])),
                         n + nt * (p - p_h))
         ranks.append((nt, chk))
         if chk.ok and witness is None:
@@ -234,8 +238,8 @@ class InvariantZeros:
     normal_rank: Optional[int] = None
 
 
-def _pencil(step: SystemStep, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    ctx = _step_context(step, tol)
+def _pencil(step: SystemStep) -> tuple[np.ndarray, np.ndarray]:
+    ctx = _step_context(step)
     dec = ctx.dec
     n = step.n
     rows = n + dec.C2.shape[0]
@@ -250,7 +254,7 @@ def _pencil(step: SystemStep, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_quiet
-def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> InvariantZeros:
+def invariant_zeros(step: SystemStep) -> InvariantZeros:
     """Invariant zeros of a time-invariant step.
 
     Multiplicity is respected (each zero appears as often as both projected
@@ -258,12 +262,12 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
     avoided; random squaring-down plus rank confirmation is exact with
     probability one and cheap at these sizes.
     """
-    ctx = _step_context(step, tol)
+    ctx = _step_context(step)
     if step.p > 0 and step.p == ctx.dec.p_h:
         zs = np.linalg.eigvals(ctx.ahat) if step.n else np.zeros(0, dtype=complex)
         return InvariantZeros(zeros=np.sort_complex(zs), method="decoupled_spectrum")
 
-    e, f = _pencil(step, tol)
+    e, f = _pencil(step)
     rows, cols = e.shape
     rng = np.random.default_rng(0xC0FFEE)
 
@@ -271,7 +275,7 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
         return _sv_rank(np.linalg.svd(z * e - f, compute_uv=False), rel)
 
     probes = rng.standard_normal(4) * 0.7 + 1.1 + 1j * rng.standard_normal(4)
-    normal_rank = max(numeric_rank(z, tol.rank_rel) for z in probes)
+    normal_rank = max(numeric_rank(z, DEFAULT_TOL.rank_rel) for z in probes)
 
     def projected_spectrum() -> np.ndarray:
         w = rng.standard_normal((cols, rows))
@@ -284,12 +288,11 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
             raise InvalidInputError(f"invariant zeros test: the projected system pencil "
                                     f"has no generalized eigenvalues: {exc}") from None
         scale = max(np.max(np.abs(alpha)), np.max(np.abs(beta)), 1.0)
-        keep = np.abs(beta) > tol.rank_rel * scale
+        keep = np.abs(beta) > DEFAULT_TOL.rank_rel * scale
         return alpha[keep] / beta[keep]
 
     cand_a = projected_spectrum()
     cand_b = projected_spectrum()
-    confirm_rel = max(tol.rank_rel, 1e-8)
     zeros: list[complex] = []
     used = np.zeros(cand_b.shape, dtype=bool)
     for z in cand_a:
@@ -298,7 +301,7 @@ def invariant_zeros(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> Invariant
         dist = np.abs(cand_b - z)
         dist[used] = np.inf
         j = int(np.argmin(dist))
-        if dist[j] < 1e-7 * max(1.0, abs(z)) and numeric_rank(z, confirm_rel) < normal_rank:
+        if dist[j] < 1e-7 * max(1.0, abs(z)) and numeric_rank(z, _ZERO_CONFIRM_REL) < normal_rank:
             zeros.append(z)
             used[j] = True
     return InvariantZeros(zeros=np.sort_complex(np.array(zeros, dtype=complex)),
@@ -312,12 +315,12 @@ class DetectabilityVerdict:
     max_zero_modulus: float
 
 
-def strong_detectability(step: SystemStep, tol: Tolerance = DEFAULT_TOL) -> DetectabilityVerdict:
+def strong_detectability(step: SystemStep) -> DetectabilityVerdict:
     """Minimum-phase test: every invariant zero strictly inside the unit circle."""
-    zs = invariant_zeros(step, tol)
+    zs = invariant_zeros(step)
     max_mod = float(np.max(np.abs(zs.zeros))) if zs.zeros.size else 0.0
     return DetectabilityVerdict(
-        detectable=max_mod < 1.0 - tol.unit_circle_eps,
+        detectable=max_mod < 1.0 - DEFAULT_TOL.unit_circle_eps,
         zeros=zs, max_zero_modulus=max_mod,
     )
 
@@ -356,22 +359,21 @@ class CertificateVerdict:
         return self.status == "ok"
 
 
-def _circle_scan(f: np.ndarray, e: np.ndarray, candidates: np.ndarray,
-                 tol: Tolerance) -> UnitCircleTest:
+def _circle_scan(f: np.ndarray, e: np.ndarray, candidates: np.ndarray) -> UnitCircleTest:
     """Row-rank test of the pencil ``F + z E`` on the unit circle.
 
     The pencil can lose row rank on the circle only at an eigenvalue of the
     dynamics (see the certificates), so it is tested at ``e^{j angle(lam)}``
-    for each candidate eigenvalue ``lam`` within ``max(unit_circle_eps,
-    1e-3)`` of the circle, on the circle rather than at ``lam``; with no
+    for each candidate eigenvalue ``lam`` within ``_CIRCLE_BAND`` (1e-3) of
+    the circle, on the circle rather than at ``lam``; with no
     candidate in that band nothing is tested and the test passes.  A point
     passes when the pencil has as many singular values there as rows, all at
     least ``rank_rel (||F||_2 + ||E||_2)``, a bound on its largest singular
     value anywhere on the circle, so a pencil that is zero at a point up to
     roundoff fails there.
     """
-    threshold = tol.rank_rel * float(np.linalg.norm(f, 2) + np.linalg.norm(e, 2))
-    near = np.abs(np.abs(candidates) - 1.0) <= max(tol.unit_circle_eps, 1e-3)
+    threshold = DEFAULT_TOL.rank_rel * float(np.linalg.norm(f, 2) + np.linalg.norm(e, 2))
+    near = np.abs(np.abs(candidates) - 1.0) <= _CIRCLE_BAND
     omegas = np.angle(candidates[near]) % (2.0 * np.pi)
     if not omegas.size:
         return UnitCircleTest(ok=True, min_sigma=None, worst_omega=None, threshold=threshold)
@@ -382,14 +384,14 @@ def _circle_scan(f: np.ndarray, e: np.ndarray, candidates: np.ndarray,
                           worst_omega=float(omegas[worst]), threshold=threshold)
 
 
-def _c2g2_precondition(step: SystemStep, tol: Tolerance):
+def _c2g2_precondition(step: SystemStep):
     """The step's context, the context of its self pair (``C2 G2``, its
     rank and its pseudoinverse, shared with the filters' steps on this
     decomposition), and the verdict of a failed ``rank(C2 G2) = p - rank(H)``
     precondition (``None`` when it holds), which both filter certificates
     require."""
-    ctx = _step_context(step, tol)
-    pair = _pair_context(ctx.dec, ctx.dec, tol)
+    ctx = _step_context(step)
+    pair = _pair_context(ctx.dec, ctx.dec)
     need = step.p - ctx.dec.p_h
     failed = None if pair.rank == need else CertificateVerdict(
         status="precondition_failed",
@@ -399,8 +401,7 @@ def _c2g2_precondition(step: SystemStep, tol: Tolerance):
 
 
 @_quiet
-def ulise_convergence_check(step: SystemStep,
-                            tol: Tolerance = DEFAULT_TOL) -> CertificateVerdict:
+def ulise_convergence_check(step: SystemStep) -> CertificateVerdict:
     """Necessary and sufficient certificate for the updated-variant gains to
     converge to a unique stationary solution (time-invariant case).
 
@@ -410,26 +411,25 @@ def ulise_convergence_check(step: SystemStep,
     the decoupled dynamics at that frequency (a PBH test), so the pencil is
     tested at the eigenvalues of A-hat on the circle only.
     """
-    ctx, _, failed = _c2g2_precondition(step, tol)
+    ctx, _, failed = _c2g2_precondition(step)
     if failed is not None:
         return failed
-    det = strong_detectability(step, tol)
+    det = strong_detectability(step)
     dec, ahat = ctx.dec, ctx.ahat
     n = step.n
     _overflow_check("ULISE convergence check", "Q-hat = Q + G1 Sigma^-1 R1 Sigma^-1 G1'", ctx.qhat)
     # the pencil [[A^ - z I, G2, Q^1/2, 0], [z C2, 0, 0, R2^1/2]] = F + z E
-    f = scipy.linalg.block_diag(np.hstack([ahat, dec.G2, psd_sqrt(ctx.qhat, tol)]),
-                                psd_sqrt(dec.R2, tol))
+    f = scipy.linalg.block_diag(np.hstack([ahat, dec.G2, psd_sqrt(ctx.qhat)]),
+                                psd_sqrt(dec.R2))
     e = np.zeros(f.shape)
     e[:, :n] = np.vstack([-np.eye(n), dec.C2])
-    circle = _circle_scan(f, e, np.linalg.eigvals(ahat), tol)
+    circle = _circle_scan(f, e, np.linalg.eigvals(ahat))
     status = "ok" if (det.detectable and circle.ok) else "failed"
     return CertificateVerdict(status=status, detectability=det, circle=circle)
 
 
 @_quiet
-def plise_stability_check(step: SystemStep,
-                          tol: Tolerance = DEFAULT_TOL) -> CertificateVerdict:
+def plise_stability_check(step: SystemStep) -> CertificateVerdict:
     """Sufficient certificate for bounded errors and covariances of the
     propagated variant (time-invariant case).
 
@@ -439,7 +439,7 @@ def plise_stability_check(step: SystemStep,
     ``[zI - F_s, Q_s^1/2]`` loses row rank only at an eigenvalue of ``F_s``
     (a PBH test), so it is tested at those on the circle only.
     """
-    ctx, pair, failed = _c2g2_precondition(step, tol)
+    ctx, pair, failed = _c2g2_precondition(step)
     if failed is not None:
         return failed
     dec, ahat, qhat = ctx.dec, ctx.ahat, ctx.qhat
@@ -447,7 +447,7 @@ def plise_stability_check(step: SystemStep,
     theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
     if theta.size:
         s = np.linalg.svd(theta, compute_uv=False)
-        if _sv_rank(s, tol.rank_rel) < s.size:
+        if _sv_rank(s, DEFAULT_TOL.rank_rel) < s.size:
             return CertificateVerdict(status="precondition_failed",
                                       reason="noise coupling matrix Theta is singular")
         theta_inv = np.linalg.inv(theta)
@@ -468,15 +468,15 @@ def plise_stability_check(step: SystemStep,
     scale = max(q_max, float(np.max(np.abs(dec.R2), initial=0.0)),
                 _norm(n_hat) ** 2 * max(1.0, q_max))
     try:
-        q_s_half = psd_sqrt(q_s, tol, scale)
+        q_s_half = psd_sqrt(q_s, scale)
     except NotPositiveDefiniteError:
         return CertificateVerdict(status="precondition_failed",
                                   reason="equivalent process noise is indefinite")
-    det = strong_detectability(step, tol)
+    det = strong_detectability(step)
 
     # the pencil [z I - F_s, Q_s^1/2] = F + z E
     f = np.hstack([-f_s, q_s_half])
-    circle = _circle_scan(f, np.eye(*f.shape), np.linalg.eigvals(f_s), tol)
+    circle = _circle_scan(f, np.eye(*f.shape), np.linalg.eigvals(f_s))
     status = "ok" if (det.detectable and circle.ok) else "failed"
     return CertificateVerdict(status=status, detectability=det, circle=circle)
 
@@ -515,17 +515,17 @@ class StructuralReport:
         return out
 
 
-def analyze(model: SystemModel, tol: Tolerance = DEFAULT_TOL) -> StructuralReport:
+def analyze(model: SystemModel) -> StructuralReport:
     """Run the full battery of time-invariant structural tests on a model."""
     if not model.is_time_invariant:
         raise InvalidInputError("structural report requires a time-invariant model")
     step = model.step(0)
-    obs = strong_observability_ti(model, tol)
-    det = strong_detectability(step, tol)
+    obs = strong_observability_ti(model)
+    det = strong_detectability(step)
     return StructuralReport(
         strongly_observable=obs,
         strongly_detectable=det,
         invariant_zeros=det.zeros,
-        ulise_convergent=ulise_convergence_check(step, tol),
-        plise_bounded=plise_stability_check(step, tol),
+        ulise_convergent=ulise_convergence_check(step),
+        plise_bounded=plise_stability_check(step),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lise.config import load_config
-from lise.linalg import DEFAULT_TOL, rank
+from lise.linalg import rank
 from lise.model import SystemModel, SystemStep, validate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -98,7 +98,7 @@ def random_system(rng, n=4, l=3, p=1, p_h=0, m=1, radius=0.9):
         dec = decompose(step)
         if dec.p_h != p_h:
             continue
-        if rank(dec.C2 @ dec.G2, DEFAULT_TOL) != p - p_h:
+        if rank(dec.C2 @ dec.G2) != p - p_h:
             continue
         return model
     raise AssertionError("failed to draw a valid random system")

@@ -90,7 +90,7 @@ def full_rank_gain_oracle(step, px_star):
     return px_star @ step.C.T @ ri @ inner
 
 
-def decompose_oracle(step, tol=DEFAULT_TOL):
+def decompose_oracle(step):
     """The output decomposition of one step, computed from scratch.
 
     A frozen copy of ``decomposition.decompose`` from before the (H, R)
@@ -108,7 +108,7 @@ def decompose_oracle(step, tol=DEFAULT_TOL):
         raise NotPositiveDefiniteError("measurement covariance R is not PD") from None
 
     u, s, vt = np.linalg.svd(step.H)
-    p_h = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size and s[0] else 0
+    p_h = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel * s[0])) if s.size and s[0] else 0
     u1, u2 = u[:, :p_h].copy(), u[:, p_h:]
     v = vt.T
     v1, v2 = v[:, :p_h].copy(), v[:, p_h:]
@@ -151,7 +151,7 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def _oracle_gain_l(px_star, step, dec, m2_state, g2_prev, gamma, tol, r_hat, closed_form):
+def _oracle_gain_l(px_star, step, dec, m2_state, g2_prev, gamma, r_hat, closed_form):
     """The state-update gain as ``filters.compute_gain_L`` formed it, with the
     unused ``m1_star`` and ``r_star`` of the closed form dropped."""
     c, r = step.C, step.R
@@ -189,7 +189,7 @@ def _oracle_gain_l(px_star, step, dec, m2_state, g2_prev, gamma, tol, r_hat, clo
             raise GainConstructionError("reduced innovation covariance is singular") from exc
         r_check = gam.T @ core_inv @ gam
     else:
-        r_check = pinv(r_star, tol)
+        r_check = pinv(r_star)
     if dec["p_h"] == 0:
         return k_gain @ r_check
     try:
@@ -201,8 +201,7 @@ def _oracle_gain_l(px_star, step, dec, m2_state, g2_prev, gamma, tol, r_hat, clo
     return k_gain @ (np.eye(l) - h1 @ m1_star).T @ r_check
 
 
-def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
-                tol=DEFAULT_TOL):
+def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH):
     """One ULISE, PLISE or CYWZ step computed from scratch.
 
     A frozen copy of the arithmetic of ``filters.ulise_step``, ``plise_step``
@@ -223,7 +222,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     """
     k = state.k + 1
     step_prev, step = state.step, model.step(k)
-    dp, dk = decompose_oracle(step_prev, tol), decompose_oracle(step, tol)
+    dp, dk = decompose_oracle(step_prev), decompose_oracle(step)
     y, u, u_prev = (np.asarray(v, dtype=float) for v in (y, u, u_prev))
     n = step.n
     ols = variant == "CYWZ"
@@ -248,7 +247,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     need = dp["G2"].shape[1]
     if need:
         sv = np.linalg.svd(c2g2, compute_uv=False)
-        got = int(np.count_nonzero(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] else 0
+        got = int(np.count_nonzero(sv > DEFAULT_TOL.rank_rel * sv[0])) if sv.size and sv[0] else 0
         if got < need:
             raise EstimabilityError(
                 f"rank(C2 G2) = {got} < {need}: unbiased estimation of the "
@@ -263,7 +262,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
     else:
         pd2 = np.zeros((0, 0))
     m2 = pd2 @ x.T
-    m2_state = pinv(c2g2, tol) if ols else m2
+    m2_state = pinv(c2g2) if ols else m2
     w2 = dk["C2"].T @ m2.T
     new = {}
 
@@ -275,7 +274,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
         qc = dp["G2"] @ m2 @ dk["C2"] @ step_prev.Q
         px_star = _sym(blockmap @ joint @ blockmap.T + step_prev.Q - qc - qc.T)
         gain_l = _oracle_gain_l(px_star, step, dk, m2, dp["G2"],
-                                GammaPolicy.PSEUDO_INVERSE, tol, None, True)
+                                GammaPolicy.PSEUDO_INVERSE, None, True)
     else:
         pd12 = (dp["sigma_inv"] @ dp["C1"] @ state.px @ step_prev.A.T @ w2
                 - pd1 @ dp["G1"].T @ w2)
@@ -283,7 +282,7 @@ def step_oracle(variant, state, y, u, u_prev, model, gamma=GammaPolicy.DAROUACH,
         px_star = _sym(dp["G2"] @ m2_state @ dk["R2"] @ m2_state.T @ dp["G2"].T
                        + igmc @ p_tilde @ igmc.T)
         r_hat = _sym(step.C @ p_tilde @ step.C.T + step.R)
-        gain_l = _oracle_gain_l(px_star, step, dk, m2_state, dp["G2"], gamma, tol,
+        gain_l = _oracle_gain_l(px_star, step, dk, m2_state, dp["G2"], gamma,
                                 r_hat, not ols)
     pd_prev = dp["V"] @ _sym_block([[pd1, pd12], [pd2]]) @ dp["V"].T
     ilc = np.eye(n) - gain_l @ step.C
@@ -361,7 +360,7 @@ def kalman_oracle_pass(model, ys, us, x0, p0, n_steps):
     return outs
 
 
-def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
+def per_run_truth_oracle(scenario, run_index):
     """Ground truth of one run, stepped one run at a time.
 
     A frozen copy of the original per-run simulation loop; the batched
@@ -382,8 +381,8 @@ def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
     for k in range(n_steps + 1):
         step = model.step(k)
         if fq is None or not model.is_time_invariant:
-            fq = psd_sqrt(step.Q, tol)
-            fr = psd_sqrt(step.R, tol)
+            fq = psd_sqrt(step.Q)
+            fr = psd_sqrt(step.R)
         y[k] = step.C @ x[k] + step.D @ u[k] + step.H @ d[k] + fr @ v_std[k]
         if k < n_steps:
             x[k + 1] = (step.A @ x[k] + step.B @ u[k] + step.G @ d[k]
@@ -394,7 +393,7 @@ def per_run_truth_oracle(scenario, run_index, tol=DEFAULT_TOL):
 _MATRICES = ("A", "B", "C", "D", "G", "H", "Q", "R")
 
 
-def _per_step_check(step, k, tol):
+def _per_step_check(step, k):
     out = []
     for name in _MATRICES:
         a = getattr(step, name)
@@ -406,23 +405,23 @@ def _per_step_check(step, k, tol):
     if not (l >= p >= 0):
         out.append(Violation(k, "dims", f"need l >= p >= 0, got l={l}, p={p}"))
     scale_q = max(1.0, float(np.max(np.abs(step.Q))) if step.Q.size else 0.0)
-    if np.max(np.abs(step.Q - step.Q.T), initial=0.0) > tol.zero_abs * scale_q:
+    if np.max(np.abs(step.Q - step.Q.T), initial=0.0) > DEFAULT_TOL.zero_abs * scale_q:
         out.append(Violation(k, "Q", "Q not symmetric"))
     elif step.Q.size:
         w = np.linalg.eigvalsh(0.5 * (step.Q + step.Q.T))
-        if w[0] < -tol.zero_abs * scale_q:
+        if w[0] < -DEFAULT_TOL.zero_abs * scale_q:
             out.append(Violation(k, "Q", f"Q not PSD (min eigenvalue {w[0]:.3e})"))
     scale_r = max(1.0, float(np.max(np.abs(step.R))) if step.R.size else 0.0)
-    if np.max(np.abs(step.R - step.R.T), initial=0.0) > tol.zero_abs * scale_r:
+    if np.max(np.abs(step.R - step.R.T), initial=0.0) > DEFAULT_TOL.zero_abs * scale_r:
         out.append(Violation(k, "R", "R not symmetric"))
     else:
         w = np.linalg.eigvalsh(0.5 * (step.R + step.R.T))
-        if w[0] <= 0.0 or w[0] < tol.rank_rel * w[-1]:
+        if w[0] <= 0.0 or w[0] < DEFAULT_TOL.rank_rel * w[-1]:
             out.append(Violation(k, "R", "R not PD"))
     return out
 
 
-def per_step_validate_oracle(model, k_range=None, tol=DEFAULT_TOL):
+def per_step_validate_oracle(model, k_range=None):
     """A frozen copy of the original ``validate``: every check, the Q and R
     checks and ``rank([G; H])`` included, run afresh at every step."""
     if k_range is None:
@@ -435,8 +434,8 @@ def per_step_validate_oracle(model, k_range=None, tol=DEFAULT_TOL):
     best_stack_rank = 0
     for k in ks:
         step = model.step(k)
-        violations.extend(_per_step_check(step, k, tol))
-        best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H]), tol))
+        violations.extend(_per_step_check(step, k))
+        best_stack_rank = max(best_stack_rank, rank(np.vstack([step.G, step.H])))
     if best_stack_rank != model.p:
         violations.append(Violation(
             None, "G/H",
@@ -446,20 +445,20 @@ def per_step_validate_oracle(model, k_range=None, tol=DEFAULT_TOL):
     return violations
 
 
-def q_fault_oracle(q, tol=DEFAULT_TOL):
+def q_fault_oracle(q):
     """A frozen copy of the original ``model._q_fault``: why ``Q`` is not a
     symmetric PSD matrix, or ``None``."""
     scale = max(1.0, float(np.max(np.abs(q))) if q.size else 0.0)
-    if np.max(np.abs(q - q.T), initial=0.0) > tol.zero_abs * scale:
+    if np.max(np.abs(q - q.T), initial=0.0) > DEFAULT_TOL.zero_abs * scale:
         return "Q not symmetric"
     if q.size:
         w = np.linalg.eigvalsh(0.5 * (q + q.T))
-        if w[0] < -tol.zero_abs * scale:
+        if w[0] < -DEFAULT_TOL.zero_abs * scale:
             return f"Q not PSD (min eigenvalue {w[0]:.3e})"
     return None
 
 
-def check_p0_oracle(p0, n, tol=DEFAULT_TOL):
+def check_p0_oracle(p0, n):
     """A frozen copy of the original ``filters._check_p0``: the symmetrized
     P0, or :class:`InvalidInputError` ("P0 must be symmetric" or "P0 must be
     PSD")."""
@@ -469,20 +468,20 @@ def check_p0_oracle(p0, n, tol=DEFAULT_TOL):
     if not np.isfinite(a).all():
         raise InvalidInputError("P0 at k=0 has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > tol.zero_abs * scale:
+    if np.max(np.abs(a - a.T)) > DEFAULT_TOL.zero_abs * scale:
         raise InvalidInputError("P0 must be symmetric")
-    if a.size and np.linalg.eigvalsh(symmetrize(a))[0] < -tol.zero_abs * scale:
+    if a.size and np.linalg.eigvalsh(symmetrize(a))[0] < -DEFAULT_TOL.zero_abs * scale:
         raise InvalidInputError("P0 must be PSD")
     return symmetrize(a)
 
 
-def psd_sqrt_oracle(a, tol=DEFAULT_TOL, scale=0.0):
+def psd_sqrt_oracle(a, scale=0.0):
     """A frozen copy of the original ``linalg.psd_sqrt`` on a finite square
     matrix: its symmetric factor, or :class:`InvalidInputError` (not
     symmetric) or :class:`NotPositiveDefiniteError` (not PSD)."""
     if a.size == 0:
         return a.copy()
-    zero = tol.zero_abs * max(1.0, float(np.max(np.abs(a))), scale)
+    zero = DEFAULT_TOL.zero_abs * max(1.0, float(np.max(np.abs(a))), scale)
     if np.max(np.abs(a - a.T)) > zero:
         raise InvalidInputError("psd_sqrt input is not symmetric to tolerance")
     w, v = eigh(symmetrize(a))
@@ -511,7 +510,7 @@ def fault_input_samples(count: int) -> np.ndarray:
     return d
 
 
-def per_step_full_pass_oracle(name, scenario, truth, tol):
+def per_step_full_pass_oracle(name, scenario, truth):
     """A filter pass that calls the step function at every step.
 
     A frozen copy of the original ``simulate._full_pass`` loop, before steps
@@ -522,7 +521,7 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
     model = scenario.model
     n_steps = scenario.horizon
     ys, us = truth.y, truth.u
-    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0])
     xhat = np.zeros((n_steps, model.n))
     dhat = np.zeros((n_steps, model.p))
     px_diag = np.zeros((n_steps, model.n))
@@ -533,10 +532,10 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
     for k in range(1, n_steps + 1):
         step_prev = model.step(k - 1)
         step = model.step(k)
-        dec_prev = decompose_cached(step_prev, tol)
+        dec_prev = decompose_cached(step_prev)
         try:
             state, out = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
-                                      scenario.gamma, tol)
+                                      scenario.gamma)
         except LiseError as exc:
             error = f"step {k}: {exc}"
             failed_at = k
@@ -552,14 +551,14 @@ def per_step_full_pass_oracle(name, scenario, truth, tol):
             unb[key] = max(unb[key], out.unbiasedness[key])
         gains.append(_StepGains(
             step_prev=step_prev, step=step, dec_prev=dec_prev,
-            dec=decompose_cached(step, tol),
+            dec=decompose_cached(step),
             m2=out.gains.m2, m2_state=out.gains.m2_state, gain_l=out.gains.gain_l,
             from_propagated=name == "PLISE",
         ))
     return xhat, dhat, px_diag, pd_diag, gains, unb, error, failed_at, None
 
 
-def first_repeat_oracle(name, scenario, truth, tol=DEFAULT_TOL):
+def first_repeat_oracle(name, scenario, truth):
     """The first step whose covariance state repeats an earlier one.
 
     Steps the filter at every k, as the per-step pass does, and records
@@ -572,7 +571,7 @@ def first_repeat_oracle(name, scenario, truth, tol=DEFAULT_TOL):
     """
     model = scenario.model
     ys, us = truth.y, truth.u
-    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0], tol)
+    state = _INITS[name](model, scenario.x0_mean, scenario.p0, ys[0], us[0])
     keys = []
     for k in range(1, scenario.horizon + 1):
         key = _gain_key(state)
@@ -581,7 +580,7 @@ def first_repeat_oracle(name, scenario, truth, tol=DEFAULT_TOL):
         keys.append(key)
         try:
             state, _ = _STEPS[name](state, ys[k], us[k], us[k - 1], model,
-                                    scenario.gamma, tol)
+                                    scenario.gamma)
         except LiseError:
             return None
     return None
@@ -624,7 +623,7 @@ def per_step_replay_oracle(name, gains, ys, us, x0_mean):
     return xh, dh
 
 
-def per_point_circle_scan(build, nrows, candidates, tol=DEFAULT_TOL):
+def per_point_circle_scan(build, nrows, candidates):
     """The unit-circle scan on a 721-point grid, with one SVD per point.
 
     A frozen copy of the original ``structural._circle_scan`` loop, which
@@ -635,7 +634,7 @@ def per_point_circle_scan(build, nrows, candidates, tol=DEFAULT_TOL):
     """
     omegas = list(np.linspace(0.0, 2.0 * np.pi, 720 + 1))
     for lam in candidates:
-        if abs(abs(lam) - 1.0) <= max(tol.unit_circle_eps, 1e-3):
+        if abs(abs(lam) - 1.0) <= 1e-3:
             omegas.append(float(np.angle(lam)) % (2.0 * np.pi))
     min_sigma = np.inf
     worst = 0.0
@@ -646,18 +645,18 @@ def per_point_circle_scan(build, nrows, candidates, tol=DEFAULT_TOL):
         if s[nrows - 1] < min_sigma:
             min_sigma = float(s[nrows - 1])
             worst = om
-    threshold = tol.rank_rel * smax
+    threshold = DEFAULT_TOL.rank_rel * smax
     return UnitCircleTest(ok=min_sigma >= threshold, min_sigma=min_sigma,
                           worst_omega=worst, threshold=threshold)
 
 
-def ulise_circle_oracle(step, tol=DEFAULT_TOL):
+def ulise_circle_oracle(step):
     """The circle test of ``ulise_convergence_check``, built point by point
     as the original code built it."""
-    dec = decompose_cached(step, tol)
+    dec = decompose_cached(step)
     ahat, qhat = decoupled_dynamics(step, dec)
-    q_half = psd_sqrt(qhat, tol)
-    r2_half = psd_sqrt(dec.R2, tol)
+    q_half = psd_sqrt(qhat)
+    r2_half = psd_sqrt(dec.R2)
     n = step.n
     l2 = dec.C2.shape[0]
     z_c2 = np.zeros((l2, dec.G2.shape[1] + n))
@@ -667,13 +666,13 @@ def ulise_circle_oracle(step, tol=DEFAULT_TOL):
         bottom = np.hstack([z * dec.C2, z_c2, r2_half])
         return np.vstack([top, bottom])
 
-    return per_point_circle_scan(build, n + l2, np.linalg.eigvals(ahat), tol)
+    return per_point_circle_scan(build, n + l2, np.linalg.eigvals(ahat))
 
 
-def plise_circle_oracle(step, tol=DEFAULT_TOL):
+def plise_circle_oracle(step):
     """The circle test of ``plise_stability_check`` (for a step that meets
     its preconditions), built point by point as the original code built it."""
-    dec = decompose_cached(step, tol)
+    dec = decompose_cached(step)
     c2g2 = dec.C2 @ dec.G2
     m2t = np.linalg.pinv(c2g2) if c2g2.size else np.zeros((0, dec.C2.shape[0]))
     theta = symmetrize(dec.R2 - c2g2 @ m2t @ dec.R2 - dec.R2 @ m2t.T @ c2g2.T)
@@ -685,12 +684,12 @@ def plise_circle_oracle(step, tol=DEFAULT_TOL):
     f_s = n_hat @ ahat - s_hat @ theta_inv @ dec.C2
     q_s = symmetrize(dec.G2 @ m2t @ dec.R2 @ m2t.T @ dec.G2.T
                      + n_hat @ qhat @ n_hat.T - s_hat @ theta_inv @ s_hat.T)
-    q_s_half = psd_sqrt(q_s, tol)
+    q_s_half = psd_sqrt(q_s)
 
     def build(z):
         return np.hstack([z * np.eye(n) - f_s, q_s_half])
 
-    return per_point_circle_scan(build, n, np.linalg.eigvals(f_s), tol)
+    return per_point_circle_scan(build, n, np.linalg.eigvals(f_s))
 
 
 def per_value_step_csv(result):
@@ -780,7 +779,7 @@ def _mp_pinv(a, rel):
     return v[:, :k] @ np.diag([1 / x for x in s[:k]]) @ u[:, :k].T
 
 
-def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
+def mp_px_recursion(variant, step, p0, n_steps, dps=50):
     """``px``, the input gain ``M2`` and the state gain ``L`` of ULISE, CYWZ
     or PLISE on the time-invariant ``step``, at ``dps`` decimal digits, for
     steps 1 to ``n_steps``.  ``M2`` is returned as ``V2 M2 U2^T``, the map
@@ -805,7 +804,7 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
     covariance ``pxd1`` with the state, propagates the joint covariance of
     ``(x, d1, d2)`` through ``[A, G1, G2]``, and reduces ``r_star`` by its
     pseudo-inverse at the float path's rank rule: the singular values above
-    ``tol.rank_rel`` times the largest count, as in ``lise.linalg.pinv``.
+    ``DEFAULT_TOL.rank_rel`` times the largest count, as in ``lise.linalg.pinv``.
 
     The float matrices enter exactly; returns three lists, of ``px``, ``M2``
     and ``L`` per step, as object arrays of ``mpf``.
@@ -866,7 +865,7 @@ def mp_px_recursion(variant, step, p0, n_steps, dps=50, tol=DEFAULT_TOL):
             r_star = c @ px_star @ c.T + r - cross - cross.T
             k_gain = px_star @ c.T - g2m2 @ u2t_r
             if variant == "PLISE":
-                r_check = _mp_pinv(r_star, tol.rank_rel)
+                r_check = _mp_pinv(r_star, DEFAULT_TOL.rank_rel)
             else:
                 r_check = gam.T @ _mp_inv(gam @ r_star @ gam.T) @ gam
             if p_h:

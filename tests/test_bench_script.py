@@ -156,15 +156,16 @@ def test_loc_counts_code_lines_only(tmp_path):
 
 
 def test_uncovered_lists_the_statements_a_run_never_executes(tmp_path):
-    # one test that raises from the first check of Tolerance: that raise
-    # ran, the next one did not, and every module body ran on import
+    # one test that raises from psd_sqrt's shape check: that raise ran, the
+    # statement after it did not, and every module body ran on import
     probe = tmp_path / "test_probe.py"
-    probe.write_text("import pytest\n"
+    probe.write_text("import numpy as np\n"
+                     "import pytest\n"
                      "from lise.errors import InvalidInputError\n"
-                     "from lise.linalg import Tolerance\n\n\n"
+                     "from lise.linalg import psd_sqrt\n\n\n"
                      "def test_probe():\n"
                      "    with pytest.raises(InvalidInputError):\n"
-                     "        Tolerance(rank_rel=2.0)\n")
+                     "        psd_sqrt(np.zeros((2, 3)))\n")
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "uncovered.py"), "-q",
                            "-p", "no:cacheprovider", str(probe)],
                           capture_output=True, text=True, timeout=120, cwd=ROOT)
@@ -172,9 +173,9 @@ def test_uncovered_lists_the_statements_a_run_never_executes(tmp_path):
     lines = proc.stdout.splitlines()
     assert "pytest exit code: 0" in lines
     missed = [line.split(": ", 1)[1] for line in lines if line.startswith("src/lise/linalg.py:")]
-    assert ('raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")'
-            in missed)
-    assert 'raise InvalidInputError("rank_rel must lie in (0, 1)")' not in missed
+    assert 'return _eigh_sqrt(*_psd_eigh(a, "matrix", scale))' in missed
+    assert ('raise InvalidInputError(f"psd_sqrt needs a square matrix, got {a.shape}")'
+            not in missed)
     assert not [s for s in missed if s.startswith(("import ", "from ", "def ", "class "))]
     assert lines[-1].startswith("total: ") and lines[-1].endswith(" statements never executed")
 

@@ -698,8 +698,8 @@ class TestCliFailures:
         # a non-finite measurement at k = 7 fails every filter at step 7
         real = lise.simulate.simulate_truth
 
-        def poisoned(scenario, run_index, tol):
-            truth = real(scenario, run_index, tol)
+        def poisoned(scenario, run_index):
+            truth = real(scenario, run_index)
             truth.y[:, 7, 0] = np.nan
             return truth
 

@@ -21,7 +21,7 @@ from lise.decomposition import (
 )
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.filters import ulise_init
-from lise.linalg import DEFAULT_TOL, Tolerance, rank
+from lise.linalg import rank
 from lise.model import SystemStep
 
 
@@ -172,11 +172,11 @@ def test_rank_from_own_svd_matches_linalg_rank(seed, p, rank_h):
     assert decompose(step).p_h == rank(step.H) == rank_h
 
 
-def _assert_matches_oracle(step, tol=DEFAULT_TOL, dec=None):
-    """Every field of ``dec`` (by default ``decompose(step, tol)``) is
-    bitwise the oracle's."""
-    dec = decompose(step, tol) if dec is None else dec
-    want = decompose_oracle(step, tol)
+def _assert_matches_oracle(step, dec=None):
+    """Every field of ``dec`` (by default ``decompose(step)``) is bitwise the
+    oracle's."""
+    dec = decompose(step) if dec is None else dec
+    want = decompose_oracle(step)
     assert {f.name for f in dataclasses.fields(OutputDecomposition)} == set(want)
     for name, value in want.items():
         got = getattr(dec, name)
@@ -187,12 +187,12 @@ def _assert_matches_oracle(step, tol=DEFAULT_TOL, dec=None):
     return dec
 
 
-def _chain(steps, tol=DEFAULT_TOL):
+def _chain(steps):
     """The contexts of ``steps`` fetched in turn, each with the step before
     it as ``prev``, as a filter fetches them."""
     prev, ctxs = None, []
     for step in steps:
-        ctxs.append(_step_context(step, tol, prev))
+        ctxs.append(_step_context(step, prev))
         prev = step
     return ctxs
 
@@ -219,19 +219,6 @@ class TestFactorCache:
         assert len({id(dec) for dec in decs}) == 11
         assert all((decs[k] is decs[k - 1]) == (k % 100 != 0) for k in range(1, 1001))
 
-    def test_tolerance_is_part_of_the_key(self):
-        # singular values 1 and 1e-9: rank 2 under the default tolerance,
-        # rank 1 under a looser one
-        step = _step_with(np.diag([1.0, 1e-9, 0.0])[:, :2])
-        loose = Tolerance(rank_rel=1e-8)
-        ranks = [_assert_matches_oracle(step, tol).p_h
-                 for tol in (DEFAULT_TOL, loose, DEFAULT_TOL, loose)]
-        assert ranks == [2, 1, 2, 1]
-        # a step context per tolerance, and a chain shares within one only
-        ctxs = _chain([step, _variant(step, A=0.5 * step.A)], loose)
-        assert [ctx.dec.p_h for ctx in ctxs] == [1, 1]
-        assert ctxs[1].dec is ctxs[0].dec is not _step_context(step).dec
-
     def test_cached_arrays_are_read_only(self, fault_models):
         dec = decompose(fault_models[1].step(0))
         arrays = [f.name for f in dataclasses.fields(OutputDecomposition)
@@ -248,9 +235,9 @@ class TestFactorCache:
         judged, built = [], []
         real_rule, real = lise.decomposition._psd_eigh, lise.decomposition.decompose
         monkeypatch.setattr(lise.decomposition, "_psd_eigh",
-                            lambda a, tol, what: judged.append(what) or real_rule(a, tol, what))
+                            lambda a, what: judged.append(what) or real_rule(a, what))
         monkeypatch.setattr(lise.decomposition, "decompose",
-                            lambda step, tol: built.append(step) or real(step, tol))
+                            lambda step: built.append(step) or real(step))
         for _ in range(3):
             with pytest.raises(NotPositiveDefiniteError):
                 decompose_cached(step)
@@ -262,7 +249,7 @@ class TestFactorCache:
         dec = decompose_cached(step)
         monkeypatch.setattr(lise.decomposition, "decompose", None)
         assert decompose_cached(step) is dec
-        assert _step_context(step, DEFAULT_TOL, step).dec is dec
+        assert _step_context(step, step).dec is dec
 
     def test_equal_h_and_r_with_different_c_d_or_g_get_distinct_decompositions(
             self, fault_models):
@@ -283,7 +270,7 @@ class TestFactorCache:
         again = _assert_matches_oracle(first)
         assert again is not decs[0] and again is not decompose(first)
 
-    def test_size_is_bounded(self):
+    def test_size_is_bounded(self, monkeypatch):
         # no module-level cache keeps a decomposition: 100 distinct ones
         # leave nothing behind once dropped
         rng = np.random.default_rng(3)
@@ -291,6 +278,11 @@ class TestFactorCache:
         for step in steps[:100]:
             decompose_cached(step)
         del step
+        # a fresh registry, so that its table grows to 100 entries while
+        # traced whatever ran before: a dict keeps its grown table once its
+        # entries are dropped, so a table grown past 100 entries earlier may
+        # or may not have to grow again here (by 9 KiB at 200 entries)
+        monkeypatch.setattr(lise.decomposition, "_CACHE", weakref.WeakKeyDictionary())
         tracemalloc.start()
         try:
             refs = []
@@ -307,7 +299,8 @@ class TestFactorCache:
         # 100 step contexts of about 6 KiB each while their steps live
         assert live > 100 * 4 * 1024, live
         assert sum(ref() is not None for ref in refs) == 0
-        # what is left is the list of 100 weak references
+        # what is left is the list of 100 weak references and the registry's
+        # table
         assert later < 16 * 1024, later
 
 
@@ -330,12 +323,9 @@ class TestStepContext:
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
 
-    def test_one_entry_per_step_object_and_tolerance(self, fault_models):
+    def test_one_entry_per_step_object(self, fault_models):
         step = fault_models[1].step(0)
-        loose = Tolerance(rank_rel=1e-8)
-        assert _step_context(step) is _step_context(step)
-        assert _step_context(step, loose) is not _step_context(step)
-        assert set(_CACHE[step]) >= {DEFAULT_TOL, loose}
+        assert _step_context(step) is _step_context(step) is _CACHE[step]
 
     def test_the_step_is_not_kept_alive(self, fault_models):
         base = fault_models[1].step(0)

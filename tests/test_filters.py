@@ -44,7 +44,7 @@ from lise.filters import (
     ulise_init,
     ulise_step,
 )
-from lise.linalg import DEFAULT_TOL, symmetrize
+from lise.linalg import symmetrize
 from lise.model import SystemModel, SystemStep, validate
 from lise.signals import Ramp, SquareWave, Step
 from lise.structural import analyze
@@ -233,8 +233,7 @@ class TestCovarianceState:
             # the step computes
             step = model.step(s.k + 1)
             cov, px_star, pd_prev, g, unb = _lise_gains(
-                s, _step_context(s.step, DEFAULT_TOL), step,
-                decompose_cached(step, DEFAULT_TOL), DEFAULT_TOL, **options)
+                s, _step_context(s.step), step, decompose_cached(step), **options)
             return cov, px_star, pd_prev, g.gain_l, g.m2, g.m2_state, unb
 
         return state, gains
@@ -783,14 +782,14 @@ class TestPairContext:
         dec = decompose_cached(model.step(0))
         state = ulise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
         pstate = plise_init(model, np.zeros(5), np.eye(5), np.zeros(5), np.zeros(1))
-        ctx = _pair_context(dec, dec, DEFAULT_TOL)
+        ctx = _pair_context(dec, dec)
         assert (ctx.rank, dec.G2.shape[1]) == (0, 1)
         # the deficient pair keeps its context; every step on it raises
         for _ in range(3):
             for step_fn, st0 in ((ulise_step, state), (cywz_step, state), (plise_step, pstate)):
                 with pytest.raises(EstimabilityError, match=r"rank\(C2 G2\) = 0 < 1"):
                     step_fn(st0, np.zeros(5), np.zeros(1), np.zeros(1), model)
-            assert _pair_context(dec, dec, DEFAULT_TOL) is ctx
+            assert _pair_context(dec, dec) is ctx
 
     def test_structural_checks_and_filters_share_the_self_pair_context(self):
         # analyze forms the pseudoinverse that CYWZ's first step then uses;
@@ -800,7 +799,7 @@ class TestPairContext:
         model = SystemModel.time_invariant(dataclasses.replace(base, R=1.5 * base.R))
         analyze(model)
         dec = decompose_cached(model.step(0))
-        ctx = _pair_context(dec, dec, DEFAULT_TOL)
+        ctx = _pair_context(dec, dec)
         assert "c2g2_pinv" in vars(ctx)
         state = ulise_init(model, sc.x0_mean, sc.p0, np.zeros(5), np.zeros(1))
         _, out = cywz_step(state, np.zeros(5), np.zeros(1), np.zeros(1), model)
@@ -808,7 +807,7 @@ class TestPairContext:
 
     def test_arrays_are_read_only(self):
         dec = decompose_cached(config_scenario("fault_h1").model.step(0))
-        ctx = _pair_context(dec, dec, DEFAULT_TOL)
+        ctx = _pair_context(dec, dec)
         for arr in (ctx.c2g2, ctx.c2g2_pinv):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
@@ -821,8 +820,8 @@ class TestPairContext:
         truth = simulate_truth(sc, 0)
         found = []
 
-        def recording(dec_prev, dec, tol):
-            found.append(((dec_prev, dec), _pair_context(dec_prev, dec, tol)))
+        def recording(dec_prev, dec):
+            found.append(((dec_prev, dec), _pair_context(dec_prev, dec)))
             return found[-1][1]
 
         monkeypatch.setattr(lise.filters, "_pair_context", recording)
@@ -849,7 +848,7 @@ class TestPairContext:
             prev = decompose(_pair_step(rng))
             for _ in range(count):
                 dec = decompose(_pair_step(rng))
-                _pair_context(prev, dec, DEFAULT_TOL).c2g2_pinv
+                _pair_context(prev, dec).c2g2_pinv
                 prev = dec
 
         fill(100)
@@ -872,7 +871,7 @@ class TestPairContext:
     def test_contexts_die_with_their_decompositions(self):
         rng = np.random.default_rng(9)
         decs = [decompose(_pair_step(rng)) for _ in range(101)]
-        ctxs = [_pair_context(decs[i], decs[i + 1], DEFAULT_TOL) for i in range(100)]
+        ctxs = [_pair_context(decs[i], decs[i + 1]) for i in range(100)]
         for ctx in ctxs:
             ctx.c2g2_pinv
         refs = [weakref.ref(obj) for obj in decs + ctxs]
@@ -992,10 +991,10 @@ class TestStepInvariants:
         decomposed, ruled = [], []
         real = lise.decomposition.decompose
         monkeypatch.setattr(lise.decomposition, "decompose",
-                            lambda step, tol: decomposed.append(step) or real(step, tol))
+                            lambda step: decomposed.append(step) or real(step))
         rule = lise.decomposition._psd_eigh
         monkeypatch.setattr(lise.decomposition, "_psd_eigh",
-                            lambda a, tol, what: ruled.append(what) or rule(a, tol, what))
+                            lambda a, what: ruled.append(what) or rule(a, what))
         rng = np.random.default_rng(4)
         ys = rng.standard_normal((1001, 5))
         us = rng.standard_normal((1001, 1))
@@ -1034,8 +1033,8 @@ class TestStepInvariants:
         pairs = []
         real = lise.filters._pair_context
 
-        def recording(dec_prev, dec, tol):
-            pairs.append(weakref.ref(real(dec_prev, dec, tol)))
+        def recording(dec_prev, dec):
+            pairs.append(weakref.ref(real(dec_prev, dec)))
             return pairs[-1]()
 
         tracemalloc.start()

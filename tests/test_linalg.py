@@ -18,7 +18,6 @@ from oracles import (check_p0_oracle, psd_sqrt_oracle, q_fault_oracle,
 from lise.errors import InvalidInputError, NotPositiveDefiniteError
 from lise.linalg import (
     DEFAULT_TOL,
-    Tolerance,
     _cpu_count,
     _finite,
     _in_blocks,
@@ -42,24 +41,9 @@ H2 = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=flo
 
 
 def test_tolerance_invariants():
-    with pytest.raises(InvalidInputError):
-        Tolerance(rank_rel=0.0)
-    with pytest.raises(InvalidInputError):
-        Tolerance(rank_rel=1.5)
-    with pytest.raises(InvalidInputError):
-        Tolerance(zero_abs=-1e-3)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("zero_abs", math.nan), ("zero_abs", math.inf), ("unit_circle_eps", math.nan),
-    ("unit_circle_eps", math.inf), ("zero_abs", 0.0), ("unit_circle_eps", -1e-6),
-])
-def test_tolerance_must_be_finite_and_positive(field, value):
-    # a NaN zero_abs would turn every symmetry and PSD test off: psd_sqrt
-    # of diag(1, -5) would return diag(1, 0)
-    with pytest.raises(InvalidInputError,
-                       match=f"^{field} must be finite and positive, got {value!r}$"):
-        Tolerance(**{field: value})
+    # the package's one tolerance holds the values the README lists
+    assert (DEFAULT_TOL.rank_rel, DEFAULT_TOL.zero_abs, DEFAULT_TOL.unit_circle_eps) == (
+        1e-11, 1e-10, 1e-6)
 
 
 class TestRank:
@@ -99,10 +83,9 @@ def test_pinv_is_bitwise_numpy_pinv(seed, rows, cols, rk):
     rng = np.random.default_rng(seed)
     rk = min(rk, rows, cols)
     a = rng.standard_normal((rows, rk)) @ rng.standard_normal((rk, cols))
-    for tol in (DEFAULT_TOL, Tolerance(rank_rel=1e-3)):
-        got = pinv(a, tol)
-        want = np.linalg.pinv(a, rcond=tol.rank_rel)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = pinv(a)
+    want = np.linalg.pinv(a, rcond=DEFAULT_TOL.rank_rel)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _bitwise(got, want):
@@ -406,25 +389,25 @@ class TestPsdRule:
         a, scale = case
         n = a.shape[0]
         # psd_sqrt at the drawn scale: the same verdict, the same factor
-        got, f = _verdict(lambda: psd_sqrt(a, DEFAULT_TOL, scale))
-        want, f_want = _verdict(lambda: psd_sqrt_oracle(a, DEFAULT_TOL, scale))
+        got, f = _verdict(lambda: psd_sqrt(a, scale))
+        want, f_want = _verdict(lambda: psd_sqrt_oracle(a, scale))
         assert got is want
         if n:
-            assert _verdict(lambda: _psd_eigh(a, DEFAULT_TOL, "matrix", scale))[0] is want
+            assert _verdict(lambda: _psd_eigh(a, "matrix", scale))[0] is want
         if want is None:
             assert f.shape == f_want.shape and f.tobytes() == f_want.tobytes()
         # the step contexts' Q check (what validate reports and the filters
         # raise) and the filters' P0 check, at the matrix's scale
         try:
             fault = None
-            _noise_factor(a, DEFAULT_TOL, "Q")
+            _noise_factor(a, "Q")
         except (InvalidInputError, NotPositiveDefiniteError) as exc:
             fault = str(exc)
         assert fault == q_fault_oracle(a)
         if n:  # the original P0 test failed on an empty P0 (max of nothing)
-            rule, _ = _verdict(lambda: _psd_eigh(a, DEFAULT_TOL, "P0"))
+            rule, _ = _verdict(lambda: _psd_eigh(a, "P0"))
             want, p0_want = _verdict(lambda: check_p0_oracle(a, n))
-            got, p0 = _verdict(lambda: _check_p0(a, n, DEFAULT_TOL))
+            got, p0 = _verdict(lambda: _check_p0(a, n))
             assert got is rule and (want is None) == (rule is None)
             if rule is None:
                 assert p0.tobytes() == p0_want.tobytes()
@@ -439,8 +422,8 @@ class TestPsdRule:
             with pytest.raises(InvalidInputError,
                                match=r"^Q has entries too large: its symmetric part "
                                      r"overflows$"):
-                _psd_eigh(np.diag([1.0, 1e308]), DEFAULT_TOL, "Q")
-            w, _ = _psd_eigh(np.diag([1.0, 8.9e307]), DEFAULT_TOL, "Q")
+                _psd_eigh(np.diag([1.0, 1e308]), "Q")
+            w, _ = _psd_eigh(np.diag([1.0, 8.9e307]), "Q")
         assert w[0] == 1.0 and w[1] == pytest.approx(8.9e307, rel=1e-15)
 
 

@@ -373,9 +373,9 @@ def test_truth_factors_each_distinct_noise_matrix_once(monkeypatch, copies):
     real = lise.decomposition._noise_factor
     factored = []
 
-    def counting(a, tol, name):
+    def counting(a, name):
         factored.append(a.tobytes())
-        return real(a, tol, name)
+        return real(a, name)
 
     monkeypatch.setattr(lise.decomposition, "_noise_factor", counting)
     simulate_truth(sc, 0)
@@ -589,8 +589,8 @@ class TestRunScenario:
         if case == "failing":
             real = lise.simulate.simulate_truth
 
-            def poisoned(scenario, run_index, tol):
-                truth = real(scenario, run_index, tol)
+            def poisoned(scenario, run_index):
+                truth = real(scenario, run_index)
                 truth.y[:, 50, 0] = np.nan
                 return truth
 
@@ -647,8 +647,8 @@ class TestRunScenario:
     def test_nonfinite_measurement_recorded_as_failure(self, monkeypatch):
         real = lise.simulate.simulate_truth
 
-        def poisoned(scenario, run_index, tol):
-            truth = real(scenario, run_index, tol)
+        def poisoned(scenario, run_index):
+            truth = real(scenario, run_index)
             truth.y[:, 7, 0] = np.nan
             return truth
 
@@ -825,8 +825,8 @@ class TestGainCycle:
     def test_nonfinite_input_on_a_cycle_step_names_the_step(self, monkeypatch, field):
         real = lise.simulate.simulate_truth
 
-        def poisoned(scenario, run_index, tol):
-            truth = real(scenario, run_index, tol)
+        def poisoned(scenario, run_index):
+            truth = real(scenario, run_index)
             getattr(truth, field)[..., 500, 0] = np.nan
             return truth
 
@@ -846,8 +846,8 @@ class TestGainCycle:
                                                             named):
         real = lise.simulate.simulate_truth
 
-        def poisoned(scenario, run_index, tol):
-            truth = real(scenario, run_index, tol)
+        def poisoned(scenario, run_index):
+            truth = real(scenario, run_index)
             for field in bad:
                 getattr(truth, field)[..., k, -1] = np.inf
             return truth
@@ -872,8 +872,8 @@ class TestGainCycle:
         # is reported only when it starts by then (it starts before k = 100)
         real = lise.simulate.simulate_truth
 
-        def poisoned(scenario, run_index, tol):
-            truth = real(scenario, run_index, tol)
+        def poisoned(scenario, run_index):
+            truth = real(scenario, run_index)
             truth.y[..., k - 1, :] = 1.7e308
             truth.y[..., k, :] = -1.7e308
             return truth
@@ -901,7 +901,7 @@ def _assert_replay_matches_oracle(sc):
     truth = simulate_truth(sc, range(sc.monte_carlo))
     truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
     for name in sc.filters:
-        gains = _full_pass(name, sc, truth0, DEFAULT_TOL)[4]
+        gains = _full_pass(name, sc, truth0)[4]
         if not gains:
             continue
         got = _apply_schedule(gains, truth.y, truth.u, sc.x0_mean)
@@ -960,7 +960,7 @@ class TestReplay:
             truth0 = TruthTrajectories(x=truth.x[0], y=truth.y[0], d=truth.d, u=truth.u)
             step = sc.model.step(0)
             for name in sc.filters:
-                gains = _full_pass(name, sc, truth0, DEFAULT_TOL)[4]
+                gains = _full_pass(name, sc, truth0)[4]
                 maps = lise.simulate._update_maps(gains)
                 records = {id(f): f for f in maps}.values()
                 chunk = min(lise.simulate._CHUNK, len(gains))
@@ -1041,7 +1041,7 @@ def _keyed_pass(key, horizon):
     sc = config_scenario("fault_h1", horizon=horizon, structural_checks=False)
     keys = map(key, itertools.count(1))
     with mock.patch.object(lise.simulate, "_gain_key", lambda state: next(keys)):
-        return _full_pass("ULISE", sc, simulate_truth(sc, 0), DEFAULT_TOL)
+        return _full_pass("ULISE", sc, simulate_truth(sc, 0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1416,9 +1416,16 @@ class TestOneVerdictPerStep:
         with pytest.raises(NotPositiveDefiniteError, match=message):
             simulate_truth(sc, range(2))
 
-    @settings(max_examples=40, deadline=None)
+    # derandomized, as the replay property is: a random search would fail
+    # now and then on the known PLISE breakdown below instead of on a new
+    # defect (hypothesis's xfail examples are strict: one that passes fails)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2 ** 31), st.integers(1, 4), st.integers(0, 1),
            st.sampled_from([("Q", 2.0), ("Q", -2.0), ("R", 10.0), ("R", 0.1)]))
+    @example(seed=175359, bad_k=1, p_h=1, case=("R", 10.0)).xfail(
+        raises=AssertionError,
+        reason="ROADMAP item 11: on an R of condition 1e10, which validate admits, "
+               "plise_step raises NumericalError at step 5 (r2_tilde's Cholesky)")
     def test_validate_steps_and_truth_agree_across_the_thresholds(self, seed, bad_k, p_h,
                                                                    case):
         # a Q eigenvalue at +-2 zero_abs times its scale, or an R condition

@@ -1,5 +1,7 @@
-"""Rules that the package's source keeps: the symmetric-PSD threshold
-``Tolerance.zero_abs`` is read in one function only, and R's positive
+"""Rules that the package's source keeps: its thresholds are those of the one
+``linalg.DEFAULT_TOL``, which no function takes as a parameter, so that no
+caller can decide against other values; the symmetric-PSD threshold
+``DEFAULT_TOL.zero_abs`` is read in one function only, and R's positive
 definiteness is decided in one function only, so that neither rule can be
 written out again, and drift, elsewhere; and no ``functools.lru_cache``
 keeps results for the life of the process, so that what a model step builds
@@ -39,9 +41,40 @@ def _zero_abs_reads():
 
 
 def test_only_the_psd_rule_reads_zero_abs():
-    # Tolerance's own check names its fields as strings
-    assert _zero_abs_reads() == {("linalg.py", "_psd_eigh", "attribute"),
-                                 ("linalg.py", "__post_init__", "string")}
+    assert _zero_abs_reads() == {("linalg.py", "_psd_eigh", "attribute")}
+
+
+def _tolerance_parameters():
+    """``(module, function)`` for every function or method of the package
+    with a parameter named ``tol`` or annotated ``Tolerance``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = (args.posonlyargs + args.args + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a is not None])
+                if any(a.arg == "tol" or (a.annotation is not None
+                                          and "Tolerance" in ast.unparse(a.annotation))
+                       for a in params):
+                    found.add((path.name, getattr(node, "name", "<lambda>")))
+    return found
+
+
+def _tolerance_calls():
+    """``(module, line)`` for every call of ``Tolerance`` in the package."""
+    return [(path.name, node.lineno)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and _named("Tolerance")(node.func)]
+
+
+def test_no_function_takes_a_tolerance():
+    # every threshold is read from DEFAULT_TOL where it is decided, and
+    # DEFAULT_TOL is the one Tolerance the package builds
+    assert _tolerance_parameters() == set()
+    calls = _tolerance_calls()
+    assert len(calls) == 1 and calls[0][0] == "linalg.py", calls
 
 
 def _lru_cache_uses():

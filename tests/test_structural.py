@@ -102,7 +102,7 @@ class TestObservabilityMatrices:
         built = []
         real = lise.decomposition.decompose
         monkeypatch.setattr(lise.decomposition, "decompose",
-                            lambda step, tol: built.append(step) or real(step, tol))
+                            lambda step: built.append(step) or real(step))
         mats = build_observability_matrices(model, 150)
         assert len(built) == 2
         assert mats.p_h == [2] * 100 + [3] * 51
@@ -209,10 +209,30 @@ class TestInvariantZeros:
         assert za.shape == zb.shape
         assert np.allclose(za, zb, atol=1e-6)
 
+    @pytest.mark.parametrize("scale", [
+        5.0, 1e7,
+        pytest.param(1e8, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 13: the two projected spectra put the zero 0.3 about "
+                   "1e-6 apart, past the 1e-7 cut that pairs them; 0.3 is lost")),
+        pytest.param(1e50, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 13: the pencil's normal rank at the rank_rel cut is 1, "
+                   "so no candidate drops it; both zeros are lost")),
+    ])
+    def test_zeros_do_not_depend_on_the_units_of_an_output(self, scale, fault_models):
+        # C[1][1] scales the second output of fault_h1, whose row of H is
+        # zero: a change of its units, which moves no invariant zero
+        s = fault_models[1].step(0)
+        c = s.C.copy()
+        c[1, 1] *= scale
+        zs = invariant_zeros(dataclasses.replace(s, C=c)).zeros
+        assert zs.size == 2 and np.allclose(np.sort_complex(zs), PENCIL_ZEROS[1], atol=1e-9), zs
+
     def test_squared_down_zero_pencil_contains_benchmark_zeros(self, fault_models):
         # squaring the rank-2 feedthrough benchmark's zero pencil z*E - F down
         # to a square one keeps the true zeros among its finite eigenvalues
-        e, f = _pencil(fault_models[1].step(0), DEFAULT_TOL)
+        e, f = _pencil(fault_models[1].step(0))
         rng = np.random.default_rng(5)
         w = rng.standard_normal((e.shape[1], e.shape[0]))
         alpha, beta = scipy.linalg.eig(w @ f, w @ e, right=False,
