@@ -198,7 +198,8 @@ def _structural_gate(result, strict: bool) -> int:
         problems.append("system is not strongly detectable")
     for name, cert in (("ULISE", rep.ulise_convergent), ("PLISE", rep.plise_bounded)):
         if name in result.scenario.filters and not cert.ok:
-            problems.append(f"{name} certificate: {cert.status} {cert.reason}")
+            reason = f" ({cert.reason})" if cert.reason else ""
+            problems.append(f"{name} certificate: {cert.status}{reason}")
     for msg in problems:
         print(f"structural warning: {msg}", file=sys.stderr)
     if problems and strict:
@@ -315,7 +316,3 @@ def main(argv=None) -> int:
         except LiseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

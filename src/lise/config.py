@@ -1,18 +1,25 @@
 """YAML configuration documents for the command-line tools.
 
 A config has up to four blocks: ``model`` (discrete matrices, or a
-``continuous`` sub-block that is discretized on load), ``scenario`` (signals,
-horizon, seed, filters), ``analysis`` (which structural checks to run), and
-``output`` (paths).  Matrices are nested row-major arrays.  Unknown keys are
-rejected with the offending key path, and so is a bool or a string where a
-number is expected; an exponent without a dot (``5e-05``) reads as a number,
-as in YAML 1.2.
+``continuous`` sub-block that :func:`lise.model.c2d_zoh` discretizes on
+load), ``scenario`` (signals, horizon, seed, filters), ``analysis`` (which
+structural checks to run), and ``output`` (paths).  Matrices are nested
+row-major arrays.  Unknown keys are rejected with the offending key path, and
+so is a bool or a string where a number is expected; an exponent without a
+dot (``5e-05``) reads as a number, as in YAML 1.2.
+
+The keys and defaults are the library's: the matrix names are those of
+:class:`lise.model.SystemStep`, a signal's keys are the fields of its class,
+and a setting left out takes the default of :class:`lise.simulate.Scenario`,
+:class:`AnalysisSettings` or :class:`OutputSettings`.  Keys are checked in
+that declared order, so the first error reported does not change from one
+run to the next.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -21,7 +28,7 @@ import yaml
 from .errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
 from .filters import GammaPolicy
 from .linalg import _psd_eigh
-from .model import ContinuousModel, SystemModel, SystemStep, c2d_zoh
+from .model import _MATRICES, ContinuousModel, SystemModel, SystemStep, c2d_zoh
 from .signals import Constant, Ramp, Samples, SignalSpec, SquareWave, Step, _is_integer, _is_real
 from .simulate import Scenario
 
@@ -75,6 +82,11 @@ class ConfigDocument:
     output: OutputSettings
 
 
+def _field_names(cls) -> tuple:
+    """The names of the dataclass ``cls``'s fields, in declared order."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"expected a mapping, got {type(node).__name__}", path)
@@ -116,69 +128,57 @@ def _array(node, path: str, ndim: int) -> np.ndarray:
     return arr
 
 
-_MODEL_KEYS = {"A", "B", "C", "D", "G", "H", "Q", "R"}
-
-
 def _parse_model(node, path: str) -> SystemModel:
     node = _require_mapping(node, path)
-    if "continuous" in node:
+    continuous = "continuous" in node
+    if continuous:
         _reject_unknown(node, {"continuous"}, path)
-        sub = _require_mapping(node["continuous"], f"{path}.continuous")
-        allowed = _MODEL_KEYS | {"dt", "scale_r_by_dt"}
-        _reject_unknown(sub, allowed, f"{path}.continuous")
-        missing = (_MODEL_KEYS | {"dt"}) - set(sub)
-        if missing:
-            raise ConfigError(f"missing keys {sorted(missing)}", f"{path}.continuous")
-        mats = {k: _array(sub[k], f"{path}.continuous.{k}", 2) for k in _MODEL_KEYS}
-        # loaded as is, not coerced: "false" would read as true, true as dt = 1
-        dt, scale_r = sub["dt"], sub.get("scale_r_by_dt", False)
-        _check_real(dt, f"{path}.continuous.dt", "dt")
-        if not isinstance(scale_r, bool):
-            raise ConfigError(f"scale_r_by_dt must be true or false, got {scale_r!r}",
-                              f"{path}.continuous.scale_r_by_dt")
-        try:
-            return c2d_zoh(ContinuousModel(**mats, dt=float(dt)), scale_r_by_dt=scale_r)
-        except Exception as exc:
-            raise ConfigError(str(exc), f"{path}.continuous") from None
-    _reject_unknown(node, _MODEL_KEYS, path)
-    missing = _MODEL_KEYS - set(node)
+        path = f"{path}.continuous"
+        node = _require_mapping(node["continuous"], path)
+    keys = _MATRICES + ("dt",) if continuous else _MATRICES
+    _reject_unknown(node, keys, path)
+    missing = [k for k in keys if k not in node]
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)}", path)
-    mats = {k: _array(node[k], f"{path}.{k}", 2) for k in _MODEL_KEYS}
+    mats = {k: _array(node[k], f"{path}.{k}", 2) for k in _MATRICES}
+    if continuous:
+        # loaded as is, not coerced: true would read as dt = 1
+        _check_real(node["dt"], f"{path}.dt", "dt")
     try:
-        step = SystemStep(**mats)
+        if continuous:
+            return c2d_zoh(ContinuousModel(**mats, dt=float(node["dt"])))
+        return SystemModel.time_invariant(SystemStep(**mats))
     except Exception as exc:
         raise ConfigError(str(exc), path) from None
-    return SystemModel.time_invariant(step)
 
 
-_SIGNAL_KEYS = {
-    "step": ({"amplitude", "k_on", "k_off"}, Step),
-    "ramp": ({"slope", "k_on", "k_off"}, Ramp),
-    "square_wave": ({"amplitude", "half_period", "k_on", "k_off"}, SquareWave),
-    "constant": ({"value"}, Constant),
-    "samples": ({"values"}, Samples),
+_SIGNALS = {
+    "step": Step,
+    "ramp": Ramp,
+    "square_wave": SquareWave,
+    "constant": Constant,
+    "samples": Samples,
 }
 
 
 def _parse_signal(node, path: str) -> SignalSpec:
     node = _require_mapping(node, path)
     kind = node.get("type")
-    if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
-        raise ConfigError(f"signal type must be one of {sorted(_SIGNAL_KEYS)}, got {kind!r}", path)
-    allowed, cls = _SIGNAL_KEYS[kind]
-    _reject_unknown(node, allowed | {"type"}, path)
-    missing = allowed - set(node)
+    if not isinstance(kind, str) or kind not in _SIGNALS:
+        raise ConfigError(f"signal type must be one of {sorted(_SIGNALS)}, got {kind!r}", path)
+    cls = _SIGNALS[kind]
+    keys = _field_names(cls)
+    _reject_unknown(node, keys + ("type",), path)
+    missing = [k for k in keys if k not in node]
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)}", path)
-    kwargs = {k: node[k] for k in allowed}
-    for key, value in kwargs.items():
+    for key in keys:
         if key == "values":
-            _array(value, f"{path}.values", 1)
+            _array(node[key], f"{path}.values", 1)
         else:
-            _check_real(value, f"{path}.{key}", key)
+            _check_real(node[key], f"{path}.{key}", key)
     try:
-        return cls(**kwargs)
+        return cls(**{k: node[k] for k in keys})
     except Exception as exc:
         raise ConfigError(str(exc), path) from None
 
@@ -193,7 +193,7 @@ def _parse_signals(node: dict, key: str, path: str) -> list:
 
 _SCENARIO_KEYS = {
     "horizon", "seed", "monte_carlo", "filters", "x0_true", "x0_mean", "P0",
-    "d_signals", "u_signals", "gamma", "steady_window", "structural_checks",
+    "d_signals", "u_signals", "gamma", "structural_checks",
 }
 
 
@@ -214,20 +214,20 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
     x0_mean = _array(node.get("x0_mean", [0.0] * model.n), f"{path}.x0_mean", 1)
     p0 = node.get("P0", None)
     p0 = np.eye(model.n) if p0 is None else _array(p0, f"{path}.P0", 2)
-    gamma_name = node.get("gamma", "darouach")
-    try:
-        gamma = GammaPolicy(gamma_name)
-    except ValueError:
-        raise ConfigError(
-            f"gamma must be one of {[g.value for g in GammaPolicy]}, got {gamma_name!r}",
-            f"{path}.gamma") from None
+    # the settings left out take the scenario's defaults
+    settings = {key: node[key] for key in ("monte_carlo", "structural_checks") if key in node}
+    if "gamma" in node:
+        try:
+            settings["gamma"] = GammaPolicy(node["gamma"])
+        except ValueError:
+            raise ConfigError(
+                f"gamma must be one of {[g.value for g in GammaPolicy]}, got {node['gamma']!r}",
+                f"{path}.gamma") from None
     try:
         scenario = Scenario(
             model=model, horizon=node["horizon"], d_signals=d_signals, u_signals=u_signals,
             x0_true=x0_true, x0_mean=x0_mean, p0=p0, noise_seed=node.get("seed", 0),
-            filters=tuple(filters), monte_carlo=node.get("monte_carlo", 1), gamma=gamma,
-            steady_window=node.get("steady_window", 0.2),
-            structural_checks=node.get("structural_checks", True),
+            filters=tuple(filters), **settings,
         )
     except Exception as exc:
         raise ConfigError(str(exc), path) from None
@@ -241,33 +241,33 @@ def _parse_scenario(node, model: SystemModel, path: str) -> Scenario:
 
 def _parse_analysis(node, path: str) -> AnalysisSettings:
     node = _require_mapping(node, path)
-    _reject_unknown(node, {"checks", "window"}, path)
-    checks = node.get("checks", list(ANALYSIS_CHECKS))
-    if not isinstance(checks, list) or not checks:
-        raise ConfigError("checks must be a non-empty list", f"{path}.checks")
-    for c in checks:
-        if c not in ANALYSIS_CHECKS:
-            raise ConfigError(f"unknown check {c!r} (choose from {ANALYSIS_CHECKS})",
-                              f"{path}.checks")
-    window = node.get("window")
+    _reject_unknown(node, _field_names(AnalysisSettings), path)
+    if "checks" in node:
+        checks = node["checks"]
+        if not isinstance(checks, list) or not checks:
+            raise ConfigError("checks must be a non-empty list", f"{path}.checks")
+        for c in checks:
+            if c not in ANALYSIS_CHECKS:
+                raise ConfigError(f"unknown check {c!r} (choose from {ANALYSIS_CHECKS})",
+                                  f"{path}.checks")
+        node = {**node, "checks": tuple(checks)}
+    settings = AnalysisSettings(**node)
+    window = settings.window
     if window is not None:
         if not _is_integer(window) or window < 0:
             raise ConfigError(f"window must be a nonnegative integer, got {window!r}",
                               f"{path}.window")
-        if "strong_observability" not in checks:
+        if "strong_observability" not in settings.checks:
             raise ConfigError("window is the strong_observability check's window, "
                               "and checks does not list that check", f"{path}.window")
-    return AnalysisSettings(checks=tuple(checks), window=window)
+    return settings
 
 
 def _parse_output(node, path: str) -> OutputSettings:
     node = _require_mapping(node, path)
-    _reject_unknown(node, {"dir", "per_step", "summary"}, path)
-    return OutputSettings(
-        dir=str(node.get("dir", ".")),
-        per_step=str(node.get("per_step", "steps.csv")),
-        summary=str(node.get("summary", "summary.csv")),
-    )
+    keys = _field_names(OutputSettings)
+    _reject_unknown(node, keys, path)
+    return OutputSettings(**{k: str(node[k]) for k in keys if k in node})
 
 
 def load_config(path: str) -> ConfigDocument:

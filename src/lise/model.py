@@ -20,7 +20,7 @@ both known and unknown inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -126,8 +126,7 @@ class SystemModel:
     the last step the provider returned, with its k, and hands that object
     out again while the same k is asked for; being deterministic, the
     provider would have built an equal step.  ``horizon_hint`` (time-varying
-    models only) is the last k that :func:`validate` checks when it is given
-    no range.
+    models only) is the last k that :func:`validate` checks.
     """
 
     n: int
@@ -193,27 +192,26 @@ class Violation:
     message: str
 
 
-def validate(model: SystemModel, k_range: Iterable[int] | None = None) -> list[Violation]:
-    """Check every model assumption over ``k_range``; empty list means valid.
+def validate(model: SystemModel) -> list[Violation]:
+    """Check every model assumption; empty list means valid.
 
-    Whether a step's matrices are finite, its Q symmetric PSD and its R
+    A time-invariant model is checked at k = 0, a time-varying one at
+    k = 0..``horizon_hint`` (k = 0 alone without a hint).  Whether a step's matrices are finite, its Q symmetric PSD and its R
     symmetric, positive definite and well conditioned is the verdict of the
     step's context (:class:`lise.decomposition.StepContext`), built along
     the range as a filter builds it: Q and R are judged again only where
     they change, and the filters then read the same contexts for the same
     step objects.  Added here are the dims check and the standing rank
-    requirement that ``[G; H]`` reaches rank p at some step in the range,
+    requirement that ``[G; H]`` reaches rank p at some step checked,
     computed again only where G or H changes (and not for a non-finite G or
     H, which is reported as such).  A step that repeats the previous one's
     matrices reports the same violations under its own k.
     """
     from .decomposition import _judged, _NonFiniteMatrix, _same  # it imports this module
 
-    if k_range is None:
-        k_range = range(1 if model.is_time_invariant else (model.horizon_hint or 0) + 1)
     violations: list[Violation] = []
     best_stack_rank, prev = 0, None
-    for k in list(k_range) or [0]:
+    for k in range(1 if model.is_time_invariant else (model.horizon_hint or 0) + 1):
         step = model.step(k)
         faults = _judged(step, prev)[0]
         cut = sum(isinstance(exc, _NonFiniteMatrix) for _, exc in faults)
@@ -273,13 +271,12 @@ def _zoh_input(a_c: np.ndarray, b_c: np.ndarray, dt: float) -> np.ndarray:
     return expm(aug * dt)[:n, n:]
 
 
-def c2d_zoh(cm: ContinuousModel, scale_r_by_dt: bool = False) -> SystemModel:
+def c2d_zoh(cm: ContinuousModel) -> SystemModel:
     """Discretize with a zero-order hold on the known and unknown inputs.
 
     The process-noise covariance comes from the standard augmented-exponential
-    construction for sampled continuous noise.  By default the measurement
-    covariance passes through unchanged (``R_d = R``); set ``scale_r_by_dt``
-    to use the sampled-intensity convention ``R_d = R / dt``.
+    construction for sampled continuous noise.  The measurement covariance
+    passes through unchanged (``R_d = R``).
     """
     n = cm.A.shape[0]
     a_d = expm(cm.A * cm.dt)
@@ -291,6 +288,5 @@ def c2d_zoh(cm: ContinuousModel, scale_r_by_dt: bool = False) -> SystemModel:
     aug[n:, n:] = cm.A.T
     phi = expm(aug * cm.dt)
     q_d = symmetrize(phi[n:, n:].T @ phi[:n, n:])
-    r_d = cm.R / cm.dt if scale_r_by_dt else cm.R
-    step = SystemStep(A=a_d, B=b_d, C=cm.C, D=cm.D, G=g_d, H=cm.H, Q=q_d, R=r_d)
+    step = SystemStep(A=a_d, B=b_d, C=cm.C, D=cm.D, G=g_d, H=cm.H, Q=q_d, R=cm.R)
     return SystemModel.time_invariant(step)

@@ -57,8 +57,9 @@ stacked gain reaches holds them once for its whole group of records.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +83,7 @@ from .filters import (
 )
 from .linalg import _in_blocks
 from .model import SystemModel, validate
-from .signals import Samples, _is_integer, _is_real, sample_signals
+from .signals import Samples, _is_integer, sample_signals
 from .structural import StructuralReport, analyze, strong_detectability
 
 __all__ = [
@@ -109,7 +110,11 @@ _BLOCK_RUN_STEPS = 8192
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Simulation description: model, signals, noise seed, filters to run."""
+    """Simulation description: model, signals, noise seed, filters to run.
+
+    The steady-state metrics average the last :attr:`steady_window` share of
+    the horizon, a class constant.
+    """
 
     model: SystemModel
     horizon: int
@@ -122,8 +127,8 @@ class Scenario:
     filters: tuple
     monte_carlo: int = 1
     gamma: GammaPolicy = GammaPolicy.DAROUACH
-    steady_window: float = 0.2
     structural_checks: bool = True
+    steady_window: ClassVar[float] = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "d_signals", tuple(self.d_signals))
@@ -163,11 +168,6 @@ class Scenario:
             if name == "KALMAN" and self.model.p:
                 raise InvalidInputError(
                     f"filter 'KALMAN' applies only to models with p = 0, got p = {self.model.p}")
-        window = self.steady_window
-        if not _is_real(window):
-            raise InvalidInputError(f"steady_window must be a real number, got {window!r}")
-        if not (0.0 < window <= 1.0):
-            raise InvalidInputError("steady_window must lie in (0, 1]")
         if not isinstance(self.structural_checks, bool):
             raise InvalidInputError(
                 f"structural_checks must be true or false, got {self.structural_checks!r}")
@@ -461,7 +461,9 @@ def _first_nonfinite_estimate(xhat: np.ndarray, dhat: np.ndarray):
     if not bad.size:
         return None
     i = int(bad[0])
-    return i + 1, f"step {i + 1}: non-finite estimate: xhat = {xhat[i]} and dhat = {dhat[i]}"
+    # on one line, as numpy would wrap a long array: the error is one CSV row
+    x, d = (np.array2string(v, max_line_width=sys.maxsize) for v in (xhat[i], dhat[i]))
+    return i + 1, f"step {i + 1}: non-finite estimate: xhat = {x} and dhat = {d}"
 
 
 def _serve_cycle(cycle, state, ys, us, gains, xhat, dhat, px_diag, pd_diag):

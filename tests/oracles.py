@@ -421,15 +421,10 @@ def _per_step_check(step, k):
     return out
 
 
-def per_step_validate_oracle(model, k_range=None):
+def per_step_validate_oracle(model):
     """A frozen copy of the original ``validate``: every check, the Q and R
     checks and ``rank([G; H])`` included, run afresh at every step."""
-    if k_range is None:
-        if model.is_time_invariant:
-            k_range = range(1)
-        else:
-            k_range = range((model.horizon_hint or 0) + 1)
-    ks = list(k_range) or [0]
+    ks = range(1 if model.is_time_invariant else (model.horizon_hint or 0) + 1)
     violations = []
     best_stack_rank = 0
     for k in ks:

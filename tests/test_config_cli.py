@@ -4,6 +4,8 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -168,6 +170,34 @@ class TestLoadConfig:
             load_config(p)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "res")]) == 1
         assert f"config error: {path}: {message}" in capsys.readouterr().err
+
+    def test_first_error_is_the_same_under_every_hash_seed(self, tmp_path):
+        # two faults in one document: the one reported is the first in the
+        # declared order of the matrices or of the signal's fields, whatever
+        # the order in which a set of their names would iterate
+        text = (CONFIGS / "fault_h1.yaml").read_text()
+        cases = [
+            (("- [0.5, 2, 0, 0, 0]", "- [true, 2, 0, 0, 0]"),
+             ("- [0.01, 0, 0, 0.005, 0]", "- [yes, 0, 0, 0.005, 0]"),
+             "model.A[0][0]: entry must be a real number, got True"),
+            (("amplitude: 1.0, k_on: 500", 'amplitude: true, k_on: "x"'),
+             "scenario.d_signals[0].amplitude: amplitude must be a real number, got True"),
+        ]
+        for i, (*edits, message) in enumerate(cases):
+            doc = text
+            for old, new in edits:
+                assert doc.count(old) == 1
+                doc = doc.replace(old, new)
+            cfg = tmp_path / f"cfg{i}.yaml"
+            cfg.write_text(doc)
+            for seed in ("1", "2", "3", "4"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "lise", "analyze", "--config", str(cfg)],
+                    env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
+                         "PYTHONHASHSEED": seed},
+                    capture_output=True, text=True, timeout=60)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (
+                    1, "", f"config error: {message}\n"), seed
 
     def test_exponent_without_a_dot_is_a_number(self, tmp_path):
         # YAML 1.1 leaves 1e-2 a string; it is YAML 1.2's float 0.01, and a
@@ -470,6 +500,11 @@ analysis:
         assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
 
 
+_UNKNOWN_STEADY_WINDOW = (
+    "unknown key 'steady_window' (allowed: ['P0', 'd_signals', 'filters', 'gamma', 'horizon', "
+    "'monte_carlo', 'seed', 'structural_checks', 'u_signals', 'x0_mean', 'x0_true'])")
+
+
 class TestCliRun:
     def test_writes_csvs(self, tmp_path, capsys):
         cfg = _small_run_config(tmp_path)
@@ -608,19 +643,20 @@ class TestCliRun:
         ("structural_checks", '"false"',
          "structural_checks must be true or false, got 'false'"),
         ("structural_checks", "1", "structural_checks must be true or false, got 1"),
-        ("steady_window", "true", "steady_window must be a real number, got True"),
-        ("steady_window", "'0.5'", "steady_window must be a real number, got '0.5'"),
+        # the steady window is a constant of the scenario, not a setting
+        ("steady_window", "true", _UNKNOWN_STEADY_WINDOW),
+        ("steady_window", "0.5", _UNKNOWN_STEADY_WINDOW),
     ])
     def test_mistyped_setting_is_a_config_error_naming_the_key(self, tmp_path, capsys,
                                                                 key, value, message):
-        # loaded as is, not coerced: "false" would read as true, true as 1.0
+        # loaded as is, not coerced: "false" would read as true
         cfg = _small_run_config(tmp_path)
         text = cfg.read_text()
         old = "seed: 20260810" if key == "seed" else "monte_carlo: 1"
         new = f"{key}: {value}" if key == "seed" else f"{old}\n  {key}: {value}"
         assert text.count(old) == 1
         cfg.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=f"^scenario: {message}$"):
+        with pytest.raises(ConfigError, match=f"^scenario: {re.escape(message)}$"):
             load_config(cfg)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
         assert f"config error: scenario: {message}" in capsys.readouterr().err
@@ -628,19 +664,21 @@ class TestCliRun:
 
     @pytest.mark.parametrize("old,new,path,message", [
         ("dt: 0.01", "dt: true", "model.continuous.dt", "dt must be a real number, got True"),
-        ("dt: 0.01", 'dt: 0.01\n    scale_r_by_dt: "false"', "model.continuous.scale_r_by_dt",
-         "scale_r_by_dt must be true or false, got 'false'"),
+        # R passes through the discretization: there is no flag to scale it
+        ("dt: 0.01", "dt: 0.01\n    scale_r_by_dt: true", "model.continuous",
+         "unknown key 'scale_r_by_dt' (allowed: ['A', 'B', 'C', 'D', 'G', 'H', 'Q', 'R', "
+         "'dt'])"),
         ("  checks: [validate,", "  window: true\n  checks: [validate,", "analysis.window",
          "window must be a nonnegative integer, got True"),
     ])
     def test_mistyped_model_or_analysis_setting_is_a_config_error_naming_the_key(
             self, tmp_path, capsys, old, new, path, message):
-        # "false" would divide R by dt, true would read as dt = 1 or window 1
+        # true would read as dt = 1 or window 1
         text = (CONFIGS / "vehicle_tracking.yaml").read_text()
         assert text.count(old) == 1
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_config(cfg)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
         assert f"config error: {path}: {message}" in capsys.readouterr().err
@@ -679,6 +717,34 @@ class TestCliRun:
         # without --strict it warns and continues
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "steps.csv").exists()
+
+    @pytest.mark.parametrize("case", ["unstable-zero", "c-g-zero"])
+    def test_structural_warnings_name_a_certificate_as_analyze_does(self, tmp_path, capsys,
+                                                                     case):
+        if case == "unstable-zero":
+            # fault_h1 with an invariant zero at 1.3: both certificates fail,
+            # and give no reason
+            cfg = _small_run_config(tmp_path, filters="[CYWZ, ULISE, PLISE]")
+            cfg.write_text(cfg.read_text().replace("- [0, 0, 0.3, 0, 1]", "- [0, 0, 1.3, 0, 1]"))
+            want = ["system is not strongly detectable", "ULISE certificate: failed",
+                    "PLISE certificate: failed"]
+        else:
+            # C G = 0 and H = 0: the certificates' precondition fails, and says why
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(_C_G_ZERO_CONFIG)
+            reason = " (rank(C2 G2) = 0 != p - rank(H) = 1)"
+            want = [f"ULISE certificate: precondition_failed{reason}",
+                    f"PLISE certificate: precondition_failed{reason}"]
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("structural warning:")] == [
+            f"structural warning: {w}" for w in want]
+        # the verdict as analyze prints it, after the certificate's own label
+        verdicts = dict(w.split(" certificate: ") for w in want if " certificate: " in w)
+        main(["analyze", "--config", str(cfg)])
+        out = capsys.readouterr().out.splitlines()
+        assert f"ULISE gain convergence: {verdicts['ULISE']}" in out
+        assert f"PLISE boundedness: {verdicts['PLISE']}" in out
 
     def test_strict_has_nothing_to_gate_without_structural_checks(self, tmp_path, capsys):
         # structural_checks: false leaves the run no report, so --strict runs on
@@ -1048,6 +1114,26 @@ model:
 scenario:
   horizon: 20
   filters: [ULISE]
+  d_signals:
+    - {type: constant, value: 0.0}
+  u_signals:
+    - {type: constant, value: 0.0}
+"""
+
+
+_C_G_ZERO_CONFIG = """
+model:
+  A: [[0.5, 0.0], [0.0, 0.5]]
+  B: [[0], [0]]
+  C: [[1.0, 0.0]]
+  D: [[0]]
+  G: [[0.0], [1.0]]
+  H: [[0.0]]
+  Q: [[0.01, 0], [0, 0.01]]
+  R: [[0.1]]
+scenario:
+  horizon: 20
+  filters: [ULISE, PLISE]
   d_signals:
     - {type: constant, value: 0.0}
   u_signals:

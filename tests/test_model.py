@@ -251,9 +251,9 @@ class TestValidateOnce:
         assert got == per_step_validate_oracle(model)
 
     def test_an_empty_range_checks_step_0(self):
-        model = _fault_plant(12, Q=lambda k: -np.eye(5) if k == 0 else np.eye(5))
-        got = validate(model, range(0))
-        assert got == validate(model, [0])
+        # a time-varying model without a horizon hint gives no range past
+        # k = 0: Q is not PSD at k = 0 and 1, and only k = 0 is checked
+        got = validate(_fault_plant(None, Q=lambda k: -np.eye(5) if k in (0, 1) else np.eye(5)))
         assert [(v.index, v.field) for v in got] == [(0, "Q")]
 
     def test_r_singular_from_120_is_reported_at_every_later_step(self):
@@ -284,10 +284,10 @@ class TestValidateOnce:
         monkeypatch.setattr(lise.decomposition, "_psd_eigh",
                             counting("_psd_eigh", lise.decomposition._psd_eigh))
         monkeypatch.setattr(lise.model, "rank", counting("rank", lise.model.rank))
-        assert validate(model, range(1001)) == []
+        assert validate(model) == []
         assert counts == {"_psd_eigh": 2, "rank": 11}
         monkeypatch.undo()
-        assert per_step_validate_oracle(model, range(1001)) == []
+        assert per_step_validate_oracle(model) == []
 
 
 class TestC2d:
@@ -326,10 +326,9 @@ class TestC2d:
         assert np.allclose(step.Q, step.Q.T)
         assert np.min(np.linalg.eigvalsh(step.Q)) >= -1e-18
 
-    def test_r_passthrough_and_flag(self):
+    def test_r_passthrough(self):
         cm = vehicle_tracking_model()
         assert np.array_equal(c2d_zoh(cm).step(0).R, cm.R)
-        assert np.allclose(c2d_zoh(cm, scale_r_by_dt=True).step(0).R, cm.R / cm.dt)
 
     @pytest.mark.parametrize("field,bad,message", [
         ("A", np.zeros((2, 3)), r"A must be square, got \(2, 3\)"),

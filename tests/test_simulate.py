@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import math
@@ -178,8 +179,6 @@ def test_scenario_counts_must_be_integers(field, value):
 
 @pytest.mark.parametrize("field, value, message", [
     ("noise_seed", True, "seed must be a nonnegative integer, got True"),
-    ("steady_window", True, "steady_window must be a real number, got True"),
-    ("steady_window", "0.5", "steady_window must be a real number, got '0.5'"),
     ("structural_checks", "false", "structural_checks must be true or false, got 'false'"),
     ("structural_checks", 1, "structural_checks must be true or false, got 1"),
 ])
@@ -206,13 +205,18 @@ def test_scenario_checks_the_filter_prior(field, value, message):
     ("filters", (), "at least one filter must be requested"),
     ("filters", ("ULISE", "KALMAN"),
      "filter 'KALMAN' applies only to models with p = 0, got p = 3"),
-    ("steady_window", 0.0, r"steady_window must lie in \(0, 1\]"),
-    ("steady_window", 1.5, r"steady_window must lie in \(0, 1\]"),
 ])
 def test_scenario_rejects_settings_that_do_not_fit(field, value, message):
     # fault_h1 has p = 3 unknown and m = 1 known inputs
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         config_scenario("fault_h1", **{field: value})
+
+
+def test_steady_window_is_a_constant_of_the_scenario():
+    # read as scenario.steady_window (perfbench's covariance check does),
+    # but no field: no scenario or config sets it
+    assert config_scenario("fault_h1").steady_window == 0.2
+    assert "steady_window" not in {f.name for f in dataclasses.fields(Scenario)}
 
 
 def test_scenario_rejects_a_filter_requested_twice():
@@ -394,7 +398,7 @@ def test_truth_and_validate_form_no_decoupled_dynamics(monkeypatch):
         return real(step, dec)
 
     monkeypatch.setattr(lise.decomposition, "decoupled_dynamics", counted)
-    assert validate(model, range(1001)) == []
+    assert validate(model) == []
     simulate_truth(sc, 0)
     assert len(calls) == 0
 
@@ -1311,6 +1315,27 @@ class TestCsv:
         assert len(rows) == 2
         assert "ULISE:ERROR" in rows[1]
 
+    def test_a_long_non_finite_estimate_stays_on_its_error_row(self, tmp_path):
+        # 20 states: numpy would wrap the printed xhat over two lines, and
+        # the error row over three CSV rows
+        n = 20
+        e1 = np.eye(n)[:, :1]
+        step = SystemStep(A=1.9 * np.eye(n), B=np.zeros((n, 0)), C=np.eye(n),
+                          D=np.zeros((n, 0)), G=e1, H=np.zeros((n, 1)),
+                          Q=1e-2 * np.eye(n), R=1e-2 * np.eye(n))
+        sc = Scenario(model=SystemModel.time_invariant(step), horizon=5,
+                      d_signals=[Constant(0.0)], u_signals=[], x0_true=np.zeros(n),
+                      x0_mean=np.full(n, 1e308), p0=np.eye(n), noise_seed=0,
+                      filters=("ULISE",))
+        with np.errstate(all="ignore"):
+            res = run_scenario(sc, raise_filter_errors=False)
+        assert res.filters["ULISE"].error == (
+            f"step 1: non-finite estimate: xhat = [{' '.join(['nan'] * n)}] and dhat = [nan]")
+        path = tmp_path / "steps.csv"
+        write_step_csv(res, path)
+        with open(path, newline="") as fh:
+            assert [len(row) for row in csv.reader(fh)] == [n + 7, n + 7]
+
     def test_summary_row_is_empty_without_a_steady_state(self, tmp_path):
         # ULISE fails at step 1, before the steady window starts
         res = run_scenario(_failing_scenario(), raise_filter_errors=False)
@@ -1364,7 +1389,7 @@ def _with_eigenvalue(a, w0):
 def _noise_case_scenario(base, bad_k, horizon, **changes):
     """A time-varying model of ``base`` whose steps from ``bad_k`` on have
     the matrices ``changes``, with ``horizon_hint = bad_k - 1`` so that
-    ``validate``'s default range ends just before them, and a one-run
+    ``validate``'s range ends just before them, and a one-run
     scenario around it."""
     changed = dataclasses.replace(base, **changes)
     model = SystemModel.time_varying(lambda k: changed if k >= bad_k else base,
@@ -1406,7 +1431,8 @@ class TestOneVerdictPerStep:
         sc = _noise_case_scenario(base, 11, 40, R=_with_eigenvalue(base.R, w[-1] * 1e-13))
         model = sc.model
         assert validate(model) == []
-        assert [(v.index, v.field, v.message) for v in validate(model, range(41))] == [
+        to_40 = dataclasses.replace(model, horizon_hint=40)
+        assert [(v.index, v.field, v.message) for v in validate(to_40)] == [
             (k, "R", "R not PD") for k in range(11, 41)]
         message = "^measurement covariance R is not PD at k=11$"
         for init, step_fn in _LISE_STEPS:
@@ -1440,7 +1466,8 @@ class TestOneVerdictPerStep:
             w0 = np.linalg.eigvalsh(a)[-1] * DEFAULT_TOL.rank_rel * factor
         horizon = 5
         sc = _noise_case_scenario(base, bad_k, horizon, **{name: _with_eigenvalue(a, w0)})
-        found = [(v.index, v.field) for v in validate(sc.model, range(horizon + 1))]
+        to_horizon = dataclasses.replace(sc.model, horizon_hint=horizon)
+        found = [(v.index, v.field) for v in validate(to_horizon)]
         violated = bool(found)
         assert found == ([(k, name) for k in range(bad_k, horizon + 1)] if violated else [])
         naming = re.compile(rf"\b{name}\b.* at k={bad_k}$")
